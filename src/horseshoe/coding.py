@@ -9,10 +9,12 @@ the coding map theta and its Holder estimate live here.
 
 Atom covers are built by quadtree refinement with interval arithmetic:
 a box survives at level n if, for every |k| <= n, the interval hull of
-its k-th image meets the closure of band s_k.  All branch formulas are
-affine except the parabolic w -> w^2, whose interval square is exact,
-so the hulls genuinely contain the true images and the cover contains
-the true atom.
+its k-th image meets the closure of band s_k.  The hulls and the band
+tests evaluate the branch formulas, strips and bands of the table in
+:mod:`horseshoe.map_core` on the small :class:`Interval` type.  All
+branch formulas are affine except the parabolic w -> w^2, whose
+interval square is exact, so the hulls genuinely contain the true
+images and the cover contains the true atom.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import map_core as mc
 from .map_core import MapParams
 
 
@@ -103,12 +106,6 @@ class Word:
 # Bands
 # ---------------------------------------------------------------------------
 
-def _r5_image_ymin(params: MapParams) -> float:
-    """Bottom of the image of the top strip (1/3 in exact arithmetic);
-    the right band does not reach below it except through the wing."""
-    return params.sigma * params.r5_y0 - params.sigma + 1.0
-
-
 def band_of(params: MapParams, p) -> frozenset:
     """Symbols of the vertical image bands containing ``p``.
 
@@ -118,18 +115,10 @@ def band_of(params: MapParams, p) -> frozenset:
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise NotInBands(f"{p} outside the square")
     out = set()
-    if x <= params.lam:
-        out.add(0)
-    if x >= 1.0 - params.lam and y >= _r5_image_ymin(params):
-        out.add(1)
-    if params.r3_a - params.lam <= x <= params.r3_a:
-        out.add(2)
-    off = params.c * (x - params.q) ** 2 - y
-    if abs(x - params.q) <= params.w_max and 0.0 <= off <= params.lam:
-        if x >= params.q:
-            out.add(1)
-        if x <= params.q:
-            out.add(2)
+    for symbol, br, lo, hi, floor in params._bands:
+        if lo <= x <= hi and (floor is None or y >= floor) \
+                and (not br.parabolic or mc._in_band(params, br, x, y)):
+            out.add(symbol)
     if not out:
         raise NotInBands(f"{p} outside the vertical bands")
     return frozenset(out)
@@ -141,18 +130,16 @@ def itinerary(params: MapParams, p, n: int) -> Word:
     On the tangency orbit the lower symbol is kept and the position
     recorded in ``ambiguous``.  Raises :class:`Escaped` with the first
     failing time when an iterate leaves the bands."""
-    from .map_core import apply, apply_inverse
-
     pts = {0: (float(p[0]), float(p[1]))}
     cur = pts[0]
     for k in range(1, n + 1):
-        cur = apply(params, cur)
+        cur = mc.apply(params, cur)
         if cur is None:
             raise Escaped(k)
         pts[k] = cur
     cur = pts[0]
     for k in range(1, n + 1):
-        cur = apply_inverse(params, cur)
+        cur = mc.apply_inverse(params, cur)
         if cur is None:
             raise Escaped(-k)
         pts[-k] = cur
@@ -181,263 +168,188 @@ def _interval_square(lo, hi):
     return sq_lo, np.maximum(a, b)
 
 
-def _forward_images(params: MapParams, boxes: np.ndarray):
-    """Interval hulls of the branch images of each box.
+class Interval:
+    """Elementwise closed intervals [lo, hi] over arrays.
 
-    Returns (images, origin) where origin maps each image box back to
-    its source row; boxes fully inside the gaps produce nothing."""
-    p = params
-    out, origin = [], []
-    idx = np.arange(len(boxes))
+    Just enough arithmetic for the branch formulas of the map table:
+    sums and differences of intervals and numbers, products and
+    quotients by numbers, and the exact square ``** 2``.  Each bound is
+    the same float expression as the corresponding end of the hull, so
+    the hulls contain the true images."""
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None      # numpy scalars defer to these methods
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __getitem__(self, mask) -> "Interval":
+        return Interval(self.lo[mask], self.hi[mask])
+
+    def clip(self, lo=None, hi=None) -> "Interval":
+        """Intersection with [lo, hi]; empty where lo > hi results."""
+        return Interval(self.lo if lo is None else np.maximum(self.lo, lo),
+                        self.hi if hi is None else np.minimum(self.hi, hi))
+
+    def __add__(self, other):
+        if isinstance(other, Interval):
+            return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(self.lo + other, self.hi + other)
+
+    __radd__ = __add__          # float addition and product commute
+
+    def __sub__(self, other):
+        if isinstance(other, Interval):
+            return Interval(self.lo - other.hi, self.hi - other.lo)
+        return Interval(self.lo - other, self.hi - other)
+
+    def __rsub__(self, other):
+        return Interval(other - self.hi, other - self.lo)
+
+    def __mul__(self, k):
+        if k >= 0:
+            return Interval(self.lo * k, self.hi * k)
+        return Interval(self.hi * k, self.lo * k)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        if k > 0:
+            return Interval(self.lo / k, self.hi / k)
+        return Interval(self.hi / k, self.lo / k)
+
+    def __pow__(self, n):
+        if n != 2:
+            return NotImplemented
+        return Interval(*_interval_square(self.lo, self.hi))
+
+
+def _interval_csq(c, w: Interval) -> Interval:
+    """Scaled-square hook of the branch table for intervals: square
+    exactly, then scale."""
+    return c * w ** 2
+
+
+def _hull(boxes: np.ndarray) -> tuple:
     x0, y0, x1, y1 = boxes.T
+    return Interval(x0, x1), Interval(y0, y1)
 
-    def clip_y(lo, hi):
-        cy0, cy1 = np.maximum(y0, lo), np.minimum(y1, hi)
-        return cy0, cy1, cy0 <= cy1
 
-    # bottom strip
-    cy0, cy1, ok = clip_y(0.0, p.inv_sigma)
-    if np.any(ok):
-        img = np.column_stack([p.lam * x0, p.sigma * cy0,
-                               p.lam * x1, p.sigma * cy1])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # middle strip (orientation-reversing)
-    cy0, cy1, ok = clip_y(p.r3_y0, p.r3_y0 + p.inv_sigma)
-    if np.any(ok):
-        img = np.column_stack([p.r3_a - p.lam * x1,
-                               1.0 - p.sigma * (cy1 - p.r3_y0),
-                               p.r3_a - p.lam * x0,
-                               1.0 - p.sigma * (cy0 - p.r3_y0)])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # parabolic strip
-    cy0, cy1, ok = clip_y(p.t - p.h, p.t + p.h)
-    if np.any(ok):
-        w0, w1 = p.sigma * (cy0 - p.t), p.sigma * (cy1 - p.t)
-        sq_lo, sq_hi = _interval_square(w0, w1)
-        img = np.column_stack([p.q + w0, p.c * sq_lo - p.lam * x1,
-                               p.q + w1, p.c * sq_hi - p.lam * x0])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # top strip
-    cy0, cy1, ok = clip_y(p.r5_y0, 1.0)
-    if np.any(ok):
-        img = np.column_stack([p.lam * x0 + 1.0 - p.lam,
-                               p.sigma * cy0 - p.sigma + 1.0,
-                               p.lam * x1 + 1.0 - p.lam,
-                               p.sigma * cy1 - p.sigma + 1.0])[ok]
-        out.append(img)
-        origin.append(idx[ok])
+def _boxes(x: Interval, y: Interval) -> np.ndarray:
+    return np.column_stack([x.lo, y.lo, x.hi, y.hi])
+
+
+def _step(params: MapParams, boxes: np.ndarray, forward: bool,
+          whole: bool = False):
+    """Interval hulls of the branch images (``forward``) or preimages of
+    each box, as (hulls, origin) with origin mapping each hull back to its
+    source row.
+
+    A box is clipped to every strip (image band) it meets; boxes fully
+    inside the gaps produce nothing.  With ``whole`` only boxes lying
+    entirely inside one strip (band) are kept: their hulls are exact.
+    The parabolic band is also bounded by its offset, which is the
+    preimage abscissa clipped to the strip's [0, 1]."""
+    out, origin = [], []
+    x, y = _hull(boxes)
+    for br in mc.BRANCHES:
+        if forward:
+            lo, hi = br.strip(params)
+            cx, cy = x, y.clip(lo, hi)
+            ok = (y.lo >= lo) & (y.hi <= hi) if whole else cy.lo <= cy.hi
+        else:
+            lo, hi = br.column(params)
+            cx, cy = x.clip(lo, hi), y
+            ok = (x.lo >= lo) & (x.hi <= hi) if whole else cx.lo <= cx.hi
+            if br.floor:
+                f = mc._band_floor(params, br)
+                cy = y.clip(f)
+                ok &= (y.lo >= f) if whole else cy.lo <= cy.hi
+        rows = np.nonzero(ok)[0]
+        if not len(rows):
+            continue
+        if forward:
+            ix, iy = br.forward(params, cx[rows], cy[rows], csq=_interval_csq)
+        else:
+            ix, iy = br.inverse(params, cx[rows], cy[rows])
+            if br.parabolic:
+                if whole:
+                    keep = (ix.lo >= 0.0) & (ix.hi <= 1.0)
+                else:
+                    ix = ix.clip(0.0, 1.0)
+                    keep = ix.lo <= ix.hi
+                ix, iy, rows = ix[keep], iy[keep], rows[keep]
+        out.append(_boxes(ix, iy))
+        origin.append(rows)
     if not out:
         return np.empty((0, 4)), np.empty(0, dtype=int)
     return np.vstack(out), np.concatenate(origin)
 
 
-def _backward_images(params: MapParams, boxes: np.ndarray):
-    """Interval hulls of the branch preimages of each box."""
-    p = params
-    out, origin = [], []
-    idx = np.arange(len(boxes))
-    x0, y0, x1, y1 = boxes.T
-
-    def clip_x(lo, hi):
-        cx0, cx1 = np.maximum(x0, lo), np.minimum(x1, hi)
-        return cx0, cx1, cx0 <= cx1
-
-    # left band
-    cx0, cx1, ok = clip_x(0.0, p.lam)
-    if np.any(ok):
-        img = np.column_stack([cx0 / p.lam, y0 / p.sigma,
-                               cx1 / p.lam, y1 / p.sigma])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # middle band
-    cx0, cx1, ok = clip_x(p.r3_a - p.lam, p.r3_a)
-    if np.any(ok):
-        img = np.column_stack([(p.r3_a - cx1) / p.lam,
-                               p.r3_y0 + (1.0 - y1) / p.sigma,
-                               (p.r3_a - cx0) / p.lam,
-                               p.r3_y0 + (1.0 - y0) / p.sigma])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # right band (image of the top strip only reaches down to 1/3)
-    cx0, cx1, ok = clip_x(1.0 - p.lam, 1.0)
-    cy0 = np.maximum(y0, _r5_image_ymin(p))
-    ok &= cy0 <= y1
-    if np.any(ok):
-        img = np.column_stack([(cx0 - 1.0 + p.lam) / p.lam,
-                               (cy0 + p.sigma - 1.0) / p.sigma,
-                               (cx1 - 1.0 + p.lam) / p.lam,
-                               (y1 + p.sigma - 1.0) / p.sigma])[ok]
-        out.append(img)
-        origin.append(idx[ok])
-    # parabolic band
-    cx0, cx1, ok = clip_x(p.q - p.w_max, p.q + p.w_max)
-    if np.any(ok):
-        d0, d1 = cx0 - p.q, cx1 - p.q
-        sq_lo, sq_hi = _interval_square(d0, d1)
-        off_lo = np.maximum(p.c * sq_lo - y1, 0.0)
-        off_hi = np.minimum(p.c * sq_hi - y0, p.lam)
-        okb = ok & (off_lo <= off_hi)
-        if np.any(okb):
-            img = np.column_stack([off_lo / p.lam, p.t + d0 / p.sigma,
-                                   off_hi / p.lam, p.t + d1 / p.sigma])[okb]
-            out.append(img)
-            origin.append(idx[okb])
-    if not out:
-        return np.empty((0, 4)), np.empty(0, dtype=int)
-    return np.vstack(out), np.concatenate(origin)
-
-
-def _touches_band(params: MapParams, boxes: np.ndarray,
-                  symbol: int) -> np.ndarray:
-    """Whether each box meets the closure of the given band."""
-    p = params
-    x0, y0, x1, y1 = boxes.T
-    inside = (x1 >= 0.0) & (x0 <= 1.0) & (y1 >= 0.0) & (y0 <= 1.0)
-    if symbol == 0:
-        return inside & (x0 <= p.lam)
-    if symbol == 1:
-        straight = (x1 >= 1.0 - p.lam) & (y1 >= _r5_image_ymin(p))
-        wing_lo, wing_hi = p.q, p.q + p.w_max
+def _band_test(params: MapParams, boxes: np.ndarray, symbol: int,
+               whole: bool) -> np.ndarray:
+    """Whether each box meets (``whole=False``) or lies entirely inside
+    (``whole=True``) the closure of the given band."""
+    x, y = _hull(boxes)
+    if whole:
+        hit = (x.lo >= 0.0) & (x.hi <= 1.0) & (y.lo >= 0.0) & (y.hi <= 1.0)
     else:
-        straight = (x1 >= p.r3_a - p.lam) & (x0 <= p.r3_a)
-        wing_lo, wing_hi = p.q - p.w_max, p.q
-    cx0 = np.maximum(x0, wing_lo)
-    cx1 = np.minimum(x1, wing_hi)
-    d0, d1 = cx0 - p.q, cx1 - p.q
-    sq_lo, sq_hi = _interval_square(d0, d1)
-    wing = (cx0 <= cx1) & (p.c * sq_lo - y1 <= p.lam) \
-        & (p.c * sq_hi - y0 >= 0.0)
-    return inside & (straight | wing)
-
-
-def _inside_band(params: MapParams, boxes: np.ndarray,
-                 symbol: int) -> np.ndarray:
-    """Whether each box lies entirely inside the band's closure."""
-    p = params
-    x0, y0, x1, y1 = boxes.T
-    inside = (x0 >= 0.0) & (x1 <= 1.0) & (y0 >= 0.0) & (y1 <= 1.0)
-    if symbol == 0:
-        return inside & (x1 <= p.lam)
-    if symbol == 1:
-        straight = (x0 >= 1.0 - p.lam) & (y0 >= _r5_image_ymin(p))
-        wing_lo, wing_hi = p.q, p.q + p.w_max
-    else:
-        straight = (x0 >= p.r3_a - p.lam) & (x1 <= p.r3_a)
-        wing_lo, wing_hi = p.q - p.w_max, p.q
-    sq_lo, sq_hi = _interval_square(x0 - p.q, x1 - p.q)
-    wing = ((x0 >= wing_lo) & (x1 <= wing_hi)
-            & (p.c * sq_lo - y1 >= 0.0) & (p.c * sq_hi - y0 <= p.lam))
-    return inside & (straight | wing)
-
-
-def _forward_interior(params: MapParams, boxes: np.ndarray):
-    """(images, certified): exact hulls for boxes lying entirely in one
-    horizontal strip; uncertified rows carry garbage."""
-    p = params
-    x0, y0, x1, y1 = boxes.T
-    img = np.empty_like(boxes)
-    ok = np.zeros(len(boxes), dtype=bool)
-    m = (y0 >= 0.0) & (y1 <= p.inv_sigma)
-    img[m] = np.column_stack([p.lam * x0, p.sigma * y0,
-                              p.lam * x1, p.sigma * y1])[m]
-    ok |= m
-    m = (y0 >= p.r3_y0) & (y1 <= p.r3_y0 + p.inv_sigma)
-    img[m] = np.column_stack([p.r3_a - p.lam * x1,
-                              1.0 - p.sigma * (y1 - p.r3_y0),
-                              p.r3_a - p.lam * x0,
-                              1.0 - p.sigma * (y0 - p.r3_y0)])[m]
-    ok |= m
-    m = (y0 >= p.t - p.h) & (y1 <= p.t + p.h)
-    if np.any(m):
-        w0, w1 = p.sigma * (y0 - p.t), p.sigma * (y1 - p.t)
-        sq_lo, sq_hi = _interval_square(w0, w1)
-        img[m] = np.column_stack([p.q + w0, p.c * sq_lo - p.lam * x1,
-                                  p.q + w1, p.c * sq_hi - p.lam * x0])[m]
-        ok |= m
-    m = (y0 >= p.r5_y0) & (y1 <= 1.0)
-    img[m] = np.column_stack([p.lam * x0 + 1.0 - p.lam,
-                              p.sigma * y0 - p.sigma + 1.0,
-                              p.lam * x1 + 1.0 - p.lam,
-                              p.sigma * y1 - p.sigma + 1.0])[m]
-    ok |= m
-    return img, ok
-
-
-def _backward_interior(params: MapParams, boxes: np.ndarray):
-    """(preimages, certified): exact hulls for boxes lying entirely in
-    one image band."""
-    p = params
-    x0, y0, x1, y1 = boxes.T
-    img = np.empty_like(boxes)
-    ok = np.zeros(len(boxes), dtype=bool)
-    m = (x0 >= 0.0) & (x1 <= p.lam)
-    img[m] = np.column_stack([x0 / p.lam, y0 / p.sigma,
-                              x1 / p.lam, y1 / p.sigma])[m]
-    ok |= m
-    m = (x0 >= p.r3_a - p.lam) & (x1 <= p.r3_a)
-    img[m] = np.column_stack([(p.r3_a - x1) / p.lam,
-                              p.r3_y0 + (1.0 - y1) / p.sigma,
-                              (p.r3_a - x0) / p.lam,
-                              p.r3_y0 + (1.0 - y0) / p.sigma])[m]
-    ok |= m
-    m = (x0 >= 1.0 - p.lam) & (x1 <= 1.0) & (y0 >= _r5_image_ymin(p))
-    img[m] = np.column_stack([(x0 - 1.0 + p.lam) / p.lam,
-                              (y0 + p.sigma - 1.0) / p.sigma,
-                              (x1 - 1.0 + p.lam) / p.lam,
-                              (y1 + p.sigma - 1.0) / p.sigma])[m]
-    ok |= m
-    d0, d1 = x0 - p.q, x1 - p.q
-    sq_lo, sq_hi = _interval_square(d0, d1)
-    off_lo, off_hi = p.c * sq_lo - y1, p.c * sq_hi - y0
-    m = ((x0 >= p.q - p.w_max) & (x1 <= p.q + p.w_max)
-         & (off_lo >= 0.0) & (off_hi <= p.lam) & ~ok)
-    if np.any(m):
-        img[m] = np.column_stack([off_lo / p.lam, p.t + d0 / p.sigma,
-                                  off_hi / p.lam, p.t + d1 / p.sigma])[m]
-        ok |= m
-    return img, ok
+        hit = (x.hi >= 0.0) & (x.lo <= 1.0) & (y.hi >= 0.0) & (y.lo <= 1.0)
+    piece_hit = np.zeros(len(boxes), dtype=bool)
+    for sym, br, lo, hi, floor in params._bands:
+        if sym != symbol:
+            continue
+        if whole:
+            m = (x.lo >= lo) & (x.hi <= hi)
+        else:
+            m = (x.hi >= lo) & (x.lo <= hi)
+        if floor is not None:
+            m &= (y.lo if whole else y.hi) >= floor
+        if br.parabolic:
+            # offset hull over the box (its part over the wing, if touching)
+            k = mc.parabola_offset(params, (x if whole else x.clip(lo, hi), y))
+            if whole:
+                m &= (k.lo >= 0.0) & (k.hi <= params.lam)
+            else:
+                m &= (k.lo <= params.lam) & (k.hi >= 0.0)
+        piece_hit |= m
+    return hit & piece_hit
 
 
 def _interior(params: MapParams, boxes: np.ndarray,
               word: Word) -> np.ndarray:
     """Boxes certified to lie entirely inside the atom's constraints
     for all |k| <= n; these need no further splitting."""
-    n = word.n
-    good = _inside_band(params, boxes, word.symbol(0))
-    for stepper, sign in ((_forward_interior, 1), (_backward_interior, -1)):
-        cur = boxes
-        for k in range(1, n + 1):
-            if not np.any(good):
-                break
-            cur, ok = stepper(params, cur)
-            good &= ok
-            good &= _inside_band(params, cur, word.symbol(sign * k))
-    return good
+    return _follow(params, boxes, word, whole=True)
 
 
 def _survives(params: MapParams, boxes: np.ndarray, word: Word) -> np.ndarray:
     """Level-n survival mask: every |k| <= n image hull meets band s_k."""
+    return _follow(params, boxes, word, whole=False)
+
+
+def _follow(params: MapParams, boxes: np.ndarray, word: Word,
+            whole: bool) -> np.ndarray:
+    """Push the boxes through the word's times -n..n and keep those whose
+    hulls meet (or, ``whole``, lie inside) band s_k at every time."""
     n = word.n
-    alive = _touches_band(params, boxes, word.symbol(0))
-    for stepper, sign in ((_forward_images, 1), (_backward_images, -1)):
+    alive = _band_test(params, boxes, word.symbol(0), whole)
+    for forward, sign in ((True, 1), (False, -1)):
         cur, origin = boxes, np.arange(len(boxes))
         for k in range(1, n + 1):
-            cur, step_origin = stepper(params, cur)
+            if not np.any(alive):
+                return alive
+            cur, step_origin = _step(params, cur, forward, whole)
             origin = origin[step_origin]
-            hit = _touches_band(params, cur, word.symbol(sign * k))
+            hit = _band_test(params, cur, word.symbol(sign * k), whole)
             ok = np.zeros(len(boxes), dtype=bool)
-            np.logical_or.at(ok, origin[hit], True)
+            ok[origin[hit]] = True
             alive &= ok
             # advance only image boxes that still meet the square (others
             # cannot contribute and their coordinates blow up under 1/lam)
             keep = alive[origin] & (cur[:, 2] >= 0.0) & (cur[:, 0] <= 1.0) \
                 & (cur[:, 3] >= 0.0) & (cur[:, 1] <= 1.0)
             cur, origin = cur[keep], origin[keep]
-            if not len(cur):
-                return np.zeros(len(boxes), dtype=bool)
     return alive
 
 
@@ -465,14 +377,20 @@ class Atom:
         """Representative point: center of the cover box nearest the
         bounding-hull midpoint (the midpoint itself can fall in a gap
         when the cover has several pieces)."""
+        cx, cy, d2 = self._box_centers()
+        i = int(np.argmin(d2))
+        return (float(cx[i]), float(cy[i]))
+
+    def _box_centers(self):
+        """Cover-box centers and their squared distances to the
+        bounding-hull midpoint."""
         if self.empty:
             raise EmptyAtom(self.word.to_string())
         hx = 0.5 * (np.min(self.boxes[:, 0]) + np.max(self.boxes[:, 2]))
         hy = 0.5 * (np.min(self.boxes[:, 1]) + np.max(self.boxes[:, 3]))
         cx = 0.5 * (self.boxes[:, 0] + self.boxes[:, 2])
         cy = 0.5 * (self.boxes[:, 1] + self.boxes[:, 3])
-        i = int(np.argmin((cx - hx) ** 2 + (cy - hy) ** 2))
-        return (float(cx[i]), float(cy[i]))
+        return cx, cy, (cx - hx) ** 2 + (cy - hy) ** 2
 
     def contains(self, p, slack: float = 0.0) -> bool:
         if self.empty:
@@ -509,6 +427,9 @@ def _split(boxes: np.ndarray) -> np.ndarray:
     ])
 
 
+_SQUARE = np.array([[0.0, 0.0, 1.0, 1.0]])
+
+
 def _refine(params: MapParams, word: Word, boxes: np.ndarray,
             resolution: int) -> np.ndarray:
     """Adaptive cover: split surviving boxes down to 2^-resolution, but
@@ -534,21 +455,20 @@ def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
     if resolution is None:
         resolution = default_resolution(params)
     word.n  # validates centering
-    boxes = _refine(params, word, np.array([[0.0, 0.0, 1.0, 1.0]]),
-                    resolution)
-    return Atom(word, boxes)
+    return Atom(word, _refine(params, word, _SQUARE, resolution))
 
 
-def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
-    """All nonempty level-n atoms, built by refining the level-(n-1)
-    covers (nesting makes the parents valid starting covers)."""
+def _levels(params: MapParams, resolution: int | None = None):
+    """Covers {word: boxes} of the nonempty level-0, 1, 2, ... atoms, each
+    level refining the previous one (nesting makes the parents valid
+    starting covers)."""
     if resolution is None:
         resolution = default_resolution(params)
-    level = {Word((s,), 0): _refine(params, Word((s,), 0),
-                                    np.array([[0.0, 0.0, 1.0, 1.0]]),
+    level = {Word((s,), 0): _refine(params, Word((s,), 0), _SQUARE,
                                     resolution) for s in (0, 1, 2)}
     level = {w: b for w, b in level.items() if len(b)}
-    for _ in range(n):
+    while True:
+        yield level
         nxt = {}
         for w, boxes in level.items():
             for a in (0, 1, 2):
@@ -558,7 +478,13 @@ def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
                     if len(cover):
                         nxt[child] = cover
         level = nxt
-    return {w: Atom(w, b) for w, b in level.items()}
+
+
+def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
+    """All nonempty level-n atoms."""
+    for k, level in enumerate(_levels(params, resolution)):
+        if k == n:
+            return {w: Atom(w, b) for w, b in level.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +516,8 @@ def _representative(params: MapParams, a: Atom) -> tuple:
     (hull midpoints of multi-piece covers can sit between the strips);
     falls back to the nearest-box center when none of the closest
     candidates has a full orbit."""
-    if a.empty:
-        raise EmptyAtom(a.word.to_string())
-    hx = 0.5 * (np.min(a.boxes[:, 0]) + np.max(a.boxes[:, 2]))
-    hy = 0.5 * (np.min(a.boxes[:, 1]) + np.max(a.boxes[:, 3]))
-    cx = 0.5 * (a.boxes[:, 0] + a.boxes[:, 2])
-    cy = 0.5 * (a.boxes[:, 1] + a.boxes[:, 3])
-    order = np.argsort((cx - hx) ** 2 + (cy - hy) ** 2)
-    for i in order[:200]:
+    cx, cy, d2 = a._box_centers()
+    for i in np.argsort(d2)[:200]:
         p = (float(cx[i]), float(cy[i]))
         try:
             observed = itinerary(params, p, a.word.n)
@@ -611,31 +531,24 @@ def _representative(params: MapParams, a: Atom) -> tuple:
 def theta(params: MapParams, word: Word,
           resolution: int | None = None) -> ThetaPoint:
     """Representative point of the word's atom with its radius bound."""
-    a = atom(params, word, resolution)
-    if a.empty:
-        raise EmptyAtom(word.to_string())
+    return _theta_point(params, atom(params, word, resolution))
+
+
+def _theta_point(params: MapParams, a: Atom) -> ThetaPoint:
     return ThetaPoint(point=_representative(params, a),
-                      radius=a.diameter_ub, word=word)
+                      radius=a.diameter_ub, word=a.word)
 
 
 def decay_table(params: MapParams, n_max: int,
                 resolution: int | None = None) -> dict:
     """Max atom diameter per level and the fitted exponential rate."""
     rows = [(0, math.sqrt(2.0))]
-    if resolution is None:
-        resolution = default_resolution(params)
-    level = atoms(params, 0, resolution)
-    for n in range(1, n_max + 1):
-        nxt = {}
-        for w, a in level.items():
-            for s0 in (0, 1, 2):
-                for s1 in (0, 1, 2):
-                    child = Word((s0,) + w.symbols + (s1,), w.center + 1)
-                    cover = _refine(params, child, a.boxes, resolution)
-                    if len(cover):
-                        nxt[child] = Atom(child, cover)
-        level = nxt
-        rows.append((n, max(a.diameter_ub for a in level.values())))
+    for n, level in enumerate(_levels(params, resolution)):
+        if n:
+            rows.append((n, max(Atom(w, b).diameter_ub
+                                for w, b in level.items())))
+        if n == n_max:
+            break
     ns = np.array([r[0] for r in rows[1:]], dtype=float)
     ds = np.array([r[1] for r in rows[1:]])
     rate = float(np.exp(np.polyfit(ns, np.log(ds), 1)[0])) \
@@ -660,10 +573,9 @@ def theta_holder_fit(params: MapParams, pairs, resolution: int | None = None,
             if word.n not in levels:
                 levels[word.n] = atoms(params, word.n, resolution)
             a = levels[word.n].get(word)
-            if a is None or a.empty:
+            if a is None:
                 raise EmptyAtom(word.to_string())
-            cache[word] = ThetaPoint(point=_representative(params, a),
-                                     radius=a.diameter_ub, word=word)
+            cache[word] = _theta_point(params, a)
         return cache[word]
 
     depths, dists = [], []

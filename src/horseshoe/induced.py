@@ -32,6 +32,8 @@ from .splitting import SplitFrame, direction_field, length_scale, adapted_norm
 from . import sampling as sp
 
 _VISIT_CAP = 120
+#: Step cap of the first-return searches.
+_RETURN_CAP = 4000
 
 
 def escape_time(params: MapParams, m: tuple[float, float]):
@@ -40,10 +42,7 @@ def escape_time(params: MapParams, m: tuple[float, float]):
     Points of A on the bottom edge never leave the strip; they get
     ``math.inf`` (they feed the F(x, 0) = (0, 0) case).
     """
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
-    if m[0] == params.q:
-        raise OutOfDomain("length scale vanishes on the tangency orbit")
+    _check_window(params, m)
     if m[1] == 0.0:
         return math.inf
     cur = m
@@ -56,17 +55,21 @@ def escape_time(params: MapParams, m: tuple[float, float]):
 
 def approach_time(params: MapParams, m: tuple[float, float]) -> int:
     """Smallest n >= 1 with f^-n(m) outside the left image column R1'."""
+    _check_window(params, m)
+    cur = m
+    for n in range(1, 10 ** 6):
+        pre = apply_inverse(params, cur)
+        if pre is None or not mc._in_band(params, mc.BRANCH[Region.R1], *pre):
+            return n
+        cur = pre
+    raise RuntimeError("approach time exceeded iteration cap")
+
+
+def _check_window(params: MapParams, m) -> None:
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
     if m[0] == params.q:
         raise OutOfDomain("length scale vanishes on the tangency orbit")
-    cur = m
-    for n in range(1, 10 ** 6):
-        pre = apply_inverse(params, cur)
-        if pre is None or not (0.0 <= pre[0] <= params.lam):
-            return n
-        cur = pre
-    raise RuntimeError("approach time exceeded iteration cap")
 
 
 def time_bounds_report(params: MapParams, m: tuple[float, float]) -> dict:
@@ -109,7 +112,8 @@ def induced_map(params: MapParams, m: tuple[float, float]) -> InducedStep:
     if region in (Region.R3, Region.R5):
         return InducedStep(m, apply(params, m), 1, "linear")
     if region is Region.R4:
-        if mc._band_r3(params, x) or mc._band_r5(params, x):
+        if mc._in_band(params, mc.BRANCH[Region.R3], x, y) \
+                or mc._in_band(params, mc.BRANCH[Region.R5], x, y):
             return InducedStep(m, apply(params, m), 1, "tangency-entry")
         raise OutOfDomain(f"{m} is in the tangency strip outside the "
                           "middle/top image columns")
@@ -195,26 +199,13 @@ def _nearest_A_visit(params: MapParams, m, direction: str):
     return None
 
 
-def _log_growth_forward(params: MapParams, chain, vec) -> float:
-    """ln norm growth of ``vec`` pushed forward along ``chain`` (first
-    point to last), renormalized each step."""
+def _log_growth(params: MapParams, points, vec, derivative) -> float:
+    """ln norm growth of ``vec`` carried through ``derivative`` at each of
+    ``points`` in turn, renormalized each step."""
     v = np.asarray(vec, dtype=float)
     total = 0.0
-    for p in chain[:-1]:
-        v = jacobian(params, p) @ v
-        nrm = float(np.linalg.norm(v))
-        total += math.log(nrm)
-        v /= nrm
-    return total
-
-
-def _log_growth_backward(params: MapParams, chain, vec) -> float:
-    """ln norm growth of ``vec`` (a vector at the last chain point)
-    pulled back to the first chain point."""
-    v = np.asarray(vec, dtype=float)
-    total = 0.0
-    for p in reversed(chain[:-1]):
-        v = mc.jacobian_inverse(params, p) @ v
+    for p in points:
+        v = derivative(params, p) @ v
         nrm = float(np.linalg.norm(v))
         total += math.log(nrm)
         v /= nrm
@@ -249,10 +240,11 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         fr = direction_field(params, pt)
         if unstable:
             # chain runs m <- ... <- visit; push e_u forward along it.
-            lg = _log_growth_forward(params, list(reversed(chain)), fr.e_u)
+            lg = _log_growth(params, chain[:0:-1], fr.e_u, jacobian)
         else:
             # chain runs m -> ... -> visit; pull e_s back along it.
-            lg = _log_growth_backward(params, chain, fr.e_s)
+            lg = _log_growth(params, chain[-2::-1], fr.e_s,
+                             mc.jacobian_inverse)
         val = math.log(l) + lg
         return cap if val >= math.log(cap) else math.exp(val)
 
@@ -310,14 +302,20 @@ def kergodic_derivative(params: MapParams, chart_m: ChartFrame,
                         chart_fm: ChartFrame, k: int,
                         xi=(0.0, 0.0)) -> np.ndarray:
     """DF-hat at ``xi`` by transporting the chart basis exactly."""
-    cur = chart_m.to_plane(xi)
+    jac, _ = _transport(params, chart_m.to_plane(xi), k)
+    return chart_fm.inv_basis @ jac @ chart_m.basis
+
+
+def _transport(params: MapParams, p, k: int):
+    """(derivative of f^k at p, f^k(p)); raises OrbitEscapes when the
+    orbit escapes, OutOfDomain when it leaves the branches."""
     jac = np.eye(2)
     for _ in range(k):
-        jac = jacobian(params, cur) @ jac
-        cur = apply(params, cur)
-        if cur is None:
+        jac = jacobian(params, p) @ jac
+        p = apply(params, p)
+        if p is None:
             raise OrbitEscapes("forward", k)
-    return chart_fm.inv_basis @ jac @ chart_m.basis
+    return jac, p
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +413,10 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
             continue
         worst = max(worst, float(np.max(np.abs(f1 - f2 - lin))) / denom)
         # modulus of continuity of the plane derivative along the step
-        p1, p2 = ch_m.to_plane(xi1), ch_m.to_plane(xi2)
-        jac1 = np.eye(2)
-        jac2 = np.eye(2)
-        c1, c2 = p1, p2
-        ok = True
-        for _ in range(k):
-            try:
-                jac1 = jacobian(params, c1) @ jac1
-                jac2 = jacobian(params, c2) @ jac2
-            except OutOfDomain:
-                ok = False
-                break
-            c1, c2 = apply(params, c1), apply(params, c2)
-            if c1 is None or c2 is None:
-                ok = False
-                break
-        if not ok:
+        try:
+            jac1, c1 = _transport(params, ch_m.to_plane(xi1), k)
+            jac2, c2 = _transport(params, ch_m.to_plane(xi2), k)
+        except (OutOfDomain, OrbitEscapes):
             continue
         diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
         img_gap = adapted_norm(ch_f.frame,
@@ -533,18 +518,6 @@ class CrossReport:
                 "" if self.n_return is None else str(self.n_return)]
 
 
-def _map_polyline(params: MapParams, pts, steps: int):
-    out = []
-    for p in pts:
-        cur = tuple(p)
-        for _ in range(steps):
-            cur = apply(params, cur)
-            if cur is None:
-                return None
-        out.append(cur)
-    return out
-
-
 def _polyline_crosses_segment(poly, seg) -> bool:
     a = np.asarray(seg[0], dtype=float)
     b = np.asarray(seg[1], dtype=float)
@@ -586,42 +559,16 @@ def _arc_crosses_segment(params: MapParams, x_side: float,
     if seq is None:
         return False
 
-    p = params
+    branches = [mc.BRANCH[reg] for reg in seq]
+
+    def image(x, y):
+        # branch formulas along the slice itinerary, on floats or arrays
+        for br in branches:
+            x, y = br.forward(params, x, y)
+        return x, y
 
     def image_x(y: float) -> float:
-        # scalar branch formulas along the slice itinerary
-        x = x_side
-        for reg in seq:
-            if reg is mc.Region.R1:
-                x, y = p.lam * x, p.sigma * y
-            elif reg is mc.Region.R5:
-                x, y = p.lam * x + 1.0 - p.lam, p.sigma * y - p.sigma + 1.0
-            elif reg is mc.Region.R3:
-                x, y = p.r3_a - p.lam * x, 1.0 - p.sigma * (y - p.r3_y0)
-            elif reg is mc.Region.R4:
-                w = p.sigma * (y - p.t)
-                x, y = p.q + w, p.c * w * w - p.lam * x
-            else:
-                raise OutOfDomain(f"itinerary visits {reg}")
-        return x
-
-    def image(y):
-        # same formulas, vectorized over an array of heights
-        y = np.asarray(y, dtype=float)
-        x = np.full_like(y, x_side)
-        for reg in seq:
-            if reg is mc.Region.R1:
-                x, y = p.lam * x, p.sigma * y
-            elif reg is mc.Region.R5:
-                x, y = p.lam * x + 1.0 - p.lam, p.sigma * y - p.sigma + 1.0
-            elif reg is mc.Region.R3:
-                x, y = p.r3_a - p.lam * x, 1.0 - p.sigma * (y - p.r3_y0)
-            elif reg is mc.Region.R4:
-                w = p.sigma * (y - p.t)
-                x, y = p.q + w, p.c * w * w - p.lam * x
-            else:
-                raise OutOfDomain(f"itinerary visits {reg}")
-        return np.stack([x, y], axis=-1)
+        return image(x_side, y)[0]
 
     x_img_lo = image_x(y_lo)
     x_img_hi = image_x(y_hi)
@@ -637,20 +584,12 @@ def _arc_crosses_segment(params: MapParams, x_side: float,
         # source height whose image abscissa is x_target
         if x_img_lo >= x_target or x_img_hi <= x_target:
             return fallback
-        good, bad = y_lo, y_hi
-        for _ in range(200):
-            mid = 0.5 * (good + bad)
-            if mid == good or mid == bad:
-                break
-            if image_x(mid) < x_target:
-                good = mid
-            else:
-                bad = mid
-        return good
+        return _bisect_edge(lambda y: image_x(y) < x_target, y_lo, y_hi, 200)
 
     y1 = solve(xa, y_lo)
     y2 = solve(xb, y_hi)
-    poly = [tuple(pt) for pt in image(np.linspace(y1, y2, samples))]
+    ys = np.linspace(y1, y2, samples)
+    poly = np.stack(image(np.full_like(ys, x_side), ys), axis=-1)
     return _polyline_crosses_segment(poly, seg)
 
 
@@ -663,6 +602,22 @@ def _branch_sequence(params: MapParams, x: float, y: float, n: int):
         if cur is None:
             return None
     return tuple(labels)
+
+
+def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
+    """Point nearest ``bad`` on the segment from ``good`` (which passes)
+    that still passes, by bisection down to float resolution."""
+    if passes(bad):
+        return bad
+    for _ in range(iters):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if passes(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def _surviving_interval(params: MapParams, x: float, y0: float,
@@ -682,21 +637,8 @@ def _surviving_interval(params: MapParams, x: float, y0: float,
     def same(y: float) -> bool:
         return _branch_sequence(params, x, y, n) == ref
 
-    def endpoint(target: float) -> float:
-        if same(target):
-            return target
-        good, bad = y0, target
-        for _ in range(iters):
-            mid = 0.5 * (good + bad)
-            if mid == good or mid == bad:
-                break
-            if same(mid):
-                good = mid
-            else:
-                bad = mid
-        return good
-
-    return endpoint(y_min), endpoint(y_max)
+    return (_bisect_edge(same, y0, y_min, iters),
+            _bisect_edge(same, y0, y_max, iters))
 
 
 def _surviving_x(params: MapParams, x0: float, y: float, target: float,
@@ -706,18 +648,8 @@ def _surviving_x(params: MapParams, x0: float, y: float, target: float,
     ref = _branch_sequence(params, x0, y, n)
     if ref is None:
         raise OutOfDomain(f"base point ({x0}, {y}) does not survive {n} steps")
-    if _branch_sequence(params, target, y, n) == ref:
-        return target
-    good, bad = x0, target
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if _branch_sequence(params, mid, y, n) == ref:
-            good = mid
-        else:
-            bad = mid
-    return good
+    return _bisect_edge(lambda x: _branch_sequence(params, x, y, n) == ref,
+                        x0, target, iters)
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
@@ -762,58 +694,53 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     if "eta" not in checks:
         return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
                            eta_ok=eta_ok, n_return=n_return, details=details)
-    try:
-        ret = sp._first_return(params, m)
-        if ret is None:
-            raise NoReturn(f"orbit of {m} does not return to A")
-        n_return, m_ret = ret
-        verts = np.array(ball.vertices())
-        x_lo, x_hi = float(verts[:, 0].min()), float(verts[:, 0].max())
-        # rectangle height: the horizontal stripe of the eps0 sub-ball
-        sv = np.array(sub.vertices())
-        dv = float(sv[:, 1].max() - sv[:, 1].min())
-        frame_ret = direction_field(params, m_ret)
-        # Only the connected slice of each side that follows the itinerary
-        # of M survives n steps; the crossing statement is about the image
-        # component through M_n, so clip the sides to that slice.
-        # at shallow returns the rectangle can be wider than the surviving
-        # component; clip the horizontal extent at the base height first
-        x_lo = _surviving_x(params, m[0], m[1], x_lo, n_return)
-        x_hi = _surviving_x(params, m[0], m[1], x_hi, n_return)
-        sides = []
-        for x_side in (x_lo, x_hi):
-            y_a, y_b = _surviving_interval(params, x_side, m[1],
-                                           m[1] - dv / 2.0,
-                                           m[1] + dv / 2.0, n_return)
-            sides.append((x_side, y_a, y_b))
-        # eta bounds how far the target center may sit from the actual
-        # return point; the crossing must hold for every such center.
-        base = np.asarray(m_ret)
-        r_pert = cert.eta * cert.eps0 * rho * cert.C0 \
-            * length_scale(params, m_ret)
-        centers = [base]
-        for e in (frame_ret.e_u, frame_ret.e_s):
-            centers.append(base + r_pert * e)
-            centers.append(base - r_pert * e)
-        eta_ok = True
-        for ctr in centers:
-            l_ctr = abs(ctr[0] - params.q)
-            if l_ctr == 0.0:
-                eta_ok = False
-                break
-            for rad in (rho * cert.C0 * l_ctr,
-                        cert.eps0 * rho * cert.C0 * l_ctr):
-                tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
-                for seg in (tb.side_bottom(), tb.side_top()):
-                    for x_side, y_a, y_b in sides:
-                        if not _arc_crosses_segment(params, x_side,
-                                                    y_a, y_b,
-                                                    n_return, seg):
-                            eta_ok = False
-        details["d_h"] = x_hi - x_lo
-        details["d_v"] = dv
-    except NoReturn:
-        raise
+    n_return, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
+    m_ret = orbit_pts[-1]
+    verts = np.array(ball.vertices())
+    x_lo, x_hi = float(verts[:, 0].min()), float(verts[:, 0].max())
+    # rectangle height: the horizontal stripe of the eps0 sub-ball
+    sv = np.array(sub.vertices())
+    dv = float(sv[:, 1].max() - sv[:, 1].min())
+    frame_ret = direction_field(params, m_ret)
+    # Only the connected slice of each side that follows the itinerary
+    # of M survives n steps; the crossing statement is about the image
+    # component through M_n, so clip the sides to that slice.
+    # at shallow returns the rectangle can be wider than the surviving
+    # component; clip the horizontal extent at the base height first
+    x_lo = _surviving_x(params, m[0], m[1], x_lo, n_return)
+    x_hi = _surviving_x(params, m[0], m[1], x_hi, n_return)
+    sides = []
+    for x_side in (x_lo, x_hi):
+        y_a, y_b = _surviving_interval(params, x_side, m[1],
+                                       m[1] - dv / 2.0,
+                                       m[1] + dv / 2.0, n_return)
+        sides.append((x_side, y_a, y_b))
+    # eta bounds how far the target center may sit from the actual
+    # return point; the crossing must hold for every such center.
+    base = np.asarray(m_ret)
+    r_pert = cert.eta * cert.eps0 * rho * cert.C0 \
+        * length_scale(params, m_ret)
+    centers = [base]
+    for e in (frame_ret.e_u, frame_ret.e_s):
+        centers.append(base + r_pert * e)
+        centers.append(base - r_pert * e)
+    eta_ok = True
+    for ctr in centers:
+        l_ctr = abs(ctr[0] - params.q)
+        if l_ctr == 0.0:
+            eta_ok = False
+            break
+        for rad in (rho * cert.C0 * l_ctr,
+                    cert.eps0 * rho * cert.C0 * l_ctr):
+            tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
+            for seg in (tb.side_bottom(), tb.side_top()):
+                for x_side, y_a, y_b in sides:
+                    if not _arc_crosses_segment(params, x_side,
+                                                y_a, y_b,
+                                                n_return, seg):
+                        eta_ok = False
+    details["d_h"] = x_hi - x_lo
+    details["d_v"] = dv
     return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
                        eta_ok=eta_ok, n_return=n_return, details=details)
 
@@ -838,6 +765,14 @@ def _largest_passing(predicate, lo: float = 1e-8, hi: float = 1.0,
         else:
             b = mid
     return math.exp(a)
+
+
+def _returns(params: MapParams, m) -> bool:
+    try:
+        mc.first_return(params, m, _RETURN_CAP)
+    except NoReturn:
+        return False
+    return True
 
 
 def calibrate_certificate(params: MapParams, sample_budget: int = 200,
@@ -868,10 +803,9 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
 
     # the window's corner points carry the extreme length scales; sweep
     # the static crossings over them too so the constants hold window-wide
-    l_sup = math.sqrt((1.0 / p.sigma + p.lam) / p.c)
     corners = []
     for s in (1.0, -1.0):
-        for x_off, y in ((l_sup, 1.0 / p.sigma),
+        for x_off, y in ((p.wing_half_width, p.inv_sigma),
                          (math.sqrt(p.lam / p.c) * 0.999, 0.0)):
             pt = (p.q + s * x_off, y)
             if in_A(p, pt):
@@ -888,7 +822,7 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
         l_pin = math.sqrt((y_pin + 0.98 * p.lam) / p.c)
         for s in (1.0, -1.0):
             pt = (p.q + s * l_pin, y_pin)
-            if in_A(p, pt) and sp._first_return(p, pt) is not None:
+            if in_A(p, pt) and _returns(p, pt):
                 eta_points.append(pt)
 
     def static_ok(trial, which):
@@ -912,19 +846,15 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
                 return v
         return None
 
-    def c0_accept(v):
-        t = cert.with_updates(C0=v)
-        return static_ok(t, "c0") and eta_ok(t)
+    def sweep(base, name, values):
+        def accept(v):
+            t = base.with_updates(**{name: v})
+            return static_ok(t, name.lower()) and eta_ok(t)
+        return grid_scan(values, accept) or getattr(cert, name)
 
-    c0 = grid_scan(np.geomspace(1.0, 1e-3, 25), c0_accept) or cert.C0
-    trial = cert.with_updates(C0=c0)
-
-    def eps0_accept(v):
-        t = trial.with_updates(eps0=v)
-        return static_ok(t, "eps0") and eta_ok(t)
-
-    eps0 = grid_scan(np.geomspace(0.5, 1e-3, 22), eps0_accept) or cert.eps0
-    trial = trial.with_updates(eps0=eps0)
+    c0 = sweep(cert, "C0", np.geomspace(1.0, 1e-3, 25))
+    eps0 = sweep(cert.with_updates(C0=c0), "eps0", np.geomspace(0.5, 1e-3, 22))
+    trial = cert.with_updates(C0=c0).with_updates(eps0=eps0)
 
     def eta_pred(et):
         t = trial.with_updates(eta=et)

@@ -12,10 +12,12 @@ rescaled charts) into full induced steps automatically.
 Global manifolds iterate the local polyline forward (or backward)
 through the branch formulas, splitting the curve at strip and band
 boundaries; the same machinery drives the mixing-time search and the
-verticality check.  The module ends with the non-expansiveness
-demonstration: an explicit pair of distinct points on the bottom edge,
-symmetric about the tangency abscissa, whose full orbits stay within any
-prescribed distance of each other.
+verticality check.  Graphs, polylines and the non-expansive pair all
+evaluate the branch table of :mod:`horseshoe.map_core` (on arrays, and
+on exact rationals for the pair).  The module ends with the
+non-expansiveness demonstration: an explicit pair of distinct points on
+the bottom edge, symmetric about the tangency abscissa, whose full
+orbits stay within any prescribed distance of each other.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
                        apply_inverse, default_certificate,
                        OutOfDomain, OrbitEscapes)
-from .splitting import direction_field, length_scale
+from .splitting import length_scale
 from .induced import ChartFrame, chart, kergodic_derivative
 
 GRID_POINTS = 257
@@ -218,18 +220,11 @@ def _params_hash(params: MapParams) -> str:
 
 def _block_regions(params: MapParams, p, k: int) -> list[Region]:
     """Branch itinerary of the k-step block starting at ``p``."""
-    regs = []
-    cur = p
-    for j in range(k):
-        region = classify(params, cur)
-        if region not in mc.ACTIVE_REGIONS:
-            raise Unsupported(f"block orbit of {p} leaves the branches "
-                              f"at step {j}")
-        regs.append(region)
-        cur = apply(params, cur)
-        if cur is None:
-            raise Unsupported(f"block orbit of {p} escapes at step {j + 1}")
-    return regs
+    rec = mc.orbit(params, p, k)
+    if rec.fwd_escape is not None:
+        raise Unsupported(f"block orbit of {p} leaves the branches "
+                          f"at step {rec.fwd_escape}")
+    return rec.fwd_labels[:k]
 
 
 def graph_transform(params: MapParams, chart_m: ChartFrame,
@@ -262,12 +257,11 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
     else:
         xi = np.stack([s.values, s.grid], axis=1)
     pts = np.asarray(src_chart.M) + xi @ src_chart.basis.T
-    if forward:
-        for region in regs:
-            pts = _apply_region(params, region, pts)
-    else:
-        for region in reversed(regs):
-            pts = _apply_region_inverse(params, region, pts)
+    x, y = pts.T
+    for region in (regs if forward else reversed(regs)):
+        br = mc.BRANCH[region]
+        x, y = (br.forward if forward else br.inverse)(params, x, y)
+    pts = np.stack([x, y], axis=1)
     eta = (pts - np.asarray(dst_chart.M)) @ dst_chart.inv_basis.T
     pri = 0 if forward else 1
     prim = eta[:, pri]
@@ -349,12 +343,10 @@ def _pullback_curve(params: MapParams, m, kind: str, radius: float,
             near_ch = anchors[j - 1][1]
             far_ch = anchors[j][1]
             k_j = anchors[j][2]
-            if kind == "unstable":
-                g = graph_transform(params, far_ch, near_ch, k_j, g,
-                                    radius, npts)
-            else:
-                g = graph_transform(params, near_ch, far_ch, k_j, g,
-                                    radius, npts)
+            # the block runs from the far anchor for unstable graphs
+            src, dst = (far_ch, near_ch) if kind == "unstable" \
+                else (near_ch, far_ch)
+            g = graph_transform(params, src, dst, k_j, g, radius, npts)
         if prev is not None:
             diff = g.sup_distance(prev)
             if prev_diff is not None and prev_diff > 0.0:
@@ -367,19 +359,25 @@ def _pullback_curve(params: MapParams, m, kind: str, radius: float,
                         "pullback blocks", last_factor=factor)
 
 
+#: The two linear fixed points; their leaves are edges of the square
+#: (invariant under the affine extension of the corner's own branch).
+_CORNERS = ((0.0, 0.0), (1.0, 1.0))
+
+
+def _edge_leaf(corner, kind: str, s: np.ndarray) -> np.ndarray:
+    """Points at edge parameters ``s`` of the square's edge through the
+    corner that is its leaf of the given kind."""
+    const = np.full_like(s, corner[0])
+    return np.column_stack([const, s] if kind == "unstable" else [s, const])
+
+
 def _axis_local(params: MapParams, m, kind: str, radius_plane: float,
                 npts: int) -> ManifoldCurve | None:
     """Exact local leaves at the two linear fixed points."""
-    t = np.linspace(0.0, radius_plane, npts)
-    if m == (0.0, 0.0):
-        pts = np.stack([np.zeros(npts), t], axis=1) if kind == "unstable" \
-            else np.stack([t, np.zeros(npts)], axis=1)
-    elif m == (1.0, 1.0):
-        pts = np.stack([np.ones(npts), 1.0 - t[::-1]], axis=1) \
-            if kind == "unstable" \
-            else np.stack([1.0 - t[::-1], np.ones(npts)], axis=1)
-    else:
+    if m not in _CORNERS:
         return None
+    t = np.linspace(0.0, radius_plane, npts)
+    pts = _edge_leaf(m, kind, t if m[0] == 0.0 else 1.0 - t[::-1])
     meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
             "lip_bound": 0.0, "params": _params_hash(params)}
     return ManifoldCurve(pts, kind, meta)
@@ -503,48 +501,21 @@ def _resample_max_seg(pts: np.ndarray, max_seg: float,
     return _resample_count(pts, n)
 
 
-def _apply_region(params: MapParams, region: Region,
-                  pts: np.ndarray) -> np.ndarray:
-    p = params
-    x, y = pts[:, 0], pts[:, 1]
-    if region is Region.R1:
-        return np.stack([p.lam * x, p.sigma * y], axis=1)
-    if region is Region.R3:
-        return np.stack([p.r3_a - p.lam * x,
-                         1.0 - p.sigma * (y - p.r3_y0)], axis=1)
-    if region is Region.R5:
-        return np.stack([p.lam * x + 1.0 - p.lam,
-                         p.sigma * y - p.sigma + 1.0], axis=1)
-    if region is Region.R4:
-        u = p.lam * x
-        w = p.sigma * (y - p.t)
-        return np.stack([p.q + w, p.c * w * w - u], axis=1)
-    raise OutOfDomain(f"branch map undefined on {region.value}")
+def _image(params: MapParams, region: Region, pts: np.ndarray,
+           inverse: bool = False) -> np.ndarray:
+    """Points through one branch formula (its total inverse with
+    ``inverse=True``, no band restriction)."""
+    br = mc.BRANCH[region]
+    return np.stack((br.inverse if inverse else br.forward)(params, *pts.T),
+                    axis=1)
 
 
-def _apply_region_inverse(params: MapParams, region: Region,
-                          pts: np.ndarray) -> np.ndarray:
-    """Total inverse of one branch formula (no band restriction)."""
-    p = params
-    x, y = pts[:, 0], pts[:, 1]
-    if region is Region.R1:
-        return np.stack([x / p.lam, y / p.sigma], axis=1)
-    if region is Region.R3:
-        return np.stack([(p.r3_a - x) / p.lam,
-                         p.r3_y0 + (1.0 - y) / p.sigma], axis=1)
-    if region is Region.R5:
-        return np.stack([(x - 1.0 + p.lam) / p.lam,
-                         (y + p.sigma - 1.0) / p.sigma], axis=1)
-    if region is Region.R4:
-        off = p.c * (x - p.q) ** 2 - y
-        return np.stack([off / p.lam, p.t + (x - p.q) / p.sigma], axis=1)
-    raise OutOfDomain(f"branch inverse undefined on {region.value}")
-
-
-def _strip_levels(params: MapParams):
-    p = params
-    return (0.0, p.inv_sigma, p.r3_y0, p.r3_y0 + p.inv_sigma,
-            p.t - p.h, p.t, p.t + p.h, p.r5_y0, 1.0)
+def _levels(params: MapParams, bands: bool) -> list:
+    """Edges of the horizontal strips and the fold ordinate t, or of
+    the image bands and the fold abscissa q."""
+    edges = [v for br in mc.BRANCHES
+             for v in (br.column if bands else br.strip)(params)]
+    return edges + [params.q if bands else params.t]
 
 
 def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
@@ -560,14 +531,14 @@ def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
     for _ in range(steps):
         nxt = []
         for pts in pieces:
-            for sub in _cut_at_levels(pts, pts[:, 1], _strip_levels(params)):
+            for sub in _cut_at_levels(pts, pts[:, 1], _levels(params, False)):
                 mid = sub[len(sub) // 2]
                 region = classify(params, (float(mid[0]), float(mid[1])))
                 if region not in mc.ACTIVE_REGIONS:
                     continue
                 if region is Region.R4 and len(sub) < 1025:
                     sub = _resample_count(sub, 1025)
-                img = _apply_region(params, region, sub)
+                img = _image(params, region, sub)
                 for piece in _cut_at_levels(img, img[:, 1], (0.0, 1.0)):
                     ymid = piece[len(piece) // 2, 1]
                     if 0.0 <= ymid <= 1.0:
@@ -578,40 +549,18 @@ def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
     return pieces
 
 
-def _inverse_branches(params: MapParams, pts: np.ndarray):
-    """(region, preimage array) for every inverse branch defined on the
-    whole piece whose preimage lands in the branch's source region."""
-    p = params
-    x, y = pts[:, 0], pts[:, 1]
+def _inverse_branches(params: MapParams, pts: np.ndarray) -> list:
+    """Preimage arrays of every inverse branch defined on the whole
+    piece whose preimage lands in the branch's source region."""
     out = []
-    if np.all((0.0 <= x) & (x <= p.lam)):
-        out.append((Region.R1, np.stack([x / p.lam, y / p.sigma], axis=1)))
-    if np.all((p.r3_a - p.lam <= x) & (x <= p.r3_a)):
-        out.append((Region.R3,
-                    np.stack([(p.r3_a - x) / p.lam,
-                              p.r3_y0 + (1.0 - y) / p.sigma], axis=1)))
-    if np.all((1.0 - p.lam <= x) & (x <= 1.0)):
-        out.append((Region.R5,
-                    np.stack([(x - 1.0 + p.lam) / p.lam,
-                              (y + p.sigma - 1.0) / p.sigma], axis=1)))
-    off = p.c * (x - p.q) ** 2 - y
-    if np.all((0.0 <= off) & (off <= p.lam)) and \
-            np.all(np.abs(x - p.q) <= p.w_max):
-        out.append((Region.R4,
-                    np.stack([off / p.lam,
-                              p.t + (x - p.q) / p.sigma], axis=1)))
-    good = []
-    for region, pre in out:
+    for br in mc.BRANCHES:
+        if not np.all(mc._in_band(params, br, pts[:, 0], pts[:, 1])):
+            continue
+        pre = _image(params, br.region, pts, inverse=True)
         mid = pre[len(pre) // 2]
-        if classify(params, (float(mid[0]), float(mid[1]))) is region:
-            good.append((region, pre))
-    return good
-
-
-def _band_levels(params: MapParams):
-    p = params
-    return (0.0, p.lam, p.r3_a - p.lam, p.r3_a, 1.0 - p.lam, 1.0,
-            p.q - p.w_max, p.q, p.q + p.w_max)
+        if classify(params, (float(mid[0]), float(mid[1]))) is br.region:
+            out.append(pre)
+    return out
 
 
 def retreat_pieces(params: MapParams, pieces: list, steps: int = 1,
@@ -619,22 +568,21 @@ def retreat_pieces(params: MapParams, pieces: list, steps: int = 1,
     """Pull polyline pieces ``steps`` iterates backward through the
     inverse branches, splitting at the image-band boundaries (and at the
     parabola-offset levels bounding the parabolic image region)."""
-    p = params
+    wing_lo, wing_hi = mc.BRANCH[Region.R4].column(params)
     prot = None if protect is None else (float(protect[0]), float(protect[1]))
     for _ in range(steps):
         nxt = []
         for pts in pieces:
-            subs = _cut_at_levels(pts, pts[:, 0], _band_levels(params))
+            subs = _cut_at_levels(pts, pts[:, 0], _levels(params, True))
             refined = []
             for sub in subs:
-                off = p.c * (sub[:, 0] - p.q) ** 2 - sub[:, 1]
-                refined.extend(_cut_at_levels(sub, off, (0.0, p.lam)))
+                off = mc.parabola_offset(params, sub.T)
+                refined.extend(_cut_at_levels(sub, off, (0.0, params.lam)))
             for sub in refined:
                 mid = sub[len(sub) // 2]
-                if np.abs(mid[0] - p.q) <= p.w_max and len(sub) < 1025:
+                if wing_lo <= mid[0] <= wing_hi and len(sub) < 1025:
                     sub = _resample_count(sub, 1025)
-                for _, pre in _inverse_branches(params, sub):
-                    nxt.append(pre)
+                nxt.extend(_inverse_branches(params, sub))
         if prot is not None:
             prot = apply_inverse(params, prot)
             if prot is not None:
@@ -708,27 +656,19 @@ def _global_manifold(params: MapParams, m, n: int, kind: str, rho: float,
                      seg_len: float, cert: Certificate | None) -> ManifoldCurve:
     m = (float(m[0]), float(m[1]))
     direction = "backward" if kind == "unstable" else "forward"
-    if m in ((0.0, 0.0), (1.0, 1.0)):
-        # the corner leaves are the square's edges (invariant under the
-        # affine extension of the corner's own branch)
-        s = np.linspace(0.0, 1.0, int(1.0 / seg_len) + 1)
-        const = np.full_like(s, m[0])
-        pts = (np.column_stack([const, s]) if kind == "unstable"
-               else np.column_stack([s, const]))
+    if m in _CORNERS:
+        pts = _edge_leaf(m, kind, np.linspace(0.0, 1.0, int(1.0 / seg_len) + 1))
         meta = {"rho": rho, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": _params_hash(params)}
         return ManifoldCurve(pts, kind, meta)
-    else:
-        chain, ks = _induced_chain(params, m, n, direction)
-        base = chain[-1]
+    chain, ks = _induced_chain(params, m, n, direction)
+    base = chain[-1]
     local = (local_unstable if kind == "unstable" else local_stable)(
         params, base, rho=rho, cert=cert)
     pieces = [local.points]
     steps = int(sum(ks))
-    if kind == "unstable":
-        pieces = advance_pieces(params, pieces, steps, protect=base)
-    else:
-        pieces = retreat_pieces(params, pieces, steps, protect=base)
+    pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
+        params, pieces, steps, protect=base)
     best = None
     best_d = math.inf
     best_i = -1
@@ -763,29 +703,27 @@ def unstable_invariance_defect(params: MapParams, m, rho: float = 0.5,
                                cert: Certificate | None = None) -> float:
     """One-sided Hausdorff distance from W^u(F(M)) to F(W^u(M)) on the
     overlap (the invariance inclusion, measured)."""
-    ch = chart(params, m)
-    fm, _, k = _next_anchor(params, m, ch, "forward")
-    wu_m = local_unstable(params, m, rho=rho, cert=cert)
-    pieces = advance_pieces(params, [wu_m.points], k, protect=m)
-    wu_fm = local_unstable(params, fm, rho=rho, cert=cert)
-    worst = 0.0
-    for p in wu_fm.points:
-        d = min(float(np.min(_point_segment_distances(piece, p)))
-                for piece in pieces)
-        worst = max(worst, d)
-    return worst
+    return _invariance_defect(params, m, "unstable", rho, cert)
 
 
 def stable_invariance_defect(params: MapParams, m, rho: float = 0.5,
                              cert: Certificate | None = None) -> float:
     """One-sided Hausdorff distance from W^s(F^-1(M)) to F^-1(W^s(M))."""
+    return _invariance_defect(params, m, "stable", rho, cert)
+
+
+def _invariance_defect(params: MapParams, m, kind: str, rho: float,
+                       cert: Certificate | None) -> float:
+    unstable = kind == "unstable"
+    local = local_unstable if unstable else local_stable
     ch = chart(params, m)
-    pm, _, k = _next_anchor(params, m, ch, "backward")
-    ws_m = local_stable(params, m, rho=rho, cert=cert)
-    pieces = retreat_pieces(params, [ws_m.points], k, protect=m)
-    ws_pm = local_stable(params, pm, rho=rho, cert=cert)
+    other, _, k = _next_anchor(params, m, ch,
+                               "forward" if unstable else "backward")
+    leaf = local(params, m, rho=rho, cert=cert)
+    pieces = (advance_pieces if unstable else retreat_pieces)(
+        params, [leaf.points], k, protect=m)
     worst = 0.0
-    for p in ws_pm.points:
+    for p in local(params, other, rho=rho, cert=cert).points:
         d = min(float(np.min(_point_segment_distances(piece, p)))
                 for piece in pieces)
         worst = max(worst, d)
@@ -838,7 +776,7 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
     bisection on the monotone wing ordinate.  Most of the wing lands in
     the gaps and is lost -- the lemma is about the piece that returns."""
     p = params
-    h = p.w_max / p.sigma
+    h = p.h
     y_grid = np.linspace(p.t - h, p.t + h, npts)
     if x_vals is None:
         g = np.full(npts, 0.3)
@@ -1015,62 +953,48 @@ def _surviving_parameter(survive, lo: float, hi: float,
 
 def _seed_arcs(params: MapParams, disk: Disk, kind: str, rho: float,
                cert: Certificate | None) -> list[np.ndarray]:
-    cx, cy = disk.center
-    r = disk.radius
+    unstable = kind == "unstable"
+    # coordinate that is constant on the edge leaves, and that the scan
+    # below moves along
+    e = 0 if unstable else 1
+    c, r = disk.center, disk.radius
     seeds = []
     # edge chords: the square's edges are global leaves of the corner
     # fixed points.
-    if kind == "unstable":
-        for xe in (0.0,):
-            if abs(cx - xe) < r:
-                h = math.sqrt(r * r - (cx - xe) ** 2)
-                lo, hi = max(0.0, cy - h), min(1.0, cy + h)
-                if hi > lo:
-                    seeds.append(np.array([[xe, lo], [xe, hi]]))
-    else:
-        for ye in (0.0, 1.0):
-            if abs(cy - ye) < r:
-                h = math.sqrt(r * r - (cy - ye) ** 2)
-                lo, hi = max(0.0, cx - h), min(1.0, cx + h)
-                if hi > lo:
-                    seeds.append(np.array([[lo, ye], [hi, ye]]))
-    # leaf seeds at deep-surviving points of the disk
-    step = apply_inverse if kind == "unstable" else apply
+    for edge in ((0.0,) if unstable else (0.0, 1.0)):
+        if abs(c[e] - edge) < r:
+            h = math.sqrt(r * r - (c[e] - edge) ** 2)
+            lo, hi = max(0.0, c[1 - e] - h), min(1.0, c[1 - e] + h)
+            if hi > lo:
+                seeds.append(np.array([[edge, v] if unstable else [v, edge]
+                                       for v in (lo, hi)]))
+    # leaf seeds at deep-surviving points of the disk: scan x along the
+    # horizontal diameter for a backward-surviving point (unstable leaves
+    # need a computable backward chain), y along the vertical one for a
+    # forward-surviving point
+    step = apply_inverse if unstable else apply
 
-    def survive_along(fixed_axis_value, moving_is_y):
-        def count(t: float) -> int:
-            p = (fixed_axis_value, t) if moving_is_y else (t, fixed_axis_value)
-            n = 0
-            cur = p
-            for _ in range(40):
-                cur = step(params, cur)
-                if cur is None or \
-                        classify(params, cur) not in mc.ACTIVE_REGIONS:
-                    break
-                n += 1
-            return n
-        return count
+    def point(t: float):
+        return (t, c[1]) if unstable else (c[0], t)
 
-    local = local_unstable if kind == "unstable" else local_stable
+    def count(t: float) -> int:
+        cur = point(t)
+        for n in range(40):
+            cur = step(params, cur)
+            if cur is None or classify(params, cur) not in mc.ACTIVE_REGIONS:
+                return n
+        return 40
+
     # the scan bisects a 1/lam (resp. sigma) expanding chain, so float64
     # can only pin down survivors to a parameter-dependent depth
-    rate = 1.0 / params.lam if kind == "unstable" else params.sigma
+    rate = 1.0 / params.lam if unstable else params.sigma
     depth = max(2, min(12, int(14.0 / math.log10(rate))))
-    if kind == "unstable":
-        # scan x along the horizontal diameter for a backward-surviving
-        # point (unstable leaves need a computable backward chain)
-        t0 = _surviving_parameter(survive_along(cy, moving_is_y=False),
-                                  max(0.0, cx - 0.9 * r),
-                                  min(1.0, cx + 0.9 * r), depth=depth)
-        cand = None if t0 is None else (t0, cy)
-    else:
-        t0 = _surviving_parameter(survive_along(cx, moving_is_y=True),
-                                  max(0.0, cy - 0.9 * r),
-                                  min(1.0, cy + 0.9 * r), depth=depth)
-        cand = None if t0 is None else (cx, t0)
-    if cand is not None:
+    t0 = _surviving_parameter(count, max(0.0, c[e] - 0.9 * r),
+                              min(1.0, c[e] + 0.9 * r), depth=depth)
+    if t0 is not None:
+        local = local_unstable if unstable else local_stable
         try:
-            curve = local(params, cand, rho=rho, cert=cert)
+            curve = local(params, point(t0), rho=rho, cert=cert)
             seeds.extend(_clip_to_disk(curve.points, disk))
         except (Unsupported, NoConvergence, OutOfDomain):
             pass
@@ -1099,10 +1023,8 @@ def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int,
         for p in pieces:
             v = p[:, axis]
             longest = max(longest, float(np.max(v) - np.min(v)))
-        if kind == "unstable":
-            pieces = advance_pieces(params, pieces, 1)
-        else:
-            pieces = retreat_pieces(params, pieces, 1)
+        pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
+            params, pieces, 1)
         if not pieces:
             break
     raise BudgetExhausted(
@@ -1152,72 +1074,11 @@ class SearchFailure(RuntimeError):
     """No non-expansive pair found within the candidate ladder."""
 
 
-def _exact_params(params: MapParams) -> dict:
-    """The stored parameter floats as exact rationals."""
-    return {name: Fraction(getattr(params, name))
-            for name in ("lam", "sigma", "c", "q", "t", "w_max",
-                         "r3_y0", "r3_a")}
-
-
-def _exact_region(pf: dict, pt) -> Region:
-    """Exact-arithmetic mirror of the strip classification."""
-    x, y = pt
-    if not (0 <= x <= 1 and 0 <= y <= 1):
-        return Region.OUTSIDE
-    inv_s = 1 / pf["sigma"]
-    h = pf["w_max"] / pf["sigma"]
-    if y <= inv_s:
-        return Region.R1
-    if y <= pf["r3_y0"]:
-        return Region.R2
-    if y <= pf["r3_y0"] + inv_s:
-        return Region.R3
-    if y <= pf["t"] - h:
-        return Region.GAP34_LOWER
-    if y <= pf["t"] + h:
-        return Region.R4
-    if y <= 1 - Fraction(2, 3) / pf["sigma"]:
-        return Region.GAP34_UPPER
-    return Region.R5
-
-
-def _exact_apply(pf: dict, pt):
-    x, y = pt
-    region = _exact_region(pf, pt)
-    if region is Region.R1:
-        return (pf["lam"] * x, pf["sigma"] * y)
-    if region is Region.R3:
-        return (pf["r3_a"] - pf["lam"] * x,
-                1 - pf["sigma"] * (y - pf["r3_y0"]))
-    if region is Region.R4:
-        u = pf["lam"] * x
-        w = pf["sigma"] * (y - pf["t"])
-        return (pf["q"] + w, pf["c"] * w * w - u)
-    if region is Region.R5:
-        return (pf["lam"] * x + 1 - pf["lam"],
-                pf["sigma"] * y - pf["sigma"] + 1)
-    return None
-
-
-def _exact_inverse(pf: dict, pt):
-    """Exact branch-wise inverse; None off the image bands, and the
-    unique valid branch otherwise."""
-    x, y = pt
-    lam, sig = pf["lam"], pf["sigma"]
-    cands = []
-    if 0 <= x <= lam:
-        cands.append((Region.R1, (x / lam, y / sig)))
-    if pf["r3_a"] - lam <= x <= pf["r3_a"]:
-        cands.append((Region.R3, ((pf["r3_a"] - x) / lam,
-                                  pf["r3_y0"] + (1 - y) / sig)))
-    if 1 - lam <= x <= 1:
-        cands.append((Region.R5, ((x - 1 + lam) / lam,
-                                  (y + sig - 1) / sig)))
-    off = pf["c"] * (x - pf["q"]) ** 2 - y
-    if 0 <= off <= lam and abs(x - pf["q"]) <= pf["w_max"]:
-        cands.append((Region.R4, (off / lam, pf["t"] + (x - pf["q"]) / sig)))
-    good = [pre for reg, pre in cands if _exact_region(pf, pre) is reg]
-    return good[0] if len(good) == 1 else None
+def _exact(params: MapParams) -> MapParams:
+    """The same parameter set with its stored floats as exact rationals
+    (the branch table then evaluates the map exactly)."""
+    return replace(params, **{f.name: Fraction(getattr(params, f.name))
+                              for f in fields(params)})
 
 
 def _rational_sqrt_in(lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -1246,10 +1107,10 @@ def _threaded_separation(params: MapParams, delta: float, horizon: int,
     forever), so each band constraint is a rational interval in a^2;
     the intersection stays nonempty because every inverse branch maps
     its band onto the full width of the square."""
-    pf = _exact_params(params)
-    lam, r3a = pf["lam"], pf["r3_a"]
+    pf = _exact(params)
+    lam, r3a = pf.lam, pf.r3_a
     # x_k = p_k + s_k * asq along the backward chain
-    p_aff, s_aff = Fraction(0), pf["c"] / lam
+    p_aff, s_aff = Fraction(0), pf.c / lam
     lo, hi = None, None
 
     def constrain(b_lo, b_hi, lo, hi):
@@ -1274,7 +1135,7 @@ def _threaded_separation(params: MapParams, delta: float, horizon: int,
         else:
             p_aff, s_aff = (r3a - p_aff) / lam, -s_aff / lam
     a = _rational_sqrt_in(lo, hi)
-    if a is None or a > pf["w_max"] or 2 * a > Fraction(9, 10) * Fraction(delta):
+    if a is None or a > pf.w_max or 2 * a > Fraction(9, 10) * Fraction(delta):
         return None
     return a
 
@@ -1312,29 +1173,18 @@ def nonexpansive_pair(params: MapParams, delta: float,
     verified rationals are in ``A_exact``/``B_exact``."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    pf = _exact_params(params)
+    pf = _exact(params)
     for a in _nonexpansive_candidates(params, delta, horizon):
-        A = (pf["q"] + a, Fraction(0))
-        B = (pf["q"] - a, Fraction(0))
-        sup_sq = _exact_dist_sq(A, B)
-        ok = True
-        ca, cb = A, B
-        for _ in range(horizon):
-            ca, cb = _exact_apply(pf, ca), _exact_apply(pf, cb)
-            if ca is None or cb is None:
-                ok = False
-                break
-            sup_sq = max(sup_sq, _exact_dist_sq(ca, cb))
-        if not ok:
+        A = (pf.q + a, Fraction(0))
+        B = (pf.q - a, Fraction(0))
+        oa, ob = (mc.orbit(pf, pt, horizon, horizon) for pt in (A, B))
+        if any(o.fwd_escape is not None or o.bwd_escape is not None
+               for o in (oa, ob)):
             continue
-        ca, cb = A, B
-        for _ in range(horizon):
-            ca, cb = _exact_inverse(pf, ca), _exact_inverse(pf, cb)
-            if ca is None or cb is None:
-                ok = False
-                break
-            sup_sq = max(sup_sq, _exact_dist_sq(ca, cb))
-        if ok and sup_sq <= Fraction(delta) ** 2:
+        sup_sq = max(_exact_dist_sq(u, v) for u, v in
+                     zip(oa.fwd_points + oa.bwd_points,
+                         ob.fwd_points + ob.bwd_points))
+        if sup_sq <= Fraction(delta) ** 2:
             sep = 2.0 * float(a)
             return NonexpansiveReport(
                 A=(float(A[0]), 0.0), B=(float(B[0]), 0.0),

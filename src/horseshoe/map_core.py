@@ -4,7 +4,7 @@ The map acts on the unit square and is built from four branches:
 
 * ``R1`` (bottom strip)    : (x, y) -> (lam*x, sigma*y)
 * ``R3`` (middle strip)    : (x, y) -> (r3_a - lam*x, 1 - sigma*(y - r3_y0))
-* ``R4`` (tangency strip)  : shear model, see :func:`apply`
+* ``R4`` (tangency strip)  : shear model, see below
 * ``R5`` (top strip)       : (x, y) -> (lam*x + 1 - lam, sigma*y - sigma + 1)
 
 Everything in between (the strip ``R2`` and the two gaps around ``R4``)
@@ -15,20 +15,33 @@ The ``R4`` branch is a shear model.  Writing ``u = lam*x`` and
 lines ``{x0} x R4`` are mapped onto arcs of the parabolas
 ``y = c*(x - q)**2 - lam*x0``, the tangency preimage ``T = (0, t)`` goes
 to ``Q = (q, 0)``, and ``|det Df| = lam*sigma`` everywhere.
+
+Each branch is written once, in the table :data:`BRANCHES`: its source
+strip, its image band with the coding symbol, and its forward, inverse
+and derivative formulas.  The formulas use only ``+ - * /``, ``** 2``
+and the scaled-square hook ``csq``, so the same text runs on floats,
+numpy arrays, ``Fraction`` parameters (exact arithmetic) and the
+interval hulls of :mod:`horseshoe.coding`.  Every other module reads
+the branches from this table.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Region",
     "MapParams",
+    "Branch",
+    "BRANCHES",
+    "BRANCH",
     "Certificate",
     "ValidationCheck",
     "ValidationReport",
@@ -41,6 +54,7 @@ __all__ = [
     "jacobian",
     "jacobian_inverse",
     "orbit",
+    "first_return",
     "parabola_offset",
     "leaf_tangent",
     "in_A",
@@ -52,6 +66,9 @@ __all__ = [
 ]
 
 ARCTAN_PI_10 = math.atan(math.pi / 10.0)
+
+#: Exact for ``Fraction`` fields; against a float it rounds to 2.0/3.0.
+_TWO_THIRDS = Fraction(2, 3)
 
 
 class OutOfDomain(ValueError):
@@ -80,6 +97,9 @@ class Region(Enum):
     GAP34_LOWER = "Gap34lower"
     GAP34_UPPER = "Gap34upper"
     OUTSIDE = "Outside"
+
+    # members are singletons: hash by identity, not Enum's Python __hash__
+    __hash__ = object.__hash__
 
 
 #: Regions on which the map (and its derivative) is defined.
@@ -111,6 +131,10 @@ class MapParams:
     r3_y0    bottom ordinate of strip R3 (height 1/sigma)
     r3_a     right abscissa of the image band R3' = [r3_a-lam, r3_a] x [0,1]
     b        bound on the exponent ratio -ln lam / ln sigma
+
+    The fields may also be ``Fraction``s, which makes the map exact.
+    Derived attributes: ``inv_sigma`` = 1/sigma, ``h`` = w_max/sigma (the
+    half-height of the R4 strip) and ``r5_y0`` (bottom of the R5 strip).
     """
 
     lam: float
@@ -123,19 +147,39 @@ class MapParams:
     r3_a: float
     b: float
 
-    @property
-    def inv_sigma(self) -> float:
-        return 1.0 / self.sigma
+    def __post_init__(self):
+        # Derived quantities, computed once.  Set in the constructor (not
+        # cached lazily) so attribute reads stay on the fast path.
+        put = object.__setattr__
+        put(self, "inv_sigma", 1 / self.sigma)
+        put(self, "h", self.w_max / self.sigma)          # R4 half-height
+        put(self, "r5_y0", 1 - _TWO_THIRDS / self.sigma)  # R5 bottom edge
+        # (level, region, branch) from the bottom of the square up:
+        # ordinates up to a level, and above the previous one, lie in its
+        # region, so ties at strip edges go to the region below.
+        ladder = []
+        for br in BRANCHES:
+            lo, hi = br.strip(self)
+            if br.gap_below is not None:
+                ladder.append((lo, br.gap_below, None))
+            ladder.append((hi, br.region, br))
+        put(self, "_ladder", tuple(ladder))
+        put(self, "_columns", {br: br.column(self) for br in BRANCHES})
+        # (symbol, branch, x_lo, x_hi, floor or None) of every piece of the
+        # coding bands: the parabolic band is split at the fold abscissa q
+        pieces = []
+        for br in BRANCHES:
+            lo, hi = self._columns[br]
+            floor = _band_floor(self, br) if br.floor else None
+            edges = (lo, self.q, hi) if br.parabolic else (lo, hi)
+            pieces += [(sym, br, a, b, floor) for sym, a, b
+                       in zip(br.symbols, edges, edges[1:])]
+        put(self, "_bands", tuple(pieces))
 
-    @property
-    def h(self) -> float:
-        """Half-height of the R4 strip."""
-        return self.w_max / self.sigma
-
-    @property
-    def r5_y0(self) -> float:
-        """Bottom ordinate of strip R5."""
-        return 1.0 - (2.0 / 3.0) / self.sigma
+    def __reduce__(self):
+        # pickle the fields only: the derived attributes refer to the
+        # branch table, and the constructor rebuilds them
+        return type(self), astuple(self)
 
     @property
     def wing_half_width(self) -> float:
@@ -159,6 +203,138 @@ class MapParams:
         return cls.from_dict(json.loads(text))
 
 
+# ---------------------------------------------------------------------------
+# The branch table
+# ---------------------------------------------------------------------------
+
+def _csq(c, w):
+    """Scaled square ``c*w**2`` of the parabolic branch, multiplied left
+    to right; interval hulls pass a hook that squares exactly first."""
+    return c * w * w
+
+
+def parabola_offset(params: MapParams, p) -> float:
+    """Offset K such that ``p`` lies on the parabola y = c*(x-q)**2 - K.
+
+    This is the coordinate of the parabolic band R4' (it equals lam*x
+    at the preimage), so it works on every arithmetic of the table."""
+    x, y = p
+    return params.c * (x - params.q) ** 2 - y
+
+
+def _r4_forward(p, x, y, csq=_csq):
+    w = p.sigma * (y - p.t)
+    return p.q + w, csq(p.c, w) - p.lam * x
+
+
+def _r4_derivative(p, x, y):
+    w = p.sigma * (y - p.t)
+    return (0, p.sigma), (-p.lam, 2 * p.c * p.sigma * w)
+
+
+def _r4_derivative_inverse(p, x, y):
+    w = p.sigma * (y - p.t)
+    det = p.lam * p.sigma
+    return (2 * p.c * p.sigma * w / det, -p.sigma / det), (p.lam / det, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class Branch:
+    """One branch of the map.
+
+    ``strip`` and ``column`` give the source strip's y-range and the image
+    band's x-range for a parameter set.  ``symbols`` are the coding
+    symbols of the image band, left to right: the parabolic band R4' is
+    split at the fold abscissa q into a left wing (2) and a right wing
+    (1), and is also bounded by its offset, 0 <= parabola_offset <= lam.
+    A ``floor`` band does not reach down to y = 0: it starts at the image
+    of the strip's lower edge (R5' at about 1/3).  ``gap_below`` is the
+    escaping region between this strip and the one below.  The formulas
+    take ``(params, x, y)``; ``forward`` also takes the ``csq`` hook.
+    """
+
+    region: Region
+    gap_below: Region | None
+    symbols: tuple
+    strip: Callable
+    column: Callable
+    forward: Callable
+    inverse: Callable
+    derivative: Callable
+    derivative_inverse: Callable
+    parabolic: bool = False
+    floor: bool = False
+
+
+def _straight_derivative(p, x, y):
+    return (p.lam, 0), (0, p.sigma)
+
+
+def _straight_derivative_inverse(p, x, y):
+    return (1 / p.lam, 0), (0, 1 / p.sigma)
+
+
+#: The four branches, bottom strip first.
+BRANCHES = (
+    Branch(Region.R1, None, (0,),
+           strip=lambda p: (0, p.inv_sigma),
+           column=lambda p: (0, p.lam),
+           forward=lambda p, x, y, csq=_csq: (p.lam * x, p.sigma * y),
+           inverse=lambda p, x, y: (x / p.lam, y / p.sigma),
+           derivative=_straight_derivative,
+           derivative_inverse=_straight_derivative_inverse),
+    Branch(Region.R3, Region.R2, (2,),
+           strip=lambda p: (p.r3_y0, p.r3_y0 + p.inv_sigma),
+           column=lambda p: (p.r3_a - p.lam, p.r3_a),
+           forward=lambda p, x, y, csq=_csq: (p.r3_a - p.lam * x,
+                                              1 - p.sigma * (y - p.r3_y0)),
+           inverse=lambda p, x, y: ((p.r3_a - x) / p.lam,
+                                    p.r3_y0 + (1 - y) / p.sigma),
+           derivative=lambda p, x, y: ((-p.lam, 0), (0, -p.sigma)),
+           derivative_inverse=lambda p, x, y: ((-1 / p.lam, 0),
+                                               (0, -1 / p.sigma))),
+    Branch(Region.R4, Region.GAP34_LOWER, (2, 1),
+           strip=lambda p: (p.t - p.h, p.t + p.h),
+           column=lambda p: (p.q - p.w_max, p.q + p.w_max),
+           forward=_r4_forward,
+           inverse=lambda p, x, y: (parabola_offset(p, (x, y)) / p.lam,
+                                    p.t + (x - p.q) / p.sigma),
+           derivative=_r4_derivative,
+           derivative_inverse=_r4_derivative_inverse, parabolic=True),
+    Branch(Region.R5, Region.GAP34_UPPER, (1,),
+           strip=lambda p: (p.r5_y0, 1),
+           column=lambda p: (1 - p.lam, 1),
+           forward=lambda p, x, y, csq=_csq: (p.lam * x + 1 - p.lam,
+                                              p.sigma * y - p.sigma + 1),
+           inverse=lambda p, x, y: ((x - 1 + p.lam) / p.lam,
+                                    (y + p.sigma - 1) / p.sigma),
+           derivative=_straight_derivative,
+           derivative_inverse=_straight_derivative_inverse, floor=True),
+)
+
+#: The branches by source region.
+BRANCH = {br.region: br for br in BRANCHES}
+_R4 = BRANCH[Region.R4]
+
+
+def _band_floor(params: MapParams, branch: Branch) -> float:
+    """Lowest ordinate of a floor band: the image of the strip's lower
+    edge (1/3 in exact arithmetic for R5')."""
+    return branch.forward(params, 0, branch.strip(params)[0])[1]
+
+
+def _in_band(params: MapParams, branch: Branch, x, y):
+    """Whether (x, y) lies in the branch's image band, elementwise for
+    arrays.  Floors are not tested here: a candidate preimage below the
+    floor fails to land back in the source strip."""
+    lo, hi = params._columns[branch]
+    inside = (lo <= x) & (x <= hi)
+    if not branch.parabolic or inside is False:   # scalars skip the offset
+        return inside
+    k = parabola_offset(params, (x, y))
+    return inside & (0 <= k) & (k <= params.lam)
+
+
 #: Human-scale demonstration parameters (soft warnings expected).
 REF_EX = MapParams(lam=0.1, sigma=5.0, c=5.0, q=0.75, t=0.7,
                    w_max=0.22, r3_y0=0.4, r3_a=0.5, b=2.0)
@@ -169,6 +345,15 @@ REF_STRICT = MapParams(lam=1e-5, sigma=1e5, c=648.0, q=0.75, t=0.6,
                        w_max=0.02, r3_y0=0.4, r3_a=0.5, b=2.0)
 
 
+def _branch_at(params: MapParams, x, y):
+    """Branch whose strip contains the point, or None."""
+    if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
+        for level, _, br in params._ladder:
+            if y <= level:
+                return br
+    return None
+
+
 def classify(params: MapParams, p: tuple[float, float]) -> Region:
     """Region of the plane containing ``p``.
 
@@ -176,65 +361,18 @@ def classify(params: MapParams, p: tuple[float, float]) -> Region:
     to the lower-indexed region so itineraries are reproducible.
     """
     x, y = p
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        return Region.OUTSIDE
-    if y <= params.inv_sigma:
-        return Region.R1
-    if y <= params.r3_y0:
-        return Region.R2
-    if y <= params.r3_y0 + params.inv_sigma:
-        return Region.R3
-    if y <= params.t - params.h:
-        return Region.GAP34_LOWER
-    if y <= params.t + params.h:
-        return Region.R4
-    if y <= params.r5_y0:
-        return Region.GAP34_UPPER
-    return Region.R5
+    if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
+        for level, region, _ in params._ladder:
+            if y <= level:
+                return region
+    return Region.OUTSIDE
 
 
 def apply(params: MapParams, p: tuple[float, float]):
     """One forward step of the map, or ``None`` if the point escapes."""
     x, y = p
-    region = classify(params, p)
-    if region is Region.R1:
-        return (params.lam * x, params.sigma * y)
-    if region is Region.R3:
-        return (params.r3_a - params.lam * x,
-                1.0 - params.sigma * (y - params.r3_y0))
-    if region is Region.R4:
-        u = params.lam * x
-        w = params.sigma * (y - params.t)
-        return (params.q + w, params.c * w * w - u)
-    if region is Region.R5:
-        return (params.lam * x + 1.0 - params.lam,
-                params.sigma * y - params.sigma + 1.0)
-    return None
-
-
-def parabola_offset(params: MapParams, p: tuple[float, float]) -> float:
-    """Offset K such that ``p`` lies on the parabola y = c*(x-q)**2 - K."""
-    x, y = p
-    return params.c * (x - params.q) ** 2 - y
-
-
-def _band_r1(params: MapParams, x: float) -> bool:
-    return 0.0 <= x <= params.lam
-
-
-def _band_r3(params: MapParams, x: float) -> bool:
-    return params.r3_a - params.lam <= x <= params.r3_a
-
-
-def _band_r5(params: MapParams, x: float) -> bool:
-    return 1.0 - params.lam <= x <= 1.0
-
-
-def _band_r4(params: MapParams, p: tuple[float, float]) -> bool:
-    x, _ = p
-    if abs(x - params.q) > params.w_max:
-        return False
-    return 0.0 <= parabola_offset(params, p) <= params.lam
+    br = _branch_at(params, x, y)
+    return None if br is None else br.forward(params, x, y)
 
 
 def apply_inverse(params: MapParams, p: tuple[float, float]):
@@ -243,75 +381,48 @@ def apply_inverse(params: MapParams, p: tuple[float, float]):
 
     The image bands are ``R1' = [0,lam] x [0,1]``, ``R3'``, ``R5'``
     (vertical bands of width ``lam``) and the parabolic region ``R4'``.
-    ``R4'`` may overlap the ``R5'`` column; in that case the candidate
-    whose preimage lies in its source strip is the right one (the two
-    cases are separated by the image height 1/3).
+    A branch formula only inverts points of the branch's actual image:
+    the candidate preimage must land back in the source strip (e.g. the
+    ``R5'`` column below height 1/3 is not an image of the R5 strip).
+    ``R4'`` may overlap the ``R5'`` column; only the tangency point
+    Q = (q, 0) has two valid candidates, and it gets the R4 preimage T.
     """
     x, y = p
-    candidates = []
-    if _band_r1(params, x):
-        candidates.append((Region.R1, (x / params.lam, y / params.sigma)))
-    if _band_r3(params, x):
-        candidates.append((Region.R3, ((params.r3_a - x) / params.lam,
-                                       params.r3_y0 + (1.0 - y) / params.sigma)))
-    if _band_r5(params, x):
-        candidates.append((Region.R5, ((x - 1.0 + params.lam) / params.lam,
-                                       (y + params.sigma - 1.0) / params.sigma)))
-    if _band_r4(params, p):
-        k = parabola_offset(params, p)
-        candidates.append((Region.R4, (k / params.lam,
-                                       params.t + (x - params.q) / params.sigma)))
-    # a branch formula only inverts points of the branch's actual image:
-    # the candidate preimage must land back in the source strip (e.g. the
-    # R5' column below height 1/3 is not an image of the R5 strip)
-    matching = [pre for reg, pre in candidates if classify(params, pre) is reg]
-    if not matching:
-        return None
-    if len(matching) == 1:
-        return matching[0]
-    # Only the tangency point Q = (q, 0) reaches here through genuine band
-    # overlap; return the R4-branch preimage T.
-    for reg, pre in candidates:
-        if reg is Region.R4:
-            return pre
-    return candidates[0][1]
+    found = None
+    for br in BRANCHES:
+        if _in_band(params, br, x, y):
+            pre = br.inverse(params, x, y)
+            if _branch_at(params, *pre) is br and (found is None
+                                                   or br.parabolic):
+                found = pre
+    return found
+
+
+def _derivative_at(params: MapParams, p, which: str) -> np.ndarray:
+    x, y = p
+    br = _branch_at(params, x, y)
+    if br is None:
+        raise OutOfDomain("derivative undefined in region "
+                          f"{classify(params, p).value} at {p}")
+    return np.array(getattr(br, which)(params, x, y))
 
 
 def jacobian(params: MapParams, p: tuple[float, float]) -> np.ndarray:
     """Derivative of the map at ``p`` (2x2 array)."""
-    region = classify(params, p)
-    if region is Region.R1 or region is Region.R5:
-        return np.array([[params.lam, 0.0], [0.0, params.sigma]])
-    if region is Region.R3:
-        return np.array([[-params.lam, 0.0], [0.0, -params.sigma]])
-    if region is Region.R4:
-        w = params.sigma * (p[1] - params.t)
-        return np.array([[0.0, params.sigma],
-                         [-params.lam, 2.0 * params.c * params.sigma * w]])
-    raise OutOfDomain(f"derivative undefined in region {region.value} at {p}")
+    return _derivative_at(params, p, "derivative")
 
 
 def jacobian_inverse(params: MapParams, p: tuple[float, float]) -> np.ndarray:
     """Inverse of the derivative at ``p`` (derivative of the backward step
     taken at the image of ``p``)."""
-    region = classify(params, p)
-    if region is Region.R1 or region is Region.R5:
-        return np.array([[1.0 / params.lam, 0.0], [0.0, 1.0 / params.sigma]])
-    if region is Region.R3:
-        return np.array([[-1.0 / params.lam, 0.0], [0.0, -1.0 / params.sigma]])
-    if region is Region.R4:
-        w = params.sigma * (p[1] - params.t)
-        det = params.lam * params.sigma
-        return np.array([[2.0 * params.c * params.sigma * w, -params.sigma],
-                         [params.lam, 0.0]]) / det
-    raise OutOfDomain(f"derivative undefined in region {region.value} at {p}")
+    return _derivative_at(params, p, "derivative_inverse")
 
 
 def leaf_tangent(params: MapParams, p: tuple[float, float]) -> np.ndarray:
     """Unit tangent of the local parabola through a point of the image
     region R4' (slope 2c(x-q))."""
-    x, _ = p
-    if not _band_r4(params, p):
+    x, y = p
+    if not _in_band(params, _R4, x, y):
         raise OutOfDomain(f"{p} is not in the parabolic image region")
     v = np.array([1.0, 2.0 * params.c * (x - params.q)])
     return v / np.linalg.norm(v)
@@ -319,9 +430,11 @@ def leaf_tangent(params: MapParams, p: tuple[float, float]) -> np.ndarray:
 
 def in_A(params: MapParams, p: tuple[float, float]) -> bool:
     """Membership in the tangency window A = R4'ic R1 minus {Q}."""
-    if p[0] == params.q and p[1] == 0.0:
+    x, y = p
+    if x == params.q and y == 0.0:
         return False
-    return classify(params, p) is Region.R1 and _band_r4(params, p)
+    return classify(params, p) is Region.R1 \
+        and bool(_in_band(params, _R4, x, y))
 
 
 @dataclass
@@ -344,31 +457,39 @@ class OrbitRecord:
 
 def orbit(params: MapParams, p: tuple[float, float],
           n_fwd: int, n_bwd: int = 0) -> OrbitRecord:
-    fwd = [p]
-    fwd_labels = [classify(params, p)]
-    fwd_escape = None
+    fwd, fwd_labels, fwd_escape = _walk(params, apply, p, n_fwd)
+    bwd, bwd_labels, bwd_escape = _walk(params, apply_inverse, p, n_bwd)
+    return OrbitRecord([p] + fwd, [classify(params, p)] + fwd_labels,
+                       bwd, bwd_labels, fwd_escape, bwd_escape)
+
+
+def _walk(params: MapParams, step, p, n: int):
+    """Up to n iterates of ``p`` under ``step`` with their regions, and
+    the index of the step that found no image (None if all n exist)."""
+    pts, labels = [], []
     cur = p
-    for k in range(n_fwd):
-        nxt = apply(params, cur)
-        if nxt is None:
-            fwd_escape = k
-            break
-        cur = nxt
-        fwd.append(cur)
-        fwd_labels.append(classify(params, cur))
-    bwd = []
-    bwd_labels = []
-    bwd_escape = None
-    cur = p
-    for k in range(n_bwd):
-        pre = apply_inverse(params, cur)
-        if pre is None:
-            bwd_escape = k
-            break
-        cur = pre
-        bwd.append(cur)
-        bwd_labels.append(classify(params, cur))
-    return OrbitRecord(fwd, fwd_labels, bwd, bwd_labels, fwd_escape, bwd_escape)
+    for k in range(n):
+        cur = step(params, cur)
+        if cur is None:
+            return pts, labels, k
+        pts.append(cur)
+        labels.append(classify(params, cur))
+    return pts, labels, None
+
+
+def first_return(params: MapParams, m, max_steps: int):
+    """(n, points m..f^n(m)) of the first forward visit to A within
+    ``max_steps`` steps; raises :class:`NoReturn` otherwise."""
+    pts = [m]
+    cur = m
+    for n in range(1, max_steps + 1):
+        cur = apply(params, cur)
+        if cur is None:
+            raise NoReturn(f"orbit of {m} escapes at step {n}")
+        pts.append(cur)
+        if in_A(params, cur):
+            return n, pts
+    raise NoReturn(f"orbit of {m} does not return within {max_steps} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +564,8 @@ def validate(params: MapParams, chi: float = 1.0) -> ValidationReport:
     add("wing_span", "hard", span_margin > 0.0, span_margin,
         "> 0 (wings inside (0,1))")
 
-    strip_margin = min(p.r3_y0 - p.inv_sigma,
-                       (p.t - p.h) - (p.r3_y0 + p.inv_sigma),
-                       p.r5_y0 - (p.t + p.h))
+    strips = [br.strip(p) for br in BRANCHES]
+    strip_margin = min(up[0] - low[1] for low, up in zip(strips, strips[1:]))
     add("strips_disjoint", "hard", strip_margin > 0.0, strip_margin,
         "> 0 (gaps between R1, R3, R4, R5)")
 
@@ -470,6 +590,10 @@ def validate(params: MapParams, chi: float = 1.0) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Certificate of named constants
 # ---------------------------------------------------------------------------
+
+_CONSTANTS = ("chi0", "chi1", "chi", "C0", "eps0", "eta", "rho1", "C3",
+              "C4", "C5", "K", "eps1", "gamma", "b")
+
 
 @dataclass
 class Certificate:
@@ -500,15 +624,13 @@ class Certificate:
     def __post_init__(self):
         if self.chi0 != 4.0:
             raise ValueError("chi0 is fixed at 4")
-        for name in ("chi1", "chi", "C0", "eps0", "eta", "rho1", "C3",
-                     "C4", "C5", "K", "eps1", "gamma", "b"):
+        for name in _CONSTANTS[1:]:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"certificate constant {name} must be positive")
 
     def to_json(self) -> str:
         payload = {}
-        for name in ("chi0", "chi1", "chi", "C0", "eps0", "eta", "rho1",
-                     "C3", "C4", "C5", "K", "eps1", "gamma", "b"):
+        for name in _CONSTANTS:
             payload[name] = {
                 "value": getattr(self, name),
                 "provenance": self.provenance.get(name, "configured"),

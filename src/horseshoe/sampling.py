@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import map_core as mc
-from .map_core import MapParams, Region, classify, apply, apply_inverse, in_A
+from .map_core import MapParams, Region, classify, apply, in_A
 
 
 class SampleError(RuntimeError):
@@ -49,28 +49,9 @@ class ReturningPoint:
     backward_depth: int    # verified backward f-steps staying in strips
 
 
-def _first_return(params: MapParams, m, max_steps: int = 4000):
-    """(n, return point) for the first forward visit to A, or None."""
-    cur = m
-    for n in range(1, max_steps + 1):
-        cur = apply(params, cur)
-        if cur is None:
-            return None
-        if in_A(params, cur):
-            return n, cur
-    return None
-
-
 def _backward_depth(params: MapParams, m, cap: int = 10) -> int:
-    depth = 0
-    cur = m
-    while depth < cap:
-        pre = apply_inverse(params, cur)
-        if pre is None or classify(params, pre) not in mc.ACTIVE_REGIONS:
-            break
-        cur = pre
-        depth += 1
-    return depth
+    """Number of preimages of ``m`` that exist, up to ``cap``."""
+    return len(mc.orbit(params, m, 0, cap).bwd_points)
 
 
 def _escape_count(params: MapParams, m) -> int | None:
@@ -82,10 +63,7 @@ def _escape_count(params: MapParams, m) -> int | None:
             return n
         if reg is not Region.R1:
             return None
-        nxt = apply(params, cur)
-        if nxt is None:
-            return None
-        cur = nxt
+        cur = apply(params, cur)
     return None
 
 
@@ -106,8 +84,7 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
         sign = 1.0 if rng.random() < 0.5 else -1.0
         # seed abscissa: offset K0 = lam * x_tilde with x_tilde in the R3
         # image band forces the backward chain.
-        z = float(rng.uniform(1.0 - p.lam, 1.0))
-        k0 = p.lam * (p.r3_a - p.lam * z)
+        k0 = _chain_offset(p, rng)
         # two-pass fixed point: w depends on x0 through u, x0 on w not at
         # all, but u depends on x0 which depends on y0 which depends on w.
         w = sign * math.sqrt(y_ret_target / p.c)
@@ -125,14 +102,17 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
             continue
         if _escape_count(p, m0) != n_esc:
             continue
-        ret = _first_return(p, m0, max_steps=n_esc + 2)
-        if ret is None or ret[0] != n_esc + 1:
+        try:
+            n_ret, orbit = mc.first_return(p, m0, n_esc + 2)
+        except mc.NoReturn:
+            continue
+        if n_ret != n_esc + 1:
             continue
         bd = _backward_depth(p, m0)
         if bd < 3:
             continue
-        return ReturningPoint(M=m0, n_escape=n_esc, n_return=ret[0],
-                              M_return=ret[1], backward_depth=bd)
+        return ReturningPoint(M=m0, n_escape=n_esc, n_return=n_ret,
+                              M_return=orbit[-1], backward_depth=bd)
     raise SampleError(f"no returning point found in {max_tries} tries")
 
 
@@ -166,8 +146,7 @@ def multi_return_point(params: MapParams, rng: np.random.Generator,
     for _ in range(max_tries):
         signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
         y_final = float(rng.uniform(0.2, 0.8)) * p.inv_sigma
-        z = float(rng.uniform(1.0 - p.lam, 1.0))
-        k0 = p.lam * (p.r3_a - p.lam * z)
+        k0 = _chain_offset(p, rng)
         sign0 = 1.0 if rng.random() < 0.5 else -1.0
         ws = [0.0] * m
         xs = [0.0] * (m + 1)   # xs[i] = abscissa of the i-th A visit
@@ -215,6 +194,23 @@ def multi_return_point(params: MapParams, rng: np.random.Generator,
     raise SampleError(f"no multi-return orbit found in {max_tries} tries")
 
 
+def _chain_offset(params: MapParams, rng: np.random.Generator) -> float:
+    """Parabola offset lam * x with x in the R3 image band (the image of
+    a random abscissa of the R5 image band), which forces the backward
+    chain R4 <- R3 <- R5."""
+    z = float(rng.uniform(*mc.BRANCH[Region.R5].column(params)))
+    r3 = mc.BRANCH[Region.R3]
+    return params.lam * r3.forward(params, z, r3.strip(params)[0])[0]
+
+
+def _dyadic_gap(rng: np.random.Generator, width: float, n_octaves: int):
+    """A distance 2^-k among ``n_octaves`` dyadic scales below ``width``,
+    or None when the drawn scale does not fit."""
+    k_min = int(math.ceil(-math.log2(width / 2.0)))
+    d = 2.0 ** (-(k_min + int(rng.integers(0, n_octaves))))
+    return None if d >= width else d
+
+
 def holder_pairs_unstable(params: MapParams, rng: np.random.Generator,
                           count: int, n_octaves: int = 12) -> list:
     """Point pairs of A at dyadically spread distances, for regularity
@@ -230,15 +226,11 @@ def holder_pairs_unstable(params: MapParams, rng: np.random.Generator,
     guard = 0
     while len(pairs) < count and guard < 50 * count:
         guard += 1
-        z = float(rng.uniform(1.0 - p.lam, 1.0))
-        k0 = p.lam * (p.r3_a - p.lam * z)
+        k0 = _chain_offset(p, rng)
         a_lo = math.sqrt(k0 / p.c) * (1.0 + 1e-9)
         a_hi = math.sqrt((k0 + p.inv_sigma) / p.c) * (1.0 - 1e-9)
-        width = a_hi - a_lo
-        k_min = int(math.ceil(-math.log2(width / 2.0)))
-        k = k_min + int(rng.integers(0, n_octaves))
-        d = 2.0 ** (-k)
-        if d >= width:
+        d = _dyadic_gap(rng, a_hi - a_lo, n_octaves)
+        if d is None:
             continue
         a = float(rng.uniform(a_lo, a_hi - d))
         sgn = 1.0 if rng.random() < 0.5 else -1.0
@@ -268,11 +260,8 @@ def holder_pairs_stable(params: MapParams, rng: np.random.Generator,
         x = float(rng.uniform(0.1, 0.9))
         w_lo = math.sqrt(p.lam * x / p.c) * (1.0 + 1e-9)
         w_hi = math.sqrt((p.lam * x + p.inv_sigma) / p.c) * (1.0 - 1e-9)
-        width = w_hi - w_lo
-        k_min = int(math.ceil(-math.log2(width / 2.0)))
-        k = k_min + int(rng.integers(0, n_octaves))
-        d = 2.0 ** (-k)
-        if d >= width:
+        d = _dyadic_gap(rng, w_hi - w_lo, n_octaves)
+        if d is None:
             continue
         w = float(rng.uniform(w_lo, w_hi - d))
         sgn = 1.0 if rng.random() < 0.5 else -1.0
@@ -296,20 +285,23 @@ def sample_nonescaping_points(params: MapParams, rng: np.random.Generator,
     strips (where at least one step is defined) and keeps points that
     survive. Much cheaper than full A-point construction.
     """
-    p = params
-    strips = [(0.0, p.inv_sigma), (p.r3_y0, p.r3_y0 + p.inv_sigma),
-              (p.t - p.h, p.t + p.h), (p.r5_y0, 1.0)]
+    strips = [br.strip(params) for br in mc.BRANCHES]
     out = []
-    while len(out) < count:
+    guard = 0
+    while len(out) < count and guard < 50 * count:
+        guard += 1
         lo, hi = strips[int(rng.integers(0, len(strips)))]
         pt = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(lo, hi)))
         cur = pt
         ok = True
         for _ in range(horizon):
-            cur = apply(p, cur)
+            cur = apply(params, cur)
             if cur is None:
                 ok = False
                 break
         if ok:
             out.append(pt)
+    if len(out) < count:
+        raise SampleError(f"only {len(out)} of {count} points survived "
+                          f"{horizon} steps in {guard} draws")
     return out

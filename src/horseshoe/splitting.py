@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, Region, OrbitEscapes, OutOfDomain, NoReturn,
-                       classify, apply, apply_inverse, jacobian,
-                       jacobian_inverse, in_A, leaf_tangent)
+from .map_core import (MapParams, OrbitEscapes, OutOfDomain, classify,
+                       jacobian, jacobian_inverse, in_A)
 
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
@@ -78,19 +77,20 @@ class Cone:
 
 def unstable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
     """Vertical cone of aperture chi0/(2*c*l(M)) at a point of A."""
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
-    l = length_scale(params, m)
-    return Cone("vertical", CHI0 / (2.0 * params.c * l))
+    return Cone("vertical", CHI0 / (2.0 * params.c * _window_scale(params, m)))
 
 
 def stable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
     """Horizontal cone at a point of A with tan(delta) = (1/4) tan(alpha),
     where tan(alpha) = 2*c*l(M) is the local leaf slope."""
+    return Cone("horizontal", 2.0 * params.c * _window_scale(params, m) / CHI0)
+
+
+def _window_scale(params: MapParams, m) -> float:
+    """l(M) at a point of A."""
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
-    l = length_scale(params, m)
-    return Cone("horizontal", 2.0 * params.c * l / CHI0)
+    return length_scale(params, m)
 
 
 def default_cone(axis: str = "vertical") -> Cone:
@@ -158,42 +158,28 @@ def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
     return math.atan2(cross, dot)
 
 
-def _push_unstable(params: MapParams, chain: list):
-    """Push the vertical cone forward along ``chain`` (deepest point
-    first); returns (unit vector at the last point, residual)."""
+def _carry_cone(params: MapParams, chain: list, unstable: bool):
+    """Carry the cone at ``chain[0]`` along ``chain``: the vertical cone
+    forward (deepest backward point first), or the horizontal cone
+    backward (deepest forward point first, ending at the base point).
+    Returns (unit vector at the end, residual)."""
     start = chain[0]
+    axis = 1 if unstable else 0
     if in_A(params, start):
-        cone = unstable_cone(params, start)
+        cone = (unstable_cone if unstable else stable_cone)(params, start)
     else:
-        cone = default_cone()
-    center = np.array([0.0, 1.0])
-    rays = cone.boundary_rays()
-    vecs = [center] + rays
-    for p in chain[:-1]:
-        jac = jacobian(params, p)
+        cone = default_cone("vertical" if unstable else "horizontal")
+    vecs = [np.array([0.0, 1.0] if unstable else [1.0, 0.0])] \
+        + cone.boundary_rays()
+    if unstable:
+        steps, derivative = chain[:-1], jacobian
+    else:
+        steps, derivative = chain[1:], jacobian_inverse
+    for p in steps:
+        jac = derivative(params, p)
         vecs = [jac @ v for v in vecs]
         vecs = [v / np.linalg.norm(v) for v in vecs]
-        vecs = [v if v[1] > 0 else -v for v in vecs]
-    residual = max(_angle_between(vecs[0], vecs[1]),
-                   _angle_between(vecs[0], vecs[2]))
-    return vecs[0], residual
-
-
-def _pull_stable(params: MapParams, chain: list):
-    """Pull the horizontal cone backward along ``chain`` (deepest forward
-    point first, ending at the base point)."""
-    start = chain[0]
-    if in_A(params, start):
-        cone = stable_cone(params, start)
-    else:
-        cone = default_cone("horizontal")
-    center = np.array([1.0, 0.0])
-    vecs = [center] + cone.boundary_rays()
-    for p in chain[1:]:
-        inv = jacobian_inverse(params, p)
-        vecs = [inv @ v for v in vecs]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        vecs = [v if v[0] > 0 else -v for v in vecs]
+        vecs = [v if v[axis] > 0 else -v for v in vecs]
     residual = max(_angle_between(vecs[0], vecs[1]),
                    _angle_between(vecs[0], vecs[2]))
     return vecs[0], residual
@@ -209,32 +195,15 @@ def direction_field(params: MapParams, m: tuple[float, float],
     increased adaptively until the residual drops below ``tol`` or the
     orbit runs out of iterates.
     """
-    # backward orbit for e_u
-    bwd = [m]
-    cur = m
+    # backward orbit for e_u, forward orbit for e_s
     max_depth = depth if depth is not None else MAX_DEPTH
-    for k in range(max_depth):
-        pre = apply_inverse(params, cur)
-        if pre is None or classify(params, pre) not in mc.ACTIVE_REGIONS:
-            if depth is not None:
-                raise OrbitEscapes("backward", k + 1)
-            break
-        cur = pre
-        bwd.append(cur)
-    fwd = [m]
-    cur = m
-    for k in range(max_depth):
-        if classify(params, cur) not in mc.ACTIVE_REGIONS:
-            if depth is not None:
-                raise OrbitEscapes("forward", k)
-            break
-        nxt = apply(params, cur)
-        if nxt is None:
-            if depth is not None:
-                raise OrbitEscapes("forward", k)
-            break
-        cur = nxt
-        fwd.append(cur)
+    rec = mc.orbit(params, m, max_depth, max_depth)
+    if depth is not None and rec.bwd_escape is not None:
+        raise OrbitEscapes("backward", rec.bwd_escape + 1)
+    if depth is not None and rec.fwd_escape is not None:
+        raise OrbitEscapes("forward", rec.fwd_escape)
+    bwd = [m] + rec.bwd_points
+    fwd = rec.fwd_points
     if depth is not None:
         depths_u = [min(depth, len(bwd) - 1)]
         depths_s = [min(depth, len(fwd) - 1)]
@@ -245,7 +214,7 @@ def direction_field(params: MapParams, m: tuple[float, float],
     best_u, best_ru, used_u = None, math.inf, 0
     for d in depths_u:
         chain = list(reversed(bwd[:d + 1]))
-        vec, res = _push_unstable(params, chain)
+        vec, res = _carry_cone(params, chain, True)
         if res < best_ru:
             best_u, best_ru, used_u = vec, res, d
         if res < tol:
@@ -253,7 +222,7 @@ def direction_field(params: MapParams, m: tuple[float, float],
     best_s, best_rs, used_s = None, math.inf, 0
     for d in depths_s:
         chain = list(reversed(fwd[:d + 1]))
-        vec, res = _pull_stable(params, chain)
+        vec, res = _carry_cone(params, chain, False)
         if res < best_rs:
             best_s, best_rs, used_s = vec, res, d
         if res < tol:
@@ -311,22 +280,6 @@ def _cone_unit_vectors(cone: Cone, n_interior: int = 7):
     return vecs
 
 
-def first_return_to_A(params: MapParams, m: tuple[float, float],
-                      max_steps: int = 200):
-    """First-return data (n, points) of a point of A, or NoReturn."""
-    pts = [m]
-    cur = m
-    for n in range(1, max_steps + 1):
-        nxt = apply(params, cur)
-        if nxt is None:
-            raise NoReturn(f"orbit of {m} escapes at step {n}")
-        pts.append(nxt)
-        cur = nxt
-        if in_A(params, cur):
-            return n, pts
-    raise NoReturn(f"orbit of {m} does not return within {max_steps} steps")
-
-
 def verify_cone_return(params: MapParams, m: tuple[float, float],
                        max_steps: int = 200) -> ReturnReport:
     """Check the cone lemma along the first return of ``m`` to A.
@@ -339,7 +292,7 @@ def verify_cone_return(params: MapParams, m: tuple[float, float],
     """
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
-    n, pts = first_return_to_A(params, m)
+    n, pts = mc.first_return(params, m, max_steps)
     jacs = [jacobian(params, p) for p in pts[:-1]]
 
     cone_u = unstable_cone(params, m)

@@ -14,6 +14,7 @@ tensor contractions rather than sparse matrices.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,16 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coding
-from .map_core import (MapParams, apply, apply_inverse, jacobian,
-                       jacobian_inverse)
+from . import map_core as mc
+from .map_core import (MapParams, OrbitEscapes, apply, apply_inverse,
+                       jacobian, jacobian_inverse)
+
+#: The affine branches by the coding symbol of their image band.
+_AFFINE = {br.symbols[0]: br for br in mc.BRANCHES if not br.parabolic}
 
 
 class PotentialError(ValueError):
     """Declared Holder data contradicted by sampled values."""
-
-
-class OrbitEscapes(RuntimeError):
-    """The orbit left the bands before the requested horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +123,10 @@ class CylinderPotential:
         return float(self.values[_code_of_word(symbols)])
 
 
-def _atom_level(params: MapParams, n: int, resolution, _cache={}):
-    key = (params, n, resolution)
-    if key not in _cache:
-        _cache[key] = coding.atoms(params, n, resolution)
-    return _cache[key]
+@functools.lru_cache(maxsize=8)
+def _atom_level(params: MapParams, n: int, resolution):
+    """Atoms of a level, kept for the last few parameter sets."""
+    return coding.atoms(params, n, resolution)
 
 
 def _nearest_nonempty(level: dict, word: coding.Word) -> coding.Word:
@@ -175,20 +175,16 @@ def pull_back(params: MapParams, phi: Potential, m: int,
 # Transfer operator, pressure, Gibbs measure
 # ---------------------------------------------------------------------------
 
-def _apply_transfer(W: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """Push a state vector forward: sum over the oldest symbol."""
+def _apply_transfer(W: np.ndarray, v: np.ndarray, m: int,
+                    transpose: bool = False) -> np.ndarray:
+    """Push a state vector forward: sum over the oldest symbol (with
+    ``transpose``, the transpose action: sum over the appended one)."""
     if m == 1:
         return np.array([float(np.sum(W)) * v[0]])
     V = v.reshape((3,) * (m - 1))
+    if transpose:
+        return (W * V[None, ...]).sum(axis=-1).reshape(-1)
     return (W * V[..., None]).sum(axis=0).reshape(-1)
-
-
-def _apply_transfer_t(W: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
-    """Transpose action: sum over the appended symbol."""
-    if m == 1:
-        return np.array([float(np.sum(W)) * u[0]])
-    U = u.reshape((3,) * (m - 1))
-    return (W * U[None, ...]).sum(axis=-1).reshape(-1)
 
 
 def _power_iteration(step, size: int, tol: float, v0: np.ndarray | None,
@@ -243,7 +239,7 @@ def _solve(cyl: CylinderPotential, tol: float = 1e-12,
     lam, right = _power_iteration(
         lambda v: _apply_transfer(W, v, m), size, tol, v0)
     _, left = _power_iteration(
-        lambda u: _apply_transfer_t(W, u, m), size, tol, v0)
+        lambda u: _apply_transfer(W, u, m, transpose=True), size, tol, v0)
     return _GibbsModel(m=m, W=W, eigenvalue=lam, right=right, left=left)
 
 
@@ -357,11 +353,6 @@ def gibbs_measure(cyl: CylinderPotential, tol: float = 1e-12) -> CylinderMeasure
         gibbs_C=_gibbs_constant(model, masses))
 
 
-def entropy(measure: CylinderMeasure) -> float:
-    """Block-entropy difference H_{m+1} - H_m."""
-    return _entropy_of(measure.masses_next) - _entropy_of(measure.masses)
-
-
 # ---------------------------------------------------------------------------
 # Equilibrium state on atoms
 # ---------------------------------------------------------------------------
@@ -451,32 +442,31 @@ def shift_orbit_point(params: MapParams, past, future):
     The pair (1, 0) is rejected: the top strip's image only reaches
     down to y = 1/3, below which the bottom strip's preimage lies, so
     that transition is carried by the parabolic strip alone."""
-    p = params
-    seq = tuple(past) + tuple(future)
+    _check_itinerary(tuple(past) + tuple(future))
+    x = 0.5
+    for s in past:   # affine abscissae do not depend on the ordinate
+        x = _AFFINE[s].forward(params, x, 0.5)[0]
+    return (x, _tail_ordinates(params, future)[0])
+
+
+def _check_itinerary(seq) -> None:
     for a, b in zip(seq, seq[1:]):
         if a == 1 and b == 0:
             raise ValueError("1 -> 0 is not realizable in the affine strips")
-    x = 0.5
-    for s in past:
-        if s == 0:
-            x = p.lam * x
-        elif s == 2:
-            x = p.r3_a - p.lam * x
-        elif s == 1:
-            x = p.lam * x + 1.0 - p.lam
-        else:
+    for s in seq:
+        if s not in _AFFINE:
             raise ValueError(f"affine strip symbol expected, got {s}")
-    y = 0.5
+
+
+def _tail_ordinates(params: MapParams, future) -> list:
+    """Ordinates realizing every tail ``future[k:]``, k = 0..len(future):
+    the backward-contracting branch inverses applied from the far end,
+    starting at 1/2 (the abscissa of an affine branch inverse does not
+    enter its ordinate)."""
+    ys = [0.5]
     for s in reversed(future):
-        if s == 0:
-            y = y / p.sigma
-        elif s == 2:
-            y = p.r3_y0 + (1.0 - y) / p.sigma
-        elif s == 1:
-            y = (y + p.sigma - 1.0) / p.sigma
-        else:
-            raise ValueError(f"affine strip symbol expected, got {s}")
-    return (x, y)
+        ys.append(_AFFINE[s].inverse(params, 0.5, ys[-1])[1])
+    return ys[::-1]
 
 
 def lyapunov(params: MapParams, M, N: int, symbols=None,
@@ -500,55 +490,50 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         for k in range(N):
             nxt = apply(p, pts[-1])
             if nxt is None:
-                raise OrbitEscapes(f"forward orbit leaves at step {k + 1}")
+                raise OrbitEscapes("forward", k + 1)
             pts.append(nxt)
     else:
         if len(symbols) < N + 1:
             raise ValueError("itinerary shorter than the horizon")
+        _check_itinerary(symbols)
+        ys = _tail_ordinates(p, symbols)
         x = float(M[0])
         pts = []
         for k in range(N + 1):
-            y = shift_orbit_point(p, (), symbols[k:])[1]
-            pts.append((x, y))
-            s = symbols[k]
-            x = p.lam * x if s == 0 else (
-                p.r3_a - p.lam * x if s == 2 else p.lam * x + 1.0 - p.lam)
+            pts.append((x, ys[k]))
+            x = _AFFINE[symbols[k]].forward(p, x, ys[k])[0]
     if symbols is None:
         jacs = [jacobian(p, pts[k]) for k in range(N)]
     else:
         # affine branches have constant derivatives, so the symbol alone
         # decides (and edge-of-strip classification ties do not bite)
-        flip = np.array([[-p.lam, 0.0], [0.0, -p.sigma]])
-        straight = np.array([[p.lam, 0.0], [0.0, p.sigma]])
-        jacs = [flip if symbols[k] == 2 else straight for k in range(N)]
-    v = np.array([0.0, 1.0])
-    chi_u = 0.0
-    for k in range(N):
-        v = jacs[k] @ v
-        norm = float(np.hypot(*v))
-        chi_u += math.log(norm)
-        v /= norm
-    chi_u /= N
-
-    u = np.array([1.0, 0.0])
-    chi_s = 0.0
+        const = {s: np.array(br.derivative(p, 0.5, 0.5))
+                 for s, br in _AFFINE.items()}
+        jacs = [const[symbols[k]] for k in range(N)]
+    chi_u = _log_growth(jacs, (0.0, 1.0)) / N
     if symbols is None:
         back = [tuple(map(float, M))]
         for k in range(N_back):
             pre = apply_inverse(p, back[-1])
             if pre is None:
-                raise OrbitEscapes(f"backward orbit leaves at step {k + 1}")
+                raise OrbitEscapes("backward", k + 1)
             back.append(pre)
-        for k in range(N_back):
-            u = jacobian_inverse(p, back[k + 1]) @ u
-            norm = float(np.hypot(*u))
-            chi_s += math.log(norm)
-            u /= norm
+        inverses = [jacobian_inverse(p, back[k + 1]) for k in range(N_back)]
     else:
-        for k in range(min(N_back, N)):
-            u = np.linalg.inv(jacs[k]) @ u
-            norm = float(np.hypot(*u))
-            chi_s += math.log(norm)
-            u /= norm
         N_back = min(N_back, N)
+        inverses = [np.linalg.inv(jacs[k]) for k in range(N_back)]
+    chi_s = _log_growth(inverses, (1.0, 0.0))
     return {"chi_u": chi_u, "chi_s": -chi_s / max(1, N_back)}
+
+
+def _log_growth(mats, v) -> float:
+    """Summed ln growth of ``v`` through the matrices in turn,
+    renormalized each step."""
+    v = np.array(v)
+    total = 0.0
+    for a in mats:
+        v = a @ v
+        norm = float(np.hypot(*v))
+        total += math.log(norm)
+        v /= norm
+    return total

@@ -1,0 +1,270 @@
+"""Pins and properties of the branch table in ``map_core``.
+
+The pinned digests are the results of the earlier per-arithmetic copies
+of the branch formulas; they hold the table to the same numbers bit for
+bit: the scalar map, its array evaluation, the interval hulls behind the
+atom covers, and the exact rationals of the non-expansive pair.  The
+properties run over perturbations of both reference sets.
+"""
+
+import dataclasses
+import hashlib
+import math
+import pickle
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, assume
+from hypothesis import strategies as st
+
+from horseshoe import coding
+from horseshoe import manifolds as mf
+from horseshoe import map_core as mc
+from horseshoe.map_core import REF_EX, REF_STRICT, Region
+
+
+def probe_points(params, n=2000, seed=20260601):
+    """Seeded points: a third uniform in the square, a third in the
+    horizontal strips, a third in the image bands (the parabolic band
+    drawn by its offset, so inverse branches are exercised too)."""
+    p = params
+    rng = np.random.default_rng(seed)
+    strips = [(0.0, p.inv_sigma), (p.r3_y0, p.r3_y0 + p.inv_sigma),
+              (p.t - p.h, p.t + p.h), (p.r5_y0, 1.0)]
+    columns = [(0.0, p.lam), (p.r3_a - p.lam, p.r3_a), (1.0 - p.lam, 1.0)]
+    pts = []
+    for i in range(n):
+        kind = i % 3
+        if kind == 0:
+            pt = (rng.uniform(), rng.uniform())
+        elif kind == 1:
+            lo, hi = strips[int(rng.integers(0, 4))]
+            pt = (rng.uniform(), rng.uniform(lo, hi))
+        else:
+            j = int(rng.integers(0, 4))
+            if j < 3:
+                lo, hi = columns[j]
+                pt = (rng.uniform(lo, hi), rng.uniform())
+            else:
+                x = rng.uniform(p.q - p.w_max, p.q + p.w_max)
+                k = rng.uniform(0.0, p.lam)
+                pt = (x, p.c * (x - p.q) ** 2 - k)
+        # abscissae on a 2^-20 grid: with q = 3/4 the squares (x - q)**2
+        # of the inverse branch are exact, so no platform's pow rounds them
+        pts.append((round(float(pt[0]) * 2 ** 20) / 2 ** 20, float(pt[1])))
+    return pts
+
+
+def _flat(v):
+    if v is None:
+        return None
+    return tuple(float(c) for c in np.asarray(v, dtype=float).ravel())
+
+
+def scalar_digest(params, pts) -> str:
+    """SHA-256 over classify, apply, apply_inverse, jacobian and
+    jacobian_inverse at every point (reprs are exact for floats)."""
+    h = hashlib.sha256()
+    for pt in pts:
+        row = [mc.classify(params, pt).value, _flat(mc.apply(params, pt)),
+               _flat(mc.apply_inverse(params, pt))]
+        for fn in (mc.jacobian, mc.jacobian_inverse):
+            try:
+                row.append(_flat(fn(params, pt)))
+            except mc.OutOfDomain:
+                row.append("undefined")
+        h.update(repr(row).encode())
+    return h.hexdigest()[:16]
+
+
+def atom_digest(level: dict) -> str:
+    """SHA-256 over the words sorted by symbols: repr of the symbols,
+    then the contiguous bytes of the box array."""
+    h = hashlib.sha256()
+    for word in sorted(level, key=lambda w: w.symbols):
+        h.update(repr(word.symbols).encode())
+        h.update(np.ascontiguousarray(level[word].boxes).tobytes())
+    return h.hexdigest()[:16]
+
+
+def exact_digest(rep) -> str:
+    return hashlib.sha256(repr((rep.A_exact, rep.B_exact)).encode()) \
+        .hexdigest()[:16]
+
+
+def array_digest(params, pts, forward, inverse) -> str:
+    """SHA-256 over the array evaluation of the same points: one (N, 2)
+    array per strip through ``forward(region, arr)``, and the points with
+    a preimage, grouped by the preimage's strip, through
+    ``inverse(region, arr)``."""
+    arr = np.array(pts)
+    regs = [mc.classify(params, pt) for pt in pts]
+    pres = [mc.apply_inverse(params, pt) for pt in pts]
+    back = [None if pre is None else mc.classify(params, pre) for pre in pres]
+    h = hashlib.sha256()
+    for region in (Region.R1, Region.R3, Region.R4, Region.R5):
+        idx = [i for i, r in enumerate(regs) if r is region]
+        h.update(np.ascontiguousarray(forward(region, arr[idx])).tobytes())
+        idx = [i for i, r in enumerate(back) if r is region]
+        h.update(np.ascontiguousarray(inverse(region, arr[idx])).tobytes())
+    return h.hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Pins
+# ---------------------------------------------------------------------------
+
+SCALAR_PINS = {"ex": "9eb308bb532864fb", "strict": "612117c7cc70021c"}
+ARRAY_PINS = {"ex": "a79ea239ca21d66e", "strict": "4ed4571547300c79"}
+FAMILIES = {"ex": REF_EX, "strict": REF_STRICT}
+
+
+def _forward_array(params, region, arr):
+    return np.stack(mc.BRANCH[region].forward(params, arr[:, 0], arr[:, 1]),
+                    axis=1)
+
+
+def _inverse_array(params, region, arr):
+    return np.stack(mc.BRANCH[region].inverse(params, arr[:, 0], arr[:, 1]),
+                    axis=1)
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_scalar_map_pinned(family):
+    p = FAMILIES[family]
+    assert scalar_digest(p, probe_points(p)) == SCALAR_PINS[family]
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_array_path_pinned_and_equal_to_scalar(family):
+    p = FAMILIES[family]
+    pts = probe_points(p)
+    assert array_digest(p, pts, lambda r, a: _forward_array(p, r, a),
+                        lambda r, a: _inverse_array(p, r, a)) \
+        == ARRAY_PINS[family]
+    arr = np.array(pts)
+    for region in (Region.R1, Region.R3, Region.R4, Region.R5):
+        idx = [i for i, pt in enumerate(pts) if mc.classify(p, pt) is region]
+        img = _forward_array(p, region, arr[idx])
+        assert [tuple(map(float, row)) for row in img] \
+            == [mc.apply(p, pts[i]) for i in idx]
+
+
+@pytest.mark.parametrize("family, n, pin", [
+    ("ex", 1, "e1596ecaac41a52d"),
+    ("strict", 2, "95b477e97d892a45"),
+    ("ex", 2, "2598b1ae7b7c51b2"),
+])
+def test_atom_covers_pinned(family, n, pin):
+    assert atom_digest(coding.atoms(FAMILIES[family], n)) == pin
+
+
+def test_nonexpansive_pair_rationals_pinned():
+    for params, delta, pin in ((REF_STRICT, 1e-3, "a28c3a09569f3d18"),
+                               (REF_EX, 3.0, "21cd40cbad867462"),
+                               (REF_STRICT, 1e-6, "19dab1d60a4283fe")):
+        assert exact_digest(mf.nonexpansive_pair(params, delta)) == pin
+
+
+def test_calibrated_constants_pinned():
+    from horseshoe.induced import calibrate_certificate
+    ex = calibrate_certificate(REF_EX, 40, 0)
+    assert (ex.C0, ex.eps0, ex.eta, ex.C5, ex.chi1) == (
+        0.4216965034285822, 0.2766465394436166, 0.0005,
+        20889.733179738094, 4.691035241721235)
+    st_ = calibrate_certificate(REF_STRICT, 40, 0)
+    assert (st_.C0, st_.eps0, st_.eta, st_.chi1) == (
+        0.31622776601683794, 0.2766465394436166, 3.858024691358025e-06,
+        1279.9028134093114)
+    # The distortion probe behind C5 squares through the platform's pow,
+    # which is not correctly rounded; machines with different pow kernels
+    # give 1.21848e29 or 1.21901e29 here.
+    assert st_.C5 == pytest.approx(1.2187e29, rel=1e-3)
+
+
+def test_params_pickle_and_exact_fields():
+    back = pickle.loads(pickle.dumps(REF_STRICT))
+    assert back == REF_STRICT and back.r5_y0 == REF_STRICT.r5_y0
+    exact = dataclasses.replace(REF_EX, sigma=Fraction(5), lam=Fraction(1, 10))
+    assert exact.inv_sigma == Fraction(1, 5)
+    assert exact.r5_y0 == 1 - Fraction(2, 15)
+    assert mc.apply(exact, (Fraction(1, 2), Fraction(1, 10))) \
+        == (Fraction(1, 20), Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Properties over the valid parameter space
+# ---------------------------------------------------------------------------
+
+PERTURBED = ("lam", "sigma", "c", "q", "t", "w_max")
+
+
+@st.composite
+def valid_params(draw, spread: float = 0.1):
+    """REF_EX or REF_STRICT with each map field scaled by a factor in
+    exp([-spread, spread]); only sets that ``validate`` accepts."""
+    base = draw(st.sampled_from([REF_EX, REF_STRICT]))
+    fields = {f: getattr(base, f) * math.exp(draw(st.floats(-spread, spread)))
+              for f in PERTURBED}
+    params = dataclasses.replace(base, **fields)
+    assume(mc.validate(params).valid)
+    return params
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(params=valid_params(), u=unit, v=unit,
+       which=st.sampled_from(mc.BRANCHES))
+@settings(max_examples=50, deadline=None)
+def test_inverse_undoes_forward(params, u, v, which):
+    lo, hi = which.strip(params)
+    x, y = u, lo + v * (hi - lo)
+    back = which.inverse(params, *which.forward(params, x, y))
+    # the parabolic inverse divides an O(1) offset by lam
+    assert back == pytest.approx((x, y), abs=1e-12 / params.lam)
+
+
+def _covered(hulls, pt, slack=1e-9) -> bool:
+    return bool(np.any((hulls[:, 0] - slack <= pt[0])
+                       & (pt[0] <= hulls[:, 2] + slack)
+                       & (hulls[:, 1] - slack <= pt[1])
+                       & (pt[1] <= hulls[:, 3] + slack)))
+
+
+def _corners_and_centre(box):
+    x0, y0, x1, y1 = box
+    return [(x0, y0), (x1, y0), (x0, y1), (x1, y1),
+            (0.5 * (x0 + x1), 0.5 * (y0 + y1))]
+
+
+@given(params=valid_params(), u=unit, v=unit, size=st.floats(1e-6, 1e-2),
+       which=st.sampled_from(mc.BRANCHES))
+@settings(max_examples=50, deadline=None)
+def test_forward_hull_contains_images(params, u, v, size, which):
+    lo, hi = which.strip(params)
+    y = lo + v * (hi - lo)
+    x = u * (1.0 - size)
+    box = np.array([[x, y, x + size, y + size / params.sigma]])
+    hulls, _ = coding._step(params, box, forward=True)
+    for pt in _corners_and_centre(box[0]):
+        img = mc.apply(params, pt)
+        if img is not None:
+            assert _covered(hulls, img)
+
+
+@given(params=valid_params(), u=unit, v=unit, size=st.floats(1e-3, 0.3),
+       which=st.sampled_from(mc.BRANCHES))
+@settings(max_examples=50, deadline=None)
+def test_backward_hull_contains_preimages(params, u, v, size, which):
+    # a small box around the image of a strip point
+    lo, hi = which.strip(params)
+    cx, cy = which.forward(params, u, lo + v * (hi - lo))
+    half = 0.5 * size * params.lam
+    box = np.array([[cx - half, cy - half, cx + half, cy + half]])
+    hulls, _ = coding._step(params, box, forward=False)
+    for pt in _corners_and_centre(box[0]):
+        pre = mc.apply_inverse(params, pt)
+        if pre is not None:
+            assert _covered(hulls, pre)

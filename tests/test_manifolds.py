@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -282,10 +283,12 @@ def test_nonexpansive_exact_backward_chain():
     # the exact backward orbit really threads the image bands for the
     # whole horizon (this is what float64 iteration cannot do)
     rep = mf.nonexpansive_pair(REF_STRICT, 1e-3)
-    pf = mf._exact_params(REF_STRICT)
+    pf = dataclasses.replace(REF_STRICT, **{
+        f.name: Fraction(getattr(REF_STRICT, f.name))
+        for f in dataclasses.fields(REF_STRICT)})
     cur = rep.A_exact
     for _ in range(50):
-        cur = mf._exact_inverse(pf, cur)
+        cur = mc.apply_inverse(pf, cur)
         assert cur is not None
     assert float(abs(cur[0] - Fraction(1, 2))) < REF_STRICT.lam
 

@@ -13,7 +13,7 @@ from horseshoe.map_core import (MapParams, REF_EX, REF_STRICT, Region,
                                 leaf_tangent, in_A, orbit, validate,
                                 default_certificate, closed_form_gamma,
                                 OutOfDomain)
-from horseshoe.sampling import sample_nonescaping_points
+from horseshoe.sampling import SampleError, sample_nonescaping_points
 
 
 def test_validate_ref_strict_clean():
@@ -201,3 +201,11 @@ def test_certificate_shapes():
     assert updated.provenance["rho1"] == "estimated"
     with pytest.raises(ValueError):
         default_certificate(REF_EX).__class__(**{**cert.__dict__, "chi0": 3.0})
+
+
+def test_nonescaping_sampler_gives_up():
+    # no point of REF_EX survives 200 steps of random strip draws, so the
+    # sampler must stop after its draw budget instead of looping forever
+    rng = np.random.default_rng(0)
+    with pytest.raises(SampleError):
+        sample_nonescaping_points(REF_EX, rng, 5, horizon=200)
