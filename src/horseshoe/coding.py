@@ -15,10 +15,30 @@ tests evaluate the branch formulas, strips and bands of the table in
 branch formulas are affine except the parabolic w -> w^2, whose
 interval square is exact, so the hulls genuinely contain the true
 images and the cover contains the true atom.
+
+The hulls of a box do not depend on the word, only the band test does,
+so words are refined in families that share one box array: the nine
+children a.w.b of a level-(n-1) atom start from its cover, the three
+level-0 words from the square (:func:`atom` refines a family of one).
+Each round pushes the family's boxes once forward and once backward
+through times 1..n and packs, per box and time, one ``uint8`` label:
+bit s when some image hull meets band s, bit 3 + s when some exact hull
+(of a box lying inside one strip at every step so far) lies entirely
+inside band s.  Lookup tables turn the labels into per-box word masks:
+the words for which the box survives and those for which it is
+certified interior.  A box carries the mask of the words whose cover it
+is part of, and a round enumerates the quadrants of the boxes split in
+the round before quadrant-major, in slices of boxes that bound the
+memory in flight; so each word's cover comes out box for box in the
+order a refinement of that word alone gives.  :func:`atoms` keeps the
+last eight levels built, keyed on parameters, level and resolution;
+callers get a fresh dict over shared atoms whose box arrays are
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -239,118 +259,128 @@ def _boxes(x: Interval, y: Interval) -> np.ndarray:
     return np.column_stack([x.lo, y.lo, x.hi, y.hi])
 
 
-def _step(params: MapParams, boxes: np.ndarray, forward: bool,
-          whole: bool = False):
+def _step(params: MapParams, boxes: np.ndarray, forward: bool):
     """Interval hulls of the branch images (``forward``) or preimages of
-    each box, as (hulls, origin) with origin mapping each hull back to its
-    source row.
+    each box, as (hulls, origin, whole): origin maps each hull back to its
+    source row, and whole marks the hulls of boxes lying entirely inside
+    the strip (image band), which are exact images.
 
     A box is clipped to every strip (image band) it meets; boxes fully
-    inside the gaps produce nothing.  With ``whole`` only boxes lying
-    entirely inside one strip (band) are kept: their hulls are exact.
-    The parabolic band is also bounded by its offset, which is the
-    preimage abscissa clipped to the strip's [0, 1]."""
-    out, origin = [], []
+    inside the gaps produce nothing.  The parabolic band is also bounded
+    by its offset, which is the preimage abscissa clipped to the strip's
+    [0, 1]; a whole preimage needs no clipping."""
+    out, origin, exact = [], [], []
     x, y = _hull(boxes)
     for br in mc.BRANCHES:
         if forward:
             lo, hi = br.strip(params)
             cx, cy = x, y.clip(lo, hi)
-            ok = (y.lo >= lo) & (y.hi <= hi) if whole else cy.lo <= cy.hi
+            ok = cy.lo <= cy.hi
+            whole = (y.lo >= lo) & (y.hi <= hi)
         else:
             lo, hi = br.column(params)
             cx, cy = x.clip(lo, hi), y
-            ok = (x.lo >= lo) & (x.hi <= hi) if whole else cx.lo <= cx.hi
+            ok = cx.lo <= cx.hi
+            whole = (x.lo >= lo) & (x.hi <= hi)
             if br.floor:
                 f = mc._band_floor(params, br)
                 cy = y.clip(f)
-                ok &= (y.lo >= f) if whole else cy.lo <= cy.hi
+                ok &= cy.lo <= cy.hi
+                whole &= y.lo >= f
         rows = np.nonzero(ok)[0]
         if not len(rows):
             continue
+        whole = whole[rows]
         if forward:
             ix, iy = br.forward(params, cx[rows], cy[rows], csq=_interval_csq)
         else:
             ix, iy = br.inverse(params, cx[rows], cy[rows])
             if br.parabolic:
-                if whole:
-                    keep = (ix.lo >= 0.0) & (ix.hi <= 1.0)
-                else:
-                    ix = ix.clip(0.0, 1.0)
-                    keep = ix.lo <= ix.hi
-                ix, iy, rows = ix[keep], iy[keep], rows[keep]
+                whole &= (ix.lo >= 0.0) & (ix.hi <= 1.0)
+                ix = ix.clip(0.0, 1.0)
+                keep = ix.lo <= ix.hi
+                ix, iy = ix[keep], iy[keep]
+                rows, whole = rows[keep], whole[keep]
         out.append(_boxes(ix, iy))
         origin.append(rows)
+        exact.append(whole)
     if not out:
-        return np.empty((0, 4)), np.empty(0, dtype=int)
-    return np.vstack(out), np.concatenate(origin)
+        return (np.empty((0, 4)), np.empty(0, dtype=int),
+                np.empty(0, dtype=bool))
+    return np.vstack(out), np.concatenate(origin), np.concatenate(exact)
 
 
-def _band_test(params: MapParams, boxes: np.ndarray, symbol: int,
+def _band_bits(params: MapParams, x: Interval, y: Interval,
                whole: bool) -> np.ndarray:
-    """Whether each box meets (``whole=False``) or lies entirely inside
-    (``whole=True``) the closure of the given band."""
-    x, y = _hull(boxes)
+    """Bit s of each hull is set when the hull meets (``whole=False``) or
+    lies entirely inside (``whole=True``) the closure of band s."""
     if whole:
         hit = (x.lo >= 0.0) & (x.hi <= 1.0) & (y.lo >= 0.0) & (y.hi <= 1.0)
     else:
         hit = (x.hi >= 0.0) & (x.lo <= 1.0) & (y.hi >= 0.0) & (y.lo <= 1.0)
-    piece_hit = np.zeros(len(boxes), dtype=bool)
+    bits = np.zeros(len(hit), dtype=np.uint8)
     for sym, br, lo, hi, floor in params._bands:
-        if sym != symbol:
-            continue
         if whole:
-            m = (x.lo >= lo) & (x.hi <= hi)
+            m = hit & (x.lo >= lo) & (x.hi <= hi)
         else:
-            m = (x.hi >= lo) & (x.lo <= hi)
+            m = hit & (x.hi >= lo) & (x.lo <= hi)
         if floor is not None:
             m &= (y.lo if whole else y.hi) >= floor
         if br.parabolic:
-            # offset hull over the box (its part over the wing, if touching)
+            # offset hull over the hull (its part over the wing, if touching)
             k = mc.parabola_offset(params, (x if whole else x.clip(lo, hi), y))
             if whole:
                 m &= (k.lo >= 0.0) & (k.hi <= params.lam)
             else:
                 m &= (k.lo <= params.lam) & (k.hi >= 0.0)
-        piece_hit |= m
-    return hit & piece_hit
+        bits |= m.astype(np.uint8) << sym
+    return bits
 
 
-def _interior(params: MapParams, boxes: np.ndarray,
-              word: Word) -> np.ndarray:
-    """Boxes certified to lie entirely inside the atom's constraints
-    for all |k| <= n; these need no further splitting."""
-    return _follow(params, boxes, word, whole=True)
+def _labels(params: MapParams, boxes: np.ndarray,
+            whole: np.ndarray) -> np.ndarray:
+    """Packed band label of each hull: bit s when it meets the closure of
+    band s, bit 3 + s when it is ``whole`` (exact) and lies entirely
+    inside that closure."""
+    x, y = _hull(boxes)
+    label = _band_bits(params, x, y, whole=False)
+    rows = np.nonzero(whole)[0]
+    label[rows] |= _band_bits(params, x[rows], y[rows], whole=True) << 3
+    return label
 
 
-def _survives(params: MapParams, boxes: np.ndarray, word: Word) -> np.ndarray:
-    """Level-n survival mask: every |k| <= n image hull meets band s_k."""
-    return _follow(params, boxes, word, whole=False)
+def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
+              table: np.ndarray) -> tuple:
+    """Word masks (meet, inside) of each box.
 
-
-def _follow(params: MapParams, boxes: np.ndarray, word: Word,
-            whole: bool) -> np.ndarray:
-    """Push the boxes through the word's times -n..n and keep those whose
-    hulls meet (or, ``whole``, lie inside) band s_k at every time."""
-    n = word.n
-    alive = _band_test(params, boxes, word.symbol(0), whole)
+    ``table[n + k, bits]`` holds the words whose symbol at time k is one
+    of the bands in ``bits``.  Bit j of meet is set when the box is in
+    word j's cover (``member``) and its time-k hulls meet band s_k for
+    every |k| <= n; bit j of inside when exact time-k hulls lie inside
+    band s_k for every |k| <= n.  Hulls are advanced only while they
+    meet the square and their box still survives for some word."""
+    n = len(table) // 2
+    label = _labels(params, boxes, np.ones(len(boxes), dtype=bool))
+    meet = member & table[n, label & 7]
+    inside = table[n, label >> 3]
     for forward, sign in ((True, 1), (False, -1)):
-        cur, origin = boxes, np.arange(len(boxes))
+        rows = np.nonzero(meet)[0]
+        cur, whole = boxes[rows], inside[rows] != 0
         for k in range(1, n + 1):
-            if not np.any(alive):
-                return alive
-            cur, step_origin = _step(params, cur, forward, whole)
-            origin = origin[step_origin]
-            hit = _band_test(params, cur, word.symbol(sign * k), whole)
-            ok = np.zeros(len(boxes), dtype=bool)
-            ok[origin[hit]] = True
-            alive &= ok
-            # advance only image boxes that still meet the square (others
-            # cannot contribute and their coordinates blow up under 1/lam)
-            keep = alive[origin] & (cur[:, 2] >= 0.0) & (cur[:, 0] <= 1.0) \
-                & (cur[:, 3] >= 0.0) & (cur[:, 1] <= 1.0)
-            cur, origin = cur[keep], origin[keep]
-    return alive
+            cur, step_origin, step_whole = _step(params, cur, forward)
+            rows = rows[step_origin]
+            whole = whole[step_origin] & step_whole
+            label = np.zeros(len(boxes), dtype=np.uint8)
+            np.bitwise_or.at(label, rows, _labels(params, cur, whole))
+            meet &= table[n + sign * k, label & 7]
+            inside &= table[n + sign * k, label >> 3]
+            # hulls off the square cannot meet a band later, and their
+            # coordinates blow up under 1/lam
+            keep = (meet[rows] != 0) & (cur[:, 2] >= 0.0) \
+                & (cur[:, 0] <= 1.0) & (cur[:, 3] >= 0.0) & (cur[:, 1] <= 1.0)
+            cur, rows = cur[keep], rows[keep]
+            whole = whole[keep] & (inside[rows] != 0)
+    return meet, inside
 
 
 # ---------------------------------------------------------------------------
@@ -416,38 +446,70 @@ def default_resolution(params: MapParams) -> int:
     return max(8, min(14, int(math.log2(1.0 / params.lam)) + 10))
 
 
-def _split(boxes: np.ndarray) -> np.ndarray:
+def _quadrants(boxes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quadrant q[i] of box i: 0 lower left, 1 lower right, 2 upper left,
+    3 upper right."""
     x0, y0, x1, y1 = boxes.T
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return np.vstack([
-        np.column_stack([x0, y0, xm, ym]),
-        np.column_stack([xm, y0, x1, ym]),
-        np.column_stack([x0, ym, xm, y1]),
-        np.column_stack([xm, ym, x1, y1]),
-    ])
+    right, top = (q & 1) == 1, (q & 2) == 2
+    return np.column_stack([np.where(right, xm, x0), np.where(top, ym, y0),
+                            np.where(right, x1, xm), np.where(top, y1, ym)])
 
 
 _SQUARE = np.array([[0.0, 0.0, 1.0, 1.0]])
 
+#: Boxes per call of :func:`_verdicts`; bounds the arrays in flight.
+_SLICE = 8192
 
-def _refine(params: MapParams, word: Word, boxes: np.ndarray,
-            resolution: int) -> np.ndarray:
-    """Adaptive cover: split surviving boxes down to 2^-resolution, but
-    set aside boxes certified interior (no boundary can cross them)."""
+
+def _slices(boxes: np.ndarray, member: np.ndarray, split: bool):
+    """The boxes of one refinement round with their word masks, in slices
+    of at most ``_SLICE``: the given boxes, or (``split``) their
+    quadrants, quadrant-major.  A word's boxes thus come in the order
+    that splitting that word's boxes alone gives."""
+    total = 4 * len(boxes) if split else len(boxes)
+    for start in range(0, total, _SLICE):
+        rows = np.arange(start, min(start + _SLICE, total))
+        if split:
+            q, rows = np.divmod(rows, len(boxes))
+            yield _quadrants(boxes[rows], q), member[rows]
+        else:
+            yield boxes[rows], member[rows]
+
+
+def _refine(params: MapParams, words: list, boxes: np.ndarray,
+            resolution: int) -> list:
+    """Adaptive covers of a family of words of one level, all starting
+    from ``boxes``: split surviving boxes down to 2^-resolution, but set
+    aside boxes certified interior (no boundary can cross them)."""
+    n = words[0].n
+    # table[n + k, bits]: the words whose time-k symbol is among ``bits``
+    bits = np.arange(8)
+    table = np.zeros((2 * n + 1, 8), dtype=np.uint16)
+    for j, w in enumerate(words):
+        table |= ((bits >> np.array(w.symbols)[:, None] & 1) << j) \
+            .astype(np.uint16)
     min_w = 1.5 * 2.0 ** -resolution
-    done = []
-    cur = np.asarray(boxes, dtype=float)
-    while len(cur):
-        cur = cur[_survives(params, cur, word)]
-        if not len(cur):
-            break
-        keep = _interior(params, cur, word)
-        keep |= (cur[:, 2] - cur[:, 0]) <= min_w
-        done.append(cur[keep])
-        cur = _split(cur[~keep])
-    if not done:
-        return np.empty((0, 4))
-    return np.vstack(done)
+    done = [[] for _ in words]
+    boxes = np.asarray(boxes, dtype=float)
+    member = np.full(len(boxes), (1 << len(words)) - 1, dtype=np.uint16)
+    split = False
+    while len(boxes):
+        parents, masks = [], []
+        for cur, mem in _slices(boxes, member, split):
+            meet, inside = _verdicts(params, cur, mem, table)
+            small = (cur[:, 2] - cur[:, 0]) <= min_w
+            keep = np.where(small, meet, meet & inside)
+            for j, cover in enumerate(done):
+                cover.append(cur[(keep >> j & 1).astype(bool)])
+            rest = meet & ~keep
+            rows = rest != 0
+            parents.append(cur[rows])
+            masks.append(rest[rows])
+        boxes, member = np.concatenate(parents), np.concatenate(masks)
+        split = True
+    return [np.vstack(cover) if cover else np.empty((0, 4))
+            for cover in done]
 
 
 def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
@@ -455,7 +517,7 @@ def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
     if resolution is None:
         resolution = default_resolution(params)
     word.n  # validates centering
-    return Atom(word, _refine(params, word, _SQUARE, resolution))
+    return Atom(word, _refine(params, [word], _SQUARE, resolution)[0])
 
 
 def _levels(params: MapParams, resolution: int | None = None):
@@ -464,27 +526,36 @@ def _levels(params: MapParams, resolution: int | None = None):
     starting covers)."""
     if resolution is None:
         resolution = default_resolution(params)
-    level = {Word((s,), 0): _refine(params, Word((s,), 0), _SQUARE,
-                                    resolution) for s in (0, 1, 2)}
-    level = {w: b for w, b in level.items() if len(b)}
+    words = [Word((s,), 0) for s in (0, 1, 2)]
+    level = dict(zip(words, _refine(params, words, _SQUARE, resolution)))
     while True:
+        level = {w: b for w, b in level.items() if len(b)}
         yield level
         nxt = {}
         for w, boxes in level.items():
-            for a in (0, 1, 2):
-                for b in (0, 1, 2):
-                    child = Word((a,) + w.symbols + (b,), w.center + 1)
-                    cover = _refine(params, child, boxes, resolution)
-                    if len(cover):
-                        nxt[child] = cover
+            children = [Word((a,) + w.symbols + (b,), w.center + 1)
+                        for a in (0, 1, 2) for b in (0, 1, 2)]
+            nxt.update(zip(children,
+                           _refine(params, children, boxes, resolution)))
         level = nxt
 
 
-def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
-    """All nonempty level-n atoms."""
+@functools.lru_cache(maxsize=8)
+def _cached_atoms(params: MapParams, n: int, resolution: int) -> dict:
+    """The level-n atoms with read-only box arrays, for the last few
+    (parameters, level, resolution) keys."""
     for k, level in enumerate(_levels(params, resolution)):
         if k == n:
+            for boxes in level.values():
+                boxes.flags.writeable = False
             return {w: Atom(w, b) for w, b in level.items()}
+
+
+def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
+    """All nonempty level-n atoms, as a fresh dict over cached atoms."""
+    if resolution is None:
+        resolution = default_resolution(params)
+    return dict(_cached_atoms(params, n, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +635,12 @@ def theta_holder_fit(params: MapParams, pairs, resolution: int | None = None,
 
     Each pair contributes the point (j, |theta(w) - theta(w')|) where j
     is the first disagreement depth, fitted against d = 2^-j."""
-    levels: dict = {}
     cache: dict = {}
 
     def th(word: Word):
         word = Word(word.symbols, word.center)   # drop ambiguity flags
         if word not in cache:
-            if word.n not in levels:
-                levels[word.n] = atoms(params, word.n, resolution)
-            a = levels[word.n].get(word)
+            a = atoms(params, word.n, resolution).get(word)
             if a is None:
                 raise EmptyAtom(word.to_string())
             cache[word] = _theta_point(params, a)

@@ -45,24 +45,13 @@ def escape_time(params: MapParams, m: tuple[float, float]):
     _check_window(params, m)
     if m[1] == 0.0:
         return math.inf
-    cur = m
-    for n in range(1, 10 ** 6):
-        cur = apply(params, cur)
-        if cur is None or classify(params, cur) is not Region.R1:
-            return n
-    raise RuntimeError("escape time exceeded iteration cap")
+    return mc.leave_r1(params, m, True, "escape_time")[0]
 
 
 def approach_time(params: MapParams, m: tuple[float, float]) -> int:
     """Smallest n >= 1 with f^-n(m) outside the left image column R1'."""
     _check_window(params, m)
-    cur = m
-    for n in range(1, 10 ** 6):
-        pre = apply_inverse(params, cur)
-        if pre is None or not mc._in_band(params, mc.BRANCH[Region.R1], *pre):
-            return n
-        cur = pre
-    raise RuntimeError("approach time exceeded iteration cap")
+    return mc.leave_r1(params, m, False, "approach_time")[0]
 
 
 def _check_window(params: MapParams, m) -> None:

@@ -55,6 +55,8 @@ __all__ = [
     "jacobian_inverse",
     "orbit",
     "first_return",
+    "float_range_steps",
+    "leave_r1",
     "parabola_offset",
     "leaf_tangent",
     "in_A",
@@ -63,6 +65,7 @@ __all__ = [
     "OutOfDomain",
     "OrbitEscapes",
     "NoReturn",
+    "IterationCap",
 ]
 
 ARCTAN_PI_10 = math.atan(math.pi / 10.0)
@@ -86,6 +89,15 @@ class OrbitEscapes(RuntimeError):
 
 class NoReturn(RuntimeError):
     """The forward orbit escapes before returning to the tangency window."""
+
+
+class IterationCap(RuntimeError):
+    """A loop that ends within a known number of steps reached that cap."""
+
+    def __init__(self, what: str, step: int):
+        self.what = what
+        self.step = step
+        super().__init__(f"{what}: still running at step {step}")
 
 
 class Region(Enum):
@@ -314,6 +326,7 @@ BRANCHES = (
 
 #: The branches by source region.
 BRANCH = {br.region: br for br in BRANCHES}
+_R1 = BRANCH[Region.R1]
 _R4 = BRANCH[Region.R4]
 
 
@@ -490,6 +503,40 @@ def first_return(params: MapParams, m, max_steps: int):
         if in_A(params, cur):
             return n, pts
     raise NoReturn(f"orbit of {m} does not return within {max_steps} steps")
+
+
+def float_range_steps(rate) -> int:
+    """Steps by which any positive float, multiplied by ``rate`` > 1 at
+    each step, has passed every number up to 1.
+
+    The smallest positive float is 2^-1074, so log(2^1074)/log(rate)
+    steps suffice (about 463 for rate 5); two more absorb rounding."""
+    return math.ceil(-math.log(math.ulp(0.0)) / math.log(rate)) + 2
+
+
+def leave_r1(params: MapParams, p, forward: bool, what: str):
+    """(n, point): the least n >= 1 at which the n-th image (``forward``) of
+    ``p`` leaves the bottom strip R1, or its n-th preimage leaves the
+    left image column R1', with that iterate (None if it has none).
+
+    R1 multiplies y by sigma and its inverse multiplies x by 1/lam, so
+    a point with a positive coordinate leaves within
+    :func:`float_range_steps` steps; one on the edge (y = 0 forward,
+    x = 0 backward) stays forever and raises :class:`IterationCap`."""
+    step = apply if forward else apply_inverse
+    cap = float_range_steps(params.sigma if forward else 1 / params.lam)
+    cur = p
+    for n in range(1, cap + 1):
+        cur = step(params, cur)
+        if cur is None:
+            return n, cur
+        if forward:
+            stays = classify(params, cur) is Region.R1
+        else:
+            stays = _in_band(params, _R1, *cur)
+        if not stays:
+            return n, cur
+    raise IterationCap(what, cap)
 
 
 # ---------------------------------------------------------------------------

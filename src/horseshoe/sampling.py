@@ -55,16 +55,11 @@ def _backward_depth(params: MapParams, m, cap: int = 10) -> int:
 
 
 def _escape_count(params: MapParams, m) -> int | None:
-    """Number of consecutive R1 steps before the orbit enters R4."""
-    cur = m
-    for n in range(0, 10 ** 6):
-        reg = classify(params, cur)
-        if reg is Region.R4:
-            return n
-        if reg is not Region.R1:
-            return None
-        cur = apply(params, cur)
-    return None
+    """Number of R1 steps of ``m`` (a point of R1) before its orbit leaves
+    the strip, if it leaves into R4; None otherwise."""
+    n, cur = mc.leave_r1(params, m, True, "_escape_count")
+    return n if cur is not None and classify(params, cur) is Region.R4 \
+        else None
 
 
 def sample_returning_point(params: MapParams, rng: np.random.Generator,

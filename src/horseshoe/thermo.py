@@ -14,7 +14,6 @@ tensor contractions rather than sparse matrices.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -123,12 +122,6 @@ class CylinderPotential:
         return float(self.values[_code_of_word(symbols)])
 
 
-@functools.lru_cache(maxsize=8)
-def _atom_level(params: MapParams, n: int, resolution):
-    """Atoms of a level, kept for the last few parameter sets."""
-    return coding.atoms(params, n, resolution)
-
-
 def _nearest_nonempty(level: dict, word: coding.Word) -> coding.Word:
     """Closest word (by symbol flips, then lexicographic) with points."""
     for flips in range(1, word.n * 2 + 2):
@@ -153,7 +146,7 @@ def pull_back(params: MapParams, phi: Potential, m: int,
     empty borrow the nearest nonempty neighbour and are flagged."""
     phi.spot_check()
     centered_n = _centered((0,) * m).n
-    level = _atom_level(params, centered_n, resolution)
+    level = coding.atoms(params, centered_n, resolution)
     values = np.empty(3 ** m)
     variation = 0.0
     flagged = []
@@ -401,7 +394,7 @@ def equilibrium_state(params: MapParams, phi: Potential, m: int,
     cyl = pull_back(params, phi, m, resolution)
     measure = gibbs_measure(cyl, tol)
     n = (m - 1) // 2
-    level = _atom_level(params, n, resolution)
+    level = coding.atoms(params, n, resolution)
     atom_masses: dict = {}
     reassigned = []
     for code in range(3 ** m):

@@ -9,6 +9,7 @@ properties run over perturbations of both reference sets.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -155,6 +156,7 @@ def test_array_path_pinned_and_equal_to_scalar(family):
     ("ex", 1, "e1596ecaac41a52d"),
     ("strict", 2, "95b477e97d892a45"),
     ("ex", 2, "2598b1ae7b7c51b2"),
+    ("ex", 3, "b4206210fb31af7e"),
 ])
 def test_atom_covers_pinned(family, n, pin):
     assert atom_digest(coding.atoms(FAMILIES[family], n)) == pin
@@ -247,7 +249,7 @@ def test_forward_hull_contains_images(params, u, v, size, which):
     y = lo + v * (hi - lo)
     x = u * (1.0 - size)
     box = np.array([[x, y, x + size, y + size / params.sigma]])
-    hulls, _ = coding._step(params, box, forward=True)
+    hulls = coding._step(params, box, forward=True)[0]
     for pt in _corners_and_centre(box[0]):
         img = mc.apply(params, pt)
         if img is not None:
@@ -263,8 +265,27 @@ def test_backward_hull_contains_preimages(params, u, v, size, which):
     cx, cy = which.forward(params, u, lo + v * (hi - lo))
     half = 0.5 * size * params.lam
     box = np.array([[cx - half, cy - half, cx + half, cy + half]])
-    hulls, _ = coding._step(params, box, forward=False)
+    hulls = coding._step(params, box, forward=False)[0]
     for pt in _corners_and_centre(box[0]):
         pre = mc.apply_inverse(params, pt)
         if pre is not None:
             assert _covered(hulls, pre)
+
+
+def _rows(boxes) -> list:
+    return sorted(map(tuple, np.asarray(boxes).tolist()))
+
+
+@given(params=valid_params())
+@settings(max_examples=10, deadline=None)
+def test_cover_does_not_depend_on_the_route(params):
+    # a level-1 atom refined from its level-0 parent, as a family of nine
+    # siblings, against the same word refined alone from the square
+    level = coding.atoms(params, 1, resolution=7)
+    for symbols in itertools.product((0, 1, 2), repeat=3):
+        word = coding.Word(symbols, 1)
+        alone = coding.atom(params, word, resolution=7)
+        if word in level:
+            assert _rows(level[word].boxes) == _rows(alone.boxes)
+        else:
+            assert alone.empty

@@ -39,6 +39,27 @@ def test_escape_time_matches_sampler():
     assert ind.escape_time(REF_EX, rp.M) == 4
 
 
+def test_escape_time_from_subnormal_heights():
+    # the smallest positive height still leaves within the float-range cap
+    assert ind.escape_time(REF_EX, (0.79, 5e-324)) == 462
+    assert mc.float_range_steps(REF_EX.sigma) > 462
+    assert sp._escape_count(REF_EX, (0.79, 5e-324)) is None
+    # 0.7 * 5^-460 is subnormal; 460 steps carry it into the R4 strip
+    m = (0.79, 0.7 * 5.0 ** -460)
+    assert ind.escape_time(REF_EX, m) == sp._escape_count(REF_EX, m) == 460
+
+
+def test_approach_time_cap_raises_typed_error():
+    # offset 0: the preimage sits on the edge x = 0 of the R4 strip, and
+    # its backward orbit stays in the column R1' for ever
+    m = (0.765625, 5.0 / 4096)
+    assert mc.in_A(REF_EX, m) and mc.parabola_offset(REF_EX, m) == 0.0
+    with pytest.raises(mc.IterationCap) as err:
+        ind.approach_time(REF_EX, m)
+    assert err.value.what == "approach_time"
+    assert err.value.step == mc.float_range_steps(1 / REF_EX.lam) == 326
+
+
 def test_approach_time_positive():
     rng = np.random.default_rng(2)
     rp = sp.sample_returning_point(REF_EX, rng)

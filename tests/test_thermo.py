@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from horseshoe import coding
 from horseshoe import map_core as mc
 from horseshoe import thermo
 from horseshoe.map_core import REF_EX, REF_STRICT
@@ -70,13 +71,13 @@ def test_lyapunov_reports_escaping_orbits():
 
 
 def test_atom_cache_is_bounded():
-    thermo._atom_level.cache_clear()
+    coding._cached_atoms.cache_clear()
     zero = thermo.named_potential("zero")
     sweep = [dataclasses.replace(REF_STRICT, t=0.6 + 0.001 * i)
              for i in range(9)]
     for params in sweep:
         thermo.pull_back(params, zero, 1, resolution=6)
-    info = thermo._atom_level.cache_info()
+    info = coding._cached_atoms.cache_info()
     assert info.misses == 9 and info.currsize <= 8
     thermo.pull_back(sweep[-1], zero, 1, resolution=6)
-    assert thermo._atom_level.cache_info().hits == info.hits + 1
+    assert coding._cached_atoms.cache_info().hits == info.hits + 1
