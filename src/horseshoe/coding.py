@@ -48,15 +48,15 @@ from . import map_core as mc
 from .map_core import MapParams
 
 
-class NotInBands(ValueError):
+class NotInBands(mc.HorseshoeError, ValueError):
     """Point outside all three vertical image bands."""
 
 
-class EmptyAtom(ValueError):
+class EmptyAtom(mc.HorseshoeError, ValueError):
     """The word's box cover refined away to nothing."""
 
 
-class Escaped(RuntimeError):
+class Escaped(mc.HorseshoeError, RuntimeError):
     """Some iterate of the point left the bands."""
 
     def __init__(self, step: int):
@@ -387,7 +387,7 @@ def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
 # Atoms
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Atom:
     word: Word
     boxes: np.ndarray
@@ -395,13 +395,16 @@ class Atom:
     empty: bool = field(init=False)
 
     def __post_init__(self):
-        self.empty = len(self.boxes) == 0
-        if self.empty:
-            self.diameter_ub = 0.0
+        # frozen: the atom cache hands the same objects to every caller
+        empty = len(self.boxes) == 0
+        if empty:
+            diameter_ub = 0.0
         else:
             dx = np.max(self.boxes[:, 2]) - np.min(self.boxes[:, 0])
             dy = np.max(self.boxes[:, 3]) - np.min(self.boxes[:, 1])
-            self.diameter_ub = math.hypot(dx, dy)
+            diameter_ub = math.hypot(dx, dy)
+        object.__setattr__(self, "empty", empty)
+        object.__setattr__(self, "diameter_ub", diameter_ub)
 
     def center(self):
         """Representative point: center of the cover box nearest the

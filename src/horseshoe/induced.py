@@ -507,47 +507,47 @@ class CrossReport:
                 "" if self.n_return is None else str(self.n_return)]
 
 
-def _polyline_crosses_segment(poly, seg) -> bool:
-    a = np.asarray(seg[0], dtype=float)
-    b = np.asarray(seg[1], dtype=float)
-    d = b - a
-    pts = np.asarray(poly, dtype=float)
-    p = pts[:-1]
-    r = pts[1:] - p
-    den = d[0] * r[:, 1] - d[1] * r[:, 0]
-    live = np.abs(den) >= 1e-300
-    if not np.any(live):
-        return False
-    diff = p - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (diff[:, 0] * r[:, 1] - diff[:, 1] * r[:, 0]) / den
-        t = (diff[:, 0] * d[1] - diff[:, 1] * d[0]) / -den
-    hit = (live & (s >= -1e-9) & (s <= 1.0 + 1e-9)
-           & (t >= -1e-9) & (t <= 1.0 + 1e-9))
-    return bool(np.any(hit))
+def _linspaces(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(start[i], stop[i], num)`` for every lane i, as the
+    columns of one (num, lanes) array.
+
+    One stacked ``np.linspace`` call is not the same: it switches every
+    lane to its denormal-safe formula as soon as one lane has a zero
+    step.  Here each lane picks its own formula, as a call of its own
+    would, so every column holds that call's floats."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    k = np.arange(num, dtype=float)[:, None]
+    y = np.where(step == 0, k / div * delta, k * step) + start
+    y[-1] = stop
+    return y
 
 
-def _arc_crosses_segment(params: MapParams, x_side: float,
-                         y_lo: float, y_hi: float, n: int,
-                         seg, samples: int = 1025) -> bool:
-    """Whether the n-step image of the vertical arc {x_side} x [y_lo, y_hi]
-    meets the segment seg.
+def _arc_crossings(params: MapParams, arc, n: int, segs,
+                   samples: int = 1025) -> np.ndarray:
+    """Which of the segments ``segs`` ((S, 2, 2): the endpoints of each)
+    the n-step image of the vertical arc ``arc`` = (x_side, y_lo, y_hi)
+    meets, as a boolean array.
 
-    The image x-coordinate is monotone in the source height along a
-    first-return itinerary, so the piece of the arc over the segment's
-    x-span is localized by bisection and only that piece is sampled.
-    A chord-level bounding box test would be unsound here: the arc can
-    dip far below a chord whose endpoints sit high on both wings.
+    The arc is traced once for all its segments.  Its branch sequence
+    (taken at the arc's midpoint) and end images are computed once.  The
+    image x-coordinate is monotone in the source height along that
+    itinerary, so the piece of the arc over each segment's x-span (plus
+    a 5 % margin) is localized by bisection; the edges of all segments
+    are solved in one lockstep bisection (:func:`_bisect_edges`).  Only
+    those pieces are sampled, ``samples`` heights each, mapped as one
+    stacked array and tested against their segments in one vectorised
+    pass.  A chord-level bounding box test would be unsound here: the
+    arc can dip far below a chord whose endpoints sit high on both
+    wings.
     """
-    a = np.asarray(seg[0], dtype=float)
-    b = np.asarray(seg[1], dtype=float)
-    seg_len = float(np.linalg.norm(b - a))
-    margin = max(0.05 * seg_len, 1e-14)
-
+    x_side, y_lo, y_hi = arc
+    segs = np.asarray(segs, dtype=float)
+    hit = np.zeros(len(segs), dtype=bool)
     seq = _branch_sequence(params, x_side, 0.5 * (y_lo + y_hi), n)
     if seq is None:
-        return False
-
+        return hit
     branches = [mc.BRANCH[reg] for reg in seq]
 
     def image(x, y):
@@ -556,30 +556,46 @@ def _arc_crosses_segment(params: MapParams, x_side: float,
             x, y = br.forward(params, x, y)
         return x, y
 
-    def image_x(y: float) -> float:
-        return image(x_side, y)[0]
-
-    x_img_lo = image_x(y_lo)
-    x_img_hi = image_x(y_hi)
+    x_img_lo = image(x_side, y_lo)[0]
+    x_img_hi = image(x_side, y_hi)[0]
     if x_img_lo > x_img_hi:
         y_lo, y_hi = y_hi, y_lo
         x_img_lo, x_img_hi = x_img_hi, x_img_lo
-    xa = min(a[0], b[0]) - margin
-    xb = max(a[0], b[0]) + margin
-    if x_img_hi < xa or x_img_lo > xb:
-        return False
+    a, b = segs[:, 0], segs[:, 1]
+    margin = np.array([max(0.05 * float(np.linalg.norm(d)), 1e-14)
+                       for d in b - a])
+    xa = np.minimum(a[:, 0], b[:, 0]) - margin
+    xb = np.maximum(a[:, 0], b[:, 0]) + margin
+    live = (x_img_hi >= xa) & (x_img_lo <= xb)
+    k = int(np.count_nonzero(live))
+    if k == 0:
+        return hit
 
-    def solve(x_target: float, fallback: float) -> float:
-        # source height whose image abscissa is x_target
-        if x_img_lo >= x_target or x_img_hi <= x_target:
-            return fallback
-        return _bisect_edge(lambda y: image_x(y) < x_target, y_lo, y_hi, 200)
+    # source heights whose image abscissae are the span edges; an edge
+    # outside the arc's image keeps the arc's own end
+    targets = np.concatenate([xa[live], xb[live]])
+    edges = np.repeat([y_lo, y_hi], k)
+    inner = (x_img_lo < targets) & (targets < x_img_hi)
+    x_t = targets[inner]
+    edges[inner] = _bisect_edges(lambda y: image(x_side, y)[0] < x_t,
+                                 np.full(len(x_t), y_lo),
+                                 np.full(len(x_t), y_hi), 200)
 
-    y1 = solve(xa, y_lo)
-    y2 = solve(xb, y_hi)
-    ys = np.linspace(y1, y2, samples)
-    poly = np.stack(image(np.full_like(ys, x_side), ys), axis=-1)
-    return _polyline_crosses_segment(poly, seg)
+    ys = _linspaces(edges[:k], edges[k:], samples)
+    px, py = image(np.full_like(ys, x_side), ys)
+    # each polyline against its segment: solve p + s*r = a + t*d per chord
+    ax, ay = a[live, 0], a[live, 1]
+    dx, dy = b[live, 0] - ax, b[live, 1] - ay
+    rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
+    den = dx * ry - dy * rx
+    ex, ey = px[:-1] - ax, py[:-1] - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (ex * ry - ey * rx) / den
+        t = (ex * dy - ey * dx) / -den
+    crossed = ((np.abs(den) >= 1e-300) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
+               & (t >= -1e-9) & (t <= 1.0 + 1e-9))
+    hit[live] = crossed.any(axis=0)
+    return hit
 
 
 def _branch_sequence(params: MapParams, x: float, y: float, n: int):
@@ -591,6 +607,18 @@ def _branch_sequence(params: MapParams, x: float, y: float, n: int):
         if cur is None:
             return None
     return tuple(labels)
+
+
+def _follows(params: MapParams, x: float, y: float, ref) -> bool:
+    """Whether (x, y) follows the branch itinerary ``ref`` (regions, as
+    :func:`_branch_sequence` gives them), stopping at the first step
+    whose strip differs."""
+    for region in ref:
+        br = mc._branch_at(params, x, y)
+        if br is None or br.region is not region:
+            return False
+        x, y = br.forward(params, x, y)
+    return True
 
 
 def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
@@ -609,6 +637,31 @@ def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
     return good
 
 
+def _bisect_edges(passes, good, bad, iters: int) -> np.ndarray:
+    """:func:`_bisect_edge` in every lane of the arrays ``good`` and
+    ``bad`` at once; ``passes`` maps an array of one point per lane to a
+    boolean array.
+
+    Each lane takes the scalar bisection's midpoints and stops where it
+    would (``passes(bad)`` at the start, a midpoint equal to an end, or
+    the ``iters`` cap), so each returns the scalar's float.  Stopped
+    lanes are still evaluated but no longer move."""
+    good = np.array(good, dtype=float)
+    bad = np.array(bad, dtype=float)
+    done = passes(bad)
+    good = np.where(done, bad, good)
+    live = ~done
+    for _ in range(iters):
+        mid = 0.5 * (good + bad)
+        live &= (mid != good) & (mid != bad)
+        if not live.any():
+            break
+        ok = passes(mid)
+        good = np.where(live & ok, mid, good)
+        bad = np.where(live & ~ok, mid, bad)
+    return good
+
+
 def _surviving_interval(params: MapParams, x: float, y0: float,
                         y_min: float, y_max: float, n: int,
                         iters: int = 240) -> tuple[float, float]:
@@ -624,7 +677,7 @@ def _surviving_interval(params: MapParams, x: float, y0: float,
         raise OutOfDomain(f"base height {y0} does not survive {n} steps")
 
     def same(y: float) -> bool:
-        return _branch_sequence(params, x, y, n) == ref
+        return _follows(params, x, y, ref)
 
     return (_bisect_edge(same, y0, y_min, iters),
             _bisect_edge(same, y0, y_max, iters))
@@ -637,8 +690,41 @@ def _surviving_x(params: MapParams, x0: float, y: float, target: float,
     ref = _branch_sequence(params, x0, y, n)
     if ref is None:
         raise OutOfDomain(f"base point ({x0}, {y}) does not survive {n} steps")
-    return _bisect_edge(lambda x: _branch_sequence(params, x, y, n) == ref,
+    return _bisect_edge(lambda x: _follows(params, x, y, ref),
                         x0, target, iters)
+
+
+@dataclass
+class _Geometry:
+    """What the crossing checks at a window point M read that does not
+    depend on the certificate: l(M) and the splitting at M and, for the
+    eta check, the first return M_n = f^n(M) with its splitting and
+    length scale."""
+
+    M: tuple
+    l: float
+    frame: SplitFrame
+    n_return: int | None = None
+    M_ret: tuple | None = None
+    frame_ret: SplitFrame | None = None
+    l_ret: float | None = None
+
+
+def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
+              frame: SplitFrame | None = None) -> _Geometry:
+    """The :class:`_Geometry` at ``m``, with the first return when
+    ``returns``; ``frame`` is the splitting at ``m`` if already known.
+    Raises :class:`NoReturn` when a needed return does not happen."""
+    if not in_A(params, m):
+        raise OutOfDomain(f"{m} is not in the tangency window A")
+    geo = _Geometry(m, length_scale(params, m),
+                    frame if frame is not None else direction_field(params, m))
+    if returns:
+        geo.n_return, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
+        geo.M_ret = orbit_pts[-1]
+        geo.frame_ret = direction_field(params, geo.M_ret)
+        geo.l_ret = length_scale(params, geo.M_ret)
+    return geo
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
@@ -650,12 +736,30 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
 
     checks restricts the work to a subset of the three statements, which
     the calibration sweeps use; skipped statements report False.
+    ``side_samples`` is not used: the eta check samples each side arc
+    where it passes over a target segment.
+
+    C0 and eps0 test parabolas through the stable segment and through
+    the eps0 sub-ball against the ball's bottom and top sides.  The eta
+    check clips the two vertical sides of the rectangle around M to the
+    slice that follows M's itinerary up to its first return M_n, and
+    asks that the image of each side cross the bottom and top sides of
+    every target ball: radii rho*C0*l and eps0*rho*C0*l at M_n and at
+    M_n moved by eta*eps0*rho*C0*l(M_n) along +-e_u and +-e_s, twenty
+    segments in all.  Each side arc is traced once for all twenty
+    segments (:func:`_arc_crossings`), and the second side is skipped
+    once the first misses a segment.
     """
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
-    l = length_scale(params, m)
-    frame = direction_field(params, m)
-    lt = rho * cert.C0 * l
+    geo = _geometry(params, m, "eta" in checks)
+    return _crossing_report(params, geo, rho, cert, checks)
+
+
+def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
+                     cert: Certificate, checks) -> CrossReport:
+    """:func:`u_crossing_certificate` on the point's geometry."""
+    m = geo.M
+    frame = geo.frame
+    lt = rho * cert.C0 * geo.l
     ball = PolygonalBall(m, frame, lt, lt)
 
     # C0: parabolas through the middle quarter of the stable segment
@@ -677,20 +781,15 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
 
     # eta: the image of the rectangle around M crosses the target balls
     # at the first return.
-    n_return = None
-    eta_ok = False
-    details = {}
     if "eta" not in checks:
         return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
-                           eta_ok=eta_ok, n_return=n_return, details=details)
-    n_return, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
-    m_ret = orbit_pts[-1]
+                           eta_ok=False, n_return=None)
+    n_return = geo.n_return
     verts = np.array(ball.vertices())
     x_lo, x_hi = float(verts[:, 0].min()), float(verts[:, 0].max())
     # rectangle height: the horizontal stripe of the eps0 sub-ball
     sv = np.array(sub.vertices())
     dv = float(sv[:, 1].max() - sv[:, 1].min())
-    frame_ret = direction_field(params, m_ret)
     # Only the connected slice of each side that follows the itinerary
     # of M survives n steps; the crossing statement is about the image
     # component through M_n, so clip the sides to that slice.
@@ -706,30 +805,25 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
         sides.append((x_side, y_a, y_b))
     # eta bounds how far the target center may sit from the actual
     # return point; the crossing must hold for every such center.
-    base = np.asarray(m_ret)
-    r_pert = cert.eta * cert.eps0 * rho * cert.C0 \
-        * length_scale(params, m_ret)
+    base = np.asarray(geo.M_ret)
+    r_pert = cert.eta * cert.eps0 * rho * cert.C0 * geo.l_ret
     centers = [base]
-    for e in (frame_ret.e_u, frame_ret.e_s):
+    for e in (geo.frame_ret.e_u, geo.frame_ret.e_s):
         centers.append(base + r_pert * e)
         centers.append(base - r_pert * e)
-    eta_ok = True
+    segs = []
     for ctr in centers:
         l_ctr = abs(ctr[0] - params.q)
         if l_ctr == 0.0:
-            eta_ok = False
+            segs = None
             break
         for rad in (rho * cert.C0 * l_ctr,
                     cert.eps0 * rho * cert.C0 * l_ctr):
-            tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
-            for seg in (tb.side_bottom(), tb.side_top()):
-                for x_side, y_a, y_b in sides:
-                    if not _arc_crosses_segment(params, x_side,
-                                                y_a, y_b,
-                                                n_return, seg):
-                        eta_ok = False
-    details["d_h"] = x_hi - x_lo
-    details["d_v"] = dv
+            tb = PolygonalBall(tuple(ctr), geo.frame_ret, rad, rad)
+            segs += [tb.side_bottom(), tb.side_top()]
+    eta_ok = segs is not None and all(
+        _arc_crossings(params, arc, n_return, segs).all() for arc in sides)
+    details = {"d_h": x_hi - x_lo, "d_v": dv}
     return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
                        eta_ok=eta_ok, n_return=n_return, details=details)
 
@@ -814,16 +908,19 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
             if in_A(p, pt) and _returns(p, pt):
                 eta_points.append(pt)
 
+    # the certificate-free geometry of every swept point, built once
+    known = {rp.M: fr for rp, fr in zip(points, frames)}
+    static_geo = [_geometry(p, m, False, known.get(m)) for m in static_points]
+    eta_geo = [_geometry(p, m, True, known.get(m)) for m in eta_points]
+
     def static_ok(trial, which):
-        return all(getattr(u_crossing_certificate(p, m, 1.0, trial,
-                                                  checks=(which,)),
+        return all(getattr(_crossing_report(p, g, 1.0, trial, (which,)),
                            which + "_ok")
-                   for m in static_points)
+                   for g in static_geo)
 
     def eta_ok(trial):
-        return all(u_crossing_certificate(p, m, 1.0, trial,
-                                          checks=("eta",)).eta_ok
-                   for m in eta_points)
+        return all(_crossing_report(p, g, 1.0, trial, ("eta",)).eta_ok
+                   for g in eta_geo)
 
     # The crossing geometry is not monotone in C0 (a larger ball can pass
     # the static checks and still push its bottom side below anything the

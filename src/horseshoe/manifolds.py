@@ -44,7 +44,7 @@ _MU_MIN = 2.0
 _ANCHOR_CAP = 2000
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(mc.HorseshoeError, RuntimeError):
     """Graph-transform iteration failed to settle within the depth cap."""
 
     def __init__(self, message: str, last_factor: float | None = None):
@@ -52,29 +52,29 @@ class NoConvergence(RuntimeError):
         super().__init__(message)
 
 
-class Unsupported(RuntimeError):
+class Unsupported(mc.HorseshoeError, RuntimeError):
     """The orbit chain needed by the construction is not computable."""
 
 
-class MonotonicityError(RuntimeError):
+class MonotonicityError(mc.HorseshoeError, RuntimeError):
     """The u-projection of the transformed graph is not monotone (the
     working radius is too large at this point)."""
 
 
-class NoIntersection(RuntimeError):
+class NoIntersection(mc.HorseshoeError, RuntimeError):
     """The two leaves do not meet within the computed extensions."""
 
 
-class NonUnique(RuntimeError):
+class NonUnique(mc.HorseshoeError, RuntimeError):
     """More than one transversal leaf intersection (must not happen off
     the tangency orbit)."""
 
 
-class NotGraphLike(ValueError):
+class NotGraphLike(mc.HorseshoeError, ValueError):
     """The curve is not a graph x = g(y) over a y-interval."""
 
 
-class BudgetExhausted(RuntimeError):
+class BudgetExhausted(mc.HorseshoeError, RuntimeError):
     """Mixing-time search ran out of iterations."""
 
     def __init__(self, message: str, longest_span: float):
@@ -1070,7 +1070,7 @@ class NonexpansiveReport:
     B_exact: tuple | None = None
 
 
-class SearchFailure(RuntimeError):
+class SearchFailure(mc.HorseshoeError, RuntimeError):
     """No non-expansive pair found within the candidate ladder."""
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "in_A",
     "validate",
     "default_certificate",
+    "HorseshoeError",
     "OutOfDomain",
     "OrbitEscapes",
     "NoReturn",
@@ -74,11 +75,17 @@ ARCTAN_PI_10 = math.atan(math.pi / 10.0)
 _TWO_THIRDS = Fraction(2, 3)
 
 
-class OutOfDomain(ValueError):
+class HorseshoeError(Exception):
+    """Base of every error this package raises on purpose.  Each subclass
+    also keeps the built-in base (``ValueError`` or ``RuntimeError``) it
+    has always had, so existing handlers still catch it."""
+
+
+class OutOfDomain(HorseshoeError, ValueError):
     """Operation requested at a point outside its domain of definition."""
 
 
-class OrbitEscapes(RuntimeError):
+class OrbitEscapes(HorseshoeError, RuntimeError):
     """The orbit needed by an operation leaves the implemented branches."""
 
     def __init__(self, direction: str, step: int):
@@ -87,11 +94,11 @@ class OrbitEscapes(RuntimeError):
         super().__init__(f"orbit escapes ({direction}) at step {step}")
 
 
-class NoReturn(RuntimeError):
+class NoReturn(HorseshoeError, RuntimeError):
     """The forward orbit escapes before returning to the tangency window."""
 
 
-class IterationCap(RuntimeError):
+class IterationCap(HorseshoeError, RuntimeError):
     """A loop that ends within a known number of steps reached that cap."""
 
     def __init__(self, what: str, step: int):

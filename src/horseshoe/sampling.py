@@ -34,7 +34,7 @@ from . import map_core as mc
 from .map_core import MapParams, Region, classify, apply, in_A
 
 
-class SampleError(RuntimeError):
+class SampleError(mc.HorseshoeError, RuntimeError):
     """A constructive sampler failed verification repeatedly."""
 
 

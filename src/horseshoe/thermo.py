@@ -29,7 +29,7 @@ from .map_core import (MapParams, OrbitEscapes, apply, apply_inverse,
 _AFFINE = {br.symbols[0]: br for br in mc.BRANCHES if not br.parabolic}
 
 
-class PotentialError(ValueError):
+class PotentialError(mc.HorseshoeError, ValueError):
     """Declared Holder data contradicted by sampled values."""
 
 

@@ -20,8 +20,10 @@ from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
 from horseshoe import coding
+from horseshoe import induced as ind
 from horseshoe import manifolds as mf
 from horseshoe import map_core as mc
+from horseshoe import sampling as sp
 from horseshoe.map_core import REF_EX, REF_STRICT, Region
 
 
@@ -183,6 +185,40 @@ def test_calibrated_constants_pinned():
     # which is not correctly rounded; machines with different pow kernels
     # give 1.21848e29 or 1.21901e29 here.
     assert st_.C5 == pytest.approx(1.2187e29, rel=1e-3)
+
+
+#: The C0, eps0 and eta of the calibrated certificates pinned above.
+CALIBRATED = {
+    "ex": dict(C0=0.4216965034285822, eps0=0.2766465394436166, eta=0.0005),
+    "strict": dict(C0=0.31622776601683794, eps0=0.2766465394436166,
+                   eta=3.858024691358025e-06),
+}
+
+
+def crossing_digest(params, consts, n=10, seed=20261018) -> str:
+    """SHA-256 over (c0_ok, eps0_ok, eta_ok, n_return, details) of the
+    crossing reports at seeded returning points (escape times 1..5, rho
+    alternating 1 and 1/2), under the calibrated certificate and under a
+    stressed one (C0 x 3, eta x 1000) whose checks fail at some points."""
+    cert = mc.default_certificate(params).with_updates(**consts)
+    stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        for trial in (cert, stressed):
+            r = ind.u_crossing_certificate(params, m, (1.0, 0.5)[i % 2], trial)
+            rows.append((r.c0_ok, r.eps0_ok, r.eta_ok, r.n_return,
+                         sorted(r.details.items())))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family, pin", [
+    ("ex", "f1078292b41e9ec7"),
+    ("strict", "2c02416ce1970c51"),
+])
+def test_crossing_reports_pinned(family, pin):
+    assert crossing_digest(FAMILIES[family], CALIBRATED[family]) == pin
 
 
 def test_params_pickle_and_exact_fields():

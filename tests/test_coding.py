@@ -1,6 +1,7 @@
 """Tests for the symbolic coding: bands, itineraries, atom covers,
 theta and its Holder fit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,18 @@ class TestAtoms:
         level = cd.atoms(REF_STRICT, 1)
         assert len(level) == 27
         assert all(not a.empty for a in level.values())
+
+    def test_cached_atoms_are_frozen(self):
+        # the atom cache shares its Atom objects between callers
+        a = cd.atoms(REF_EX, 1)[cd.Word((0, 0, 0), 1)]
+        assert a is cd.atoms(REF_EX, 1)[cd.Word((0, 0, 0), 1)]
+        for name, value in (("empty", True), ("diameter_ub", 0.0),
+                            ("word", cd.Word((1, 1, 1), 1)),
+                            ("boxes", np.zeros((0, 4)))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, value)
+        assert not a.empty and a.diameter_ub > 0.0
+        assert not a.boxes.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -345,3 +345,139 @@ def test_calibrated_constants_pass_on_fresh_strict_samples():
     for rp in sp.sample_A_points(REF_STRICT, rng, 6):
         rep = ind.u_crossing_certificate(REF_STRICT, rp.M, 1.0, cert)
         assert rep.c0_ok and rep.eps0_ok and rep.eta_ok
+
+
+# --- lockstep bisection and early-exit itineraries ------------------------
+
+def _scalar_edges(passes_at, good, bad, iters):
+    """_bisect_edge per lane, with the number of predicate calls each made."""
+    out, calls = [], []
+    for i, (g, b) in enumerate(zip(good, bad)):
+        count = [0]
+
+        def passes(y, i=i, count=count):
+            count[0] += 1
+            return passes_at(i, y)
+        out.append(ind._bisect_edge(passes, float(g), float(b), iters))
+        calls.append(count[0])
+    return np.array(out), calls
+
+
+def test_lockstep_bisection_equals_scalar_in_every_lane():
+    rng = np.random.default_rng(11)
+    n = 64
+    lo = rng.uniform(-2.0, 2.0, n)
+    # widths from 1 down to a few ulps, so lanes reach float resolution
+    # at different iterations; not powers of two, so midpoints round
+    width = rng.uniform(0.5, 1.0, n) * 2.0 ** -rng.integers(0, 50, n)
+    lo[0], width[0] = 0.0, 1.0
+    hi = lo + width
+    up = rng.random(n) < 0.5                 # half the lanes run downwards
+    up[0] = True
+    good = np.where(up, lo, hi)
+    bad = np.where(up, hi, lo)
+    # thresholds mostly inside the interval, some beyond bad: there
+    # passes(bad) holds and the lane returns bad untouched
+    thr = lo + width * rng.uniform(-0.2, 1.2, n)
+    thr[1] = hi[1] + 1.0 if up[1] else lo[1] - 1.0
+    # lane 0 halves its way from 1 down to a subnormal edge and runs into
+    # the iteration cap long before float resolution
+    thr[0] = 1e-320
+
+    def passes_at(i, y):
+        return y < thr[i] if up[i] else y > thr[i]
+
+    def passes(y):
+        return np.where(up, y < thr, y > thr)
+
+    for iters in (200, 30, 7):
+        want, calls = _scalar_edges(passes_at, good, bad, iters)
+        got = ind._bisect_edges(passes, good, bad, iters)
+        assert got.dtype == float and np.array_equal(got, want)
+        if iters == 200:
+            assert len(set(calls)) > 10     # lanes stop at different steps
+            assert calls[0] == 1 + 200      # lane 0 runs into the cap
+            assert calls[1] == 1            # passes(bad) holds in lane 1
+            assert got[1] == bad[1]
+
+
+def test_lockstep_bisection_on_an_image_abscissa():
+    # the predicate of the eta check: image abscissa below a target
+    p = REF_EX
+    rng = np.random.default_rng(4)
+    m = sp.sample_returning_point(p, rng, n1=2).M
+    n, _ = mc.first_return(p, m, 4000)
+    branches = [mc.BRANCH[r] for r in ind._branch_sequence(p, *m, n)]
+
+    def image_x(y):
+        x = m[0]
+        for br in branches:
+            x, y = br.forward(p, x, y)
+        return x
+
+    y_lo, y_hi = m[1] - 1e-4, m[1] + 1e-4
+    xs = sorted((image_x(y_lo), image_x(y_hi)))
+    targets = rng.uniform(xs[0], xs[1], 40)
+    good = np.full(40, y_lo if image_x(y_lo) < image_x(y_hi) else y_hi)
+    bad = np.full(40, y_hi if good[0] == y_lo else y_lo)
+    want, _ = _scalar_edges(lambda i, y: image_x(y) < targets[i],
+                            good, bad, 200)
+    got = ind._bisect_edges(lambda y: image_x(y) < targets, good, bad, 200)
+    assert np.array_equal(got, want)
+
+
+def test_linspaces_equal_one_linspace_per_lane():
+    rng = np.random.default_rng(2)
+    start = rng.uniform(-1.0, 1.0, 12)
+    stop = start + rng.uniform(-1e-3, 1e-3, 12)
+    stop[:2] = start[:2]                      # zero steps
+    start[2:4], stop[2:4] = 1e-310, 3e-310    # subnormal steps
+    # steps that underflow to zero: linspace scales k/div by the span
+    start[4:6], stop[4:6] = 0.0, 3 * 5e-324
+    got = ind._linspaces(start, stop, 1025)
+    for i in range(12):
+        assert np.array_equal(got[:, i], np.linspace(start[i], stop[i], 1025))
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_early_exit_itinerary_equals_full_sequence(params):
+    rng = np.random.default_rng(8)
+    seen = {True: 0, False: 0, "escaping": 0}
+    for _ in range(12):
+        m = sp.sample_returning_point(params, rng).M
+        n, _ = mc.first_return(params, m, 4000)
+        ref = ind._branch_sequence(params, *m, n)
+        for scale in (1e-12, 1e-8, 1e-4, 1e-1):
+            for _ in range(8):
+                # relative steps: heights in A shrink like sigma^-n1
+                dx, dy = scale * rng.normal(size=2)
+                x = float(m[0] + dx * abs(m[0] - params.q))
+                y = float(m[1] * (1.0 + dy))
+                seq = ind._branch_sequence(params, x, y, n)
+                fast = ind._follows(params, x, y, ref)
+                assert fast == (seq == ref)
+                seen[fast] += 1
+                seen["escaping"] += seq is None
+    assert min(seen.values()) > 0
+
+
+def test_one_arc_call_equals_one_call_per_segment():
+    p = REF_EX
+    rng = np.random.default_rng(3)
+    cert = default_certificate(p)
+    m = sp.sample_returning_point(p, rng, n1=2).M
+    n, pts = mc.first_return(p, m, 4000)
+    fr = direction_field(p, pts[-1])
+    arc = (m[0], m[1] - 2e-3, m[1] + 2e-3)
+    segs = []
+    for rad in (0.002, 0.01, 0.05):
+        for shift in (0.0, 0.02, -0.3):
+            ctr = tuple(np.asarray(pts[-1]) + shift * fr.e_s)
+            ball = ind.PolygonalBall(ctr, fr, rad, rad)
+            segs += [ball.side_bottom(), ball.side_top()]
+    segs = np.array(segs)
+    together = ind._arc_crossings(p, arc, n, segs)
+    alone = [ind._arc_crossings(p, arc, n, segs[i:i + 1])[0]
+             for i in range(len(segs))]
+    assert together.tolist() == alone
+    assert together.any() and not together.all()

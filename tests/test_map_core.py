@@ -209,3 +209,38 @@ def test_nonescaping_sampler_gives_up():
     rng = np.random.default_rng(0)
     with pytest.raises(SampleError):
         sample_nonescaping_points(REF_EX, rng, 5, horizon=200)
+
+
+def test_typed_errors_share_one_root():
+    from horseshoe import coding, manifolds, sampling, thermo
+    expected = {
+        mc: {"OutOfDomain": ValueError, "OrbitEscapes": RuntimeError,
+             "NoReturn": RuntimeError, "IterationCap": RuntimeError},
+        coding: {"NotInBands": ValueError, "EmptyAtom": ValueError,
+                 "Escaped": RuntimeError},
+        manifolds: {"NoConvergence": RuntimeError, "Unsupported": RuntimeError,
+                    "MonotonicityError": RuntimeError,
+                    "NoIntersection": RuntimeError, "NonUnique": RuntimeError,
+                    "NotGraphLike": ValueError,
+                    "BudgetExhausted": RuntimeError,
+                    "SearchFailure": RuntimeError},
+        sampling: {"SampleError": RuntimeError},
+        thermo: {"PotentialError": ValueError},
+    }
+    found = 0
+    for mod, classes in expected.items():
+        # every exception class the module defines is listed above
+        defined = {name for name, obj in vars(mod).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == mod.__name__
+                   and obj is not mc.HorseshoeError}
+        assert defined == set(classes)
+        for name, builtin in classes.items():
+            cls = getattr(mod, name)
+            assert issubclass(cls, mc.HorseshoeError)
+            assert issubclass(cls, builtin)
+            found += 1
+    assert found == 17
+    assert mc.HorseshoeError.__bases__ == (Exception,)
+    with pytest.raises(mc.HorseshoeError):
+        mc.leave_r1(REF_EX, (0.79, 0.0), True, "escape_time")
