@@ -150,24 +150,18 @@ def itinerary(params: MapParams, p, n: int) -> Word:
     On the tangency orbit the lower symbol is kept and the position
     recorded in ``ambiguous``.  Raises :class:`Escaped` with the first
     failing time when an iterate leaves the bands."""
-    pts = {0: (float(p[0]), float(p[1]))}
-    cur = pts[0]
-    for k in range(1, n + 1):
-        cur = mc.apply(params, cur)
-        if cur is None:
-            raise Escaped(k)
-        pts[k] = cur
-    cur = pts[0]
-    for k in range(1, n + 1):
-        cur = mc.apply_inverse(params, cur)
-        if cur is None:
-            raise Escaped(-k)
-        pts[-k] = cur
+    p = (float(p[0]), float(p[1]))
+    fwd = list(mc.iterates(params, p, n))
+    if len(fwd) < n:
+        raise Escaped(len(fwd) + 1)
+    bwd = list(mc.iterates(params, p, n, False))
+    if len(bwd) < n:
+        raise Escaped(-len(bwd) - 1)
     symbols = []
     ambiguous = []
-    for k in range(-n, n + 1):
+    for k, pt in enumerate(bwd[::-1] + [p] + fwd, -n):
         try:
-            bands = band_of(params, pts[k])
+            bands = band_of(params, pt)
         except NotInBands as err:
             raise Escaped(k) from err
         if len(bands) > 1:

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
-                       apply_inverse, jacobian, parabola_offset, in_A,
-                       OutOfDomain, OrbitEscapes, NoReturn)
+                       jacobian, parabola_offset, in_A, OutOfDomain,
+                       OrbitEscapes, NoReturn)
 from .splitting import SplitFrame, direction_field, length_scale, adapted_norm
 from . import sampling as sp
 
@@ -109,18 +109,13 @@ def induced_map(params: MapParams, m: tuple[float, float]) -> InducedStep:
     if in_A(params, m):
         if y == 0.0:
             return InducedStep(m, (0.0, 0.0), 0, "bottom")
-        n = escape_time(params, m)
-        cur = m
-        for _ in range(n):
-            cur = apply(params, cur)
+        _check_window(params, m)
+        n, cur = mc.leave_r1(params, m, True, "induced_map")
         reg = classify(params, cur)
         if reg in (Region.R3, Region.R5):
             return InducedStep(m, cur, n, "escape-linear")
         if reg is Region.R4:
-            nxt = apply(params, cur)
-            if nxt is None:
-                raise OrbitEscapes("forward", n + 1)
-            return InducedStep(m, nxt, n + 1, "return")
+            return InducedStep(m, apply(params, cur), n + 1, "return")
         raise OrbitEscapes("forward", n)
     raise OutOfDomain(f"{m} is not in the domain of the induced map")
 
@@ -169,25 +164,6 @@ class PolygonalBall:
         return abs(a) <= self.radius_u + 1e-12 and abs(b) <= self.radius_s + 1e-12
 
 
-def _nearest_A_visit(params: MapParams, m, direction: str):
-    """(steps, orbit chain m..visit) of the closest A-visit, or None."""
-    cur = m
-    chain = [m]
-    for k in range(1, _VISIT_CAP + 1):
-        if direction == "backward":
-            cur = apply_inverse(params, cur)
-        else:
-            cur = apply(params, cur)
-        if cur is None:
-            return None
-        chain.append(cur)
-        if in_A(params, cur):
-            return k, chain
-        if classify(params, cur) not in mc.ACTIVE_REGIONS:
-            return None
-    return None
-
-
 def _log_growth(params: MapParams, points, vec, derivative) -> float:
     """ln norm growth of ``vec`` carried through ``derivative`` at each of
     ``points`` in turn, renormalized each step."""
@@ -217,11 +193,12 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         r = rho * cert.C3 * length_scale(params, m)
         return PolygonalBall(m, frame, r, r)
     cap = 1.0 / 3.0
-    back = _nearest_A_visit(params, m, "backward")
-    fwd = _nearest_A_visit(params, m, "forward")
 
-    def capped(visit, unstable: bool) -> float:
-        _, chain = visit
+    def capped(unstable: bool) -> float:
+        try:
+            _, chain = mc.first_return(params, m, _VISIT_CAP, not unstable)
+        except NoReturn:
+            return cap
         pt = chain[-1]
         l = length_scale(params, pt)
         if l == 0.0:
@@ -237,9 +214,8 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         val = math.log(l) + lg
         return cap if val >= math.log(cap) else math.exp(val)
 
-    t_u = capped(back, True) if back is not None else cap
-    t_s = capped(fwd, False) if fwd is not None else cap
-    return PolygonalBall(m, frame, rho * cert.C3 * t_u, rho * cert.C3 * t_s)
+    return PolygonalBall(m, frame, rho * cert.C3 * capped(True),
+                         rho * cert.C3 * capped(False))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +255,9 @@ def kergodic_apply(params: MapParams, chart_m: ChartFrame,
                    chart_fm: ChartFrame, xi, k: int):
     """F-hat: chart coordinates at M -> chart coordinates at F(M), where
     F(M) = f^k(M).  Returns None if the plane orbit escapes."""
-    cur = chart_m.to_plane(xi)
-    for _ in range(k):
-        cur = apply(params, cur)
-        if cur is None:
-            return None
-    return chart_fm.from_plane(cur)
+    start = chart_m.to_plane(xi)
+    pts = [start, *mc.iterates(params, start, k)]
+    return chart_fm.from_plane(pts[k]) if len(pts) > k else None
 
 
 def kergodic_derivative(params: MapParams, chart_m: ChartFrame,
@@ -296,15 +269,14 @@ def kergodic_derivative(params: MapParams, chart_m: ChartFrame,
 
 
 def _transport(params: MapParams, p, k: int):
-    """(derivative of f^k at p, f^k(p)); raises OrbitEscapes when the
-    orbit escapes, OutOfDomain when it leaves the branches."""
+    """(derivative of f^k at p, f^k(p)); raises OutOfDomain when the
+    orbit leaves the branches (the derivative at the last iterate that
+    exists is undefined)."""
+    pts = [p, *mc.iterates(params, p, k)]
     jac = np.eye(2)
-    for _ in range(k):
-        jac = jacobian(params, p) @ jac
-        p = apply(params, p)
-        if p is None:
-            raise OrbitEscapes("forward", k)
-    return jac, p
+    for q in pts[:k]:
+        jac = jacobian(params, q) @ jac
+    return jac, pts[k]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +377,7 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
         try:
             jac1, c1 = _transport(params, ch_m.to_plane(xi1), k)
             jac2, c2 = _transport(params, ch_m.to_plane(xi2), k)
-        except (OutOfDomain, OrbitEscapes):
+        except OutOfDomain:
             continue
         diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
         img_gap = adapted_norm(ch_f.frame,
@@ -545,7 +517,7 @@ def _arc_crossings(params: MapParams, arc, n: int, segs,
     x_side, y_lo, y_hi = arc
     segs = np.asarray(segs, dtype=float)
     hit = np.zeros(len(segs), dtype=bool)
-    seq = _branch_sequence(params, x_side, 0.5 * (y_lo + y_hi), n)
+    seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
     if seq is None:
         return hit
     branches = [mc.BRANCH[reg] for reg in seq]
@@ -598,21 +570,10 @@ def _arc_crossings(params: MapParams, arc, n: int, segs,
     return hit
 
 
-def _branch_sequence(params: MapParams, x: float, y: float, n: int):
-    cur = (x, y)
-    labels = []
-    for _ in range(n):
-        labels.append(mc.classify(params, cur))
-        cur = mc.apply(params, cur)
-        if cur is None:
-            return None
-    return tuple(labels)
-
-
 def _follows(params: MapParams, x: float, y: float, ref) -> bool:
     """Whether (x, y) follows the branch itinerary ``ref`` (regions, as
-    :func:`_branch_sequence` gives them), stopping at the first step
-    whose strip differs."""
+    :func:`map_core.branch_sequence` gives them), stopping at the first
+    step whose strip differs."""
     for region in ref:
         br = mc._branch_at(params, x, y)
         if br is None or br.region is not region:
@@ -672,7 +633,7 @@ def _surviving_interval(params: MapParams, x: float, y0: float,
     the surviving set, so the interval is found by bisecting against the
     reference label sequence.
     """
-    ref = _branch_sequence(params, x, y0, n)
+    ref = mc.branch_sequence(params, (x, y0), n)
     if ref is None:
         raise OutOfDomain(f"base height {y0} does not survive {n} steps")
 
@@ -687,7 +648,7 @@ def _surviving_x(params: MapParams, x0: float, y: float, target: float,
                  n: int, iters: int = 240) -> float:
     """Abscissa closest to ``target`` on the segment from x0 whose point
     at height y still follows the branch itinerary of (x0, y)."""
-    ref = _branch_sequence(params, x0, y, n)
+    ref = mc.branch_sequence(params, (x0, y), n)
     if ref is None:
         raise OutOfDomain(f"base point ({x0}, {y}) does not survive {n} steps")
     return _bisect_edge(lambda x: _follows(params, x, y, ref),
@@ -728,16 +689,13 @@ def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
-                           rho: float, cert: Certificate,
-                           side_samples: int = 48,
+                           rho: float, cert: Certificate, *,
                            checks: tuple = ("c0", "eps0", "eta")
                            ) -> CrossReport:
     """Check the crossing statements at a window point.
 
-    checks restricts the work to a subset of the three statements, which
-    the calibration sweeps use; skipped statements report False.
-    ``side_samples`` is not used: the eta check samples each side arc
-    where it passes over a target segment.
+    ``checks`` restricts the work to a subset of the three statements;
+    skipped statements report False.
 
     C0 and eps0 test parabolas through the stable segment and through
     the eps0 sub-ball against the ball's bottom and top sides.  The eta

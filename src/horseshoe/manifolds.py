@@ -32,8 +32,7 @@ import numpy as np
 
 from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
-                       apply_inverse, default_certificate,
-                       OutOfDomain, OrbitEscapes)
+                       apply_inverse, default_certificate, OutOfDomain)
 from .splitting import length_scale
 from .induced import ChartFrame, chart, kergodic_derivative
 
@@ -218,15 +217,6 @@ def _params_hash(params: MapParams) -> str:
 # Graph transform
 # ---------------------------------------------------------------------------
 
-def _block_regions(params: MapParams, p, k: int) -> list[Region]:
-    """Branch itinerary of the k-step block starting at ``p``."""
-    rec = mc.orbit(params, p, k)
-    if rec.fwd_escape is not None:
-        raise Unsupported(f"block orbit of {p} leaves the branches "
-                          f"at step {rec.fwd_escape}")
-    return rec.fwd_labels[:k]
-
-
 def graph_transform(params: MapParams, chart_m: ChartFrame,
                     chart_fm: ChartFrame, k: int, s: LipGraph,
                     radius: float | None = None,
@@ -248,7 +238,9 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
         radius = s.radius
     if npts is None:
         npts = len(s.grid)
-    regs = _block_regions(params, chart_m.M, k)
+    regs = mc.branch_sequence(params, chart_m.M, k)
+    if regs is None:
+        raise Unsupported(f"block orbit of {chart_m.M} leaves the branches")
     forward = s.axis == "u->s"
     src_chart = chart_m if forward else chart_fm
     dst_chart = chart_fm if forward else chart_m
@@ -297,11 +289,10 @@ def _next_anchor(params: MapParams, m, chart_m: ChartFrame, direction: str,
 
     ``direction="backward"`` walks preimages (unstable pullback chain);
     ``"forward"`` walks images (stable chain)."""
-    cur = m
-    for j in range(1, cap + 1):
-        cur = apply_inverse(params, cur) if direction == "backward" \
-            else apply(params, cur)
-        if cur is None or classify(params, cur) not in mc.ACTIVE_REGIONS:
+    j = 0
+    for j, cur in enumerate(mc.iterates(params, m, cap,
+                                        direction == "forward"), 1):
+        if classify(params, cur) not in mc.ACTIVE_REGIONS:
             raise Unsupported(f"{direction} orbit of {m} leaves the active "
                               f"regions at step {j}")
         ch = _safe_chart(params, cur)
@@ -314,12 +305,26 @@ def _next_anchor(params: MapParams, m, chart_m: ChartFrame, direction: str,
             else:
                 d = kergodic_derivative(params, chart_m, ch, j)
                 mu = float(np.linalg.norm(np.linalg.inv(d)[:, 1]))
-        except (OutOfDomain, OrbitEscapes, np.linalg.LinAlgError):
+        except (OutOfDomain, np.linalg.LinAlgError):
             continue
         if mu >= mu_min:
             return cur, ch, j
+    if j < cap:
+        raise Unsupported(f"{direction} orbit of {m} has no image at step "
+                          f"{j + 1}")
     raise Unsupported(f"no hyperbolic block within {cap} {direction} steps "
                       f"of {m}")
+
+
+def _anchors(params: MapParams, m, direction: str, n: int):
+    """The anchor chain of ``m``: (point, chart, plain steps from the
+    anchor before) for ``m`` itself (0 steps) and its next ``n``
+    anchors, lazily."""
+    anchor = (m, chart(params, m), 0)
+    yield anchor
+    for _ in range(n):
+        anchor = _next_anchor(params, *anchor[:2], direction)
+        yield anchor
 
 
 def _pullback_curve(params: MapParams, m, kind: str, radius: float,
@@ -329,16 +334,14 @@ def _pullback_curve(params: MapParams, m, kind: str, radius: float,
     successive pullbacks agree within ``tol`` in sup norm."""
     direction = "backward" if kind == "unstable" else "forward"
     axis = "u->s" if kind == "unstable" else "s->u"
-    chart_m = chart(params, m)
-    anchors = [(m, chart_m, 0)]
+    chain = _anchors(params, m, direction, max_depth)
+    anchors = [next(chain)]
     prev = None
     prev_diff = None
     factor = None
-    for depth in range(1, max_depth + 1):
-        pt, ch, k = _next_anchor(params, anchors[-1][0], anchors[-1][1],
-                                 direction)
-        anchors.append((pt, ch, k))
-        g = zero_graph(ch, axis, radius, npts, slope=seed_slope)
+    for depth, anchor in enumerate(chain, 1):
+        anchors.append(anchor)
+        g = zero_graph(anchor[1], axis, radius, npts, slope=seed_slope)
         for j in range(depth, 0, -1):
             near_ch = anchors[j - 1][1]
             far_ch = anchors[j][1]
@@ -610,19 +613,6 @@ def _prune_pieces(pieces: list, max_pieces: int, protect) -> list:
 # Global manifolds
 # ---------------------------------------------------------------------------
 
-def _induced_chain(params: MapParams, m, n: int, direction: str):
-    """n anchor points of the chain with their plain-step counts."""
-    chart_m = chart(params, m)
-    pts = [m]
-    ks = []
-    for _ in range(n):
-        pt, ch, k = _next_anchor(params, pts[-1], chart_m, direction)
-        pts.append(pt)
-        ks.append(k)
-        chart_m = ch
-    return pts, ks
-
-
 def _merge_contiguous(pieces, start: int, tol: float = 1e-9):
     """Concatenate pieces that share an endpoint with the selected one.
 
@@ -661,12 +651,12 @@ def _global_manifold(params: MapParams, m, n: int, kind: str, rho: float,
         meta = {"rho": rho, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": _params_hash(params)}
         return ManifoldCurve(pts, kind, meta)
-    chain, ks = _induced_chain(params, m, n, direction)
-    base = chain[-1]
+    chain = list(_anchors(params, m, direction, n))
+    base = chain[-1][0]
     local = (local_unstable if kind == "unstable" else local_stable)(
         params, base, rho=rho, cert=cert)
     pieces = [local.points]
-    steps = int(sum(ks))
+    steps = sum(k for _, _, k in chain)
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
         params, pieces, steps, protect=base)
     best = None
@@ -716,9 +706,8 @@ def _invariance_defect(params: MapParams, m, kind: str, rho: float,
                        cert: Certificate | None) -> float:
     unstable = kind == "unstable"
     local = local_unstable if unstable else local_stable
-    ch = chart(params, m)
-    other, _, k = _next_anchor(params, m, ch,
-                               "forward" if unstable else "backward")
+    _, (other, _, k) = _anchors(params, m,
+                                "forward" if unstable else "backward", 1)
     leaf = local(params, m, rho=rho, cert=cert)
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], k, protect=m)
@@ -787,6 +776,11 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
     # the seed's own verticality is the caller's premise: finite
     # differences of an O(1)-valued graph over a strip of width
     # 2 w_max / sigma sit below float64 noise for steep parameters
+    # The return step (parabolic branch, then one bottom-strip step) is
+    # written in the wing coordinate w, not through the branch table:
+    # the table would recover w from the height y = t + w/sigma, which
+    # cancels digits at large sigma (REF_STRICT: 1e5), so the image
+    # ordinates stop being monotone in w and the curve is no graph.
     reports = []
     for _ in range(passages):
         def wing_y(w: float) -> float:
@@ -972,18 +966,16 @@ def _seed_arcs(params: MapParams, disk: Disk, kind: str, rho: float,
     # horizontal diameter for a backward-surviving point (unstable leaves
     # need a computable backward chain), y along the vertical one for a
     # forward-surviving point
-    step = apply_inverse if unstable else apply
-
     def point(t: float):
         return (t, c[1]) if unstable else (c[0], t)
 
     def count(t: float) -> int:
-        cur = point(t)
-        for n in range(40):
-            cur = step(params, cur)
-            if cur is None or classify(params, cur) not in mc.ACTIVE_REGIONS:
-                return n
-        return 40
+        n = 0
+        for cur in mc.iterates(params, point(t), 40, not unstable):
+            if classify(params, cur) not in mc.ACTIVE_REGIONS:
+                break
+            n += 1
+        return n
 
     # the scan bisects a 1/lam (resp. sigma) expanding chain, so float64
     # can only pin down survivors to a parameter-dependent depth

@@ -23,6 +23,11 @@ and the scaled-square hook ``csq``, so the same text runs on floats,
 numpy arrays, ``Fraction`` parameters (exact arithmetic) and the
 interval hulls of :mod:`horseshoe.coding`.  Every other module reads
 the branches from this table.
+
+Orbit segments are walked in one place, :func:`iterates`: the bounded,
+lazy sequence of images (or preimages) of a point.  Orbits, branch
+sequences, first returns to A and escapes from R1 are built on it, and
+every other module steps the map through it.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ __all__ = [
     "apply_inverse",
     "jacobian",
     "jacobian_inverse",
+    "iterates",
     "orbit",
+    "branch_sequence",
     "first_return",
     "float_range_steps",
     "leave_r1",
@@ -475,40 +482,50 @@ class OrbitRecord:
     bwd_escape: int | None = None
 
 
+def iterates(params: MapParams, p, n: int, forward: bool = True):
+    """The first ``n`` images of ``p`` (its preimages when not
+    ``forward``), lazily, stopping at the first one that does not exist.
+
+    This is the one orbit walk of the package: every other loop that
+    steps the map from its own last result goes through it."""
+    step = apply if forward else apply_inverse
+    for _ in range(n):
+        p = step(params, p)
+        if p is None:
+            return
+        yield p
+
+
 def orbit(params: MapParams, p: tuple[float, float],
           n_fwd: int, n_bwd: int = 0) -> OrbitRecord:
-    fwd, fwd_labels, fwd_escape = _walk(params, apply, p, n_fwd)
-    bwd, bwd_labels, bwd_escape = _walk(params, apply_inverse, p, n_bwd)
-    return OrbitRecord([p] + fwd, [classify(params, p)] + fwd_labels,
-                       bwd, bwd_labels, fwd_escape, bwd_escape)
+    fwd = [p, *iterates(params, p, n_fwd)]
+    bwd = list(iterates(params, p, n_bwd, False))
+    return OrbitRecord(fwd, [classify(params, q) for q in fwd],
+                       bwd, [classify(params, q) for q in bwd],
+                       len(fwd) - 1 if len(fwd) <= n_fwd else None,
+                       len(bwd) if len(bwd) < n_bwd else None)
 
 
-def _walk(params: MapParams, step, p, n: int):
-    """Up to n iterates of ``p`` under ``step`` with their regions, and
-    the index of the step that found no image (None if all n exist)."""
-    pts, labels = [], []
-    cur = p
-    for k in range(n):
-        cur = step(params, cur)
-        if cur is None:
-            return pts, labels, k
-        pts.append(cur)
-        labels.append(classify(params, cur))
-    return pts, labels, None
+def branch_sequence(params: MapParams, p, n: int):
+    """Regions of ``p`` and its next n - 1 images (the branches of f^n
+    at ``p``), or None when one of the n images does not exist."""
+    pts = [p, *iterates(params, p, n)]
+    if len(pts) <= n:
+        return None
+    return tuple(classify(params, q) for q in pts[:n])
 
 
-def first_return(params: MapParams, m, max_steps: int):
-    """(n, points m..f^n(m)) of the first forward visit to A within
-    ``max_steps`` steps; raises :class:`NoReturn` otherwise."""
+def first_return(params: MapParams, m, max_steps: int, forward: bool = True):
+    """(n, points m..f^n(m)) of the first visit to A among the first
+    ``max_steps`` images of ``m`` (preimages when not ``forward``, which
+    gives the points m..f^-n(m)); raises :class:`NoReturn` otherwise."""
     pts = [m]
-    cur = m
-    for n in range(1, max_steps + 1):
-        cur = apply(params, cur)
-        if cur is None:
-            raise NoReturn(f"orbit of {m} escapes at step {n}")
+    for cur in iterates(params, m, max_steps, forward):
         pts.append(cur)
         if in_A(params, cur):
-            return n, pts
+            return len(pts) - 1, pts
+    if len(pts) <= max_steps:
+        raise NoReturn(f"orbit of {m} escapes at step {len(pts)}")
     raise NoReturn(f"orbit of {m} does not return within {max_steps} steps")
 
 
@@ -530,19 +547,17 @@ def leave_r1(params: MapParams, p, forward: bool, what: str):
     a point with a positive coordinate leaves within
     :func:`float_range_steps` steps; one on the edge (y = 0 forward,
     x = 0 backward) stays forever and raises :class:`IterationCap`."""
-    step = apply if forward else apply_inverse
     cap = float_range_steps(params.sigma if forward else 1 / params.lam)
-    cur = p
-    for n in range(1, cap + 1):
-        cur = step(params, cur)
-        if cur is None:
-            return n, cur
+    n = 0
+    for n, cur in enumerate(iterates(params, p, cap, forward), 1):
         if forward:
             stays = classify(params, cur) is Region.R1
         else:
             stays = _in_band(params, _R1, *cur)
         if not stays:
             return n, cur
+    if n < cap:
+        return n + 1, None
     raise IterationCap(what, cap)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,11 +48,6 @@ class ReturningPoint:
     n_return: int          # first-return time to A (= n_escape + 1)
     M_return: tuple
     backward_depth: int    # verified backward f-steps staying in strips
-
-
-def _backward_depth(params: MapParams, m, cap: int = 10) -> int:
-    """Number of preimages of ``m`` that exist, up to ``cap``."""
-    return len(mc.orbit(params, m, 0, cap).bwd_points)
 
 
 def _escape_count(params: MapParams, m) -> int | None:
@@ -103,7 +99,7 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
             continue
         if n_ret != n_esc + 1:
             continue
-        bd = _backward_depth(p, m0)
+        bd = len(list(mc.iterates(p, m0, 10, False)))
         if bd < 3:
             continue
         return ReturningPoint(M=m0, n_escape=n_esc, n_return=n_ret,
@@ -167,25 +163,17 @@ def multi_return_point(params: MapParams, rng: np.random.Generator,
         m0 = (xs[0], y0)
         if not in_A(p, m0):
             continue
-        # verify by direct iteration
-        visits = [0]
+        # verify by direct iteration, one leg at a time
         pts = [m0]
-        cur = m0
-        ok = True
         for n_esc in escape_times:
-            for _ in range(n_esc + 1):
-                cur = apply(p, cur)
-                if cur is None:
-                    ok = False
-                    break
-                pts.append(cur)
-            if not ok or not in_A(p, cur):
-                ok = False
+            leg = list(mc.iterates(p, pts[-1], n_esc + 1))
+            pts += leg
+            if len(leg) <= n_esc or not in_A(p, pts[-1]):
                 break
-            visits.append(len(pts) - 1)
-        if not ok:
-            continue
-        return MultiReturnOrbit(M=m0, visit_times=visits, points=pts)
+        else:
+            visits = list(accumulate((n + 1 for n in escape_times),
+                                     initial=0))
+            return MultiReturnOrbit(M=m0, visit_times=visits, points=pts)
     raise SampleError(f"no multi-return orbit found in {max_tries} tries")
 
 
@@ -287,14 +275,7 @@ def sample_nonescaping_points(params: MapParams, rng: np.random.Generator,
         guard += 1
         lo, hi = strips[int(rng.integers(0, len(strips)))]
         pt = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(lo, hi)))
-        cur = pt
-        ok = True
-        for _ in range(horizon):
-            cur = apply(params, cur)
-            if cur is None:
-                ok = False
-                break
-        if ok:
+        if len(list(mc.iterates(params, pt, horizon))) == horizon:
             out.append(pt)
     if len(out) < count:
         raise SampleError(f"only {len(out)} of {count} points survived "

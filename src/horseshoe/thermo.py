@@ -22,8 +22,9 @@ import numpy as np
 
 from . import coding
 from . import map_core as mc
-from .map_core import (MapParams, OrbitEscapes, apply, apply_inverse,
-                       jacobian, jacobian_inverse)
+# ``apply`` is unused: perfbench/smoke.py checks its tracer rebinds it here
+from .map_core import (MapParams, OrbitEscapes, apply, jacobian,
+                       jacobian_inverse)
 
 #: The affine branches by the coding symbol of their image band.
 _AFFINE = {br.symbols[0]: br for br in mc.BRANCHES if not br.parabolic}
@@ -209,15 +210,11 @@ class _GibbsModel:
 
     def transition(self) -> np.ndarray:
         """Row-stochastic (states x 3): probability of appending s."""
-        m, S = self.m, self.states
-        P = np.empty((S, 3))
-        for i in range(S):
-            for s in range(3):
-                j = (i * 3 + s) % S if m > 1 else 0
-                w = self.W.reshape(-1)[i * 3 + s]
-                P[i, s] = w * self.left[j] / (self.eigenvalue
-                                              * self.left[i])
-        return P
+        S = self.states
+        # word i*3 + s moves the chain from state i to its last m-1 symbols
+        j = np.arange(3 * S).reshape(S, 3) % S
+        return self.W.reshape(S, 3) * self.left[j] \
+            / (self.eigenvalue * self.left[:, None])
 
     def stationary(self) -> np.ndarray:
         pi = self.left * self.right
@@ -265,12 +262,7 @@ def _chain_masses(model: _GibbsModel, k: int) -> np.ndarray:
     if k == m - 1:
         return pi.copy()
     prev = _chain_masses(model, k - 1)
-    out = np.empty(3 ** k)
-    for code in range(3 ** (k - 1)):
-        state = code % S
-        for s in range(3):
-            out[code * 3 + s] = prev[code] * P[state, s]
-    return out
+    return (prev[:, None] * P[np.arange(len(prev)) % S]).reshape(-1)
 
 
 @dataclass
@@ -353,15 +345,11 @@ def gibbs_measure(cyl: CylinderPotential, tol: float = 1e-12) -> CylinderMeasure
 def _tangency_pairs(params: MapParams, n: int):
     """Word pairs double-coding the tangency orbit at depth n."""
     pairs = set()
-    pts = {0: (params.q, 0.0)}
-    for k in range(1, n + 1):
-        pts[k] = apply(params, pts[k - 1])
-        pts[-k] = apply_inverse(params, pts[-k + 1])
-    for k in range(-n, n + 1):
-        if pts[k] is None:
-            continue
+    q = (params.q, 0.0)
+    fwd = list(mc.iterates(params, q, n))
+    for pt in list(mc.iterates(params, q, n, False))[::-1] + [q] + fwd:
         try:
-            w = coding.itinerary(params, pts[k], n)
+            w = coding.itinerary(params, pt, n)
         except (coding.NotInBands, coding.Escaped):
             continue
         for pos in w.ambiguous:
@@ -478,19 +466,17 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
     p = params
     if N_back is None:
         N_back = N
+    M = tuple(map(float, M))
     if symbols is None:
-        pts = [tuple(map(float, M))]
-        for k in range(N):
-            nxt = apply(p, pts[-1])
-            if nxt is None:
-                raise OrbitEscapes("forward", k + 1)
-            pts.append(nxt)
+        pts = [M, *mc.iterates(p, M, N)]
+        if len(pts) <= N:
+            raise OrbitEscapes("forward", len(pts))
     else:
         if len(symbols) < N + 1:
             raise ValueError("itinerary shorter than the horizon")
         _check_itinerary(symbols)
         ys = _tail_ordinates(p, symbols)
-        x = float(M[0])
+        x = M[0]
         pts = []
         for k in range(N + 1):
             pts.append((x, ys[k]))
@@ -505,12 +491,9 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         jacs = [const[symbols[k]] for k in range(N)]
     chi_u = _log_growth(jacs, (0.0, 1.0)) / N
     if symbols is None:
-        back = [tuple(map(float, M))]
-        for k in range(N_back):
-            pre = apply_inverse(p, back[-1])
-            if pre is None:
-                raise OrbitEscapes("backward", k + 1)
-            back.append(pre)
+        back = [M, *mc.iterates(p, M, N_back, False)]
+        if len(back) <= N_back:
+            raise OrbitEscapes("backward", len(back))
         inverses = [jacobian_inverse(p, back[k + 1]) for k in range(N_back)]
     else:
         N_back = min(N_back, N)

@@ -221,6 +221,112 @@ def test_crossing_reports_pinned(family, pin):
     assert crossing_digest(FAMILIES[family], CALIBRATED[family]) == pin
 
 
+def _canon(v):
+    """Nested tuples of exact values: arrays as shape and bytes,
+    dataclasses and dicts as (name, value) pairs."""
+    if isinstance(v, np.ndarray):
+        return ("array", v.shape, v.tobytes().hex())
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return tuple((f.name, _canon(getattr(v, f.name)))
+                     for f in dataclasses.fields(v))
+    if isinstance(v, dict):
+        return tuple(sorted((repr(k), _canon(x)) for k, x in v.items()))
+    if isinstance(v, (list, tuple)):
+        return tuple(_canon(x) for x in v)
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
+    return v
+
+
+def orbit_walk_digest(params, seed=20261019) -> str:
+    """SHA-256 over the outputs of every function that walks an orbit
+    segment, at seeded points: itineraries, first returns, induced steps
+    (every case), chart maps and derivatives, us-ball radii just off A,
+    local and global leaves with their meta, invariance defects,
+    brackets, mixing times, tangency pairs, Lyapunov exponents on the
+    orbit path, and the two samplers.  A typed error counts as its class
+    name (with its step and direction, and a sampler's message)."""
+    from horseshoe import thermo
+    p = params
+    rng = np.random.default_rng(seed)
+    cert = mc.default_certificate(p)
+    rows = []
+
+    def record(fn, *args, **kw):
+        try:
+            out = fn(*args, **kw)
+        except mc.HorseshoeError as err:
+            out = (type(err).__name__, getattr(err, "step", None),
+                   getattr(err, "direction", None),
+                   str(err) if isinstance(err, sp.SampleError) else None)
+        rows.append((fn.__name__, _canon(out)))
+        return out
+
+    def balls(points):
+        for off in points:
+            ball = record(ind.us_ball, p, off, 0.5, cert)
+            if isinstance(ball, ind.PolygonalBall):
+                rows.append((ball.radius_u, ball.radius_s))
+
+    rps = [sp.sample_returning_point(p, rng, n1=1 + i % 5) for i in range(5)]
+    # window points with random offsets: most escape into the gaps
+    window = []
+    for _ in range(6):
+        y = float(rng.uniform(0.0, p.inv_sigma))
+        k = float(rng.uniform(0.0, p.lam))
+        window.append((p.q + float(rng.choice((-1.0, 1.0)))
+                       * math.sqrt((k + y) / p.c), y))
+    others = [(0.5, 0.5), (0.3, 0.99), (0.45, p.t), (0.3, p.t), (0.79, 0.0),
+              (0.0, 0.0), (0.2, 0.5 * p.inv_sigma)]
+    for m in [rp.M for rp in rps] + window:
+        record(coding.itinerary, p, m, 3)
+        record(mc.first_return, p, m, 4000)
+    for m in [rp.M for rp in rps] + window + others:
+        record(ind.induced_map, p, m)
+    for rp in rps:
+        step = ind.induced_map(p, rp.M)
+        ch_m, ch_f = ind.chart(p, rp.M), ind.chart(p, step.target)
+        for xi in ((0.0, 0.0), (0.01, -0.02), (0.2, 0.1), (3.0, 3.0)):
+            record(ind.kergodic_apply, p, ch_m, ch_f, xi, step.k)
+            record(ind.kergodic_derivative, p, ch_m, ch_f, step.k, xi)
+        once = mc.apply(p, rp.M)
+        balls((mc.apply_inverse(p, rp.M), once, mc.apply(p, once)))
+    # REF_STRICT cannot thread several returns in floats: SampleError
+    orbs = [record(sp.multi_return_point, p, rng, legs)
+            for legs in ([1, 2, 1, 1, 2, 1, 1, 1], [1])]
+    orbs = [o for o in orbs if isinstance(o, sp.MultiReturnOrbit)]
+    for orb in orbs:
+        balls(orb.points[1:4])
+    bases = [orbs[0].M, rps[0].M]
+    for m in bases:
+        for leaf in (mf.local_unstable, mf.local_stable):
+            record(leaf, p, m)
+        for leaf in (mf.global_unstable, mf.global_stable):
+            for n in (1, 2):
+                record(leaf, p, m, n)
+        record(mf.unstable_invariance_defect, p, m)
+        record(mf.stable_invariance_defect, p, m)
+        record(mf.bracket, p, m, m)
+    record(mf.bracket, p, bases[0], bases[1])
+    record(mf.mixing_times, p, mf.Disk((0.05, 0.5), 0.05), 12)
+    record(thermo._tangency_pairs, p, 2)
+    n = len(orbs[0].points) - 1
+    for steps, back in ((n, 3), (n + 3, 3), (n, 12)):
+        record(thermo.lyapunov, p, orbs[0].M, steps, N_back=back)
+    record(sp.multi_return_point, p, rng, [1] * 6, max_tries=3)
+    for count, horizon in ((10, 1), (10, 3), (3, 40)):
+        record(sp.sample_nonescaping_points, p, rng, count, horizon)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+ORBIT_WALK_PINS = {"ex": "1ef0aa625b4ac6bf", "strict": "676c04bf4b68728d"}
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_orbit_walks_pinned(family):
+    assert orbit_walk_digest(FAMILIES[family]) == ORBIT_WALK_PINS[family]
+
+
 def test_params_pickle_and_exact_fields():
     back = pickle.loads(pickle.dumps(REF_STRICT))
     assert back == REF_STRICT and back.r5_y0 == REF_STRICT.r5_y0

@@ -407,7 +407,7 @@ def test_lockstep_bisection_on_an_image_abscissa():
     rng = np.random.default_rng(4)
     m = sp.sample_returning_point(p, rng, n1=2).M
     n, _ = mc.first_return(p, m, 4000)
-    branches = [mc.BRANCH[r] for r in ind._branch_sequence(p, *m, n)]
+    branches = [mc.BRANCH[r] for r in mc.branch_sequence(p, m, n)]
 
     def image_x(y):
         x = m[0]
@@ -446,14 +446,14 @@ def test_early_exit_itinerary_equals_full_sequence(params):
     for _ in range(12):
         m = sp.sample_returning_point(params, rng).M
         n, _ = mc.first_return(params, m, 4000)
-        ref = ind._branch_sequence(params, *m, n)
+        ref = mc.branch_sequence(params, m, n)
         for scale in (1e-12, 1e-8, 1e-4, 1e-1):
             for _ in range(8):
                 # relative steps: heights in A shrink like sigma^-n1
                 dx, dy = scale * rng.normal(size=2)
                 x = float(m[0] + dx * abs(m[0] - params.q))
                 y = float(m[1] * (1.0 + dy))
-                seq = ind._branch_sequence(params, x, y, n)
+                seq = mc.branch_sequence(params, (x, y), n)
                 fast = ind._follows(params, x, y, ref)
                 assert fast == (seq == ref)
                 seen[fast] += 1

@@ -13,6 +13,7 @@ from horseshoe.map_core import (MapParams, REF_EX, REF_STRICT, Region,
                                 leaf_tangent, in_A, orbit, validate,
                                 default_certificate, closed_form_gamma,
                                 OutOfDomain)
+from horseshoe import sampling as sp
 from horseshoe.sampling import SampleError, sample_nonescaping_points
 
 
@@ -185,6 +186,129 @@ def test_orbit_fixed_points_and_escape():
     assert all(pt == (1.0, 1.0) for pt in rec.fwd_points)
     rec = orbit(REF_EX, (0.5, 0.25), 3)
     assert rec.fwd_escape == 0
+
+
+def hand_walk(params, step, p, n: int):
+    """Up to n iterates of ``p`` under ``step``, one call at a time, and
+    the index of the step that found no image (None if all n exist)."""
+    pts = []
+    for k in range(n):
+        p = step(params, p)
+        if p is None:
+            return pts, k
+        pts.append(p)
+    return pts, None
+
+
+def strip_points(params, count: int, seed: int) -> list:
+    """Seeded points of the four strips; most escape within a few steps
+    forward or backward, some survive."""
+    rng = np.random.default_rng(seed)
+    strips = [br.strip(params) for br in mc.BRANCHES]
+    pts = []
+    for _ in range(count):
+        lo, hi = strips[int(rng.integers(0, len(strips)))]
+        pts.append((float(rng.uniform()), float(rng.uniform(lo, hi))))
+    return pts
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_iterates_equals_the_hand_walk(params):
+    cases = set()
+    for i, pt in enumerate(strip_points(params, 400, 21)):
+        n = i % 9
+        for forward, step in ((True, apply), (False, apply_inverse)):
+            got = list(mc.iterates(params, pt, n, forward))
+            want, escape = hand_walk(params, step, pt, n)
+            # backward it is the chain of apply_inverse
+            assert got == want
+            assert len(got) <= n
+            if escape is not None:
+                # it stops at the first missing image
+                assert len(got) == escape
+                assert step(params, ([pt] + got)[-1]) is None
+            cases.add((forward, escape is None))
+    assert cases == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_iterates_is_lazy_and_bounded(monkeypatch):
+    calls = []
+
+    def counting_apply(params, p):
+        calls.append(p)
+        return p
+
+    monkeypatch.setattr(mc, "apply", counting_apply)
+    walk = mc.iterates(REF_EX, (0.3, 0.4), 10 ** 9)
+    assert [next(walk) for _ in range(3)] == [(0.3, 0.4)] * 3
+    assert len(calls) == 3
+    assert list(mc.iterates(REF_EX, (0.3, 0.4), 0)) == []
+    assert len(list(mc.iterates(REF_EX, (0.3, 0.4), 7))) == 7
+    monkeypatch.undo()
+    assert list(mc.iterates(REF_EX, (0.5, 0.25), 3)) == []   # gap R2
+
+
+def nearest_A_visit(params, m, direction: str, cap: int = 120):
+    """Reference copy of the closest-A-visit search that ``us_ball`` ran
+    before ``first_return`` took a direction: (steps, chain m..visit),
+    or None when the orbit escapes, leaves the active regions or runs
+    past the cap."""
+    cur = m
+    chain = [m]
+    for k in range(1, cap + 1):
+        if direction == "backward":
+            cur = apply_inverse(params, cur)
+        else:
+            cur = apply(params, cur)
+        if cur is None:
+            return None
+        chain.append(cur)
+        if in_A(params, cur):
+            return k, chain
+        if classify(params, cur) not in mc.ACTIVE_REGIONS:
+            return None
+    return None
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_first_return_both_ways_equals_the_visit_search(params):
+    rng = np.random.default_rng(5)
+    pts = strip_points(params, 200, 9)
+    for _ in range(20):
+        m = sp.sample_returning_point(params, rng).M
+        orb = orbit(params, m, 4, 2)
+        pts += orb.fwd_points[1:] + orb.bwd_points
+    found = {True: 0, False: 0}
+    for m in pts:
+        for forward in (True, False):
+            want = nearest_A_visit(params, m,
+                                   "forward" if forward else "backward")
+            try:
+                got = mc.first_return(params, m, 120, forward)
+            except mc.NoReturn:
+                got = None
+            assert got == want
+            found[forward] += got is not None
+    assert min(found.values()) >= 20
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_orbit_escape_indices_match_the_hand_walk(params):
+    escaped = {"forward": 0, "backward": 0}
+    for i, pt in enumerate(strip_points(params, 300, 17)):
+        n_fwd, n_bwd = i % 7, (i // 7) % 7
+        rec = orbit(params, pt, n_fwd, n_bwd)
+        fwd, fwd_escape = hand_walk(params, apply, pt, n_fwd)
+        bwd, bwd_escape = hand_walk(params, apply_inverse, pt, n_bwd)
+        assert rec.fwd_points == [pt] + fwd
+        assert rec.bwd_points == bwd
+        assert (rec.fwd_escape, rec.bwd_escape) == (fwd_escape, bwd_escape)
+        assert rec.fwd_labels == [classify(params, q) for q in [pt] + fwd]
+        assert rec.bwd_labels == [classify(params, q) for q in bwd]
+        escaped["forward"] += fwd_escape is not None
+        escaped["backward"] += bwd_escape is not None
+    assert min(escaped.values()) >= 20
 
 
 def test_certificate_shapes():
