@@ -48,9 +48,16 @@ def escape_time(params: MapParams, m: tuple[float, float]):
     return mc.leave_r1(params, m, True, "escape_time")[0]
 
 
-def approach_time(params: MapParams, m: tuple[float, float]) -> int:
-    """Smallest n >= 1 with f^-n(m) outside the left image column R1'."""
+def approach_time(params: MapParams, m: tuple[float, float]):
+    """Smallest n >= 1 with f^-n(m) outside the left image column R1'.
+
+    Points of A with parabola offset 0 have their preimage on the edge
+    x = 0, whose backward orbit never leaves R1'; they get ``math.inf``
+    (the mirror of :func:`escape_time` on the bottom edge).
+    """
     _check_window(params, m)
+    if mc.parabola_offset(params, m) == 0.0:
+        return math.inf
     return mc.leave_r1(params, m, False, "approach_time")[0]
 
 
@@ -71,8 +78,9 @@ def time_bounds_report(params: MapParams, m: tuple[float, float]) -> dict:
     if math.isfinite(n1):
         out["escape_bound"] = params.sigma ** (n1 - 1) * params.c * l * l
         out["escape_ok"] = out["escape_bound"] >= 1.0 / 3.0
-    out["approach_bound"] = params.lam ** (-n2 + 1) * params.c * l * l
-    out["approach_ok"] = out["approach_bound"] >= 1.0 / 3.0
+    if math.isfinite(n2):
+        out["approach_bound"] = params.lam ** (-n2 + 1) * params.c * l * l
+        out["approach_ok"] = out["approach_bound"] >= 1.0 / 3.0
     return out
 
 

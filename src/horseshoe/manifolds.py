@@ -9,6 +9,11 @@ expands the unstable chart axis by at least a fixed factor; this absorbs
 the bottom-strip excursions (where single steps are not expanding in the
 rescaled charts) into full induced steps automatically.
 
+The blocks of a point form its anchor chain, built lazily once per
+query and charted once per anchor: every radius of a local leaf, the
+base leaf of a global leaf (the chain's tail) and a bracket with all its
+extensions read the same chain.
+
 Global manifolds iterate the local polyline forward (or backward)
 through the branch formulas, splitting the curve at strip and band
 boundaries; the same machinery drives the mixing-time search and the
@@ -34,13 +39,16 @@ from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
                        apply_inverse, default_certificate, OutOfDomain)
 from .splitting import length_scale
-from .induced import ChartFrame, chart, kergodic_derivative
+from .induced import ChartFrame, chart
 
 GRID_POINTS = 257
 RHO_MIN = 2.0 ** -20
-#: Minimal chart-axis expansion of one pullback block.
-_MU_MIN = 2.0
-_ANCHOR_CAP = 2000
+_TOL = 1e-10        # sup distance of two pullbacks that ends a local leaf
+_MAX_DEPTH = 60     # pullback blocks a local leaf may use
+_MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
+_ANCHOR_CAP = 2000  # orbit steps searched for one block
+_SEG_LEN = 1e-3     # longest segment of a resampled global leaf
+_MAX_EXTEND = 6     # deepest global extension (induced steps) of a bracket
 
 
 class NoConvergence(mc.HorseshoeError, RuntimeError):
@@ -275,90 +283,93 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
 # Anchor chains (hyperbolic orbit blocks)
 # ---------------------------------------------------------------------------
 
-def _safe_chart(params: MapParams, m):
-    try:
-        return chart(params, m)
-    except OutOfDomain:
-        return None
-
-
-def _next_anchor(params: MapParams, m, chart_m: ChartFrame, direction: str,
-                 mu_min: float = _MU_MIN, cap: int = _ANCHOR_CAP):
-    """Closest orbit point (with step count) whose block to/from ``m``
-    expands the relevant chart axis by at least ``mu_min``.
+def _next_anchor(params: MapParams, m, chart_m: ChartFrame, direction: str):
+    """Closest orbit point (with its chart and step count) whose block
+    to/from ``m`` expands the relevant chart axis by at least ``_MU_MIN``.
 
     ``direction="backward"`` walks preimages (unstable pullback chain);
-    ``"forward"`` walks images (stable chain)."""
-    j = 0
-    for j, cur in enumerate(mc.iterates(params, m, cap,
-                                        direction == "forward"), 1):
+    ``"forward"`` walks images (stable chain).  The block's derivative
+    rides along the walk, so a block of j steps costs j Jacobians."""
+    forward = direction == "forward"
+    jac, prev, j = np.eye(2), m, 0
+    for j, cur in enumerate(mc.iterates(params, m, _ANCHOR_CAP, forward), 1):
         if classify(params, cur) not in mc.ACTIVE_REGIONS:
             raise Unsupported(f"{direction} orbit of {m} leaves the active "
                               f"regions at step {j}")
-        ch = _safe_chart(params, cur)
-        if ch is None:
-            continue
+        # D f^j at the block's first point
+        jac = mc.jacobian(params, prev) @ jac if forward \
+            else jac @ mc.jacobian(params, cur)
+        prev = cur
         try:
-            if direction == "backward":
-                d = kergodic_derivative(params, ch, chart_m, j)
-                mu = float(np.linalg.norm(d[:, 0]))
+            ch = chart(params, cur)
+            if forward:
+                d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
             else:
-                d = kergodic_derivative(params, chart_m, ch, j)
-                mu = float(np.linalg.norm(np.linalg.inv(d)[:, 1]))
+                d = (chart_m.inv_basis @ jac @ ch.basis)[:, 0]
         except (OutOfDomain, np.linalg.LinAlgError):
             continue
-        if mu >= mu_min:
+        if np.linalg.norm(d) >= _MU_MIN:
             return cur, ch, j
-    if j < cap:
+    if j < _ANCHOR_CAP:
         raise Unsupported(f"{direction} orbit of {m} has no image at step "
                           f"{j + 1}")
-    raise Unsupported(f"no hyperbolic block within {cap} {direction} steps "
-                      f"of {m}")
+    raise Unsupported(f"no hyperbolic block within {_ANCHOR_CAP} {direction} "
+                      f"steps of {m}")
 
 
-def _anchors(params: MapParams, m, direction: str, n: int):
-    """The anchor chain of ``m``: (point, chart, plain steps from the
-    anchor before) for ``m`` itself (0 steps) and its next ``n``
-    anchors, lazily."""
-    anchor = (m, chart(params, m), 0)
-    yield anchor
-    for _ in range(n):
-        anchor = _next_anchor(params, *anchor[:2], direction)
-        yield anchor
+@dataclass
+class _Chain:
+    """The anchor chain of a point for one query, built as far as it is
+    read and then kept.  Entry 0 is (m, chart at m, 0); entry i + 1 is
+    the next anchor after entry i, with its plain steps from entry i.
+    ``tail(n)`` is the chain of entry n, sharing every entry built."""
+
+    params: MapParams
+    m: tuple
+    kind: str
+    entries: list = field(default_factory=list)
+    start: int = 0
+
+    def __post_init__(self):
+        self.m = (float(self.m[0]), float(self.m[1]))
+
+    def __getitem__(self, i: int):
+        if not self.entries:
+            self.entries.append((self.m, chart(self.params, self.m), 0))
+        while len(self.entries) <= self.start + i:
+            self.entries.append(_next_anchor(
+                self.params, *self.entries[-1][:2],
+                "forward" if self.kind == "stable" else "backward"))
+        return self.entries[self.start + i]
+
+    def tail(self, n: int) -> "_Chain":
+        return replace(self, m=self[n][0], start=self.start + n)
 
 
-def _pullback_curve(params: MapParams, m, kind: str, radius: float,
-                    tol: float, npts: int, max_depth: int,
+def _pullback_curve(params: MapParams, chain: _Chain, radius: float,
                     seed_slope: float) -> tuple[LipGraph, int]:
     """Iterate the graph transform along the anchor chain until two
-    successive pullbacks agree within ``tol`` in sup norm."""
-    direction = "backward" if kind == "unstable" else "forward"
-    axis = "u->s" if kind == "unstable" else "s->u"
-    chain = _anchors(params, m, direction, max_depth)
-    anchors = [next(chain)]
-    prev = None
-    prev_diff = None
-    factor = None
-    for depth, anchor in enumerate(chain, 1):
-        anchors.append(anchor)
-        g = zero_graph(anchor[1], axis, radius, npts, slope=seed_slope)
+    successive pullbacks agree within ``_TOL`` in sup norm."""
+    unstable = chain.kind == "unstable"
+    axis = "u->s" if unstable else "s->u"
+    prev = prev_diff = factor = None
+    for depth in range(1, _MAX_DEPTH + 1):
+        g = zero_graph(chain[depth][1], axis, radius, slope=seed_slope)
         for j in range(depth, 0, -1):
-            near_ch = anchors[j - 1][1]
-            far_ch = anchors[j][1]
-            k_j = anchors[j][2]
+            near_ch = chain[j - 1][1]
+            _, far_ch, k_j = chain[j]
             # the block runs from the far anchor for unstable graphs
-            src, dst = (far_ch, near_ch) if kind == "unstable" \
-                else (near_ch, far_ch)
-            g = graph_transform(params, src, dst, k_j, g, radius, npts)
+            src, dst = (far_ch, near_ch) if unstable else (near_ch, far_ch)
+            g = graph_transform(params, src, dst, k_j, g, radius, GRID_POINTS)
         if prev is not None:
             diff = g.sup_distance(prev)
             if prev_diff is not None and prev_diff > 0.0:
                 factor = diff / prev_diff
-            if diff < tol:
+            if diff < _TOL:
                 return g, depth
             prev_diff = diff
         prev = g
-    raise NoConvergence(f"graph transform did not converge in {max_depth} "
+    raise NoConvergence(f"graph transform did not converge in {_MAX_DEPTH} "
                         "pullback blocks", last_factor=factor)
 
 
@@ -374,37 +385,30 @@ def _edge_leaf(corner, kind: str, s: np.ndarray) -> np.ndarray:
     return np.column_stack([const, s] if kind == "unstable" else [s, const])
 
 
-def _axis_local(params: MapParams, m, kind: str, radius_plane: float,
-                npts: int) -> ManifoldCurve | None:
-    """Exact local leaves at the two linear fixed points."""
-    if m not in _CORNERS:
-        return None
-    t = np.linspace(0.0, radius_plane, npts)
-    pts = _edge_leaf(m, kind, t if m[0] == 0.0 else 1.0 - t[::-1])
-    meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
-            "lip_bound": 0.0, "params": _params_hash(params)}
-    return ManifoldCurve(pts, kind, meta)
-
-
-def _local_manifold(params: MapParams, m, kind: str, rho: float, tol: float,
-                    npts: int, max_depth: int, cert: Certificate | None,
-                    seed_slope: float) -> ManifoldCurve:
+def _local_manifold(params: MapParams, chain: _Chain, rho: float,
+                    cert: Certificate | None,
+                    seed_slope: float = 0.0) -> ManifoldCurve:
+    """The local leaf at the base of ``chain``; every radius it tries
+    reads the same chain."""
     if cert is None:
         cert = default_certificate(params)
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    m = (float(m[0]), float(m[1]))
-    axis_curve = _axis_local(params, m, kind,
-                             rho * cert.C3 * length_scale(params, m), npts)
-    if axis_curve is not None:
-        return axis_curve
+    m, kind = chain.m, chain.kind
+    if m in _CORNERS:
+        # exact local leaves at the two linear fixed points
+        radius_plane = rho * cert.C3 * length_scale(params, m)
+        t = np.linspace(0.0, radius_plane, GRID_POINTS)
+        pts = _edge_leaf(m, kind, t if m[0] == 0.0 else 1.0 - t[::-1])
+        meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
+                "lip_bound": 0.0, "params": _params_hash(params)}
+        return ManifoldCurve(pts, kind, meta)
     radius = rho * cert.C3
     last_err = None
     while radius >= RHO_MIN:
         try:
-            g, iters = _pullback_curve(params, m, kind, radius, tol, npts,
-                                       max_depth, seed_slope)
-            meta = {"rho_effective": radius * g.base.l, "tol": tol,
+            g, iters = _pullback_curve(params, chain, radius, seed_slope)
+            meta = {"rho_effective": radius * g.base.l, "tol": _TOL,
                     "iterations": iters, "lip_bound": g.lip_bound,
                     "params": _params_hash(params)}
             return ManifoldCurve(g.plane_points(), kind, meta)
@@ -416,20 +420,18 @@ def _local_manifold(params: MapParams, m, kind: str, rho: float, tol: float,
 
 
 def local_unstable(params: MapParams, m, rho: float = 0.5,
-                   tol: float = 1e-10, npts: int = GRID_POINTS,
-                   max_depth: int = 60, cert: Certificate | None = None,
+                   cert: Certificate | None = None,
                    seed_slope: float = 0.0) -> ManifoldCurve:
     """Local unstable manifold through ``m`` as a plane polyline."""
-    return _local_manifold(params, m, "unstable", rho, tol, npts, max_depth,
+    return _local_manifold(params, _Chain(params, m, "unstable"), rho,
                            cert, seed_slope)
 
 
 def local_stable(params: MapParams, m, rho: float = 0.5,
-                 tol: float = 1e-10, npts: int = GRID_POINTS,
-                 max_depth: int = 60, cert: Certificate | None = None,
+                 cert: Certificate | None = None,
                  seed_slope: float = 0.0) -> ManifoldCurve:
     """Local stable manifold through ``m`` (inverse-block pullback)."""
-    return _local_manifold(params, m, "stable", rho, tol, npts, max_depth,
+    return _local_manifold(params, _Chain(params, m, "stable"), rho,
                            cert, seed_slope)
 
 
@@ -642,51 +644,47 @@ def _merge_contiguous(pieces, start: int, tol: float = 1e-9):
             return chain
 
 
-def _global_manifold(params: MapParams, m, n: int, kind: str, rho: float,
-                     seg_len: float, cert: Certificate | None) -> ManifoldCurve:
-    m = (float(m[0]), float(m[1]))
-    direction = "backward" if kind == "unstable" else "forward"
+def _global_manifold(params: MapParams, chain: _Chain, n: int, rho: float,
+                     cert: Certificate | None) -> ManifoldCurve:
+    """The leaf through the base of ``chain``: the local leaf at its n-th
+    anchor (read from the chain's tail) mapped back to the base."""
+    m, kind = chain.m, chain.kind
     if m in _CORNERS:
-        pts = _edge_leaf(m, kind, np.linspace(0.0, 1.0, int(1.0 / seg_len) + 1))
+        pts = _edge_leaf(m, kind,
+                         np.linspace(0.0, 1.0, int(1.0 / _SEG_LEN) + 1))
         meta = {"rho": rho, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": _params_hash(params)}
         return ManifoldCurve(pts, kind, meta)
-    chain = list(_anchors(params, m, direction, n))
-    base = chain[-1][0]
-    local = (local_unstable if kind == "unstable" else local_stable)(
-        params, base, rho=rho, cert=cert)
-    pieces = [local.points]
-    steps = sum(k for _, _, k in chain)
+    steps = sum(chain[i][2] for i in range(1, n + 1))
+    tail = chain.tail(n)
+    local = _local_manifold(params, tail, rho, cert)
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
-        params, pieces, steps, protect=base)
-    best = None
-    best_d = math.inf
-    best_i = -1
+        params, [local.points], steps, protect=tail.m)
+    best_d, best_i = math.inf, -1
     for i, p in enumerate(pieces):
         d = float(np.min(_point_segment_distances(p, m)))
         if d < best_d:
-            best, best_d, best_i = p, d, i
-    if best is None:
+            best_d, best_i = d, i
+    if best_i < 0:
         raise NoConvergence("the advanced leaf lost its base point")
-    best = _merge_contiguous(pieces, best_i)
-    pts = _resample_max_seg(best, seg_len)
+    pts = _resample_max_seg(_merge_contiguous(pieces, best_i), _SEG_LEN)
     meta = {"rho": rho, "n": n, "steps": steps, "base_distance": best_d,
             "params": _params_hash(params)}
     return ManifoldCurve(pts, kind, meta)
 
 
 def global_unstable(params: MapParams, m, n: int, rho: float = 0.5,
-                    seg_len: float = 1e-3,
                     cert: Certificate | None = None) -> ManifoldCurve:
     """Component through ``m`` of the n-fold forward image of the local
     unstable leaf at the n-th induced preimage of ``m``."""
-    return _global_manifold(params, m, n, "unstable", rho, seg_len, cert)
+    return _global_manifold(params, _Chain(params, m, "unstable"), n,
+                            rho, cert)
 
 
 def global_stable(params: MapParams, m, n: int, rho: float = 0.5,
-                  seg_len: float = 1e-3,
                   cert: Certificate | None = None) -> ManifoldCurve:
-    return _global_manifold(params, m, n, "stable", rho, seg_len, cert)
+    return _global_manifold(params, _Chain(params, m, "stable"), n,
+                            rho, cert)
 
 
 def unstable_invariance_defect(params: MapParams, m, rho: float = 0.5,
@@ -706,8 +704,7 @@ def _invariance_defect(params: MapParams, m, kind: str, rho: float,
                        cert: Certificate | None) -> float:
     unstable = kind == "unstable"
     local = local_unstable if unstable else local_stable
-    _, (other, _, k) = _anchors(params, m,
-                                "forward" if unstable else "backward", 1)
+    other, _, k = _Chain(params, m, "stable" if unstable else "unstable")[1]
     leaf = local(params, m, rho=rho, cert=cert)
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], k, protect=m)
@@ -870,28 +867,29 @@ BRACKET_ANGLE_FLOOR = 1e-6
 
 
 def bracket(params: MapParams, m, m_prime, rho: float = 0.5,
-            cert: Certificate | None = None, max_extend: int = 6) -> Bracket:
+            cert: Certificate | None = None) -> Bracket:
     """Intersection of the stable leaf of ``m`` with the unstable leaf
     of ``m_prime`` (the local product structure), with the measured
-    transversality angle."""
-    m = (float(m[0]), float(m[1]))
-    m_prime = (float(m_prime[0]), float(m_prime[1]))
-    ws = local_stable(params, m, rho=rho, cert=cert)
-    wu = local_unstable(params, m_prime, rho=rho, cert=cert)
+    transversality angle.  The local leaves and every extension read one
+    stable chain of ``m`` and one unstable chain of ``m_prime``."""
+    stable = _Chain(params, m, "stable")
+    unstable = _Chain(params, m_prime, "unstable")
+    ws = _local_manifold(params, stable, rho, cert)
+    wu = _local_manifold(params, unstable, rho, cert)
     hits = _polyline_intersections(ws.points, wu.points)
     n = 0
-    while not hits and n < max_extend:
+    while not hits and n < _MAX_EXTEND:
         n += 2
         try:
-            ws = global_stable(params, m, n, rho=rho, cert=cert)
-            wu = global_unstable(params, m_prime, n, rho=rho, cert=cert)
+            ws = _global_manifold(params, stable, n, rho, cert)
+            wu = _global_manifold(params, unstable, n, rho, cert)
         except (Unsupported, NoConvergence) as err:
             raise NoIntersection(f"leaves too short and not extendable: "
                                  f"{err}") from err
         hits = _polyline_intersections(ws.points, wu.points)
     if not hits:
         raise NoIntersection("stable and unstable leaves do not meet "
-                             f"within {max_extend} global extensions")
+                             f"within {_MAX_EXTEND} global extensions")
     clusters: list[list] = []
     for pt, ang in hits:
         for cl in clusters:

@@ -185,56 +185,54 @@ def _carry_cone(params: MapParams, chain: list, unstable: bool):
     return vecs[0], residual
 
 
+def _deepest_carry(params: MapParams, m, walk, unstable: bool, tol: float):
+    """(unit vector, residual, depth) of the smallest residual among the
+    cones carried to ``m`` from ever deeper points of ``walk``, each drawn
+    when its depth is tried, until one is below ``tol``; the cone at ``m``
+    itself (depth 0) when the walk is empty."""
+    pts, best = [m], (None, math.inf, 0)
+    for p in walk:
+        pts.append(p)
+        vec, res = _carry_cone(params, pts[::-1], unstable)
+        if res < best[1]:
+            best = (vec, res, len(pts) - 1)
+        if res < tol:
+            break
+    if len(pts) == 1:
+        best = (*_carry_cone(params, pts, unstable), 0)
+    return best
+
+
 def direction_field(params: MapParams, m: tuple[float, float],
                     depth: int | None = None, tol: float = 1e-10) -> SplitFrame:
     """Unstable and stable unit directions at ``m``.
 
-    With an explicit ``depth`` the backward (for e_u) and forward (for
-    e_s) orbits must survive that many steps, otherwise
-    :class:`OrbitEscapes` is raised.  With ``depth=None`` the depth is
-    increased adaptively until the residual drops below ``tol`` or the
-    orbit runs out of iterates.
+    With ``depth=None`` each side walks its orbit lazily (preimages for
+    e_u, images for e_s), only as deep as the residual needs to drop
+    below ``tol``.  With an explicit ``depth`` both orbits must survive
+    that many steps, otherwise :class:`OrbitEscapes` is raised.
     """
-    # backward orbit for e_u, forward orbit for e_s
-    max_depth = depth if depth is not None else MAX_DEPTH
-    rec = mc.orbit(params, m, max_depth, max_depth)
-    if depth is not None and rec.bwd_escape is not None:
-        raise OrbitEscapes("backward", rec.bwd_escape + 1)
-    if depth is not None and rec.fwd_escape is not None:
-        raise OrbitEscapes("forward", rec.fwd_escape)
-    bwd = [m] + rec.bwd_points
-    fwd = rec.fwd_points
-    if depth is not None:
-        depths_u = [min(depth, len(bwd) - 1)]
-        depths_s = [min(depth, len(fwd) - 1)]
+    if depth is None:
+        sides = [_deepest_carry(params, m,
+                                mc.iterates(params, m, MAX_DEPTH, forward),
+                                not forward, tol)
+                 for forward in (False, True)]
     else:
-        depths_u = range(1, len(bwd)) if len(bwd) > 1 else [0]
-        depths_s = range(1, len(fwd)) if len(fwd) > 1 else [0]
-
-    best_u, best_ru, used_u = None, math.inf, 0
-    for d in depths_u:
-        chain = list(reversed(bwd[:d + 1]))
-        vec, res = _carry_cone(params, chain, True)
-        if res < best_ru:
-            best_u, best_ru, used_u = vec, res, d
-        if res < tol:
-            break
-    best_s, best_rs, used_s = None, math.inf, 0
-    for d in depths_s:
-        chain = list(reversed(fwd[:d + 1]))
-        vec, res = _carry_cone(params, chain, False)
-        if res < best_rs:
-            best_s, best_rs, used_s = vec, res, d
-        if res < tol:
-            break
-    if best_u[1] <= 0:
-        best_u = -best_u
-    if best_s[0] <= 0:
-        best_s = -best_s
-    return SplitFrame(M=m, e_u=best_u, e_s=best_s, depth_u=used_u,
-                      depth_b=used_s, l=length_scale(params, m),
-                      residual=max(best_ru, best_rs),
-                      residual_u=best_ru, residual_s=best_rs)
+        back, ahead = ([m, *mc.iterates(params, m, depth, forward)]
+                       for forward in (False, True))
+        if len(back) <= depth:
+            raise OrbitEscapes("backward", len(back))
+        if len(ahead) <= depth:
+            raise OrbitEscapes("forward", len(ahead) - 1)
+        sides = [(*_carry_cone(params, back[::-1], True), depth),
+                 (*_carry_cone(params, ahead[::-1], False), depth)]
+    (e_u, res_u, depth_u), (e_s, res_s, depth_s) = sides
+    e_u = -e_u if e_u[1] <= 0 else e_u
+    e_s = -e_s if e_s[0] <= 0 else e_s
+    return SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,
+                      depth_b=depth_s, l=length_scale(params, m),
+                      residual=max(res_u, res_s),
+                      residual_u=res_u, residual_s=res_s)
 
 
 def adapted_norm(frame: SplitFrame, v) -> float:

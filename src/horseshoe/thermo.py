@@ -181,9 +181,8 @@ def _apply_transfer(W: np.ndarray, v: np.ndarray, m: int,
     return (W * V[..., None]).sum(axis=0).reshape(-1)
 
 
-def _power_iteration(step, size: int, tol: float, v0: np.ndarray | None,
-                     max_iter: int = 100_000):
-    v = np.ones(size) / size if v0 is None else np.abs(v0) + 1e-300
+def _power_iteration(step, size: int, tol: float, max_iter: int = 100_000):
+    v = np.ones(size) / size
     v /= v.sum()
     lam = 0.0
     for _ in range(max_iter):
@@ -193,7 +192,7 @@ def _power_iteration(step, size: int, tol: float, v0: np.ndarray | None,
         if abs(new - lam) <= tol * abs(new) and np.max(np.abs(w - v)) <= tol:
             return new, w
         lam, v = new, w
-    raise RuntimeError("power iteration did not converge")
+    raise mc.IterationCap("power iteration", max_iter)
 
 
 @dataclass
@@ -221,37 +220,21 @@ class _GibbsModel:
         return pi / pi.sum()
 
 
-def _solve(cyl: CylinderPotential, tol: float = 1e-12,
-           v0: np.ndarray | None = None) -> _GibbsModel:
+def _solve(cyl: CylinderPotential, tol: float = 1e-12) -> _GibbsModel:
     m = cyl.m
     W = np.exp(cyl.values).reshape((3,) * m)
     size = max(1, 3 ** (m - 1))
     lam, right = _power_iteration(
-        lambda v: _apply_transfer(W, v, m), size, tol, v0)
+        lambda v: _apply_transfer(W, v, m), size, tol)
     _, left = _power_iteration(
-        lambda u: _apply_transfer(W, u, m, transpose=True), size, tol, v0)
+        lambda u: _apply_transfer(W, u, m, transpose=True), size, tol)
     return _GibbsModel(m=m, W=W, eigenvalue=lam, right=right, left=left)
 
 
-def pressure(cyl: CylinderPotential, tol: float = 1e-12,
-             starts: int = 1, seed: int = 0) -> float:
-    """Log of the transfer operator's leading eigenvalue.
-
-    ``starts > 1`` re-runs the iteration from random positive vectors
-    and demands agreement to 10*tol (the numerical stand-in for Perron
-    simplicity)."""
-    model = _solve(cyl, tol)
-    if starts > 1:
-        rng = np.random.default_rng(seed)
-        for _ in range(starts - 1):
-            other = _solve(cyl, tol, v0=rng.uniform(0.1, 1.0,
-                                                    size=model.states))
-            if abs(other.eigenvalue - model.eigenvalue) \
-                    > 10 * tol * model.eigenvalue:
-                raise RuntimeError("leading eigenvalue not simple")
-            if np.max(np.abs(other.right - model.right)) > 1e-10:
-                raise RuntimeError("eigenvector depends on the start")
-    return math.log(model.eigenvalue)
+def pressure(cyl: CylinderPotential, tol: float = 1e-12) -> float:
+    """Log of the transfer operator's leading eigenvalue (simple by
+    Perron-Frobenius: the de Bruijn operator is positive)."""
+    return math.log(_solve(cyl, tol).eigenvalue)
 
 
 def _chain_masses(model: _GibbsModel, k: int) -> np.ndarray:

@@ -238,6 +238,20 @@ def _canon(v):
     return v
 
 
+def _record(rows, fn, *args, **kw):
+    """Call ``fn`` and append its name and canonical result to ``rows``.
+    A typed error counts as its class name (with its step and direction,
+    and a sampler's message)."""
+    try:
+        out = fn(*args, **kw)
+    except mc.HorseshoeError as err:
+        out = (type(err).__name__, getattr(err, "step", None),
+               getattr(err, "direction", None),
+               str(err) if isinstance(err, sp.SampleError) else None)
+    rows.append((fn.__name__, _canon(out)))
+    return out
+
+
 def orbit_walk_digest(params, seed=20261019) -> str:
     """SHA-256 over the outputs of every function that walks an orbit
     segment, at seeded points: itineraries, first returns, induced steps
@@ -253,14 +267,7 @@ def orbit_walk_digest(params, seed=20261019) -> str:
     rows = []
 
     def record(fn, *args, **kw):
-        try:
-            out = fn(*args, **kw)
-        except mc.HorseshoeError as err:
-            out = (type(err).__name__, getattr(err, "step", None),
-                   getattr(err, "direction", None),
-                   str(err) if isinstance(err, sp.SampleError) else None)
-        rows.append((fn.__name__, _canon(out)))
-        return out
+        return _record(rows, fn, *args, **kw)
 
     def balls(points):
         for off in points:
@@ -325,6 +332,54 @@ ORBIT_WALK_PINS = {"ex": "1ef0aa625b4ac6bf", "strict": "676c04bf4b68728d"}
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_orbit_walks_pinned(family):
     assert orbit_walk_digest(FAMILIES[family]) == ORBIT_WALK_PINS[family]
+
+
+def leaf_digest(params, seed=20261020, count=6):
+    """SHA-256 over the leaf queries at seeded returning points (escape
+    times 1..5): local leaves, global leaves at n = 1..3 and both
+    invariance defects at each point, and brackets between nearest
+    neighbours, both ways round.  Also returns how many of those
+    brackets start from local leaves that miss each other, so that the
+    bracket has to extend them to global leaves."""
+    p = params
+    rng = np.random.default_rng(seed)
+    pts = [sp.sample_returning_point(p, rng, n1=1 + i % 5).M
+           for i in range(count)]
+    rows = []
+    local = {}
+    for m in pts:
+        for leaf in (mf.local_unstable, mf.local_stable):
+            local[leaf, m] = _record(rows, leaf, p, m)
+        for leaf in (mf.global_unstable, mf.global_stable):
+            for n in (1, 2, 3):
+                _record(rows, leaf, p, m, n)
+        _record(rows, mf.unstable_invariance_defect, p, m)
+        _record(rows, mf.stable_invariance_defect, p, m)
+    pairs = set()
+    for i, a in enumerate(pts):
+        j = min((j for j in range(count) if j != i),
+                key=lambda j: math.dist(a, pts[j]))
+        pairs.add((min(i, j), max(i, j)))
+    extended = 0
+    for i, j in sorted(pairs):
+        for a, b in ((pts[i], pts[j]), (pts[j], pts[i])):
+            _record(rows, mf.bracket, p, a, b)
+            ws, wu = local[mf.local_stable, a], local[mf.local_unstable, b]
+            if isinstance(ws, mf.ManifoldCurve) and \
+                    isinstance(wu, mf.ManifoldCurve) and \
+                    not mf._polyline_intersections(ws.points, wu.points):
+                extended += 1
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16], extended
+
+
+LEAF_PINS = {"ex": "1a97491ed2f92230", "strict": "911ee89e9444b4e4"}
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_leaf_queries_pinned(family):
+    digest, extended = leaf_digest(FAMILIES[family])
+    assert digest == LEAF_PINS[family]
+    assert extended >= 1
 
 
 def test_params_pickle_and_exact_fields():

@@ -54,8 +54,12 @@ def test_approach_time_cap_raises_typed_error():
     # its backward orbit stays in the column R1' for ever
     m = (0.765625, 5.0 / 4096)
     assert mc.in_A(REF_EX, m) and mc.parabola_offset(REF_EX, m) == 0.0
+    assert ind.approach_time(REF_EX, m) == math.inf
+    rep = ind.time_bounds_report(REF_EX, m)
+    assert rep["n2"] == math.inf and "approach_bound" not in rep
+    # the backward walk itself still stops at its cap, with a typed error
     with pytest.raises(mc.IterationCap) as err:
-        ind.approach_time(REF_EX, m)
+        mc.leave_r1(REF_EX, m, False, "approach_time")
     assert err.value.what == "approach_time"
     assert err.value.step == mc.float_range_steps(1 / REF_EX.lam) == 326
 

@@ -76,6 +76,57 @@ def test_transform_contraction_factor():
         assert factor <= bound_base ** k * 1.05
 
 
+def _block_expansions(p, m, chart_m, direction, n=12):
+    """(j, f^j(m), expansion) of the first n candidate blocks of the
+    anchor search, as the reference: each block's derivative is the
+    product of the Jacobians along the walked orbit, multiplied afresh
+    from the block's first point."""
+    forward = direction == "forward"
+    pts = [m, *mc.iterates(p, m, n, forward)]
+    out = []
+    for j in range(1, len(pts)):
+        if mc.classify(p, pts[j]) not in mc.ACTIVE_REGIONS:
+            break
+        jac = np.eye(2)
+        for q in (pts[:j] if forward else pts[j:0:-1]):
+            jac = mc.jacobian(p, q) @ jac
+        ch = chart(p, pts[j])
+        if forward:
+            d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
+        else:
+            d = (chart_m.inv_basis @ jac @ ch.basis)[:, 0]
+        out.append((j, pts[j], float(np.linalg.norm(d))))
+    return out
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_next_anchor_matches_blockwise_products(params, monkeypatch):
+    # a threshold just below a block's expansion must stop the search at
+    # that block (when no earlier block reaches it), one just above must
+    # pass it: the carried derivative has to match each block's own
+    rng = np.random.default_rng(12)
+    checked = 0
+    for i in range(6):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        ch = chart(params, m)
+        for direction in ("forward", "backward"):
+            best = 0.0
+            for j, cur, mu in _block_expansions(params, m, ch, direction):
+                if mu <= best * (1 + 1e-9):
+                    continue
+                best = mu
+                monkeypatch.setattr(mf, "_MU_MIN", mu * (1 - 1e-9))
+                got, _, k = mf._next_anchor(params, m, ch, direction)
+                assert (got, k) == (cur, j)
+                monkeypatch.setattr(mf, "_MU_MIN", mu * (1 + 1e-9))
+                try:
+                    assert mf._next_anchor(params, m, ch, direction)[2] > j
+                except mf.Unsupported:
+                    pass
+                checked += 1
+    assert checked >= 24
+
+
 # --- local manifolds ------------------------------------------------------
 
 def test_axis_leaves_at_corners():
@@ -85,6 +136,37 @@ def test_axis_leaves_at_corners():
         # unstable leaf vertical, stable horizontal, through the corner
         assert np.max(np.abs(wu.points[:, 0] - m[0])) < 1e-12
         assert np.max(np.abs(ws.points[:, 1] - m[1])) < 1e-12
+
+
+def _count_charts(monkeypatch):
+    """Points charted through the ``manifolds`` binding of ``chart``."""
+    from collections import Counter
+    seen = Counter()
+
+    def counting(params, m):
+        seen[m] += 1
+        return chart(params, m)
+
+    monkeypatch.setattr(mf, "chart", counting)
+    return seen
+
+
+def test_anchor_chain_charts_each_point_once(monkeypatch):
+    # REF_STRICT's unstable leaves need several radii; every radius
+    # reads the one chain
+    p = REF_STRICT
+    rp = sp.sample_returning_point(p, np.random.default_rng(6))
+    seen = _count_charts(monkeypatch)
+    wu = mf.local_unstable(p, rp.M)
+    first = 0.5 * mf.default_certificate(p).C3 * spl.length_scale(p, rp.M)
+    assert wu.meta["rho_effective"] <= 0.5 * first
+    assert len(seen) >= 2 and set(seen.values()) == {1}
+    # a global leaf reads its base leaf from the tail of its own chain
+    rp = sp.sample_returning_point(REF_EX, np.random.default_rng(2))
+    seen.clear()
+    ws = mf.global_stable(REF_EX, rp.M, 2)
+    assert ws.meta["steps"] >= 2
+    assert len(seen) >= 3 and set(seen.values()) == {1}
 
 
 def test_local_unstable_output_contract():

@@ -26,6 +26,15 @@ def test_variational_identity(name):
     assert abs(meas.pressure - meas.entropy - meas.integral) < 1e-9
 
 
+def test_power_iteration_cap_raises_typed_error():
+    # tol = 0 asks for an exact fixed point, which 5 steps of a
+    # non-trivial positive matrix do not reach
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(mc.IterationCap) as err:
+        thermo._power_iteration(lambda v: a @ v, 2, 0.0, max_iter=5)
+    assert err.value.what == "power iteration" and err.value.step == 5
+
+
 def test_equilibrium_state_keeps_mass():
     eq = thermo.equilibrium_state(REF_STRICT, thermo.named_potential("x"), 5)
     assert eq.mass_defect < 1e-9
