@@ -33,7 +33,7 @@ memory in flight; so each word's cover comes out box for box in the
 order a refinement of that word alone gives.  :func:`atoms` keeps the
 last eight levels built, keyed on parameters, level and resolution;
 callers get a fresh dict over shared atoms whose box arrays are
-read-only.
+read-only.  Numerical settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
 """
 
 from __future__ import annotations
@@ -457,6 +457,7 @@ _SQUARE = np.array([[0.0, 0.0, 1.0, 1.0]])
 
 #: Boxes per call of :func:`_verdicts`; bounds the arrays in flight.
 _SLICE = 8192
+_THETA_MIN_PAIRS = 8    # resolved word pairs a Hoelder fit of theta needs
 
 
 def _slices(boxes: np.ndarray, member: np.ndarray, split: bool):
@@ -626,8 +627,8 @@ def decay_table(params: MapParams, n_max: int,
                                   1.0 / math.sqrt(params.sigma))}
 
 
-def theta_holder_fit(params: MapParams, pairs, resolution: int | None = None,
-                     min_pairs: int = 8) -> dict:
+def theta_holder_fit(params: MapParams, pairs,
+                     resolution: int | None = None) -> dict:
     """Holder exponent fit for theta from word pairs.
 
     Each pair contributes the point (j, |theta(w) - theta(w')|) where j
@@ -659,9 +660,9 @@ def theta_holder_fit(params: MapParams, pairs, resolution: int | None = None,
         if d > floor:
             depths.append(j)
             dists.append(d)
-    if len(dists) < min_pairs:
+    if len(dists) < _THETA_MIN_PAIRS:
         raise ValueError(f"only {len(dists)} resolved pairs, "
-                         f"need {min_pairs}")
+                         f"need {_THETA_MIN_PAIRS}")
     slope = np.polyfit(np.array(depths, dtype=float) * math.log(0.5),
                        np.log(np.array(dists)), 1)[0]
     gamma = math.log(max(math.sqrt(params.lam),

@@ -15,6 +15,10 @@ middle of the stable segment cross the top and bottom sides of the
 polygonal ball (constant C0), parabolas through a sub-ball still cross
 (constant eps0), and the image of a small rectangle around a returning
 point crosses the target balls (constant eta).
+
+Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
+``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
+``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ from . import sampling as sp
 _VISIT_CAP = 120
 #: Step cap of the first-return searches.
 _RETURN_CAP = 4000
+_PROBE_GRID = 16        # chart grid points per axis of the distortion probe
+_PROBE_PAIRS = 60       # grid pairs the distortion probe draws
+_CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
+_ARC_SAMPLES = 1025     # heights sampled per traced piece of a side arc
+_SLICE_ITERS = 240      # bisection steps locating a surviving slice edge
+_ETA_MIN = 1e-8         # smallest eta the calibration tries
+_ETA_ITERS = 24         # log-scale bisection steps for eta
 
 
 def escape_time(params: MapParams, m: tuple[float, float]):
@@ -312,8 +323,7 @@ def _adapted_op_norm(a: np.ndarray, chart_src: ChartFrame,
 
 def distortion_probe(params: MapParams, m: tuple[float, float],
                      cert: Certificate, rng: np.random.Generator,
-                     rho: float = 1.0, n_pairs: int = 60,
-                     grid: int = 16) -> DistortionReport:
+                     rho: float = 1.0) -> DistortionReport:
     """Empirical distortion constants at a window point returning to
     the window.
 
@@ -336,7 +346,7 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     d0_probe = kergodic_derivative(params, ch_m, ch_f, k)
     exp_u = float(np.max(np.abs(d0_probe @ np.array([1.0, 0.0]))))
     a_max = min(r0, 0.98 * r0 / max(exp_u, 1.0))
-    n = grid
+    n = _PROBE_GRID
     coords_u = np.linspace(-a_max, a_max, n)
     coords_s = np.linspace(-r0, r0, n)
     valid = np.zeros((n, n), dtype=bool)
@@ -368,7 +378,7 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     worst = 0.0
     c5 = 0.0
     used = 0
-    for _ in range(n_pairs):
+    for _ in range(_PROBE_PAIRS):
         (i1, j1), (i2, j2) = (cells[int(rng.integers(0, len(cells)))]
                               for _ in range(2))
         if (i1, j1) == (i2, j2):
@@ -429,8 +439,7 @@ def crossing_probe(params: MapParams, m: tuple[float, float],
                          gamma_angle=gamma, delta=delta)
 
 
-def _parabola_crosses_segment(params: MapParams, k: float, p0, p1,
-                              tol: float = 1e-9) -> bool:
+def _parabola_crosses_segment(params: MapParams, k: float, p0, p1) -> bool:
     """Does y = c*(x-q)^2 - k meet the segment [p0, p1]?  Tangential
     grazing counts."""
     p0 = np.asarray(p0, dtype=float)
@@ -442,18 +451,18 @@ def _parabola_crosses_segment(params: MapParams, k: float, p0, p1,
     a0 = params.c * e * e - p0[1] - k
     if abs(a2) < 1e-300:
         if abs(a1) < 1e-300:
-            return abs(a0) <= tol
+            return abs(a0) <= _CROSS_TOL
         s = -a0 / a1
-        return -tol <= s <= 1.0 + tol
+        return -_CROSS_TOL <= s <= 1.0 + _CROSS_TOL
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0.0:
-        if disc > -tol * max(1.0, a1 * a1):
+        if disc > -_CROSS_TOL * max(1.0, a1 * a1):
             disc = 0.0
         else:
             return False
     root = math.sqrt(disc)
     for s in ((-a1 + root) / (2.0 * a2), (-a1 - root) / (2.0 * a2)):
-        if -tol <= s <= 1.0 + tol:
+        if -_CROSS_TOL <= s <= 1.0 + _CROSS_TOL:
             return True
     return False
 
@@ -480,8 +489,8 @@ class CrossReport:
     n_return: int | None
     details: dict = field(default_factory=dict)
 
-    def csv_row(self, fmt: str = "%.17g") -> list:
-        return [fmt % self.M[0], fmt % self.M[1], fmt % self.rho,
+    def csv_row(self) -> list:
+        return ["%.17g" % self.M[0], "%.17g" % self.M[1], "%.17g" % self.rho,
                 str(self.c0_ok).lower(), str(self.eps0_ok).lower(),
                 str(self.eta_ok).lower(),
                 "" if self.n_return is None else str(self.n_return)]
@@ -504,8 +513,7 @@ def _linspaces(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return y
 
 
-def _arc_crossings(params: MapParams, arc, n: int, segs,
-                   samples: int = 1025) -> np.ndarray:
+def _arc_crossings(params: MapParams, arc, n: int, segs) -> np.ndarray:
     """Which of the segments ``segs`` ((S, 2, 2): the endpoints of each)
     the n-step image of the vertical arc ``arc`` = (x_side, y_lo, y_hi)
     meets, as a boolean array.
@@ -516,7 +524,7 @@ def _arc_crossings(params: MapParams, arc, n: int, segs,
     itinerary, so the piece of the arc over each segment's x-span (plus
     a 5 % margin) is localized by bisection; the edges of all segments
     are solved in one lockstep bisection (:func:`_bisect_edges`).  Only
-    those pieces are sampled, ``samples`` heights each, mapped as one
+    those pieces are sampled, ``_ARC_SAMPLES`` heights each, mapped as one
     stacked array and tested against their segments in one vectorised
     pass.  A chord-level bounding box test would be unsound here: the
     arc can dip far below a chord whose endpoints sit high on both
@@ -561,7 +569,7 @@ def _arc_crossings(params: MapParams, arc, n: int, segs,
                                  np.full(len(x_t), y_lo),
                                  np.full(len(x_t), y_hi), 200)
 
-    ys = _linspaces(edges[:k], edges[k:], samples)
+    ys = _linspaces(edges[:k], edges[k:], _ARC_SAMPLES)
     px, py = image(np.full_like(ys, x_side), ys)
     # each polyline against its segment: solve p + s*r = a + t*d per chord
     ax, ay = a[live, 0], a[live, 1]
@@ -631,36 +639,18 @@ def _bisect_edges(passes, good, bad, iters: int) -> np.ndarray:
     return good
 
 
-def _surviving_interval(params: MapParams, x: float, y0: float,
-                        y_min: float, y_max: float, n: int,
-                        iters: int = 240) -> tuple[float, float]:
-    """Maximal subinterval of [y_min, y_max] around y0 whose points at
-    abscissa x follow the branch itinerary of (x, y0) for n iterations.
+def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
+    """Coordinate ``axis`` closest to ``target`` on the axis-parallel
+    segment from ``p`` whose points still follow the branch itinerary
+    ``ref`` (which ``p`` follows).
 
     Points with a different itinerary belong to a different component of
-    the surviving set, so the interval is found by bisecting against the
-    reference label sequence.
-    """
-    ref = mc.branch_sequence(params, (x, y0), n)
-    if ref is None:
-        raise OutOfDomain(f"base height {y0} does not survive {n} steps")
+    the surviving set, so the edge is found by bisecting against the
+    reference label sequence."""
+    def same(v: float) -> bool:
+        return _follows(params, *((v, p[1]) if axis == 0 else (p[0], v)), ref)
 
-    def same(y: float) -> bool:
-        return _follows(params, x, y, ref)
-
-    return (_bisect_edge(same, y0, y_min, iters),
-            _bisect_edge(same, y0, y_max, iters))
-
-
-def _surviving_x(params: MapParams, x0: float, y: float, target: float,
-                 n: int, iters: int = 240) -> float:
-    """Abscissa closest to ``target`` on the segment from x0 whose point
-    at height y still follows the branch itinerary of (x0, y)."""
-    ref = mc.branch_sequence(params, (x0, y), n)
-    if ref is None:
-        raise OutOfDomain(f"base point ({x0}, {y}) does not survive {n} steps")
-    return _bisect_edge(lambda x: _follows(params, x, y, ref),
-                        x0, target, iters)
+    return _bisect_edge(same, p[axis], target, _SLICE_ITERS)
 
 
 @dataclass
@@ -697,13 +687,8 @@ def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
-                           rho: float, cert: Certificate, *,
-                           checks: tuple = ("c0", "eps0", "eta")
-                           ) -> CrossReport:
-    """Check the crossing statements at a window point.
-
-    ``checks`` restricts the work to a subset of the three statements;
-    skipped statements report False.
+                           rho: float, cert: Certificate) -> CrossReport:
+    """Check the three crossing statements at a window point.
 
     C0 and eps0 test parabolas through the stable segment and through
     the eps0 sub-ball against the ball's bottom and top sides.  The eta
@@ -716,13 +701,14 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     segments (:func:`_arc_crossings`), and the second side is skipped
     once the first misses a segment.
     """
-    geo = _geometry(params, m, "eta" in checks)
-    return _crossing_report(params, geo, rho, cert, checks)
+    geo = _geometry(params, m, True)
+    return _crossing_report(params, geo, rho, cert, ("c0", "eps0", "eta"))
 
 
 def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
                      cert: Certificate, checks) -> CrossReport:
-    """:func:`u_crossing_certificate` on the point's geometry."""
+    """:func:`u_crossing_certificate` on the point's geometry, for the
+    statements in ``checks`` (the others report False)."""
     m = geo.M
     frame = geo.frame
     lt = rho * cert.C0 * geo.l
@@ -761,13 +747,13 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
     # component through M_n, so clip the sides to that slice.
     # at shallow returns the rectangle can be wider than the surviving
     # component; clip the horizontal extent at the base height first
-    x_lo = _surviving_x(params, m[0], m[1], x_lo, n_return)
-    x_hi = _surviving_x(params, m[0], m[1], x_hi, n_return)
+    ref = mc.branch_sequence(params, m, n_return)
+    x_lo = _surviving(params, ref, m, 0, x_lo)
+    x_hi = _surviving(params, ref, m, 0, x_hi)
     sides = []
     for x_side in (x_lo, x_hi):
-        y_a, y_b = _surviving_interval(params, x_side, m[1],
-                                       m[1] - dv / 2.0,
-                                       m[1] + dv / 2.0, n_return)
+        y_a, y_b = (_surviving(params, ref, (x_side, m[1]), 1, y)
+                    for y in (m[1] - dv / 2.0, m[1] + dv / 2.0))
         sides.append((x_side, y_a, y_b))
     # eta bounds how far the target center may sit from the actual
     # return point; the crossing must hold for every such center.
@@ -798,16 +784,15 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
 # Certificate calibration
 # ---------------------------------------------------------------------------
 
-def _largest_passing(predicate, lo: float = 1e-8, hi: float = 1.0,
-                     iters: int = 24) -> float | None:
-    """Largest value in [lo, hi] passing a monotone predicate (log-scale
-    bisection)."""
+def _largest_passing(predicate, hi: float) -> float | None:
+    """Largest value in [``_ETA_MIN``, hi] passing a monotone predicate
+    (log-scale bisection)."""
     if predicate(hi):
         return hi
-    if not predicate(lo):
+    if not predicate(_ETA_MIN):
         return None
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(iters):
+    a, b = math.log(_ETA_MIN), math.log(hi)
+    for _ in range(_ETA_ITERS):
         mid = 0.5 * (a + b)
         if predicate(math.exp(mid)):
             a = mid
@@ -912,8 +897,7 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
         t = trial.with_updates(eta=et)
         return eta_ok(t)
 
-    eta = 0.8 * (_largest_passing(eta_pred,
-                                  hi=min(1.0, 1.0 / (320.0 * p.c)))
+    eta = 0.8 * (_largest_passing(eta_pred, min(1.0, 1.0 / (320.0 * p.c)))
                  or cert.eta)
 
     c5 = 0.0

@@ -23,6 +23,11 @@ on exact rationals for the pair).  The module ends with the
 non-expansiveness demonstration: an explicit pair of distinct points on
 the bottom edge, symmetric about the tangency abscissa, whose full
 orbits stay within any prescribed distance of each other.
+
+Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
+``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
+``_MAX_EXTEND``, ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``,
+``_SCAN_ROUNDS`` and ``_SIMPLE_TOL``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ _MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
 _ANCHOR_CAP = 2000  # orbit steps searched for one block
 _SEG_LEN = 1e-3     # longest segment of a resampled global leaf
 _MAX_EXTEND = 6     # deepest global extension (induced steps) of a bracket
+_MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
+_MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
+_END_TOL = 1e-9     # curve ends this close meet (or reach an edge)
+_SCAN_ROUNDS = 60   # zoom rounds of the survivor scan for mixing seeds
+_SIMPLE_TOL = 1e-12  # self-crossings closer to a segment start are joints
 
 
 class NoConvergence(mc.HorseshoeError, RuntimeError):
@@ -150,8 +160,8 @@ class LipGraph:
 
 
 def zero_graph(base: ChartFrame, axis: str, radius: float,
-               npts: int = GRID_POINTS, slope: float = 0.0) -> LipGraph:
-    grid = np.linspace(-radius, radius, npts)
+               slope: float = 0.0) -> LipGraph:
+    grid = np.linspace(-radius, radius, GRID_POINTS)
     return LipGraph(base, axis, grid, slope * grid)
 
 
@@ -182,7 +192,7 @@ class ManifoldCurve:
         """Distance from ``p`` to the polyline."""
         return float(np.min(_point_segment_distances(self.points, p)))
 
-    def is_simple(self, tol: float = 1e-12) -> bool:
+    def is_simple(self) -> bool:
         """No transversal self-intersection between non-adjacent
         segments (quadratic scan; subsampled beyond 800 points)."""
         pts = self.points
@@ -197,7 +207,7 @@ class ManifoldCurve:
                 if i == 0 and j == n - 3:
                     continue  # closed-up ends of a nearly closed curve
                 d = math.hypot(pt[0] - a[i][0], pt[1] - a[i][1])
-                if d > tol:
+                if d > _SIMPLE_TOL:
                     return False
         return True
 
@@ -226,9 +236,7 @@ def _params_hash(params: MapParams) -> str:
 # ---------------------------------------------------------------------------
 
 def graph_transform(params: MapParams, chart_m: ChartFrame,
-                    chart_fm: ChartFrame, k: int, s: LipGraph,
-                    radius: float | None = None,
-                    npts: int | None = None) -> LipGraph:
+                    chart_fm: ChartFrame, k: int, s: LipGraph) -> LipGraph:
     """One graph-transform step along the block f^k: M -> F(M).
 
     For an unstable graph (``u->s``) the input lives at M and the output
@@ -240,12 +248,8 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
     inner inverse of the axis projection is piecewise-linear
     interpolation on the transported grid, valid because the projection
     is monotone; a monotonicity or coverage failure signals a too-large
-    radius.
+    radius.  The output graph lives on the input graph's grid.
     """
-    if radius is None:
-        radius = s.radius
-    if npts is None:
-        npts = len(s.grid)
     regs = mc.branch_sequence(params, chart_m.M, k)
     if regs is None:
         raise Unsupported(f"block orbit of {chart_m.M} leaves the branches")
@@ -272,11 +276,10 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
     elif not np.all(d > 0.0):
         raise MonotonicityError("axis projection of the transformed graph "
                                 "is not monotone")
-    if prim[0] > -radius or prim[-1] < radius:
+    if prim[0] > s.grid[0] or prim[-1] < s.grid[-1]:
         raise MonotonicityError("transformed graph does not cover the "
                                 "target interval")
-    grid = np.linspace(-radius, radius, npts)
-    return LipGraph(dst_chart, s.axis, grid, np.interp(grid, prim, secd))
+    return LipGraph(dst_chart, s.axis, s.grid, np.interp(s.grid, prim, secd))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,7 @@ def _pullback_curve(params: MapParams, chain: _Chain, radius: float,
             _, far_ch, k_j = chain[j]
             # the block runs from the far anchor for unstable graphs
             src, dst = (far_ch, near_ch) if unstable else (near_ch, far_ch)
-            g = graph_transform(params, src, dst, k_j, g, radius, GRID_POINTS)
+            g = graph_transform(params, src, dst, k_j, g)
         if prev is not None:
             diff = g.sup_distance(prev)
             if prev_diff is not None and prev_diff > 0.0:
@@ -498,11 +501,10 @@ def _resample_count(pts: np.ndarray, n: int) -> np.ndarray:
                      np.interp(t, s, pts[:, 1])], axis=1)
 
 
-def _resample_max_seg(pts: np.ndarray, max_seg: float,
-                      cap: int = 200000) -> np.ndarray:
+def _resample_max_seg(pts: np.ndarray, max_seg: float) -> np.ndarray:
     seg = np.hypot(*np.diff(pts, axis=0).T)
     total = float(np.sum(seg))
-    n = min(cap, max(len(pts), int(math.ceil(total / max_seg)) + 1))
+    n = min(_MAX_RESAMPLE, max(len(pts), int(math.ceil(total / max_seg)) + 1))
     return _resample_count(pts, n)
 
 
@@ -524,13 +526,13 @@ def _levels(params: MapParams, bands: bool) -> list:
 
 
 def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
-                   max_pieces: int = 256, protect=None) -> list:
+                   protect=None) -> list:
     """Push polyline pieces ``steps`` plain-map iterates forward.
 
     Pieces are cut at the horizontal strip boundaries (and at the
     tangency level, so parabola images stay monotone), inactive parts
     are dropped, images are clipped back to the unit square.  When the
-    piece count exceeds ``max_pieces`` only the longest survive; a piece
+    piece count exceeds ``_MAX_PIECES`` only the longest survive; a piece
     passing through the forward orbit of ``protect`` is always kept."""
     prot = None if protect is None else (float(protect[0]), float(protect[1]))
     for _ in range(steps):
@@ -550,7 +552,7 @@ def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
                         nxt.append(piece)
         if prot is not None:
             prot = apply(params, prot)
-        pieces = _prune_pieces(nxt, max_pieces, prot)
+        pieces = _prune_pieces(nxt, prot)
     return pieces
 
 
@@ -569,7 +571,7 @@ def _inverse_branches(params: MapParams, pts: np.ndarray) -> list:
 
 
 def retreat_pieces(params: MapParams, pieces: list, steps: int = 1,
-                   max_pieces: int = 256, protect=None) -> list:
+                   protect=None) -> list:
     """Pull polyline pieces ``steps`` iterates backward through the
     inverse branches, splitting at the image-band boundaries (and at the
     parabola-offset levels bounding the parabolic image region)."""
@@ -592,17 +594,17 @@ def retreat_pieces(params: MapParams, pieces: list, steps: int = 1,
             prot = apply_inverse(params, prot)
             if prot is not None:
                 prot = (float(prot[0]), float(prot[1]))
-        pieces = _prune_pieces(nxt, max_pieces, prot)
+        pieces = _prune_pieces(nxt, prot)
     return pieces
 
 
-def _prune_pieces(pieces: list, max_pieces: int, protect) -> list:
-    if len(pieces) <= max_pieces:
+def _prune_pieces(pieces: list, protect) -> list:
+    if len(pieces) <= _MAX_PIECES:
         return pieces
     lengths = [float(np.sum(np.hypot(*np.diff(p, axis=0).T)))
                for p in pieces]
     order = np.argsort(lengths)[::-1]
-    keep = set(order[:max_pieces].tolist())
+    keep = set(order[:_MAX_PIECES].tolist())
     if protect is not None:
         for i, p in enumerate(pieces):
             if i not in keep and \
@@ -615,7 +617,7 @@ def _prune_pieces(pieces: list, max_pieces: int, protect) -> list:
 # Global manifolds
 # ---------------------------------------------------------------------------
 
-def _merge_contiguous(pieces, start: int, tol: float = 1e-9):
+def _merge_contiguous(pieces, start: int):
     """Concatenate pieces that share an endpoint with the selected one.
 
     Mapping cuts polylines at strip and band levels, so a connected leaf
@@ -631,7 +633,7 @@ def _merge_contiguous(pieces, start: int, tol: float = 1e-9):
                 for flip in (False, True):
                     q = p[::-1] if flip else p
                     if math.hypot(q[0, 0] - endpoint[0],
-                                  q[0, 1] - endpoint[1]) <= tol:
+                                  q[0, 1] - endpoint[1]) <= _END_TOL:
                         hits.append((i, q))
             if len(hits) == 1:
                 i, q = hits[0]
@@ -925,11 +927,10 @@ def _clip_to_disk(pts: np.ndarray, disk: Disk) -> list[np.ndarray]:
             if disk.contains(p[len(p) // 2])]
 
 
-def _surviving_parameter(survive, lo: float, hi: float,
-                         depth: int, rounds: int = 60):
+def _surviving_parameter(survive, lo: float, hi: float, depth: int):
     """Greedy nested search for a parameter whose survival count
     reaches ``depth`` (survival sets are nested intervals)."""
-    for _ in range(rounds):
+    for _ in range(_SCAN_ROUNDS):
         ts = np.linspace(lo, hi, 65)
         scores = [survive(float(t)) for t in ts]
         best = int(np.argmax(scores))
@@ -991,10 +992,10 @@ def _seed_arcs(params: MapParams, disk: Disk, kind: str, rho: float,
     return [s for s in seeds if len(s) >= 2]
 
 
-def _spanning_piece(pieces: list, axis: int, tol: float = 1e-9):
+def _spanning_piece(pieces: list, axis: int):
     for p in pieces:
         v = p[:, axis]
-        if np.min(v) <= tol and np.max(v) >= 1.0 - tol:
+        if np.min(v) <= _END_TOL and np.max(v) >= 1.0 - _END_TOL:
             return p
     return None
 

@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 ARCTAN_PI_10 = math.atan(math.pi / 10.0)
+CHI = 1.0   # configured cone angle constant: certificate, ``estimc3`` check
 
 #: Exact for ``Fraction`` fields; against a float it rounds to 2.0/3.0.
 _TWO_THIRDS = Fraction(2, 3)
@@ -243,9 +244,13 @@ def parabola_offset(params: MapParams, p) -> float:
     """Offset K such that ``p`` lies on the parabola y = c*(x-q)**2 - K.
 
     This is the coordinate of the parabolic band R4' (it equals lam*x
-    at the preimage), so it works on every arithmetic of the table."""
+    at the preimage), so it works on every arithmetic of the table.
+    Floats and arrays square by correctly rounded multiplication (a
+    float ``** 2`` is libm ``pow``); intervals keep their exact ``** 2``."""
     x, y = p
-    return params.c * (x - params.q) ** 2 - y
+    d = x - params.q
+    sq = d * d if isinstance(d, (float, np.ndarray)) else d ** 2
+    return params.c * sq - y
 
 
 def _r4_forward(p, x, y, csq=_csq):
@@ -605,12 +610,12 @@ class ValidationReport:
         return json.dumps(payload, indent=2)
 
 
-def validate(params: MapParams, chi: float = 1.0) -> ValidationReport:
+def validate(params: MapParams) -> ValidationReport:
     """Check every parameter constraint; hard failures make the set invalid,
     soft failures only produce warnings.
 
-    ``chi`` is the angle constant used by the sufficient-condition check
-    on the cone estimates (stored in the certificate once calibrated).
+    The sufficient-condition check on the cone estimates uses the
+    configured angle constant :data:`CHI` of the certificate.
     """
     p = params
     checks = []
@@ -650,8 +655,14 @@ def validate(params: MapParams, chi: float = 1.0) -> ValidationReport:
 
     # sup over 0 < x < lam of (3cx^2)^(1+1/b) / (c*chi*x^2) is at x = lam
     lhs = (3.0 * p.c * p.lam ** 2) ** (1.0 + 1.0 / p.b)
-    rhs = p.c * chi * p.lam ** 2
-    add("estimc3", "soft", lhs < rhs, lhs, f"< {rhs:.6g} (chi={chi:g})")
+    rhs = p.c * CHI * p.lam ** 2
+    add("estimc3", "soft", lhs < rhs, lhs, f"< {rhs:.6g} (chi={CHI:g})")
+
+    # the wing tips of the lowest image parabola (offset lam) must reach
+    # over R1, or cycles such as R1 -> R5 -> R4 have no orbit (REF_EX)
+    crossing = wing - p.lam - p.inv_sigma
+    add("full_crossing", "soft", crossing > 0.0, crossing,
+        "> 0 (wings cross R1 fully: c*w_max^2 - lambda - 1/sigma)")
 
     return ValidationReport(checks)
 
@@ -730,7 +741,7 @@ def default_certificate(params: MapParams) -> Certificate:
     return Certificate(
         chi0=4.0,
         chi1=0.5,
-        chi=1.0,
+        chi=CHI,
         C0=0.25,
         eps0=0.25,
         eta=min(0.25, 1.0 / (320.0 * p.c)),

@@ -21,6 +21,7 @@ by direct iteration:
 All samplers draw from a caller-provided ``numpy.random.Generator`` and
 raise :class:`SampleError` only if verification keeps failing, which
 for valid parameters indicates a bug rather than bad luck.
+Numerical settings: ``_UNSTABLE_OCTAVES`` and ``_STABLE_OCTAVES``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ import numpy as np
 
 from . import map_core as mc
 from .map_core import MapParams, Region, classify, apply, in_A
+
+
+_UNSTABLE_OCTAVES = 12     # dyadic distance scales of unstable pairs
+_STABLE_OCTAVES = 10       # and of stable pairs
 
 
 class SampleError(mc.HorseshoeError, RuntimeError):
@@ -195,14 +200,14 @@ def _dyadic_gap(rng: np.random.Generator, width: float, n_octaves: int):
 
 
 def holder_pairs_unstable(params: MapParams, rng: np.random.Generator,
-                          count: int, n_octaves: int = 12) -> list:
+                          count: int) -> list:
     """Point pairs of A at dyadically spread distances, for regularity
     fits of the unstable direction.
 
     Both points of a pair sit on one parabola whose offset is chosen in
     ``lam * [R3-band]``, so each has a guaranteed backward chain and a
     well-resolved unstable direction.  Pair distances run through
-    ``n_octaves`` dyadic scales below the wing width.
+    ``_UNSTABLE_OCTAVES`` dyadic scales below the wing width.
     """
     p = params
     pairs = []
@@ -212,7 +217,7 @@ def holder_pairs_unstable(params: MapParams, rng: np.random.Generator,
         k0 = _chain_offset(p, rng)
         a_lo = math.sqrt(k0 / p.c) * (1.0 + 1e-9)
         a_hi = math.sqrt((k0 + p.inv_sigma) / p.c) * (1.0 - 1e-9)
-        d = _dyadic_gap(rng, a_hi - a_lo, n_octaves)
+        d = _dyadic_gap(rng, a_hi - a_lo, _UNSTABLE_OCTAVES)
         if d is None:
             continue
         a = float(rng.uniform(a_lo, a_hi - d))
@@ -227,7 +232,7 @@ def holder_pairs_unstable(params: MapParams, rng: np.random.Generator,
 
 
 def holder_pairs_stable(params: MapParams, rng: np.random.Generator,
-                        count: int, n_octaves: int = 10) -> list:
+                        count: int) -> list:
     """Point pairs inside the tangency strip R4 at dyadic vertical
     distances, for regularity fits of the stable direction.
 
@@ -243,7 +248,7 @@ def holder_pairs_stable(params: MapParams, rng: np.random.Generator,
         x = float(rng.uniform(0.1, 0.9))
         w_lo = math.sqrt(p.lam * x / p.c) * (1.0 + 1e-9)
         w_hi = math.sqrt((p.lam * x + p.inv_sigma) / p.c) * (1.0 - 1e-9)
-        d = _dyadic_gap(rng, w_hi - w_lo, n_octaves)
+        d = _dyadic_gap(rng, w_hi - w_lo, _STABLE_OCTAVES)
         if d is None:
             continue
         w = float(rng.uniform(w_lo, w_hi - d))

@@ -9,6 +9,10 @@ finite orbit segments (power iteration with per-step renormalization)
 together with an explicit residual certificate: the residual bounds the
 angle between the reported direction and anything else surviving in the
 pushed cone.
+
+Numerical settings are module constants: ``MAX_DEPTH``, ``_TOL``,
+``_CONE_SAMPLES``, ``_RETURN_CAP``, ``_HOLDER_RESIDUAL``,
+``_HOLDER_FLOOR`` and ``_HOLDER_MIN_PAIRS``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ from .map_core import (MapParams, OrbitEscapes, OutOfDomain, classify,
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
 MAX_DEPTH = 60
+_TOL = 1e-10                # residual that ends a side's cone carrying
+_CONE_SAMPLES = 7           # interior directions per cone in the return check
+_RETURN_CAP = 200           # step cap of the cone-return check
+_HOLDER_RESIDUAL = 1e-8     # frames resolved worse are left out of a fit
+_HOLDER_FLOOR = 1e-12       # direction gaps below this are left out
+_HOLDER_MIN_PAIRS = 100     # resolved pairs a Hoelder fit needs
 
 
 def length_scale(params: MapParams, m: tuple[float, float]) -> float:
@@ -185,48 +195,35 @@ def _carry_cone(params: MapParams, chain: list, unstable: bool):
     return vecs[0], residual
 
 
-def _deepest_carry(params: MapParams, m, walk, unstable: bool, tol: float):
+def _deepest_carry(params: MapParams, m, walk, unstable: bool):
     """(unit vector, residual, depth) of the smallest residual among the
     cones carried to ``m`` from ever deeper points of ``walk``, each drawn
-    when its depth is tried, until one is below ``tol``; the cone at ``m``
-    itself (depth 0) when the walk is empty."""
+    when its depth is tried, until one is below ``_TOL``; the cone at
+    ``m`` itself (depth 0) when the walk is empty."""
     pts, best = [m], (None, math.inf, 0)
     for p in walk:
         pts.append(p)
         vec, res = _carry_cone(params, pts[::-1], unstable)
         if res < best[1]:
             best = (vec, res, len(pts) - 1)
-        if res < tol:
+        if res < _TOL:
             break
     if len(pts) == 1:
         best = (*_carry_cone(params, pts, unstable), 0)
     return best
 
 
-def direction_field(params: MapParams, m: tuple[float, float],
-                    depth: int | None = None, tol: float = 1e-10) -> SplitFrame:
+def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     """Unstable and stable unit directions at ``m``.
 
-    With ``depth=None`` each side walks its orbit lazily (preimages for
-    e_u, images for e_s), only as deep as the residual needs to drop
-    below ``tol``.  With an explicit ``depth`` both orbits must survive
-    that many steps, otherwise :class:`OrbitEscapes` is raised.
+    Each side walks its orbit lazily (preimages for e_u, images for
+    e_s), at most ``MAX_DEPTH`` steps and only as deep as the residual
+    needs to drop below ``_TOL``.
     """
-    if depth is None:
-        sides = [_deepest_carry(params, m,
-                                mc.iterates(params, m, MAX_DEPTH, forward),
-                                not forward, tol)
-                 for forward in (False, True)]
-    else:
-        back, ahead = ([m, *mc.iterates(params, m, depth, forward)]
-                       for forward in (False, True))
-        if len(back) <= depth:
-            raise OrbitEscapes("backward", len(back))
-        if len(ahead) <= depth:
-            raise OrbitEscapes("forward", len(ahead) - 1)
-        sides = [(*_carry_cone(params, back[::-1], True), depth),
-                 (*_carry_cone(params, ahead[::-1], False), depth)]
-    (e_u, res_u, depth_u), (e_s, res_s, depth_s) = sides
+    (e_u, res_u, depth_u), (e_s, res_s, depth_s) = (
+        _deepest_carry(params, m, mc.iterates(params, m, MAX_DEPTH, forward),
+                       not forward)
+        for forward in (False, True))
     e_u = -e_u if e_u[1] <= 0 else e_u
     e_s = -e_s if e_s[0] <= 0 else e_s
     return SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,
@@ -259,27 +256,26 @@ class ReturnReport:
     min_contraction_s: float
     bound_s: float
 
-    def csv_row(self, fmt: str = "%.17g") -> list:
-        return [fmt % self.M[0], fmt % self.M[1], str(self.n),
-                str(self.inclusion).lower(), fmt % self.min_expansion_u,
-                fmt % self.bound_u, fmt % self.min_contraction_s,
-                fmt % self.bound_s]
+    def csv_row(self) -> list:
+        return ["%.17g" % self.M[0], "%.17g" % self.M[1], str(self.n),
+                str(self.inclusion).lower(), "%.17g" % self.min_expansion_u,
+                "%.17g" % self.bound_u, "%.17g" % self.min_contraction_s,
+                "%.17g" % self.bound_s]
 
 
-def _cone_unit_vectors(cone: Cone, n_interior: int = 7):
-    """Boundary rays plus interior samples of a cone."""
+def _cone_unit_vectors(cone: Cone):
+    """Boundary rays plus ``_CONE_SAMPLES`` interior samples of a cone."""
     r0, r1 = cone.boundary_rays()
     a0 = math.atan2(r0[1], r0[0])
     a1 = math.atan2(r1[1], r1[0])
     vecs = []
-    for i in range(n_interior + 2):
-        a = a0 + (a1 - a0) * i / (n_interior + 1)
+    for i in range(_CONE_SAMPLES + 2):
+        a = a0 + (a1 - a0) * i / (_CONE_SAMPLES + 1)
         vecs.append(np.array([math.cos(a), math.sin(a)]))
     return vecs
 
 
-def verify_cone_return(params: MapParams, m: tuple[float, float],
-                       max_steps: int = 200) -> ReturnReport:
+def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnReport:
     """Check the cone lemma along the first return of ``m`` to A.
 
     The unstable cone at M must map strictly into the unstable cone at
@@ -290,7 +286,7 @@ def verify_cone_return(params: MapParams, m: tuple[float, float],
     """
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
-    n, pts = mc.first_return(params, m, max_steps)
+    n, pts = mc.first_return(params, m, _RETURN_CAP)
     jacs = [jacobian(params, p) for p in pts[:-1]]
 
     cone_u = unstable_cone(params, m)
@@ -340,9 +336,7 @@ class HolderFit:
     bins: list  # (dist_bin_exponent, mean_dir_gap, count)
 
 
-def holder_fit(params: MapParams, pairs: list, which: str = "u",
-               residual_tol: float = 1e-8, variation_floor: float = 1e-12,
-               min_pairs: int = 100) -> HolderFit:
+def holder_fit(params: MapParams, pairs: list, which: str = "u") -> HolderFit:
     """Hoelder fit of a direction field over point pairs.
 
     ``pairs`` are (z, z') tuples; ``which`` selects ``"u"`` or ``"s"``.
@@ -360,16 +354,17 @@ def holder_fit(params: MapParams, pairs: list, which: str = "u",
         fb = direction_field(params, zp)
         ra = fa.residual_u if which == "u" else fa.residual_s
         rb = fb.residual_u if which == "u" else fb.residual_s
-        if ra > residual_tol or rb > residual_tol:
+        if ra > _HOLDER_RESIDUAL or rb > _HOLDER_RESIDUAL:
             continue
         ea, eb = (fa.e_u, fb.e_u) if which == "u" else (fa.e_s, fb.e_s)
         gap = direction_gap(ea, eb)
         dist = math.hypot(z[0] - zp[0], z[1] - zp[1])
-        if gap < variation_floor or dist <= 0.0:
+        if gap < _HOLDER_FLOOR or dist <= 0.0:
             continue
         rows.append((dist, gap))
-    if len(rows) < min_pairs:
-        raise ValueError(f"only {len(rows)} resolved pairs (need {min_pairs})")
+    if len(rows) < _HOLDER_MIN_PAIRS:
+        raise ValueError(f"only {len(rows)} resolved pairs "
+                         f"(need {_HOLDER_MIN_PAIRS})")
     binned = {}
     for dist, gap in rows:
         k = int(math.floor(-math.log2(dist)))

@@ -10,6 +10,9 @@ the symbolic and the planar picture.
 Everything at memory m lives on plain arrays indexed by base-3 word
 codes (most significant digit first), so the operator applications are
 tensor contractions rather than sparse matrices.
+
+Numerical settings are module constants: ``_TOL``, ``_MAX_ITER``,
+``_SPOT_PAIRS`` and ``_SPOT_SEED``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .map_core import (MapParams, OrbitEscapes, apply, jacobian,
 
 #: The affine branches by the coding symbol of their image band.
 _AFFINE = {br.symbols[0]: br for br in mc.BRANCHES if not br.parabolic}
+
+_TOL = 1e-12            # power iteration: relative eigenvalue and vector change
+_MAX_ITER = 100_000     # power iteration step cap
+_SPOT_PAIRS = 200       # random pairs of a potential's Holder spot check
+_SPOT_SEED = 0
 
 
 class PotentialError(mc.HorseshoeError, ValueError):
@@ -51,10 +59,10 @@ class Potential:
     def __call__(self, p) -> float:
         return float(self.evaluator(p))
 
-    def spot_check(self, samples: int = 200, seed: int = 0) -> None:
+    def spot_check(self) -> None:
         """Sample random pairs and reject if the declared bound fails."""
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
+        rng = np.random.default_rng(_SPOT_SEED)
+        for _ in range(_SPOT_PAIRS):
             p = (rng.uniform(), rng.uniform())
             q = (rng.uniform(), rng.uniform())
             gap = abs(self(p) - self(q))
@@ -170,7 +178,7 @@ def pull_back(params: MapParams, phi: Potential, m: int,
 # ---------------------------------------------------------------------------
 
 def _apply_transfer(W: np.ndarray, v: np.ndarray, m: int,
-                    transpose: bool = False) -> np.ndarray:
+                    transpose: bool) -> np.ndarray:
     """Push a state vector forward: sum over the oldest symbol (with
     ``transpose``, the transpose action: sum over the appended one)."""
     if m == 1:
@@ -181,18 +189,29 @@ def _apply_transfer(W: np.ndarray, v: np.ndarray, m: int,
     return (W * V[..., None]).sum(axis=0).reshape(-1)
 
 
-def _power_iteration(step, size: int, tol: float, max_iter: int = 100_000):
+def _power_iteration(step, size: int):
     v = np.ones(size) / size
     v /= v.sum()
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = step(v)
         new = float(w.sum())
         w /= new
-        if abs(new - lam) <= tol * abs(new) and np.max(np.abs(w - v)) <= tol:
+        if abs(new - lam) <= _TOL * abs(new) and np.max(np.abs(w - v)) <= _TOL:
             return new, w
         lam, v = new, w
-    raise mc.IterationCap("power iteration", max_iter)
+    raise mc.IterationCap("power iteration", _MAX_ITER)
+
+
+def _leading(W: np.ndarray, m: int, transpose: bool):
+    """(leading eigenvalue, normalized eigenvector) of the transfer
+    operator of the weights ``W`` (of its transpose with ``transpose``)."""
+    return _power_iteration(lambda v: _apply_transfer(W, v, m, transpose),
+                            max(1, 3 ** (m - 1)))
+
+
+def _weights(cyl: CylinderPotential) -> np.ndarray:
+    return np.exp(cyl.values).reshape((3,) * cyl.m)
 
 
 @dataclass
@@ -220,21 +239,17 @@ class _GibbsModel:
         return pi / pi.sum()
 
 
-def _solve(cyl: CylinderPotential, tol: float = 1e-12) -> _GibbsModel:
-    m = cyl.m
-    W = np.exp(cyl.values).reshape((3,) * m)
-    size = max(1, 3 ** (m - 1))
-    lam, right = _power_iteration(
-        lambda v: _apply_transfer(W, v, m), size, tol)
-    _, left = _power_iteration(
-        lambda u: _apply_transfer(W, u, m, transpose=True), size, tol)
-    return _GibbsModel(m=m, W=W, eigenvalue=lam, right=right, left=left)
+def _solve(cyl: CylinderPotential) -> _GibbsModel:
+    W = _weights(cyl)
+    lam, right = _leading(W, cyl.m, False)
+    _, left = _leading(W, cyl.m, True)
+    return _GibbsModel(m=cyl.m, W=W, eigenvalue=lam, right=right, left=left)
 
 
-def pressure(cyl: CylinderPotential, tol: float = 1e-12) -> float:
+def pressure(cyl: CylinderPotential) -> float:
     """Log of the transfer operator's leading eigenvalue (simple by
     Perron-Frobenius: the de Bruijn operator is positive)."""
-    return math.log(_solve(cyl, tol).eigenvalue)
+    return math.log(_leading(_weights(cyl), cyl.m, False)[0])
 
 
 def _chain_masses(model: _GibbsModel, k: int) -> np.ndarray:
@@ -288,37 +303,37 @@ def _entropy_of(masses: np.ndarray) -> float:
     return float(-np.sum(mz * np.log(mz)))
 
 
-def _gibbs_constant(model: _GibbsModel, masses: dict,
-                    samples: int = 200, seed: int = 0) -> float:
-    """Empirical bound for mass / exp(-kP + Birkhoff sum) on random
-    words a little longer than the memory."""
-    rng = np.random.default_rng(seed)
-    m = model.m
-    logs = []
-    for _ in range(samples):
-        k = m + int(rng.integers(0, 3))
-        word = tuple(rng.integers(0, 3, size=k))
-        mass = masses[k][_code_of_word(word)]
-        birkhoff = sum(
-            math.log(model.W.reshape(-1)[_code_of_word(word[i:i + m])])
-            for i in range(k - m + 1))
-        gibbs = math.exp(-k * math.log(model.eigenvalue) + birkhoff)
-        logs.append(abs(math.log(mass / gibbs)))
-    return float(math.exp(max(logs)))
+def _gibbs_constant(model: _GibbsModel, masses: np.ndarray) -> float:
+    """Gibbs constant at word length m: the largest factor, either way,
+    between the mass of an m-word w and exp(-mP + S_m phi(x)) over all x
+    in [w].  Of the m windows of S_m phi, the m - 1 that run past w are
+    bounded over every continuation by a max-plus (min-plus) pass over
+    the (m-1)-symbol states."""
+    m, S = model.m, model.states
+    phi = np.log(model.W).reshape(S, 3)
+    nxt = np.arange(3 * S).reshape(S, 3) % S
+    hi = lo = np.zeros(S)
+    for _ in range(m - 1):
+        hi = np.max(phi + hi[nxt], axis=1)
+        lo = np.min(phi + lo[nxt], axis=1)
+    tail = nxt.reshape(-1)          # state of each m-word's last m-1 symbols
+    base = np.log(masses) + m * math.log(model.eigenvalue) - phi.reshape(-1)
+    worst = np.maximum(np.abs(base - lo[tail]), np.abs(base - hi[tail]))
+    return float(math.exp(np.max(worst)))
 
 
-def gibbs_measure(cyl: CylinderPotential, tol: float = 1e-12) -> CylinderMeasure:
+def gibbs_measure(cyl: CylinderPotential) -> CylinderMeasure:
     """Invariant Gibbs measure of the finite-memory potential."""
-    model = _solve(cyl, tol)
+    model = _solve(cyl)
     m = model.m
-    masses = {k: _chain_masses(model, k) for k in range(m - 1, m + 3)}
+    masses = {k: _chain_masses(model, k) for k in (m, m + 1)}
     integral = float(np.dot(masses[m], cyl.values))
     h = _entropy_of(masses[m + 1]) - _entropy_of(masses[m])
     return CylinderMeasure(
         m=m, masses=masses[m], masses_next=masses[m + 1],
         pressure=math.log(model.eigenvalue), entropy=h, integral=integral,
         variation_bound=cyl.variation_bound,
-        gibbs_C=_gibbs_constant(model, masses))
+        gibbs_C=_gibbs_constant(model, masses[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +369,7 @@ class EquilibriumState:
 
 
 def equilibrium_state(params: MapParams, phi: Potential, m: int,
-                      resolution: int | None = None,
-                      tol: float = 1e-12) -> EquilibriumState:
+                      resolution: int | None = None) -> EquilibriumState:
     """Gibbs measure of the pulled-back potential, pushed forward to the
     level-n atoms (n = (m-1)//2) by marginalizing cylinder masses.
 
@@ -363,7 +377,7 @@ def equilibrium_state(params: MapParams, phi: Potential, m: int,
     canonical (lower-symbol) word; cylinders whose atoms are empty are
     reassigned to the nearest nonempty word and reported."""
     cyl = pull_back(params, phi, m, resolution)
-    measure = gibbs_measure(cyl, tol)
+    measure = gibbs_measure(cyl)
     n = (m - 1) // 2
     level = coding.atoms(params, n, resolution)
     atom_masses: dict = {}
@@ -410,7 +424,10 @@ def shift_orbit_point(params: MapParams, past, future):
     x = 0.5
     for s in past:   # affine abscissae do not depend on the ordinate
         x = _AFFINE[s].forward(params, x, 0.5)[0]
-    return (x, _tail_ordinates(params, future)[0])
+    y = 0.5          # nor inverse ordinates on the abscissa
+    for s in reversed(future):
+        y = _AFFINE[s].inverse(params, 0.5, y)[1]
+    return (x, y)
 
 
 def _check_itinerary(seq) -> None:
@@ -422,17 +439,6 @@ def _check_itinerary(seq) -> None:
             raise ValueError(f"affine strip symbol expected, got {s}")
 
 
-def _tail_ordinates(params: MapParams, future) -> list:
-    """Ordinates realizing every tail ``future[k:]``, k = 0..len(future):
-    the backward-contracting branch inverses applied from the far end,
-    starting at 1/2 (the abscissa of an affine branch inverse does not
-    enter its ordinate)."""
-    ys = [0.5]
-    for s in reversed(future):
-        ys.append(_AFFINE[s].inverse(params, 0.5, ys[-1])[1])
-    return ys[::-1]
-
-
 def lyapunov(params: MapParams, M, N: int, symbols=None,
              N_back: int | None = None) -> dict:
     """Cocycle growth rates along the orbit of ``M``.
@@ -440,11 +446,11 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
     chi_u averages log-growth of a renormalized unstable vector over N
     forward steps, chi_s the (negated) backward growth of a stable
     vector.  With ``symbols`` (an affine strip itinerary of length >= N
-    starting at time 0, as accepted by :func:`shift_orbit_point`) the
-    orbit ordinates are recomputed from the remaining tail each step
-    instead of iterated, which keeps long orbits on the invariant set.
-    ``N_back`` shortens the stable horizon when the seed has a shallower
-    backward chain than forward (the default is N).
+    + 1 starting at time 0, as accepted by :func:`shift_orbit_point`)
+    the derivatives are read from the symbols alone and no float orbit
+    is walked, so long orbits stay on the invariant set.  ``N_back``
+    shortens the stable horizon when the seed has a shallower backward
+    chain than forward (the default is N).
     """
     p = params
     if N_back is None:
@@ -454,19 +460,11 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         pts = [M, *mc.iterates(p, M, N)]
         if len(pts) <= N:
             raise OrbitEscapes("forward", len(pts))
+        jacs = [jacobian(p, pts[k]) for k in range(N)]
     else:
         if len(symbols) < N + 1:
             raise ValueError("itinerary shorter than the horizon")
         _check_itinerary(symbols)
-        ys = _tail_ordinates(p, symbols)
-        x = M[0]
-        pts = []
-        for k in range(N + 1):
-            pts.append((x, ys[k]))
-            x = _AFFINE[symbols[k]].forward(p, x, ys[k])[0]
-    if symbols is None:
-        jacs = [jacobian(p, pts[k]) for k in range(N)]
-    else:
         # affine branches have constant derivatives, so the symbol alone
         # decides (and edge-of-strip classification ties do not bite)
         const = {s: np.array(br.derivative(p, 0.5, 0.5))

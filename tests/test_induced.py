@@ -304,16 +304,6 @@ def test_u_crossing_certificate_passes(params, seed):
         assert rep.n_return >= 1
 
 
-def test_u_crossing_certificate_checks_subset():
-    cert = default_certificate(REF_EX)
-    rng = np.random.default_rng(0)
-    rp = sp.sample_returning_point(REF_EX, rng)
-    rep = ind.u_crossing_certificate(REF_EX, rp.M, 1.0, cert,
-                                     checks=("c0",))
-    assert rep.c0_ok and not rep.eps0_ok and not rep.eta_ok
-    assert rep.n_return is None
-
-
 def test_u_crossing_no_return_raises():
     cert = default_certificate(REF_EX)
     with pytest.raises(NoReturn):

@@ -38,7 +38,7 @@ def test_transform_linear_diagonal_zero_graph():
     p = REF_EX
     ch = chart(p, (0.0, 0.0))
     g = mf.zero_graph(ch, "u->s", 0.01)
-    out = mf.graph_transform(p, ch, ch, 1, g, radius=0.01, npts=101)
+    out = mf.graph_transform(p, ch, ch, 1, g)
     assert np.max(np.abs(out.values)) < 1e-14
 
 
@@ -48,7 +48,7 @@ def test_transform_linear_diagonal_slope_closed_form():
     ch = chart(p, (0.0, 0.0))
     grid = np.linspace(-0.01, 0.01, 101)
     g = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=0.3 * grid)
-    out = mf.graph_transform(p, ch, ch, 1, g, radius=0.01, npts=101)
+    out = mf.graph_transform(p, ch, ch, 1, g)
     slope = (out.values[-1] - out.values[0]) / (out.grid[-1] - out.grid[0])
     assert slope == pytest.approx(0.3 * p.lam / p.sigma, rel=1e-9)
 
@@ -70,8 +70,8 @@ def test_transform_contraction_factor():
         v2 = rng.uniform(-0.8, 0.8) * grid
         s1 = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=v1)
         s2 = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=v2)
-        o1 = mf.graph_transform(p, ch, chf, k, s1, radius=rad, npts=257)
-        o2 = mf.graph_transform(p, ch, chf, k, s2, radius=rad, npts=257)
+        o1 = mf.graph_transform(p, ch, chf, k, s1)
+        o2 = mf.graph_transform(p, ch, chf, k, s2)
         factor = o1.sup_distance(o2) / s1.sup_distance(s2)
         assert factor <= bound_base ** k * 1.05
 

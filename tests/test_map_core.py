@@ -34,6 +34,18 @@ def test_validate_ref_ex_warns_on_slope_bound():
     assert mc.ARCTAN_PI_10 == pytest.approx(0.3043957973646151, abs=1e-12)
 
 
+def test_validate_full_crossing_margin():
+    # c*w_max^2 - lam - 1/sigma: the lowest wing image must cross R1
+    ex = next(c for c in validate(REF_EX).checks
+              if c.constraint == "full_crossing")
+    assert ex.kind == "soft" and not ex.passed
+    assert ex.value == pytest.approx(5.0 * 0.22 ** 2 - 0.1 - 0.2, abs=1e-12)
+    strict = next(c for c in validate(REF_STRICT).checks
+                  if c.constraint == "full_crossing")
+    assert strict.passed
+    assert strict.value == pytest.approx(648.0 * 0.02 ** 2 - 2e-5, abs=1e-12)
+
+
 def test_validate_rejects_large_lambda():
     bad = MapParams(lam=0.4, sigma=5.0, c=5.0, q=0.75, t=0.7,
                     w_max=0.22, r3_y0=0.4, r3_a=0.5, b=2.0)

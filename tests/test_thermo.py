@@ -26,12 +26,41 @@ def test_variational_identity(name):
     assert abs(meas.pressure - meas.entropy - meas.integral) < 1e-9
 
 
-def test_power_iteration_cap_raises_typed_error():
+def _brute_gibbs_ratio(cyl, k):
+    """Largest factor, either way, between the mass of a k-word and
+    exp(-kP + S_k phi) over every continuation of the word by m - 1
+    symbols, by enumerating all of them."""
+    m = cyl.m
+    model = thermo._solve(cyl)
+    length = k + m - 1
+    codes = np.arange(3 ** length)
+    birkhoff = np.zeros(3 ** length)
+    for i in range(k):
+        birkhoff += cyl.values[(codes // 3 ** (length - i - m)) % 3 ** m]
+    mass = thermo._chain_masses(model, k)[codes // 3 ** (m - 1)]
+    logs = np.log(mass) + k * math.log(model.eigenvalue) - birkhoff
+    return math.exp(np.max(np.abs(logs)))
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_gibbs_constant_bounds_masses_uniformly(params):
+    for m in range(1, 7):
+        cyl = thermo.pull_back(params, thermo.named_potential("x"), m)
+        c = thermo.gibbs_measure(cyl).gibbs_C
+        assert 1.0 <= c <= 10.0
+        assert _brute_gibbs_ratio(cyl, m) == pytest.approx(c, rel=1e-9)
+        for k in (m + 1, m + 2):
+            assert _brute_gibbs_ratio(cyl, k) <= 1.1 * c
+
+
+def test_power_iteration_cap_raises_typed_error(monkeypatch):
     # tol = 0 asks for an exact fixed point, which 5 steps of a
     # non-trivial positive matrix do not reach
+    monkeypatch.setattr(thermo, "_TOL", 0.0)
+    monkeypatch.setattr(thermo, "_MAX_ITER", 5)
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
     with pytest.raises(mc.IterationCap) as err:
-        thermo._power_iteration(lambda v: a @ v, 2, 0.0, max_iter=5)
+        thermo._power_iteration(lambda v: a @ v, 2)
     assert err.value.what == "power iteration" and err.value.step == 5
 
 
