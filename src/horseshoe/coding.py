@@ -33,7 +33,9 @@ memory in flight; so each word's cover comes out box for box in the
 order a refinement of that word alone gives.  :func:`atoms` keeps the
 last eight levels built, keyed on parameters, level and resolution;
 callers get a fresh dict over shared atoms whose box arrays are
-read-only.  Numerical settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
+read-only.  Each atom keeps its representative point once asked for
+it, so a warm level costs no itinerary.  Numerical settings: ``_SLICE``
+and ``_THETA_MIN_PAIRS``.
 """
 
 from __future__ import annotations
@@ -387,6 +389,9 @@ class Atom:
     boxes: np.ndarray
     diameter_ub: float = field(init=False)
     empty: bool = field(init=False)
+    # representative point per parameter set, see :func:`representative`
+    _reps: dict = field(init=False, default_factory=dict, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         # frozen: the atom cache hands the same objects to every caller
@@ -597,6 +602,14 @@ def _representative(params: MapParams, a: Atom) -> tuple:
     return a.center()
 
 
+def representative(params: MapParams, a: Atom) -> tuple:
+    """:func:`_representative`, kept on the atom: an atom of the atom
+    cache keeps its point as long as the cache keeps its level."""
+    if params not in a._reps:
+        a._reps[params] = _representative(params, a)
+    return a._reps[params]
+
+
 def theta(params: MapParams, word: Word,
           resolution: int | None = None) -> ThetaPoint:
     """Representative point of the word's atom with its radius bound."""
@@ -604,7 +617,7 @@ def theta(params: MapParams, word: Word,
 
 
 def _theta_point(params: MapParams, a: Atom) -> ThetaPoint:
-    return ThetaPoint(point=_representative(params, a),
+    return ThetaPoint(point=representative(params, a),
                       radius=a.diameter_ub, word=a.word)
 
 

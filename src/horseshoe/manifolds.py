@@ -24,10 +24,18 @@ non-expansiveness demonstration: an explicit pair of distinct points on
 the bottom edge, symmetric about the tangency abscissa, whose full
 orbits stay within any prescribed distance of each other.
 
+Leaf geometry runs on two array kernels: :func:`_polyline_distances`
+(from each of many points to a polyline) and :func:`_polyline_intersections`
+(a padded bounding-box pass over all segment pairs, then the exact
+crossing test).  Both take ``_BLOCK`` point-segment or segment pairs at a
+time, so a temporary stays within 256 KB unless one polyline is longer.
+
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
 ``_MAX_EXTEND``, ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``,
-``_SCAN_ROUNDS`` and ``_SIMPLE_TOL``.
+``_SCAN_ROUNDS``, ``_SIMPLE_TOL``, ``_SEED_SLOPE``, ``_BLOCK``,
+``_BOX_PAD``, ``_PARALLEL``, ``_PASSAGES``, ``_EPS1`` and
+``_VERTICAL_POINTS``.
 """
 
 from __future__ import annotations
@@ -59,6 +67,13 @@ _MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
 _END_TOL = 1e-9     # curve ends this close meet (or reach an edge)
 _SCAN_ROUNDS = 60   # zoom rounds of the survivor scan for mixing seeds
 _SIMPLE_TOL = 1e-12  # self-crossings closer to a segment start are joints
+_SEED_SLOPE = 0.0   # slope of the flat graph that seeds a local leaf
+_BLOCK = 1 << 15    # segment pairs per kernel block (256 KB of float64)
+_BOX_PAD = 1e-8     # box pad / largest |coordinate|: > 32 * 2**-53 / _PARALLEL
+_PARALLEL = 1e-6    # |cross| / (|d1|_1 |d2|_1) below which a pair is parallel
+_PASSAGES = 20      # strip returns of the verticality iteration
+_EPS1 = 0.5         # verticality bound on slope and curvature
+_VERTICAL_POINTS = 513  # grid points of an iterated vertical graph
 
 
 class NoConvergence(mc.HorseshoeError, RuntimeError):
@@ -128,19 +143,12 @@ class LipGraph:
             raise ValueError("grid must be strictly increasing")
 
     @property
-    def radius(self) -> float:
-        return float(max(-self.grid[0], self.grid[-1]))
-
-    @property
     def lip_bound(self) -> float:
         """Measured Lipschitz constant over the grid."""
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.grid))))
 
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
-
-    def value_at_zero(self) -> float:
-        return float(np.interp(0.0, self.grid, self.values))
 
     def sup_distance(self, other: "LipGraph") -> float:
         """Sup-norm distance on the intersection of the two domains."""
@@ -190,25 +198,20 @@ class ManifoldCurve:
 
     def distance_to(self, p) -> float:
         """Distance from ``p`` to the polyline."""
-        return float(np.min(_point_segment_distances(self.points, p)))
+        return float(_polyline_distances(self.points, [p])[0])
 
     def is_simple(self) -> bool:
         """No transversal self-intersection between non-adjacent
-        segments (quadratic scan; subsampled beyond 800 points)."""
+        segments (all pairs; subsampled beyond 800 points)."""
         pts = self.points
         if len(pts) > 800:
-            idx = np.linspace(0, len(pts) - 1, 800).astype(int)
-            pts = pts[idx]
-        a, b = pts[:-1], pts[1:]
-        n = len(a)
-        for i in range(n):
-            hits = _segment_intersections(a[i], b[i], a[i + 2:], b[i + 2:])
-            for j, pt, _ in hits:
-                if i == 0 and j == n - 3:
-                    continue  # closed-up ends of a nearly closed curve
-                d = math.hypot(pt[0] - a[i][0], pt[1] - a[i][1])
-                if d > _SIMPLE_TOL:
-                    return False
+            pts = pts[np.linspace(0, len(pts) - 1, 800).astype(int)]
+        last = len(pts) - 2
+        for i, j, pt, _ in _polyline_intersections(pts, pts):
+            if j < i + 2 or (i, j) == (0, last):
+                continue  # neighbours; closed-up ends of a closed curve
+            if math.hypot(pt[0] - pts[i, 0], pt[1] - pts[i, 1]) > _SIMPLE_TOL:
+                return False
         return True
 
     def to_csv(self) -> str:
@@ -349,15 +352,15 @@ class _Chain:
         return replace(self, m=self[n][0], start=self.start + n)
 
 
-def _pullback_curve(params: MapParams, chain: _Chain, radius: float,
-                    seed_slope: float) -> tuple[LipGraph, int]:
+def _pullback_curve(params: MapParams, chain: _Chain,
+                    radius: float) -> tuple[LipGraph, int]:
     """Iterate the graph transform along the anchor chain until two
     successive pullbacks agree within ``_TOL`` in sup norm."""
     unstable = chain.kind == "unstable"
     axis = "u->s" if unstable else "s->u"
     prev = prev_diff = factor = None
     for depth in range(1, _MAX_DEPTH + 1):
-        g = zero_graph(chain[depth][1], axis, radius, slope=seed_slope)
+        g = zero_graph(chain[depth][1], axis, radius, slope=_SEED_SLOPE)
         for j in range(depth, 0, -1):
             near_ch = chain[j - 1][1]
             _, far_ch, k_j = chain[j]
@@ -389,8 +392,7 @@ def _edge_leaf(corner, kind: str, s: np.ndarray) -> np.ndarray:
 
 
 def _local_manifold(params: MapParams, chain: _Chain, rho: float,
-                    cert: Certificate | None,
-                    seed_slope: float = 0.0) -> ManifoldCurve:
+                    cert: Certificate | None) -> ManifoldCurve:
     """The local leaf at the base of ``chain``; every radius it tries
     reads the same chain."""
     if cert is None:
@@ -410,7 +412,7 @@ def _local_manifold(params: MapParams, chain: _Chain, rho: float,
     last_err = None
     while radius >= RHO_MIN:
         try:
-            g, iters = _pullback_curve(params, chain, radius, seed_slope)
+            g, iters = _pullback_curve(params, chain, radius)
             meta = {"rho_effective": radius * g.base.l, "tol": _TOL,
                     "iterations": iters, "lip_bound": g.lip_bound,
                     "params": _params_hash(params)}
@@ -423,37 +425,42 @@ def _local_manifold(params: MapParams, chain: _Chain, rho: float,
 
 
 def local_unstable(params: MapParams, m, rho: float = 0.5,
-                   cert: Certificate | None = None,
-                   seed_slope: float = 0.0) -> ManifoldCurve:
+                   cert: Certificate | None = None) -> ManifoldCurve:
     """Local unstable manifold through ``m`` as a plane polyline."""
-    return _local_manifold(params, _Chain(params, m, "unstable"), rho,
-                           cert, seed_slope)
+    return _local_manifold(params, _Chain(params, m, "unstable"), rho, cert)
 
 
 def local_stable(params: MapParams, m, rho: float = 0.5,
-                 cert: Certificate | None = None,
-                 seed_slope: float = 0.0) -> ManifoldCurve:
+                 cert: Certificate | None = None) -> ManifoldCurve:
     """Local stable manifold through ``m`` (inverse-block pullback)."""
-    return _local_manifold(params, _Chain(params, m, "stable"), rho,
-                           cert, seed_slope)
+    return _local_manifold(params, _Chain(params, m, "stable"), rho, cert)
 
 
 # ---------------------------------------------------------------------------
 # Curve pieces: forward / backward advancing with branch splitting
 # ---------------------------------------------------------------------------
 
-def _point_segment_distances(poly: np.ndarray, p) -> np.ndarray:
-    a, b = poly[:-1], poly[1:]
-    ab = b - a
-    ap = np.asarray(p, dtype=float) - a
+def _polyline_distances(poly: np.ndarray, pts) -> np.ndarray:
+    """Distance from each point of ``pts`` (N x 2) to the polyline, in
+    blocks of points whose (points x segments) arrays keep within
+    ``_BLOCK`` entries."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    a = poly[:-1]
+    ab = poly[1:] - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(np.where(denom > 0.0,
-                             np.einsum("ij,ij->i", ap, ab) / denom, 0.0),
-                    0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.asarray(p, dtype=float) - proj
-    return np.hypot(d[:, 0], d[:, 1])
+    out = np.empty(len(pts))
+    rows = max(1, _BLOCK // max(1, len(a)))
+    for r in range(0, len(pts), rows):
+        px, py = pts[r:r + rows, :1], pts[r:r + rows, 1:]
+        apx, apy = px - a[:, 0], py - a[:, 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.clip(np.where(denom > 0.0,
+                                 (apx * ab[:, 0] + apy * ab[:, 1]) / denom,
+                                 0.0), 0.0, 1.0)
+        out[r:r + rows] = np.min(np.hypot(px - (a[:, 0] + t * ab[:, 0]),
+                                          py - (a[:, 1] + t * ab[:, 1])),
+                                 axis=1)
+    return out
 
 
 def _cut_at_levels(pts: np.ndarray, fvals: np.ndarray,
@@ -605,12 +612,8 @@ def _prune_pieces(pieces: list, protect) -> list:
                for p in pieces]
     order = np.argsort(lengths)[::-1]
     keep = set(order[:_MAX_PIECES].tolist())
-    if protect is not None:
-        for i, p in enumerate(pieces):
-            if i not in keep and \
-                    np.min(_point_segment_distances(p, protect)) < 1e-9:
-                keep.add(i)
-    return [pieces[i] for i in sorted(keep)]
+    return [p for i, p in enumerate(pieces) if i in keep or (
+        protect is not None and _polyline_distances(p, [protect])[0] < 1e-9)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +667,7 @@ def _global_manifold(params: MapParams, chain: _Chain, n: int, rho: float,
         params, [local.points], steps, protect=tail.m)
     best_d, best_i = math.inf, -1
     for i, p in enumerate(pieces):
-        d = float(np.min(_point_segment_distances(p, m)))
+        d = float(_polyline_distances(p, [m])[0])
         if d < best_d:
             best_d, best_i = d, i
     if best_i < 0:
@@ -710,12 +713,13 @@ def _invariance_defect(params: MapParams, m, kind: str, rho: float,
     leaf = local(params, m, rho=rho, cert=cert)
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], k, protect=m)
-    worst = 0.0
-    for p in local(params, other, rho=rho, cert=cert).points:
-        d = min(float(np.min(_point_segment_distances(piece, p)))
-                for piece in pieces)
-        worst = max(worst, d)
-    return worst
+    pts = local(params, other, rho=rho, cert=cert).points
+    if not pieces:
+        raise NoConvergence(f"the mapped {kind} leaf of {m} left the square")
+    near = np.full(len(pts), np.inf)
+    for piece in pieces:
+        np.minimum(near, _polyline_distances(piece, pts), out=near)
+    return float(np.max(near))
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +755,10 @@ def eps1_vertical_check(curve, eps1: float) -> VerticalityReport:
                              max_slope=ms, max_curvature=mc_, eps1=eps1)
 
 
-def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
-                           eps1: float = 0.5,
-                           npts: int = 513) -> list[VerticalityReport]:
-    """Push an eps1-vertical graph over the parabolic strip through
-    repeated full-map returns and report its verticality after each.
+def iterate_vertical_curve(params: MapParams,
+                           x_vals=None) -> list[VerticalityReport]:
+    """Push an ``_EPS1``-vertical graph over the parabolic strip through
+    ``_PASSAGES`` full-map returns and report its verticality after each.
 
     The curve is a graph x = g(y) over the strip ``(t-h, t+h]``.  One
     return applies the parabolic branch, then follows the surviving
@@ -765,9 +768,9 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
     the gaps and is lost -- the lemma is about the piece that returns."""
     p = params
     h = p.h
-    y_grid = np.linspace(p.t - h, p.t + h, npts)
+    y_grid = np.linspace(p.t - h, p.t + h, _VERTICAL_POINTS)
     if x_vals is None:
-        g = np.full(npts, 0.3)
+        g = np.full(_VERTICAL_POINTS, 0.3)
     else:
         g = np.asarray(x_vals, dtype=float)
         if g.shape != y_grid.shape:
@@ -781,7 +784,7 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
     # cancels digits at large sigma (REF_STRICT: 1e5), so the image
     # ordinates stop being monotone in w and the curve is no graph.
     reports = []
-    for _ in range(passages):
+    for _ in range(_PASSAGES):
         def wing_y(w: float) -> float:
             gx = float(np.interp(p.t + w / p.sigma, y_grid, g))
             return p.sigma * (p.c * w * w - p.lam * gx)
@@ -800,7 +803,7 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
                 else:
                     hi = mid
             edges.append(0.5 * (lo + hi))
-        w_new = np.linspace(edges[0], edges[1], npts)
+        w_new = np.linspace(edges[0], edges[1], _VERTICAL_POINTS)
         src_y = p.t + w_new / p.sigma
         gx = np.interp(src_y, y_grid, g)
         w_mid = 0.5 * (edges[0] + edges[1])
@@ -810,7 +813,7 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
         y_img = p.sigma * (p.c * w_new * w_new - p.lam * gx)
         x_img = p.lam * (p.q + w_new)
         g = np.interp(y_grid, y_img, x_img)
-        rep = eps1_vertical_check(np.column_stack([x_img, y_img]), eps1)
+        rep = eps1_vertical_check(np.column_stack([x_img, y_img]), _EPS1)
         reports.append(rep)
     return reports
 
@@ -819,41 +822,43 @@ def iterate_vertical_curve(params: MapParams, x_vals=None, passages: int = 20,
 # Bracket (local product structure)
 # ---------------------------------------------------------------------------
 
-def _segment_intersections(a0, b0, a, b):
-    """Intersections of segment (a0, b0) with segments (a[i], b[i]);
-    returns (index, point, angle) triples."""
-    if len(a) == 0:
-        return []
-    d0 = b0 - a0
-    d = b - a
-    denom = d0[0] * d[:, 1] - d0[1] * d[:, 0]
-    rel = a - a0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / denom
-        u = (rel[:, 0] * d0[1] - rel[:, 1] * d0[0]) / denom
-    eps = 1e-12
-    mask = (np.abs(denom) > 0.0) & (t >= -eps) & (t <= 1.0 + eps) \
-        & (u >= -eps) & (u <= 1.0 + eps)
-    out = []
-    n0 = math.hypot(*d0)
-    for i in np.nonzero(mask)[0]:
-        pt = a0 + t[i] * d0
-        ni = math.hypot(*d[i])
-        if n0 == 0.0 or ni == 0.0:
-            continue
-        sin_ang = abs(denom[i]) / (n0 * ni)
-        out.append((int(i), (float(pt[0]), float(pt[1])),
-                    math.asin(min(1.0, sin_ang))))
-    return out
-
-
-def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray):
-    hits = []
-    a2, b2 = poly2[:-1], poly2[1:]
-    for i in range(len(poly1) - 1):
-        for _, pt, ang in _segment_intersections(poly1[i], poly1[i + 1],
-                                                 a2, b2):
-            hits.append((pt, ang))
+def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray) -> list:
+    """Crossings of segment i of ``poly1`` with segment j of ``poly2``,
+    as (i, j, point, angle) in row-major order: the pairs whose line
+    parameters t and u both lie in [-1e-12, 1 + 1e-12].  The exact test
+    sees only the pairs whose bounding boxes meet when padded by
+    ``_BOX_PAD`` times the largest coordinate, a bound on the rounding
+    of t and u, and the nearly parallel pairs (``_PARALLEL``), whose
+    rounded t and u can take any value."""
+    a1, d1 = poly1[:-1], np.diff(poly1, axis=0)
+    a2, d2 = poly2[:-1], np.diff(poly2, axis=0)
+    both = np.vstack([poly1, poly2])
+    pad = _BOX_PAD * np.max(np.abs(both), initial=0.0, where=np.isfinite(both))
+    lo1 = np.minimum(a1, poly1[1:]) - pad
+    hi1 = np.maximum(a1, poly1[1:]) + pad
+    lo2, hi2 = np.minimum(a2, poly2[1:]), np.maximum(a2, poly2[1:])
+    n1, n2 = _PARALLEL * np.abs(d1).sum(axis=1), np.abs(d2).sum(axis=1)
+    hits, eps = [], 1e-12
+    rows = max(1, _BLOCK // max(1, len(d2)))
+    for r in range(0, len(d1), rows):
+        b = slice(r, r + rows)
+        denom = d1[b, None, 0] * d2[:, 1] - d1[b, None, 1] * d2[:, 0]
+        keep = np.all((lo1[b, None] <= hi2) & (lo2 <= hi1[b, None]), axis=2)
+        i, j = np.nonzero(keep | (np.abs(denom) < n1[b, None] * n2))
+        den = denom[i, j]
+        i += r
+        rel = a2[j] - a1[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel[:, 0] * d2[j, 1] - rel[:, 1] * d2[j, 0]) / den
+            u = (rel[:, 0] * d1[i, 1] - rel[:, 1] * d1[i, 0]) / den
+        mask = (np.abs(den) > 0.0) & (t >= -eps) & (t <= 1.0 + eps) \
+            & (u >= -eps) & (u <= 1.0 + eps)
+        for k in np.nonzero(mask)[0]:
+            ik, jk = int(i[k]), int(j[k])
+            pt = a1[ik] + t[k] * d1[ik]
+            sin_ang = abs(den[k]) / (math.hypot(*d1[ik]) * math.hypot(*d2[jk]))
+            hits.append((ik, jk, (float(pt[0]), float(pt[1])),
+                         math.asin(min(1.0, sin_ang))))
     return hits
 
 
@@ -893,7 +898,7 @@ def bracket(params: MapParams, m, m_prime, rho: float = 0.5,
         raise NoIntersection("stable and unstable leaves do not meet "
                              f"within {_MAX_EXTEND} global extensions")
     clusters: list[list] = []
-    for pt, ang in hits:
+    for _, _, pt, ang in hits:
         for cl in clusters:
             if math.hypot(pt[0] - cl[0][0][0], pt[1] - cl[0][0][1]) < 1e-7:
                 cl.append((pt, ang))

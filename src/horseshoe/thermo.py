@@ -165,7 +165,7 @@ def pull_back(params: MapParams, phi: Potential, m: int,
         if a is None or a.empty:
             flagged.append(word.to_string())
             a = level[_nearest_nonempty(level, word)]
-        rep = coding._representative(params, a)
+        rep = coding.representative(params, a)
         values[code] = phi(rep)
         variation = max(variation,
                         phi.holder_C * a.diameter_ub ** phi.holder_theta)

@@ -186,11 +186,13 @@ def test_local_unstable_output_contract():
         assert cone.contains(v)
 
 
-def test_local_stable_seed_independence():
+def test_local_stable_seed_independence(monkeypatch):
     rng = np.random.default_rng(3)
     orb = sp.multi_return_point(REF_EX, rng, [1, 2, 1, 1, 2, 1, 1, 1])
-    c1 = mf.local_stable(REF_EX, orb.points[0], seed_slope=0.0)
-    c2 = mf.local_stable(REF_EX, orb.points[0], seed_slope=0.5)
+    monkeypatch.setattr(mf, "_SEED_SLOPE", 0.0)
+    c1 = mf.local_stable(REF_EX, orb.points[0])
+    monkeypatch.setattr(mf, "_SEED_SLOPE", 0.5)
+    c2 = mf.local_stable(REF_EX, orb.points[0])
     sup = max(float(np.min(np.hypot(c1.points[:, 0] - q[0],
                                     c1.points[:, 1] - q[1])))
               for q in c2.points)
@@ -207,6 +209,19 @@ def test_stable_invariance_defect():
     rng = np.random.default_rng(13)
     rp = sp.sample_returning_point(REF_STRICT, rng)
     assert mf.stable_invariance_defect(REF_STRICT, rp.M) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["unstable", "stable"])
+def test_invariance_defect_refuses_a_lost_leaf(monkeypatch, kind):
+    # a mapped leaf with no piece left in the square is a typed failure
+    rng = np.random.default_rng(11)
+    m = sp.sample_A_points(REF_STRICT, rng, 1)[0].M
+    mapper = "advance_pieces" if kind == "unstable" else "retreat_pieces"
+    monkeypatch.setattr(mf, mapper, lambda *args, **kwargs: [])
+    defect = (mf.unstable_invariance_defect if kind == "unstable"
+              else mf.stable_invariance_defect)
+    with pytest.raises(mf.NoConvergence, match="left the square"):
+        defect(REF_STRICT, m)
 
 
 def test_stable_leaf_contraction_exponent():
@@ -282,9 +297,158 @@ def test_iterated_verticality_through_r4_passages():
     h = p.w_max / p.sigma
     y = np.linspace(p.t - h, p.t + h, 513)
     g0 = 0.3 + 0.2 * (y - p.t) + 0.2 * (y - p.t) ** 2
-    reports = mf.iterate_vertical_curve(p, g0, passages=20, eps1=0.5)
+    reports = mf.iterate_vertical_curve(p, g0)
     assert len(reports) == 20
     assert all(r.ok for r in reports)
+
+
+# --- leaf geometry kernels -------------------------------------------------
+# The loops the kernels replaced, kept verbatim as the reference.
+
+def _ref_point_segment_distances(poly, p):
+    a, b = poly[:-1], poly[1:]
+    ab = b - a
+    ap = np.asarray(p, dtype=float) - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip(np.where(denom > 0.0,
+                             np.einsum("ij,ij->i", ap, ab) / denom, 0.0),
+                    0.0, 1.0)
+    proj = a + t[:, None] * ab
+    d = np.asarray(p, dtype=float) - proj
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _ref_segment_intersections(a0, b0, a, b):
+    if len(a) == 0:
+        return []
+    d0 = b0 - a0
+    d = b - a
+    denom = d0[0] * d[:, 1] - d0[1] * d[:, 0]
+    rel = a - a0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / denom
+        u = (rel[:, 0] * d0[1] - rel[:, 1] * d0[0]) / denom
+    eps = 1e-12
+    mask = (np.abs(denom) > 0.0) & (t >= -eps) & (t <= 1.0 + eps) \
+        & (u >= -eps) & (u <= 1.0 + eps)
+    out = []
+    n0 = math.hypot(*d0)
+    for i in np.nonzero(mask)[0]:
+        pt = a0 + t[i] * d0
+        ni = math.hypot(*d[i])
+        if n0 == 0.0 or ni == 0.0:
+            continue
+        sin_ang = abs(denom[i]) / (n0 * ni)
+        out.append((int(i), (float(pt[0]), float(pt[1])),
+                    math.asin(min(1.0, sin_ang))))
+    return out
+
+
+def _ref_polyline_intersections(poly1, poly2):
+    a2, b2 = poly2[:-1], poly2[1:]
+    return [(i, j, pt, ang) for i in range(len(poly1) - 1)
+            for j, pt, ang in _ref_segment_intersections(
+                poly1[i], poly1[i + 1], a2, b2)]
+
+
+def _ref_is_simple(pts):
+    if len(pts) > 800:
+        pts = pts[np.linspace(0, len(pts) - 1, 800).astype(int)]
+    a, b = pts[:-1], pts[1:]
+    n = len(a)
+    for i in range(n):
+        for j, pt, _ in _ref_segment_intersections(a[i], b[i], a[i + 2:],
+                                                   b[i + 2:]):
+            if i == 0 and j == n - 3:
+                continue
+            if math.hypot(pt[0] - a[i][0], pt[1] - a[i][1]) > 1e-12:
+                return False
+    return True
+
+
+def _collinear_pairs(rng, count):
+    """Segment pairs on one line of irrational-looking slope, overlapping
+    or far apart; the rounded crossing test accepts some far-apart ones."""
+    out = []
+    for _ in range(count):
+        k, c = rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.0)
+        xs = np.sort(rng.uniform(0.0, 1.0, 4))
+        if rng.random() < 0.5:
+            xs = xs[[0, 2, 1, 3]]            # overlapping segments
+        pts = np.column_stack([xs, c + k * xs])
+        out.append((pts[:2], pts[2:]))
+    return out
+
+
+def _kernel_cases(rng):
+    """Polyline pairs: random walks, pieces of 2 points, zero-length
+    segments, collinear pairs and endpoint touches inside the 1e-12
+    slack of the crossing test."""
+    cases = []
+    for n1, n2 in ((2, 2), (2, 40), (40, 2), (130, 257), (300, 60)):
+        p1 = np.cumsum(rng.normal(scale=0.05, size=(n1, 2)), axis=0)
+        p2 = np.cumsum(rng.normal(scale=0.05, size=(n2, 2)), axis=0)
+        cases.append((p1, p2))
+        cases.append((np.repeat(p1, 2, axis=0), p2))   # zero-length segs
+    cases += _collinear_pairs(rng, 400)
+    for _ in range(200):
+        a, d = rng.uniform(0.0, 1.0, 2), rng.normal(size=2)
+        e = rng.normal(size=2)
+        s = rng.uniform(-3e-12, 3e-12)
+        end = a + d
+        p1 = np.array([a, end])
+        p2 = np.array([end + s * d, end + s * d + e])
+        cases.append((p1, p2))
+    return cases
+
+
+@pytest.fixture(params=[None, 7], ids=["block", "block7"])
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(mf, "_BLOCK", request.param)
+
+
+def test_intersection_kernel_equals_the_loop(block):
+    rng = np.random.default_rng(20261018)
+    cases = _kernel_cases(rng)
+    accepted_far = 0
+    for p1, p2 in cases:
+        got = mf._polyline_intersections(p1, p2)
+        assert got == _ref_polyline_intersections(p1, p2)
+        if len(p1) == 2 and got and \
+                np.all(np.max(p1, axis=0) < np.min(p2, axis=0) - 1e-3):
+            accepted_far += 1
+    # collinear pairs more than 1e-3 apart that the rounded test accepts:
+    # a bounding-box pass alone would drop them
+    assert accepted_far >= 1
+
+
+def test_distance_kernel_equals_the_loop(block):
+    rng = np.random.default_rng(20261019)
+    for p1, p2 in _kernel_cases(rng)[::7]:
+        for pts in (p2, p2[:1], p2[:0], rng.uniform(-1.0, 1.0, (50, 2))):
+            want = [float(np.min(_ref_point_segment_distances(p1, q)))
+                    for q in pts]
+            got = mf._polyline_distances(p1, pts)
+            assert got.shape == (len(pts),) and got.tolist() == want
+
+
+def test_is_simple_equals_the_loop(block):
+    rng = np.random.default_rng(20261020)
+    s = np.linspace(0.0, 2.0 * np.pi, 900)      # subsampled to 800
+    u = s[::3]
+    curves = [np.column_stack([np.cos(s), np.sin(s)]),          # closed
+              np.column_stack([np.cos(u), np.sin(2.0 * u)]),    # figure 8
+              np.column_stack([u, np.sqrt(2.0) * u])]           # line
+    curves += [np.cumsum(rng.normal(size=(n, 2)), axis=0)
+               for n in (3, 4, 30, 120)]
+    verdicts = set()
+    for pts in curves:
+        curve = mf.ManifoldCurve(pts, "unstable")
+        verdicts.add(curve.is_simple())
+        assert curve.is_simple() == _ref_is_simple(pts)
+    assert verdicts == {True, False}
 
 
 # --- bracket --------------------------------------------------------------

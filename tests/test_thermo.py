@@ -119,3 +119,32 @@ def test_atom_cache_is_bounded():
     assert info.misses == 9 and info.currsize <= 8
     thermo.pull_back(sweep[-1], zero, 1, resolution=6)
     assert coding._cached_atoms.cache_info().hits == info.hits + 1
+
+
+@pytest.mark.parametrize("params, m", [(REF_EX, 3), (REF_STRICT, 5)],
+                         ids=["ex", "strict"])
+def test_warm_pull_back_reuses_representatives(monkeypatch, params, m):
+    calls = []
+    real = coding._representative
+
+    def counting(p, a):
+        calls.append(a.word)
+        return real(p, a)
+
+    monkeypatch.setattr(coding, "_representative", counting)
+    phi = thermo.named_potential("x")
+    coding._cached_atoms.cache_clear()
+    cold = thermo.pull_back(params, phi, m, resolution=10)
+    built = len(calls)
+    assert built > 0 and len(set(calls)) == built
+    calls.clear()
+    warm = thermo.pull_back(params, phi, m, resolution=10)
+    assert calls == []
+    assert warm.values.tolist() == cold.values.tolist()
+    assert warm.flagged == cold.flagged
+    # the points live on the cached atoms and go with them
+    coding._cached_atoms.cache_clear()
+    again = thermo.pull_back(params, phi, m, resolution=10)
+    assert len(calls) == built
+    assert again.values.tolist() == cold.values.tolist()
+
