@@ -9,6 +9,11 @@ sigma^(k/2) along the unstable axis and contracts by at least
 lam^(k/2) along the stable one, with distortion controlled by the
 certificate constants.
 
+The distortion probe estimates the linearization defect and C5 at a
+returning window point on one array stack of chart grid points; the
+scalar :func:`kergodic_apply` and :func:`kergodic_derivative` give the
+same floats point by point.
+
 The geometric certificates at the end of the module verify the three
 crossing statements behind the Markov structure: parabolas through the
 middle of the stable segment cross the top and bottom sides of the
@@ -311,26 +316,21 @@ class DistortionReport:
     n_pairs: int
 
 
-def _adapted_op_norm(a: np.ndarray, chart_src: ChartFrame,
-                     chart_dst: ChartFrame) -> float:
-    """Operator norm of ``a`` from the adapted max-norm at the source
-    point to the one at the target point."""
-    m = np.column_stack([chart_dst.frame.e_u, chart_dst.frame.e_s])
-    src = np.column_stack([chart_src.frame.e_u, chart_src.frame.e_s])
-    conj = np.linalg.inv(m) @ a @ src
-    return float(np.max(np.sum(np.abs(conj), axis=1)))
-
-
 def distortion_probe(params: MapParams, m: tuple[float, float],
-                     cert: Certificate, rng: np.random.Generator,
-                     rho: float = 1.0) -> DistortionReport:
+                     cert: Certificate,
+                     rng: np.random.Generator) -> DistortionReport:
     """Empirical distortion constants at a window point returning to
     the window.
 
     Samples chart-coordinate pairs in the connected component (grid
     flood fill) of the overlap of the domain with the preimage of the
     target ball, and maximizes both the linearization defect ratio and
-    the C5 ratio of the derivative modulus of continuity.
+    the C5 ratio of the derivative modulus of continuity.  The grid
+    points go through f^k as one stack (:func:`map_core.step_arrays`),
+    each on its own branches, with the derivative of f^k carried beside
+    them; the drawn pairs are evaluated as arrays too.  Each lane's
+    floats are those of :func:`kergodic_apply` and
+    :func:`kergodic_derivative`'s transport at that point.
     """
     step = induced_map(params, m)
     if step.case != "return" or not in_A(params, step.target):
@@ -338,25 +338,29 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     k = step.k
     ch_m = chart(params, m)
     ch_f = chart(params, step.target)
-    r0 = rho * cert.C3
+    r0 = cert.C3
 
     # The overlap with the preimage of the target ball is a sliver whose
     # unstable extent shrinks by the expansion factor; use an anisotropic
     # grid so the flood fill can resolve it.
-    d0_probe = kergodic_derivative(params, ch_m, ch_f, k)
-    exp_u = float(np.max(np.abs(d0_probe @ np.array([1.0, 0.0]))))
+    d0 = kergodic_derivative(params, ch_m, ch_f, k)
+    exp_u = float(np.max(np.abs(d0 @ np.array([1.0, 0.0]))))
     a_max = min(r0, 0.98 * r0 / max(exp_u, 1.0))
     n = _PROBE_GRID
     coords_u = np.linspace(-a_max, a_max, n)
     coords_s = np.linspace(-r0, r0, n)
-    valid = np.zeros((n, n), dtype=bool)
-    images = {}
-    for i, a in enumerate(coords_u):
-        for j, b in enumerate(coords_s):
-            out = kergodic_apply(params, ch_m, ch_f, (a, b), k)
-            if out is not None and np.max(np.abs(out)) <= r0:
-                valid[i, j] = True
-                images[(i, j)] = out
+    # lane i*n + j is the grid point (coords_u[i], coords_s[j])
+    xi = np.column_stack([np.repeat(coords_u, n), np.tile(coords_s, n)])
+    x, y = (np.asarray(ch_m.M) + (ch_m.basis @ xi[:, :, None])[:, :, 0]).T
+    jac = np.eye(2)
+    for _ in range(k):
+        x, y, d = mc.step_arrays(params, x, y)
+        jac = d @ jac
+    plane = np.column_stack([x, y])
+    images = (ch_f.inv_basis
+              @ (plane - np.asarray(ch_f.M))[:, :, None])[:, :, 0]
+    # escaped lanes are NaN and fail the test
+    valid = (np.max(np.abs(images), axis=1) <= r0).reshape(n, n)
     ci = int(np.argmin(np.abs(coords_u)))
     cj = int(np.argmin(np.abs(coords_s)))
     comp = np.zeros_like(valid)
@@ -370,43 +374,34 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
             a, b = i + di, j + dj
             if 0 <= a < n and 0 <= b < n and not comp[a, b]:
                 stack.append((a, b))
-    cells = [ij for ij in zip(*np.nonzero(comp))]
+    cells = np.flatnonzero(comp)
     if len(cells) < 2:
         raise OutOfDomain("degenerate overlap component in distortion probe")
 
-    d0 = d0_probe
-    worst = 0.0
-    c5 = 0.0
-    used = 0
-    for _ in range(_PROBE_PAIRS):
-        (i1, j1), (i2, j2) = (cells[int(rng.integers(0, len(cells)))]
-                              for _ in range(2))
-        if (i1, j1) == (i2, j2):
-            continue
-        xi1 = np.array([coords_u[i1], coords_s[j1]])
-        xi2 = np.array([coords_u[i2], coords_s[j2]])
-        f1, f2 = images[(i1, j1)], images[(i2, j2)]
-        lin = d0 @ (xi1 - xi2)
-        denom = float(np.max(np.abs(lin)))
-        if denom < 1e-300:
-            continue
-        worst = max(worst, float(np.max(np.abs(f1 - f2 - lin))) / denom)
-        # modulus of continuity of the plane derivative along the step
-        try:
-            jac1, c1 = _transport(params, ch_m.to_plane(xi1), k)
-            jac2, c2 = _transport(params, ch_m.to_plane(xi2), k)
-        except OutOfDomain:
-            continue
-        diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
-        img_gap = adapted_norm(ch_f.frame,
-                               np.asarray(c1) - np.asarray(c2))
-        if img_gap > 1e-300:
-            c5 = max(c5, diff_norm * ch_f.l / img_gap)
-        used += 1
-    if used == 0:
+    # one call of 2 * _PROBE_PAIRS draws takes the numbers (and leaves
+    # the state) that as many scalar calls would, in row-major order
+    pairs = cells[rng.integers(0, len(cells), size=(_PROBE_PAIRS, 2))]
+    p1, p2 = pairs[pairs[:, 0] != pairs[:, 1]].T
+    lin = (d0 @ (xi[p1] - xi[p2])[:, :, None])[:, :, 0]
+    denom = np.max(np.abs(lin), axis=1)
+    use = ~(denom < 1e-300)     # a NaN denominator is kept
+    p1, p2, lin, denom = p1[use], p2[use], lin[use], denom[use]
+    if len(p1) == 0:
         raise OutOfDomain("no usable pairs in distortion probe")
-    return DistortionReport(M=m, k=k, worst_ratio=worst, C5_est=c5,
-                            n_pairs=used)
+    defect = np.max(np.abs(images[p1] - images[p2] - lin), axis=1) / denom
+    # modulus of continuity of the plane derivative along the step, from
+    # the adapted max-norm at M to the one at F(M)
+    src = np.column_stack([ch_m.frame.e_u, ch_m.frame.e_s])
+    dst = np.column_stack([ch_f.frame.e_u, ch_f.frame.e_s])
+    conj = np.linalg.inv(dst) @ (jac[p1] - jac[p2]) @ src
+    diff_norm = np.max(np.sum(np.abs(conj), axis=2), axis=1)
+    img_gap = adapted_norm(ch_f.frame, plane[p1] - plane[p2])
+    wide = img_gap > 1e-300
+    c5 = diff_norm[wide] * ch_f.l / img_gap[wide]
+    # a NaN ratio is skipped (fmax), not propagated
+    return DistortionReport(
+        M=m, k=k, worst_ratio=float(np.fmax.reduce(defect, initial=0.0)),
+        C5_est=float(np.fmax.reduce(c5, initial=0.0)), n_pairs=len(p1))
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +545,11 @@ def _arc_crossings(params: MapParams, arc, n: int, segs) -> np.ndarray:
         y_lo, y_hi = y_hi, y_lo
         x_img_lo, x_img_hi = x_img_hi, x_img_lo
     a, b = segs[:, 0], segs[:, 1]
-    margin = np.array([max(0.05 * float(np.linalg.norm(d)), 1e-14)
-                       for d in b - a])
+    d = b - a
+    # the stacked dot product rounds as np.linalg.norm of each row does;
+    # np.linalg.norm(d, axis=1) does not
+    length = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    margin = np.maximum(0.05 * length, 1e-14)
     xa = np.minimum(a[:, 0], b[:, 0]) - margin
     xb = np.maximum(a[:, 0], b[:, 0]) + margin
     live = (x_img_hi >= xa) & (x_img_lo <= xb)

@@ -27,7 +27,8 @@ the branches from this table.
 Orbit segments are walked in one place, :func:`iterates`: the bounded,
 lazy sequence of images (or preimages) of a point.  Orbits, branch
 sequences, first returns to A and escapes from R1 are built on it, and
-every other module steps the map through it.
+every other module steps the map through it.  Many points at once take
+one step per call of :func:`step_arrays`, each on its own branch.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "apply_inverse",
     "jacobian",
     "jacobian_inverse",
+    "step_arrays",
     "iterates",
     "orbit",
     "branch_sequence",
@@ -405,6 +407,35 @@ def apply(params: MapParams, p: tuple[float, float]):
     x, y = p
     br = _branch_at(params, x, y)
     return None if br is None else br.forward(params, x, y)
+
+
+def step_arrays(params: MapParams, x, y):
+    """:func:`apply` and :func:`jacobian` over arrays of points at once.
+
+    Each lane (x[i], y[i]) takes the branch :func:`_branch_at` gives it,
+    so ties at a strip edge go to the strip below.  Returns
+    ``(x1, y1, jac)``, the images and the (..., 2, 2) derivatives, equal
+    lane by lane to the scalar functions' floats.  Lanes in a gap,
+    outside the square or NaN have no branch: they get NaN everywhere,
+    so they stay dead when fed back, and no branch formula runs on them.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x1 = np.full(x.shape, np.nan)
+    y1 = np.full(x.shape, np.nan)
+    jac = np.full(x.shape + (2, 2), np.nan)
+    free = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
+    for level, _, br in params._ladder:
+        here = free & (y <= level)
+        free &= ~here
+        if br is None or not here.any():
+            continue
+        xs, ys = x[here], y[here]
+        x1[here], y1[here] = br.forward(params, xs, ys)
+        for i, row in enumerate(br.derivative(params, xs, ys)):
+            for j, entry in enumerate(row):
+                jac[here, i, j] = entry
+    return x1, y1, jac
 
 
 def apply_inverse(params: MapParams, p: tuple[float, float]):

@@ -232,14 +232,17 @@ def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
                       residual_u=res_u, residual_s=res_s)
 
 
-def adapted_norm(frame: SplitFrame, v) -> float:
-    """Max-norm of the coordinates of ``v`` in the basis (e_u, e_s)."""
+def adapted_norm(frame: SplitFrame, v):
+    """Max-norm of the coordinates of ``v`` in the basis (e_u, e_s); for
+    an (N, 2) stack of vectors, the array of their N norms."""
     basis = np.column_stack([frame.e_u, frame.e_s])
     det = np.linalg.det(basis)
     if abs(det) < 1e-14:
         raise ValueError("degenerate frame: e_u and e_s are parallel")
-    coeffs = np.linalg.solve(basis, np.asarray(v, dtype=float))
-    return float(np.max(np.abs(coeffs)))
+    v = np.asarray(v, dtype=float)
+    coeffs = np.linalg.solve(basis, v[..., None])[..., 0]
+    norms = np.max(np.abs(coeffs), axis=-1)
+    return float(norms) if v.ndim == 1 else norms
 
 
 # ---------------------------------------------------------------------------

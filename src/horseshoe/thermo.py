@@ -61,10 +61,11 @@ class Potential:
 
     def spot_check(self) -> None:
         """Sample random pairs and reject if the declared bound fails."""
-        rng = np.random.default_rng(_SPOT_SEED)
-        for _ in range(_SPOT_PAIRS):
-            p = (rng.uniform(), rng.uniform())
-            q = (rng.uniform(), rng.uniform())
+        draws = np.random.default_rng(_SPOT_SEED).uniform(
+            size=(_SPOT_PAIRS, 4))
+        # rows p0, p1, q0, q1: the stream of 4 scalar draws per pair
+        for p0, p1, q0, q1 in draws.tolist():
+            p, q = (p0, p1), (q0, q1)
             gap = abs(self(p) - self(q))
             dist = math.hypot(p[0] - q[0], p[1] - q[1])
             bound = self.holder_C * dist ** self.holder_theta

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis.strategies import integers
 
 from horseshoe import map_core as mc
 from horseshoe.map_core import (REF_EX, REF_STRICT, Region, apply,
@@ -10,6 +12,7 @@ from horseshoe.map_core import (REF_EX, REF_STRICT, Region, apply,
 from horseshoe.splitting import length_scale, direction_field, adapted_norm
 from horseshoe import induced as ind
 from horseshoe import sampling as sp
+from test_branch_table import valid_params
 
 
 # --- escape and approach times --------------------------------------------
@@ -271,6 +274,161 @@ def test_distortion_probe_needs_return_step():
     with pytest.raises(OutOfDomain):
         ind.distortion_probe(REF_EX, (0.79, 0.0036), cert,
                              np.random.default_rng(0))
+
+
+def _adapted_op_norm(a, chart_src, chart_dst):
+    m = np.column_stack([chart_dst.frame.e_u, chart_dst.frame.e_s])
+    src = np.column_stack([chart_src.frame.e_u, chart_src.frame.e_s])
+    conj = np.linalg.inv(m) @ a @ src
+    return float(np.max(np.sum(np.abs(conj), axis=1)))
+
+
+def _scalar_probe(params, m, cert, rng, escaped):
+    """The distortion probe as a loop over grid points and pairs, on the
+    scalar charts: the reference of the stacked one.  Appends the number
+    of grid points whose orbit escaped to ``escaped``."""
+    step = ind.induced_map(params, m)
+    if step.case != "return" or not in_A(params, step.target):
+        raise OutOfDomain("distortion probe needs an A-to-A induced step")
+    k = step.k
+    ch_m = ind.chart(params, m)
+    ch_f = ind.chart(params, step.target)
+    r0 = cert.C3
+    d0 = ind.kergodic_derivative(params, ch_m, ch_f, k)
+    exp_u = float(np.max(np.abs(d0 @ np.array([1.0, 0.0]))))
+    a_max = min(r0, 0.98 * r0 / max(exp_u, 1.0))
+    n = ind._PROBE_GRID
+    coords_u = np.linspace(-a_max, a_max, n)
+    coords_s = np.linspace(-r0, r0, n)
+    valid = np.zeros((n, n), dtype=bool)
+    images = {}
+    lost = 0
+    for i, a in enumerate(coords_u):
+        for j, b in enumerate(coords_s):
+            out = ind.kergodic_apply(params, ch_m, ch_f, (a, b), k)
+            lost += out is None
+            if out is not None and np.max(np.abs(out)) <= r0:
+                valid[i, j] = True
+                images[(i, j)] = out
+    escaped.append(lost)
+    ci = int(np.argmin(np.abs(coords_u)))
+    cj = int(np.argmin(np.abs(coords_s)))
+    comp = np.zeros_like(valid)
+    stack = [(ci, cj)] if valid[ci, cj] else []
+    while stack:
+        i, j = stack.pop()
+        if comp[i, j] or not valid[i, j]:
+            continue
+        comp[i, j] = True
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            a, b = i + di, j + dj
+            if 0 <= a < n and 0 <= b < n and not comp[a, b]:
+                stack.append((a, b))
+    cells = [ij for ij in zip(*np.nonzero(comp))]
+    if len(cells) < 2:
+        raise OutOfDomain("degenerate overlap component in distortion probe")
+    worst = 0.0
+    c5 = 0.0
+    used = 0
+    for _ in range(ind._PROBE_PAIRS):
+        (i1, j1), (i2, j2) = (cells[int(rng.integers(0, len(cells)))]
+                              for _ in range(2))
+        if (i1, j1) == (i2, j2):
+            continue
+        xi1 = np.array([coords_u[i1], coords_s[j1]])
+        xi2 = np.array([coords_u[i2], coords_s[j2]])
+        f1, f2 = images[(i1, j1)], images[(i2, j2)]
+        lin = d0 @ (xi1 - xi2)
+        denom = float(np.max(np.abs(lin)))
+        if denom < 1e-300:
+            continue
+        worst = max(worst, float(np.max(np.abs(f1 - f2 - lin))) / denom)
+        try:
+            jac1, c1 = ind._transport(params, ch_m.to_plane(xi1), k)
+            jac2, c2 = ind._transport(params, ch_m.to_plane(xi2), k)
+        except OutOfDomain:
+            continue
+        diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
+        img_gap = adapted_norm(ch_f.frame, np.asarray(c1) - np.asarray(c2))
+        if img_gap > 1e-300:
+            c5 = max(c5, diff_norm * ch_f.l / img_gap)
+        used += 1
+    if used == 0:
+        raise OutOfDomain("no usable pairs in distortion probe")
+    return ind.DistortionReport(M=m, k=k, worst_ratio=worst, C5_est=c5,
+                                n_pairs=used)
+
+
+def _outcome(probe, *args):
+    try:
+        return repr(probe(*args))
+    except OutOfDomain as exc:
+        return f"OutOfDomain: {exc}"
+
+
+def _probes_agree(params, points, cert, seed):
+    """Run both probes over ``points``, each sharing one generator as a
+    calibration does; every outcome and the generator state after it
+    must match.  Returns the outcomes and the escaped-lane counts of the
+    grids."""
+    rng_ref = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    outcomes, escaped = [], []
+    for m in points:
+        want = _outcome(_scalar_probe, params, m, cert, rng_ref, escaped)
+        assert _outcome(ind.distortion_probe, params, m, cert, rng) == want
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        outcomes.append(want)
+    return outcomes, escaped
+
+
+@pytest.mark.parametrize("params,scales", [(REF_EX, (1.0, 20.0, 300.0)),
+                                           (REF_STRICT, (1.0, 5000.0))],
+                         ids=["ex", "strict"])
+def test_distortion_probe_equals_the_scalar_loop(params, scales):
+    # larger balls (C0 scaled up) put grid points off M's itinerary: they
+    # escape, and at the largest EX scale the component around the centre
+    # degenerates and the probe refuses
+    points = [rp.M for rp in
+              sp.sample_A_points(params, np.random.default_rng(0), 12)]
+    outcomes, escaped = [], []
+    for scale in scales:
+        cert = default_certificate(params)
+        cert = cert.with_updates(C0=cert.C0 * scale)
+        got = _probes_agree(params, points, cert, 5)
+        outcomes += got[0]
+        escaped += got[1]
+    assert max(escaped) > 0
+    refusals = outcomes.count(
+        "OutOfDomain: degenerate overlap component in distortion probe")
+    assert refusals > 0 or params is REF_STRICT
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=8, deadline=None)
+def test_distortion_probe_equals_the_scalar_loop_on_valid_params(params,
+                                                                 seed):
+    rng = np.random.default_rng(seed)
+    try:
+        points = [rp.M for rp in sp.sample_A_points(params, rng, 3)]
+    except sp.SampleError:
+        reject()
+    _probes_agree(params, points, default_certificate(params), seed)
+
+
+def test_distortion_probe_without_usable_pairs():
+    class SameCell:
+        """Draws cell 0 every time, so every pair is one cell twice."""
+
+        def integers(self, lo, hi, size=None):
+            return 0 if size is None else np.zeros(size, dtype=np.int64)
+
+    rp = sp.sample_returning_point(REF_EX, np.random.default_rng(0))
+    cert = default_certificate(REF_EX)
+    want = _outcome(_scalar_probe, REF_EX, rp.M, cert, SameCell(), [])
+    assert want == "OutOfDomain: no usable pairs in distortion probe"
+    assert _outcome(ind.distortion_probe, REF_EX, rp.M, cert,
+                    SameCell()) == want
 
 
 # --- crossing certificates ------------------------------------------------

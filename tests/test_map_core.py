@@ -146,6 +146,44 @@ def test_jacobian_matches_finite_differences():
             np.testing.assert_allclose(np.array(cols).T, jac, atol=1e-5)
 
 
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_step_arrays_equals_apply_and_jacobian(params):
+    # every lane against the scalar functions, bit for bit: uniform
+    # points, every ladder level with its neighbouring floats (ties go to
+    # the strip below, the gaps escape), outside, huge, infinite and NaN
+    # lanes; a branch formula run on a huge lane would overflow, which
+    # tier-1 turns into an error
+    rng = np.random.default_rng(12)
+    pts = [tuple(pt) for pt in rng.uniform(-0.05, 1.05, size=(600, 2))]
+    for level, _, _ in params._ladder:
+        for y in (np.nextafter(level, -1.0), level, np.nextafter(level, 2.0)):
+            pts += [(0.3, float(y)), (0.0, float(y)), (1.0, float(y))]
+    pts += [(0.0, 0.0), (1.0, 1.0), (-0.0, 0.5), (-1e-300, 0.5),
+            (0.5, 1.0 + 1e-16), (1e308, 1e308), (0.5, -1e308),
+            (math.inf, 0.5), (0.5, -math.inf), (math.nan, 0.5),
+            (0.5, math.nan), (math.nan, math.nan)]
+    xs, ys = np.array(pts).T
+    x1, y1, jac = mc.step_arrays(params, xs, ys)
+    assert jac.shape == (len(pts), 2, 2)
+    dead = 0
+    for i, pt in enumerate(pts):
+        img = apply(params, pt)
+        if img is None:
+            dead += 1
+            assert np.isnan(x1[i]) and np.isnan(y1[i])
+            assert np.isnan(jac[i]).all()
+            with pytest.raises(OutOfDomain):
+                jacobian(params, pt)
+        else:
+            assert _bits((x1[i], y1[i])) == _bits(img)
+            assert _bits(jac[i]) == _bits(jacobian(params, pt))
+    assert 0 < dead < len(pts)
+
+
 def test_inverse_round_trip():
     rng = np.random.default_rng(3)
     for pt in sample_nonescaping_points(REF_EX, rng, 300, horizon=1):

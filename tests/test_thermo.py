@@ -64,6 +64,29 @@ def test_power_iteration_cap_raises_typed_error(monkeypatch):
     assert err.value.what == "power iteration" and err.value.step == 5
 
 
+def _scalar_spot_pairs():
+    """The spot check's pairs as drawn one scalar at a time."""
+    rng = np.random.default_rng(thermo._SPOT_SEED)
+    return [((rng.uniform(), rng.uniform()), (rng.uniform(), rng.uniform()))
+            for _ in range(thermo._SPOT_PAIRS)]
+
+
+def test_spot_check_draws_the_scalar_pairs():
+    seen = []
+    thermo.Potential(lambda p: seen.append(p) or 0.0, holder_C=0.0,
+                     name="seen").spot_check()
+    pairs = _scalar_spot_pairs()
+    assert seen == [pt for pair in pairs for pt in pair]
+    assert all(type(c) is float for pt in seen for c in pt)
+    # the first pair already breaks a Lipschitz bound of 0 for phi = x
+    p, q = pairs[0]
+    gap = abs(p[0] - q[0])
+    with pytest.raises(thermo.PotentialError) as err:
+        thermo.Potential(lambda p: p[0], holder_C=0.0).spot_check()
+    assert str(err.value) == (f"|phi{p} - phi{q}| = {gap:.3g} exceeds "
+                              f"C*d^theta = {0.0:.3g}")
+
+
 def test_equilibrium_state_keeps_mass():
     eq = thermo.equilibrium_state(REF_STRICT, thermo.named_potential("x"), 5)
     assert eq.mass_defect < 1e-9
