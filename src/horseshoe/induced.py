@@ -270,8 +270,12 @@ class ChartFrame:
         return self.inv_basis @ (np.asarray(p, dtype=float) - np.asarray(self.M))
 
 
-def chart(params: MapParams, m: tuple[float, float]) -> ChartFrame:
-    frame = direction_field(params, m)
+def chart(params: MapParams, m: tuple[float, float],
+          frame: SplitFrame | None = None) -> ChartFrame:
+    """The chart at ``m``; ``frame`` is the splitting at ``m`` if already
+    known."""
+    if frame is None:
+        frame = direction_field(params, m)
     return ChartFrame(M=m, frame=frame, l=length_scale(params, m))
 
 
@@ -314,13 +318,15 @@ class DistortionReport:
     worst_ratio: float
     C5_est: float
     n_pairs: int
+    n_c5: int       # pairs that enter C5_est: those with an image gap
 
 
 def distortion_probe(params: MapParams, m: tuple[float, float],
                      cert: Certificate,
-                     rng: np.random.Generator) -> DistortionReport:
+                     rng: np.random.Generator,
+                     frame: SplitFrame | None = None) -> DistortionReport:
     """Empirical distortion constants at a window point returning to
-    the window.
+    the window; ``frame`` is the splitting at ``m`` if already known.
 
     Samples chart-coordinate pairs in the connected component (grid
     flood fill) of the overlap of the domain with the preimage of the
@@ -336,7 +342,7 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     if step.case != "return" or not in_A(params, step.target):
         raise OutOfDomain("distortion probe needs an A-to-A induced step")
     k = step.k
-    ch_m = chart(params, m)
+    ch_m = chart(params, m, frame)
     ch_f = chart(params, step.target)
     r0 = cert.C3
 
@@ -401,7 +407,8 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     # a NaN ratio is skipped (fmax), not propagated
     return DistortionReport(
         M=m, k=k, worst_ratio=float(np.fmax.reduce(defect, initial=0.0)),
-        C5_est=float(np.fmax.reduce(c5, initial=0.0)), n_pairs=len(p1))
+        C5_est=float(np.fmax.reduce(c5, initial=0.0)), n_pairs=len(p1),
+        n_c5=len(c5))
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +906,9 @@ def calibrate_certificate(params: MapParams, sample_budget: int = 200,
                  or cert.eta)
 
     c5 = 0.0
-    for rp in subset[:20]:
+    for rp, fr in zip(subset[:20], frames):
         try:
-            rep = distortion_probe(p, rp.M, trial, rng)
+            rep = distortion_probe(p, rp.M, trial, rng, fr)
         except OutOfDomain:
             continue
         c5 = max(c5, rep.C5_est)

@@ -10,6 +10,15 @@ together with an explicit residual certificate: the residual bounds the
 angle between the reported direction and anything else surviving in the
 pushed cone.
 
+A cone is carried as one (3, 2, 1) stack of its axis vector and its two
+unit boundary rays, and each orbit point's derivative is built once per
+walk, however many depths are tried.  The stacked ``J @ V`` and
+``sqrt(v^T v)`` give the floats of the per-vector ``J @ v`` and
+``np.linalg.norm(v)`` (``np.linalg.norm(..., axis=1)`` and ``einsum`` do
+not), so the stacked carriers reproduce the per-vector loops bit for
+bit; ``tests/test_splitting.py`` keeps those loops as the reference and
+guards the stacked forms.
+
 Numerical settings are module constants: ``MAX_DEPTH``, ``_TOL``,
 ``_CONE_SAMPLES``, ``_RETURN_CAP``, ``_HOLDER_RESIDUAL``,
 ``_HOLDER_FLOOR`` and ``_HOLDER_MIN_PAIRS``.
@@ -70,10 +79,13 @@ class Cone:
             raise ValueError("slope_bound must be nonnegative")
 
     def contains(self, v) -> bool:
-        u, w = float(v[0]), float(v[1])
+        """Whether the vector ``v``, or every row of an (N, 2) stack,
+        lies in the cone."""
+        v = np.asarray(v, dtype=float)
+        u, w = np.abs(v[..., 0]), np.abs(v[..., 1])
         if self.axis == "vertical":
-            return abs(u) <= self.slope_bound * abs(w)
-        return abs(w) <= self.slope_bound * abs(u)
+            return bool(np.all(u <= self.slope_bound * w))
+        return bool(np.all(w <= self.slope_bound * u))
 
     def boundary_rays(self):
         """The two extreme unit directions of the cone."""
@@ -87,13 +99,15 @@ class Cone:
 
 def unstable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
     """Vertical cone of aperture chi0/(2*c*l(M)) at a point of A."""
-    return Cone("vertical", CHI0 / (2.0 * params.c * _window_scale(params, m)))
+    return Cone("vertical", _window_slope(params, _window_scale(params, m),
+                                          True))
 
 
 def stable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
     """Horizontal cone at a point of A with tan(delta) = (1/4) tan(alpha),
     where tan(alpha) = 2*c*l(M) is the local leaf slope."""
-    return Cone("horizontal", 2.0 * params.c * _window_scale(params, m) / CHI0)
+    return Cone("horizontal", _window_slope(params, _window_scale(params, m),
+                                            False))
 
 
 def _window_scale(params: MapParams, m) -> float:
@@ -101,6 +115,14 @@ def _window_scale(params: MapParams, m) -> float:
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
     return length_scale(params, m)
+
+
+def _window_slope(params: MapParams, l: float, unstable: bool) -> float:
+    """Aperture of the unstable (stable) cone at a point of A whose
+    length scale is ``l``."""
+    if unstable:
+        return CHI0 / (2.0 * params.c * l)
+    return 2.0 * params.c * l / CHI0
 
 
 def default_cone(axis: str = "vertical") -> Cone:
@@ -168,48 +190,61 @@ def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
     return math.atan2(cross, dot)
 
 
-def _carry_cone(params: MapParams, chain: list, unstable: bool):
-    """Carry the cone at ``chain[0]`` along ``chain``: the vertical cone
-    forward (deepest backward point first), or the horizontal cone
-    backward (deepest forward point first, ending at the base point).
-    Returns (unit vector at the end, residual)."""
-    start = chain[0]
-    axis = 1 if unstable else 0
-    if in_A(params, start):
-        cone = (unstable_cone if unstable else stable_cone)(params, start)
+def _cone_residual(V: np.ndarray) -> float:
+    """Larger angle between the axis vector of a (3, 2, 1) cone stack and
+    its two boundary rays."""
+    a = V[0, :, 0]
+    return max(_angle_between(a, V[1, :, 0]), _angle_between(a, V[2, :, 0]))
+
+
+def _unit(V: np.ndarray) -> np.ndarray:
+    """Each vector of a (K, 2, 1) stack over its Euclidean norm."""
+    return V / np.sqrt(V.swapaxes(1, 2) @ V)
+
+
+def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
+    """The axis vector and the two unit boundary rays of the cone at
+    ``m`` as a (3, 2, 1) stack: the vertical (horizontal) A-cone at a
+    point of A, the default cone elsewhere."""
+    if in_A(params, m):
+        s = _window_slope(params, abs(m[0] - params.q), unstable)
     else:
-        cone = default_cone("vertical" if unstable else "horizontal")
-    vecs = [np.array([0.0, 1.0] if unstable else [1.0, 0.0])] \
-        + cone.boundary_rays()
-    if unstable:
-        steps, derivative = chain[:-1], jacobian
-    else:
-        steps, derivative = chain[1:], jacobian_inverse
-    for p in steps:
-        jac = derivative(params, p)
-        vecs = [jac @ v for v in vecs]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        vecs = [v if v[axis] > 0 else -v for v in vecs]
-    residual = max(_angle_between(vecs[0], vecs[1]),
-                   _angle_between(vecs[0], vecs[2]))
-    return vecs[0], residual
+        s = DEFAULT_SLOPE
+    rows = ([[0.0, 1.0], [s, 1.0], [-s, 1.0]] if unstable
+            else [[1.0, 0.0], [1.0, s], [1.0, -s]])
+    return _unit(np.array(rows)[:, :, None])
 
 
 def _deepest_carry(params: MapParams, m, walk, unstable: bool):
     """(unit vector, residual, depth) of the smallest residual among the
     cones carried to ``m`` from ever deeper points of ``walk``, each drawn
     when its depth is tried, until one is below ``_TOL``; the cone at
-    ``m`` itself (depth 0) when the walk is empty."""
-    pts, best = [m], (None, math.inf, 0)
+    ``m`` itself (depth 0) when the walk is empty.
+
+    The vertical cone goes forward from a preimage, the horizontal one
+    backward from an image.  The axis vector and the boundary rays go
+    as one (3, 2, 1) stack, renormalized and turned to the positive
+    side of the axis after every step; the residual is the larger angle
+    between the carried axis and a carried ray.  ``jacs[i]`` is the
+    derivative of the step between walk depths i + 1 and i, built once
+    when the walk reaches depth i + 1."""
+    derivative, axis = (jacobian, 1) if unstable else (jacobian_inverse, 0)
+    prev, jacs, best = m, [], (None, math.inf, 0)
     for p in walk:
-        pts.append(p)
-        vec, res = _carry_cone(params, pts[::-1], unstable)
+        V = _start_stack(params, p, unstable)
+        jacs.append(derivative(params, p if unstable else prev))
+        prev = p
+        for jac in reversed(jacs):
+            V = _unit(jac @ V)
+            V = np.where(V[:, axis:axis + 1] > 0, V, -V)
+        res = _cone_residual(V)
         if res < best[1]:
-            best = (vec, res, len(pts) - 1)
+            best = (V[0, :, 0], res, len(jacs))
         if res < _TOL:
             break
-    if len(pts) == 1:
-        best = (*_carry_cone(params, pts, unstable), 0)
+    if not jacs:
+        V = _start_stack(params, m, unstable)
+        best = (V[0, :, 0], _cone_residual(V), 0)
     return best
 
 
@@ -266,16 +301,22 @@ class ReturnReport:
                 "%.17g" % self.bound_s]
 
 
-def _cone_unit_vectors(cone: Cone):
-    """Boundary rays plus ``_CONE_SAMPLES`` interior samples of a cone."""
+def _cone_unit_vectors(cone: Cone) -> np.ndarray:
+    """Boundary rays plus ``_CONE_SAMPLES`` interior samples of a cone,
+    evenly spaced in angle, as a (``_CONE_SAMPLES`` + 2, 2, 1) stack."""
     r0, r1 = cone.boundary_rays()
     a0 = math.atan2(r0[1], r0[0])
     a1 = math.atan2(r1[1], r1[0])
-    vecs = []
-    for i in range(_CONE_SAMPLES + 2):
-        a = a0 + (a1 - a0) * i / (_CONE_SAMPLES + 1)
-        vecs.append(np.array([math.cos(a), math.sin(a)]))
-    return vecs
+    angles = [a0 + (a1 - a0) * i / (_CONE_SAMPLES + 1)
+              for i in range(_CONE_SAMPLES + 2)]
+    return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
+
+
+def _shortest(V: np.ndarray) -> float:
+    """Least Euclidean norm in a (K, 2, 1) stack; NaN norms are passed
+    over, and none but NaNs gives inf."""
+    norms = np.sqrt(V.swapaxes(1, 2) @ V).ravel().tolist()
+    return min([math.inf, *norms])
 
 
 def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnReport:
@@ -285,36 +326,26 @@ def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnRepor
     the return point, expanding every cone vector by at least
     sigma^(n/2); symmetrically the stable cone at the return point must
     pull back into the stable cone at M, with backward growth at least
-    lam^(-n/2).
+    lam^(-n/2).  The cone vectors go as one stack, through one
+    derivative per orbit point.
     """
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
     n, pts = mc.first_return(params, m, _RETURN_CAP)
     jacs = [jacobian(params, p) for p in pts[:-1]]
 
-    cone_u = unstable_cone(params, m)
-    target_u = unstable_cone(params, pts[-1])
-    inclusion = True
-    min_exp = math.inf
-    for v in _cone_unit_vectors(cone_u):
-        img = v
-        for jac in jacs:
-            img = jac @ img
-        min_exp = min(min_exp, float(np.linalg.norm(img)))
-        if not target_u.contains(img):
-            inclusion = False
+    V = _cone_unit_vectors(unstable_cone(params, m))
+    for jac in jacs:
+        V = jac @ V
+    inclusion = unstable_cone(params, pts[-1]).contains(V[:, :, 0])
+    min_exp = _shortest(V)
     bound_u = params.sigma ** (n / 2.0)
 
-    cone_s = stable_cone(params, pts[-1])
-    target_s = stable_cone(params, m)
-    min_con = math.inf
-    for v in _cone_unit_vectors(cone_s):
-        img = v
-        for p in reversed(pts[:-1]):
-            img = jacobian_inverse(params, p) @ img
-        min_con = min(min_con, float(np.linalg.norm(img)))
-        if not target_s.contains(img):
-            inclusion = False
+    V = _cone_unit_vectors(stable_cone(params, pts[-1]))
+    for p in reversed(pts[:-1]):
+        V = jacobian_inverse(params, p) @ V
+    inclusion = stable_cone(params, m).contains(V[:, :, 0]) and inclusion
+    min_con = _shortest(V)
     bound_s = params.lam ** (-n / 2.0)
 
     return ReturnReport(M=m, n=n, inclusion=inclusion,

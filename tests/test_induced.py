@@ -329,7 +329,7 @@ def _scalar_probe(params, m, cert, rng, escaped):
         raise OutOfDomain("degenerate overlap component in distortion probe")
     worst = 0.0
     c5 = 0.0
-    used = 0
+    used = n_c5 = 0
     for _ in range(ind._PROBE_PAIRS):
         (i1, j1), (i2, j2) = (cells[int(rng.integers(0, len(cells)))]
                               for _ in range(2))
@@ -352,11 +352,12 @@ def _scalar_probe(params, m, cert, rng, escaped):
         img_gap = adapted_norm(ch_f.frame, np.asarray(c1) - np.asarray(c2))
         if img_gap > 1e-300:
             c5 = max(c5, diff_norm * ch_f.l / img_gap)
+            n_c5 += 1
         used += 1
     if used == 0:
         raise OutOfDomain("no usable pairs in distortion probe")
     return ind.DistortionReport(M=m, k=k, worst_ratio=worst, C5_est=c5,
-                                n_pairs=used)
+                                n_pairs=used, n_c5=n_c5)
 
 
 def _outcome(probe, *args):
@@ -429,6 +430,44 @@ def test_distortion_probe_without_usable_pairs():
     assert want == "OutOfDomain: no usable pairs in distortion probe"
     assert _outcome(ind.distortion_probe, REF_EX, rp.M, cert,
                     SameCell()) == want
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_distortion_probe_with_the_known_frame(params, monkeypatch):
+    fields = []
+
+    def counted(*args):
+        fields.append(args[1])
+        return direction_field(*args)
+
+    monkeypatch.setattr(ind, "direction_field", counted)
+    cert = default_certificate(params)
+    for rp in sp.sample_A_points(params, np.random.default_rng(4), 6):
+        frame = direction_field(params, rp.M)
+        rng_given, rng_own = (np.random.default_rng(9) for _ in range(2))
+        fields.clear()
+        given_frame = _outcome(ind.distortion_probe, params, rp.M, cert,
+                               rng_given, frame)
+        assert rp.M not in fields and len(fields) == 1
+        assert given_frame == _outcome(ind.distortion_probe, params, rp.M,
+                                       cert, rng_own)
+        assert rng_given.bit_generator.state == rng_own.bit_generator.state
+
+
+def test_calibration_pairs_without_an_image_gap(monkeypatch):
+    # on REF_STRICT the stable contraction lam^k can map two grid points
+    # onto one float point: such a pair counts in n_pairs, not in n_c5
+    reports = []
+
+    def recorded(*args):
+        reports.append(probe(*args))
+        return reports[-1]
+
+    probe = ind.distortion_probe
+    monkeypatch.setattr(ind, "distortion_probe", recorded)
+    ind.calibrate_certificate(REF_STRICT, 40, 0)
+    assert sum(r.n_pairs for r in reports) == 1198
+    assert sum(r.n_pairs - r.n_c5 for r in reports) == 70
 
 
 # --- crossing certificates ------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis.strategies import integers
 
 from horseshoe import map_core as mc
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, leaf_tangent, OutOfDomain
@@ -11,6 +13,7 @@ from horseshoe.splitting import (Cone, length_scale, unstable_cone,
                                  adapted_norm, verify_cone_return,
                                  direction_gap, holder_fit)
 from horseshoe import sampling as sp
+from test_branch_table import valid_params
 
 
 def test_length_scale_cases():
@@ -25,6 +28,8 @@ def test_unstable_cone_aperture():
     assert cone.slope_bound == pytest.approx(2.0 / (5.0 * 0.04))
     assert cone.contains((0.0, 1.0))
     assert not cone.contains((1.0, 0.0))
+    assert cone.contains(np.array([[0.0, 1.0], [0.1, -2.0]]))
+    assert not cone.contains(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(OutOfDomain):
         unstable_cone(REF_EX, (0.5, 0.5))
 
@@ -146,6 +151,199 @@ def test_cone_validation():
         Cone("diagonal", 1.0)
     with pytest.raises(ValueError):
         Cone("vertical", -0.5)
+
+
+# --- the stacked cone carrying against the per-vector loops ---------------
+
+def _scalar_carry_cone(params, chain, unstable):
+    """The cone carrier as a loop over the axis vector and the two
+    boundary rays, one BLAS call per vector: the reference of the
+    stacked carry."""
+    start = chain[0]
+    axis = 1 if unstable else 0
+    if mc.in_A(params, start):
+        cone = (unstable_cone if unstable else stable_cone)(params, start)
+    else:
+        cone = spl.default_cone("vertical" if unstable else "horizontal")
+    vecs = [np.array([0.0, 1.0] if unstable else [1.0, 0.0])] \
+        + cone.boundary_rays()
+    if unstable:
+        steps, derivative = chain[:-1], mc.jacobian
+    else:
+        steps, derivative = chain[1:], mc.jacobian_inverse
+    for p in steps:
+        jac = derivative(params, p)
+        vecs = [jac @ v for v in vecs]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        vecs = [v if v[axis] > 0 else -v for v in vecs]
+    residual = max(spl._angle_between(vecs[0], vecs[1]),
+                   spl._angle_between(vecs[0], vecs[2]))
+    return vecs[0], residual
+
+
+def _scalar_deepest_carry(params, m, walk, unstable):
+    """Every depth carried afresh, all its Jacobians rebuilt."""
+    pts, best = [m], (None, math.inf, 0)
+    for p in walk:
+        pts.append(p)
+        vec, res = _scalar_carry_cone(params, pts[::-1], unstable)
+        if res < best[1]:
+            best = (vec, res, len(pts) - 1)
+        if res < spl._TOL:
+            break
+    if len(pts) == 1:
+        best = (*_scalar_carry_cone(params, pts, unstable), 0)
+    return best
+
+
+def _scalar_direction_field(params, m):
+    (e_u, res_u, depth_u), (e_s, res_s, depth_s) = (
+        _scalar_deepest_carry(params, m,
+                              mc.iterates(params, m, spl.MAX_DEPTH, forward),
+                              not forward)
+        for forward in (False, True))
+    e_u = -e_u if e_u[1] <= 0 else e_u
+    e_s = -e_s if e_s[0] <= 0 else e_s
+    return spl.SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,
+                          depth_b=depth_s, l=length_scale(params, m),
+                          residual=max(res_u, res_s),
+                          residual_u=res_u, residual_s=res_s)
+
+
+def _field_outcome(field, params, m):
+    """The frame's floats bit for bit, or the error the field raised."""
+    try:
+        fr = field(params, m)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (fr.e_u.tobytes(), fr.e_s.tobytes(), fr.depth_u, fr.depth_b,
+            repr(fr.l), repr(fr.residual), repr(fr.residual_u),
+            repr(fr.residual_s))
+
+
+def _fields_agree(params, points):
+    for m in points:
+        assert _field_outcome(direction_field, params, m) \
+            == _field_outcome(_scalar_direction_field, params, m), m
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_direction_field_equals_the_scalar_carry(params):
+    # sampled A-points resolve at depth; uniform points mostly escape,
+    # so their walks are short or empty and their cones the default one
+    rng = np.random.default_rng(11)
+    points = [rp.M for rp in sp.sample_A_points(params, rng, 160)]
+    points += [tuple(p) for p in rng.uniform(size=(2000, 2)).tolist()]
+    _fields_agree(params, points)
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=8, deadline=None)
+def test_direction_field_equals_the_scalar_carry_on_valid_params(params,
+                                                                 seed):
+    rng = np.random.default_rng(seed)
+    try:
+        points = [rp.M for rp in sp.sample_A_points(params, rng, 10)]
+    except sp.SampleError:
+        reject()
+    points += [tuple(p) for p in rng.uniform(size=(200, 2)).tolist()]
+    _fields_agree(params, points)
+
+
+def _scalar_cone_return(params, m):
+    """The cone-return check as a loop over the nine cone vectors, with
+    the Jacobians along the orbit rebuilt for every vector: the
+    reference of the stacked check."""
+    if not mc.in_A(params, m):
+        raise OutOfDomain(f"{m} is not in the tangency window A")
+    n, pts = mc.first_return(params, m, spl._RETURN_CAP)
+    jacs = [mc.jacobian(params, p) for p in pts[:-1]]
+
+    def unit_vectors(cone):
+        r0, r1 = cone.boundary_rays()
+        a0 = math.atan2(r0[1], r0[0])
+        a1 = math.atan2(r1[1], r1[0])
+        vecs = []
+        for i in range(spl._CONE_SAMPLES + 2):
+            a = a0 + (a1 - a0) * i / (spl._CONE_SAMPLES + 1)
+            vecs.append(np.array([math.cos(a), math.sin(a)]))
+        return vecs
+
+    def contains(cone, v):
+        u, w = float(v[0]), float(v[1])
+        if cone.axis == "vertical":
+            return abs(u) <= cone.slope_bound * abs(w)
+        return abs(w) <= cone.slope_bound * abs(u)
+
+    cone_u = unstable_cone(params, m)
+    target_u = unstable_cone(params, pts[-1])
+    inclusion = True
+    min_exp = math.inf
+    for v in unit_vectors(cone_u):
+        img = v
+        for jac in jacs:
+            img = jac @ img
+        min_exp = min(min_exp, float(np.linalg.norm(img)))
+        if not contains(target_u, img):
+            inclusion = False
+    bound_u = params.sigma ** (n / 2.0)
+
+    cone_s = stable_cone(params, pts[-1])
+    target_s = stable_cone(params, m)
+    min_con = math.inf
+    for v in unit_vectors(cone_s):
+        img = v
+        for p in reversed(pts[:-1]):
+            img = mc.jacobian_inverse(params, p) @ img
+        min_con = min(min_con, float(np.linalg.norm(img)))
+        if not contains(target_s, img):
+            inclusion = False
+    bound_s = params.lam ** (-n / 2.0)
+    return spl.ReturnReport(M=m, n=n, inclusion=inclusion,
+                            min_expansion_u=min_exp, bound_u=bound_u,
+                            min_contraction_s=min_con, bound_s=bound_s)
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_verify_cone_return_equals_the_scalar_loop(params):
+    rng = np.random.default_rng(13)
+    for rp in sp.sample_A_points(params, rng, 20):
+        assert repr(verify_cone_return(params, rp.M)) \
+            == repr(_scalar_cone_return(params, rp.M))
+
+
+def _same_floats(a, b) -> bool:
+    """Bit-equal, except that any two NaNs count as equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all((a.view(np.uint64) == b.view(np.uint64))
+                       | (np.isnan(a) & np.isnan(b))))
+
+
+def test_stacked_blas_forms_equal_the_per_vector_calls():
+    # The cone carriers and the distortion probe rely on these stacked
+    # forms giving the floats of the per-vector calls; a numpy or BLAS
+    # change that breaks it fails here rather than moving the pins.
+    rng = np.random.default_rng(17)
+    k = 10000
+
+    def draw(*shape):
+        out = rng.uniform(-1.0, 1.0, size=shape) \
+            * 10.0 ** rng.integers(-300, 301, size=shape)
+        out[rng.uniform(size=shape) < 0.05] = 0.0
+        return out
+
+    jacs, vecs, other = draw(k, 2, 2), draw(k, 2), draw(k, 2)
+    V, W = vecs[:, :, None], other[:, :, None]
+    with np.errstate(all="ignore"):
+        stacked = (jacs @ V)[:, :, 0]
+        broadcast = (jacs[0] @ V)[:, :, 0]
+        norms = np.sqrt(V.swapaxes(1, 2) @ V)[:, 0, 0]
+        dots = (V.swapaxes(1, 2) @ W)[:, 0, 0]
+        for i in range(k):
+            assert _same_floats(stacked[i], jacs[i] @ vecs[i])
+            assert _same_floats(broadcast[i], jacs[0] @ vecs[i])
+            assert _same_floats(norms[i], np.linalg.norm(vecs[i]))
+            assert _same_floats(dots[i], np.dot(vecs[i], other[i]))
 
 
 # --- samplers -------------------------------------------------------------
