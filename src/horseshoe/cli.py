@@ -4,25 +4,33 @@ Subcommands, each on a reference parameter set (``--params ex|strict``):
 
 * ``validate``  : the parameter checks of :func:`map_core.validate`;
 * ``calibrate`` : :func:`induced.calibrate_certificate` with
-  ``--budget`` sampled window points and the sampling ``--seed``.
+  ``--budget`` sampled window points and the sampling ``--seed``;
+* ``atoms``     : the nonempty atoms of :func:`coding.atoms` at
+  ``--level`` N, counted: ``words``, ``empty_words`` (the other of the
+  3^(2N+1) centered words) and the cover ``boxes`` of all atoms.
 
-Each prints its report's ``to_json`` on stdout and the elapsed seconds
-on stderr, so stdout stays one JSON document::
+Each prints its report as JSON on stdout and the elapsed seconds on
+stderr, so stdout stays one JSON document::
 
     horseshoe validate --params strict
     horseshoe calibrate --params ex --budget 40 --seed 0
+    horseshoe atoms --params ex --level 2
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
 from . import map_core as mc
+from .coding import atoms
 from .induced import calibrate_certificate
 
 PARAMS = {"ex": mc.REF_EX, "strict": mc.REF_STRICT}
+#: Atom levels the ``atoms`` subcommand builds; level 4 is out of reach.
+LEVELS = range(4)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -36,6 +44,8 @@ def _parser() -> argparse.ArgumentParser:
             "validate", help="check the parameter constraints"),
         "calibrate": sub.add_parser(
             "calibrate", help="calibrate the certificate constants"),
+        "atoms": sub.add_parser(
+            "atoms", help="count the atoms of one level"),
     }
     for cmd in commands.values():
         cmd.add_argument("--params", choices=sorted(PARAMS), default="ex",
@@ -45,7 +55,16 @@ def _parser() -> argparse.ArgumentParser:
                      help="sampled window points (default: 200)")
     cal.add_argument("--seed", type=int, default=0,
                      help="sampling seed (default: 0)")
+    commands["atoms"].add_argument("--level", type=int, choices=LEVELS,
+                                   required=True, help="word level N")
     return parser
+
+
+def _atoms_report(params: mc.MapParams, n: int) -> str:
+    level = atoms(params, n)
+    return json.dumps({"level": n, "words": len(level),
+                       "empty_words": 3 ** (2 * n + 1) - len(level),
+                       "boxes": sum(len(a.boxes) for a in level.values())})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,14 +73,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     params = PARAMS[args.params]
     start = time.perf_counter()
+    status = 0
     if args.command == "validate":
         report = mc.validate(params)
-        status = 0 if report.valid else 1
+        status = int(not report.valid)
+        text = report.to_json()
+    elif args.command == "calibrate":
+        text = calibrate_certificate(params, args.budget, args.seed).to_json()
     else:
-        report = calibrate_certificate(params, args.budget, args.seed)
-        status = 0
+        text = _atoms_report(params, args.level)
     elapsed = time.perf_counter() - start
-    print(report.to_json())
+    print(text)
     print(f"elapsed_s {elapsed:.3f}", file=sys.stderr)
     return status
 

@@ -30,12 +30,24 @@ certified interior.  A box carries the mask of the words whose cover it
 is part of, and a round enumerates the quadrants of the boxes split in
 the round before quadrant-major, in slices of boxes that bound the
 memory in flight; so each word's cover comes out box for box in the
-order a refinement of that word alone gives.  :func:`atoms` keeps the
-last eight levels built, keyed on parameters, level and resolution;
-callers get a fresh dict over shared atoms whose box arrays are
-read-only.  Each atom keeps its representative point once asked for
-it, so a warm level costs no itinerary.  Numerical settings: ``_SLICE``
-and ``_THETA_MIN_PAIRS``.
+order a refinement of that word alone gives.
+
+Only the times that can change a verdict are labelled.  The nine
+children share their parent's symbols at every |k| < n, and each box of
+the parent's cover is of the finest size or certified interior there.
+An unsplit box repeats the parent's float computation, and a quadrant
+of an interior box has hulls inside the parent's exact hulls, since
+every hull bound, clip and band test is a monotone float expression of
+the box ends.  So a family started from its parent's cover is labelled
+at k = +-n alone, though its hulls are still stepped through every
+time.  The inside bits are computed only for boxes above the finest
+size: a finest box is kept on meeting alone.
+
+:func:`atoms` keeps the last eight levels built, keyed on parameters,
+level and resolution; callers get a fresh dict over shared atoms whose
+box arrays are read-only.  Each atom keeps its representative point
+once asked for it, so a warm level costs no itinerary.  Numerical
+settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
 """
 
 from __future__ import annotations
@@ -346,19 +358,32 @@ def _labels(params: MapParams, boxes: np.ndarray,
 
 
 def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
-              table: np.ndarray) -> tuple:
+              exact: np.ndarray, table: np.ndarray,
+              first_unknown: int) -> tuple:
     """Word masks (meet, inside) of each box.
 
     ``table[n + k, bits]`` holds the words whose symbol at time k is one
     of the bands in ``bits``.  Bit j of meet is set when the box is in
     word j's cover (``member``) and its time-k hulls meet band s_k for
-    every |k| <= n; bit j of inside when exact time-k hulls lie inside
-    band s_k for every |k| <= n.  Hulls are advanced only while they
-    meet the square and their box still survives for some word."""
+    every |k| <= n; bit j of inside when the box is ``exact`` and exact
+    time-k hulls lie inside band s_k for every |k| <= n.  Hulls are
+    advanced only while they meet the square and their box still
+    survives for some word.
+
+    Bands are tested only at the times |k| >= ``first_unknown``; the
+    verdicts at earlier times are taken as known for every member word:
+    meet starts as ``member``, inside as ``member`` on the exact boxes.
+    That holds for the boxes of a parent's cover and their quadrants
+    (see :func:`_refine`).  The hulls are still stepped through every
+    time, so the same hulls reach the tested times."""
     n = len(table) // 2
-    label = _labels(params, boxes, np.ones(len(boxes), dtype=bool))
-    meet = member & table[n, label & 7]
-    inside = table[n, label >> 3]
+    if first_unknown == 0:
+        label = _labels(params, boxes, exact)
+        meet = member & table[n, label & 7]
+        inside = table[n, label >> 3]
+    else:
+        meet = member.copy()
+        inside = np.where(exact, member, np.uint16(0))
     for forward, sign in ((True, 1), (False, -1)):
         rows = np.nonzero(meet)[0]
         cur, whole = boxes[rows], inside[rows] != 0
@@ -366,10 +391,11 @@ def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
             cur, step_origin, step_whole = _step(params, cur, forward)
             rows = rows[step_origin]
             whole = whole[step_origin] & step_whole
-            label = np.zeros(len(boxes), dtype=np.uint8)
-            np.bitwise_or.at(label, rows, _labels(params, cur, whole))
-            meet &= table[n + sign * k, label & 7]
-            inside &= table[n + sign * k, label >> 3]
+            if k >= first_unknown:
+                label = np.zeros(len(boxes), dtype=np.uint8)
+                np.bitwise_or.at(label, rows, _labels(params, cur, whole))
+                meet &= table[n + sign * k, label & 7]
+                inside &= table[n + sign * k, label >> 3]
             # hulls off the square cannot meet a band later, and their
             # coordinates blow up under 1/lam
             keep = (meet[rows] != 0) & (cur[:, 2] >= 0.0) \
@@ -481,10 +507,21 @@ def _slices(boxes: np.ndarray, member: np.ndarray, split: bool):
 
 
 def _refine(params: MapParams, words: list, boxes: np.ndarray,
-            resolution: int) -> list:
+            resolution: int, first_unknown: int) -> list:
     """Adaptive covers of a family of words of one level, all starting
     from ``boxes``: split surviving boxes down to 2^-resolution, but set
-    aside boxes certified interior (no boundary can cross them)."""
+    aside boxes certified interior (no boundary can cross them).
+
+    The words share their symbols at the times |k| < ``first_unknown``,
+    and ``boxes`` is a cover that is final for those times: each box is
+    either of the finest size or certified interior there.  The bands
+    are then tested only at the later times (:func:`_verdicts`).  An
+    unsplit box repeats the float computation that built the cover.  A
+    quadrant of an interior box has its hulls inside the box's exact
+    hulls, because every hull bound, clip and band test is a monotone
+    float expression of the box ends; so it passes the same tests.  The
+    inside test runs only on boxes above the finest size: a finest box
+    is kept on meeting alone."""
     n = words[0].n
     # table[n + k, bits]: the words whose time-k symbol is among ``bits``
     bits = np.arange(8)
@@ -500,8 +537,9 @@ def _refine(params: MapParams, words: list, boxes: np.ndarray,
     while len(boxes):
         parents, masks = [], []
         for cur, mem in _slices(boxes, member, split):
-            meet, inside = _verdicts(params, cur, mem, table)
             small = (cur[:, 2] - cur[:, 0]) <= min_w
+            meet, inside = _verdicts(params, cur, mem, ~small, table,
+                                     first_unknown)
             keep = np.where(small, meet, meet & inside)
             for j, cover in enumerate(done):
                 cover.append(cur[(keep >> j & 1).astype(bool)])
@@ -520,7 +558,7 @@ def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
     if resolution is None:
         resolution = default_resolution(params)
     word.n  # validates centering
-    return Atom(word, _refine(params, [word], _SQUARE, resolution)[0])
+    return Atom(word, _refine(params, [word], _SQUARE, resolution, 0)[0])
 
 
 def _levels(params: MapParams, resolution: int | None = None):
@@ -530,7 +568,7 @@ def _levels(params: MapParams, resolution: int | None = None):
     if resolution is None:
         resolution = default_resolution(params)
     words = [Word((s,), 0) for s in (0, 1, 2)]
-    level = dict(zip(words, _refine(params, words, _SQUARE, resolution)))
+    level = dict(zip(words, _refine(params, words, _SQUARE, resolution, 0)))
     while True:
         level = {w: b for w, b in level.items() if len(b)}
         yield level
@@ -539,7 +577,8 @@ def _levels(params: MapParams, resolution: int | None = None):
             children = [Word((a,) + w.symbols + (b,), w.center + 1)
                         for a in (0, 1, 2) for b in (0, 1, 2)]
             nxt.update(zip(children,
-                           _refine(params, children, boxes, resolution)))
+                           _refine(params, children, boxes, resolution,
+                                   w.n + 1)))
         level = nxt
 
 

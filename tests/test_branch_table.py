@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horseshoe import coding
@@ -487,15 +487,22 @@ def _rows(boxes) -> list:
 
 
 @given(params=valid_params())
+@example(params=REF_EX)
 @settings(max_examples=10, deadline=None)
 def test_cover_does_not_depend_on_the_route(params):
-    # a level-1 atom refined from its level-0 parent, as a family of nine
-    # siblings, against the same word refined alone from the square
-    level = coding.atoms(params, 1, resolution=7)
-    for symbols in itertools.product((0, 1, 2), repeat=3):
-        word = coding.Word(symbols, 1)
-        alone = coding.atom(params, word, resolution=7)
-        if word in level:
-            assert _rows(level[word].boxes) == _rows(alone.boxes)
-        else:
-            assert alone.empty
+    # a level-n atom refined from its level-(n - 1) parent, as a family of
+    # nine siblings, against the same word refined alone from the square:
+    # every level-1 word at resolution 7, and at level 2 (where the family
+    # skips most of the parent's times) every 23rd word and the empty
+    # ones at resolution 6
+    for n, resolution, stride in ((1, 7, 1), (2, 6, 23)):
+        level = coding.atoms(params, n, resolution=resolution)
+        words = [coding.Word(symbols, n) for symbols
+                 in itertools.product((0, 1, 2), repeat=2 * n + 1)]
+        for word in (w for i, w in enumerate(words)
+                     if i % stride == 0 or w not in level):
+            alone = coding.atom(params, word, resolution=resolution)
+            if word in level:
+                assert _rows(level[word].boxes) == _rows(alone.boxes)
+            else:
+                assert alone.empty

@@ -1,14 +1,20 @@
 """Tests for the symbolic coding: bands, itineraries, atom covers,
 theta and its Holder fit."""
 
+import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import horseshoe.coding as cd
+import horseshoe.sampling as sp
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, apply_inverse
+from test_branch_table import valid_params
 
 
 def _sample_words(params, n, count, seed=0, max_draws=2_000_000):
@@ -120,12 +126,22 @@ class TestItinerary:
             cd.itinerary(REF_EX, (0.05, 0.3), 2)
         assert err.value.step > 0
 
-    def test_shift_consistency(self):
-        for p, w in _sample_words(REF_EX, 3, 40, seed=5):
-            fp = apply(REF_EX, p)
-            wf = cd.itinerary(REF_EX, fp, 2)
-            # times -2..2 of f(p) are times -1..3 of p
-            assert wf.symbols == w.symbols[2:7]
+    @given(params=valid_params())
+    @example(params=REF_EX)
+    @settings(max_examples=10, deadline=None)
+    def test_shift_consistency(self, params):
+        # built A-points hold a level-2 itinerary on every valid set;
+        # uniform draws hit points with level-3 ones only at small sigma
+        rng = np.random.default_rng(5)
+        points = [sp.sample_returning_point(params, rng).M
+                  for _ in range(20)]
+        samples = [(p, cd.itinerary(params, p, 2)) for p in points]
+        if params.sigma < 10.0:
+            samples += _sample_words(params, 3, 40, seed=5)
+        for p, w in samples:
+            wf = cd.itinerary(params, apply(params, p), w.n - 1)
+            # times -n+1..n-1 of f(p) are times -n+2..n of p
+            assert wf.symbols == w.symbols[2:]
 
     def test_strict_params(self):
         w = cd.itinerary(REF_STRICT, (0.0, 0.0), 2)
@@ -219,6 +235,85 @@ class TestAtoms:
                 setattr(a, name, value)
         assert not a.empty and a.diameter_ub > 0.0
         assert not a.boxes.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Refinement from a parent's cover
+# ---------------------------------------------------------------------------
+
+def _families(params, resolution, n_max):
+    """(n, children, parent cover) for every level-(n - 1) atom with
+    n = 1..n_max: the families that ``_levels`` refines."""
+    out = []
+    levels = cd._levels(params, resolution)
+    for n, parents in enumerate(itertools.islice(levels, n_max), 1):
+        for w, boxes in parents.items():
+            children = [cd.Word((a,) + w.symbols + (b,), w.n + 1)
+                        for a in (0, 1, 2) for b in (0, 1, 2)]
+            out.append((n, children, boxes))
+    return out
+
+
+@given(params=valid_params(), resolution=st.integers(6, 7))
+@example(params=REF_EX, resolution=7)
+@example(params=REF_STRICT, resolution=7)
+@settings(max_examples=8, deadline=None)
+def test_parent_cover_needs_only_the_new_times(params, resolution):
+    # labelling every time again gives the same covers, box for box
+    boxes_seen = 0
+    for n, children, boxes in _families(params, resolution, 2):
+        full = cd._refine(params, children, boxes, resolution, 0)
+        fast = cd._refine(params, children, boxes, resolution, n)
+        for a, b in zip(full, fast, strict=True):
+            assert np.array_equal(a, b)
+        boxes_seen += sum(map(len, full))
+    assert boxes_seen > 0
+
+
+def test_parent_cover_labels_only_the_new_times(monkeypatch):
+    params, resolution = REF_EX, 7
+    families = _families(params, resolution, 2)
+    rows = collections.Counter()    # (time, exact) -> hull rows labelled
+    clock = {}                      # steps taken forward (True), backward
+    verdicts, step, band_bits = cd._verdicts, cd._step, cd._band_bits
+
+    def timed_verdicts(*args):
+        clock.update({True: 0, False: 0})
+        return verdicts(*args)
+
+    def timed_step(params, boxes, forward):
+        clock[forward] += 1
+        return step(params, boxes, forward)
+
+    def counted_bits(params, x, y, whole):
+        time = -clock[False] if clock[False] else clock[True]
+        rows[time, whole] += len(x.lo)
+        return band_bits(params, x, y, whole)
+
+    monkeypatch.setattr(cd, "_verdicts", timed_verdicts)
+    monkeypatch.setattr(cd, "_step", timed_step)
+    monkeypatch.setattr(cd, "_band_bits", counted_bits)
+
+    def labelled(children, boxes, first_unknown):
+        rows.clear()
+        cd._refine(params, children, boxes, resolution, first_unknown)
+        return ({k for (k, _), r in rows.items() if r},
+                sum(r for (_, exact), r in rows.items() if exact))
+
+    min_w = 1.5 * 2.0 ** -resolution
+    fine_seen = exact_seen = 0
+    for n, children, boxes in families:
+        times, _ = labelled(children, boxes, n)
+        assert n in times and times <= {n, -n}
+        # the route from the square labels every time
+        times, _ = labelled(children, boxes, 0)
+        assert times == set(range(-n, n + 1))
+        small = (boxes[:, 2] - boxes[:, 0]) <= min_w
+        for first_unknown in (0, n):
+            assert labelled(children, boxes[small], first_unknown)[1] == 0
+        exact_seen += labelled(children, boxes[~small], n)[1]
+        fine_seen += int(small.sum())
+    assert fine_seen > 0 and exact_seen > 0
 
 
 # ---------------------------------------------------------------------------
