@@ -460,14 +460,6 @@ class Atom:
                & (y <= self.boxes[:, 3] + slack))
         return bool(np.any(hit))
 
-    def to_csv(self) -> str:
-        lines = ["word,box_xmin,box_ymin,box_xmax,box_ymax"]
-        w = self.word.to_string()
-        for x0, y0, x1, y1 in self.boxes:
-            lines.append(f"{w},{float(x0)!r},{float(y0)!r},"
-                         f"{float(x1)!r},{float(y1)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def default_resolution(params: MapParams) -> int:
     """Quadtree depth resolving the thinnest band comfortably."""

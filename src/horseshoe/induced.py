@@ -175,7 +175,7 @@ class PolygonalBall:
         v = self.vertices()
         return v[1], v[0]
 
-    def stable_segment(self, fraction: float = 1.0):
+    def stable_segment(self, fraction: float):
         """S1 (scaled): the e_s segment through the center."""
         c = np.asarray(self.center)
         s = fraction * self.radius_s * self.frame.e_s
@@ -248,11 +248,10 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
 
 @dataclass
 class ChartFrame:
-    """Affine chart centered at M scaling both axes by l(M)."""
+    """Affine chart centered at the splitting's point M scaling both axes
+    by its length scale l(M)."""
 
-    M: tuple
     frame: SplitFrame
-    l: float
     basis: np.ndarray = field(init=False)
     inv_basis: np.ndarray = field(init=False)
 
@@ -261,6 +260,14 @@ class ChartFrame:
             raise OutOfDomain("chart undefined where the length scale vanishes")
         self.basis = self.l * np.column_stack([self.frame.e_u, self.frame.e_s])
         self.inv_basis = np.linalg.inv(self.basis)
+
+    @property
+    def M(self) -> tuple:
+        return self.frame.M
+
+    @property
+    def l(self) -> float:
+        return self.frame.l
 
     def to_plane(self, xi) -> tuple:
         p = np.asarray(self.M) + self.basis @ np.asarray(xi, dtype=float)
@@ -274,9 +281,8 @@ def chart(params: MapParams, m: tuple[float, float],
           frame: SplitFrame | None = None) -> ChartFrame:
     """The chart at ``m``; ``frame`` is the splitting at ``m`` if already
     known."""
-    if frame is None:
-        frame = direction_field(params, m)
-    return ChartFrame(M=m, frame=frame, l=length_scale(params, m))
+    return ChartFrame(frame if frame is not None
+                      else direction_field(params, m))
 
 
 def kergodic_apply(params: MapParams, chart_m: ChartFrame,
@@ -420,15 +426,14 @@ class CrossingProbe:
     """Angle bookkeeping at a window point."""
 
     M: tuple
-    rho: float
     alpha: float        # leaf tangent vs horizontal, tan = 2*c*l
     beta: float         # stable side vs horizontal
     gamma_angle: float  # e_u vs leaf tangent
     delta: float        # stable-cone half-width, tan = tan(alpha)/4
 
 
-def crossing_probe(params: MapParams, m: tuple[float, float],
-                   rho: float = 1.0) -> CrossingProbe:
+def crossing_probe(params: MapParams,
+                   m: tuple[float, float]) -> CrossingProbe:
     frame = direction_field(params, m)
     l = length_scale(params, m)
     alpha = math.atan(2.0 * params.c * l)
@@ -437,7 +442,7 @@ def crossing_probe(params: MapParams, m: tuple[float, float],
     gamma = math.atan2(abs(frame.e_u[0] * leaf[1] - frame.e_u[1] * leaf[0]),
                        abs(float(np.dot(frame.e_u, leaf))))
     delta = math.atan(math.tan(alpha) / 4.0)
-    return CrossingProbe(M=m, rho=rho, alpha=alpha, beta=beta,
+    return CrossingProbe(M=m, alpha=alpha, beta=beta,
                          gamma_angle=gamma, delta=delta)
 
 
@@ -490,12 +495,6 @@ class CrossReport:
     eta_ok: bool
     n_return: int | None
     details: dict = field(default_factory=dict)
-
-    def csv_row(self) -> list:
-        return ["%.17g" % self.M[0], "%.17g" % self.M[1], "%.17g" % self.rho,
-                str(self.c0_ok).lower(), str(self.eps0_ok).lower(),
-                str(self.eta_ok).lower(),
-                "" if self.n_return is None else str(self.n_return)]
 
 
 def _linspaces(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
@@ -661,17 +660,13 @@ def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
 @dataclass
 class _Geometry:
     """What the crossing checks at a window point M read that does not
-    depend on the certificate: l(M) and the splitting at M and, for the
-    eta check, the first return M_n = f^n(M) with its splitting and
-    length scale."""
+    depend on the certificate: the splitting at M (which carries M and
+    l(M)) and, for the eta check, the first return time n with the
+    splitting at M_n = f^n(M)."""
 
-    M: tuple
-    l: float
     frame: SplitFrame
     n_return: int | None = None
-    M_ret: tuple | None = None
     frame_ret: SplitFrame | None = None
-    l_ret: float | None = None
 
 
 def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
@@ -681,13 +676,10 @@ def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
     Raises :class:`NoReturn` when a needed return does not happen."""
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
-    geo = _Geometry(m, length_scale(params, m),
-                    frame if frame is not None else direction_field(params, m))
+    geo = _Geometry(frame if frame is not None else direction_field(params, m))
     if returns:
         geo.n_return, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
-        geo.M_ret = orbit_pts[-1]
-        geo.frame_ret = direction_field(params, geo.M_ret)
-        geo.l_ret = length_scale(params, geo.M_ret)
+        geo.frame_ret = direction_field(params, orbit_pts[-1])
     return geo
 
 
@@ -714,9 +706,9 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
                      cert: Certificate, checks) -> CrossReport:
     """:func:`u_crossing_certificate` on the point's geometry, for the
     statements in ``checks`` (the others report False)."""
-    m = geo.M
     frame = geo.frame
-    lt = rho * cert.C0 * geo.l
+    m = frame.M
+    lt = rho * cert.C0 * frame.l
     ball = PolygonalBall(m, frame, lt, lt)
 
     # C0: parabolas through the middle quarter of the stable segment
@@ -762,8 +754,8 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
         sides.append((x_side, y_a, y_b))
     # eta bounds how far the target center may sit from the actual
     # return point; the crossing must hold for every such center.
-    base = np.asarray(geo.M_ret)
-    r_pert = cert.eta * cert.eps0 * rho * cert.C0 * geo.l_ret
+    base = np.asarray(geo.frame_ret.M)
+    r_pert = cert.eta * cert.eps0 * rho * cert.C0 * geo.frame_ret.l
     centers = [base]
     for e in (geo.frame_ret.e_u, geo.frame_ret.e_s):
         centers.append(base + r_pert * e)
@@ -814,8 +806,8 @@ def _returns(params: MapParams, m) -> bool:
     return True
 
 
-def calibrate_certificate(params: MapParams, sample_budget: int = 200,
-                          seed: int = 0) -> Certificate:
+def calibrate_certificate(params: MapParams, sample_budget: int,
+                          seed: int) -> Certificate:
     """Replace the existence constants by swept values.
 
     chi0 stays fixed at 4 and gamma keeps its closed form; chi has a

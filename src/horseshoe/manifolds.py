@@ -34,14 +34,14 @@ Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
 ``_MAX_EXTEND``, ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``,
 ``_SCAN_ROUNDS``, ``_SIMPLE_TOL``, ``_SEED_SLOPE``, ``_BLOCK``,
-``_BOX_PAD``, ``_PARALLEL``, ``_PASSAGES``, ``_EPS1`` and
-``_VERTICAL_POINTS``.
+``_BOX_PAD``, ``_PARALLEL``, ``_PASSAGES``, ``_EPS1``,
+``_VERTICAL_POINTS``, ``_RHO``, ``_MIXING_BUDGET`` and
+``_NONEXPANSIVE_HORIZON``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from fractions import Fraction
 from dataclasses import dataclass, field, fields, replace
@@ -49,8 +49,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, Region, Certificate, classify, apply,
-                       apply_inverse, default_certificate, OutOfDomain)
+from .map_core import (MapParams, Region, classify, apply, apply_inverse,
+                       default_certificate, OutOfDomain)
 from .splitting import length_scale
 from .induced import ChartFrame, chart
 
@@ -74,6 +74,9 @@ _PARALLEL = 1e-6    # |cross| / (|d1|_1 |d2|_1) below which a pair is parallel
 _PASSAGES = 20      # strip returns of the verticality iteration
 _EPS1 = 0.5         # verticality bound on slope and curvature
 _VERTICAL_POINTS = 513  # grid points of an iterated vertical graph
+_RHO = 0.5          # fraction of C3 * l(M) a local leaf first tries
+_MIXING_BUDGET = 60  # iterates a mixing-time search may take
+_NONEXPANSIVE_HORIZON = 50  # |n| over which a non-expansive pair is checked
 
 
 class NoConvergence(mc.HorseshoeError, RuntimeError):
@@ -213,21 +216,6 @@ class ManifoldCurve:
             if math.hypot(pt[0] - pts[i, 0], pt[1] - pts[i, 1]) > _SIMPLE_TOL:
                 return False
         return True
-
-    def to_csv(self) -> str:
-        lines = ["idx,x,y,arclen"]
-        for i, ((x, y), s) in enumerate(zip(self.points, self.arclength)):
-            lines.append(f"{i},{float(x)!r},{float(y)!r},{float(s)!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "meta": self.meta,
-            "points": self.points.tolist(),
-            "arclength": self.arclength.tolist(),
-        }
-        return json.dumps(payload)
 
 
 def _params_hash(params: MapParams) -> str:
@@ -391,24 +379,20 @@ def _edge_leaf(corner, kind: str, s: np.ndarray) -> np.ndarray:
     return np.column_stack([const, s] if kind == "unstable" else [s, const])
 
 
-def _local_manifold(params: MapParams, chain: _Chain, rho: float,
-                    cert: Certificate | None) -> ManifoldCurve:
-    """The local leaf at the base of ``chain``; every radius it tries
+def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
+    """The local leaf at the base of ``chain``, first tried at radius
+    ``_RHO`` * C3 * l(M) and halved on failure; every radius it tries
     reads the same chain."""
-    if cert is None:
-        cert = default_certificate(params)
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
+    radius = _RHO * default_certificate(params).C3
     m, kind = chain.m, chain.kind
     if m in _CORNERS:
         # exact local leaves at the two linear fixed points
-        radius_plane = rho * cert.C3 * length_scale(params, m)
+        radius_plane = radius * length_scale(params, m)
         t = np.linspace(0.0, radius_plane, GRID_POINTS)
         pts = _edge_leaf(m, kind, t if m[0] == 0.0 else 1.0 - t[::-1])
         meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
                 "lip_bound": 0.0, "params": _params_hash(params)}
         return ManifoldCurve(pts, kind, meta)
-    radius = rho * cert.C3
     last_err = None
     while radius >= RHO_MIN:
         try:
@@ -424,16 +408,14 @@ def _local_manifold(params: MapParams, chain: _Chain, rho: float,
                         f"{last_err}", last_factor=None)
 
 
-def local_unstable(params: MapParams, m, rho: float = 0.5,
-                   cert: Certificate | None = None) -> ManifoldCurve:
+def local_unstable(params: MapParams, m) -> ManifoldCurve:
     """Local unstable manifold through ``m`` as a plane polyline."""
-    return _local_manifold(params, _Chain(params, m, "unstable"), rho, cert)
+    return _local_manifold(params, _Chain(params, m, "unstable"))
 
 
-def local_stable(params: MapParams, m, rho: float = 0.5,
-                 cert: Certificate | None = None) -> ManifoldCurve:
+def local_stable(params: MapParams, m) -> ManifoldCurve:
     """Local stable manifold through ``m`` (inverse-block pullback)."""
-    return _local_manifold(params, _Chain(params, m, "stable"), rho, cert)
+    return _local_manifold(params, _Chain(params, m, "stable"))
 
 
 # ---------------------------------------------------------------------------
@@ -649,20 +631,20 @@ def _merge_contiguous(pieces, start: int):
             return chain
 
 
-def _global_manifold(params: MapParams, chain: _Chain, n: int, rho: float,
-                     cert: Certificate | None) -> ManifoldCurve:
+def _global_manifold(params: MapParams, chain: _Chain,
+                     n: int) -> ManifoldCurve:
     """The leaf through the base of ``chain``: the local leaf at its n-th
     anchor (read from the chain's tail) mapped back to the base."""
     m, kind = chain.m, chain.kind
     if m in _CORNERS:
         pts = _edge_leaf(m, kind,
                          np.linspace(0.0, 1.0, int(1.0 / _SEG_LEN) + 1))
-        meta = {"rho": rho, "n": n, "steps": 0, "base_distance": 0.0,
+        meta = {"rho": _RHO, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": _params_hash(params)}
         return ManifoldCurve(pts, kind, meta)
     steps = sum(chain[i][2] for i in range(1, n + 1))
     tail = chain.tail(n)
-    local = _local_manifold(params, tail, rho, cert)
+    local = _local_manifold(params, tail)
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
         params, [local.points], steps, protect=tail.m)
     best_d, best_i = math.inf, -1
@@ -673,47 +655,40 @@ def _global_manifold(params: MapParams, chain: _Chain, n: int, rho: float,
     if best_i < 0:
         raise NoConvergence("the advanced leaf lost its base point")
     pts = _resample_max_seg(_merge_contiguous(pieces, best_i), _SEG_LEN)
-    meta = {"rho": rho, "n": n, "steps": steps, "base_distance": best_d,
+    meta = {"rho": _RHO, "n": n, "steps": steps, "base_distance": best_d,
             "params": _params_hash(params)}
     return ManifoldCurve(pts, kind, meta)
 
 
-def global_unstable(params: MapParams, m, n: int, rho: float = 0.5,
-                    cert: Certificate | None = None) -> ManifoldCurve:
+def global_unstable(params: MapParams, m, n: int) -> ManifoldCurve:
     """Component through ``m`` of the n-fold forward image of the local
     unstable leaf at the n-th induced preimage of ``m``."""
-    return _global_manifold(params, _Chain(params, m, "unstable"), n,
-                            rho, cert)
+    return _global_manifold(params, _Chain(params, m, "unstable"), n)
 
 
-def global_stable(params: MapParams, m, n: int, rho: float = 0.5,
-                  cert: Certificate | None = None) -> ManifoldCurve:
-    return _global_manifold(params, _Chain(params, m, "stable"), n,
-                            rho, cert)
+def global_stable(params: MapParams, m, n: int) -> ManifoldCurve:
+    return _global_manifold(params, _Chain(params, m, "stable"), n)
 
 
-def unstable_invariance_defect(params: MapParams, m, rho: float = 0.5,
-                               cert: Certificate | None = None) -> float:
+def unstable_invariance_defect(params: MapParams, m) -> float:
     """One-sided Hausdorff distance from W^u(F(M)) to F(W^u(M)) on the
     overlap (the invariance inclusion, measured)."""
-    return _invariance_defect(params, m, "unstable", rho, cert)
+    return _invariance_defect(params, m, "unstable")
 
 
-def stable_invariance_defect(params: MapParams, m, rho: float = 0.5,
-                             cert: Certificate | None = None) -> float:
+def stable_invariance_defect(params: MapParams, m) -> float:
     """One-sided Hausdorff distance from W^s(F^-1(M)) to F^-1(W^s(M))."""
-    return _invariance_defect(params, m, "stable", rho, cert)
+    return _invariance_defect(params, m, "stable")
 
 
-def _invariance_defect(params: MapParams, m, kind: str, rho: float,
-                       cert: Certificate | None) -> float:
+def _invariance_defect(params: MapParams, m, kind: str) -> float:
     unstable = kind == "unstable"
     local = local_unstable if unstable else local_stable
     other, _, k = _Chain(params, m, "stable" if unstable else "unstable")[1]
-    leaf = local(params, m, rho=rho, cert=cert)
+    leaf = local(params, m)
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], k, protect=m)
-    pts = local(params, other, rho=rho, cert=cert).points
+    pts = local(params, other).points
     if not pieces:
         raise NoConvergence(f"the mapped {kind} leaf of {m} left the square")
     near = np.full(len(pts), np.inf)
@@ -756,7 +731,7 @@ def eps1_vertical_check(curve, eps1: float) -> VerticalityReport:
 
 
 def iterate_vertical_curve(params: MapParams,
-                           x_vals=None) -> list[VerticalityReport]:
+                           x_vals) -> list[VerticalityReport]:
     """Push an ``_EPS1``-vertical graph over the parabolic strip through
     ``_PASSAGES`` full-map returns and report its verticality after each.
 
@@ -769,12 +744,9 @@ def iterate_vertical_curve(params: MapParams,
     p = params
     h = p.h
     y_grid = np.linspace(p.t - h, p.t + h, _VERTICAL_POINTS)
-    if x_vals is None:
-        g = np.full(_VERTICAL_POINTS, 0.3)
-    else:
-        g = np.asarray(x_vals, dtype=float)
-        if g.shape != y_grid.shape:
-            raise ValueError("x_vals must match the strip grid size")
+    g = np.asarray(x_vals, dtype=float)
+    if g.shape != y_grid.shape:
+        raise ValueError("x_vals must match the strip grid size")
     # the seed's own verticality is the caller's premise: finite
     # differences of an O(1)-valued graph over a strip of width
     # 2 w_max / sigma sit below float64 noise for steep parameters
@@ -873,23 +845,22 @@ class Bracket:
 BRACKET_ANGLE_FLOOR = 1e-6
 
 
-def bracket(params: MapParams, m, m_prime, rho: float = 0.5,
-            cert: Certificate | None = None) -> Bracket:
+def bracket(params: MapParams, m, m_prime) -> Bracket:
     """Intersection of the stable leaf of ``m`` with the unstable leaf
     of ``m_prime`` (the local product structure), with the measured
     transversality angle.  The local leaves and every extension read one
     stable chain of ``m`` and one unstable chain of ``m_prime``."""
     stable = _Chain(params, m, "stable")
     unstable = _Chain(params, m_prime, "unstable")
-    ws = _local_manifold(params, stable, rho, cert)
-    wu = _local_manifold(params, unstable, rho, cert)
+    ws = _local_manifold(params, stable)
+    wu = _local_manifold(params, unstable)
     hits = _polyline_intersections(ws.points, wu.points)
     n = 0
     while not hits and n < _MAX_EXTEND:
         n += 2
         try:
-            ws = _global_manifold(params, stable, n, rho, cert)
-            wu = _global_manifold(params, unstable, n, rho, cert)
+            ws = _global_manifold(params, stable, n)
+            wu = _global_manifold(params, unstable, n)
         except (Unsupported, NoConvergence) as err:
             raise NoIntersection(f"leaves too short and not extendable: "
                                  f"{err}") from err
@@ -949,8 +920,8 @@ def _surviving_parameter(survive, lo: float, hi: float, depth: int):
     return None
 
 
-def _seed_arcs(params: MapParams, disk: Disk, kind: str, rho: float,
-               cert: Certificate | None) -> list[np.ndarray]:
+def _seed_arcs(params: MapParams, disk: Disk,
+               kind: str) -> list[np.ndarray]:
     unstable = kind == "unstable"
     # coordinate that is constant on the edge leaves, and that the scan
     # below moves along
@@ -990,7 +961,7 @@ def _seed_arcs(params: MapParams, disk: Disk, kind: str, rho: float,
     if t0 is not None:
         local = local_unstable if unstable else local_stable
         try:
-            curve = local(params, point(t0), rho=rho, cert=cert)
+            curve = local(params, point(t0))
             seeds.extend(_clip_to_disk(curve.points, disk))
         except (Unsupported, NoConvergence, OutOfDomain):
             pass
@@ -1005,9 +976,8 @@ def _spanning_piece(pieces: list, axis: int):
     return None
 
 
-def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int,
-                   rho: float, cert: Certificate | None):
-    pieces = _seed_arcs(params, disk, kind, rho, cert)
+def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int):
+    pieces = _seed_arcs(params, disk, kind)
     if not pieces:
         raise Unsupported(f"no {kind} seed arc found inside {disk}")
     axis = 1 if kind == "unstable" else 0
@@ -1027,27 +997,24 @@ def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int,
         f"no full crossing within {budget} iterates", longest_span=longest)
 
 
-def mixing_times(params: MapParams, disk: Disk, budget: int = 60,
-                 rho: float = 0.5, cert: Certificate | None = None) -> dict:
+def mixing_times(params: MapParams, disk: Disk,
+                 budget: int = _MIXING_BUDGET) -> dict:
     """Iterates needed for the disk to develop a full vertical unstable
     crossing (forward) and a full horizontal stable crossing (backward).
     """
-    n_plus, arc_plus = _mixing_search(params, disk, "unstable", budget,
-                                      rho, cert)
-    n_minus, arc_minus = _mixing_search(params, disk, "stable", budget,
-                                        rho, cert)
+    n_plus, arc_plus = _mixing_search(params, disk, "unstable", budget)
+    n_minus, arc_minus = _mixing_search(params, disk, "stable", budget)
     return {"n_plus": n_plus, "n_minus": n_minus,
             "arc_plus": arc_plus, "arc_minus": arc_minus}
 
 
-def mixing_consequence(params: MapParams, disk_u: Disk, disk_v: Disk,
-                       budget: int = 60, rho: float = 0.5,
-                       cert: Certificate | None = None) -> bool:
+def mixing_consequence(params: MapParams, disk_u: Disk,
+                       disk_v: Disk) -> bool:
     """f^n(U) meets V for n = n_plus(U) + n_minus(V): the full vertical
     arc of f^(n_plus)(U) crosses the full horizontal arc of
     f^(-n_minus)(V)."""
-    _, arc_u = _mixing_search(params, disk_u, "unstable", budget, rho, cert)
-    _, arc_v = _mixing_search(params, disk_v, "stable", budget, rho, cert)
+    _, arc_u = _mixing_search(params, disk_u, "unstable", _MIXING_BUDGET)
+    _, arc_v = _mixing_search(params, disk_v, "stable", _MIXING_BUDGET)
     return bool(_polyline_intersections(arc_u, arc_v))
 
 
@@ -1092,11 +1059,11 @@ def _rational_sqrt_in(lo: Fraction, hi: Fraction) -> Fraction | None:
     return None
 
 
-def _threaded_separation(params: MapParams, delta: float, horizon: int,
+def _threaded_separation(params: MapParams, delta: float,
                          prefix: int) -> Fraction | None:
     """Exact half-separation ``a`` whose squared value makes the common
     backward abscissa chain of the pair (q-a, 0), (q+a, 0) thread the
-    image bands for ``horizon`` steps.
+    image bands for ``_NONEXPANSIVE_HORIZON`` steps.
 
     The chain abscissa is affine in a^2 (first through the parabolic
     band, then ``prefix`` left-band rungs, then the middle band
@@ -1118,7 +1085,7 @@ def _threaded_separation(params: MapParams, delta: float, horizon: int,
         hi = c_hi if hi is None else min(hi, c_hi)
         return (lo, hi) if lo < hi else (None, None)
 
-    for k in range(horizon):
+    for k in range(_NONEXPANSIVE_HORIZON):
         if k < prefix:
             band = (Fraction(0), lam)       # left image band
         else:
@@ -1136,13 +1103,12 @@ def _threaded_separation(params: MapParams, delta: float, horizon: int,
     return a
 
 
-def _nonexpansive_candidates(params: MapParams, delta: float,
-                             horizon: int):
+def _nonexpansive_candidates(params: MapParams, delta: float):
     """Exact half-separations, largest first: the prefix-0 family
     separates by about sqrt(lam*r3_a/c), each extra left-band rung
     divides the separation by sqrt(1/lam)."""
     for prefix in range(0, 40):
-        a = _threaded_separation(params, delta, horizon, prefix)
+        a = _threaded_separation(params, delta, prefix)
         if a is not None:
             yield a
 
@@ -1151,10 +1117,9 @@ def _exact_dist_sq(pa, pb) -> Fraction:
     return (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
 
 
-def nonexpansive_pair(params: MapParams, delta: float,
-                      horizon: int = 50) -> NonexpansiveReport:
+def nonexpansive_pair(params: MapParams, delta: float) -> NonexpansiveReport:
     """A pair of distinct points whose orbits never separate by more
-    than ``delta`` over ``|n| <= horizon``.
+    than ``delta`` over ``|n| <= _NONEXPANSIVE_HORIZON``.
 
     Both points sit on the bottom edge (one shared stable leaf),
     symmetric about the tangency abscissa, hence on one local parabola;
@@ -1170,7 +1135,8 @@ def nonexpansive_pair(params: MapParams, delta: float,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     pf = _exact(params)
-    for a in _nonexpansive_candidates(params, delta, horizon):
+    horizon = _NONEXPANSIVE_HORIZON
+    for a in _nonexpansive_candidates(params, delta):
         A = (pf.q + a, Fraction(0))
         B = (pf.q - a, Fraction(0))
         oa, ob = (mc.orbit(pf, pt, horizon, horizon) for pt in (A, B))

@@ -222,15 +222,6 @@ class MapParams:
     def to_json(self) -> str:
         return json.dumps({j: getattr(self, a) for a, j in _JSON_KEYS.items()}, indent=2)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MapParams":
-        kwargs = {a: float(d[j]) for a, j in _JSON_KEYS.items()}
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MapParams":
-        return cls.from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # The branch table
@@ -748,14 +739,16 @@ class Certificate:
             }
         return json.dumps(payload, indent=2)
 
-    def with_updates(self, provenance: str = "estimated", **values) -> "Certificate":
+    def with_updates(self, **values) -> "Certificate":
+        """A copy with ``values`` marked ``"estimated"``; C3 = rho1 * C0
+        follows a new rho1 or C0."""
         prov = dict(self.provenance)
         for name in values:
-            prov[name] = provenance
+            prov[name] = "estimated"
         new = replace(self, provenance=prov, **values)
         if "rho1" in values or "C0" in values:
             new = replace(new, C3=new.rho1 * new.C0)
-            new.provenance["C3"] = provenance
+            new.provenance["C3"] = "estimated"
         return new
 
 

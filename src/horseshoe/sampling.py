@@ -21,7 +21,8 @@ by direct iteration:
 All samplers draw from a caller-provided ``numpy.random.Generator`` and
 raise :class:`SampleError` only if verification keeps failing, which
 for valid parameters indicates a bug rather than bad luck.
-Numerical settings: ``_UNSTABLE_OCTAVES`` and ``_STABLE_OCTAVES``.
+Numerical settings: ``_UNSTABLE_OCTAVES``, ``_STABLE_OCTAVES`` and
+``_MAX_TRIES``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .map_core import MapParams, Region, classify, apply, in_A
 
 _UNSTABLE_OCTAVES = 12     # dyadic distance scales of unstable pairs
 _STABLE_OCTAVES = 10       # and of stable pairs
+_MAX_TRIES = 200           # constructions a sampler verifies before failing
 
 
 class SampleError(mc.HorseshoeError, RuntimeError):
@@ -64,15 +66,14 @@ def _escape_count(params: MapParams, m) -> int | None:
 
 
 def sample_returning_point(params: MapParams, rng: np.random.Generator,
-                           n1: int | None = None,
-                           max_tries: int = 200) -> ReturningPoint:
+                           n1: int | None = None) -> ReturningPoint:
     """A random point of A whose first return to A happens at n1 + 1.
 
     The seed's parabola offset is taken in ``lam * [R3-band]`` so the
     backward orbit runs R4 <- R3 <- R5 for at least three steps.
     """
     p = params
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         n_esc = n1 if n1 is not None else int(rng.integers(1, 6))
         # wing coordinate of the R4 visit: return height c*w^2 - u must
         # land in [0, 1/sigma); u <= lam^2 is negligible but kept exact.
@@ -109,13 +110,13 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
             continue
         return ReturningPoint(M=m0, n_escape=n_esc, n_return=n_ret,
                               M_return=orbit[-1], backward_depth=bd)
-    raise SampleError(f"no returning point found in {max_tries} tries")
+    raise SampleError(f"no returning point found in {_MAX_TRIES} tries")
 
 
 def sample_A_points(params: MapParams, rng: np.random.Generator,
-                    count: int, n1: int | None = None) -> list:
+                    count: int) -> list:
     """``count`` verified returning points of A (convenience wrapper)."""
-    return [sample_returning_point(params, rng, n1=n1) for _ in range(count)]
+    return [sample_returning_point(params, rng) for _ in range(count)]
 
 
 @dataclass
@@ -128,7 +129,8 @@ class MultiReturnOrbit:
 
 
 def multi_return_point(params: MapParams, rng: np.random.Generator,
-                       escape_times: list, max_tries: int = 200) -> MultiReturnOrbit:
+                       escape_times: list,
+                       max_tries: int = _MAX_TRIES) -> MultiReturnOrbit:
     """Build a point of A with consecutive escape times ``escape_times``.
 
     ``escape_times = [n_1, ..., n_m]`` requests an orbit visiting A at

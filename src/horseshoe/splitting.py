@@ -294,12 +294,6 @@ class ReturnReport:
     min_contraction_s: float
     bound_s: float
 
-    def csv_row(self) -> list:
-        return ["%.17g" % self.M[0], "%.17g" % self.M[1], str(self.n),
-                str(self.inclusion).lower(), "%.17g" % self.min_expansion_u,
-                "%.17g" % self.bound_u, "%.17g" % self.min_contraction_s,
-                "%.17g" % self.bound_s]
-
 
 def _cone_unit_vectors(cone: Cone) -> np.ndarray:
     """Boundary rays plus ``_CONE_SAMPLES`` interior samples of a cone,

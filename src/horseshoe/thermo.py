@@ -17,7 +17,7 @@ Numerical settings are module constants: ``_TOL``, ``_MAX_ITER``,
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,14 +91,6 @@ def named_potential(name: str) -> Potential:
 # Word bookkeeping (one-sided m-words as base-3 codes)
 # ---------------------------------------------------------------------------
 
-def _word_of_code(code: int, m: int) -> tuple:
-    out = []
-    for _ in range(m):
-        out.append(code % 3)
-        code //= 3
-    return tuple(reversed(out))
-
-
 def _code_of_word(symbols) -> int:
     code = 0
     for s in symbols:
@@ -160,8 +152,8 @@ def pull_back(params: MapParams, phi: Potential, m: int,
     values = np.empty(3 ** m)
     variation = 0.0
     flagged = []
-    for code in range(3 ** m):
-        word = _centered(_word_of_code(code, m))
+    for code, symbols in enumerate(itertools.product((0, 1, 2), repeat=m)):
+        word = _centered(symbols)
         a = level.get(word)
         if a is None or a.empty:
             flagged.append(word.to_string())
@@ -281,23 +273,6 @@ class CylinderMeasure:
     def mass(self, symbols) -> float:
         return float(self.masses[_code_of_word(symbols)])
 
-    def to_csv(self) -> str:
-        lines = ["word,mass"]
-        for code in range(3 ** self.m):
-            w = "".join(str(s) for s in _word_of_code(code, self.m))
-            lines.append(f"{w},{float(self.masses[code])!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "m": self.m,
-            "pressure": self.pressure,
-            "entropy": self.entropy,
-            "integral": self.integral,
-            "variation_bound": self.variation_bound,
-            "gibbs_C": self.gibbs_C,
-        }, ensure_ascii=False)
-
 
 def _entropy_of(masses: np.ndarray) -> float:
     mz = masses[masses > 0.0]
@@ -383,8 +358,7 @@ def equilibrium_state(params: MapParams, phi: Potential, m: int,
     level = coding.atoms(params, n, resolution)
     atom_masses: dict = {}
     reassigned = []
-    for code in range(3 ** m):
-        symbols = _word_of_code(code, m)
+    for code, symbols in enumerate(itertools.product((0, 1, 2), repeat=m)):
         word = coding.Word(symbols[:2 * n + 1], n)
         if word not in level:
             target = _nearest_nonempty(level, word)

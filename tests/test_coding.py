@@ -12,25 +12,57 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horseshoe.coding as cd
+import horseshoe.map_core as mc
 import horseshoe.sampling as sp
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, apply_inverse
 from test_branch_table import valid_params
 
 
-def _sample_words(params, n, count, seed=0, max_draws=2_000_000):
-    """Random points with defined length-(2n+1) itineraries."""
+def _sample_words(params, n, count, seed=0, max_draws=2_000_000,
+                  block=4096):
+    """Random points with defined length-(2n+1) itineraries.
+
+    The uniform draws come ``block`` points at a time, in the order of
+    one-at-a-time draws.  A draw whose orbit
+    :func:`map_core.step_arrays` shows escaping within n forward steps
+    would make :func:`coding.itinerary` raise :class:`coding.Escaped`,
+    so it is dropped unasked; the words are those of
+    :func:`_sample_words_one_by_one`."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(max_draws):
+    for start in range(0, max_draws, block):
+        pts = rng.uniform(size=(min(block, max_draws - start), 2))
+        x, y = pts.T
+        for _ in range(n):
+            x, y, _ = mc.step_arrays(params, x, y)
+        for px, py in pts[~np.isnan(x)].tolist():
+            try:
+                out.append(((px, py), cd.itinerary(params, (px, py), n)))
+            except (cd.NotInBands, cd.Escaped):
+                continue
+            if len(out) == count:
+                return out
+    raise AssertionError("sampling starved")
+
+
+def _sample_words_one_by_one(params, n, count, seed):
+    """The reference for :func:`_sample_words`: one draw, one itinerary."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
         p = (float(rng.uniform()), float(rng.uniform()))
         try:
             out.append((p, cd.itinerary(params, p, n)))
         except (cd.NotInBands, cd.Escaped):
             continue
-        if len(out) == count:
-            break
-    assert len(out) == count, "sampling starved"
     return out
+
+
+@pytest.mark.parametrize("n,count,seed", [(1, 40, 1), (2, 20, 4), (3, 12, 6)])
+def test_block_sampler_keeps_the_one_by_one_words(n, count, seed):
+    fast = _sample_words(REF_EX, n, count, seed=seed, block=64)
+    assert fast == _sample_words_one_by_one(REF_EX, n, count, seed)
+    assert all(type(c) is float for p, _ in fast for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +240,6 @@ class TestAtoms:
         assert a.diameter_ub == 0.0
         with pytest.raises(cd.EmptyAtom):
             a.center()
-
-    def test_csv_export(self, tmp_path):
-        a = cd.atom(REF_EX, cd.Word((0, 0, 0), 1), resolution=8)
-        text = a.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "word,box_xmin,box_ymin,box_xmax,box_ymax"
-        first = lines[1].split(",")
-        assert first[0] == "0.00"
-        assert len(first) == 5
-        assert float(first[3]) > float(first[1])
 
     def test_strict_params_level_one(self):
         level = cd.atoms(REF_STRICT, 1)

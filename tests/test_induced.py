@@ -52,6 +52,29 @@ def test_escape_time_from_subnormal_heights():
     assert ind.escape_time(REF_EX, m) == sp._escape_count(REF_EX, m) == 460
 
 
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_escape_time_closed_form(params):
+    # R1 maps y to sigma*y, so a window point leaves R1 = [0,1] x [0,1/sigma]
+    # at the least n >= 1 with sigma^n * y > 1/sigma: n = max(1, k - 1)
+    # just above y = sigma^-k, n = k just below it, and at y = sigma^-k
+    # itself the float rounding of sigma^-k may take either side
+    k_max = int(300 / math.log10(params.sigma))   # sigma^-k stays normal
+    for k in range(1, k_max + 1):
+        y0 = params.sigma ** -k
+        for y, closed in ((y0 * (1.0 + 1e-6), max(1, k - 1)),
+                          (y0 * (1.0 - 1e-6), k), (y0, None)):
+            if y > params.inv_sigma:
+                continue
+            # on the parabola of offset lam/4, inside the window at any y
+            m = (params.q + math.sqrt((y + 0.25 * params.lam) / params.c), y)
+            assert in_A(params, m)
+            n = ind.escape_time(params, m)
+            if closed is None:
+                assert n in (max(1, k - 1), k), (k, n)
+            else:
+                assert n == closed, (k, y, n)
+
+
 def test_approach_time_cap_raises_typed_error():
     # offset 0: the preimage sits on the edge x = 0 of the R4 strip, and
     # its backward orbit stays in the column R1' for ever
@@ -505,13 +528,6 @@ def test_u_crossing_no_return_raises():
     cert = default_certificate(REF_EX)
     with pytest.raises(NoReturn):
         ind.u_crossing_certificate(REF_EX, (0.79, 0.005), 1.0, cert)
-
-
-def test_cross_report_csv_row():
-    rep = ind.CrossReport(M=(0.79, 0.005), rho=1.0, c0_ok=True,
-                          eps0_ok=True, eta_ok=False, n_return=6)
-    row = rep.csv_row()
-    assert row[3] == "true" and row[5] == "false" and row[6] == "6"
 
 
 # --- calibration ----------------------------------------------------------

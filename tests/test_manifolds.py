@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -538,23 +537,3 @@ def test_nonexpansive_exact_backward_chain():
         assert cur is not None
     assert float(abs(cur[0] - Fraction(1, 2))) < REF_STRICT.lam
 
-
-# --- serialization --------------------------------------------------------
-
-def test_curve_csv_round_trip(tmp_path):
-    wu = mf.local_unstable(REF_EX, (0.0, 0.0))
-    path = tmp_path / "wu.csv"
-    path.write_text(wu.to_csv())
-    lines = path.read_text().splitlines()
-    assert lines[0] == "idx,x,y,arclen"
-    assert len(lines) == len(wu.points) + 1
-    x = float(lines[1].split(",")[1])
-    assert x == wu.points[0, 0]
-
-
-def test_curve_json_fields(tmp_path):
-    ws = mf.local_stable(REF_EX, (0.0, 0.0))
-    blob = json.loads(ws.to_json())
-    assert blob["kind"] == "stable"
-    assert len(blob["points"]) == len(ws.points)
-    assert blob["meta"]["params"]
