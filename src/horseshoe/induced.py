@@ -2,12 +2,13 @@
 crossing certificates.
 
 The induced map F collapses each excursion through the bottom strip
-into a single step, so that one F-step is uniformly hyperbolic.  Around
-each base point a chart rescales the plane by the length scale l(M) in
-the basis (e_u, e_s); in chart coordinates F expands by at least
-sigma^(k/2) along the unstable axis and contracts by at least
-lam^(k/2) along the stable one, with distortion controlled by the
-certificate constants.
+into a single step, so that one F-step is uniformly hyperbolic.  The
+chart at a base point M is the splitting there (:func:`chart` gives the
+:class:`~horseshoe.splitting.SplitFrame` at M): it rescales the plane by
+the length scale l(M) in the basis (e_u, e_s).  In chart coordinates F
+expands by at least sigma^(k/2) along the unstable axis and contracts
+by at least lam^(k/2) along the stable one, with distortion controlled
+by the certificate constants.
 
 The distortion probe estimates the linearization defect and C5 at a
 returning window point on one array stack of chart grid points; the
@@ -15,11 +16,13 @@ scalar :func:`kergodic_apply` and :func:`kergodic_derivative` give the
 same floats point by point.
 
 The geometric certificates at the end of the module verify the three
-crossing statements behind the Markov structure: parabolas through the
-middle of the stable segment cross the top and bottom sides of the
-polygonal ball (constant C0), parabolas through a sub-ball still cross
-(constant eps0), and the image of a small rectangle around a returning
-point crosses the target balls (constant eta).
+crossing statements behind the Markov structure, one predicate each over
+the frame at a window point: parabolas through the middle of the stable
+segment cross the top and bottom sides of the polygonal ball (constant
+C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
+(constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
+around a returning point crosses the target balls at its first return
+(constant eta, :func:`_eta_holds`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
@@ -246,47 +249,17 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
 # Kergodic charts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChartFrame:
-    """Affine chart centered at the splitting's point M scaling both axes
-    by its length scale l(M)."""
-
-    frame: SplitFrame
-    basis: np.ndarray = field(init=False)
-    inv_basis: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.l <= 0.0:
-            raise OutOfDomain("chart undefined where the length scale vanishes")
-        self.basis = self.l * np.column_stack([self.frame.e_u, self.frame.e_s])
-        self.inv_basis = np.linalg.inv(self.basis)
-
-    @property
-    def M(self) -> tuple:
-        return self.frame.M
-
-    @property
-    def l(self) -> float:
-        return self.frame.l
-
-    def to_plane(self, xi) -> tuple:
-        p = np.asarray(self.M) + self.basis @ np.asarray(xi, dtype=float)
-        return (float(p[0]), float(p[1]))
-
-    def from_plane(self, p) -> np.ndarray:
-        return self.inv_basis @ (np.asarray(p, dtype=float) - np.asarray(self.M))
+def chart(params: MapParams, m: tuple[float, float]) -> SplitFrame:
+    """The chart at ``m``: the splitting there, whose basis scales both
+    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes."""
+    frame = direction_field(params, m)
+    if frame.l <= 0.0:
+        raise OutOfDomain("chart undefined where the length scale vanishes")
+    return frame
 
 
-def chart(params: MapParams, m: tuple[float, float],
-          frame: SplitFrame | None = None) -> ChartFrame:
-    """The chart at ``m``; ``frame`` is the splitting at ``m`` if already
-    known."""
-    return ChartFrame(frame if frame is not None
-                      else direction_field(params, m))
-
-
-def kergodic_apply(params: MapParams, chart_m: ChartFrame,
-                   chart_fm: ChartFrame, xi, k: int):
+def kergodic_apply(params: MapParams, chart_m: SplitFrame,
+                   chart_fm: SplitFrame, xi, k: int):
     """F-hat: chart coordinates at M -> chart coordinates at F(M), where
     F(M) = f^k(M).  Returns None if the plane orbit escapes."""
     start = chart_m.to_plane(xi)
@@ -294,8 +267,8 @@ def kergodic_apply(params: MapParams, chart_m: ChartFrame,
     return chart_fm.from_plane(pts[k]) if len(pts) > k else None
 
 
-def kergodic_derivative(params: MapParams, chart_m: ChartFrame,
-                        chart_fm: ChartFrame, k: int,
+def kergodic_derivative(params: MapParams, chart_m: SplitFrame,
+                        chart_fm: SplitFrame, k: int,
                         xi=(0.0, 0.0)) -> np.ndarray:
     """DF-hat at ``xi`` by transporting the chart basis exactly."""
     jac, _ = _transport(params, chart_m.to_plane(xi), k)
@@ -332,7 +305,8 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
                      rng: np.random.Generator,
                      frame: SplitFrame | None = None) -> DistortionReport:
     """Empirical distortion constants at a window point returning to
-    the window; ``frame`` is the splitting at ``m`` if already known.
+    the window; ``frame`` is the splitting (the chart) at ``m`` if
+    already known.
 
     Samples chart-coordinate pairs in the connected component (grid
     flood fill) of the overlap of the domain with the preimage of the
@@ -348,7 +322,8 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     if step.case != "return" or not in_A(params, step.target):
         raise OutOfDomain("distortion probe needs an A-to-A induced step")
     k = step.k
-    ch_m = chart(params, m, frame)
+    # an A-to-A return step puts m off the tangency column, so l(M) > 0
+    ch_m = frame if frame is not None else chart(params, m)
     ch_f = chart(params, step.target)
     r0 = cert.C3
 
@@ -403,11 +378,11 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     defect = np.max(np.abs(images[p1] - images[p2] - lin), axis=1) / denom
     # modulus of continuity of the plane derivative along the step, from
     # the adapted max-norm at M to the one at F(M)
-    src = np.column_stack([ch_m.frame.e_u, ch_m.frame.e_s])
-    dst = np.column_stack([ch_f.frame.e_u, ch_f.frame.e_s])
+    src = np.column_stack([ch_m.e_u, ch_m.e_s])
+    dst = np.column_stack([ch_f.e_u, ch_f.e_s])
     conj = np.linalg.inv(dst) @ (jac[p1] - jac[p2]) @ src
     diff_norm = np.max(np.sum(np.abs(conj), axis=2), axis=1)
-    img_gap = adapted_norm(ch_f.frame, plane[p1] - plane[p2])
+    img_gap = adapted_norm(ch_f, plane[p1] - plane[p2])
     wide = img_gap > 1e-300
     c5 = diff_norm[wide] * ch_f.l / img_gap[wide]
     # a NaN ratio is skipped (fmax), not propagated
@@ -657,30 +632,11 @@ def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
     return _bisect_edge(same, p[axis], target, _SLICE_ITERS)
 
 
-@dataclass
-class _Geometry:
-    """What the crossing checks at a window point M read that does not
-    depend on the certificate: the splitting at M (which carries M and
-    l(M)) and, for the eta check, the first return time n with the
-    splitting at M_n = f^n(M)."""
-
-    frame: SplitFrame
-    n_return: int | None = None
-    frame_ret: SplitFrame | None = None
-
-
-def _geometry(params: MapParams, m: tuple[float, float], returns: bool,
-              frame: SplitFrame | None = None) -> _Geometry:
-    """The :class:`_Geometry` at ``m``, with the first return when
-    ``returns``; ``frame`` is the splitting at ``m`` if already known.
-    Raises :class:`NoReturn` when a needed return does not happen."""
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
-    geo = _Geometry(frame if frame is not None else direction_field(params, m))
-    if returns:
-        geo.n_return, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
-        geo.frame_ret = direction_field(params, orbit_pts[-1])
-    return geo
+def _return_frame(params: MapParams, m) -> tuple:
+    """The first return (n, splitting at M_n = f^n(m)) of a window point;
+    raises :class:`NoReturn` when there is none."""
+    n, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
+    return n, direction_field(params, orbit_pts[-1])
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
@@ -698,42 +654,53 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     segments (:func:`_arc_crossings`), and the second side is skipped
     once the first misses a segment.
     """
-    geo = _geometry(params, m, True)
-    return _crossing_report(params, geo, rho, cert, ("c0", "eps0", "eta"))
+    if not in_A(params, m):
+        raise OutOfDomain(f"{m} is not in the tangency window A")
+    frame = direction_field(params, m)
+    ret = _return_frame(params, m)
+    eta_ok, details = _eta_holds(params, frame, rho, cert, ret)
+    return CrossReport(M=m, rho=rho,
+                       c0_ok=_c0_holds(params, frame, rho, cert),
+                       eps0_ok=_eps0_holds(params, frame, rho, cert),
+                       eta_ok=eta_ok, n_return=ret[0], details=details)
 
 
-def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
-                     cert: Certificate, checks) -> CrossReport:
-    """:func:`u_crossing_certificate` on the point's geometry, for the
-    statements in ``checks`` (the others report False)."""
-    frame = geo.frame
-    m = frame.M
+def _balls(frame: SplitFrame, rho: float, cert: Certificate) -> tuple:
+    """The ball of radius rho*C0*l at the frame's point M and its eps0
+    sub-ball."""
     lt = rho * cert.C0 * frame.l
-    ball = PolygonalBall(m, frame, lt, lt)
+    return (PolygonalBall(frame.M, frame, lt, lt),
+            PolygonalBall(frame.M, frame, cert.eps0 * lt, cert.eps0 * lt))
 
-    # C0: parabolas through the middle quarter of the stable segment
-    # cross both the bottom and top sides.
-    c0_ok = False
-    if "c0" in checks:
-        v_minus, v_plus = ball.stable_segment(0.25)
-        ks = [parabola_offset(params, tuple(v_minus)),
-              parabola_offset(params, m),
-              parabola_offset(params, tuple(v_plus))]
-        c0_ok = _u_crosses(params, ks, ball)
 
-    # eps0: parabolas through the sub-ball vertices still cross.
-    sub = PolygonalBall(m, frame, cert.eps0 * lt, cert.eps0 * lt)
-    eps0_ok = False
-    if "eps0" in checks:
-        sub_ks = [parabola_offset(params, tuple(v)) for v in sub.vertices()]
-        eps0_ok = _u_crosses(params, [min(sub_ks), max(sub_ks)], ball)
+def _c0_holds(params: MapParams, frame: SplitFrame, rho: float,
+              cert: Certificate) -> bool:
+    """C0: parabolas through the middle quarter of the stable segment
+    cross both the bottom and top sides of the ball."""
+    ball, _ = _balls(frame, rho, cert)
+    v_minus, v_plus = ball.stable_segment(0.25)
+    ks = [parabola_offset(params, tuple(v_minus)),
+          parabola_offset(params, frame.M),
+          parabola_offset(params, tuple(v_plus))]
+    return _u_crosses(params, ks, ball)
 
-    # eta: the image of the rectangle around M crosses the target balls
-    # at the first return.
-    if "eta" not in checks:
-        return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
-                           eta_ok=False, n_return=None)
-    n_return = geo.n_return
+
+def _eps0_holds(params: MapParams, frame: SplitFrame, rho: float,
+                cert: Certificate) -> bool:
+    """eps0: parabolas through the sub-ball vertices still cross."""
+    ball, sub = _balls(frame, rho, cert)
+    sub_ks = [parabola_offset(params, tuple(v)) for v in sub.vertices()]
+    return _u_crosses(params, [min(sub_ks), max(sub_ks)], ball)
+
+
+def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
+               cert: Certificate, ret: tuple) -> tuple[bool, dict]:
+    """eta: the image of the rectangle around M crosses the target balls
+    at the first return ``ret`` = (n, splitting at M_n).  Returns the
+    verdict and the rectangle's sides ``d_h`` and ``d_v``."""
+    m = frame.M
+    n_return, frame_ret = ret
+    ball, sub = _balls(frame, rho, cert)
     verts = np.array(ball.vertices())
     x_lo, x_hi = float(verts[:, 0].min()), float(verts[:, 0].max())
     # rectangle height: the horizontal stripe of the eps0 sub-ball
@@ -754,10 +721,10 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
         sides.append((x_side, y_a, y_b))
     # eta bounds how far the target center may sit from the actual
     # return point; the crossing must hold for every such center.
-    base = np.asarray(geo.frame_ret.M)
-    r_pert = cert.eta * cert.eps0 * rho * cert.C0 * geo.frame_ret.l
+    base = np.asarray(frame_ret.M)
+    r_pert = cert.eta * cert.eps0 * rho * cert.C0 * frame_ret.l
     centers = [base]
-    for e in (geo.frame_ret.e_u, geo.frame_ret.e_s):
+    for e in (frame_ret.e_u, frame_ret.e_s):
         centers.append(base + r_pert * e)
         centers.append(base - r_pert * e)
     segs = []
@@ -768,13 +735,11 @@ def _crossing_report(params: MapParams, geo: _Geometry, rho: float,
             break
         for rad in (rho * cert.C0 * l_ctr,
                     cert.eps0 * rho * cert.C0 * l_ctr):
-            tb = PolygonalBall(tuple(ctr), geo.frame_ret, rad, rad)
+            tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
             segs += [tb.side_bottom(), tb.side_top()]
     eta_ok = segs is not None and all(
         _arc_crossings(params, arc, n_return, segs).all() for arc in sides)
-    details = {"d_h": x_hi - x_lo, "d_v": dv}
-    return CrossReport(M=m, rho=rho, c0_ok=c0_ok, eps0_ok=eps0_ok,
-                       eta_ok=eta_ok, n_return=n_return, details=details)
+    return eta_ok, {"d_h": x_hi - x_lo, "d_v": dv}
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +761,6 @@ def _largest_passing(predicate, hi: float) -> float | None:
         else:
             b = mid
     return math.exp(a)
-
-
-def _returns(params: MapParams, m) -> bool:
-    try:
-        mc.first_return(params, m, _RETURN_CAP)
-    except NoReturn:
-        return False
-    return True
 
 
 def calibrate_certificate(params: MapParams, sample_budget: int,
@@ -834,68 +791,55 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
 
     # the window's corner points carry the extreme length scales; sweep
     # the static crossings over them too so the constants hold window-wide
-    corners = []
+    static = frames[:len(subset)]
     for s in (1.0, -1.0):
         for x_off, y in ((p.wing_half_width, p.inv_sigma),
                          (math.sqrt(p.lam / p.c) * 0.999, 0.0)):
             pt = (p.q + s * x_off, y)
             if in_A(p, pt):
-                corners.append(pt)
-    static_points = [rp.M for rp in subset] + corners
+                static.append(direction_field(p, pt))
 
-    # shallow returns have the largest length scales and the least room
-    # below the window; they bound the sweep, so pin the extreme window
-    # points with escape time n1 (offset chosen near its upper end)
-    eta_points = [rp.M for rp in subset[:min(10, len(subset))]]
+    # the eta sweep reads each point's frame and first return.  Shallow
+    # returns have the largest length scales and the least room below the
+    # window; they bound the sweep, so pin the extreme window points with
+    # escape time n1 (offset chosen near its upper end)
+    eta_at = [(fr, _return_frame(p, rp.M))
+              for rp, fr in zip(subset[:10], frames)]
     w_pin = 0.5 * p.w_max
     for n1 in (1, 2, 3):
         y_pin = (p.t + w_pin / p.sigma) * p.sigma ** (-n1)
         l_pin = math.sqrt((y_pin + 0.98 * p.lam) / p.c)
         for s in (1.0, -1.0):
             pt = (p.q + s * l_pin, y_pin)
-            if in_A(p, pt) and _returns(p, pt):
-                eta_points.append(pt)
-
-    # the certificate-free geometry of every swept point, built once
-    known = {rp.M: fr for rp, fr in zip(points, frames)}
-    static_geo = [_geometry(p, m, False, known.get(m)) for m in static_points]
-    eta_geo = [_geometry(p, m, True, known.get(m)) for m in eta_points]
-
-    def static_ok(trial, which):
-        return all(getattr(_crossing_report(p, g, 1.0, trial, (which,)),
-                           which + "_ok")
-                   for g in static_geo)
+            if not in_A(p, pt):
+                continue
+            try:
+                ret = _return_frame(p, pt)
+            except NoReturn:
+                continue
+            eta_at.append((direction_field(p, pt), ret))
 
     def eta_ok(trial):
-        return all(_crossing_report(p, g, 1.0, trial, ("eta",)).eta_ok
-                   for g in eta_geo)
+        return all(_eta_holds(p, fr, 1.0, trial, ret)[0] for fr, ret in eta_at)
 
     # The crossing geometry is not monotone in C0 (a larger ball can pass
     # the static checks and still push its bottom side below anything the
     # image arcs reach), so sweep a descending grid over the combined
     # predicate and require stability at 90% of the candidate.
-    def grid_scan(values, accept):
-        for v in values:
-            if accept(v) and accept(0.9 * v):
-                return v
-        return None
-
-    def sweep(base, name, values):
+    def sweep(base, name, holds, values):
         def accept(v):
             t = base.with_updates(**{name: v})
-            return static_ok(t, name.lower()) and eta_ok(t)
-        return grid_scan(values, accept) or getattr(cert, name)
+            return all(holds(p, fr, 1.0, t) for fr in static) and eta_ok(t)
+        return next((v for v in values if accept(v) and accept(0.9 * v)),
+                    getattr(cert, name))
 
-    c0 = sweep(cert, "C0", np.geomspace(1.0, 1e-3, 25))
-    eps0 = sweep(cert.with_updates(C0=c0), "eps0", np.geomspace(0.5, 1e-3, 22))
+    c0 = sweep(cert, "C0", _c0_holds, np.geomspace(1.0, 1e-3, 25))
+    eps0 = sweep(cert.with_updates(C0=c0), "eps0", _eps0_holds,
+                 np.geomspace(0.5, 1e-3, 22))
     trial = cert.with_updates(C0=c0).with_updates(eps0=eps0)
-
-    def eta_pred(et):
-        t = trial.with_updates(eta=et)
-        return eta_ok(t)
-
-    eta = 0.8 * (_largest_passing(eta_pred, min(1.0, 1.0 / (320.0 * p.c)))
-                 or cert.eta)
+    eta = 0.8 * (_largest_passing(
+        lambda et: eta_ok(trial.with_updates(eta=et)),
+        min(1.0, 1.0 / (320.0 * p.c))) or cert.eta)
 
     c5 = 0.0
     for rp, fr in zip(subset[:20], frames):

@@ -51,8 +51,8 @@ import numpy as np
 from . import map_core as mc
 from .map_core import (MapParams, Region, classify, apply, apply_inverse,
                        default_certificate, OutOfDomain)
-from .splitting import length_scale
-from .induced import ChartFrame, chart
+from .splitting import SplitFrame, length_scale
+from .induced import chart
 
 GRID_POINTS = 257
 RHO_MIN = 2.0 ** -20
@@ -130,7 +130,7 @@ class LipGraph:
     transpose.  Values are interpolated linearly between grid nodes.
     """
 
-    base: ChartFrame
+    base: SplitFrame
     axis: str
     grid: np.ndarray
     values: np.ndarray
@@ -170,7 +170,7 @@ class LipGraph:
         return pts.T
 
 
-def zero_graph(base: ChartFrame, axis: str, radius: float,
+def zero_graph(base: SplitFrame, axis: str, radius: float,
                slope: float = 0.0) -> LipGraph:
     grid = np.linspace(-radius, radius, GRID_POINTS)
     return LipGraph(base, axis, grid, slope * grid)
@@ -226,8 +226,8 @@ def _params_hash(params: MapParams) -> str:
 # Graph transform
 # ---------------------------------------------------------------------------
 
-def graph_transform(params: MapParams, chart_m: ChartFrame,
-                    chart_fm: ChartFrame, k: int, s: LipGraph) -> LipGraph:
+def graph_transform(params: MapParams, chart_m: SplitFrame,
+                    chart_fm: SplitFrame, k: int, s: LipGraph) -> LipGraph:
     """One graph-transform step along the block f^k: M -> F(M).
 
     For an unstable graph (``u->s``) the input lives at M and the output
@@ -277,7 +277,7 @@ def graph_transform(params: MapParams, chart_m: ChartFrame,
 # Anchor chains (hyperbolic orbit blocks)
 # ---------------------------------------------------------------------------
 
-def _next_anchor(params: MapParams, m, chart_m: ChartFrame, direction: str):
+def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str):
     """Closest orbit point (with its chart and step count) whose block
     to/from ``m`` expands the relevant chart axis by at least ``_MU_MIN``.
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -693,10 +693,6 @@ def validate(params: MapParams) -> ValidationReport:
 # Certificate of named constants
 # ---------------------------------------------------------------------------
 
-_CONSTANTS = ("chi0", "chi1", "chi", "C0", "eps0", "eta", "rho1", "C3",
-              "C4", "C5", "K", "eps1", "gamma", "b")
-
-
 @dataclass
 class Certificate:
     """Ledger of the named constants used by the geometric estimates.
@@ -704,7 +700,8 @@ class Certificate:
     ``chi0`` is fixed at 4 (cone aperture factor).  ``gamma`` is the
     closed-form Hoelder exponent of the coding map.  Everything else is
     either configured or estimated by a calibration sweep; provenance is
-    tracked per constant.
+    tracked per constant.  The constants are every field but
+    ``provenance``, in field order.
     """
 
     chi0: float
@@ -726,17 +723,20 @@ class Certificate:
     def __post_init__(self):
         if self.chi0 != 4.0:
             raise ValueError("chi0 is fixed at 4")
-        for name in _CONSTANTS[1:]:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"certificate constant {name} must be positive")
+        for f in fields(self):
+            if f.name not in ("chi0", "provenance") \
+                    and getattr(self, f.name) <= 0.0:
+                raise ValueError(
+                    f"certificate constant {f.name} must be positive")
 
     def to_json(self) -> str:
-        payload = {}
-        for name in _CONSTANTS:
-            payload[name] = {
-                "value": getattr(self, name),
-                "provenance": self.provenance.get(name, "configured"),
+        payload = {
+            f.name: {
+                "value": getattr(self, f.name),
+                "provenance": self.provenance.get(f.name, "configured"),
             }
+            for f in fields(self) if f.name != "provenance"
+        }
         return json.dumps(payload, indent=2)
 
     def with_updates(self, **values) -> "Certificate":

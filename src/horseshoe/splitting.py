@@ -19,6 +19,10 @@ not), so the stacked carriers reproduce the per-vector loops bit for
 bit; ``tests/test_splitting.py`` keeps those loops as the reference and
 guards the stacked forms.
 
+A :class:`SplitFrame` is also the chart at its point M: the affine
+coordinates centered at M in the basis (e_u, e_s), both axes scaled by
+the length scale l(M) (``induced.chart`` checks that l(M) > 0).
+
 Numerical settings are module constants: ``MAX_DEPTH``, ``_TOL``,
 ``_CONE_SAMPLES``, ``_RETURN_CAP``, ``_HOLDER_RESIDUAL``,
 ``_HOLDER_FLOOR`` and ``_HOLDER_MIN_PAIRS``.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,10 +172,12 @@ def cone_at(params: MapParams, orbit_points: list) -> list:
 
 @dataclass
 class SplitFrame:
-    """Unit stable/unstable directions at a point with residual bounds.
+    """Unit stable/unstable directions at a point with residual bounds,
+    and the chart at that point.
 
     ``residual`` is the larger of the two per-direction residuals: the
     angle spread of the pushed (pulled) cone around the reported vector.
+    Chart coordinates xi stand for the plane point M + ``basis`` @ xi.
     """
 
     M: tuple
@@ -182,6 +189,22 @@ class SplitFrame:
     residual: float
     residual_u: float = 0.0
     residual_s: float = 0.0
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The chart basis: the columns e_u and e_s scaled by l(M)."""
+        return self.l * np.column_stack([self.e_u, self.e_s])
+
+    @cached_property
+    def inv_basis(self) -> np.ndarray:
+        return np.linalg.inv(self.basis)
+
+    def to_plane(self, xi) -> tuple:
+        p = np.asarray(self.M) + self.basis @ np.asarray(xi, dtype=float)
+        return (float(p[0]), float(p[1]))
+
+    def from_plane(self, p) -> np.ndarray:
+        return self.inv_basis @ (np.asarray(p, dtype=float) - np.asarray(self.M))
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:

@@ -91,13 +91,6 @@ def named_potential(name: str) -> Potential:
 # Word bookkeeping (one-sided m-words as base-3 codes)
 # ---------------------------------------------------------------------------
 
-def _code_of_word(symbols) -> int:
-    code = 0
-    for s in symbols:
-        code = 3 * code + int(s)
-    return code
-
-
 def _centered(symbols) -> coding.Word:
     """Centered word for a one-sided m-word: odd lengths are already
     centered, even lengths get one fixed-point symbol 0 on the left."""
@@ -118,10 +111,6 @@ class CylinderPotential:
     values: np.ndarray
     variation_bound: float
     flagged: tuple = ()
-    potential: Potential | None = None
-
-    def value(self, symbols) -> float:
-        return float(self.values[_code_of_word(symbols)])
 
 
 def _nearest_nonempty(level: dict, word: coding.Word) -> coding.Word:
@@ -163,7 +152,7 @@ def pull_back(params: MapParams, phi: Potential, m: int,
         variation = max(variation,
                         phi.holder_C * a.diameter_ub ** phi.holder_theta)
     return CylinderPotential(m=m, values=values, variation_bound=variation,
-                             flagged=tuple(flagged), potential=phi)
+                             flagged=tuple(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +258,6 @@ class CylinderMeasure:
     integral: float
     variation_bound: float
     gibbs_C: float
-
-    def mass(self, symbols) -> float:
-        return float(self.masses[_code_of_word(symbols)])
 
 
 def _entropy_of(masses: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import horseshoe
 
-MAX_DEFAULTS = 37
+MAX_DEFAULTS = 35
 
 
 def _defaults(tree: ast.AST) -> int:

@@ -233,7 +233,7 @@ def test_chart_round_trip_and_norm_identity():
         # the chart isometry: adapted max-norm of the plane vector equals
         # l(M) times the max-norm of the chart coordinates
         v = np.asarray(pt) - np.asarray(rp.M)
-        assert adapted_norm(ch.frame, v) == pytest.approx(
+        assert adapted_norm(ch, v) == pytest.approx(
             ch.l * np.max(np.abs(xi)), abs=1e-12)
 
 
@@ -300,8 +300,8 @@ def test_distortion_probe_needs_return_step():
 
 
 def _adapted_op_norm(a, chart_src, chart_dst):
-    m = np.column_stack([chart_dst.frame.e_u, chart_dst.frame.e_s])
-    src = np.column_stack([chart_src.frame.e_u, chart_src.frame.e_s])
+    m = np.column_stack([chart_dst.e_u, chart_dst.e_s])
+    src = np.column_stack([chart_src.e_u, chart_src.e_s])
     conj = np.linalg.inv(m) @ a @ src
     return float(np.max(np.sum(np.abs(conj), axis=1)))
 
@@ -372,7 +372,7 @@ def _scalar_probe(params, m, cert, rng, escaped):
         except OutOfDomain:
             continue
         diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
-        img_gap = adapted_norm(ch_f.frame, np.asarray(c1) - np.asarray(c2))
+        img_gap = adapted_norm(ch_f, np.asarray(c1) - np.asarray(c2))
         if img_gap > 1e-300:
             c5 = max(c5, diff_norm * ch_f.l / img_gap)
             n_c5 += 1
@@ -552,6 +552,17 @@ def test_calibrated_constants_pass_on_fresh_strict_samples():
     for rp in sp.sample_A_points(REF_STRICT, rng, 6):
         rep = ind.u_crossing_certificate(REF_STRICT, rp.M, 1.0, cert)
         assert rep.c0_ok and rep.eps0_ok and rep.eta_ok
+
+
+def test_largest_passing_bisects_below_a_threshold():
+    # calibration's eta sweep passes at its upper end on both reference
+    # sets, so only a threshold predicate reaches the bisection
+    threshold, hi = 3.7e-4, 1.0
+    got = ind._largest_passing(lambda v: v <= threshold, hi)
+    assert got <= threshold
+    step = (math.log(hi) - math.log(ind._ETA_MIN)) / 2 ** ind._ETA_ITERS
+    assert math.log(threshold) - math.log(got) <= step * (1.0 + 1e-9)
+    assert ind._largest_passing(lambda v: v <= 0.5 * ind._ETA_MIN, hi) is None
 
 
 # --- lockstep bisection and early-exit itineraries ------------------------

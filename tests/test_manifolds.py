@@ -266,6 +266,45 @@ def test_global_stable_extends_past_band_cuts():
     assert np.max(np.abs(gs.points[:, 1] - 1.0)) < 1e-12
 
 
+def test_prune_keeps_the_longest_pieces_and_the_protected_one():
+    # piece i is a horizontal segment of length (i + 1) / 1000
+    pieces = [np.array([[0.0, i / 1000.0], [(i + 1) / 1000.0, i / 1000.0]])
+              for i in range(300)]
+    assert len(pieces) > mf._MAX_PIECES
+    longest = pieces[300 - mf._MAX_PIECES:]
+    kept = mf._prune_pieces(pieces, None)
+    assert len(kept) == mf._MAX_PIECES
+    assert all(a is b for a, b in zip(kept, longest))
+    # the shortest piece passes through the protected point
+    kept = mf._prune_pieces(pieces, (0.0005, 0.0))
+    assert kept[0] is pieces[0]
+    assert all(a is b for a, b in zip(kept[1:], longest))
+    assert len(kept) == mf._MAX_PIECES + 1
+
+
+def _parabola_polyline(n):
+    x = np.linspace(0.0, 1.0, n)
+    return np.column_stack([x, 0.3 * x * x])
+
+
+def test_merge_joins_abutting_fragments_either_way_round():
+    full = _parabola_polyline(7)
+    head, mid, tail = full[0:3], full[2:5][::-1], full[4:7]
+    far = np.array([[5.0, 5.0], [6.0, 6.0]])
+    # the chain starts at the reversed middle fragment: the head joins at
+    # its end (flipped), the tail at its start
+    merged = mf._merge_contiguous([far, tail, mid, head], 2)
+    assert np.array_equal(merged, full[::-1])
+
+
+def test_merge_leaves_an_ambiguous_end_unjoined():
+    full = _parabola_polyline(5)
+    chain = full[0:3]
+    branch_a, branch_b = full[2:5], np.array([full[2], [2.0, 0.0]])
+    merged = mf._merge_contiguous([chain, branch_a, branch_b], 0)
+    assert np.array_equal(merged, chain)
+
+
 # --- verticality ----------------------------------------------------------
 
 def test_vertical_segment_passes():
