@@ -26,7 +26,7 @@ around a returning point crosses the target balls at its first return
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
-``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
+``_ARC_BLOCK``, ``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ _PROBE_GRID = 16        # chart grid points per axis of the distortion probe
 _PROBE_PAIRS = 60       # grid pairs the distortion probe draws
 _CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
 _ARC_SAMPLES = 1025     # heights sampled per traced piece of a side arc
+#: Floats per array of :func:`_arc_crossings`' sampling pass; keeps each
+#: below the allocator's mmap threshold.
+_ARC_BLOCK = 8192
 _SLICE_ITERS = 240      # bisection steps locating a surviving slice edge
 _ETA_MIN = 1e-8         # smallest eta the calibration tries
 _ETA_ITERS = 24         # log-scale bisection steps for eta
@@ -472,9 +475,10 @@ class CrossReport:
     details: dict = field(default_factory=dict)
 
 
-def _linspaces(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """``np.linspace(start[i], stop[i], num)`` for every lane i, as the
-    columns of one (num, lanes) array.
+def _linspaces(start: np.ndarray, stop: np.ndarray, num: int, r0: int,
+               r1: int) -> np.ndarray:
+    """Rows r0..r1 of ``np.linspace(start[i], stop[i], num)`` for every
+    lane i, as the columns of one (r1 - r0 + 1, lanes) array.
 
     One stacked ``np.linspace`` call is not the same: it switches every
     lane to its denormal-safe formula as soon as one lane has a zero
@@ -483,48 +487,33 @@ def _linspaces(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     div = num - 1
     delta = stop - start
     step = delta / div
-    k = np.arange(num, dtype=float)[:, None]
+    k = np.arange(r0, r1 + 1, dtype=float)[:, None]
     y = np.where(step == 0, k / div * delta, k * step) + start
-    y[-1] = stop
+    if r1 == div:
+        y[-1] = stop
     return y
 
 
-def _arc_crossings(params: MapParams, arc, n: int, segs) -> np.ndarray:
+def _arc_crossings(params: MapParams, arcs, n: int, segs) -> np.ndarray:
     """Which of the segments ``segs`` ((S, 2, 2): the endpoints of each)
-    the n-step image of the vertical arc ``arc`` = (x_side, y_lo, y_hi)
-    meets, as a boolean array.
+    the n-step image of each vertical arc (x_side, y_lo, y_hi) in
+    ``arcs`` meets, as a (len(arcs), S) boolean array.
 
-    The arc is traced once for all its segments.  Its branch sequence
-    (taken at the arc's midpoint) and end images are computed once.  The
-    image x-coordinate is monotone in the source height along that
-    itinerary, so the piece of the arc over each segment's x-span (plus
-    a 5 % margin) is localized by bisection; the edges of all segments
-    are solved in one lockstep bisection (:func:`_bisect_edges`).  Only
-    those pieces are sampled, ``_ARC_SAMPLES`` heights each, mapped as one
-    stacked array and tested against their segments in one vectorised
-    pass.  A chord-level bounding box test would be unsound here: the
-    arc can dip far below a chord whose endpoints sit high on both
-    wings.
+    The arcs are grouped by their branch sequence, taken at each arc's
+    midpoint, and each group is traced once for all its arcs and
+    segments.  The image x-coordinate is monotone in the source height
+    along that itinerary, so the piece of an arc over each segment's
+    x-span (plus a 5 % margin) is localized by bisection; the edges of
+    all (arc, segment) lanes of a group are solved in one lockstep
+    bisection (:func:`_bisect_edges`).  Only those pieces are sampled,
+    ``_ARC_SAMPLES`` heights each, and mapped and tested against their
+    segments in blocks of rows of at most ``_ARC_BLOCK`` floats; adjacent
+    blocks share their boundary row, so each chord is tested once.  A
+    chord-level bounding box test would be unsound here: the arc can
+    dip far below a chord whose endpoints sit high on both wings.
     """
-    x_side, y_lo, y_hi = arc
     segs = np.asarray(segs, dtype=float)
-    hit = np.zeros(len(segs), dtype=bool)
-    seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
-    if seq is None:
-        return hit
-    branches = [mc.BRANCH[reg] for reg in seq]
-
-    def image(x, y):
-        # branch formulas along the slice itinerary, on floats or arrays
-        for br in branches:
-            x, y = br.forward(params, x, y)
-        return x, y
-
-    x_img_lo = image(x_side, y_lo)[0]
-    x_img_hi = image(x_side, y_hi)[0]
-    if x_img_lo > x_img_hi:
-        y_lo, y_hi = y_hi, y_lo
-        x_img_lo, x_img_hi = x_img_hi, x_img_lo
+    hit = np.zeros((len(arcs), len(segs)), dtype=bool)
     a, b = segs[:, 0], segs[:, 1]
     d = b - a
     # the stacked dot product rounds as np.linalg.norm of each row does;
@@ -533,35 +522,68 @@ def _arc_crossings(params: MapParams, arc, n: int, segs) -> np.ndarray:
     margin = np.maximum(0.05 * length, 1e-14)
     xa = np.minimum(a[:, 0], b[:, 0]) - margin
     xb = np.maximum(a[:, 0], b[:, 0]) + margin
-    live = (x_img_hi >= xa) & (x_img_lo <= xb)
-    k = int(np.count_nonzero(live))
-    if k == 0:
-        return hit
+    groups = {}
+    for i, (x_side, y_lo, y_hi) in enumerate(arcs):
+        seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
+        if seq is not None:
+            groups.setdefault(seq, []).append(i)
 
-    # source heights whose image abscissae are the span edges; an edge
-    # outside the arc's image keeps the arc's own end
-    targets = np.concatenate([xa[live], xb[live]])
-    edges = np.repeat([y_lo, y_hi], k)
-    inner = (x_img_lo < targets) & (targets < x_img_hi)
-    x_t = targets[inner]
-    edges[inner] = _bisect_edges(lambda y: image(x_side, y)[0] < x_t,
-                                 np.full(len(x_t), y_lo),
-                                 np.full(len(x_t), y_hi), 200)
+    for seq, members in groups.items():
+        branches = [mc.BRANCH[reg] for reg in seq]
 
-    ys = _linspaces(edges[:k], edges[k:], _ARC_SAMPLES)
-    px, py = image(np.full_like(ys, x_side), ys)
-    # each polyline against its segment: solve p + s*r = a + t*d per chord
-    ax, ay = a[live, 0], a[live, 1]
-    dx, dy = b[live, 0] - ax, b[live, 1] - ay
-    rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
-    den = dx * ry - dy * rx
-    ex, ey = px[:-1] - ax, py[:-1] - ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (ex * ry - ey * rx) / den
-        t = (ex * dy - ey * dx) / -den
-    crossed = ((np.abs(den) >= 1e-300) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
-               & (t >= -1e-9) & (t <= 1.0 + 1e-9))
-    hit[live] = crossed.any(axis=0)
+        def image(x, y):
+            # branch formulas along the slice itinerary, on floats or arrays
+            for br in branches:
+                x, y = br.forward(params, x, y)
+            return x, y
+
+        ends = []
+        for i in members:
+            x_side, y_lo, y_hi = arcs[i]
+            x_img_lo = image(x_side, y_lo)[0]
+            x_img_hi = image(x_side, y_hi)[0]
+            if x_img_lo > x_img_hi:
+                y_lo, y_hi = y_hi, y_lo
+                x_img_lo, x_img_hi = x_img_hi, x_img_lo
+            ends.append((x_side, y_lo, y_hi, x_img_lo, x_img_hi))
+        ends = np.array(ends, dtype=float)
+        # one lane per (arc, segment) pair whose x-spans meet
+        arc_of, seg_of = np.nonzero((ends[:, 4:] >= xa) & (ends[:, 3:4] <= xb))
+        if len(seg_of) == 0:
+            continue
+        x_lane, y_lo, y_hi, x_img_lo, x_img_hi = ends[arc_of].T
+
+        # source heights whose image abscissae are the span edges (rows:
+        # start, stop); an edge outside the arc's image keeps the arc's end
+        targets = np.stack([xa[seg_of], xb[seg_of]])
+        edges = np.stack([y_lo, y_hi])
+        inner = (x_img_lo < targets) & (targets < x_img_hi)
+        x_t = targets[inner]
+        x_in = np.broadcast_to(x_lane, inner.shape)[inner]
+        edges[inner] = _bisect_edges(
+            lambda y: image(x_in, y)[0] < x_t,
+            np.broadcast_to(y_lo, inner.shape)[inner],
+            np.broadcast_to(y_hi, inner.shape)[inner], 200)
+
+        # each polyline against its segment: solve p + s*r = a + t*d per chord
+        ax, ay = a[seg_of, 0], a[seg_of, 1]
+        dx, dy = b[seg_of, 0] - ax, b[seg_of, 1] - ay
+        crossed = np.zeros(len(seg_of), dtype=bool)
+        div = _ARC_SAMPLES - 1
+        chords = max(1, _ARC_BLOCK // len(seg_of) - 1)
+        for r0 in range(0, div, chords):
+            ys = _linspaces(*edges, _ARC_SAMPLES, r0, min(r0 + chords, div))
+            px, py = image(np.broadcast_to(x_lane, ys.shape), ys)
+            rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
+            den = dx * ry - dy * rx
+            ex, ey = px[:-1] - ax, py[:-1] - ay
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (ex * ry - ey * rx) / den
+                t = (ex * dy - ey * dx) / -den
+            crossed |= ((np.abs(den) >= 1e-300) & (s >= -1e-9)
+                        & (s <= 1.0 + 1e-9) & (t >= -1e-9)
+                        & (t <= 1.0 + 1e-9)).any(axis=0)
+        hit[np.asarray(members)[arc_of], seg_of] = crossed
     return hit
 
 
@@ -650,9 +672,8 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     asks that the image of each side cross the bottom and top sides of
     every target ball: radii rho*C0*l and eps0*rho*C0*l at M_n and at
     M_n moved by eta*eps0*rho*C0*l(M_n) along +-e_u and +-e_s, twenty
-    segments in all.  Each side arc is traced once for all twenty
-    segments (:func:`_arc_crossings`), and the second side is skipped
-    once the first misses a segment.
+    segments in all.  Both side arcs are traced in one pass for all
+    twenty segments (:func:`_arc_crossings`).
     """
     if not in_A(params, m):
         raise OutOfDomain(f"{m} is not in the tangency window A")
@@ -696,8 +717,10 @@ def _eps0_holds(params: MapParams, frame: SplitFrame, rho: float,
 def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
                cert: Certificate, ret: tuple) -> tuple[bool, dict]:
     """eta: the image of the rectangle around M crosses the target balls
-    at the first return ``ret`` = (n, splitting at M_n).  Returns the
-    verdict and the rectangle's sides ``d_h`` and ``d_v``."""
+    at the first return ``ret`` = (n, splitting at M_n): both sides'
+    images, traced in one :func:`_arc_crossings` call, must cross every
+    target segment.  Returns the verdict and the rectangle's sides
+    ``d_h`` and ``d_v``."""
     m = frame.M
     n_return, frame_ret = ret
     ball, sub = _balls(frame, rho, cert)
@@ -737,8 +760,8 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
                     cert.eps0 * rho * cert.C0 * l_ctr):
             tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
             segs += [tb.side_bottom(), tb.side_top()]
-    eta_ok = segs is not None and all(
-        _arc_crossings(params, arc, n_return, segs).all() for arc in sides)
+    eta_ok = segs is not None and bool(
+        _arc_crossings(params, sides, n_return, segs).all())
     return eta_ok, {"d_h": x_hi - x_lo, "d_v": dv}
 
 
@@ -753,14 +776,16 @@ def _largest_passing(predicate, hi: float) -> float | None:
         return hi
     if not predicate(_ETA_MIN):
         return None
-    a, b = math.log(_ETA_MIN), math.log(hi)
+    lo = a = math.log(_ETA_MIN)
+    b = math.log(hi)
     for _ in range(_ETA_ITERS):
         mid = 0.5 * (a + b)
         if predicate(math.exp(mid)):
             a = mid
         else:
             b = mid
-    return math.exp(a)
+    # exp(log(x)) need not round back to x
+    return _ETA_MIN if a == lo else math.exp(a)
 
 
 def calibrate_certificate(params: MapParams, sample_budget: int,

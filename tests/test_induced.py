@@ -12,7 +12,7 @@ from horseshoe.map_core import (REF_EX, REF_STRICT, Region, apply,
 from horseshoe.splitting import length_scale, direction_field, adapted_norm
 from horseshoe import induced as ind
 from horseshoe import sampling as sp
-from test_branch_table import valid_params
+from test_branch_table import CALIBRATED, FAMILIES, valid_params
 
 
 # --- escape and approach times --------------------------------------------
@@ -563,6 +563,10 @@ def test_largest_passing_bisects_below_a_threshold():
     step = (math.log(hi) - math.log(ind._ETA_MIN)) / 2 ** ind._ETA_ITERS
     assert math.log(threshold) - math.log(got) <= step * (1.0 + 1e-9)
     assert ind._largest_passing(lambda v: v <= 0.5 * ind._ETA_MIN, hi) is None
+    # when only the lower end passes, it comes back exactly, not as
+    # exp(log(_ETA_MIN)), which rounds below it
+    at_min = ind._largest_passing(lambda v: v <= ind._ETA_MIN, hi)
+    assert at_min == ind._ETA_MIN
 
 
 # --- lockstep bisection and early-exit itineraries ------------------------
@@ -652,9 +656,15 @@ def test_linspaces_equal_one_linspace_per_lane():
     start[2:4], stop[2:4] = 1e-310, 3e-310    # subnormal steps
     # steps that underflow to zero: linspace scales k/div by the span
     start[4:6], stop[4:6] = 0.0, 3 * 5e-324
-    got = ind._linspaces(start, stop, 1025)
+    got = ind._linspaces(start, stop, 1025, 0, 1024)
     for i in range(12):
         assert np.array_equal(got[:, i], np.linspace(start[i], stop[i], 1025))
+    # row blocks of 256 and 300 chords, joined at their shared rows
+    for chords in (256, 300):
+        blocks = [ind._linspaces(start, stop, 1025, r0, min(r0 + chords, 1024))
+                  for r0 in range(0, 1024, chords)]
+        joined = np.concatenate([blocks[0], *(blk[1:] for blk in blocks[1:])])
+        assert np.array_equal(joined, got)
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
@@ -694,8 +704,169 @@ def test_one_arc_call_equals_one_call_per_segment():
             ball = ind.PolygonalBall(ctr, fr, rad, rad)
             segs += [ball.side_bottom(), ball.side_top()]
     segs = np.array(segs)
-    together = ind._arc_crossings(p, arc, n, segs)
-    alone = [ind._arc_crossings(p, arc, n, segs[i:i + 1])[0]
+    together = ind._arc_crossings(p, [arc], n, segs)[0]
+    alone = [ind._arc_crossings(p, [arc], n, segs[i:i + 1])[0, 0]
              for i in range(len(segs))]
     assert together.tolist() == alone
     assert together.any() and not together.all()
+
+
+def _reference_arc_crossings(params, arc, n, segs):
+    """The crossings of one arc, sampled in one unblocked pass with one
+    ``np.linspace`` per segment: the reference of the lockstep, blocked
+    :func:`induced._arc_crossings`."""
+    x_side, y_lo, y_hi = arc
+    segs = np.asarray(segs, dtype=float)
+    hit = np.zeros(len(segs), dtype=bool)
+    seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
+    if seq is None:
+        return hit
+    branches = [mc.BRANCH[reg] for reg in seq]
+
+    def image(x, y):
+        for br in branches:
+            x, y = br.forward(params, x, y)
+        return x, y
+
+    x_img_lo = image(x_side, y_lo)[0]
+    x_img_hi = image(x_side, y_hi)[0]
+    if x_img_lo > x_img_hi:
+        y_lo, y_hi = y_hi, y_lo
+        x_img_lo, x_img_hi = x_img_hi, x_img_lo
+    a, b = segs[:, 0], segs[:, 1]
+    d = b - a
+    length = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    margin = np.maximum(0.05 * length, 1e-14)
+    xa = np.minimum(a[:, 0], b[:, 0]) - margin
+    xb = np.maximum(a[:, 0], b[:, 0]) + margin
+    live = (x_img_hi >= xa) & (x_img_lo <= xb)
+    k = int(np.count_nonzero(live))
+    if k == 0:
+        return hit
+    targets = np.concatenate([xa[live], xb[live]])
+    edges = np.repeat([y_lo, y_hi], k)
+    inner = (x_img_lo < targets) & (targets < x_img_hi)
+    x_t = targets[inner]
+    edges[inner] = ind._bisect_edges(lambda y: image(x_side, y)[0] < x_t,
+                                     np.full(len(x_t), y_lo),
+                                     np.full(len(x_t), y_hi), 200)
+    ys = np.column_stack([np.linspace(lo, hi, ind._ARC_SAMPLES)
+                          for lo, hi in zip(edges[:k], edges[k:])])
+    px, py = image(np.full_like(ys, x_side), ys)
+    ax, ay = a[live, 0], a[live, 1]
+    dx, dy = b[live, 0] - ax, b[live, 1] - ay
+    rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
+    den = dx * ry - dy * rx
+    ex, ey = px[:-1] - ax, py[:-1] - ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (ex * ry - ey * rx) / den
+        t = (ex * dy - ey * dx) / -den
+    crossed = ((np.abs(den) >= 1e-300) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
+               & (t >= -1e-9) & (t <= 1.0 + 1e-9))
+    hit[live] = crossed.any(axis=0)
+    return hit
+
+
+def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
+    """Run the crossing checks of ``crossing_digest`` (escape times 1..5,
+    rho 1 and 1/2, ``cert`` and its stressed form) and compare every
+    :func:`induced._arc_crossings` call they make with the reference,
+    arc by arc.  Returns the number of calls."""
+    calls = []
+    blocked = ind._arc_crossings
+
+    def compare(p, arcs, n, segs):
+        got = blocked(p, arcs, n, segs)
+        want = [_reference_arc_crossings(p, arc, n, segs) for arc in arcs]
+        assert got.shape == (len(arcs), len(segs))
+        assert np.array_equal(got, np.array(want).reshape(got.shape))
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(ind, "_arc_crossings", compare)
+    stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
+    rng = np.random.default_rng(seed)
+    for i in range(n_points):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        for trial in (cert, stressed):
+            ind.u_crossing_certificate(params, m, (1.0, 0.5)[i % 2], trial)
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_arc_crossings_equal_the_per_arc_reference(family, monkeypatch):
+    params = FAMILIES[family]
+    cert = default_certificate(params).with_updates(**CALIBRATED[family])
+    calls = _arc_calls_agree(params, cert, monkeypatch, 10, 20261018)
+    # the stressed checks miss some segments, the calibrated ones none
+    assert any(c.all() for c in calls) and not all(c.all() for c in calls)
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=3, deadline=None)
+def test_arc_crossings_equal_the_reference_on_valid_params(params, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            _arc_calls_agree(params, default_certificate(params),
+                             monkeypatch, 3, seed)
+        except (sp.SampleError, NoReturn):
+            reject()
+
+
+def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
+    p = REF_EX
+    rng = np.random.default_rng(3)
+    m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
+    n, pts = mc.first_return(p, m, 4000)
+    m2 = sp.sample_returning_point(p, rng, n1=1).M
+    m3 = sp.sample_returning_point(p, rng, n1=4).M
+    fr = direction_field(p, pts[-1])
+    segs = []
+    for ctr in (pts[-1], list(mc.iterates(p, m2, n))[-1]):
+        for rad in (0.002, 0.01):
+            ball = ind.PolygonalBall(tuple(ctr), fr, rad, rad)
+            segs += [ball.side_bottom(), ball.side_top()]
+    segs = np.array(segs)
+    gap = 0.5 * (p.inv_sigma + p.r3_y0)      # between the R1 and R3 strips
+    arcs = [(m[0], m[1] - 2e-3, m[1] + 2e-3),
+            (m[0], m[1], m[1]),                  # zero height
+            (m2[0], m2[1] - 1e-3, m2[1] + 1e-3),     # another itinerary
+            (m3[0], m3[1] - 1e-5, m3[1] + 1e-5),     # images far left
+            (0.5, gap - 1e-3, gap + 1e-3)]           # no n-step image
+    seqs = [mc.branch_sequence(p, (x, 0.5 * (lo + hi)), n)
+            for x, lo, hi in arcs]
+    assert len({seqs[0], seqs[2], seqs[3]}) == 3 and seqs[4] is None
+    assert seqs[1] == seqs[0]
+
+    blocks = []
+    linspaces = ind._linspaces
+
+    def record(start, stop, num, r0, r1):
+        blocks.append((len(start), r0, r1))
+        return linspaces(start, stop, num, r0, r1)
+
+    monkeypatch.setattr(ind, "_linspaces", record)
+    want = np.array([_reference_arc_crossings(p, arc, n, segs)
+                     for arc in arcs])
+    for block in (ind._ARC_BLOCK, 100):
+        monkeypatch.setattr(ind, "_ARC_BLOCK", block)
+        blocks.clear()
+        got = ind._arc_crossings(p, arcs, n, segs)
+        assert np.array_equal(got, want)
+        # one sampling pass per group with live lanes: 4 + 4 lanes for
+        # the first two arcs, 4 for the third, none for the last two;
+        # each pass covers rows 0..1024 in blocks that share their
+        # boundary rows, and the last block of the first is short
+        passes = {}
+        for lanes, r0, r1 in blocks:
+            passes.setdefault(lanes, []).append((r0, r1))
+            assert lanes * (r1 - r0 + 1) <= max(block, 2 * lanes)
+        assert sorted(passes) == [4, 8]
+        for rows in passes.values():
+            assert rows[0][0] == 0 and rows[-1][1] == ind._ARC_SAMPLES - 1
+            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+        (first_r0, first_r1), (last_r0, last_r1) = passes[8][0], passes[8][-1]
+        assert last_r1 - last_r0 < first_r1 - first_r0
+    assert want[0].any() and want[2].any()
+    assert not want[1].any() and not want[3:].any()
