@@ -29,8 +29,8 @@ the words for which the box survives and those for which it is
 certified interior.  A box carries the mask of the words whose cover it
 is part of, and a round enumerates the quadrants of the boxes split in
 the round before quadrant-major, in slices of boxes that bound the
-memory in flight; so each word's cover comes out box for box in the
-order a refinement of that word alone gives.
+memory in flight; so a family started from the square gives each word
+the cover, box for box, that a refinement of that word alone gives.
 
 Only the times that can change a verdict are labelled.  The nine
 children share their parent's symbols at every |k| < n, and each box of
@@ -43,6 +43,10 @@ at k = +-n alone, though its hulls are still stepped through every
 time.  The inside bits are computed only for boxes above the finest
 size: a finest box is kept on meeting alone.
 
+:func:`atoms` refines a level in families from the parents' covers and
+:func:`atom` one word alone from the square: the same boxes, but on
+REF_EX mostly in another order, so 23 level-2 representative points
+differ.  :func:`theta` reads the level, as :mod:`horseshoe.thermo` does.
 :func:`atoms` keeps the last eight levels built, keyed on parameters,
 level and resolution; callers get a fresh dict over shared atoms whose
 box arrays are read-only.  Each atom keeps its representative point
@@ -123,11 +127,11 @@ class Word:
         digits = text.replace(".", "")
         return cls(tuple(int(c) for c in digits), dot)
 
-    def shifted(self, by: int = 1) -> "Word":
-        """Same symbols, center moved ``by`` steps forward in time."""
-        return Word(self.symbols, self.center + by,
-                    tuple(a - by for a in self.ambiguous
-                          if 0 <= a - by < len(self.symbols)))
+    def shifted(self) -> "Word":
+        """Same symbols, center moved one step forward in time."""
+        return Word(self.symbols, self.center + 1,
+                    tuple(a - 1 for a in self.ambiguous
+                          if 0 <= a - 1 < len(self.symbols)))
 
     def extended(self, left: int, right: int) -> "Word":
         """Pad with the fixed-point symbol 0 on both sides."""
@@ -553,12 +557,10 @@ def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
     return Atom(word, _refine(params, [word], _SQUARE, resolution, 0)[0])
 
 
-def _levels(params: MapParams, resolution: int | None = None):
+def _levels(params: MapParams, resolution: int):
     """Covers {word: boxes} of the nonempty level-0, 1, 2, ... atoms, each
     level refining the previous one (nesting makes the parents valid
     starting covers)."""
-    if resolution is None:
-        resolution = default_resolution(params)
     words = [Word((s,), 0) for s in (0, 1, 2)]
     level = dict(zip(words, _refine(params, words, _SQUARE, resolution, 0)))
     while True:
@@ -641,29 +643,23 @@ def representative(params: MapParams, a: Atom) -> tuple:
     return a._reps[params]
 
 
-def theta(params: MapParams, word: Word,
-          resolution: int | None = None) -> ThetaPoint:
-    """Representative point of the word's atom with its radius bound."""
-    return _theta_point(params, atom(params, word, resolution))
-
-
-def _theta_point(params: MapParams, a: Atom) -> ThetaPoint:
+def theta(params: MapParams, word: Word) -> ThetaPoint:
+    """Representative point of the word's atom in the level cover of
+    :func:`atoms`, with its radius bound.  Ambiguity flags are dropped;
+    a word that is not in the level raises :class:`EmptyAtom`."""
+    a = atoms(params, word.n).get(Word(word.symbols, word.center))
+    if a is None:
+        raise EmptyAtom(word.to_string())
     return ThetaPoint(point=representative(params, a),
                       radius=a.diameter_ub, word=a.word)
 
 
-def decay_table(params: MapParams, n_max: int,
-                resolution: int | None = None) -> dict:
+def decay_table(params: MapParams, n_max: int) -> dict:
     """Max atom diameter per level and the fitted exponential rate."""
     rows = [(0, math.sqrt(2.0))]
-    for n, level in enumerate(_levels(params, resolution)):
-        if n:
-            rows.append((n, max(Atom(w, b).diameter_ub
-                                for w, b in level.items())))
-        if n == n_max:
-            break
-    ns = np.array([r[0] for r in rows[1:]], dtype=float)
-    ds = np.array([r[1] for r in rows[1:]])
+    rows += [(n, max(a.diameter_ub for a in atoms(params, n).values()))
+             for n in range(1, n_max + 1)]
+    ns, ds = np.array(rows[1:], dtype=float).reshape(-1, 2).T
     rate = float(np.exp(np.polyfit(ns, np.log(ds), 1)[0])) \
         if len(ns) >= 2 else float("nan")
     return {"rows": rows, "rate": rate,
@@ -671,23 +667,11 @@ def decay_table(params: MapParams, n_max: int,
                                   1.0 / math.sqrt(params.sigma))}
 
 
-def theta_holder_fit(params: MapParams, pairs,
-                     resolution: int | None = None) -> dict:
+def theta_holder_fit(params: MapParams, pairs) -> dict:
     """Holder exponent fit for theta from word pairs.
 
     Each pair contributes the point (j, |theta(w) - theta(w')|) where j
     is the first disagreement depth, fitted against d = 2^-j."""
-    cache: dict = {}
-
-    def th(word: Word):
-        word = Word(word.symbols, word.center)   # drop ambiguity flags
-        if word not in cache:
-            a = atoms(params, word.n, resolution).get(word)
-            if a is None:
-                raise EmptyAtom(word.to_string())
-            cache[word] = _theta_point(params, a)
-        return cache[word]
-
     depths, dists = [], []
     for w1, w2 in pairs:
         if w1.symbols == w2.symbols:
@@ -698,9 +682,9 @@ def theta_holder_fit(params: MapParams, pairs,
                   or w1.symbol(-k) != w2.symbol(-k)), None)
         if j is None:
             continue
-        p1, p2 = th(w1).point, th(w2).point
-        d = math.hypot(p1[0] - p2[0], p1[1] - p2[1])
-        floor = max(th(w1).radius, th(w2).radius)
+        t1, t2 = theta(params, w1), theta(params, w2)
+        d = math.hypot(t1.point[0] - t2.point[0], t1.point[1] - t2.point[1])
+        floor = max(t1.radius, t2.radius)
         if d > floor:
             depths.append(j)
             dists.append(d)

@@ -171,15 +171,11 @@ class PolygonalBall:
         s = self.radius_s * self.frame.e_s
         return [c + u + s, c + u - s, c - u - s, c - u + s]
 
-    def side_bottom(self):
-        """S0 = the side at -radius_u along e_u."""
+    def sides(self) -> tuple:
+        """(S0, S2): the sides at -radius_u and +radius_u along e_u, each
+        as its two end vertices."""
         v = self.vertices()
-        return v[2], v[3]
-
-    def side_top(self):
-        """S2 = the side at +radius_u along e_u."""
-        v = self.vertices()
-        return v[1], v[0]
+        return (v[2], v[3]), (v[1], v[0])
 
     def stable_segment(self, fraction: float):
         """S1 (scaled): the e_s segment through the center."""
@@ -220,7 +216,7 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         raise ValueError("rho must lie in (0, 1]")
     frame = direction_field(params, m)
     if in_A(params, m):
-        r = rho * cert.C3 * length_scale(params, m)
+        r = rho * cert.C3 * frame.l
         return PolygonalBall(m, frame, r, r)
     cap = 1.0 / 3.0
 
@@ -229,11 +225,9 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
             _, chain = mc.first_return(params, m, _VISIT_CAP, not unstable)
         except NoReturn:
             return cap
-        pt = chain[-1]
-        l = length_scale(params, pt)
-        if l == 0.0:
+        fr = direction_field(params, chain[-1])
+        if fr.l == 0.0:
             raise OutOfDomain("us-ball undefined on the tangency orbit")
-        fr = direction_field(params, pt)
         if unstable:
             # chain runs m <- ... <- visit; push e_u forward along it.
             lg = _log_growth(params, chain[:0:-1], fr.e_u, jacobian)
@@ -241,7 +235,7 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
             # chain runs m -> ... -> visit; pull e_s back along it.
             lg = _log_growth(params, chain[-2::-1], fr.e_s,
                              mc.jacobian_inverse)
-        val = math.log(l) + lg
+        val = math.log(fr.l) + lg
         return cap if val >= math.log(cap) else math.exp(val)
 
     return PolygonalBall(m, frame, rho * cert.C3 * capped(True),
@@ -413,8 +407,7 @@ class CrossingProbe:
 def crossing_probe(params: MapParams,
                    m: tuple[float, float]) -> CrossingProbe:
     frame = direction_field(params, m)
-    l = length_scale(params, m)
-    alpha = math.atan(2.0 * params.c * l)
+    alpha = math.atan(2.0 * params.c * frame.l)
     beta = math.atan2(frame.e_s[1], frame.e_s[0])
     leaf = mc.leaf_tangent(params, m)
     gamma = math.atan2(abs(frame.e_u[0] * leaf[1] - frame.e_u[1] * leaf[0]),
@@ -455,8 +448,7 @@ def _parabola_crosses_segment(params: MapParams, k: float, p0, p1) -> bool:
 def _u_crosses(params: MapParams, ks, ball: PolygonalBall) -> bool:
     """Every parabola offset in ``ks`` crosses both the bottom and top
     sides of the ball."""
-    s0 = ball.side_bottom()
-    s2 = ball.side_top()
+    s0, s2 = ball.sides()
     for k in ks:
         if not (_parabola_crosses_segment(params, k, *s0)
                 and _parabola_crosses_segment(params, k, *s2)):
@@ -759,7 +751,7 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
         for rad in (rho * cert.C0 * l_ctr,
                     cert.eps0 * rho * cert.C0 * l_ctr):
             tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
-            segs += [tb.side_bottom(), tb.side_top()]
+            segs += tb.sides()
     eta_ok = segs is not None and bool(
         _arc_crossings(params, sides, n_return, segs).all())
     return eta_ok, {"d_h": x_hi - x_lo, "d_v": dv}

@@ -497,15 +497,6 @@ def _resample_max_seg(pts: np.ndarray, max_seg: float) -> np.ndarray:
     return _resample_count(pts, n)
 
 
-def _image(params: MapParams, region: Region, pts: np.ndarray,
-           inverse: bool = False) -> np.ndarray:
-    """Points through one branch formula (its total inverse with
-    ``inverse=True``, no band restriction)."""
-    br = mc.BRANCH[region]
-    return np.stack((br.inverse if inverse else br.forward)(params, *pts.T),
-                    axis=1)
-
-
 def _levels(params: MapParams, bands: bool) -> list:
     """Edges of the horizontal strips and the fold ordinate t, or of
     the image bands and the fold abscissa q."""
@@ -514,7 +505,7 @@ def _levels(params: MapParams, bands: bool) -> list:
     return edges + [params.q if bands else params.t]
 
 
-def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
+def advance_pieces(params: MapParams, pieces: list, steps: int,
                    protect=None) -> list:
     """Push polyline pieces ``steps`` plain-map iterates forward.
 
@@ -534,7 +525,8 @@ def advance_pieces(params: MapParams, pieces: list, steps: int = 1,
                     continue
                 if region is Region.R4 and len(sub) < 1025:
                     sub = _resample_count(sub, 1025)
-                img = _image(params, region, sub)
+                img = np.stack(mc.BRANCH[region].forward(params, *sub.T),
+                               axis=1)
                 for piece in _cut_at_levels(img, img[:, 1], (0.0, 1.0)):
                     ymid = piece[len(piece) // 2, 1]
                     if 0.0 <= ymid <= 1.0:
@@ -552,14 +544,14 @@ def _inverse_branches(params: MapParams, pts: np.ndarray) -> list:
     for br in mc.BRANCHES:
         if not np.all(mc._in_band(params, br, pts[:, 0], pts[:, 1])):
             continue
-        pre = _image(params, br.region, pts, inverse=True)
+        pre = np.stack(br.inverse(params, *pts.T), axis=1)
         mid = pre[len(pre) // 2]
         if classify(params, (float(mid[0]), float(mid[1]))) is br.region:
             out.append(pre)
     return out
 
 
-def retreat_pieces(params: MapParams, pieces: list, steps: int = 1,
+def retreat_pieces(params: MapParams, pieces: list, steps: int,
                    protect=None) -> list:
     """Pull polyline pieces ``steps`` iterates backward through the
     inverse branches, splitting at the image-band boundaries (and at the

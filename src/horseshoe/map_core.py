@@ -438,18 +438,17 @@ def apply_inverse(params: MapParams, p: tuple[float, float]):
     A branch formula only inverts points of the branch's actual image:
     the candidate preimage must land back in the source strip (e.g. the
     ``R5'`` column below height 1/3 is not an image of the R5 strip).
-    ``R4'`` may overlap the ``R5'`` column; only the tangency point
-    Q = (q, 0) has two valid candidates, and it gets the R4 preimage T.
+    ``bands_disjoint`` and ``wing_height`` keep ``R4'`` off the ``R1'``
+    and ``R3'`` columns and below 1/3, so no point has two valid
+    candidates: the tangency point Q = (q, 0) lies in ``R4'`` alone.
     """
     x, y = p
-    found = None
     for br in BRANCHES:
         if _in_band(params, br, x, y):
             pre = br.inverse(params, x, y)
-            if _branch_at(params, *pre) is br and (found is None
-                                                   or br.parabolic):
-                found = pre
-    return found
+            if _branch_at(params, *pre) is br:
+                return pre
+    return None
 
 
 def _derivative_at(params: MapParams, p, which: str) -> np.ndarray:

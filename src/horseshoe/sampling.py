@@ -82,14 +82,13 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
         # seed abscissa: offset K0 = lam * x_tilde with x_tilde in the R3
         # image band forces the backward chain.
         k0 = _chain_offset(p, rng)
+        side = 1.0 if rng.random() < 0.5 else -1.0     # of x0 about q
         # two-pass fixed point: w depends on x0 through u, x0 on w not at
         # all, but u depends on x0 which depends on y0 which depends on w.
         w = sign * math.sqrt(y_ret_target / p.c)
-        x0 = y0 = None
         for _ in range(4):
             y0 = (p.t + w / p.sigma) * p.sigma ** (-n_esc)
-            x0 = p.q + (1.0 if rng.random() < 0.5 else -1.0) * math.sqrt((k0 + y0) / p.c) \
-                if x0 is None else p.q + math.copysign(math.sqrt((k0 + y0) / p.c), x0 - p.q)
+            x0 = p.q + side * math.sqrt((k0 + y0) / p.c)
             u = p.lam ** (n_esc + 1) * x0
             w = sign * math.sqrt((y_ret_target + u) / p.c)
         if abs(w) > p.w_max or not (0.0 < x0 < 1.0):
@@ -268,7 +267,7 @@ def holder_pairs_stable(params: MapParams, rng: np.random.Generator,
 
 
 def sample_nonescaping_points(params: MapParams, rng: np.random.Generator,
-                              count: int, horizon: int = 3) -> list:
+                              count: int, horizon: int) -> list:
     """Points of the square whose forward orbit survives ``horizon`` steps.
 
     Used for coarse map-correctness sweeps: draws from the union of the

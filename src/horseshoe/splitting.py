@@ -94,12 +94,8 @@ class Cone:
 
     def boundary_rays(self):
         """The two extreme unit directions of the cone."""
-        s = self.slope_bound
-        if self.axis == "vertical":
-            rays = [np.array([s, 1.0]), np.array([-s, 1.0])]
-        else:
-            rays = [np.array([1.0, s]), np.array([1.0, -s])]
-        return [r / np.linalg.norm(r) for r in rays]
+        V = _cone_stack(self.slope_bound, self.axis == "vertical")
+        return [V[1, :, 0], V[2, :, 0]]
 
 
 def unstable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
@@ -130,7 +126,7 @@ def _window_slope(params: MapParams, l: float, unstable: bool) -> float:
     return 2.0 * params.c * l / CHI0
 
 
-def default_cone(axis: str = "vertical") -> Cone:
+def default_cone(axis: str) -> Cone:
     return Cone(axis, DEFAULT_SLOPE)
 
 
@@ -161,7 +157,7 @@ def cone_at(params: MapParams, orbit_points: list) -> list:
             cone = unstable_cone(params, p)
             seen_a = True
         elif not seen_a:
-            cone = default_cone()
+            cone = default_cone("vertical")
         else:
             jac = jacobian(params, orbit_points[i - 1])
             cone = Cone("vertical", _pushed_slope(jac, prev_cone))
@@ -225,17 +221,22 @@ def _unit(V: np.ndarray) -> np.ndarray:
     return V / np.sqrt(V.swapaxes(1, 2) @ V)
 
 
+def _cone_stack(s: float, vertical: bool) -> np.ndarray:
+    """The unit axis vector and the two unit boundary rays of the
+    vertical (horizontal) cone of aperture ``s``, as a (3, 2, 1) stack."""
+    rows = ([[0.0, 1.0], [s, 1.0], [-s, 1.0]] if vertical
+            else [[1.0, 0.0], [1.0, s], [1.0, -s]])
+    return _unit(np.array(rows)[:, :, None])
+
+
 def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
-    """The axis vector and the two unit boundary rays of the cone at
-    ``m`` as a (3, 2, 1) stack: the vertical (horizontal) A-cone at a
+    """The cone stack at ``m``: the vertical (horizontal) A-cone at a
     point of A, the default cone elsewhere."""
     if in_A(params, m):
         s = _window_slope(params, abs(m[0] - params.q), unstable)
     else:
         s = DEFAULT_SLOPE
-    rows = ([[0.0, 1.0], [s, 1.0], [-s, 1.0]] if unstable
-            else [[1.0, 0.0], [1.0, s], [1.0, -s]])
-    return _unit(np.array(rows)[:, :, None])
+    return _cone_stack(s, unstable)
 
 
 def _deepest_carry(params: MapParams, m, walk, unstable: bool):

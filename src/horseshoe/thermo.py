@@ -114,18 +114,13 @@ class CylinderPotential:
 
 
 def _nearest_nonempty(level: dict, word: coding.Word) -> coding.Word:
-    """Closest word (by symbol flips, then lexicographic) with points."""
-    for flips in range(1, word.n * 2 + 2):
-        hits = []
-        for other in level:
-            if other.n != word.n:
-                continue
-            d = sum(a != b for a, b in zip(other.symbols, word.symbols))
-            if d == flips:
-                hits.append(other)
-        if hits:
-            return min(hits, key=lambda w: w.symbols)
-    raise coding.EmptyAtom(word.to_string())
+    """Closest word of the level with the same n: fewest symbol flips,
+    then lexicographic."""
+    same = [w for w in level if w.n == word.n]
+    if not same:
+        raise coding.EmptyAtom(word.to_string())
+    return min(same, key=lambda w: (
+        sum(a != b for a, b in zip(w.symbols, word.symbols)), w.symbols))
 
 
 def pull_back(params: MapParams, phi: Potential, m: int,
@@ -144,7 +139,7 @@ def pull_back(params: MapParams, phi: Potential, m: int,
     for code, symbols in enumerate(itertools.product((0, 1, 2), repeat=m)):
         word = _centered(symbols)
         a = level.get(word)
-        if a is None or a.empty:
+        if a is None:
             flagged.append(word.to_string())
             a = level[_nearest_nonempty(level, word)]
         rep = coding.representative(params, a)
@@ -330,18 +325,18 @@ class EquilibriumState:
     mass_defect: float
 
 
-def equilibrium_state(params: MapParams, phi: Potential, m: int,
-                      resolution: int | None = None) -> EquilibriumState:
+def equilibrium_state(params: MapParams, phi: Potential,
+                      m: int) -> EquilibriumState:
     """Gibbs measure of the pulled-back potential, pushed forward to the
     level-n atoms (n = (m-1)//2) by marginalizing cylinder masses.
 
     Masses of the 2n tangency-double-coded words are merged into the
     canonical (lower-symbol) word; cylinders whose atoms are empty are
     reassigned to the nearest nonempty word and reported."""
-    cyl = pull_back(params, phi, m, resolution)
+    cyl = pull_back(params, phi, m)
     measure = gibbs_measure(cyl)
     n = (m - 1) // 2
-    level = coding.atoms(params, n, resolution)
+    level = coding.atoms(params, n)
     atom_masses: dict = {}
     reassigned = []
     for code, symbols in enumerate(itertools.product((0, 1, 2), repeat=m)):

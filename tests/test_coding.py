@@ -100,7 +100,7 @@ class TestWord:
         assert w.ambiguous == (2,)
 
     def test_shifted_moves_center(self):
-        w = cd.Word((0, 1, 2), 1).shifted(1)
+        w = cd.Word((0, 1, 2), 1).shifted()
         assert w.center == 2
         assert w.symbol(0) == 2
 
@@ -376,6 +376,12 @@ class TestTheta:
             a = level[cd.Word(w.symbols, w.center)]
             cx, cy = a.center()
             assert math.hypot(cx - p[0], cy - p[1]) <= a.diameter_ub
+
+    @pytest.mark.parametrize("params", [REF_EX, REF_STRICT],
+                             ids=["ex", "strict"])
+    def test_theta_reads_the_level(self, params):
+        for w, a in cd.atoms(params, 2).items():
+            assert cd.theta(params, w).point == cd.representative(params, a)
 
     def test_nested_extension_stays_close(self):
         w = cd.Word((0, 2, 0, 2, 0), 2)

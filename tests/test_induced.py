@@ -177,8 +177,7 @@ def test_polygonal_ball_geometry():
     assert ball.contains(v[0])
     far = np.asarray(rp.M) + 0.05 * fr.e_u
     assert not ball.contains(far)
-    s0a, s0b = ball.side_bottom()
-    s2a, s2b = ball.side_top()
+    (s0a, s0b), (s2a, s2b) = ball.sides()
     # opposite sides, parallel to e_s
     np.testing.assert_allclose(s0b - s0a, s2b - s2a, atol=1e-14)
     seg_a, seg_b = ball.stable_segment(0.5)
@@ -512,6 +511,16 @@ def test_parabola_crosses_segment():
     # segment entirely below the parabola
     assert not ind._parabola_crosses_segment(p, 0.0, (0.74, -0.01),
                                              (0.76, -0.01))
+    # a vertical segment has a2 = 0: one linear root, at s = 0.625 here
+    assert ind._parabola_crosses_segment(p, 0.0, (0.8, 0.0), (0.8, 0.02))
+    assert not ind._parabola_crosses_segment(p, 0.0, (0.8, 0.02),
+                                             (0.8, 0.03))
+    # a point segment has a1 = a2 = 0: it crosses when it is on the curve
+    e = 0.8 - p.q
+    on = (0.8, p.c * e * e)
+    assert ind._parabola_crosses_segment(p, 0.0, on, on)
+    off = (0.8, on[1] + 1e-3)
+    assert not ind._parabola_crosses_segment(p, 0.0, off, off)
 
 
 @pytest.mark.parametrize("params,seed", [(REF_EX, 0), (REF_STRICT, 0)])
@@ -702,7 +711,7 @@ def test_one_arc_call_equals_one_call_per_segment():
         for shift in (0.0, 0.02, -0.3):
             ctr = tuple(np.asarray(pts[-1]) + shift * fr.e_s)
             ball = ind.PolygonalBall(ctr, fr, rad, rad)
-            segs += [ball.side_bottom(), ball.side_top()]
+            segs += ball.sides()
     segs = np.array(segs)
     together = ind._arc_crossings(p, [arc], n, segs)[0]
     alone = [ind._arc_crossings(p, [arc], n, segs[i:i + 1])[0, 0]
@@ -767,6 +776,24 @@ def _reference_arc_crossings(params, arc, n, segs):
     return hit
 
 
+def test_arc_crossings_swap_the_ends_of_a_reversed_image():
+    # R4 sends the arc rightwards, R1 keeps the order and R3 reverses x:
+    # the image abscissa falls as the source height rises
+    p = REF_EX
+    y = p.t + math.sqrt((0.1 + p.lam * 0.5) / p.c) / p.sigma
+    arc = (0.5, y - 1e-3, y + 1e-3)
+    assert mc.branch_sequence(p, (0.5, y), 3) \
+        == (Region.R4, Region.R1, Region.R3)
+    lo, hi = (list(mc.iterates(p, (0.5, h), 3))[-1] for h in arc[1:])
+    assert lo[0] > hi[0]
+    segs = [((0.48, 0.5), (0.50, 0.5)),          # across the image
+            ((0.48, 0.9), (0.50, 0.9)),          # above it
+            ((0.30, 0.5), (0.40, 0.5))]          # left of it
+    got = ind._arc_crossings(p, [arc], 3, segs)[0]
+    assert got.tolist() == [True, False, False]
+    assert got.tolist() == _reference_arc_crossings(p, arc, 3, segs).tolist()
+
+
 def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
     """Run the crossing checks of ``crossing_digest`` (escape times 1..5,
     rho 1 and 1/2, ``cert`` and its stressed form) and compare every
@@ -826,7 +853,7 @@ def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
     for ctr in (pts[-1], list(mc.iterates(p, m2, n))[-1]):
         for rad in (0.002, 0.01):
             ball = ind.PolygonalBall(tuple(ctr), fr, rad, rad)
-            segs += [ball.side_bottom(), ball.side_top()]
+            segs += ball.sides()
     segs = np.array(segs)
     gap = 0.5 * (p.inv_sigma + p.r3_y0)      # between the R1 and R3 strips
     arcs = [(m[0], m[1] - 2e-3, m[1] + 2e-3),

@@ -15,6 +15,7 @@ from horseshoe.map_core import (MapParams, REF_EX, REF_STRICT, Region,
                                 OutOfDomain)
 from horseshoe import sampling as sp
 from horseshoe.sampling import SampleError, sample_nonescaping_points
+from test_branch_table import valid_params
 
 
 def test_validate_ref_strict_clean():
@@ -107,6 +108,23 @@ def test_apply_inverse_band_overlap_disambiguation():
     target = apply(REF_EX, (0.5, 0.74))
     pre = apply_inverse(REF_EX, target)
     assert pre == pytest.approx((0.5, 0.74), abs=1e-12)
+
+
+@given(params=valid_params())
+@settings(max_examples=30, deadline=None)
+def test_no_point_has_two_inverse_branches(params):
+    # apply_inverse takes the first valid candidate; the parameter checks
+    # keep the image bands apart, so there is never a second one
+    grid = np.linspace(0.0, 1.0, 41)
+    probes = [(params.q, 0.0)] + [(x, y) for x in grid for y in grid]
+    for br in mc.BRANCHES:
+        lo, hi = br.strip(params)
+        probes += [br.forward(params, x, y) for x in grid[::2]
+                   for y in np.linspace(lo, hi, 15)]
+    for x, y in probes:
+        valid = [br for br in mc.BRANCHES if mc._in_band(params, br, x, y)
+                 and mc._branch_at(params, *br.inverse(params, x, y)) is br]
+        assert len(valid) <= 1
 
 
 def test_jacobian_values():

@@ -139,11 +139,13 @@ def test_holder_fit_rejects_identical_points(monkeypatch):
 
 
 def test_holder_fit_smoke():
-    rng = np.random.default_rng(8)
-    pairs = sp.holder_pairs_unstable(REF_STRICT, rng, 150)
-    fit = holder_fit(REF_STRICT, pairs, which="u")
-    assert fit.alpha_est >= 0.45
-    assert len(fit.bins) >= 3
+    for which, draw in (("u", sp.holder_pairs_unstable),
+                        ("s", sp.holder_pairs_stable)):
+        rng = np.random.default_rng(8)
+        pairs = draw(REF_STRICT, rng, 150)
+        fit = holder_fit(REF_STRICT, pairs, which=which)
+        assert fit.alpha_est >= 0.45
+        assert len(fit.bins) >= 3
 
 
 def test_cone_validation():

@@ -127,6 +127,25 @@ def test_lyapunov_reports_escaping_orbits():
     assert err.value.direction == "backward" and err.value.step == 1
 
 
+def test_ref_ex_reassigns_the_empty_words():
+    # level 2 of REF_EX lacks 11.011 and 11.012; each borrows the nearest
+    # word, one flip away and lexicographically least
+    x = thermo.named_potential("x")
+    assert thermo.pull_back(REF_EX, x, 5).flagged == ("11.011", "11.012")
+    eq = thermo.equilibrium_state(REF_EX, x, 5)
+    assert eq.reassigned == (("11.011", "01.011"), ("11.012", "01.012"))
+    assert eq.mass_defect < 1e-9
+
+
+def test_nearest_nonempty_prefers_fewer_flips_then_lexicographic():
+    W = coding.Word.from_string
+    level = {W("2.22"): None, W("1.00"): None, W("0.10"): None, W(".0"): None}
+    assert thermo._nearest_nonempty(level, W("1.10")) == W("0.10")
+    assert thermo._nearest_nonempty(level, W("2.20")) == W("2.22")
+    with pytest.raises(coding.EmptyAtom):
+        thermo._nearest_nonempty(level, W("00.000"))
+
+
 def test_atom_cache_is_bounded():
     coding._cached_atoms.cache_clear()
     zero = thermo.named_potential("zero")
