@@ -48,10 +48,10 @@ size: a finest box is kept on meeting alone.
 REF_EX mostly in another order, so 23 level-2 representative points
 differ.  :func:`theta` reads the level, as :mod:`horseshoe.thermo` does.
 :func:`atoms` keeps the last eight levels built, keyed on parameters,
-level and resolution; callers get a fresh dict over shared atoms whose
-box arrays are read-only.  Each atom keeps its representative point
-once asked for it, so a warm level costs no itinerary.  Numerical
-settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
+level and resolution (from :func:`default_resolution`); callers get a
+fresh dict over shared atoms whose box arrays are read-only.  Each atom
+keeps its representative point once asked for it, so a warm level costs
+no itinerary.  Numerical settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
 """
 
 from __future__ import annotations
@@ -126,18 +126,6 @@ class Word:
         dot = text.index(".")
         digits = text.replace(".", "")
         return cls(tuple(int(c) for c in digits), dot)
-
-    def shifted(self) -> "Word":
-        """Same symbols, center moved one step forward in time."""
-        return Word(self.symbols, self.center + 1,
-                    tuple(a - 1 for a in self.ambiguous
-                          if 0 <= a - 1 < len(self.symbols)))
-
-    def extended(self, left: int, right: int) -> "Word":
-        """Pad with the fixed-point symbol 0 on both sides."""
-        return Word((0,) * left + self.symbols + (0,) * right,
-                    self.center + left,
-                    tuple(a + left for a in self.ambiguous))
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +537,11 @@ def _refine(params: MapParams, words: list, boxes: np.ndarray,
             for cover in done]
 
 
-def atom(params: MapParams, word: Word, resolution: int | None = None) -> Atom:
+def atom(params: MapParams, word: Word) -> Atom:
     """Sound box cover of the partition atom carrying ``word``."""
-    if resolution is None:
-        resolution = default_resolution(params)
     word.n  # validates centering
-    return Atom(word, _refine(params, [word], _SQUARE, resolution, 0)[0])
+    return Atom(word, _refine(params, [word], _SQUARE,
+                              default_resolution(params), 0)[0])
 
 
 def _levels(params: MapParams, resolution: int):
@@ -587,11 +574,9 @@ def _cached_atoms(params: MapParams, n: int, resolution: int) -> dict:
             return {w: Atom(w, b) for w, b in level.items()}
 
 
-def atoms(params: MapParams, n: int, resolution: int | None = None) -> dict:
+def atoms(params: MapParams, n: int) -> dict:
     """All nonempty level-n atoms, as a fresh dict over cached atoms."""
-    if resolution is None:
-        resolution = default_resolution(params)
-    return dict(_cached_atoms(params, n, resolution))
+    return dict(_cached_atoms(params, n, default_resolution(params)))
 
 
 # ---------------------------------------------------------------------------

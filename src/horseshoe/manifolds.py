@@ -52,7 +52,7 @@ from . import map_core as mc
 from .map_core import (MapParams, Region, classify, apply, apply_inverse,
                        default_certificate, OutOfDomain)
 from .splitting import SplitFrame, length_scale
-from .induced import chart
+from .induced import _bisect_edge, chart
 
 GRID_POINTS = 257
 RHO_MIN = 2.0 ** -20
@@ -170,10 +170,10 @@ class LipGraph:
         return pts.T
 
 
-def zero_graph(base: SplitFrame, axis: str, radius: float,
-               slope: float = 0.0) -> LipGraph:
+def zero_graph(base: SplitFrame, axis: str, radius: float) -> LipGraph:
+    """A local leaf's seed graph: slope ``_SEED_SLOPE`` through M."""
     grid = np.linspace(-radius, radius, GRID_POINTS)
-    return LipGraph(base, axis, grid, slope * grid)
+    return LipGraph(base, axis, grid, _SEED_SLOPE * grid)
 
 
 @dataclass
@@ -348,7 +348,7 @@ def _pullback_curve(params: MapParams, chain: _Chain,
     axis = "u->s" if unstable else "s->u"
     prev = prev_diff = factor = None
     for depth in range(1, _MAX_DEPTH + 1):
-        g = zero_graph(chain[depth][1], axis, radius, slope=_SEED_SLOPE)
+        g = zero_graph(chain[depth][1], axis, radius)
         for j in range(depth, 0, -1):
             near_ch = chain[j - 1][1]
             _, far_ch, k_j = chain[j]
@@ -755,18 +755,10 @@ def iterate_vertical_curve(params: MapParams,
 
         # invert the wing ordinate at both strip edges (right wing,
         # one expanding step after the parabolic branch)
-        edges = []
-        for target in (p.t - h, p.t + h):
-            lo, hi = 0.0, p.w_max
-            if wing_y(hi) < target:
-                raise Unsupported("wing too short to re-cover the strip")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if wing_y(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            edges.append(0.5 * (lo + hi))
+        if wing_y(p.w_max) < p.t + h:
+            raise Unsupported("wing too short to re-cover the strip")
+        edges = [_bisect_edge(lambda w: wing_y(w) < target, 0.0, p.w_max,
+                              200) for target in (p.t - h, p.t + h)]
         w_new = np.linspace(edges[0], edges[1], _VERTICAL_POINTS)
         src_y = p.t + w_new / p.sigma
         gx = np.interp(src_y, y_grid, g)
@@ -968,13 +960,13 @@ def _spanning_piece(pieces: list, axis: int):
     return None
 
 
-def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int):
+def _mixing_search(params: MapParams, disk: Disk, kind: str):
     pieces = _seed_arcs(params, disk, kind)
     if not pieces:
         raise Unsupported(f"no {kind} seed arc found inside {disk}")
     axis = 1 if kind == "unstable" else 0
     longest = 0.0
-    for n in range(budget + 1):
+    for n in range(_MIXING_BUDGET + 1):
         hit = _spanning_piece(pieces, axis)
         if hit is not None:
             return n, hit
@@ -986,16 +978,17 @@ def _mixing_search(params: MapParams, disk: Disk, kind: str, budget: int):
         if not pieces:
             break
     raise BudgetExhausted(
-        f"no full crossing within {budget} iterates", longest_span=longest)
+        f"no full crossing within {_MIXING_BUDGET} iterates",
+        longest_span=longest)
 
 
-def mixing_times(params: MapParams, disk: Disk,
-                 budget: int = _MIXING_BUDGET) -> dict:
+def mixing_times(params: MapParams, disk: Disk) -> dict:
     """Iterates needed for the disk to develop a full vertical unstable
-    crossing (forward) and a full horizontal stable crossing (backward).
+    crossing (forward) and a full horizontal stable crossing (backward),
+    each searched for at most ``_MIXING_BUDGET`` iterates.
     """
-    n_plus, arc_plus = _mixing_search(params, disk, "unstable", budget)
-    n_minus, arc_minus = _mixing_search(params, disk, "stable", budget)
+    n_plus, arc_plus = _mixing_search(params, disk, "unstable")
+    n_minus, arc_minus = _mixing_search(params, disk, "stable")
     return {"n_plus": n_plus, "n_minus": n_minus,
             "arc_plus": arc_plus, "arc_minus": arc_minus}
 
@@ -1005,8 +998,8 @@ def mixing_consequence(params: MapParams, disk_u: Disk,
     """f^n(U) meets V for n = n_plus(U) + n_minus(V): the full vertical
     arc of f^(n_plus)(U) crosses the full horizontal arc of
     f^(-n_minus)(V)."""
-    _, arc_u = _mixing_search(params, disk_u, "unstable", _MIXING_BUDGET)
-    _, arc_v = _mixing_search(params, disk_v, "stable", _MIXING_BUDGET)
+    _, arc_u = _mixing_search(params, disk_u, "unstable")
+    _, arc_v = _mixing_search(params, disk_v, "stable")
     return bool(_polyline_intersections(arc_u, arc_v))
 
 

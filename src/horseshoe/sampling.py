@@ -128,19 +128,19 @@ class MultiReturnOrbit:
 
 
 def multi_return_point(params: MapParams, rng: np.random.Generator,
-                       escape_times: list,
-                       max_tries: int = _MAX_TRIES) -> MultiReturnOrbit:
+                       escape_times: list) -> MultiReturnOrbit:
     """Build a point of A with consecutive escape times ``escape_times``.
 
     ``escape_times = [n_1, ..., n_m]`` requests an orbit visiting A at
     forward times 0, n_1+1, n_1+n_2+2, ...; each leg spends exactly
     n_i steps in the bottom strip before crossing the tangency strip.
+    At most ``_MAX_TRIES`` constructions are verified.
     """
     p = params
     m = len(escape_times)
     if m < 1:
         raise ValueError("escape_times must be nonempty")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(m)]
         y_final = float(rng.uniform(0.2, 0.8)) * p.inv_sigma
         k0 = _chain_offset(p, rng)
@@ -180,7 +180,7 @@ def multi_return_point(params: MapParams, rng: np.random.Generator,
             visits = list(accumulate((n + 1 for n in escape_times),
                                      initial=0))
             return MultiReturnOrbit(M=m0, visit_times=visits, points=pts)
-    raise SampleError(f"no multi-return orbit found in {max_tries} tries")
+    raise SampleError(f"no multi-return orbit found in {_MAX_TRIES} tries")
 
 
 def _chain_offset(params: MapParams, rng: np.random.Generator) -> float:

@@ -126,10 +126,6 @@ def _window_slope(params: MapParams, l: float, unstable: bool) -> float:
     return 2.0 * params.c * l / CHI0
 
 
-def default_cone(axis: str) -> Cone:
-    return Cone(axis, DEFAULT_SLOPE)
-
-
 def _pushed_slope(jac: np.ndarray, cone: Cone) -> float:
     """Aperture (|u|/|v|) of the smallest vertical cone containing the
     image of ``cone`` under ``jac``."""
@@ -157,7 +153,7 @@ def cone_at(params: MapParams, orbit_points: list) -> list:
             cone = unstable_cone(params, p)
             seen_a = True
         elif not seen_a:
-            cone = default_cone("vertical")
+            cone = Cone("vertical", DEFAULT_SLOPE)
         else:
             jac = jacobian(params, orbit_points[i - 1])
             cone = Cone("vertical", _pushed_slope(jac, prev_cone))

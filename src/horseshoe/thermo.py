@@ -123,16 +123,16 @@ def _nearest_nonempty(level: dict, word: coding.Word) -> coding.Word:
         sum(a != b for a, b in zip(w.symbols, word.symbols)), w.symbols))
 
 
-def pull_back(params: MapParams, phi: Potential, m: int,
-              resolution: int | None = None) -> CylinderPotential:
-    """Evaluate ``phi`` at the coding representatives of all m-words.
+def pull_back(params: MapParams, phi: Potential, m: int) -> CylinderPotential:
+    """Evaluate ``phi`` at the coding representatives of all m-words, on
+    the level atoms at ``coding.default_resolution(params)``.
 
     The m-word is padded to a centered word (0 is the canonical filler:
     ...000... codes the fixed point at the origin); words whose cover is
     empty borrow the nearest nonempty neighbour and are flagged."""
     phi.spot_check()
     centered_n = _centered((0,) * m).n
-    level = coding.atoms(params, centered_n, resolution)
+    level = coding.atoms(params, centered_n)
     values = np.empty(3 ** m)
     variation = 0.0
     flagged = []

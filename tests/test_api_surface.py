@@ -12,7 +12,7 @@ from pathlib import Path
 
 import horseshoe
 
-MAX_DEFAULTS = 24
+MAX_DEFAULTS = 18
 
 
 def _defaults(tree: ast.AST) -> int:

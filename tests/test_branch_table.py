@@ -13,6 +13,7 @@ import itertools
 import math
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,12 +329,14 @@ def orbit_walk_digest(params, seed=20261019) -> str:
         record(mf.stable_invariance_defect, p, m)
         record(mf.bracket, p, m, m)
     record(mf.bracket, p, bases[0], bases[1])
-    record(mf.mixing_times, p, mf.Disk((0.05, 0.5), 0.05), 12)
+    with mock.patch.object(mf, "_MIXING_BUDGET", 12):
+        record(mf.mixing_times, p, mf.Disk((0.05, 0.5), 0.05))
     record(thermo._tangency_pairs, p, 2)
     n = len(orbs[0].points) - 1
     for steps, back in ((n, 3), (n + 3, 3), (n, 12)):
         record(thermo.lyapunov, p, orbs[0].M, steps, N_back=back)
-    record(sp.multi_return_point, p, rng, [1] * 6, max_tries=3)
+    with mock.patch.object(sp, "_MAX_TRIES", 3):
+        record(sp.multi_return_point, p, rng, [1] * 6)
     for count, horizon in ((10, 1), (10, 3), (3, 40)):
         record(sp.sample_nonescaping_points, p, rng, count, horizon)
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
@@ -496,13 +499,15 @@ def test_cover_does_not_depend_on_the_route(params):
     # skips most of the parent's times) every 23rd word and the empty
     # ones at resolution 6
     for n, resolution, stride in ((1, 7, 1), (2, 6, 23)):
-        level = coding.atoms(params, n, resolution=resolution)
-        words = [coding.Word(symbols, n) for symbols
-                 in itertools.product((0, 1, 2), repeat=2 * n + 1)]
-        for word in (w for i, w in enumerate(words)
-                     if i % stride == 0 or w not in level):
-            alone = coding.atom(params, word, resolution=resolution)
-            if word in level:
-                assert _rows(level[word].boxes) == _rows(alone.boxes)
-            else:
-                assert alone.empty
+        with mock.patch.object(coding, "default_resolution",
+                               return_value=resolution):
+            level = coding.atoms(params, n)
+            words = [coding.Word(symbols, n) for symbols
+                     in itertools.product((0, 1, 2), repeat=2 * n + 1)]
+            for word in (w for i, w in enumerate(words)
+                         if i % stride == 0 or w not in level):
+                alone = coding.atom(params, word)
+                if word in level:
+                    assert _rows(level[word].boxes) == _rows(alone.boxes)
+                else:
+                    assert alone.empty

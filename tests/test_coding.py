@@ -93,17 +93,6 @@ class TestWord:
         with pytest.raises(ValueError):
             cd.Word.from_string("01.2.0")
 
-    def test_extended_pads_with_zero(self):
-        w = cd.Word((1,), 0, ambiguous=(0,)).extended(2, 2)
-        assert w.symbols == (0, 0, 1, 0, 0)
-        assert w.center == 2
-        assert w.ambiguous == (2,)
-
-    def test_shifted_moves_center(self):
-        w = cd.Word((0, 1, 2), 1).shifted()
-        assert w.center == 2
-        assert w.symbol(0) == 2
-
 
 # ---------------------------------------------------------------------------
 # Bands and itineraries
@@ -215,10 +204,11 @@ class TestAtoms:
         # all but two of the 3^5 centered 5-words carry points
         assert len(cd.atoms(REF_EX, 2)) == 241
 
-    def test_nesting(self):
+    def test_nesting(self, monkeypatch):
         res = 12
-        parents = cd.atoms(REF_EX, 1, resolution=res)
-        children = cd.atoms(REF_EX, 2, resolution=res)
+        monkeypatch.setattr(cd, "default_resolution", lambda p: res)
+        parents = cd.atoms(REF_EX, 1)
+        children = cd.atoms(REF_EX, 2)
         slack = 2.0 ** -res
         for w, a in children.items():
             parent = parents[cd.Word(w.symbols[1:-1], w.center - 1)]
@@ -238,8 +228,16 @@ class TestAtoms:
         a = cd.atom(REF_EX, cd.Word.from_string("11.011"))
         assert a.empty
         assert a.diameter_ub == 0.0
+        assert not a.contains((0.5, 0.5))
         with pytest.raises(cd.EmptyAtom):
             a.center()
+
+    def test_step_drops_a_box_inside_a_gap(self):
+        box = np.array([[0.4, 0.25, 0.6, 0.3]])
+        assert mc.classify(REF_EX, (0.5, 0.25)) is mc.Region.R2
+        hulls, origin, whole = cd._step(REF_EX, box, True)
+        assert hulls.shape == (0, 4)
+        assert len(origin) == len(whole) == 0
 
     def test_strict_params_level_one(self):
         level = cd.atoms(REF_STRICT, 1)

@@ -305,6 +305,11 @@ def test_merge_leaves_an_ambiguous_end_unjoined():
     assert np.array_equal(merged, chain)
 
 
+def test_resample_keeps_a_zero_length_polyline():
+    pts = np.full((3, 2), 0.5)
+    assert mf._resample_count(pts, 10) is pts
+
+
 # --- verticality ----------------------------------------------------------
 
 def test_vertical_segment_passes():
@@ -321,6 +326,9 @@ def test_parabolic_arc_fails_below_curvature():
     arc = np.column_stack([c * y * y, y])
     assert not mf.eps1_vertical_check(arc, 2.0 * c - 1.0).ok
     assert mf.eps1_vertical_check(arc, 2.0 * c + 1.0).ok
+    # listed top-down, the curve is read bottom-up
+    assert (mf.eps1_vertical_check(arc[::-1], 2.0 * c + 1.0)
+            == mf.eps1_vertical_check(arc, 2.0 * c + 1.0))
 
 
 def test_non_graph_curve_rejected():

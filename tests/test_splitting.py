@@ -155,6 +155,12 @@ def test_cone_validation():
         Cone("vertical", -0.5)
 
 
+def test_pushed_slope_of_a_horizontal_image_is_infinite():
+    # the boundary ray (1, 1)/sqrt(2) maps onto the x-axis
+    jac = np.array([[1.0, 0.0], [1.0, -1.0]])
+    assert spl._pushed_slope(jac, Cone("vertical", 1.0)) == math.inf
+
+
 # --- the stacked cone carrying against the per-vector loops ---------------
 
 def _scalar_carry_cone(params, chain, unstable):
@@ -166,7 +172,8 @@ def _scalar_carry_cone(params, chain, unstable):
     if mc.in_A(params, start):
         cone = (unstable_cone if unstable else stable_cone)(params, start)
     else:
-        cone = spl.default_cone("vertical" if unstable else "horizontal")
+        cone = Cone("vertical" if unstable else "horizontal",
+                    spl.DEFAULT_SLOPE)
     vecs = [np.array([0.0, 1.0] if unstable else [1.0, 0.0])] \
         + cone.boundary_rays()
     if unstable:

@@ -3,6 +3,7 @@ identity, equilibrium states, Lyapunov exponents and the atom cache."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,16 +147,17 @@ def test_nearest_nonempty_prefers_fewer_flips_then_lexicographic():
         thermo._nearest_nonempty(level, W("00.000"))
 
 
-def test_atom_cache_is_bounded():
+def test_atom_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(coding, "default_resolution", lambda p: 6)
     coding._cached_atoms.cache_clear()
     zero = thermo.named_potential("zero")
     sweep = [dataclasses.replace(REF_STRICT, t=0.6 + 0.001 * i)
              for i in range(9)]
     for params in sweep:
-        thermo.pull_back(params, zero, 1, resolution=6)
+        thermo.pull_back(params, zero, 1)
     info = coding._cached_atoms.cache_info()
     assert info.misses == 9 and info.currsize <= 8
-    thermo.pull_back(sweep[-1], zero, 1, resolution=6)
+    thermo.pull_back(sweep[-1], zero, 1)
     assert coding._cached_atoms.cache_info().hits == info.hits + 1
 
 
@@ -170,19 +172,20 @@ def test_warm_pull_back_reuses_representatives(monkeypatch, params, m):
         return real(p, a)
 
     monkeypatch.setattr(coding, "_representative", counting)
+    monkeypatch.setattr(coding, "default_resolution", lambda p: 10)
     phi = thermo.named_potential("x")
     coding._cached_atoms.cache_clear()
-    cold = thermo.pull_back(params, phi, m, resolution=10)
+    cold = thermo.pull_back(params, phi, m)
     built = len(calls)
     assert built > 0 and len(set(calls)) == built
     calls.clear()
-    warm = thermo.pull_back(params, phi, m, resolution=10)
+    warm = thermo.pull_back(params, phi, m)
     assert calls == []
     assert warm.values.tolist() == cold.values.tolist()
     assert warm.flagged == cold.flagged
     # the points live on the cached atoms and go with them
     coding._cached_atoms.cache_clear()
-    again = thermo.pull_back(params, phi, m, resolution=10)
+    again = thermo.pull_back(params, phi, m)
     assert len(calls) == built
     assert again.values.tolist() == cold.values.tolist()
 
@@ -191,10 +194,12 @@ def test_warm_pull_back_reuses_representatives(monkeypatch, params, m):
 # which would push out the REF_EX levels the tests above share.
 @pytest.mark.parametrize("name", ["zero", "x", "cos"])
 @given(params=valid_params(), m=st.integers(1, 3), resolution=st.just(7))
-@example(params=REF_STRICT, m=4, resolution=None)
+@example(params=REF_STRICT, m=4,
+         resolution=coding.default_resolution(REF_STRICT))
 @settings(max_examples=8, deadline=None)
 def test_variational_identity(name, params, m, resolution):
-    cyl = thermo.pull_back(params, thermo.named_potential(name), m,
-                           resolution)
+    with mock.patch.object(coding, "default_resolution",
+                           return_value=resolution):
+        cyl = thermo.pull_back(params, thermo.named_potential(name), m)
     meas = thermo.gibbs_measure(cyl)
     assert abs(meas.pressure - meas.entropy - meas.integral) < 1e-9
