@@ -32,6 +32,18 @@ the round before quadrant-major, in slices of boxes that bound the
 memory in flight; so a family started from the square gives each word
 the cover, box for box, that a refinement of that word alone gives.
 
+The kernel keeps the hulls as an :class:`Interval` pair, four
+contiguous columns, from the first step to the last.  Each branch picks
+by index the rows that meet its strip (image band) and clips, maps and
+tests only those; each band piece tests its floor and parabola offset
+only on the rows in its x-range.  A row gets the same float expressions
+as if every branch and band piece evaluated it, so routing cuts the cost
+per row and changes no cover.  ``_SLICE`` caps the boxes per call of
+:func:`_verdicts`, and with them the length of the hull columns: a step
+gives a hull one row per strip it meets, and in the REF_EX (levels 1-3)
+and REF_STRICT (levels 1-2) builds no step held more than four rows per
+box of its slice.
+
 Only the times that can change a verdict are labelled.  The nine
 children share their parent's symbols at every |k| < n, and each box of
 the parent's cover is of the finest size or certified interior there.
@@ -179,7 +191,8 @@ def itinerary(params: MapParams, p, n: int) -> Word:
 # ---------------------------------------------------------------------------
 # Interval image hulls
 # ---------------------------------------------------------------------------
-# boxes are arrays (N, 4) of (xmin, ymin, xmax, ymax)
+# boxes are arrays (N, 4) of (xmin, ymin, xmax, ymax); hulls are pairs
+# (x, y) of Interval columns
 
 def _interval_square(lo, hi):
     """Exact interval for d^2 given d in [lo, hi] (elementwise)."""
@@ -205,6 +218,20 @@ class Interval:
 
     def __getitem__(self, mask) -> "Interval":
         return Interval(self.lo[mask], self.hi[mask])
+
+    @staticmethod
+    def concatenate(parts) -> "Interval":
+        """The rows of several intervals, in order."""
+        return Interval(np.concatenate([p.lo for p in parts]),
+                        np.concatenate([p.hi for p in parts]))
+
+    def meets(self, lo, hi) -> np.ndarray:
+        """Whether each interval meets [lo, hi] (both have lo <= hi)."""
+        return (self.hi >= lo) & (self.lo <= hi)
+
+    def within(self, lo, hi) -> np.ndarray:
+        """Whether each interval lies inside [lo, hi]."""
+        return (self.lo >= lo) & (self.hi <= hi)
 
     def clip(self, lo=None, hi=None) -> "Interval":
         """Intersection with [lo, hi]; empty where lo > hi results."""
@@ -250,109 +277,108 @@ def _interval_csq(c, w: Interval) -> Interval:
     return c * w ** 2
 
 
-def _hull(boxes: np.ndarray) -> tuple:
-    x0, y0, x1, y1 = boxes.T
+def _columns(boxes: np.ndarray) -> tuple:
+    """Boxes (N, 4) of (xmin, ymin, xmax, ymax) as the interval pair
+    (x, y) over four contiguous columns."""
+    x0, y0, x1, y1 = np.ascontiguousarray(boxes.T)
     return Interval(x0, x1), Interval(y0, y1)
 
 
-def _boxes(x: Interval, y: Interval) -> np.ndarray:
-    return np.column_stack([x.lo, y.lo, x.hi, y.hi])
-
-
-def _step(params: MapParams, boxes: np.ndarray, forward: bool):
+def _step(params: MapParams, x: Interval, y: Interval, forward: bool):
     """Interval hulls of the branch images (``forward``) or preimages of
-    each box, as (hulls, origin, whole): origin maps each hull back to its
-    source row, and whole marks the hulls of boxes lying entirely inside
-    the strip (image band), which are exact images.
+    the hulls (x, y), as (x, y, origin, whole): origin maps each new hull
+    back to its source row, and whole marks the images of sources lying
+    entirely inside the strip (image band), which are exact.
 
-    A box is clipped to every strip (image band) it meets; boxes fully
-    inside the gaps produce nothing.  The parabolic band is also bounded
-    by its offset, which is the preimage abscissa clipped to the strip's
-    [0, 1]; a whole preimage needs no clipping."""
-    out, origin, exact = [], [], []
-    x, y = _hull(boxes)
+    Each branch picks by index the rows that meet its strip (image band,
+    above its floor) and clips, maps and tests only those; rows inside
+    the gaps produce nothing.  Since every hull has lo <= hi, a row meets
+    [lo, hi] exactly when its clip to [lo, hi] is nonempty.  The
+    parabolic band is also bounded by its offset, which is the preimage
+    abscissa clipped to the strip's [0, 1]; a whole preimage needs no
+    clipping."""
+    xs, ys, origin, exact = [], [], [], []
     for br in mc.BRANCHES:
         if forward:
             lo, hi = br.strip(params)
-            cx, cy = x, y.clip(lo, hi)
-            ok = cy.lo <= cy.hi
-            whole = (y.lo >= lo) & (y.hi <= hi)
+            ok = y.meets(lo, hi)
         else:
             lo, hi = br.column(params)
-            cx, cy = x.clip(lo, hi), y
-            ok = cx.lo <= cx.hi
-            whole = (x.lo >= lo) & (x.hi <= hi)
+            ok = x.meets(lo, hi)
             if br.floor:
                 f = mc._band_floor(params, br)
-                cy = y.clip(f)
-                ok &= cy.lo <= cy.hi
-                whole &= y.lo >= f
-        rows = np.nonzero(ok)[0]
+                ok &= y.hi >= f
+        rows = ok.nonzero()[0]
         if not len(rows):
             continue
-        whole = whole[rows]
+        cx, cy = x[rows], y[rows]
         if forward:
-            ix, iy = br.forward(params, cx[rows], cy[rows], csq=_interval_csq)
+            whole = cy.within(lo, hi)
+            ix, iy = br.forward(params, cx, cy.clip(lo, hi),
+                                csq=_interval_csq)
         else:
-            ix, iy = br.inverse(params, cx[rows], cy[rows])
+            whole = cx.within(lo, hi)
+            if br.floor:
+                whole &= cy.lo >= f
+                cy = cy.clip(f)
+            ix, iy = br.inverse(params, cx.clip(lo, hi), cy)
             if br.parabolic:
-                whole &= (ix.lo >= 0.0) & (ix.hi <= 1.0)
-                ix = ix.clip(0.0, 1.0)
-                keep = ix.lo <= ix.hi
-                ix, iy = ix[keep], iy[keep]
+                whole &= ix.within(0.0, 1.0)
+                keep = ix.meets(0.0, 1.0).nonzero()[0]
+                ix, iy = ix[keep].clip(0.0, 1.0), iy[keep]
                 rows, whole = rows[keep], whole[keep]
-        out.append(_boxes(ix, iy))
+        xs.append(ix)
+        ys.append(iy)
         origin.append(rows)
         exact.append(whole)
-    if not out:
-        return (np.empty((0, 4)), np.empty(0, dtype=int),
-                np.empty(0, dtype=bool))
-    return np.vstack(out), np.concatenate(origin), np.concatenate(exact)
+    if not origin:
+        rows = np.empty(0, dtype=np.intp)
+        return x[rows], y[rows], rows, np.empty(0, dtype=bool)
+    return (Interval.concatenate(xs), Interval.concatenate(ys),
+            np.concatenate(origin), np.concatenate(exact))
 
 
-def _band_bits(params: MapParams, x: Interval, y: Interval,
-               whole: bool) -> np.ndarray:
-    """Bit s of each hull is set when the hull meets (``whole=False``) or
-    lies entirely inside (``whole=True``) the closure of band s."""
-    if whole:
-        hit = (x.lo >= 0.0) & (x.hi <= 1.0) & (y.lo >= 0.0) & (y.hi <= 1.0)
-    else:
-        hit = (x.hi >= 0.0) & (x.lo <= 1.0) & (y.hi >= 0.0) & (y.lo <= 1.0)
-    bits = np.zeros(len(hit), dtype=np.uint8)
-    for sym, br, lo, hi, floor in params._bands:
-        if whole:
-            m = hit & (x.lo >= lo) & (x.hi <= hi)
-        else:
-            m = hit & (x.hi >= lo) & (x.lo <= hi)
-        if floor is not None:
-            m &= (y.lo if whole else y.hi) >= floor
-        if br.parabolic:
-            # offset hull over the hull (its part over the wing, if touching)
-            k = mc.parabola_offset(params, (x if whole else x.clip(lo, hi), y))
-            if whole:
-                m &= (k.lo >= 0.0) & (k.hi <= params.lam)
-            else:
-                m &= (k.lo <= params.lam) & (k.hi >= 0.0)
-        bits |= m.astype(np.uint8) << sym
-    return bits
+def _piece_rows(params: MapParams, x: Interval, y: Interval, piece: tuple,
+                whole: bool, among) -> np.ndarray:
+    """Rows (``among`` a mask, or True) whose hull meets, or (``whole``)
+    lies entirely inside, the closure of one band piece of
+    ``params._bands``.  The floor and the parabola offset are tested only
+    on the rows in the piece's x-range."""
+    _, br, lo, hi, floor = piece
+    test = Interval.within if whole else Interval.meets
+    rows = (among & test(x, lo, hi)).nonzero()[0]
+    if floor is not None:
+        rows = rows[(y.lo if whole else y.hi)[rows] >= floor]
+    if br.parabolic and len(rows):
+        # offset hull over the hull (its part over the wing, if meeting)
+        px = x[rows] if whole else x[rows].clip(lo, hi)
+        k = mc.parabola_offset(params, (px, y[rows]))
+        rows = rows[test(k, 0.0, params.lam)]
+    return rows
 
 
-def _labels(params: MapParams, boxes: np.ndarray,
+def _labels(params: MapParams, x: Interval, y: Interval,
             whole: np.ndarray) -> np.ndarray:
     """Packed band label of each hull: bit s when it meets the closure of
     band s, bit 3 + s when it is ``whole`` (exact) and lies entirely
     inside that closure."""
-    x, y = _hull(boxes)
-    label = _band_bits(params, x, y, whole=False)
-    rows = np.nonzero(whole)[0]
-    label[rows] |= _band_bits(params, x[rows], y[rows], whole=True) << 3
+    label = np.zeros(len(x.lo), dtype=np.uint8)
+    on = x.meets(0.0, 1.0) & y.meets(0.0, 1.0)
+    inner = (whole & x.within(0.0, 1.0) & y.within(0.0, 1.0)).nonzero()[0]
+    wx, wy = x[inner], y[inner]
+    for piece in params._bands:
+        bit = 1 << piece[0]
+        label[_piece_rows(params, x, y, piece, False, on)] |= bit
+        if len(inner):
+            rows = _piece_rows(params, wx, wy, piece, True, True)
+            label[inner[rows]] |= bit << 3
     return label
 
 
-def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
-              exact: np.ndarray, table: np.ndarray,
+def _verdicts(params: MapParams, x: Interval, y: Interval,
+              member: np.ndarray, exact: np.ndarray, table: np.ndarray,
               first_unknown: int) -> tuple:
-    """Word masks (meet, inside) of each box.
+    """Word masks (meet, inside) of each box (x, y).
 
     ``table[n + k, bits]`` holds the words whose symbol at time k is one
     of the bands in ``bits``.  Bit j of meet is set when the box is in
@@ -370,29 +396,31 @@ def _verdicts(params: MapParams, boxes: np.ndarray, member: np.ndarray,
     time, so the same hulls reach the tested times."""
     n = len(table) // 2
     if first_unknown == 0:
-        label = _labels(params, boxes, exact)
+        label = _labels(params, x, y, exact)
         meet = member & table[n, label & 7]
         inside = table[n, label >> 3]
     else:
         meet = member.copy()
         inside = np.where(exact, member, np.uint16(0))
     for forward, sign in ((True, 1), (False, -1)):
-        rows = np.nonzero(meet)[0]
-        cur, whole = boxes[rows], inside[rows] != 0
+        rows = meet.nonzero()[0]
+        hx, hy, whole = x[rows], y[rows], inside[rows] != 0
         for k in range(1, n + 1):
-            cur, step_origin, step_whole = _step(params, cur, forward)
-            rows = rows[step_origin]
-            whole = whole[step_origin] & step_whole
+            hx, hy, origin, step_whole = _step(params, hx, hy, forward)
+            rows = rows[origin]
+            whole = whole[origin] & step_whole
             if k >= first_unknown:
-                label = np.zeros(len(boxes), dtype=np.uint8)
-                np.bitwise_or.at(label, rows, _labels(params, cur, whole))
+                label = np.zeros(len(meet), dtype=np.uint8)
+                np.bitwise_or.at(label, rows, _labels(params, hx, hy, whole))
                 meet &= table[n + sign * k, label & 7]
                 inside &= table[n + sign * k, label >> 3]
+            if k == n:
+                break
             # hulls off the square cannot meet a band later, and their
             # coordinates blow up under 1/lam
-            keep = (meet[rows] != 0) & (cur[:, 2] >= 0.0) \
-                & (cur[:, 0] <= 1.0) & (cur[:, 3] >= 0.0) & (cur[:, 1] <= 1.0)
-            cur, rows = cur[keep], rows[keep]
+            keep = ((meet[rows] != 0) & hx.meets(0.0, 1.0)
+                    & hy.meets(0.0, 1.0)).nonzero()[0]
+            hx, hy, rows = hx[keep], hy[keep], rows[keep]
             whole = whole[keep] & (inside[rows] != 0)
     return meet, inside
 
@@ -458,36 +486,36 @@ def default_resolution(params: MapParams) -> int:
     return max(8, min(14, int(math.log2(1.0 / params.lam)) + 10))
 
 
-def _quadrants(boxes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quadrant q[i] of box i: 0 lower left, 1 lower right, 2 upper left,
-    3 upper right."""
+def _quadrants(boxes: np.ndarray, q: np.ndarray) -> tuple:
+    """Quadrant q[i] of box i, as columns (x, y): 0 lower left, 1 lower
+    right, 2 upper left, 3 upper right."""
     x0, y0, x1, y1 = boxes.T
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     right, top = (q & 1) == 1, (q & 2) == 2
-    return np.column_stack([np.where(right, xm, x0), np.where(top, ym, y0),
-                            np.where(right, x1, xm), np.where(top, y1, ym)])
+    return (Interval(np.where(right, xm, x0), np.where(right, x1, xm)),
+            Interval(np.where(top, ym, y0), np.where(top, y1, ym)))
 
 
 _SQUARE = np.array([[0.0, 0.0, 1.0, 1.0]])
 
-#: Boxes per call of :func:`_verdicts`; bounds the arrays in flight.
+#: Boxes per call of :func:`_verdicts`; bounds the hull columns in flight.
 _SLICE = 8192
 _THETA_MIN_PAIRS = 8    # resolved word pairs a Hoelder fit of theta needs
 
 
 def _slices(boxes: np.ndarray, member: np.ndarray, split: bool):
-    """The boxes of one refinement round with their word masks, in slices
-    of at most ``_SLICE``: the given boxes, or (``split``) their
-    quadrants, quadrant-major.  A word's boxes thus come in the order
-    that splitting that word's boxes alone gives."""
+    """The boxes of one refinement round as columns (x, y) with their word
+    masks, in slices of at most ``_SLICE``: the given boxes, or
+    (``split``) their quadrants, quadrant-major.  A word's boxes thus
+    come in the order that splitting that word's boxes alone gives."""
     total = 4 * len(boxes) if split else len(boxes)
     for start in range(0, total, _SLICE):
         rows = np.arange(start, min(start + _SLICE, total))
         if split:
             q, rows = np.divmod(rows, len(boxes))
-            yield _quadrants(boxes[rows], q), member[rows]
+            yield *_quadrants(boxes[rows], q), member[rows]
         else:
-            yield boxes[rows], member[rows]
+            yield *_columns(boxes[rows]), member[rows]
 
 
 def _refine(params: MapParams, words: list, boxes: np.ndarray,
@@ -520,13 +548,16 @@ def _refine(params: MapParams, words: list, boxes: np.ndarray,
     split = False
     while len(boxes):
         parents, masks = [], []
-        for cur, mem in _slices(boxes, member, split):
-            small = (cur[:, 2] - cur[:, 0]) <= min_w
-            meet, inside = _verdicts(params, cur, mem, ~small, table,
+        for x, y, mem in _slices(boxes, member, split):
+            small = (x.hi - x.lo) <= min_w
+            meet, inside = _verdicts(params, x, y, mem, ~small, table,
                                      first_unknown)
             keep = np.where(small, meet, meet & inside)
+            cur = np.column_stack([x.lo, y.lo, x.hi, y.hi])
+            kept = int(np.bitwise_or.reduce(keep))
             for j, cover in enumerate(done):
-                cover.append(cur[(keep >> j & 1).astype(bool)])
+                if kept >> j & 1:
+                    cover.append(cur[(keep >> j & 1).astype(bool)])
             rest = meet & ~keep
             rows = rest != 0
             parents.append(cur[rows])

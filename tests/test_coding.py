@@ -235,8 +235,8 @@ class TestAtoms:
     def test_step_drops_a_box_inside_a_gap(self):
         box = np.array([[0.4, 0.25, 0.6, 0.3]])
         assert mc.classify(REF_EX, (0.5, 0.25)) is mc.Region.R2
-        hulls, origin, whole = cd._step(REF_EX, box, True)
-        assert hulls.shape == (0, 4)
+        x, y, origin, whole = cd._step(REF_EX, *cd._columns(box), True)
+        assert len(x.lo) == len(x.hi) == len(y.lo) == len(y.hi) == 0
         assert len(origin) == len(whole) == 0
 
     def test_strict_params_level_one(self):
@@ -295,24 +295,25 @@ def test_parent_cover_labels_only_the_new_times(monkeypatch):
     families = _families(params, resolution, 2)
     rows = collections.Counter()    # (time, exact) -> hull rows labelled
     clock = {}                      # steps taken forward (True), backward
-    verdicts, step, band_bits = cd._verdicts, cd._step, cd._band_bits
+    verdicts, step, labels = cd._verdicts, cd._step, cd._labels
 
     def timed_verdicts(*args):
         clock.update({True: 0, False: 0})
         return verdicts(*args)
 
-    def timed_step(params, boxes, forward):
+    def timed_step(params, x, y, forward):
         clock[forward] += 1
-        return step(params, boxes, forward)
+        return step(params, x, y, forward)
 
-    def counted_bits(params, x, y, whole):
+    def counted_labels(params, x, y, whole):
         time = -clock[False] if clock[False] else clock[True]
-        rows[time, whole] += len(x.lo)
-        return band_bits(params, x, y, whole)
+        rows[time, False] += len(x.lo)
+        rows[time, True] += int(np.count_nonzero(whole))
+        return labels(params, x, y, whole)
 
     monkeypatch.setattr(cd, "_verdicts", timed_verdicts)
     monkeypatch.setattr(cd, "_step", timed_step)
-    monkeypatch.setattr(cd, "_band_bits", counted_bits)
+    monkeypatch.setattr(cd, "_labels", counted_labels)
 
     def labelled(children, boxes, first_unknown):
         rows.clear()
@@ -334,6 +335,227 @@ def test_parent_cover_labels_only_the_new_times(monkeypatch):
         exact_seen += labelled(children, boxes[~small], n)[1]
         fine_seen += int(small.sum())
     assert fine_seen > 0 and exact_seen > 0
+
+
+# ---------------------------------------------------------------------------
+# Routed hull kernel against the every-branch, every-band reference
+# ---------------------------------------------------------------------------
+
+def _reference_step(params, boxes, forward):
+    """Hulls of the branch images (preimages) of boxes (N, 4), with every
+    branch clipping every row and comparing the clipped ends: the
+    reference of the routed :func:`coding._step`, as (hulls (M, 4),
+    origin, whole)."""
+    out, origin, exact = [], [], []
+    x = cd.Interval(boxes[:, 0], boxes[:, 2])
+    y = cd.Interval(boxes[:, 1], boxes[:, 3])
+    for br in mc.BRANCHES:
+        if forward:
+            lo, hi = br.strip(params)
+            cx, cy = x, y.clip(lo, hi)
+            ok = cy.lo <= cy.hi
+            whole = (y.lo >= lo) & (y.hi <= hi)
+        else:
+            lo, hi = br.column(params)
+            cx, cy = x.clip(lo, hi), y
+            ok = cx.lo <= cx.hi
+            whole = (x.lo >= lo) & (x.hi <= hi)
+            if br.floor:
+                f = mc._band_floor(params, br)
+                cy = y.clip(f)
+                ok &= cy.lo <= cy.hi
+                whole &= y.lo >= f
+        rows = np.nonzero(ok)[0]
+        whole = whole[rows]
+        if forward:
+            ix, iy = br.forward(params, cx[rows], cy[rows],
+                                csq=cd._interval_csq)
+        else:
+            ix, iy = br.inverse(params, cx[rows], cy[rows])
+            if br.parabolic:
+                whole &= (ix.lo >= 0.0) & (ix.hi <= 1.0)
+                ix = ix.clip(0.0, 1.0)
+                keep = ix.lo <= ix.hi
+                ix, iy = ix[keep], iy[keep]
+                rows, whole = rows[keep], whole[keep]
+        out.append(np.column_stack([ix.lo, iy.lo, ix.hi, iy.hi]))
+        origin.append(rows)
+        exact.append(whole)
+    return np.vstack(out), np.concatenate(origin), np.concatenate(exact)
+
+
+def _reference_band_bits(params, x, y, whole):
+    """Bit s of each hull when it meets (lies inside, ``whole``) the
+    closure of band s, with every band piece testing every row."""
+    if whole:
+        hit = (x.lo >= 0.0) & (x.hi <= 1.0) & (y.lo >= 0.0) & (y.hi <= 1.0)
+    else:
+        hit = (x.hi >= 0.0) & (x.lo <= 1.0) & (y.hi >= 0.0) & (y.lo <= 1.0)
+    bits = np.zeros(len(hit), dtype=np.uint8)
+    for sym, br, lo, hi, floor in params._bands:
+        if whole:
+            m = hit & (x.lo >= lo) & (x.hi <= hi)
+        else:
+            m = hit & (x.hi >= lo) & (x.lo <= hi)
+        if floor is not None:
+            m &= (y.lo if whole else y.hi) >= floor
+        if br.parabolic:
+            k = mc.parabola_offset(params, (x if whole else x.clip(lo, hi), y))
+            if whole:
+                m &= (k.lo >= 0.0) & (k.hi <= params.lam)
+            else:
+                m &= (k.lo <= params.lam) & (k.hi >= 0.0)
+        bits |= m.astype(np.uint8) << sym
+    return bits
+
+
+def _reference_labels(params, boxes, whole):
+    """The reference of the routed :func:`coding._labels`."""
+    x = cd.Interval(boxes[:, 0], boxes[:, 2])
+    y = cd.Interval(boxes[:, 1], boxes[:, 3])
+    label = _reference_band_bits(params, x, y, False)
+    rows = np.nonzero(whole)[0]
+    label[rows] |= _reference_band_bits(params, x[rows], y[rows], True) << 3
+    return label
+
+
+def _spans(rng, a, b, count):
+    """``count`` random [lo, hi] inside [a, b] (either order)."""
+    ends = np.sort(rng.uniform(min(a, b), max(a, b), size=(count, 2)), axis=1)
+    return ends[:, 0], ends[:, 1]
+
+
+def _around(rng, a, b, width, count):
+    """``count`` random [lo, hi] reaching from below ``a`` up past ``b``,
+    by at most ``width`` on each side."""
+    return (min(a, b) - rng.uniform(0.0, width, count),
+            max(a, b) + rng.uniform(0.0, width, count))
+
+
+def _boxes(x, y):
+    return np.column_stack([x[0], y[0], x[1], y[1]])
+
+
+def _edges(params):
+    """Every strip, column and band edge and the floor of R5'."""
+    ends = [br.strip(params) for br in mc.BRANCHES] \
+        + [piece[2:4] for piece in params._bands]
+    r5 = mc.BRANCH[mc.Region.R5]
+    return sorted({float(e) for pair in ends for e in pair}
+                  | {mc._band_floor(params, r5)})
+
+
+def _touching(rng, edge, count):
+    """``count`` random [lo, hi] ending at ``edge`` from above or below, or
+    both ends on it."""
+    w = rng.uniform(0.0, 0.05, count) * rng.integers(0, 2, count)
+    below = rng.random(count) < 0.5
+    return np.where(below, edge - w, edge), np.where(below, edge, edge + w)
+
+
+def _step_cases(params, rng, count=40):
+    """Boxes (N, 4) for both directions of a step: random ones, boxes
+    straddling two strips (columns), boxes inside the gaps between them,
+    boxes across the floor of R5', boxes ending on an edge, and boxes in
+    the R4' column whose parabolic preimage leaves [0, 1]."""
+    full = _spans(rng, -0.05, 1.05, count)
+    cases = [_boxes(_spans(rng, -0.05, 1.05, count), full)]
+    for edges in ([br.strip(params) for br in mc.BRANCHES],
+                  sorted(br.column(params) for br in mc.BRANCHES)):
+        for (_, top), (bottom, _) in zip(edges, edges[1:]):
+            straddle = _around(rng, top, bottom, 0.01, count)
+            cases.append(_boxes(full, straddle))
+            cases.append(_boxes(straddle, full))
+            if top < bottom:
+                gap = _spans(rng, top + 1e-12, bottom - 1e-12, count)
+                cases.append(_boxes(full, gap))
+                cases.append(_boxes(gap, full))
+    r4, r5 = mc.BRANCH[mc.Region.R4], mc.BRANCH[mc.Region.R5]
+    floor = mc._band_floor(params, r5)
+    cases.append(_boxes(_spans(rng, *r5.column(params), count),
+                        _around(rng, floor, floor, 0.02, count)))
+    for edge in _edges(params):
+        cases.append(_boxes(full, _touching(rng, edge, count)))
+        cases.append(_boxes(_touching(rng, edge, count), full))
+    x = _spans(rng, *r4.column(params), count)
+    d = np.maximum(np.abs(x[0] - params.q), np.abs(x[1] - params.q))
+    cases.append(_boxes(x, (params.c * d * d - 2.0 * params.lam,
+                            params.c * d * d + params.lam)))
+    return np.vstack(cases)
+
+
+def _hull_rows(hulls, origin, whole):
+    """The multiset of (origin, whole, hull bits) rows of a step."""
+    bits = np.ascontiguousarray(hulls).view(np.int64)
+    return sorted(zip(origin.tolist(), whole.tolist(),
+                      map(tuple, bits.tolist())))
+
+
+@given(params=valid_params(), seed=st.integers(0, 2**32 - 1))
+@example(params=REF_EX, seed=0)
+@example(params=REF_STRICT, seed=0)
+@settings(max_examples=20, deadline=None)
+def test_routed_step_equals_every_branch_clip(params, seed):
+    rng = np.random.default_rng(seed)
+    for forward in (True, False):
+        boxes = _step_cases(params, rng)
+        # the cases give some rows no hull (gaps) and some two (straddles)
+        counts = np.bincount(_reference_step(params, boxes, forward)[1],
+                             minlength=len(boxes))
+        assert (counts == 0).any() and (counts >= 2).any()
+        for _ in range(2):      # the cases, then their hulls on the square
+            want = _reference_step(params, boxes, forward)
+            x, y, origin, whole = cd._step(params, *cd._columns(boxes),
+                                           forward)
+            got = np.column_stack([x.lo, y.lo, x.hi, y.hi])
+            assert _hull_rows(got, origin, whole) == _hull_rows(*want)
+            assert np.all(x.lo <= x.hi) and np.all(y.lo <= y.hi)
+            on = (got[:, 2] >= 0.0) & (got[:, 0] <= 1.0) \
+                & (got[:, 3] >= 0.0) & (got[:, 1] <= 1.0)
+            boxes = got[on]
+
+
+def _label_cases(params, rng, count=60):
+    """Hulls (N, 4) across the fold abscissa q, in the x-overlap of the
+    right R4' wing and R5' (or the stretch between them), below and
+    across the floor of R5', partly and wholly off the square, at random,
+    and ending on a band edge or on the floor."""
+    r5 = mc.BRANCH[mc.Region.R5]
+    floor = mc._band_floor(params, r5)
+    wing = params.q + params.w_max
+    low = _spans(rng, -0.02, 0.3, count)
+    return np.vstack([
+        _boxes(_around(rng, params.q, params.q, params.w_max, count), low),
+        _boxes(_spans(rng, 1.0 - params.lam, wing, count),
+               _spans(rng, 0.0, 1.0, count)),
+        _boxes(_spans(rng, *r5.column(params), count),
+               _spans(rng, floor - 0.1, floor, count)),
+        _boxes(_spans(rng, *r5.column(params), count),
+               _around(rng, floor, floor, 0.05, count)),
+        _boxes(_spans(rng, -0.3, 0.2, count), _spans(rng, 0.0, 1.0, count)),
+        _boxes(_spans(rng, 0.0, 1.0, count), _spans(rng, 0.9, 1.3, count)),
+        _boxes(_spans(rng, 1.01, 2.0, count), _spans(rng, 0.0, 1.0, count)),
+        _boxes(_spans(rng, 0.0, 1.0, count), _spans(rng, 0.0, 1.0, count)),
+        *[_boxes(_touching(rng, e, count), _spans(rng, 0.0, 1.0, count))
+          for e in _edges(params)],
+        _boxes(_spans(rng, *r5.column(params), count),
+               _touching(rng, floor, count)),
+    ])
+
+
+@given(params=valid_params(), seed=st.integers(0, 2**32 - 1))
+@example(params=REF_EX, seed=0)
+@example(params=REF_STRICT, seed=0)
+@settings(max_examples=20, deadline=None)
+def test_routed_labels_equal_every_band_test(params, seed):
+    rng = np.random.default_rng(seed)
+    boxes = _label_cases(params, rng)
+    for forward in (True, False):     # also the hulls of a real step
+        boxes = np.vstack([boxes, _reference_step(params, boxes, forward)[0]])
+    whole = rng.random(len(boxes)) < 0.5
+    got = cd._labels(params, *cd._columns(boxes), whole)
+    assert np.array_equal(got, _reference_labels(params, boxes, whole))
+    assert (got & 7).any() and (got >> 3).any() and (got == 0).any()
 
 
 # ---------------------------------------------------------------------------
