@@ -22,7 +22,10 @@ segment cross the top and bottom sides of the polygonal ball (constant
 C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 (constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
 around a returning point crosses the target balls at its first return
-(constant eta, :func:`_eta_holds`).
+(constant eta, :func:`_eta_holds`).  The eta check samples each traced
+arc piece from its middle outward and stops on a segment once a chord
+crosses it; the verdict, an OR over the chords, is the same in any order
+(:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
@@ -475,7 +478,9 @@ def _linspaces(start: np.ndarray, stop: np.ndarray, num: int, r0: int,
     One stacked ``np.linspace`` call is not the same: it switches every
     lane to its denormal-safe formula as soon as one lane has a zero
     step.  Here each lane picks its own formula, as a call of its own
-    would, so every column holds that call's floats."""
+    would, so every column holds that call's floats.  Row k depends only
+    on k and its lane's start and stop (the last row is ``stop``), so a
+    row has the same floats in every block that holds it."""
     div = num - 1
     delta = stop - start
     step = delta / div
@@ -499,8 +504,15 @@ def _arc_crossings(params: MapParams, arcs, n: int, segs) -> np.ndarray:
     all (arc, segment) lanes of a group are solved in one lockstep
     bisection (:func:`_bisect_edges`).  Only those pieces are sampled,
     ``_ARC_SAMPLES`` heights each, and mapped and tested against their
-    segments in blocks of rows of at most ``_ARC_BLOCK`` floats; adjacent
-    blocks share their boundary row, so each chord is tested once.  A
+    segments in blocks of rows of at most ``_ARC_BLOCK`` floats.  The
+    blocks walk from the middle row of the pieces outward, one above and
+    one below in turn, and each holds only the lanes that no earlier
+    block crossed, so the walk stops when every lane has crossed or
+    every chord was tested.  Adjacent blocks share their boundary row,
+    so each chord of a lane is tested once.  The verdict does not depend
+    on the order: a lane's verdict is an OR over its chords, and each
+    chord's floats depend only on its two row indices (see
+    :func:`_linspaces`), not on the block or the other lanes.  A
     chord-level bounding box test would be unsound here: the arc can
     dip far below a chord whose endpoints sit high on both wings.
     """
@@ -557,24 +569,36 @@ def _arc_crossings(params: MapParams, arcs, n: int, segs) -> np.ndarray:
             np.broadcast_to(y_lo, inner.shape)[inner],
             np.broadcast_to(y_hi, inner.shape)[inner], 200)
 
-        # each polyline against its segment: solve p + s*r = a + t*d per chord
-        ax, ay = a[seg_of, 0], a[seg_of, 1]
-        dx, dy = b[seg_of, 0] - ax, b[seg_of, 1] - ay
+        # each polyline against its segment: solve p + s*r = a + t*d per
+        # chord, from the middle row outward, on the lanes not yet crossed
+        lanes = np.stack([*edges, x_lane, *a[seg_of].T, *d[seg_of].T])
         crossed = np.zeros(len(seg_of), dtype=bool)
         div = _ARC_SAMPLES - 1
-        chords = max(1, _ARC_BLOCK // len(seg_of) - 1)
-        for r0 in range(0, div, chords):
-            ys = _linspaces(*edges, _ARC_SAMPLES, r0, min(r0 + chords, div))
-            px, py = image(np.broadcast_to(x_lane, ys.shape), ys)
+        lo = hi = div // 2          # rows lo..hi are sampled
+        up = True
+        while (lo > 0 or hi < div) and not crossed.all():
+            live = np.flatnonzero(~crossed)
+            y0, y1, xl, ax, ay, dx, dy = lanes[:, live]
+            chords = max(1, _ARC_BLOCK // len(live) - 1)
+            up = hi < div and (up or lo == 0)
+            if up:
+                r0, r1 = hi, min(hi + chords, div)
+                hi = r1
+            else:
+                r0, r1 = max(lo - chords, 0), lo
+                lo = r0
+            up = not up
+            ys = _linspaces(y0, y1, _ARC_SAMPLES, r0, r1)
+            px, py = image(np.broadcast_to(xl, ys.shape), ys)
             rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
             den = dx * ry - dy * rx
             ex, ey = px[:-1] - ax, py[:-1] - ay
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = (ex * ry - ey * rx) / den
                 t = (ex * dy - ey * dx) / -den
-            crossed |= ((np.abs(den) >= 1e-300) & (s >= -1e-9)
-                        & (s <= 1.0 + 1e-9) & (t >= -1e-9)
-                        & (t <= 1.0 + 1e-9)).any(axis=0)
+            crossed[live] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
+                             & (s <= 1.0 + 1e-9) & (t >= -1e-9)
+                             & (t <= 1.0 + 1e-9)).any(axis=0)
         hit[np.asarray(members)[arc_of], seg_of] = crossed
     return hit
 

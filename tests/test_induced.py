@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -720,16 +721,17 @@ def test_one_arc_call_equals_one_call_per_segment():
     assert together.any() and not together.all()
 
 
-def _reference_arc_crossings(params, arc, n, segs):
-    """The crossings of one arc, sampled in one unblocked pass with one
-    ``np.linspace`` per segment: the reference of the lockstep, blocked
-    :func:`induced._arc_crossings`."""
+def _reference_chords(params, arc, n, segs):
+    """Per segment of ``segs``, the source heights (start, stop) of the
+    arc's piece over it and which of the piece's chords cross it, sampled
+    in one unblocked pass with one ``np.linspace`` per segment; ``None``
+    for a segment that no piece meets."""
     x_side, y_lo, y_hi = arc
     segs = np.asarray(segs, dtype=float)
-    hit = np.zeros(len(segs), dtype=bool)
+    lanes = [None] * len(segs)
     seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
     if seq is None:
-        return hit
+        return lanes
     branches = [mc.BRANCH[reg] for reg in seq]
 
     def image(x, y):
@@ -751,7 +753,7 @@ def _reference_arc_crossings(params, arc, n, segs):
     live = (x_img_hi >= xa) & (x_img_lo <= xb)
     k = int(np.count_nonzero(live))
     if k == 0:
-        return hit
+        return lanes
     targets = np.concatenate([xa[live], xb[live]])
     edges = np.repeat([y_lo, y_hi], k)
     inner = (x_img_lo < targets) & (targets < x_img_hi)
@@ -772,8 +774,17 @@ def _reference_arc_crossings(params, arc, n, segs):
         t = (ex * dy - ey * dx) / -den
     crossed = ((np.abs(den) >= 1e-300) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
                & (t >= -1e-9) & (t <= 1.0 + 1e-9))
-    hit[live] = crossed.any(axis=0)
-    return hit
+    for j, i in enumerate(np.flatnonzero(live)):
+        lanes[i] = (edges[j], edges[k + j], crossed[:, j])
+    return lanes
+
+
+def _reference_arc_crossings(params, arc, n, segs):
+    """The crossings of one arc, from :func:`_reference_chords`: the
+    reference of the lockstep, blocked :func:`induced._arc_crossings`."""
+    return np.array([lane is not None and lane[2].any()
+                     for lane in _reference_chords(params, arc, n, segs)],
+                    dtype=bool)
 
 
 def test_arc_crossings_swap_the_ends_of_a_reversed_image():
@@ -866,11 +877,19 @@ def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
     assert len({seqs[0], seqs[2], seqs[3]}) == 3 and seqs[4] is None
     assert seqs[1] == seqs[0]
 
+    # per group with lanes, in order: the reference lanes, each as its
+    # source heights (start, stop) and the chords that cross its segment
+    div = ind._ARC_SAMPLES - 1
+    groups = [[lane for i in members
+               for lane in _reference_chords(p, arcs[i], n, segs)
+               if lane is not None] for members in ([0, 1], [2])]
+    assert [len(lanes) for lanes in groups] == [8, 4]
+
     blocks = []
     linspaces = ind._linspaces
 
     def record(start, stop, num, r0, r1):
-        blocks.append((len(start), r0, r1))
+        blocks.append((list(zip(start, stop)), r0, r1))
         return linspaces(start, stop, num, r0, r1)
 
     monkeypatch.setattr(ind, "_linspaces", record)
@@ -881,19 +900,75 @@ def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
         blocks.clear()
         got = ind._arc_crossings(p, arcs, n, segs)
         assert np.array_equal(got, want)
-        # one sampling pass per group with live lanes: 4 + 4 lanes for
-        # the first two arcs, 4 for the third, none for the last two;
-        # each pass covers rows 0..1024 in blocks that share their
-        # boundary rows, and the last block of the first is short
-        passes = {}
-        for lanes, r0, r1 in blocks:
-            passes.setdefault(lanes, []).append((r0, r1))
-            assert lanes * (r1 - r0 + 1) <= max(block, 2 * lanes)
-        assert sorted(passes) == [4, 8]
-        for rows in passes.values():
-            assert rows[0][0] == 0 and rows[-1][1] == ind._ARC_SAMPLES - 1
-            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-        (first_r0, first_r1), (last_r0, last_r1) = passes[8][0], passes[8][-1]
-        assert last_r1 - last_r0 < first_r1 - first_r0
+        # one pass per group; each block holds exactly the lanes no earlier
+        # block crossed, and the pass ends when none is left or every
+        # chord was tested; its first block holds the middle chord
+        todo = iter(blocks)
+        for lanes in groups:
+            tested = np.zeros((len(lanes), div), dtype=int)
+            live = list(range(len(lanes)))
+            while live and not tested[live].all():
+                keys, r0, r1 = next(todo)
+                assert Counter(keys) == Counter(lanes[i][:2] for i in live)
+                assert len(keys) * (r1 - r0 + 1) <= max(block, 2 * len(keys))
+                if not tested.any():
+                    assert r0 <= div // 2 < r1
+                tested[live, r0:r1] += 1
+                live = [i for i in live if not lanes[i][2][r0:r1].any()]
+            # no chord twice; a lane that never crosses gets all of them
+            assert tested.max() == 1
+            assert all(tested[i].all() for i, lane in enumerate(lanes)
+                       if not lane[2].any())
+        assert next(todo, None) is None
     assert want[0].any() and want[2].any()
     assert not want[1].any() and not want[3:].any()
+
+
+@pytest.mark.parametrize("block", [ind._ARC_BLOCK, 100, 1])
+def test_arc_crossings_at_the_ends_of_the_piece(block, monkeypatch):
+    # horizontal segments across the image parabola at the return point,
+    # which rises through it: the crossing sits at 0.1 % and 99.9 % of
+    # the segment, so in the first and last 5 % of the piece (its x-span
+    # plus 5 % of its length on each side); a segment above the image
+    # never crosses, so the walk reaches both ends of the piece.  A block
+    # of 1 float gives one chord per block.
+    p = REF_EX
+    rng = np.random.default_rng(3)
+    m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
+    n, pts = mc.first_return(p, m, 4000)
+    arc = (m[0], m[1] - 2e-3, m[1] + 2e-3)
+    x, y = pts[-1]
+    segs = [((x - 1e-5, y), (x + 0.00999, y)),
+            ((x - 0.00999, y), (x + 1e-5, y)),
+            ((x - 0.005, y + 0.05), (x + 0.005, y + 0.05))]
+    div = ind._ARC_SAMPLES - 1
+    first, last, never = (np.flatnonzero(lane[2])
+                          for lane in _reference_chords(p, arc, n, segs))
+    assert 0 < len(first) and first.max() < 0.05 * div
+    assert 0 < len(last) and last.min() > 0.95 * div
+    assert len(never) == 0
+    monkeypatch.setattr(ind, "_ARC_BLOCK", block)
+    got = ind._arc_crossings(p, [arc], n, segs)[0]
+    assert got.tolist() == [True, True, False]
+    assert got.tolist() == _reference_arc_crossings(p, arc, n, segs).tolist()
+
+
+def test_arc_crossings_sample_under_half_of_the_chords(monkeypatch):
+    # the chord-lane tests of the REF_EX crossing checks: every lane has
+    # div chords, and the walk stops on a lane at its crossing
+    div = ind._ARC_SAMPLES - 1
+    lanes, tests = [], []
+    linspaces = ind._linspaces
+
+    def count(start, stop, num, r0, r1):
+        if r0 == div // 2:                   # the first block of a pass
+            lanes.append(len(start))
+        tests.append((r1 - r0) * len(start))
+        return linspaces(start, stop, num, r0, r1)
+
+    monkeypatch.setattr(ind, "_linspaces", count)
+    cert = default_certificate(REF_EX).with_updates(**CALIBRATED["ex"])
+    _arc_calls_agree(REF_EX, cert, monkeypatch, 10, 20261018)
+    # 379,529 of 819,200 (46 %); the stressed checks leave 88 of the 800
+    # lanes uncrossed, and those take all their chords
+    assert sum(tests) < 0.5 * div * sum(lanes)
