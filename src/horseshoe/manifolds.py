@@ -10,9 +10,11 @@ the bottom-strip excursions (where single steps are not expanding in the
 rescaled charts) into full induced steps automatically.
 
 The blocks of a point form its anchor chain, built lazily once per
-query and charted once per anchor: every radius of a local leaf, the
-base leaf of a global leaf (the chain's tail) and a bracket with all its
-extensions read the same chain.
+query: every radius of a local leaf, the base leaf of a global leaf (the
+chain's tail) and a bracket with all its extensions read the same chain.
+The three chains of an invariance defect share one chart per point,
+however many of their walks pass it, so M and its anchor are charted
+once.
 
 Global manifolds iterate the local polyline forward (or backward)
 through the branch formulas, splitting the curve at strip and band
@@ -27,8 +29,17 @@ orbits stay within any prescribed distance of each other.
 Leaf geometry runs on two array kernels: :func:`_polyline_distances`
 (from each of many points to a polyline) and :func:`_polyline_intersections`
 (a padded bounding-box pass over all segment pairs, then the exact
-crossing test).  Both take ``_BLOCK`` point-segment or segment pairs at a
-time, so a temporary stays within 256 KB unless one polyline is longer.
+crossing test).  The distance kernel cuts the S segments into runs of
+about sqrt(S) and bounds a point's distance to a run by the run's box.
+It runs the per-pair formula on the nearest box's run, then only on the
+runs whose box is no farther than that distance times (1 + 1e-9) plus
+1e-12 times the largest |coordinate|, a margin above the rounding of
+box and formula.  A pair it skips cannot beat the kept minimum, and a
+pair's float depends on that pair alone, so every distance keeps the
+float of the all-pairs minimum.  When a coordinate is not finite, or
+large enough for the formula's squares to overflow, every run is kept.
+Both kernels take ``_BLOCK`` point-segment or segment pairs at a time,
+so a temporary stays within 256 KB unless one polyline is longer.
 
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
@@ -277,13 +288,23 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
 # Anchor chains (hyperbolic orbit blocks)
 # ---------------------------------------------------------------------------
 
-def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str):
+def _chart_once(params: MapParams, p, charts: dict) -> SplitFrame:
+    """The chart at ``p``, made on the first request and then read from
+    ``charts``."""
+    if p not in charts:
+        charts[p] = chart(params, p)
+    return charts[p]
+
+
+def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
+                 charts: dict):
     """Closest orbit point (with its chart and step count) whose block
     to/from ``m`` expands the relevant chart axis by at least ``_MU_MIN``.
 
     ``direction="backward"`` walks preimages (unstable pullback chain);
     ``"forward"`` walks images (stable chain).  The block's derivative
-    rides along the walk, so a block of j steps costs j Jacobians."""
+    rides along the walk, so a block of j steps costs j Jacobians; the
+    walk's charts go through ``charts``."""
     forward = direction == "forward"
     jac, prev, j = np.eye(2), m, 0
     for j, cur in enumerate(mc.iterates(params, m, _ANCHOR_CAP, forward), 1):
@@ -295,7 +316,7 @@ def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str):
             else jac @ mc.jacobian(params, cur)
         prev = cur
         try:
-            ch = chart(params, cur)
+            ch = _chart_once(params, cur, charts)
             if forward:
                 d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
             else:
@@ -316,24 +337,29 @@ class _Chain:
     """The anchor chain of a point for one query, built as far as it is
     read and then kept.  Entry 0 is (m, chart at m, 0); entry i + 1 is
     the next anchor after entry i, with its plain steps from entry i.
-    ``tail(n)`` is the chain of entry n, sharing every entry built."""
+    ``tail(n)`` is the chain of entry n, sharing every entry built.
+    ``charts`` holds every chart the chain made, by point; chains that
+    share it chart no point twice."""
 
     params: MapParams
     m: tuple
     kind: str
     entries: list = field(default_factory=list)
     start: int = 0
+    charts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.m = (float(self.m[0]), float(self.m[1]))
 
     def __getitem__(self, i: int):
         if not self.entries:
-            self.entries.append((self.m, chart(self.params, self.m), 0))
+            self.entries.append(
+                (self.m, _chart_once(self.params, self.m, self.charts), 0))
         while len(self.entries) <= self.start + i:
             self.entries.append(_next_anchor(
                 self.params, *self.entries[-1][:2],
-                "forward" if self.kind == "stable" else "backward"))
+                "forward" if self.kind == "stable" else "backward",
+                self.charts))
         return self.entries[self.start + i]
 
     def tail(self, n: int) -> "_Chain":
@@ -422,26 +448,69 @@ def local_stable(params: MapParams, m) -> ManifoldCurve:
 # Curve pieces: forward / backward advancing with branch splitting
 # ---------------------------------------------------------------------------
 
+def _pair_distances(px, py, a, ab, denom) -> np.ndarray:
+    """Distances from the points (px, py) to the segments from ``a``
+    along ``ab`` (``denom`` = |ab|^2), broadcast point by segment.  Each
+    pair's float depends on that pair alone."""
+    apx, apy = px - a[..., 0], py - a[..., 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip(np.where(denom > 0.0,
+                             (apx * ab[..., 0] + apy * ab[..., 1]) / denom,
+                             0.0), 0.0, 1.0)
+    return np.hypot(px - (a[..., 0] + t * ab[..., 0]),
+                    py - (a[..., 1] + t * ab[..., 1]))
+
+
 def _polyline_distances(poly: np.ndarray, pts) -> np.ndarray:
-    """Distance from each point of ``pts`` (N x 2) to the polyline, in
-    blocks of points whose (points x segments) arrays keep within
-    ``_BLOCK`` entries."""
+    """Distance from each point of ``pts`` (N x 2) to the polyline: the
+    float of the minimum over all point-segment pairs, from the pairs of
+    the runs that the box bounds keep (see the module docstring).
+    Points go in blocks, and pairs in chunks, of ``_BLOCK`` entries."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    a = poly[:-1]
-    ab = poly[1:] - a
-    denom = np.einsum("ij,ij->i", ab, ab)
     out = np.empty(len(pts))
-    rows = max(1, _BLOCK // max(1, len(a)))
+    if not len(pts):
+        return out
+    d = poly[1:] - poly[:-1]
+    n_seg = len(d)
+    size = max(1, math.isqrt(n_seg))
+    runs = -(-n_seg // size)
+    # the last run repeats its last segment, which leaves its minimum
+    seg = np.minimum(np.arange(runs * size), n_seg - 1).reshape(runs, size)
+    a, ab = poly[:-1][seg], d[seg]
+    denom = np.einsum("ij,ij->i", d, d)[seg]
+    lo = np.minimum(a, poly[1:][seg]).min(axis=1)
+    hi = np.maximum(a, poly[1:][seg]).max(axis=1)
+    big = float(np.maximum(np.max(np.abs(poly)), np.max(np.abs(pts))))
+    prune = 16.0 * big * big < math.inf
+    slack = 1e-12 * big
+    rows = max(1, _BLOCK // max(runs, size))
+    chunk = max(1, _BLOCK // size)
     for r in range(0, len(pts), rows):
         px, py = pts[r:r + rows, :1], pts[r:r + rows, 1:]
-        apx, apy = px - a[:, 0], py - a[:, 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.clip(np.where(denom > 0.0,
-                                 (apx * ab[:, 0] + apy * ab[:, 1]) / denom,
-                                 0.0), 0.0, 1.0)
-        out[r:r + rows] = np.min(np.hypot(px - (a[:, 0] + t * ab[:, 0]),
-                                          py - (a[:, 1] + t * ab[:, 1])),
-                                 axis=1)
+        if prune:
+            gap = np.hypot(np.maximum(lo[:, 0] - px, px - hi[:, 0]).clip(0.0),
+                           np.maximum(lo[:, 1] - py, py - hi[:, 1]).clip(0.0))
+            first = np.argmin(gap, axis=1)
+            near = np.min(_pair_distances(px, py, a[first], ab[first],
+                                          denom[first]), axis=1)
+            keep = gap <= near[:, None] * (1.0 + 1e-9) + slack
+            keep[np.arange(len(first)), first] = False
+        else:
+            near = np.full(len(px), np.inf)
+            keep = np.ones((len(px), runs), dtype=bool)
+        i, k = np.nonzero(keep)
+        best = np.empty(len(i))
+        for c in range(0, len(i), chunk):
+            ic, kc = i[c:c + chunk], k[c:c + chunk]
+            best[c:c + chunk] = np.min(_pair_distances(
+                px[ic], py[ic], a[kc], ab[kc], denom[kc]), axis=1)
+        if len(i):
+            # i is sorted: fold each point's run minima into its own
+            starts = np.flatnonzero(np.diff(i, prepend=-1))
+            hit = i[starts]
+            near[hit] = np.minimum(near[hit],
+                                   np.minimum.reduceat(best, starts))
+        out[r:r + rows] = near
     return out
 
 
@@ -674,13 +743,19 @@ def stable_invariance_defect(params: MapParams, m) -> float:
 
 
 def _invariance_defect(params: MapParams, m, kind: str) -> float:
+    """Largest distance from the leaf at F(M) (F^-1(M) for stable
+    leaves), the first anchor of M's other-kind chain, to the mapped leaf
+    of M.  The three chains share their charts: M and its anchor, and
+    each point that a walk passes again, are charted once."""
     unstable = kind == "unstable"
-    local = local_unstable if unstable else local_stable
-    other, _, k = _Chain(params, m, "stable" if unstable else "unstable")[1]
-    leaf = local(params, m)
+    probe = _Chain(params, m, "stable" if unstable else "unstable")
+    other, _, k = probe[1]
+    leaf = _local_manifold(params, _Chain(params, m, kind,
+                                          charts=probe.charts))
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], k, protect=m)
-    pts = local(params, other).points
+    pts = _local_manifold(params, _Chain(params, other, kind,
+                                         charts=probe.charts)).points
     if not pieces:
         raise NoConvergence(f"the mapped {kind} leaf of {m} left the square")
     near = np.full(len(pts), np.inf)

@@ -12,7 +12,10 @@ pushed cone.
 
 A cone is carried as one (3, 2, 1) stack of its axis vector and its two
 unit boundary rays, and each orbit point's derivative is built once per
-walk, however many depths are tried.  The stacked ``J @ V`` and
+walk, however many depths are tried.  Most walk points lie off A, where
+the cone is the default one: its stack for each axis is built once, at
+import, and is read-only; carrying makes new arrays, and a frame copies
+what it keeps of it.  The stacked ``J @ V`` and
 ``sqrt(v^T v)`` give the floats of the per-vector ``J @ v`` and
 ``np.linalg.norm(v)`` (``np.linalg.norm(..., axis=1)`` and ``einsum`` do
 not), so the stacked carriers reproduce the per-vector loops bit for
@@ -225,14 +228,24 @@ def _cone_stack(s: float, vertical: bool) -> np.ndarray:
     return _unit(np.array(rows)[:, :, None])
 
 
+def _frozen(V: np.ndarray) -> np.ndarray:
+    V.flags.writeable = False
+    return V
+
+
+#: The default cone's stack for each axis (keyed by ``unstable``), built
+#: once and read-only: every carry reads it, none writes it.
+_DEFAULT_STACKS = {unstable: _frozen(_cone_stack(DEFAULT_SLOPE, unstable))
+                   for unstable in (True, False)}
+
+
 def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
     """The cone stack at ``m``: the vertical (horizontal) A-cone at a
-    point of A, the default cone elsewhere."""
+    point of A, the shared read-only default stack elsewhere."""
     if in_A(params, m):
-        s = _window_slope(params, abs(m[0] - params.q), unstable)
-    else:
-        s = DEFAULT_SLOPE
-    return _cone_stack(s, unstable)
+        return _cone_stack(_window_slope(params, abs(m[0] - params.q),
+                                         unstable), unstable)
+    return _DEFAULT_STACKS[unstable]
 
 
 def _deepest_carry(params: MapParams, m, walk, unstable: bool):
@@ -264,7 +277,8 @@ def _deepest_carry(params: MapParams, m, walk, unstable: bool):
             break
     if not jacs:
         V = _start_stack(params, m, unstable)
-        best = (V[0, :, 0], _cone_residual(V), 0)
+        # a copy: the stack may be the shared default one
+        best = (V[0, :, 0].copy(), _cone_residual(V), 0)
     return best
 
 

@@ -60,7 +60,7 @@ def test_transform_contraction_factor():
     bound_base = math.sqrt(p.lam / p.sigma)
     for rp in sp.sample_A_points(p, rng, 8):
         ch = chart(p, rp.M)
-        fm, chf, k = mf._next_anchor(p, rp.M, ch, "forward")
+        fm, chf, k = mf._next_anchor(p, rp.M, ch, "forward", {})
         rad = 0.5 * 0.0625
         grid = np.linspace(-rad, rad, 257)
         v1 = np.clip(rng.uniform(-0.8, 0.8) * grid
@@ -115,11 +115,11 @@ def test_next_anchor_matches_blockwise_products(params, monkeypatch):
                     continue
                 best = mu
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 - 1e-9))
-                got, _, k = mf._next_anchor(params, m, ch, direction)
+                got, _, k = mf._next_anchor(params, m, ch, direction, {})
                 assert (got, k) == (cur, j)
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 + 1e-9))
                 try:
-                    assert mf._next_anchor(params, m, ch, direction)[2] > j
+                    assert mf._next_anchor(params, m, ch, direction, {})[2] > j
                 except mf.Unsupported:
                     pass
                 checked += 1
@@ -470,14 +470,121 @@ def test_intersection_kernel_equals_the_loop(block):
     assert accepted_far >= 1
 
 
+def _distance_cases(rng):
+    """(polyline, points) pairs that the run bounds of the distance
+    kernel must not change: long walks, points on the polyline and
+    equidistant from two runs, zero-length segments, non-finite
+    vertices, large coordinates and polylines of one to three segments."""
+    cases = []
+    for n in (257, 600, 1025):
+        poly = np.cumsum(rng.normal(scale=0.02, size=(n, 2)), axis=0)
+        mids = poly[:-1] + 0.5 * (poly[1:] - poly[:-1])
+        cases += [(poly, rng.uniform(-1.0, 1.0, (200, 2))),
+                  (poly, np.vstack([poly, mids])),          # on the polyline
+                  (np.repeat(poly, 2, axis=0), poly[::5]),  # zero-length
+                  (poly + 1e6, poly[::3] + 1e6 + rng.normal(
+                      scale=1e-3, size=poly[::3].shape))]
+    # a U: two straight runs at distance 1 from every point of y = 0
+    xs = np.linspace(0.0, 1.0, 17)
+    u = np.vstack([np.column_stack([xs, np.ones(17)]),
+                   np.column_stack([xs[::-1], -np.ones(17)])])
+    cases.append((u, np.column_stack([np.linspace(0.0, 1.0, 65),
+                                      np.zeros(65)])))
+    cases.append((np.zeros((6, 2)), rng.uniform(-1.0, 1.0, (20, 2))))
+    for bad in (np.nan, np.inf):
+        poly = np.cumsum(rng.normal(scale=0.05, size=(300, 2)), axis=0)
+        poly[137, 1] = bad
+        cases.append((poly, rng.uniform(-1.0, 1.0, (40, 2))))
+    pts = rng.uniform(-1.0, 1.0, (30, 2))
+    pts[[3, 7]] = [[np.nan, 0.0], [0.0, -np.inf]]
+    cases.append((u, pts))
+    # squares that overflow: the pairs of the far runs are NaN
+    xs = np.linspace(0.0, 1.0, 18)
+    far = np.vstack([np.column_stack([xs, np.ones(18)]),
+                     np.column_stack([xs[::-1], -np.ones(18)]),
+                     [[k * 1e155, k % 2 * 1e155] for k in range(1, 11)]])
+    cases.append((far, pts[:3]))
+    # the end of segment 0, a + (b - a), rounds to 1.1e-11 nearer the
+    # origin than b: its pair beats segment 2 at distance h, whose box
+    # is nearer than segment 0's
+    b = -0.0012877551020408164
+    end = -1e6 + (b + 1e6)
+    h = -0.5 * (b + end)
+    assert b < -h < end < 0.0
+    cases.append((np.array([[-1e6, 0.0], [b, 0.0], [-1.0, h], [1.0, h]]),
+                  np.zeros((1, 2))))
+    for n in (2, 3, 4):
+        cases.append((rng.uniform(-1.0, 1.0, (n, 2)),
+                      rng.uniform(-1.0, 1.0, (50, 2))))
+    return cases
+
+
 def test_distance_kernel_equals_the_loop(block):
     rng = np.random.default_rng(20261019)
-    for p1, p2 in _kernel_cases(rng)[::7]:
-        for pts in (p2, p2[:1], p2[:0], rng.uniform(-1.0, 1.0, (50, 2))):
+    cases = [(p1, pts) for p1, p2 in _kernel_cases(rng)[::7]
+             for pts in (p2, p2[:1], p2[:0], rng.uniform(-1.0, 1.0, (50, 2)))]
+    cases += _distance_cases(rng)
+    # a REF_EX unstable invariance defect: the leaf at the anchor against
+    # the mapped pieces of the leaf at M
+    m = sp.sample_returning_point(REF_EX, np.random.default_rng(2)).M
+    other, _, k = mf._Chain(REF_EX, m, "stable")[1]
+    leaf = mf.local_unstable(REF_EX, other).points
+    cases += [(piece, leaf) for piece in mf.advance_pieces(
+        REF_EX, [mf.local_unstable(REF_EX, m).points], k, protect=m)]
+    for p1, pts in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
             want = [float(np.min(_ref_point_segment_distances(p1, q)))
                     for q in pts]
             got = mf._polyline_distances(p1, pts)
-            assert got.shape == (len(pts),) and got.tolist() == want
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_distance_kernel_skips_most_pairs(monkeypatch):
+    # the run bounds leave the per-pair formula under a tenth of the
+    # point-segment pairs of the invariance defects
+    counts = {"pairs": 0, "evaluated": 0}
+    kernel, pairs = mf._polyline_distances, mf._pair_distances
+
+    def counting_kernel(poly, pts):
+        counts["pairs"] += (len(poly) - 1) * len(np.reshape(pts, (-1, 2)))
+        return kernel(poly, pts)
+
+    def counting_pairs(*args):
+        out = pairs(*args)
+        counts["evaluated"] += out.size
+        return out
+
+    monkeypatch.setattr(mf, "_polyline_distances", counting_kernel)
+    monkeypatch.setattr(mf, "_pair_distances", counting_pairs)
+    rng = np.random.default_rng(4)
+    for rp in sp.sample_A_points(REF_EX, rng, 2):
+        mf.unstable_invariance_defect(REF_EX, rp.M)
+        mf.stable_invariance_defect(REF_EX, rp.M)
+    assert counts["pairs"] > 100_000
+    assert counts["evaluated"] < 0.1 * counts["pairs"]
+
+
+@pytest.mark.parametrize("kind", ["unstable", "stable"])
+def test_invariance_defect_charts_m_and_its_anchor_once(monkeypatch, kind):
+    from collections import Counter
+    from horseshoe import induced
+    seen, field = Counter(), induced.direction_field
+
+    def counting(params, m):
+        seen[m] += 1
+        return field(params, m)
+
+    monkeypatch.setattr(induced, "direction_field", counting)
+    defect = (mf.unstable_invariance_defect if kind == "unstable"
+              else mf.stable_invariance_defect)
+    rng = np.random.default_rng(9)
+    for rp in sp.sample_A_points(REF_EX, rng, 2):
+        other_kind = "stable" if kind == "unstable" else "unstable"
+        other = mf._Chain(REF_EX, rp.M, other_kind)[1][0]
+        seen.clear()
+        defect(REF_EX, rp.M)
+        assert (seen[rp.M], seen[other]) == (1, 1)
 
 
 def test_is_simple_equals_the_loop(block):

@@ -161,6 +161,25 @@ def test_pushed_slope_of_a_horizontal_image_is_infinite():
     assert spl._pushed_slope(jac, Cone("vertical", 1.0)) == math.inf
 
 
+def test_frames_do_not_alias_the_shared_default_stacks(monkeypatch):
+    # off A, both sides start from the default cone; with no orbit to
+    # walk, the frame is that cone's axis, and must be a copy of it
+    m = (0.45, 0.5)
+    assert not mc.in_A(REF_EX, m)
+    stacks = [spl._DEFAULT_STACKS[unstable] for unstable in (True, False)]
+    assert all(not V.flags.writeable for V in stacks)
+    assert spl._start_stack(REF_EX, m, True) is stacks[0]
+    assert spl._start_stack(REF_EX, (0.2, 0.5), False) is stacks[1]
+    monkeypatch.setattr(mc, "iterates", lambda *args, **kwargs: iter(()))
+    frame = direction_field(REF_EX, m)
+    assert (frame.depth_u, frame.depth_b) == (0, 0)
+    np.testing.assert_array_equal(frame.e_u, stacks[0][0, :, 0])
+    np.testing.assert_array_equal(frame.e_s, stacks[1][0, :, 0])
+    for e in (frame.e_u, frame.e_s):
+        assert e.flags.writeable
+        assert not any(np.shares_memory(e, V) for V in stacks)
+
+
 # --- the stacked cone carrying against the per-vector loops ---------------
 
 def _scalar_carry_cone(params, chain, unstable):
