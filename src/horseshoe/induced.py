@@ -193,19 +193,6 @@ class PolygonalBall:
         return abs(a) <= self.radius_u + 1e-12 and abs(b) <= self.radius_s + 1e-12
 
 
-def _log_growth(params: MapParams, points, vec, derivative) -> float:
-    """ln norm growth of ``vec`` carried through ``derivative`` at each of
-    ``points`` in turn, renormalized each step."""
-    v = np.asarray(vec, dtype=float)
-    total = 0.0
-    for p in points:
-        v = derivative(params, p) @ v
-        nrm = float(np.linalg.norm(v))
-        total += math.log(nrm)
-        v /= nrm
-    return total
-
-
 def us_ball(params: MapParams, m: tuple[float, float], rho: float,
             cert: Certificate) -> PolygonalBall:
     """Polygonal ball adapted to the distance of the orbit from A.
@@ -213,7 +200,8 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
     Inside A both radii are rho*C3*l(M).  Between two A-visits the radii
     are rho*C3*t_u and rho*C3*t_s, where t_u carries the unstable growth
     since the last visit (capped at 1/3) and t_s the stable contraction
-    until the next one; missing visits fall back to the 1/3 cap.
+    until the next one, each :func:`~horseshoe.map_core.log_growth` over
+    the derivatives of the walk; missing visits fall back to the 1/3 cap.
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
@@ -233,11 +221,12 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
             raise OutOfDomain("us-ball undefined on the tangency orbit")
         if unstable:
             # chain runs m <- ... <- visit; push e_u forward along it.
-            lg = _log_growth(params, chain[:0:-1], fr.e_u, jacobian)
+            lg = mc.log_growth((jacobian(params, p) for p in chain[:0:-1]),
+                               fr.e_u)
         else:
             # chain runs m -> ... -> visit; pull e_s back along it.
-            lg = _log_growth(params, chain[-2::-1], fr.e_s,
-                             mc.jacobian_inverse)
+            lg = mc.log_growth((mc.jacobian_inverse(params, p)
+                                for p in chain[-2::-1]), fr.e_s)
         val = math.log(fr.l) + lg
         return cap if val >= math.log(cap) else math.exp(val)
 

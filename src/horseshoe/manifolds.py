@@ -60,8 +60,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, Region, classify, apply, apply_inverse,
-                       default_certificate, OutOfDomain)
+from .map_core import (MapParams, Region, classify, default_certificate,
+                       OutOfDomain)
 from .splitting import SplitFrame, length_scale
 from .induced import _bisect_edge, chart
 
@@ -583,7 +583,7 @@ def advance_pieces(params: MapParams, pieces: list, steps: int,
     are dropped, images are clipped back to the unit square.  When the
     piece count exceeds ``_MAX_PIECES`` only the longest survive; a piece
     passing through the forward orbit of ``protect`` is always kept."""
-    prot = None if protect is None else (float(protect[0]), float(protect[1]))
+    walk = mc.iterates(params, protect, 0 if protect is None else steps)
     for _ in range(steps):
         nxt = []
         for pts in pieces:
@@ -600,9 +600,7 @@ def advance_pieces(params: MapParams, pieces: list, steps: int,
                     ymid = piece[len(piece) // 2, 1]
                     if 0.0 <= ymid <= 1.0:
                         nxt.append(piece)
-        if prot is not None:
-            prot = apply(params, prot)
-        pieces = _prune_pieces(nxt, prot)
+        pieces = _prune_pieces(nxt, next(walk, None))
     return pieces
 
 
@@ -626,7 +624,8 @@ def retreat_pieces(params: MapParams, pieces: list, steps: int,
     inverse branches, splitting at the image-band boundaries (and at the
     parabola-offset levels bounding the parabolic image region)."""
     wing_lo, wing_hi = mc.BRANCH[Region.R4].column(params)
-    prot = None if protect is None else (float(protect[0]), float(protect[1]))
+    walk = mc.iterates(params, protect, 0 if protect is None else steps,
+                       False)
     for _ in range(steps):
         nxt = []
         for pts in pieces:
@@ -640,11 +639,7 @@ def retreat_pieces(params: MapParams, pieces: list, steps: int,
                 if wing_lo <= mid[0] <= wing_hi and len(sub) < 1025:
                     sub = _resample_count(sub, 1025)
                 nxt.extend(_inverse_branches(params, sub))
-        if prot is not None:
-            prot = apply_inverse(params, prot)
-            if prot is not None:
-                prot = (float(prot[0]), float(prot[1]))
-        pieces = _prune_pieces(nxt, prot)
+        pieces = _prune_pieces(nxt, next(walk, None))
     return pieces
 
 
@@ -1163,20 +1158,6 @@ def _threaded_separation(params: MapParams, delta: float,
     return a
 
 
-def _nonexpansive_candidates(params: MapParams, delta: float):
-    """Exact half-separations, largest first: the prefix-0 family
-    separates by about sqrt(lam*r3_a/c), each extra left-band rung
-    divides the separation by sqrt(1/lam)."""
-    for prefix in range(0, 40):
-        a = _threaded_separation(params, delta, prefix)
-        if a is not None:
-            yield a
-
-
-def _exact_dist_sq(pa, pb) -> Fraction:
-    return (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
-
-
 def nonexpansive_pair(params: MapParams, delta: float) -> NonexpansiveReport:
     """A pair of distinct points whose orbits never separate by more
     than ``delta`` over ``|n| <= _NONEXPANSIVE_HORIZON``.
@@ -1196,16 +1177,21 @@ def nonexpansive_pair(params: MapParams, delta: float) -> NonexpansiveReport:
         raise ValueError("delta must be positive")
     pf = _exact(params)
     horizon = _NONEXPANSIVE_HORIZON
-    for a in _nonexpansive_candidates(params, delta):
+    # exact half-separations, largest first: the prefix-0 family separates
+    # by about sqrt(lam*r3_a/c), each extra left-band rung divides the
+    # separation by sqrt(1/lam)
+    for prefix in range(40):
+        a = _threaded_separation(params, delta, prefix)
+        if a is None:
+            continue
         A = (pf.q + a, Fraction(0))
         B = (pf.q - a, Fraction(0))
-        oa, ob = (mc.orbit(pf, pt, horizon, horizon) for pt in (A, B))
-        if any(o.fwd_escape is not None or o.bwd_escape is not None
-               for o in (oa, ob)):
+        oa, ob = ([pt, *mc.iterates(pf, pt, horizon),
+                   *mc.iterates(pf, pt, horizon, False)] for pt in (A, B))
+        if min(len(oa), len(ob)) < 2 * horizon + 1:
             continue
-        sup_sq = max(_exact_dist_sq(u, v) for u, v in
-                     zip(oa.fwd_points + oa.bwd_points,
-                         ob.fwd_points + ob.bwd_points))
+        sup_sq = max((u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
+                     for u, v in zip(oa, ob))
         if sup_sq <= Fraction(delta) ** 2:
             sep = 2.0 * float(a)
             return NonexpansiveReport(

@@ -25,10 +25,12 @@ interval hulls of :mod:`horseshoe.coding`.  Every other module reads
 the branches from this table.
 
 Orbit segments are walked in one place, :func:`iterates`: the bounded,
-lazy sequence of images (or preimages) of a point.  Orbits, branch
-sequences, first returns to A and escapes from R1 are built on it, and
-every other module steps the map through it.  Many points at once take
-one step per call of :func:`step_arrays`, each on its own branch.
+lazy sequence of images (or preimages) of a point.  Branch sequences,
+first returns to A, escapes from R1 and the protected points of the
+piece walks are built on it: no other module steps the map by hand.
+Many points at once take one step per call of :func:`step_arrays`, each
+on its own branch.  Growth along an orbit is measured in one place too,
+:func:`log_growth`, over the derivatives of the walk.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "Certificate",
     "ValidationCheck",
     "ValidationReport",
-    "OrbitRecord",
     "REF_EX",
     "REF_STRICT",
     "classify",
@@ -61,7 +62,7 @@ __all__ = [
     "jacobian_inverse",
     "step_arrays",
     "iterates",
-    "orbit",
+    "log_growth",
     "branch_sequence",
     "first_return",
     "float_range_steps",
@@ -490,24 +491,6 @@ def in_A(params: MapParams, p: tuple[float, float]) -> bool:
         and bool(_in_band(params, _R4, x, y))
 
 
-@dataclass
-class OrbitRecord:
-    """Forward/backward orbit segment with region labels.
-
-    ``fwd_points[k]`` is the k-th forward iterate (index 0 is the seed);
-    ``fwd_escape`` is the index of the first point that cannot be iterated
-    further, or ``None``.  Backward entries are analogous;
-    ``bwd_escape`` is the depth at which no branch preimage exists.
-    """
-
-    fwd_points: list
-    fwd_labels: list
-    bwd_points: list
-    bwd_labels: list
-    fwd_escape: int | None = None
-    bwd_escape: int | None = None
-
-
 def iterates(params: MapParams, p, n: int, forward: bool = True):
     """The first ``n`` images of ``p`` (its preimages when not
     ``forward``), lazily, stopping at the first one that does not exist.
@@ -522,14 +505,17 @@ def iterates(params: MapParams, p, n: int, forward: bool = True):
         yield p
 
 
-def orbit(params: MapParams, p: tuple[float, float],
-          n_fwd: int, n_bwd: int = 0) -> OrbitRecord:
-    fwd = [p, *iterates(params, p, n_fwd)]
-    bwd = list(iterates(params, p, n_bwd, False))
-    return OrbitRecord(fwd, [classify(params, q) for q in fwd],
-                       bwd, [classify(params, q) for q in bwd],
-                       len(fwd) - 1 if len(fwd) <= n_fwd else None,
-                       len(bwd) if len(bwd) < n_bwd else None)
+def log_growth(mats, v) -> float:
+    """Summed ln growth of ``v`` carried through the matrices ``mats`` in
+    turn, renormalized each step: the one growth rate of the package."""
+    v = np.asarray(v, dtype=float)
+    total = 0.0
+    for a in mats:
+        v = a @ v
+        norm = float(np.linalg.norm(v))
+        total += math.log(norm)
+        v /= norm
+    return total
 
 
 def branch_sequence(params: MapParams, p, n: int):

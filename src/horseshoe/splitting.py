@@ -408,6 +408,8 @@ def holder_fit(params: MapParams, pairs: list, which: str = "u") -> HolderFit:
     excluded.  Returns the least-squares slope of ln(gap) against
     ln(dist) over bin means.
     """
+    if which not in ("u", "s"):
+        raise ValueError(f'which must be "u" or "s", got {which!r}')
     rows = []
     for z, zp in pairs:
         if z == zp:

@@ -5,7 +5,8 @@ to finite-memory potentials on the full 3-shift; pressure, Gibbs and
 equilibrium measures come from the weighted transfer operator on
 (m-1)-word states, and the equilibrium state is pushed forward to the
 partition atoms.  Lyapunov exponents of orbits close the loop between
-the symbolic and the planar picture.
+the symbolic and the planar picture (:func:`~horseshoe.map_core.log_growth`
+along an orbit or an affine symbol itinerary).
 
 Everything at memory m lives on plain arrays indexed by base-3 word
 codes (most significant digit first), so the operator applications are
@@ -130,6 +131,8 @@ def pull_back(params: MapParams, phi: Potential, m: int) -> CylinderPotential:
     The m-word is padded to a centered word (0 is the canonical filler:
     ...000... codes the fixed point at the origin); words whose cover is
     empty borrow the nearest nonempty neighbour and are flagged."""
+    if m < 1:
+        raise ValueError(f"pull_back needs memory m >= 1, got m={m}")
     phi.spot_check()
     centered_n = _centered((0,) * m).n
     level = coding.atoms(params, centered_n)
@@ -399,18 +402,20 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
              N_back: int | None = None) -> dict:
     """Cocycle growth rates along the orbit of ``M``.
 
-    chi_u averages log-growth of a renormalized unstable vector over N
-    forward steps, chi_s the (negated) backward growth of a stable
-    vector.  With ``symbols`` (an affine strip itinerary of length >= N
-    + 1 starting at time 0, as accepted by :func:`shift_orbit_point`)
-    the derivatives are read from the symbols alone and no float orbit
-    is walked, so long orbits stay on the invariant set.  ``N_back``
-    shortens the stable horizon when the seed has a shallower backward
-    chain than forward (the default is N).
+    chi_u averages the :func:`~horseshoe.map_core.log_growth` of an
+    unstable vector over N forward steps, chi_s the (negated) backward
+    growth of a stable vector.  With ``symbols`` (an affine strip
+    itinerary of length >= N + 1 starting at time 0, as accepted by
+    :func:`shift_orbit_point`) the derivatives are read from the symbols
+    alone and no float orbit is walked, so long orbits stay on the
+    invariant set.  ``N_back`` shortens the stable horizon when the seed
+    has a shallower backward chain than forward (the default is N).
     """
     p = params
     if N_back is None:
         N_back = N
+    if N < 1:
+        raise ValueError(f"lyapunov needs N >= 1, got N={N}")
     M = tuple(map(float, M))
     if symbols is None:
         pts = [M, *mc.iterates(p, M, N)]
@@ -426,7 +431,7 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         const = {s: np.array(br.derivative(p, 0.5, 0.5))
                  for s, br in _AFFINE.items()}
         jacs = [const[symbols[k]] for k in range(N)]
-    chi_u = _log_growth(jacs, (0.0, 1.0)) / N
+    chi_u = mc.log_growth(jacs, (0.0, 1.0)) / N
     if symbols is None:
         back = [M, *mc.iterates(p, M, N_back, False)]
         if len(back) <= N_back:
@@ -435,18 +440,6 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
     else:
         N_back = min(N_back, N)
         inverses = [np.linalg.inv(jacs[k]) for k in range(N_back)]
-    chi_s = _log_growth(inverses, (1.0, 0.0))
+    chi_s = mc.log_growth(inverses, (1.0, 0.0))
     return {"chi_u": chi_u, "chi_s": -chi_s / max(1, N_back)}
 
-
-def _log_growth(mats, v) -> float:
-    """Summed ln growth of ``v`` through the matrices in turn,
-    renormalized each step."""
-    v = np.array(v)
-    total = 0.0
-    for a in mats:
-        v = a @ v
-        norm = float(np.hypot(*v))
-        total += math.log(norm)
-        v /= norm
-    return total

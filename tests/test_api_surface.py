@@ -1,18 +1,23 @@
-"""The size of the package's option surface.
+"""The size of the package's option surface, and where it walks orbits.
 
 A defaulted parameter is an option that callers may leave unset.  They
 are counted by one rule: the positional and keyword-only defaults of
 every ``def`` under ``src/horseshoe`` (lambdas excluded).  The count is
 a ceiling: a change that adds an option raises ``MAX_DEFAULTS`` and
 gives the reason in ``CHANGES.md``.
+
+``map_core.iterates`` is the one orbit walk: no other module steps a
+point by feeding ``apply`` or ``apply_inverse`` its own last result.
 """
 
 import ast
 from pathlib import Path
 
 import horseshoe
+from horseshoe import map_core as mc
 
-MAX_DEFAULTS = 18
+MAX_DEFAULTS = 17
+SRC = Path(horseshoe.__file__).parent
 
 
 def _defaults(tree: ast.AST) -> int:
@@ -23,8 +28,7 @@ def _defaults(tree: ast.AST) -> int:
 
 
 def test_defaulted_parameters_stay_within_the_ceiling():
-    src = Path(horseshoe.__file__).parent
-    count = sum(_defaults(ast.parse(f.read_text())) for f in src.glob("*.py"))
+    count = sum(_defaults(ast.parse(f.read_text())) for f in SRC.glob("*.py"))
     assert count <= MAX_DEFAULTS
 
 
@@ -33,3 +37,39 @@ def test_the_rule_counts_keyword_only_defaults_and_skips_lambdas():
                      "    h = lambda x=3: x\n"
                      "    async def i(j=4): pass\n")
     assert _defaults(tree) == 3
+
+
+def _hand_steps(tree: ast.AST) -> list:
+    """Line numbers of ``x = apply(..., x)`` and ``x = apply_inverse(...,
+    x)``, the function called by name or as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name in ("apply", "apply_inverse") and any(
+                isinstance(a, ast.Name) and a.id == node.targets[0].id
+                for a in node.value.args):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_map_core_steps_a_point_by_hand():
+    found = {f.name: _hand_steps(ast.parse(f.read_text()))
+             for f in SRC.glob("*.py") if f.name != "map_core.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_hand_step_rule_sees_both_spellings():
+    tree = ast.parse("p = apply(params, p)\n"
+                     "q = mc.apply_inverse(params, q)\n"
+                     "r = apply(params, p)\n")
+    assert _hand_steps(tree) == [1, 2]
+
+
+def test_every_exported_map_core_name_exists():
+    assert [n for n in mc.__all__ if not hasattr(mc, n)] == []

@@ -10,7 +10,7 @@ from horseshoe import map_core as mc
 from horseshoe.map_core import (MapParams, REF_EX, REF_STRICT, Region,
                                 classify, apply, apply_inverse, jacobian,
                                 jacobian_inverse, parabola_offset,
-                                leaf_tangent, in_A, orbit, validate,
+                                leaf_tangent, in_A, validate,
                                 default_certificate, closed_form_gamma,
                                 OutOfDomain)
 from horseshoe import sampling as sp
@@ -246,13 +246,12 @@ def test_in_A_membership():
 
 
 def test_orbit_fixed_points_and_escape():
-    rec = orbit(REF_EX, (0.0, 0.0), 5)
-    assert all(pt == (0.0, 0.0) for pt in rec.fwd_points)
-    assert all(lbl is Region.R1 for lbl in rec.fwd_labels)
-    rec = orbit(REF_EX, (1.0, 1.0), 5)
-    assert all(pt == (1.0, 1.0) for pt in rec.fwd_points)
-    rec = orbit(REF_EX, (0.5, 0.25), 3)
-    assert rec.fwd_escape == 0
+    walk = [(0.0, 0.0), *mc.iterates(REF_EX, (0.0, 0.0), 5)]
+    assert walk == [(0.0, 0.0)] * 6
+    assert all(classify(REF_EX, pt) is Region.R1 for pt in walk)
+    assert list(mc.iterates(REF_EX, (1.0, 1.0), 5)) == [(1.0, 1.0)] * 5
+    # the gap R2 has no image: the walk stops at once
+    assert list(mc.iterates(REF_EX, (0.5, 0.25), 3)) == []
 
 
 def hand_walk(params, step, p, n: int):
@@ -344,8 +343,7 @@ def test_first_return_both_ways_equals_the_visit_search(params):
     pts = strip_points(params, 200, 9)
     for _ in range(20):
         m = sp.sample_returning_point(params, rng).M
-        orb = orbit(params, m, 4, 2)
-        pts += orb.fwd_points[1:] + orb.bwd_points
+        pts += [*mc.iterates(params, m, 4), *mc.iterates(params, m, 2, False)]
     found = {True: 0, False: 0}
     for m in pts:
         for forward in (True, False):
@@ -358,24 +356,6 @@ def test_first_return_both_ways_equals_the_visit_search(params):
             assert got == want
             found[forward] += got is not None
     assert min(found.values()) >= 20
-
-
-@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
-def test_orbit_escape_indices_match_the_hand_walk(params):
-    escaped = {"forward": 0, "backward": 0}
-    for i, pt in enumerate(strip_points(params, 300, 17)):
-        n_fwd, n_bwd = i % 7, (i // 7) % 7
-        rec = orbit(params, pt, n_fwd, n_bwd)
-        fwd, fwd_escape = hand_walk(params, apply, pt, n_fwd)
-        bwd, bwd_escape = hand_walk(params, apply_inverse, pt, n_bwd)
-        assert rec.fwd_points == [pt] + fwd
-        assert rec.bwd_points == bwd
-        assert (rec.fwd_escape, rec.bwd_escape) == (fwd_escape, bwd_escape)
-        assert rec.fwd_labels == [classify(params, q) for q in [pt] + fwd]
-        assert rec.bwd_labels == [classify(params, q) for q in bwd]
-        escaped["forward"] += fwd_escape is not None
-        escaped["backward"] += bwd_escape is not None
-    assert min(escaped.values()) >= 20
 
 
 def test_certificate_shapes():

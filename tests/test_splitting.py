@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis.strategies import integers
 
 from horseshoe import map_core as mc
@@ -89,16 +89,28 @@ def test_direction_field_matches_leaf_tangent_on_A():
         assert unstable_cone(REF_STRICT, rp.M).contains(fr.e_u)
 
 
-def test_direction_field_equivariance():
-    # Df e_u(M) parallel to e_u(f(M)) within the residual budget.
-    rng = np.random.default_rng(9)
-    rp = sp.sample_returning_point(REF_STRICT, rng)
-    fm = apply(REF_STRICT, rp.M)
-    fr0 = direction_field(REF_STRICT, rp.M)
-    fr1 = direction_field(REF_STRICT, fm)
-    pushed = mc.jacobian(REF_STRICT, rp.M) @ fr0.e_u
-    pushed /= np.linalg.norm(pushed)
-    assert direction_gap(pushed, fr1.e_u) <= fr0.residual_u + fr1.residual_u + 1e-8
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@example(params=REF_EX, seed=9)
+@example(params=REF_STRICT, seed=9)
+@settings(max_examples=6, deadline=None)
+def test_direction_field_equivariance(params, seed):
+    # Df e_u(M) is parallel to e_u(f(M)), and Df^-1 e_s(f(M)) to e_s(M),
+    # within the two frames' residual budgets.  REF_EX fails
+    # full_crossing and REF_STRICT passes it.
+    rng = np.random.default_rng(seed)
+    try:
+        rps = [sp.sample_returning_point(params, rng) for _ in range(4)]
+    except sp.SampleError:
+        reject()
+    for rp in rps:
+        fr0 = direction_field(params, rp.M)
+        fr1 = direction_field(params, apply(params, rp.M))
+        pushed = mc.jacobian(params, rp.M) @ fr0.e_u
+        pulled = mc.jacobian_inverse(params, rp.M) @ fr1.e_s
+        assert direction_gap(pushed / np.linalg.norm(pushed), fr1.e_u) \
+            <= fr0.residual_u + fr1.residual_u + 1e-8
+        assert direction_gap(pulled / np.linalg.norm(pulled), fr0.e_s) \
+            <= fr0.residual_s + fr1.residual_s + 1e-8
 
 
 def test_adapted_norm():
@@ -136,6 +148,12 @@ def test_holder_fit_rejects_identical_points(monkeypatch):
     monkeypatch.setattr(spl, "_HOLDER_MIN_PAIRS", 1)
     with pytest.raises(ValueError):
         holder_fit(REF_EX, [((0.79, 0.005), (0.79, 0.005))])
+
+
+def test_holder_fit_rejects_an_unknown_direction():
+    # any other ``which`` used to fall through to the stable fit
+    with pytest.raises(ValueError, match="which"):
+        holder_fit(REF_STRICT, [((0.79, 0.005), (0.79, 0.006))], which="x")
 
 
 def test_holder_fit_smoke():

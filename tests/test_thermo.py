@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from horseshoe import coding
 from horseshoe import map_core as mc
+from horseshoe import sampling as sp
 from horseshoe import thermo
 from horseshoe.map_core import REF_EX, REF_STRICT
 from test_branch_table import valid_params
@@ -126,6 +127,67 @@ def test_lyapunov_reports_escaping_orbits():
     with pytest.raises(mc.OrbitEscapes) as err:
         thermo.lyapunov(REF_EX, (0.3, 0.5), 1)
     assert err.value.direction == "backward" and err.value.step == 1
+
+
+def test_lyapunov_refuses_an_empty_horizon():
+    # N = 0 used to divide by zero on both paths
+    with pytest.raises(ValueError, match="N=0"):
+        thermo.lyapunov(REF_EX, (0.0, 0.0), 0)
+    with pytest.raises(ValueError, match="N=0"):
+        thermo.lyapunov(REF_EX, (0.5, 0.5), 0, symbols=(2, 2))
+
+
+def test_pull_back_refuses_an_empty_memory():
+    # m = 0 used to give pressure 0.0 and a Gibbs measure numpy cannot
+    # reshape
+    with pytest.raises(ValueError, match="m=0"):
+        thermo.pull_back(REF_EX, thermo.named_potential("zero"), 0)
+
+
+def _hypot_log_growth(mats, v) -> float:
+    """The growth sum ``lyapunov`` used before ``mc.log_growth``: the
+    same renormalized walk, with each norm taken by ``np.hypot``."""
+    v = np.array(v)
+    total = 0.0
+    for a in mats:
+        v = a @ v
+        norm = float(np.hypot(*v))
+        total += math.log(norm)
+        v /= norm
+    return total
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_log_growth_matches_the_hypot_form(params):
+    # orbit paths: np.linalg.norm and np.hypot may round a step's norm
+    # differently, so the sums agree to 1e-15 relative
+    rng = np.random.default_rng(17)
+    sums = 0
+    for _ in range(60):
+        m = sp.sample_returning_point(params, rng).M
+        fwd = [m, *mc.iterates(params, m, 30)][:-1]
+        back = mc.iterates(params, m, 30, False)
+        for mats, v in (([mc.jacobian(params, q) for q in fwd], (0.0, 1.0)),
+                        ([mc.jacobian_inverse(params, q) for q in back],
+                         (1.0, 0.0))):
+            for n in range(1, len(mats) + 1):
+                want = _hypot_log_growth(mats[:n], v)
+                got = mc.log_growth(mats[:n], v)
+                assert abs(got - want) <= 1e-15 * abs(want)
+                sums += 1
+    assert sums >= 400
+    # affine itineraries, the benchmark's Lyapunov inputs: bit for bit
+    const = {s: np.array(br.derivative(params, 0.5, 0.5))
+             for s, br in thermo._AFFINE.items()}
+    for length in (2, 40, 200):
+        symbols = _affine_itinerary(rng, length)
+        jacs = [const[s] for s in symbols[:-1]]
+        inverses = [np.linalg.inv(a) for a in jacs]
+        start = thermo.shift_orbit_point(params, (), symbols)
+        rates = thermo.lyapunov(params, start, length - 1, symbols=symbols)
+        assert rates == {
+            "chi_u": _hypot_log_growth(jacs, (0.0, 1.0)) / (length - 1),
+            "chi_s": -_hypot_log_growth(inverses, (1.0, 0.0)) / (length - 1)}
 
 
 def test_ref_ex_reassigns_the_empty_words():
