@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import map_core as mc
-from .map_core import MapParams
+from .map_core import MapParams, closed_form_gamma
 
 
 class NotInBands(mc.HorseshoeError, ValueError):
@@ -679,8 +679,7 @@ def decay_table(params: MapParams, n_max: int) -> dict:
     rate = float(np.exp(np.polyfit(ns, np.log(ds), 1)[0])) \
         if len(ns) >= 2 else float("nan")
     return {"rows": rows, "rate": rate,
-            "reference_rate": max(math.sqrt(params.lam),
-                                  1.0 / math.sqrt(params.sigma))}
+            "reference_rate": 0.5 ** closed_form_gamma(params)}
 
 
 def theta_holder_fit(params: MapParams, pairs) -> dict:
@@ -709,7 +708,5 @@ def theta_holder_fit(params: MapParams, pairs) -> dict:
                          f"need {_THETA_MIN_PAIRS}")
     slope = np.polyfit(np.array(depths, dtype=float) * math.log(0.5),
                        np.log(np.array(dists)), 1)[0]
-    gamma = math.log(max(math.sqrt(params.lam),
-                         1.0 / math.sqrt(params.sigma))) / math.log(0.5)
-    return {"gamma_est": float(slope), "gamma": gamma,
+    return {"gamma_est": float(slope), "gamma": closed_form_gamma(params),
             "pairs_used": len(dists)}

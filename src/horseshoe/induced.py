@@ -43,7 +43,7 @@ from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
                        jacobian, parabola_offset, in_A, OutOfDomain,
                        OrbitEscapes, NoReturn)
-from .splitting import SplitFrame, direction_field, length_scale, adapted_norm
+from .splitting import SplitFrame, direction_field, adapted_norm
 from . import sampling as sp
 
 _VISIT_CAP = 120
@@ -91,22 +91,6 @@ def _check_window(params: MapParams, m) -> None:
         raise OutOfDomain(f"{m} is not in the tangency window A")
     if m[0] == params.q:
         raise OutOfDomain("length scale vanishes on the tangency orbit")
-
-
-def time_bounds_report(params: MapParams, m: tuple[float, float]) -> dict:
-    """The sufficient lower bounds linking times to the length scale:
-    sigma^(n1-1)*c*l^2 >= 1/3 and lam^(-n2+1)*c*l^2 >= 1/3."""
-    l = length_scale(params, m)
-    n1 = escape_time(params, m)
-    n2 = approach_time(params, m)
-    out = {"n1": n1, "n2": n2, "l": l}
-    if math.isfinite(n1):
-        out["escape_bound"] = params.sigma ** (n1 - 1) * params.c * l * l
-        out["escape_ok"] = out["escape_bound"] >= 1.0 / 3.0
-    if math.isfinite(n2):
-        out["approach_bound"] = params.lam ** (-n2 + 1) * params.c * l * l
-        out["approach_ok"] = out["approach_bound"] >= 1.0 / 3.0
-    return out
 
 
 @dataclass
@@ -292,10 +276,9 @@ class DistortionReport:
 def distortion_probe(params: MapParams, m: tuple[float, float],
                      cert: Certificate,
                      rng: np.random.Generator,
-                     frame: SplitFrame | None = None) -> DistortionReport:
+                     frame: SplitFrame) -> DistortionReport:
     """Empirical distortion constants at a window point returning to
-    the window; ``frame`` is the splitting (the chart) at ``m`` if
-    already known.
+    the window; ``frame`` is the splitting (the chart) at ``m``.
 
     Samples chart-coordinate pairs in the connected component (grid
     flood fill) of the overlap of the domain with the preimage of the
@@ -311,8 +294,7 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     if step.case != "return" or not in_A(params, step.target):
         raise OutOfDomain("distortion probe needs an A-to-A induced step")
     k = step.k
-    # an A-to-A return step puts m off the tangency column, so l(M) > 0
-    ch_m = frame if frame is not None else chart(params, m)
+    ch_m = frame
     ch_f = chart(params, step.target)
     r0 = cert.C3
 
@@ -384,30 +366,6 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
 # ---------------------------------------------------------------------------
 # Crossing certificates
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CrossingProbe:
-    """Angle bookkeeping at a window point."""
-
-    M: tuple
-    alpha: float        # leaf tangent vs horizontal, tan = 2*c*l
-    beta: float         # stable side vs horizontal
-    gamma_angle: float  # e_u vs leaf tangent
-    delta: float        # stable-cone half-width, tan = tan(alpha)/4
-
-
-def crossing_probe(params: MapParams,
-                   m: tuple[float, float]) -> CrossingProbe:
-    frame = direction_field(params, m)
-    alpha = math.atan(2.0 * params.c * frame.l)
-    beta = math.atan2(frame.e_s[1], frame.e_s[0])
-    leaf = mc.leaf_tangent(params, m)
-    gamma = math.atan2(abs(frame.e_u[0] * leaf[1] - frame.e_u[1] * leaf[0]),
-                       abs(float(np.dot(frame.e_u, leaf))))
-    delta = math.atan(math.tan(alpha) / 4.0)
-    return CrossingProbe(M=m, alpha=alpha, beta=beta,
-                         gamma_angle=gamma, delta=delta)
-
 
 def _parabola_crosses_segment(params: MapParams, k: float, p0, p1) -> bool:
     """Does y = c*(x-q)^2 - k meet the segment [p0, p1]?  Tangential

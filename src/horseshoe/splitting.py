@@ -40,8 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, OrbitEscapes, OutOfDomain, classify,
-                       jacobian, jacobian_inverse, in_A)
+from .map_core import (MapParams, OutOfDomain, jacobian, jacobian_inverse,
+                       in_A)
 
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
@@ -127,42 +127,6 @@ def _window_slope(params: MapParams, l: float, unstable: bool) -> float:
     if unstable:
         return CHI0 / (2.0 * params.c * l)
     return 2.0 * params.c * l / CHI0
-
-
-def _pushed_slope(jac: np.ndarray, cone: Cone) -> float:
-    """Aperture (|u|/|v|) of the smallest vertical cone containing the
-    image of ``cone`` under ``jac``."""
-    worst = 0.0
-    for ray in cone.boundary_rays():
-        img = jac @ ray
-        if img[1] == 0.0:
-            return math.inf
-        worst = max(worst, abs(img[0] / img[1]))
-    return worst
-
-
-def cone_at(params: MapParams, orbit_points: list) -> list:
-    """Cone chain along an orbit segment, following the extension scheme:
-    the vertical default cone before the first visit to A (and when A is
-    never visited), the A-cone at each visit, push-forwards in between.
-    """
-    cones = []
-    prev_cone = None
-    seen_a = False
-    for i, p in enumerate(orbit_points):
-        if classify(params, p) not in mc.ACTIVE_REGIONS and i < len(orbit_points) - 1:
-            raise OrbitEscapes("forward", i)
-        if in_A(params, p):
-            cone = unstable_cone(params, p)
-            seen_a = True
-        elif not seen_a:
-            cone = Cone("vertical", DEFAULT_SLOPE)
-        else:
-            jac = jacobian(params, orbit_points[i - 1])
-            cone = Cone("vertical", _pushed_slope(jac, prev_cone))
-        cones.append(cone)
-        prev_cone = cone
-    return cones
 
 
 @dataclass

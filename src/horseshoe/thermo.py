@@ -416,6 +416,8 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         N_back = N
     if N < 1:
         raise ValueError(f"lyapunov needs N >= 1, got N={N}")
+    if N_back < 1:
+        raise ValueError(f"lyapunov needs N_back >= 1, got N_back={N_back}")
     M = tuple(map(float, M))
     if symbols is None:
         pts = [M, *mc.iterates(p, M, N)]
@@ -441,5 +443,5 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         N_back = min(N_back, N)
         inverses = [np.linalg.inv(jacs[k]) for k in range(N_back)]
     chi_s = mc.log_growth(inverses, (1.0, 0.0))
-    return {"chi_u": chi_u, "chi_s": -chi_s / max(1, N_back)}
+    return {"chi_u": chi_u, "chi_s": -chi_s / N_back}
 

@@ -1,10 +1,13 @@
-"""The size of the package's option surface, and where it walks orbits.
+"""The size of the package's option and name surface, and where it walks
+orbits.
 
 A defaulted parameter is an option that callers may leave unset.  They
 are counted by one rule: the positional and keyword-only defaults of
 every ``def`` under ``src/horseshoe`` (lambdas excluded).  The count is
 a ceiling: a change that adds an option raises ``MAX_DEFAULTS`` and
-gives the reason in ``CHANGES.md``.
+gives the reason in ``CHANGES.md``.  Public names have their own
+ceiling, ``MAX_PUBLIC``, kept the same way: the top-level functions and
+classes of each module whose name does not start with an underscore.
 
 ``map_core.iterates`` is the one orbit walk: no other module steps a
 point by feeding ``apply`` or ``apply_inverse`` its own last result.
@@ -16,7 +19,8 @@ from pathlib import Path
 import horseshoe
 from horseshoe import map_core as mc
 
-MAX_DEFAULTS = 17
+MAX_DEFAULTS = 16
+MAX_PUBLIC = 123
 SRC = Path(horseshoe.__file__).parent
 
 
@@ -37,6 +41,31 @@ def test_the_rule_counts_keyword_only_defaults_and_skips_lambdas():
                      "    h = lambda x=3: x\n"
                      "    async def i(j=4): pass\n")
     assert _defaults(tree) == 3
+
+
+def _public(tree: ast.Module) -> list:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_names_stay_within_the_ceiling():
+    count = sum(len(_public(ast.parse(f.read_text())))
+                for f in SRC.glob("*.py"))
+    assert count <= MAX_PUBLIC
+
+
+def test_the_public_rule_counts_top_level_definitions_only():
+    tree = ast.parse("def f(): pass\n"
+                     "async def g(): pass\n"
+                     "class C:\n"
+                     "    def method(self): pass\n"
+                     "def _private(): pass\n"
+                     "h = lambda: 0\n"
+                     "if True:\n"
+                     "    def nested(): pass\n")
+    assert _public(tree) == ["f", "g", "C"]
 
 
 def _hand_steps(tree: ast.AST) -> list:

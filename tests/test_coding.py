@@ -569,6 +569,17 @@ class TestTheta:
         t1 = cd.theta(REF_EX, cd.Word((1,) * 5, 2))
         assert math.hypot(t1.point[0] - 1, t1.point[1] - 1) <= t1.radius
 
+    def test_an_ambiguous_position_accepts_either_tangency_symbol(self):
+        # the tangency point codes "0.10" with its time-0 symbol flagged:
+        # a wanted 1 or 2 there matches, a wanted 0 does not, and the
+        # unflagged positions still have to agree
+        observed = cd.itinerary(REF_EX, (REF_EX.q, 0.0), 1)
+        assert observed.ambiguous == (1,)
+        assert cd._matches(cd.Word((0, 2, 0), 1), observed)
+        assert cd._matches(cd.Word((0, 1, 0), 1), observed)
+        assert not cd._matches(cd.Word((0, 0, 0), 1), observed)
+        assert not cd._matches(cd.Word((2, 2, 0), 1), observed)
+
     def test_empty_word_raises(self):
         with pytest.raises(cd.EmptyAtom):
             cd.theta(REF_EX, cd.Word.from_string("11.012"))

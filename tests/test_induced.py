@@ -82,8 +82,6 @@ def test_approach_time_cap_raises_typed_error():
     m = (0.765625, 5.0 / 4096)
     assert mc.in_A(REF_EX, m) and mc.parabola_offset(REF_EX, m) == 0.0
     assert ind.approach_time(REF_EX, m) == math.inf
-    rep = ind.time_bounds_report(REF_EX, m)
-    assert rep["n2"] == math.inf and "approach_bound" not in rep
     # the backward walk itself still stops at its cap, with a typed error
     with pytest.raises(mc.IterationCap) as err:
         mc.leave_r1(REF_EX, m, False, "approach_time")
@@ -95,16 +93,6 @@ def test_approach_time_positive():
     rng = np.random.default_rng(2)
     rp = sp.sample_returning_point(REF_EX, rng)
     assert ind.approach_time(REF_EX, rp.M) >= 1
-
-
-def test_time_bounds_report_fields():
-    rep = ind.time_bounds_report(REF_EX, (0.79, 0.0036))
-    assert rep["n1"] == 3 and rep["n2"] >= 1
-    assert rep["l"] == pytest.approx(0.04)
-    assert rep["escape_bound"] == pytest.approx(
-        REF_EX.sigma ** 2 * REF_EX.c * 0.04 ** 2)
-    assert isinstance(rep["escape_ok"], bool)
-    assert isinstance(rep["approach_ok"], bool)
 
 
 # --- induced map cases ----------------------------------------------------
@@ -274,7 +262,8 @@ def test_distortion_probe_ref_ex():
     cert = default_certificate(REF_EX)
     rng = np.random.default_rng(0)
     rp = sp.sample_returning_point(REF_EX, rng)
-    rep = ind.distortion_probe(REF_EX, rp.M, cert, np.random.default_rng(1))
+    rep = ind.distortion_probe(REF_EX, rp.M, cert, np.random.default_rng(1),
+                               ind.chart(REF_EX, rp.M))
     assert rep.n_pairs > 0
     assert rep.worst_ratio < 1.0
     assert math.isfinite(rep.C5_est) and rep.C5_est > 0.0
@@ -287,7 +276,8 @@ def test_distortion_probe_ref_strict_finite():
     rng = np.random.default_rng(0)
     rp = sp.sample_returning_point(REF_STRICT, rng)
     rep = ind.distortion_probe(REF_STRICT, rp.M, cert,
-                               np.random.default_rng(1))
+                               np.random.default_rng(1),
+                               ind.chart(REF_STRICT, rp.M))
     assert rep.worst_ratio <= 1.0 + 1e-9
     assert math.isfinite(rep.C5_est)
 
@@ -296,7 +286,8 @@ def test_distortion_probe_needs_return_step():
     cert = default_certificate(REF_EX)
     with pytest.raises(OutOfDomain):
         ind.distortion_probe(REF_EX, (0.79, 0.0036), cert,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0),
+                             ind.chart(REF_EX, (0.79, 0.0036)))
 
 
 def _adapted_op_norm(a, chart_src, chart_dst):
@@ -400,7 +391,8 @@ def _probes_agree(params, points, cert, seed):
     outcomes, escaped = [], []
     for m in points:
         want = _outcome(_scalar_probe, params, m, cert, rng_ref, escaped)
-        assert _outcome(ind.distortion_probe, params, m, cert, rng) == want
+        assert _outcome(ind.distortion_probe, params, m, cert, rng,
+                        ind.chart(params, m)) == want
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         outcomes.append(want)
     return outcomes, escaped
@@ -452,7 +444,7 @@ def test_distortion_probe_without_usable_pairs():
     want = _outcome(_scalar_probe, REF_EX, rp.M, cert, SameCell(), [])
     assert want == "OutOfDomain: no usable pairs in distortion probe"
     assert _outcome(ind.distortion_probe, REF_EX, rp.M, cert,
-                    SameCell()) == want
+                    SameCell(), ind.chart(REF_EX, rp.M)) == want
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
@@ -473,7 +465,7 @@ def test_distortion_probe_with_the_known_frame(params, monkeypatch):
                                rng_given, frame)
         assert rp.M not in fields and len(fields) == 1
         assert given_frame == _outcome(ind.distortion_probe, params, rp.M,
-                                       cert, rng_own)
+                                       cert, rng_own, ind.chart(params, rp.M))
         assert rng_given.bit_generator.state == rng_own.bit_generator.state
 
 
@@ -494,16 +486,6 @@ def test_calibration_pairs_without_an_image_gap(monkeypatch):
 
 
 # --- crossing certificates ------------------------------------------------
-
-def test_crossing_probe_angles():
-    rng = np.random.default_rng(6)
-    rp = sp.sample_returning_point(REF_EX, rng)
-    cp = ind.crossing_probe(REF_EX, rp.M)
-    l = length_scale(REF_EX, rp.M)
-    assert cp.alpha == pytest.approx(math.atan(2.0 * REF_EX.c * l))
-    assert cp.delta == pytest.approx(math.atan(math.tan(cp.alpha) / 4.0))
-    assert cp.gamma_angle <= cp.alpha
-
 
 def test_parabola_crosses_segment():
     p = REF_EX

@@ -9,7 +9,7 @@ from horseshoe import map_core as mc
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, leaf_tangent, OutOfDomain
 from horseshoe import splitting as spl
 from horseshoe.splitting import (Cone, length_scale, unstable_cone,
-                                 stable_cone, cone_at, direction_field,
+                                 stable_cone, direction_field,
                                  adapted_norm, verify_cone_return,
                                  direction_gap, holder_fit)
 from horseshoe import sampling as sp
@@ -49,29 +49,6 @@ def test_stable_cone_quarter_of_leaf_slope():
         2.0 * 5.0 * 0.04 / 4.0)
 
 
-def test_cone_chain_nesting():
-    rng = np.random.default_rng(5)
-    rp = sp.sample_returning_point(REF_EX, rng)
-    pts = [rp.M]
-    cur = rp.M
-    for _ in range(rp.n_return):
-        cur = apply(REF_EX, cur)
-        pts.append(cur)
-    cones = cone_at(REF_EX, pts)
-    assert len(cones) == len(pts)
-    for i in range(len(pts) - 1):
-        jac = mc.jacobian(REF_EX, pts[i])
-        for ray in cones[i].boundary_rays():
-            img = jac @ ray
-            assert cones[i + 1].contains(img)
-
-
-def test_cone_chain_no_A_visits_uses_default():
-    pts = [(0.45, 0.5)]  # single R3 point, never in A
-    cones = cone_at(REF_EX, pts)
-    assert cones[0].slope_bound == pytest.approx(1.0 / math.sqrt(3.0))
-
-
 def test_direction_field_fixed_points():
     for m in ((0.0, 0.0), (1.0, 1.0)):
         fr = direction_field(REF_EX, m)
@@ -87,6 +64,13 @@ def test_direction_field_matches_leaf_tangent_on_A():
         lt = leaf_tangent(REF_STRICT, rp.M)
         assert direction_gap(fr.e_u, lt) <= fr.residual_u + 1e-8
         assert unstable_cone(REF_STRICT, rp.M).contains(fr.e_u)
+    # on REF_EX the angle gamma between e_u and the leaf tangent stays
+    # within the leaf's own angle alpha to the horizontal, tan = 2*c*l
+    for rp in sp.sample_A_points(REF_EX, np.random.default_rng(2), 5):
+        fr = direction_field(REF_EX, rp.M)
+        gamma = spl._angle_between(fr.e_u, leaf_tangent(REF_EX, rp.M))
+        assert gamma <= math.atan(2.0 * REF_EX.c * fr.l)
+        assert unstable_cone(REF_EX, rp.M).contains(fr.e_u)
 
 
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
@@ -136,12 +120,15 @@ def test_norm_equivalence_bounds():
 
 
 def test_verify_cone_return_strict_sample():
-    rng = np.random.default_rng(6)
-    for rp in sp.sample_A_points(REF_STRICT, rng, 25):
-        rep = verify_cone_return(REF_STRICT, rp.M)
-        assert rep.inclusion
-        assert rep.min_expansion_u >= rep.bound_u
-        assert rep.min_contraction_s >= rep.bound_s
+    # the cone lemma on both reference sets: REF_STRICT passes
+    # full_crossing, REF_EX does not
+    for params in (REF_STRICT, REF_EX):
+        rng = np.random.default_rng(6)
+        for rp in sp.sample_A_points(params, rng, 40):
+            rep = verify_cone_return(params, rp.M)
+            assert rep.inclusion
+            assert rep.min_expansion_u >= rep.bound_u
+            assert rep.min_contraction_s >= rep.bound_s
 
 
 def test_holder_fit_rejects_identical_points(monkeypatch):
@@ -173,12 +160,6 @@ def test_cone_validation():
         Cone("vertical", -0.5)
 
 
-def test_pushed_slope_of_a_horizontal_image_is_infinite():
-    # the boundary ray (1, 1)/sqrt(2) maps onto the x-axis
-    jac = np.array([[1.0, 0.0], [1.0, -1.0]])
-    assert spl._pushed_slope(jac, Cone("vertical", 1.0)) == math.inf
-
-
 def test_frames_do_not_alias_the_shared_default_stacks(monkeypatch):
     # off A, both sides start from the default cone; with no orbit to
     # walk, the frame is that cone's axis, and must be a copy of it
@@ -188,6 +169,10 @@ def test_frames_do_not_alias_the_shared_default_stacks(monkeypatch):
     assert all(not V.flags.writeable for V in stacks)
     assert spl._start_stack(REF_EX, m, True) is stacks[0]
     assert spl._start_stack(REF_EX, (0.2, 0.5), False) is stacks[1]
+    # the default cone's aperture is 1/sqrt(3) on both axes
+    for V, vertical in zip(stacks, (True, False)):
+        np.testing.assert_array_equal(
+            V, spl._cone_stack(1.0 / math.sqrt(3.0), vertical))
     monkeypatch.setattr(mc, "iterates", lambda *args, **kwargs: iter(()))
     frame = direction_field(REF_EX, m)
     assert (frame.depth_u, frame.depth_b) == (0, 0)

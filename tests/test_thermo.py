@@ -137,6 +137,25 @@ def test_lyapunov_refuses_an_empty_horizon():
         thermo.lyapunov(REF_EX, (0.5, 0.5), 0, symbols=(2, 2))
 
 
+@pytest.mark.parametrize("n_back", [0, -2])
+def test_lyapunov_refuses_an_empty_stable_horizon_on_the_orbit(n_back):
+    # N_back < 1 used to give chi_s = -0.0, as if it had been measured
+    with pytest.raises(ValueError, match=f"N_back={n_back}"):
+        thermo.lyapunov(REF_EX, (0.0, 0.0), 3, N_back=n_back)
+    assert thermo.lyapunov(REF_EX, (0.0, 0.0), 3) \
+        == thermo.lyapunov(REF_EX, (0.0, 0.0), 3, N_back=3)
+
+
+@pytest.mark.parametrize("n_back", [0, -2])
+def test_lyapunov_refuses_an_empty_stable_horizon_on_the_symbols(n_back):
+    symbols = (2, 0, 2, 2)
+    with pytest.raises(ValueError, match=f"N_back={n_back}"):
+        thermo.lyapunov(REF_EX, (0.5, 0.5), 3, symbols=symbols,
+                        N_back=n_back)
+    assert thermo.lyapunov(REF_EX, (0.5, 0.5), 3, symbols=symbols) \
+        == thermo.lyapunov(REF_EX, (0.5, 0.5), 3, symbols=symbols, N_back=3)
+
+
 def test_pull_back_refuses_an_empty_memory():
     # m = 0 used to give pressure 0.0 and a Gibbs measure numpy cannot
     # reshape
