@@ -12,15 +12,22 @@ pushed cone.
 
 A cone is carried as one (3, 2, 1) stack of its axis vector and its two
 unit boundary rays, and each orbit point's derivative is built once per
-walk, however many depths are tried.  Most walk points lie off A, where
-the cone is the default one: its stack for each axis is built once, at
-import, and is read-only; carrying makes new arrays, and a frame copies
-what it keeps of it.  The stacked ``J @ V`` and
-``sqrt(v^T v)`` give the floats of the per-vector ``J @ v`` and
-``np.linalg.norm(v)`` (``np.linalg.norm(..., axis=1)`` and ``einsum`` do
-not), so the stacked carriers reproduce the per-vector loops bit for
-bit; ``tests/test_splitting.py`` keeps those loops as the reference and
-guards the stacked forms.
+walk, however many depths are tried.  The depths are tried in blocks:
+the cones of a block's depths go together as one (3·B, 2, 1) stack, each
+joining it at its own first derivative on the way back to M, so the
+carry pushes one stack per derivative and block rather than one per
+derivative and depth.  B is the depth at which the rate lam/sigma alone
+takes an O(1) aperture below ``_TOL`` (6 on ``REF_EX``, 1 on
+``REF_STRICT``).  Most walk points lie off A, where the cone is the
+default one: its stack for each axis is built once, at import, and is
+read-only; carrying makes new arrays, and a frame copies what it keeps
+of it.  The stacked ``J @ V``, ``sqrt(v^T v)`` and ``a^T b`` give the
+floats of the per-vector ``J @ v``, ``np.linalg.norm(v)`` and
+``np.dot(a, b)`` (``np.linalg.norm(..., axis=1)``, ``einsum`` and
+``np.arctan2`` do not), and no vector's floats depend on the others in
+its stack, so the blocked carry reproduces the per-depth, per-vector
+loops bit for bit whatever B is; ``tests/test_splitting.py`` keeps
+those loops as the reference and guards the stacked forms.
 
 A :class:`SplitFrame` is also the chart at its point M: the affine
 coordinates centered at M in the basis (e_u, e_s), both axes scaled by
@@ -166,17 +173,18 @@ class SplitFrame:
         return self.inv_basis @ (np.asarray(p, dtype=float) - np.asarray(self.M))
 
 
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    cross = abs(a[0] * b[1] - a[1] * b[0])
-    dot = abs(float(np.dot(a, b)))
-    return math.atan2(cross, dot)
-
-
-def _cone_residual(V: np.ndarray) -> float:
-    """Larger angle between the axis vector of a (3, 2, 1) cone stack and
-    its two boundary rays."""
-    a = V[0, :, 0]
-    return max(_angle_between(a, V[1, :, 0]), _angle_between(a, V[2, :, 0]))
+def _cone_residuals(V: np.ndarray) -> list:
+    """For each (3, 2, 1) cone stack in a (3·K, 2, 1) stack, the larger
+    angle between the lines of its axis vector a and of its two boundary
+    rays b, ``atan2(|a x b|, |a . b|)``.  The 2·K dot products are one
+    stack of row-times-column ``a^T @ b``, which gives the floats of
+    ``np.dot(a, b)``."""
+    W = V.reshape(-1, 3, 2)
+    dots = (W[:, None, :1] @ W[:, 1:, :, None]).reshape(-1, 2).tolist()
+    return [max(math.atan2(abs(a0 * b1 - a1 * b0), abs(d1)),
+                math.atan2(abs(a0 * c1 - a1 * c0), abs(d2)))
+            for ((a0, a1), (b0, b1), (c0, c1)), (d1, d2)
+            in zip(W.tolist(), dots)]
 
 
 def _unit(V: np.ndarray) -> np.ndarray:
@@ -212,11 +220,21 @@ def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
     return _DEFAULT_STACKS[unstable]
 
 
+def _carry_block(params: MapParams) -> int:
+    """Depths carried as one stack: the depth at which the rate
+    lam/sigma alone takes an O(1) aperture below ``_TOL``, within
+    [1, ``MAX_DEPTH``] (``MAX_DEPTH`` when the rate does not contract)."""
+    rate = params.lam / params.sigma
+    if not 0 < rate < 1:
+        return MAX_DEPTH
+    return min(max(math.ceil(math.log(_TOL) / math.log(rate)), 1), MAX_DEPTH)
+
+
 def _deepest_carry(params: MapParams, m, walk, unstable: bool):
     """(unit vector, residual, depth) of the smallest residual among the
-    cones carried to ``m`` from ever deeper points of ``walk``, each drawn
-    when its depth is tried, until one is below ``_TOL``; the cone at
-    ``m`` itself (depth 0) when the walk is empty.
+    cones carried to ``m`` from ever deeper points of ``walk``, until one
+    is below ``_TOL``; the cone at ``m`` itself (depth 0) when the walk
+    is empty.
 
     The vertical cone goes forward from a preimage, the horizontal one
     backward from an image.  The axis vector and the boundary rays go
@@ -224,25 +242,53 @@ def _deepest_carry(params: MapParams, m, walk, unstable: bool):
     side of the axis after every step; the residual is the larger angle
     between the carried axis and a carried ray.  ``jacs[i]`` is the
     derivative of the step between walk depths i + 1 and i, built once
-    when the walk reaches depth i + 1."""
+    when the walk reaches depth i + 1.
+
+    The walk is drawn ``_carry_block`` depths at a time.  The block's
+    cones go back to ``m`` as one stack: from the block's deepest
+    derivative down to ``jacs[0]``, each depth's start stack is put in
+    front of the stack at its own first derivative.  The depths are then
+    scanned in order, as if tried one by one: the first residual below
+    ``_TOL`` returns, and the depths drawn after it are dropped.  A draw
+    that raises (the walk, a start stack or a derivative) ends the block
+    there, and its error is raised only when the scan reaches its depth,
+    so an earlier depth of the block that resolves still returns."""
     derivative, axis = (jacobian, 1) if unstable else (jacobian_inverse, 0)
+    walk, block = iter(walk), _carry_block(params)
     prev, jacs, best = m, [], (None, math.inf, 0)
-    for p in walk:
-        V = _start_stack(params, p, unstable)
-        jacs.append(derivative(params, p if unstable else prev))
-        prev = p
-        for jac in reversed(jacs):
-            V = _unit(jac @ V)
-            V = np.where(V[:, axis:axis + 1] > 0, V, -V)
-        res = _cone_residual(V)
-        if res < best[1]:
-            best = (V[0, :, 0], res, len(jacs))
-        if res < _TOL:
+    while True:
+        starts, error = [], None
+        try:
+            for p in walk:
+                V = _start_stack(params, p, unstable)
+                jacs.append(derivative(params, p if unstable else prev))
+                starts.append(V)
+                prev = p
+                if len(starts) == block:
+                    break
+        except Exception as exc:    # deferred to its depth, see above
+            error = exc
+        if starts:
+            first = len(jacs) - len(starts)     # depths before the block
+            V = starts[-1]
+            for j in range(len(jacs) - 1, -1, -1):
+                if first <= j < len(jacs) - 1:
+                    V = np.concatenate((starts[j - first], V))
+                V = _unit(jacs[j] @ V)
+                V = np.where(V[:, axis:axis + 1] > 0, V, -V)
+            for k, res in enumerate(_cone_residuals(V)):
+                if res < best[1]:
+                    best = (V[3 * k, :, 0], res, first + k + 1)
+                if res < _TOL:
+                    return best
+        if error is not None:
+            raise error
+        if len(starts) < block:
             break
     if not jacs:
         V = _start_stack(params, m, unstable)
         # a copy: the stack may be the shared default one
-        best = (V[0, :, 0].copy(), _cone_residual(V), 0)
+        best = (V[0, :, 0].copy(), _cone_residuals(V)[0], 0)
     return best
 
 

@@ -252,6 +252,20 @@ def _canon(v):
     return v
 
 
+def _row_digests(rows) -> tuple:
+    """(SHA-256 over all rows, {function name: SHA-256 over its rows}).
+    A row that does not start with a function name, such as the radii
+    of a us-ball, counts with the record before it."""
+    groups, name = {}, None
+    for row in rows:
+        if isinstance(row[0], str):
+            name = row[0]
+        groups.setdefault(name, []).append(row)
+    return (hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+            {name: hashlib.sha256(repr(group).encode()).hexdigest()[:16]
+             for name, group in groups.items()})
+
+
 def _record(rows, fn, *args, **kw):
     """Call ``fn`` and append its name and canonical result to ``rows``.
     A typed error counts as its class name (with its step and direction,
@@ -266,14 +280,15 @@ def _record(rows, fn, *args, **kw):
     return out
 
 
-def orbit_walk_digest(params, seed=20261019) -> str:
+def orbit_walk_digest(params, seed=20261019) -> tuple:
     """SHA-256 over the outputs of every function that walks an orbit
     segment, at seeded points: itineraries, first returns, induced steps
     (every case), chart maps and derivatives, us-ball radii just off A,
     local and global leaves with their meta, invariance defects,
     brackets, mixing times, tangency pairs, Lyapunov exponents on the
     orbit path, and the two samplers.  A typed error counts as its class
-    name (with its step and direction, and a sampler's message)."""
+    name (with its step and direction, and a sampler's message).  Also
+    returns the digest of each function's outputs (``_row_digests``)."""
     from horseshoe import thermo
     p = params
     rng = np.random.default_rng(seed)
@@ -339,22 +354,69 @@ def orbit_walk_digest(params, seed=20261019) -> str:
         record(sp.multi_return_point, p, rng, [1] * 6)
     for count, horizon in ((10, 1), (10, 3), (3, 40)):
         record(sp.sample_nonescaping_points, p, rng, count, horizon)
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    return _row_digests(rows)
 
 
 ORBIT_WALK_PINS = {"ex": "1ef0aa625b4ac6bf", "strict": "676c04bf4b68728d"}
+#: The same outputs, one digest per function: a failing pin names the
+#: functions whose outputs moved.
+ORBIT_WALK_FUNCTION_PINS = {
+    "ex": {
+        "itinerary": "e27f2925836aca3d",
+        "first_return": "4eb0c79c0ca1ea27",
+        "induced_map": "992740989c462192",
+        "kergodic_apply": "fcf9300e722f091c",
+        "kergodic_derivative": "4d8afdd48763906c",
+        "us_ball": "f6727ef106824cdc",
+        "multi_return_point": "929b533371f959c5",
+        "local_unstable": "cb739a648f81d953",
+        "local_stable": "084307056b67b774",
+        "global_unstable": "df00884cb63fa76f",
+        "global_stable": "abef53e539984e7d",
+        "unstable_invariance_defect": "bfd3597c07c15f49",
+        "stable_invariance_defect": "1e150e836a572a7c",
+        "bracket": "9afa2a759462b460",
+        "mixing_times": "68c979d98391a57b",
+        "_tangency_pairs": "094308dddf8f3843",
+        "lyapunov": "b0a1e772069de66d",
+        "sample_nonescaping_points": "504fd1c39980ad7c",
+    },
+    "strict": {
+        "itinerary": "6ff907b4e459cea9",
+        "first_return": "aee0f7219da2696b",
+        "induced_map": "6644312b6e8bb87a",
+        "kergodic_apply": "6d4bfa938a754657",
+        "kergodic_derivative": "4591f61909484b3c",
+        "us_ball": "7531b7417b7590ed",
+        "multi_return_point": "aabeeb5db17470f6",
+        "local_unstable": "eb8351b1c7cc23c7",
+        "local_stable": "f37080f3454d4ffb",
+        "global_unstable": "cf663d13a3bf3271",
+        "global_stable": "eefcf7442b4d4393",
+        "unstable_invariance_defect": "850dae4f44978cbb",
+        "stable_invariance_defect": "2f1c66eedc32f60e",
+        "bracket": "0a1045df29b1c66e",
+        "mixing_times": "63e0e7e81ecdd3a2",
+        "_tangency_pairs": "485dafb9b385049b",
+        "lyapunov": "e674b994a8b6ec40",
+        "sample_nonescaping_points": "2bc7a04e3bb344fe",
+    },
+}
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_orbit_walks_pinned(family):
-    assert orbit_walk_digest(FAMILIES[family]) == ORBIT_WALK_PINS[family]
+    digest, by_function = orbit_walk_digest(FAMILIES[family])
+    assert by_function == ORBIT_WALK_FUNCTION_PINS[family]
+    assert digest == ORBIT_WALK_PINS[family]
 
 
 def leaf_digest(params, seed=20261020, count=6):
     """SHA-256 over the leaf queries at seeded returning points (escape
     times 1..5): local leaves, global leaves at n = 1..3 and both
     invariance defects at each point, and brackets between nearest
-    neighbours, both ways round.  Also returns how many of those
+    neighbours, both ways round.  Also returns the digest of each
+    function's outputs (``_row_digests``), and how many of those
     brackets start from local leaves that miss each other, so that the
     bracket has to extend them to global leaves."""
     p = params
@@ -385,15 +447,36 @@ def leaf_digest(params, seed=20261020, count=6):
                     isinstance(wu, mf.ManifoldCurve) and \
                     not mf._polyline_intersections(ws.points, wu.points):
                 extended += 1
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16], extended
+    return (*_row_digests(rows), extended)
 
 
 LEAF_PINS = {"ex": "1a97491ed2f92230", "strict": "911ee89e9444b4e4"}
+LEAF_FUNCTION_PINS = {
+    "ex": {
+        "local_unstable": "28781d1cb3df9830",
+        "local_stable": "7ea3493e1774e431",
+        "global_unstable": "85a661ee34c4ef59",
+        "global_stable": "cc6d5c42ea6e7ff4",
+        "unstable_invariance_defect": "b767219a06c7ac56",
+        "stable_invariance_defect": "da8b76f62c911bed",
+        "bracket": "019cd77f58e9ca3e",
+    },
+    "strict": {
+        "local_unstable": "480ef48b0604d070",
+        "local_stable": "38ece23733d6644f",
+        "global_unstable": "1b2d13fc1cdb24b3",
+        "global_stable": "9249b5f182316303",
+        "unstable_invariance_defect": "2f95420a6eb62124",
+        "stable_invariance_defect": "9a35aa7903798842",
+        "bracket": "391a7acf2e1c1811",
+    },
+}
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_leaf_queries_pinned(family):
-    digest, extended = leaf_digest(FAMILIES[family])
+    digest, by_function, extended = leaf_digest(FAMILIES[family])
+    assert by_function == LEAF_FUNCTION_PINS[family]
     assert digest == LEAF_PINS[family]
     assert extended >= 1
 

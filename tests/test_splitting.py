@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,7 +70,7 @@ def test_direction_field_matches_leaf_tangent_on_A():
     # within the leaf's own angle alpha to the horizontal, tan = 2*c*l
     for rp in sp.sample_A_points(REF_EX, np.random.default_rng(2), 5):
         fr = direction_field(REF_EX, rp.M)
-        gamma = spl._angle_between(fr.e_u, leaf_tangent(REF_EX, rp.M))
+        gamma = _angle_between(fr.e_u, leaf_tangent(REF_EX, rp.M))
         assert gamma <= math.atan(2.0 * REF_EX.c * fr.l)
         assert unstable_cone(REF_EX, rp.M).contains(fr.e_u)
 
@@ -185,6 +187,14 @@ def test_frames_do_not_alias_the_shared_default_stacks(monkeypatch):
 
 # --- the stacked cone carrying against the per-vector loops ---------------
 
+def _angle_between(a, b):
+    """Angle between the lines of two vectors, with one BLAS dot product:
+    the per-vector reference of ``splitting._cone_residuals``."""
+    cross = abs(a[0] * b[1] - a[1] * b[0])
+    dot = abs(float(np.dot(a, b)))
+    return math.atan2(cross, dot)
+
+
 def _scalar_carry_cone(params, chain, unstable):
     """The cone carrier as a loop over the axis vector and the two
     boundary rays, one BLAS call per vector: the reference of the
@@ -207,8 +217,8 @@ def _scalar_carry_cone(params, chain, unstable):
         vecs = [jac @ v for v in vecs]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         vecs = [v if v[axis] > 0 else -v for v in vecs]
-    residual = max(spl._angle_between(vecs[0], vecs[1]),
-                   spl._angle_between(vecs[0], vecs[2]))
+    residual = max(_angle_between(vecs[0], vecs[1]),
+                   _angle_between(vecs[0], vecs[2]))
     return vecs[0], residual
 
 
@@ -279,6 +289,106 @@ def test_direction_field_equals_the_scalar_carry_on_valid_params(params,
         reject()
     points += [tuple(p) for p in rng.uniform(size=(200, 2)).tolist()]
     _fields_agree(params, points)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7, spl.MAX_DEPTH])
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_carry_block_changes_only_the_work(monkeypatch, params, block):
+    monkeypatch.setattr(spl, "_carry_block", lambda params: block)
+    rng = np.random.default_rng(19)
+    points = [rp.M for rp in sp.sample_A_points(params, rng, 30)]
+    points += [tuple(p) for p in rng.uniform(size=(150, 2)).tolist()]
+    _fields_agree(params, points)
+
+
+def test_the_carry_block_of_the_reference_sets():
+    assert (spl._carry_block(REF_EX), spl._carry_block(REF_STRICT)) == (6, 1)
+    # a map that does not contract carries the whole walk as one block
+    flat = dataclasses.replace(REF_EX, lam=REF_EX.sigma)
+    assert spl._carry_block(flat) == spl.MAX_DEPTH
+
+
+@given(params=valid_params())
+@settings(max_examples=20, deadline=None)
+def test_the_carry_block_is_a_depth(params):
+    assert 1 <= spl._carry_block(params) <= spl.MAX_DEPTH
+
+
+@pytest.mark.parametrize("block", ["rule", 2])
+def test_a_carry_pushes_each_derivative_once_per_block(monkeypatch, block):
+    if block == "rule":
+        block = spl._carry_block(REF_EX)
+    else:
+        monkeypatch.setattr(spl, "_carry_block", lambda params: block)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(spl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # every start stack built on A is one more _unit call
+    for name in ("_unit", "_cone_stack", "jacobian", "jacobian_inverse"):
+        monkeypatch.setattr(spl, name, counted(name))
+    rng = np.random.default_rng(11)
+    for rp in sp.sample_A_points(REF_EX, rng, 20):
+        for forward in (False, True):
+            calls.clear()
+            spl._deepest_carry(REF_EX, rp.M, mc.iterates(
+                REF_EX, rp.M, spl.MAX_DEPTH, forward), not forward)
+            drawn = calls["jacobian"] + calls["jacobian_inverse"]
+            pushes = calls["_unit"] - calls["_cone_stack"]
+            assert pushes == sum(min(end, drawn)
+                                 for end in range(block, drawn + block, block))
+
+
+def _carry_outcome(carry, params, m, walk, unstable):
+    try:
+        vec, res, depth = carry(params, m, walk, unstable)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return vec.tobytes(), repr(res), depth
+
+
+@pytest.mark.parametrize("depth", [3, 6, 7])
+@pytest.mark.parametrize("block", ["rule", spl.MAX_DEPTH])
+def test_a_failing_draw_raises_only_when_the_scan_reaches_it(monkeypatch,
+                                                              block, depth):
+    # the stable side of this point resolves at depth 6, the block size on
+    # REF_EX: a draw failing at depth 7 of a longer block is dropped
+    m = sp.sample_A_points(REF_EX, np.random.default_rng(11), 1)[0].M
+    frame = direction_field(REF_EX, m)
+    assert frame.depth_b == 6 and frame.residual_s < spl._TOL
+    if block != "rule":
+        monkeypatch.setattr(spl, "_carry_block", lambda params: block)
+    walk = [m, *mc.iterates(REF_EX, m, depth, True)]
+
+    def broken_walk():
+        yield from walk[1:depth]
+        raise OutOfDomain(f"the walk breaks at depth {depth}")
+
+    outcome = _carry_outcome(spl._deepest_carry, REF_EX, m, broken_walk(),
+                             False)
+    assert outcome == _carry_outcome(_scalar_deepest_carry, REF_EX, m,
+                                     broken_walk(), False)
+    assert isinstance(outcome, str) == (depth <= 6)
+
+    # the derivative drawn first at ``depth`` is the one at walk[depth - 1]
+    inverse = mc.jacobian_inverse
+
+    def failing(params, p):
+        if p == walk[depth - 1]:
+            raise OutOfDomain(f"no inverse derivative at {p}")
+        return inverse(params, p)
+
+    monkeypatch.setattr(mc, "jacobian_inverse", failing)
+    monkeypatch.setattr(spl, "jacobian_inverse", failing)
+    outcome = _field_outcome(direction_field, REF_EX, m)
+    assert outcome == _field_outcome(_scalar_direction_field, REF_EX, m)
+    assert isinstance(outcome, str) == (depth <= 6)
 
 
 def _scalar_cone_return(params, m):
@@ -364,17 +474,23 @@ def test_stacked_blas_forms_equal_the_per_vector_calls():
         return out
 
     jacs, vecs, other = draw(k, 2, 2), draw(k, 2), draw(k, 2)
+    cones = draw(k, 3, 2)
     V, W = vecs[:, :, None], other[:, :, None]
     with np.errstate(all="ignore"):
         stacked = (jacs @ V)[:, :, 0]
         broadcast = (jacs[0] @ V)[:, :, 0]
         norms = np.sqrt(V.swapaxes(1, 2) @ V)[:, 0, 0]
         dots = (V.swapaxes(1, 2) @ W)[:, 0, 0]
+        # each cone's axis against its two rays, as _cone_residuals takes it
+        ray_dots = (cones[:, None, :1] @ cones[:, 1:, :, None])[:, :, 0, 0]
         for i in range(k):
             assert _same_floats(stacked[i], jacs[i] @ vecs[i])
             assert _same_floats(broadcast[i], jacs[0] @ vecs[i])
             assert _same_floats(norms[i], np.linalg.norm(vecs[i]))
             assert _same_floats(dots[i], np.dot(vecs[i], other[i]))
+            for r in (1, 2):
+                assert _same_floats(ray_dots[i, r - 1],
+                                    np.dot(cones[i, 0], cones[i, r]))
 
 
 # --- samplers -------------------------------------------------------------
