@@ -22,7 +22,8 @@ segment cross the top and bottom sides of the polygonal ball (constant
 C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 (constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
 around a returning point crosses the target balls at its first return
-(constant eta, :func:`_eta_holds`).  The eta check samples each traced
+(constant eta, :func:`_eta_holds`).  The eta check traces both sides
+along the itinerary that the first-return walk recorded, samples each
 arc piece from its middle outward and stops on a segment once a chord
 crosses it; the verdict, an OR over the chords, is the same in any order
 (:func:`_arc_crossings`).
@@ -438,18 +439,16 @@ def _linspaces(start: np.ndarray, stop: np.ndarray, num: int, r0: int,
     return y
 
 
-def _arc_crossings(params: MapParams, arcs, n: int, segs) -> np.ndarray:
+def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
     """Which of the segments ``segs`` ((S, 2, 2): the endpoints of each)
-    the n-step image of each vertical arc (x_side, y_lo, y_hi) in
-    ``arcs`` meets, as a (len(arcs), S) boolean array.
+    the image along ``itinerary`` of each vertical arc (x_side, y_lo,
+    y_hi) in ``arcs`` meets, as a (len(arcs), S) boolean array.
 
-    The arcs are grouped by their branch sequence, taken at each arc's
-    midpoint, and each group is traced once for all its arcs and
-    segments.  The image x-coordinate is monotone in the source height
-    along that itinerary, so the piece of an arc over each segment's
-    x-span (plus a 5 % margin) is localized by bisection; the edges of
-    all (arc, segment) lanes of a group are solved in one lockstep
-    bisection (:func:`_bisect_edges`).  Only those pieces are sampled,
+    Every arc follows the itinerary (the caller clips them to its
+    slice), so the image x-coordinate is monotone in the source height,
+    and the piece of an arc over each segment's x-span (plus a 5 %
+    margin) is localized by bisection; the edges of all (arc, segment)
+    lanes are solved in one lockstep bisection (:func:`_bisect_edges`).  Only those pieces are sampled,
     ``_ARC_SAMPLES`` heights each, and mapped and tested against their
     segments in blocks of rows of at most ``_ARC_BLOCK`` floats.  The
     blocks walk from the middle row of the pieces outward, one above and
@@ -473,87 +472,79 @@ def _arc_crossings(params: MapParams, arcs, n: int, segs) -> np.ndarray:
     margin = np.maximum(0.05 * length, 1e-14)
     xa = np.minimum(a[:, 0], b[:, 0]) - margin
     xb = np.maximum(a[:, 0], b[:, 0]) + margin
-    groups = {}
-    for i, (x_side, y_lo, y_hi) in enumerate(arcs):
-        seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
-        if seq is not None:
-            groups.setdefault(seq, []).append(i)
+    branches = [mc.BRANCH[reg] for reg in itinerary]
 
-    for seq, members in groups.items():
-        branches = [mc.BRANCH[reg] for reg in seq]
+    def image(x, y):
+        # branch formulas along the slice itinerary, on floats or arrays
+        for br in branches:
+            x, y = br.forward(params, x, y)
+        return x, y
 
-        def image(x, y):
-            # branch formulas along the slice itinerary, on floats or arrays
-            for br in branches:
-                x, y = br.forward(params, x, y)
-            return x, y
+    ends = []
+    for x_side, y_lo, y_hi in arcs:
+        x_img_lo = image(x_side, y_lo)[0]
+        x_img_hi = image(x_side, y_hi)[0]
+        if x_img_lo > x_img_hi:
+            y_lo, y_hi = y_hi, y_lo
+            x_img_lo, x_img_hi = x_img_hi, x_img_lo
+        ends.append((x_side, y_lo, y_hi, x_img_lo, x_img_hi))
+    ends = np.array(ends, dtype=float)
+    # one lane per (arc, segment) pair whose x-spans meet
+    arc_of, seg_of = np.nonzero((ends[:, 4:] >= xa) & (ends[:, 3:4] <= xb))
+    if len(seg_of) == 0:
+        return hit
+    x_lane, y_lo, y_hi, x_img_lo, x_img_hi = ends[arc_of].T
 
-        ends = []
-        for i in members:
-            x_side, y_lo, y_hi = arcs[i]
-            x_img_lo = image(x_side, y_lo)[0]
-            x_img_hi = image(x_side, y_hi)[0]
-            if x_img_lo > x_img_hi:
-                y_lo, y_hi = y_hi, y_lo
-                x_img_lo, x_img_hi = x_img_hi, x_img_lo
-            ends.append((x_side, y_lo, y_hi, x_img_lo, x_img_hi))
-        ends = np.array(ends, dtype=float)
-        # one lane per (arc, segment) pair whose x-spans meet
-        arc_of, seg_of = np.nonzero((ends[:, 4:] >= xa) & (ends[:, 3:4] <= xb))
-        if len(seg_of) == 0:
-            continue
-        x_lane, y_lo, y_hi, x_img_lo, x_img_hi = ends[arc_of].T
+    # source heights whose image abscissae are the span edges (rows:
+    # start, stop); an edge outside the arc's image keeps the arc's end
+    targets = np.stack([xa[seg_of], xb[seg_of]])
+    edges = np.stack([y_lo, y_hi])
+    inner = (x_img_lo < targets) & (targets < x_img_hi)
+    x_t = targets[inner]
+    x_in = np.broadcast_to(x_lane, inner.shape)[inner]
+    edges[inner] = _bisect_edges(
+        lambda y: image(x_in, y)[0] < x_t,
+        np.broadcast_to(y_lo, inner.shape)[inner],
+        np.broadcast_to(y_hi, inner.shape)[inner], 200)
 
-        # source heights whose image abscissae are the span edges (rows:
-        # start, stop); an edge outside the arc's image keeps the arc's end
-        targets = np.stack([xa[seg_of], xb[seg_of]])
-        edges = np.stack([y_lo, y_hi])
-        inner = (x_img_lo < targets) & (targets < x_img_hi)
-        x_t = targets[inner]
-        x_in = np.broadcast_to(x_lane, inner.shape)[inner]
-        edges[inner] = _bisect_edges(
-            lambda y: image(x_in, y)[0] < x_t,
-            np.broadcast_to(y_lo, inner.shape)[inner],
-            np.broadcast_to(y_hi, inner.shape)[inner], 200)
-
-        # each polyline against its segment: solve p + s*r = a + t*d per
-        # chord, from the middle row outward, on the lanes not yet crossed
-        lanes = np.stack([*edges, x_lane, *a[seg_of].T, *d[seg_of].T])
-        crossed = np.zeros(len(seg_of), dtype=bool)
-        div = _ARC_SAMPLES - 1
-        lo = hi = div // 2          # rows lo..hi are sampled
-        up = True
-        while (lo > 0 or hi < div) and not crossed.all():
-            live = np.flatnonzero(~crossed)
-            y0, y1, xl, ax, ay, dx, dy = lanes[:, live]
-            chords = max(1, _ARC_BLOCK // len(live) - 1)
-            up = hi < div and (up or lo == 0)
-            if up:
-                r0, r1 = hi, min(hi + chords, div)
-                hi = r1
-            else:
-                r0, r1 = max(lo - chords, 0), lo
-                lo = r0
-            up = not up
-            ys = _linspaces(y0, y1, _ARC_SAMPLES, r0, r1)
-            px, py = image(np.broadcast_to(xl, ys.shape), ys)
-            rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
-            den = dx * ry - dy * rx
-            ex, ey = px[:-1] - ax, py[:-1] - ay
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = (ex * ry - ey * rx) / den
-                t = (ex * dy - ey * dx) / -den
-            crossed[live] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
-                             & (s <= 1.0 + 1e-9) & (t >= -1e-9)
-                             & (t <= 1.0 + 1e-9)).any(axis=0)
-        hit[np.asarray(members)[arc_of], seg_of] = crossed
+    # each polyline against its segment: solve p + s*r = a + t*d per
+    # chord, from the middle row outward, on the lanes not yet crossed
+    lanes = np.stack([*edges, x_lane, *a[seg_of].T, *d[seg_of].T])
+    crossed = np.zeros(len(seg_of), dtype=bool)
+    div = _ARC_SAMPLES - 1
+    lo = hi = div // 2          # rows lo..hi are sampled
+    up = True
+    while (lo > 0 or hi < div) and not crossed.all():
+        live = np.flatnonzero(~crossed)
+        y0, y1, xl, ax, ay, dx, dy = lanes[:, live]
+        chords = max(1, _ARC_BLOCK // len(live) - 1)
+        up = hi < div and (up or lo == 0)
+        if up:
+            r0, r1 = hi, min(hi + chords, div)
+            hi = r1
+        else:
+            r0, r1 = max(lo - chords, 0), lo
+            lo = r0
+        up = not up
+        ys = _linspaces(y0, y1, _ARC_SAMPLES, r0, r1)
+        px, py = image(np.broadcast_to(xl, ys.shape), ys)
+        rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
+        den = dx * ry - dy * rx
+        ex, ey = px[:-1] - ax, py[:-1] - ay
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (ex * ry - ey * rx) / den
+            t = (ex * dy - ey * dx) / -den
+        crossed[live] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
+                         & (s <= 1.0 + 1e-9) & (t >= -1e-9)
+                         & (t <= 1.0 + 1e-9)).any(axis=0)
+    hit[arc_of, seg_of] = crossed
     return hit
 
 
 def _follows(params: MapParams, x: float, y: float, ref) -> bool:
-    """Whether (x, y) follows the branch itinerary ``ref`` (regions, as
-    :func:`map_core.branch_sequence` gives them), stopping at the first
-    step whose strip differs."""
+    """Whether (x, y) follows the branch itinerary ``ref`` (the regions
+    of a point and its next images), stopping at the first step whose
+    strip differs."""
     for region in ref:
         br = mc._branch_at(params, x, y)
         if br is None or br.region is not region:
@@ -618,10 +609,12 @@ def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
 
 
 def _return_frame(params: MapParams, m) -> tuple:
-    """The first return (n, splitting at M_n = f^n(m)) of a window point;
-    raises :class:`NoReturn` when there is none."""
-    n, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
-    return n, direction_field(params, orbit_pts[-1])
+    """The first return of a window point: (the regions of m..f^(n-1)(m),
+    read from the walk that found it, and the splitting at M_n = f^n(m)).
+    Raises :class:`NoReturn` when there is none."""
+    _, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
+    return (tuple(classify(params, q) for q in orbit_pts[:-1]),
+            direction_field(params, orbit_pts[-1]))
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
@@ -646,7 +639,7 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     return CrossReport(M=m, rho=rho,
                        c0_ok=_c0_holds(params, frame, rho, cert),
                        eps0_ok=_eps0_holds(params, frame, rho, cert),
-                       eta_ok=eta_ok, n_return=ret[0], details=details)
+                       eta_ok=eta_ok, n_return=len(ret[0]), details=details)
 
 
 def _balls(frame: SplitFrame, rho: float, cert: Certificate) -> tuple:
@@ -680,12 +673,13 @@ def _eps0_holds(params: MapParams, frame: SplitFrame, rho: float,
 def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
                cert: Certificate, ret: tuple) -> tuple[bool, dict]:
     """eta: the image of the rectangle around M crosses the target balls
-    at the first return ``ret`` = (n, splitting at M_n): both sides'
-    images, traced in one :func:`_arc_crossings` call, must cross every
-    target segment.  Returns the verdict and the rectangle's sides
-    ``d_h`` and ``d_v``."""
+    at the first return ``ret`` = (itinerary, splitting at M_n) of
+    :func:`_return_frame`: both sides, clipped to the slice that follows
+    the itinerary and traced along it in one :func:`_arc_crossings`
+    call, must cross every target segment.  Returns the verdict and the
+    rectangle's sides ``d_h`` and ``d_v``."""
     m = frame.M
-    n_return, frame_ret = ret
+    ref, frame_ret = ret
     ball, sub = _balls(frame, rho, cert)
     verts = np.array(ball.vertices())
     x_lo, x_hi = float(verts[:, 0].min()), float(verts[:, 0].max())
@@ -697,7 +691,6 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     # component through M_n, so clip the sides to that slice.
     # at shallow returns the rectangle can be wider than the surviving
     # component; clip the horizontal extent at the base height first
-    ref = mc.branch_sequence(params, m, n_return)
     x_lo = _surviving(params, ref, m, 0, x_lo)
     x_hi = _surviving(params, ref, m, 0, x_hi)
     sides = []
@@ -724,7 +717,7 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
             tb = PolygonalBall(tuple(ctr), frame_ret, rad, rad)
             segs += tb.sides()
     eta_ok = segs is not None and bool(
-        _arc_crossings(params, sides, n_return, segs).all())
+        _arc_crossings(params, sides, ref, segs).all())
     return eta_ok, {"d_h": x_hi - x_lo, "d_v": dv}
 
 

@@ -12,6 +12,9 @@ rescaled charts) into full induced steps automatically.
 The blocks of a point form its anchor chain, built lazily once per
 query: every radius of a local leaf, the base leaf of a global leaf (the
 chain's tail) and a bracket with all its extensions read the same chain.
+Each block keeps the branch itinerary of the walk that found it, and the
+graph transform maps along that itinerary, so each block's orbit is
+walked once.
 The three chains of an invariance defect share one chart per point,
 however many of their walks pass it, so M and its anchor are charted
 once.
@@ -52,7 +55,6 @@ Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 from dataclasses import dataclass, field, fields, replace
@@ -229,17 +231,16 @@ class ManifoldCurve:
         return True
 
 
-def _params_hash(params: MapParams) -> str:
-    return hashlib.sha256(params.to_json().encode("utf-8")).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # Graph transform
 # ---------------------------------------------------------------------------
 
 def graph_transform(params: MapParams, chart_m: SplitFrame,
-                    chart_fm: SplitFrame, k: int, s: LipGraph) -> LipGraph:
-    """One graph-transform step along the block f^k: M -> F(M).
+                    chart_fm: SplitFrame, itinerary: tuple,
+                    s: LipGraph) -> LipGraph:
+    """One graph-transform step along the block M -> F(M) whose branch
+    itinerary (the regions of M and its next images, as
+    :func:`_next_anchor` records them) is ``itinerary``.
 
     For an unstable graph (``u->s``) the input lives at M and the output
     at F(M); for a stable graph (``s->u``) the input lives at F(M) and
@@ -252,9 +253,6 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
     is monotone; a monotonicity or coverage failure signals a too-large
     radius.  The output graph lives on the input graph's grid.
     """
-    regs = mc.branch_sequence(params, chart_m.M, k)
-    if regs is None:
-        raise Unsupported(f"block orbit of {chart_m.M} leaves the branches")
     forward = s.axis == "u->s"
     src_chart = chart_m if forward else chart_fm
     dst_chart = chart_fm if forward else chart_m
@@ -264,7 +262,7 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
         xi = np.stack([s.values, s.grid], axis=1)
     pts = np.asarray(src_chart.M) + xi @ src_chart.basis.T
     x, y = pts.T
-    for region in (regs if forward else reversed(regs)):
+    for region in (itinerary if forward else reversed(itinerary)):
         br = mc.BRANCH[region]
         x, y = (br.forward if forward else br.inverse)(params, x, y)
     pts = np.stack([x, y], axis=1)
@@ -298,17 +296,22 @@ def _chart_once(params: MapParams, p, charts: dict) -> SplitFrame:
 
 def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
                  charts: dict):
-    """Closest orbit point (with its chart and step count) whose block
-    to/from ``m`` expands the relevant chart axis by at least ``_MU_MIN``.
+    """Closest orbit point (with its chart and the block's branch
+    itinerary) whose block to/from ``m`` expands the relevant chart axis
+    by at least ``_MU_MIN``.
 
     ``direction="backward"`` walks preimages (unstable pullback chain);
     ``"forward"`` walks images (stable chain).  The block's derivative
     rides along the walk, so a block of j steps costs j Jacobians; the
-    walk's charts go through ``charts``."""
+    walk's charts go through ``charts``.  The itinerary is read from the
+    regions the walk classifies, in forward order: those of ``m`` and its
+    first j - 1 images, or of the j preimages from the farthest one."""
     forward = direction == "forward"
     jac, prev, j = np.eye(2), m, 0
+    regions = [classify(params, m)] if forward else []
     for j, cur in enumerate(mc.iterates(params, m, _ANCHOR_CAP, forward), 1):
-        if classify(params, cur) not in mc.ACTIVE_REGIONS:
+        regions.append(classify(params, cur))
+        if regions[-1] not in mc.ACTIVE_REGIONS:
             raise Unsupported(f"{direction} orbit of {m} leaves the active "
                               f"regions at step {j}")
         # D f^j at the block's first point
@@ -324,7 +327,8 @@ def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
         except (OutOfDomain, np.linalg.LinAlgError):
             continue
         if np.linalg.norm(d) >= _MU_MIN:
-            return cur, ch, j
+            return cur, ch, tuple(regions[:j] if forward
+                                  else reversed(regions))
     if j < _ANCHOR_CAP:
         raise Unsupported(f"{direction} orbit of {m} has no image at step "
                           f"{j + 1}")
@@ -335,8 +339,9 @@ def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
 @dataclass
 class _Chain:
     """The anchor chain of a point for one query, built as far as it is
-    read and then kept.  Entry 0 is (m, chart at m, 0); entry i + 1 is
-    the next anchor after entry i, with its plain steps from entry i.
+    read and then kept.  Entry 0 is (m, chart at m, ()); entry i + 1 is
+    the next anchor after entry i, with the branch itinerary of the block
+    between them (its length is the block's plain steps).
     ``tail(n)`` is the chain of entry n, sharing every entry built.
     ``charts`` holds every chart the chain made, by point; chains that
     share it chart no point twice."""
@@ -354,7 +359,7 @@ class _Chain:
     def __getitem__(self, i: int):
         if not self.entries:
             self.entries.append(
-                (self.m, _chart_once(self.params, self.m, self.charts), 0))
+                (self.m, _chart_once(self.params, self.m, self.charts), ()))
         while len(self.entries) <= self.start + i:
             self.entries.append(_next_anchor(
                 self.params, *self.entries[-1][:2],
@@ -377,10 +382,10 @@ def _pullback_curve(params: MapParams, chain: _Chain,
         g = zero_graph(chain[depth][1], axis, radius)
         for j in range(depth, 0, -1):
             near_ch = chain[j - 1][1]
-            _, far_ch, k_j = chain[j]
+            _, far_ch, block = chain[j]
             # the block runs from the far anchor for unstable graphs
             src, dst = (far_ch, near_ch) if unstable else (near_ch, far_ch)
-            g = graph_transform(params, src, dst, k_j, g)
+            g = graph_transform(params, src, dst, block, g)
         if prev is not None:
             diff = g.sup_distance(prev)
             if prev_diff is not None and prev_diff > 0.0:
@@ -417,7 +422,7 @@ def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
         t = np.linspace(0.0, radius_plane, GRID_POINTS)
         pts = _edge_leaf(m, kind, t if m[0] == 0.0 else 1.0 - t[::-1])
         meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
-                "lip_bound": 0.0, "params": _params_hash(params)}
+                "lip_bound": 0.0, "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
     last_err = None
     while radius >= RHO_MIN:
@@ -425,7 +430,7 @@ def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
             g, iters = _pullback_curve(params, chain, radius)
             meta = {"rho_effective": radius * g.base.l, "tol": _TOL,
                     "iterations": iters, "lip_bound": g.lip_bound,
-                    "params": _params_hash(params)}
+                    "params": params.digest}
             return ManifoldCurve(g.plane_points(), kind, meta)
         except MonotonicityError as err:
             last_err = err
@@ -696,9 +701,9 @@ def _global_manifold(params: MapParams, chain: _Chain,
         pts = _edge_leaf(m, kind,
                          np.linspace(0.0, 1.0, int(1.0 / _SEG_LEN) + 1))
         meta = {"rho": _RHO, "n": n, "steps": 0, "base_distance": 0.0,
-                "params": _params_hash(params)}
+                "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
-    steps = sum(chain[i][2] for i in range(1, n + 1))
+    steps = sum(len(chain[i][2]) for i in range(1, n + 1))
     tail = chain.tail(n)
     local = _local_manifold(params, tail)
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
@@ -712,7 +717,7 @@ def _global_manifold(params: MapParams, chain: _Chain,
         raise NoConvergence("the advanced leaf lost its base point")
     pts = _resample_max_seg(_merge_contiguous(pieces, best_i), _SEG_LEN)
     meta = {"rho": _RHO, "n": n, "steps": steps, "base_distance": best_d,
-            "params": _params_hash(params)}
+            "params": params.digest}
     return ManifoldCurve(pts, kind, meta)
 
 
@@ -744,11 +749,11 @@ def _invariance_defect(params: MapParams, m, kind: str) -> float:
     each point that a walk passes again, are charted once."""
     unstable = kind == "unstable"
     probe = _Chain(params, m, "stable" if unstable else "unstable")
-    other, _, k = probe[1]
+    other, _, block = probe[1]
     leaf = _local_manifold(params, _Chain(params, m, kind,
                                           charts=probe.charts))
     pieces = (advance_pieces if unstable else retreat_pieces)(
-        params, [leaf.points], k, protect=m)
+        params, [leaf.points], len(block), protect=m)
     pts = _local_manifold(params, _Chain(params, other, kind,
                                          charts=probe.charts)).points
     if not pieces:

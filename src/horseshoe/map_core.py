@@ -25,9 +25,11 @@ interval hulls of :mod:`horseshoe.coding`.  Every other module reads
 the branches from this table.
 
 Orbit segments are walked in one place, :func:`iterates`: the bounded,
-lazy sequence of images (or preimages) of a point.  Branch sequences,
-first returns to A, escapes from R1 and the protected points of the
-piece walks are built on it: no other module steps the map by hand.
+lazy sequence of images (or preimages) of a point.  First returns to
+A, escapes from R1, the protected points of the piece walks and the
+anchor blocks of the leaves are built on it: no other module steps the
+map by hand.  A walk's branch itinerary is read from the points it
+visits, so no segment is walked twice to learn it.
 Many points at once take one step per call of :func:`step_arrays`, each
 on its own branch.  Growth along an orbit is measured in one place too,
 :func:`log_growth`, over the derivatives of the walk.
@@ -35,11 +37,13 @@ on its own branch.  Growth along an orbit is measured in one place too,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,7 +67,6 @@ __all__ = [
     "step_arrays",
     "iterates",
     "log_growth",
-    "branch_sequence",
     "first_return",
     "float_range_steps",
     "leave_r1",
@@ -71,6 +74,7 @@ __all__ = [
     "leaf_tangent",
     "in_A",
     "validate",
+    "closed_form_gamma",
     "default_certificate",
     "HorseshoeError",
     "OutOfDomain",
@@ -222,6 +226,12 @@ class MapParams:
 
     def to_json(self) -> str:
         return json.dumps({j: getattr(self, a) for a, j in _JSON_KEYS.items()}, indent=2)
+
+    @cached_property
+    def digest(self) -> str:
+        """First 16 hex digits of the SHA-256 of :meth:`to_json`, made
+        once; leaf metadata names the parameter set by it."""
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +526,6 @@ def log_growth(mats, v) -> float:
         total += math.log(norm)
         v /= norm
     return total
-
-
-def branch_sequence(params: MapParams, p, n: int):
-    """Regions of ``p`` and its next n - 1 images (the branches of f^n
-    at ``p``), or None when one of the n images does not exist."""
-    pts = [p, *iterates(params, p, n)]
-    if len(pts) <= n:
-        return None
-    return tuple(classify(params, q) for q in pts[:n])
 
 
 def first_return(params: MapParams, m, max_steps: int, forward: bool = True):

@@ -3,7 +3,8 @@
 Rejection sampling of the square almost never hits the invariant set
 (its stable-direction thickness decays like lam^n), so points with
 prescribed itineraries are built explicitly instead and then verified
-by direct iteration:
+by direct iteration, each itinerary read from the one walk that checks
+the point's returns:
 
 * a point of the tangency window A escaping the bottom strip after
   exactly ``n1`` steps and landing back in A one step later is obtained
@@ -57,14 +58,6 @@ class ReturningPoint:
     backward_depth: int    # verified backward f-steps staying in strips
 
 
-def _escape_count(params: MapParams, m) -> int | None:
-    """Number of R1 steps of ``m`` (a point of R1) before its orbit leaves
-    the strip, if it leaves into R4; None otherwise."""
-    n, cur = mc.leave_r1(params, m, True, "_escape_count")
-    return n if cur is not None and classify(params, cur) is Region.R4 \
-        else None
-
-
 def sample_returning_point(params: MapParams, rng: np.random.Generator,
                            n1: int | None = None) -> ReturningPoint:
     """A random point of A whose first return to A happens at n1 + 1.
@@ -96,13 +89,13 @@ def sample_returning_point(params: MapParams, rng: np.random.Generator,
         m0 = (x0, y0)
         if not in_A(p, m0):
             continue
-        if _escape_count(p, m0) != n_esc:
-            continue
         try:
             n_ret, orbit = mc.first_return(p, m0, n_esc + 2)
         except mc.NoReturn:
             continue
-        if n_ret != n_esc + 1:
+        # n_esc - 1 more steps in R1, one into R4, then back in A
+        if n_ret != n_esc + 1 or [classify(p, q) for q in orbit[1:-1]] \
+                != [Region.R1] * (n_esc - 1) + [Region.R4]:
             continue
         bd = len(list(mc.iterates(p, m0, 10, False)))
         if bd < 3:

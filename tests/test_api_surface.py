@@ -20,7 +20,7 @@ import horseshoe
 from horseshoe import map_core as mc
 
 MAX_DEFAULTS = 16
-MAX_PUBLIC = 123
+MAX_PUBLIC = 122
 SRC = Path(horseshoe.__file__).parent
 
 
@@ -102,3 +102,8 @@ def test_the_hand_step_rule_sees_both_spellings():
 
 def test_every_exported_map_core_name_exists():
     assert [n for n in mc.__all__ if not hasattr(mc, n)] == []
+
+
+def test_every_public_map_core_definition_is_exported():
+    tree = ast.parse(Path(mc.__file__).read_text())
+    assert [n for n in _public(tree) if n not in mc.__all__] == []

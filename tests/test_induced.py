@@ -47,10 +47,13 @@ def test_escape_time_from_subnormal_heights():
     # the smallest positive height still leaves within the float-range cap
     assert ind.escape_time(REF_EX, (0.79, 5e-324)) == 462
     assert mc.float_range_steps(REF_EX.sigma) > 462
-    assert sp._escape_count(REF_EX, (0.79, 5e-324)) is None
+    n, cur = mc.leave_r1(REF_EX, (0.79, 5e-324), True, "escape_time")
+    assert n == 462 and classify(REF_EX, cur) is not Region.R4
     # 0.7 * 5^-460 is subnormal; 460 steps carry it into the R4 strip
     m = (0.79, 0.7 * 5.0 ** -460)
-    assert ind.escape_time(REF_EX, m) == sp._escape_count(REF_EX, m) == 460
+    n, cur = mc.leave_r1(REF_EX, m, True, "escape_time")
+    assert ind.escape_time(REF_EX, m) == n == 460
+    assert classify(REF_EX, cur) is Region.R4
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
@@ -620,8 +623,8 @@ def test_lockstep_bisection_on_an_image_abscissa():
     p = REF_EX
     rng = np.random.default_rng(4)
     m = sp.sample_returning_point(p, rng, n1=2).M
-    n, _ = mc.first_return(p, m, 4000)
-    branches = [mc.BRANCH[r] for r in mc.branch_sequence(p, m, n)]
+    _, pts = mc.first_return(p, m, 4000)
+    branches = [mc.BRANCH[classify(p, q)] for q in pts[:-1]]
 
     def image_x(y):
         x = m[0]
@@ -659,6 +662,16 @@ def test_linspaces_equal_one_linspace_per_lane():
         assert np.array_equal(joined, got)
 
 
+def _regions(params, p, n):
+    """Regions of ``p`` and its next n - 1 images, or None when one of
+    the n images does not exist: the reference itinerary, from a walk
+    of its own."""
+    pts = [p, *mc.iterates(params, p, n)]
+    if len(pts) <= n:
+        return None
+    return tuple(classify(params, q) for q in pts[:n])
+
+
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
 def test_early_exit_itinerary_equals_full_sequence(params):
     rng = np.random.default_rng(8)
@@ -666,14 +679,14 @@ def test_early_exit_itinerary_equals_full_sequence(params):
     for _ in range(12):
         m = sp.sample_returning_point(params, rng).M
         n, _ = mc.first_return(params, m, 4000)
-        ref = mc.branch_sequence(params, m, n)
+        ref = _regions(params, m, n)
         for scale in (1e-12, 1e-8, 1e-4, 1e-1):
             for _ in range(8):
                 # relative steps: heights in A shrink like sigma^-n1
                 dx, dy = scale * rng.normal(size=2)
                 x = float(m[0] + dx * abs(m[0] - params.q))
                 y = float(m[1] * (1.0 + dy))
-                seq = mc.branch_sequence(params, (x, y), n)
+                seq = _regions(params, (x, y), n)
                 fast = ind._follows(params, x, y, ref)
                 assert fast == (seq == ref)
                 seen[fast] += 1
@@ -681,40 +694,62 @@ def test_early_exit_itinerary_equals_full_sequence(params):
     assert min(seen.values()) > 0
 
 
+def _return_frames_agree(params, rng, n_points):
+    """Compare ``_return_frame``'s itinerary and frame at returning points
+    with ``first_return`` and ``classify`` along a walk of their own."""
+    for i in range(n_points):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        itinerary, frame = ind._return_frame(params, m)
+        n, pts = mc.first_return(params, m, ind._RETURN_CAP)
+        assert len(itinerary) == n and frame.M == pts[-1]
+        assert itinerary == _regions(params, m, n)
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_return_frame_records_the_itinerary_of_its_walk(params):
+    _return_frames_agree(params, np.random.default_rng(6), 10)
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_the_return_frame_records_its_walk_on_valid_params(params, seed):
+    try:
+        _return_frames_agree(params, np.random.default_rng(seed), 3)
+    except sp.SampleError:
+        reject()
+
+
 def test_one_arc_call_equals_one_call_per_segment():
     p = REF_EX
     rng = np.random.default_rng(3)
     cert = default_certificate(p)
     m = sp.sample_returning_point(p, rng, n1=2).M
-    n, pts = mc.first_return(p, m, 4000)
-    fr = direction_field(p, pts[-1])
+    itinerary, fr = ind._return_frame(p, m)
     arc = (m[0], m[1] - 2e-3, m[1] + 2e-3)
     segs = []
     for rad in (0.002, 0.01, 0.05):
         for shift in (0.0, 0.02, -0.3):
-            ctr = tuple(np.asarray(pts[-1]) + shift * fr.e_s)
+            ctr = tuple(np.asarray(fr.M) + shift * fr.e_s)
             ball = ind.PolygonalBall(ctr, fr, rad, rad)
             segs += ball.sides()
     segs = np.array(segs)
-    together = ind._arc_crossings(p, [arc], n, segs)[0]
-    alone = [ind._arc_crossings(p, [arc], n, segs[i:i + 1])[0, 0]
+    together = ind._arc_crossings(p, [arc], itinerary, segs)[0]
+    alone = [ind._arc_crossings(p, [arc], itinerary, segs[i:i + 1])[0, 0]
              for i in range(len(segs))]
     assert together.tolist() == alone
     assert together.any() and not together.all()
 
 
-def _reference_chords(params, arc, n, segs):
+def _reference_chords(params, arc, itinerary, segs):
     """Per segment of ``segs``, the source heights (start, stop) of the
-    arc's piece over it and which of the piece's chords cross it, sampled
-    in one unblocked pass with one ``np.linspace`` per segment; ``None``
-    for a segment that no piece meets."""
+    piece of the arc's image along ``itinerary`` over it and which of the
+    piece's chords cross it, sampled in one unblocked pass with one
+    ``np.linspace`` per segment; ``None`` for a segment that no piece
+    meets."""
     x_side, y_lo, y_hi = arc
     segs = np.asarray(segs, dtype=float)
     lanes = [None] * len(segs)
-    seq = mc.branch_sequence(params, (x_side, 0.5 * (y_lo + y_hi)), n)
-    if seq is None:
-        return lanes
-    branches = [mc.BRANCH[reg] for reg in seq]
+    branches = [mc.BRANCH[reg] for reg in itinerary]
 
     def image(x, y):
         for br in branches:
@@ -761,11 +796,11 @@ def _reference_chords(params, arc, n, segs):
     return lanes
 
 
-def _reference_arc_crossings(params, arc, n, segs):
+def _reference_arc_crossings(params, arc, itinerary, segs):
     """The crossings of one arc, from :func:`_reference_chords`: the
     reference of the lockstep, blocked :func:`induced._arc_crossings`."""
-    return np.array([lane is not None and lane[2].any()
-                     for lane in _reference_chords(params, arc, n, segs)],
+    return np.array([lane is not None and lane[2].any() for lane
+                     in _reference_chords(params, arc, itinerary, segs)],
                     dtype=bool)
 
 
@@ -775,16 +810,17 @@ def test_arc_crossings_swap_the_ends_of_a_reversed_image():
     p = REF_EX
     y = p.t + math.sqrt((0.1 + p.lam * 0.5) / p.c) / p.sigma
     arc = (0.5, y - 1e-3, y + 1e-3)
-    assert mc.branch_sequence(p, (0.5, y), 3) \
-        == (Region.R4, Region.R1, Region.R3)
+    itinerary = (Region.R4, Region.R1, Region.R3)
+    assert _regions(p, (0.5, y), 3) == itinerary
     lo, hi = (list(mc.iterates(p, (0.5, h), 3))[-1] for h in arc[1:])
     assert lo[0] > hi[0]
     segs = [((0.48, 0.5), (0.50, 0.5)),          # across the image
             ((0.48, 0.9), (0.50, 0.9)),          # above it
             ((0.30, 0.5), (0.40, 0.5))]          # left of it
-    got = ind._arc_crossings(p, [arc], 3, segs)[0]
+    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
     assert got.tolist() == [True, False, False]
-    assert got.tolist() == _reference_arc_crossings(p, arc, 3, segs).tolist()
+    assert got.tolist() \
+        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
 
 
 def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
@@ -795,9 +831,10 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
     calls = []
     blocked = ind._arc_crossings
 
-    def compare(p, arcs, n, segs):
-        got = blocked(p, arcs, n, segs)
-        want = [_reference_arc_crossings(p, arc, n, segs) for arc in arcs]
+    def compare(p, arcs, itinerary, segs):
+        got = blocked(p, arcs, itinerary, segs)
+        want = [_reference_arc_crossings(p, arc, itinerary, segs)
+                for arc in arcs]
         assert got.shape == (len(arcs), len(segs))
         assert np.array_equal(got, np.array(want).reshape(got.shape))
         calls.append(got)
@@ -834,38 +871,31 @@ def test_arc_crossings_equal_the_reference_on_valid_params(params, seed):
             reject()
 
 
-def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
+def test_arc_crossings_block_and_skip_lanes(monkeypatch):
     p = REF_EX
     rng = np.random.default_rng(3)
     m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
-    n, pts = mc.first_return(p, m, 4000)
+    itinerary, fr = ind._return_frame(p, m)
     m2 = sp.sample_returning_point(p, rng, n1=1).M
-    m3 = sp.sample_returning_point(p, rng, n1=4).M
-    fr = direction_field(p, pts[-1])
     segs = []
-    for ctr in (pts[-1], list(mc.iterates(p, m2, n))[-1]):
+    # balls at the return point, and at a point the arcs' images miss
+    for ctr in (fr.M, list(mc.iterates(p, m2, len(itinerary)))[-1]):
         for rad in (0.002, 0.01):
             ball = ind.PolygonalBall(tuple(ctr), fr, rad, rad)
             segs += ball.sides()
     segs = np.array(segs)
-    gap = 0.5 * (p.inv_sigma + p.r3_y0)      # between the R1 and R3 strips
     arcs = [(m[0], m[1] - 2e-3, m[1] + 2e-3),
-            (m[0], m[1], m[1]),                  # zero height
-            (m2[0], m2[1] - 1e-3, m2[1] + 1e-3),     # another itinerary
-            (m3[0], m3[1] - 1e-5, m3[1] + 1e-5),     # images far left
-            (0.5, gap - 1e-3, gap + 1e-3)]           # no n-step image
-    seqs = [mc.branch_sequence(p, (x, 0.5 * (lo + hi)), n)
-            for x, lo, hi in arcs]
-    assert len({seqs[0], seqs[2], seqs[3]}) == 3 and seqs[4] is None
-    assert seqs[1] == seqs[0]
+            (m[0], m[1], m[1])]                  # zero height
+    assert {_regions(p, (x, 0.5 * (lo + hi)), len(itinerary))
+            for x, lo, hi in arcs} == {itinerary}
 
-    # per group with lanes, in order: the reference lanes, each as its
-    # source heights (start, stop) and the chords that cross its segment
+    # the reference lanes in order, each as its source heights (start,
+    # stop) and the chords that cross its segment
     div = ind._ARC_SAMPLES - 1
-    groups = [[lane for i in members
-               for lane in _reference_chords(p, arcs[i], n, segs)
-               if lane is not None] for members in ([0, 1], [2])]
-    assert [len(lanes) for lanes in groups] == [8, 4]
+    lanes = [lane for arc in arcs
+             for lane in _reference_chords(p, arc, itinerary, segs)
+             if lane is not None]
+    assert len(lanes) == 8                  # of 2 x 16 (arc, segment) pairs
 
     blocks = []
     linspaces = ind._linspaces
@@ -875,35 +905,33 @@ def test_arc_crossings_group_block_and_skip_arcs(monkeypatch):
         return linspaces(start, stop, num, r0, r1)
 
     monkeypatch.setattr(ind, "_linspaces", record)
-    want = np.array([_reference_arc_crossings(p, arc, n, segs)
+    want = np.array([_reference_arc_crossings(p, arc, itinerary, segs)
                      for arc in arcs])
     for block in (ind._ARC_BLOCK, 100):
         monkeypatch.setattr(ind, "_ARC_BLOCK", block)
         blocks.clear()
-        got = ind._arc_crossings(p, arcs, n, segs)
+        got = ind._arc_crossings(p, arcs, itinerary, segs)
         assert np.array_equal(got, want)
-        # one pass per group; each block holds exactly the lanes no earlier
-        # block crossed, and the pass ends when none is left or every
-        # chord was tested; its first block holds the middle chord
+        # one pass; each block holds exactly the lanes no earlier block
+        # crossed, and the pass ends when none is left or every chord was
+        # tested; its first block holds the middle chord
         todo = iter(blocks)
-        for lanes in groups:
-            tested = np.zeros((len(lanes), div), dtype=int)
-            live = list(range(len(lanes)))
-            while live and not tested[live].all():
-                keys, r0, r1 = next(todo)
-                assert Counter(keys) == Counter(lanes[i][:2] for i in live)
-                assert len(keys) * (r1 - r0 + 1) <= max(block, 2 * len(keys))
-                if not tested.any():
-                    assert r0 <= div // 2 < r1
-                tested[live, r0:r1] += 1
-                live = [i for i in live if not lanes[i][2][r0:r1].any()]
-            # no chord twice; a lane that never crosses gets all of them
-            assert tested.max() == 1
-            assert all(tested[i].all() for i, lane in enumerate(lanes)
-                       if not lane[2].any())
+        tested = np.zeros((len(lanes), div), dtype=int)
+        live = list(range(len(lanes)))
+        while live and not tested[live].all():
+            keys, r0, r1 = next(todo)
+            assert Counter(keys) == Counter(lanes[i][:2] for i in live)
+            assert len(keys) * (r1 - r0 + 1) <= max(block, 2 * len(keys))
+            if not tested.any():
+                assert r0 <= div // 2 < r1
+            tested[live, r0:r1] += 1
+            live = [i for i in live if not lanes[i][2][r0:r1].any()]
+        # no chord twice; a lane that never crosses gets all of them
+        assert tested.max() == 1
+        assert all(tested[i].all() for i, lane in enumerate(lanes)
+                   if not lane[2].any())
         assert next(todo, None) is None
-    assert want[0].any() and want[2].any()
-    assert not want[1].any() and not want[3:].any()
+    assert want[0].any() and not want[1].any()
 
 
 @pytest.mark.parametrize("block", [ind._ARC_BLOCK, 100, 1])
@@ -917,22 +945,24 @@ def test_arc_crossings_at_the_ends_of_the_piece(block, monkeypatch):
     p = REF_EX
     rng = np.random.default_rng(3)
     m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
-    n, pts = mc.first_return(p, m, 4000)
+    itinerary, fr = ind._return_frame(p, m)
     arc = (m[0], m[1] - 2e-3, m[1] + 2e-3)
-    x, y = pts[-1]
+    x, y = fr.M
     segs = [((x - 1e-5, y), (x + 0.00999, y)),
             ((x - 0.00999, y), (x + 1e-5, y)),
             ((x - 0.005, y + 0.05), (x + 0.005, y + 0.05))]
     div = ind._ARC_SAMPLES - 1
     first, last, never = (np.flatnonzero(lane[2])
-                          for lane in _reference_chords(p, arc, n, segs))
+                          for lane in _reference_chords(p, arc, itinerary,
+                                                        segs))
     assert 0 < len(first) and first.max() < 0.05 * div
     assert 0 < len(last) and last.min() > 0.95 * div
     assert len(never) == 0
     monkeypatch.setattr(ind, "_ARC_BLOCK", block)
-    got = ind._arc_crossings(p, [arc], n, segs)[0]
+    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
     assert got.tolist() == [True, True, False]
-    assert got.tolist() == _reference_arc_crossings(p, arc, n, segs).tolist()
+    assert got.tolist() \
+        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
 
 
 def test_arc_crossings_sample_under_half_of_the_chords(monkeypatch):

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis.strategies import integers
 
 from horseshoe import map_core as mc
-from horseshoe.map_core import REF_EX, REF_STRICT, apply
+from horseshoe.map_core import REF_EX, REF_STRICT, Region, apply
 from horseshoe import manifolds as mf
 from horseshoe import sampling as sp
 from horseshoe import splitting as spl
 from horseshoe.induced import chart
+from test_branch_table import valid_params
+from test_induced import _regions
 
 
 # --- LipGraph -------------------------------------------------------------
@@ -37,7 +41,7 @@ def test_transform_linear_diagonal_zero_graph():
     p = REF_EX
     ch = chart(p, (0.0, 0.0))
     g = mf.zero_graph(ch, "u->s", 0.01)
-    out = mf.graph_transform(p, ch, ch, 1, g)
+    out = mf.graph_transform(p, ch, ch, (Region.R1,), g)
     assert np.max(np.abs(out.values)) < 1e-14
 
 
@@ -47,7 +51,7 @@ def test_transform_linear_diagonal_slope_closed_form():
     ch = chart(p, (0.0, 0.0))
     grid = np.linspace(-0.01, 0.01, 101)
     g = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=0.3 * grid)
-    out = mf.graph_transform(p, ch, ch, 1, g)
+    out = mf.graph_transform(p, ch, ch, (Region.R1,), g)
     slope = (out.values[-1] - out.values[0]) / (out.grid[-1] - out.grid[0])
     assert slope == pytest.approx(0.3 * p.lam / p.sigma, rel=1e-9)
 
@@ -60,7 +64,7 @@ def test_transform_contraction_factor():
     bound_base = math.sqrt(p.lam / p.sigma)
     for rp in sp.sample_A_points(p, rng, 8):
         ch = chart(p, rp.M)
-        fm, chf, k = mf._next_anchor(p, rp.M, ch, "forward", {})
+        fm, chf, block = mf._next_anchor(p, rp.M, ch, "forward", {})
         rad = 0.5 * 0.0625
         grid = np.linspace(-rad, rad, 257)
         v1 = np.clip(rng.uniform(-0.8, 0.8) * grid
@@ -69,10 +73,10 @@ def test_transform_contraction_factor():
         v2 = rng.uniform(-0.8, 0.8) * grid
         s1 = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=v1)
         s2 = mf.LipGraph(base=ch, axis="u->s", grid=grid, values=v2)
-        o1 = mf.graph_transform(p, ch, chf, k, s1)
-        o2 = mf.graph_transform(p, ch, chf, k, s2)
+        o1 = mf.graph_transform(p, ch, chf, block, s1)
+        o2 = mf.graph_transform(p, ch, chf, block, s2)
         factor = o1.sup_distance(o2) / s1.sup_distance(s2)
-        assert factor <= bound_base ** k * 1.05
+        assert factor <= bound_base ** len(block) * 1.05
 
 
 def _block_expansions(p, m, chart_m, direction, n=12):
@@ -115,18 +119,62 @@ def test_next_anchor_matches_blockwise_products(params, monkeypatch):
                     continue
                 best = mu
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 - 1e-9))
-                got, _, k = mf._next_anchor(params, m, ch, direction, {})
-                assert (got, k) == (cur, j)
+                got, _, block = mf._next_anchor(params, m, ch, direction, {})
+                assert (got, len(block)) == (cur, j)
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 + 1e-9))
                 try:
-                    assert mf._next_anchor(params, m, ch, direction, {})[2] > j
+                    block = mf._next_anchor(params, m, ch, direction, {})[2]
+                    assert len(block) > j
                 except mf.Unsupported:
                     pass
                 checked += 1
     assert checked >= 24
 
 
-# --- local manifolds ------------------------------------------------------
+def _chain_blocks_agree(params, rng, n_points):
+    """Compare the first three blocks of both kinds of chain at returning
+    points with ``classify`` along a forward walk from each block's start
+    (the nearer anchor of a stable block, the farther one of an unstable
+    block).  Returns the blocks checked and how many of them read
+    differently backwards."""
+    checked = turned = 0
+    for i in range(n_points):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        for kind in ("stable", "unstable"):
+            chain = mf._Chain(params, m, kind)
+            for j in range(1, 4):
+                try:
+                    far, _, block = chain[j]
+                except mf.Unsupported:
+                    break
+                start = chain[j - 1][0] if kind == "stable" else far
+                assert block == _regions(params, start, len(block))
+                checked += 1
+                turned += block != block[::-1]
+    return checked, turned
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_chain_blocks_record_the_itinerary_of_their_walk(params, monkeypatch):
+    assert _chain_blocks_agree(params, np.random.default_rng(5), 8)[0] >= 24
+    # at the default threshold every block here is one step; at sigma^2
+    # blocks take several, and the record must keep their order
+    monkeypatch.setattr(mf, "_MU_MIN", params.sigma ** 2)
+    checked, turned = _chain_blocks_agree(params, np.random.default_rng(5), 8)
+    assert checked >= 16 and turned >= 8
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_chain_blocks_record_their_walk_on_valid_params(params, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for mu in (mf._MU_MIN, params.sigma ** 2):
+            monkeypatch.setattr(mf, "_MU_MIN", mu)
+            try:
+                _chain_blocks_agree(params, np.random.default_rng(seed), 3)
+            except sp.SampleError:
+                reject()
+
 
 def test_axis_leaves_at_corners():
     for m, axis in (((0.0, 0.0), 0), ((1.0, 1.0), 1)):
@@ -527,10 +575,11 @@ def test_distance_kernel_equals_the_loop(block):
     # a REF_EX unstable invariance defect: the leaf at the anchor against
     # the mapped pieces of the leaf at M
     m = sp.sample_returning_point(REF_EX, np.random.default_rng(2)).M
-    other, _, k = mf._Chain(REF_EX, m, "stable")[1]
+    other, _, block = mf._Chain(REF_EX, m, "stable")[1]
     leaf = mf.local_unstable(REF_EX, other).points
     cases += [(piece, leaf) for piece in mf.advance_pieces(
-        REF_EX, [mf.local_unstable(REF_EX, m).points], k, protect=m)]
+        REF_EX, [mf.local_unstable(REF_EX, m).points], len(block),
+        protect=m)]
     for p1, pts in cases:
         with np.errstate(invalid="ignore", over="ignore"):
             want = [float(np.min(_ref_point_segment_distances(p1, q)))

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +69,14 @@ def test_validate_report_json_fields():
 def test_params_json_round_trip():
     text = REF_EX.to_json()
     assert json.loads(text)["lambda"] == 0.1
+
+
+def test_params_digest_hashes_the_json_once():
+    p = dataclasses.replace(REF_EX)          # a fresh object, nothing kept
+    want = hashlib.sha256(p.to_json().encode("utf-8")).hexdigest()[:16]
+    assert p.digest == want
+    assert p.digest is p.digest               # the first read is kept
+    assert pickle.loads(pickle.dumps(p)).digest == want
 
 
 def test_classify_strips():
