@@ -23,10 +23,12 @@ C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 (constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
 around a returning point crosses the target balls at its first return
 (constant eta, :func:`_eta_holds`).  The eta check traces both sides
-along the itinerary that the first-return walk recorded, samples each
-arc piece from its middle outward and stops on a segment once a chord
-crosses it; the verdict, an OR over the chords, is the same in any order
-(:func:`_arc_crossings`).
+along the itinerary that the first-return walk recorded, finds the arc
+piece over each segment by a bisection that starts from a secant-narrowed
+bracket, samples each piece from its middle outward in growing blocks
+and stops on a segment once a chord crosses it; the edges are the floats
+of a full-bracket bisection, and the verdict, an OR over the chords, is
+the same in any order (:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
@@ -225,7 +227,12 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
 
 def chart(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     """The chart at ``m``: the splitting there, whose basis scales both
-    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes."""
+    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes.
+
+    The chart axes are only as exact as :func:`direction_field` resolves
+    them: on ``REF_EX`` the e_u axis at an A-point has a residual of
+    about 2e-10 to 3e-6 (its backward walk ends after 3 to 5 preimages),
+    above the ``splitting._TOL`` that ends a carry."""
     frame = direction_field(params, m)
     if frame.l <= 0.0:
         raise OutOfDomain("chart undefined where the length scale vanishes")
@@ -448,19 +455,31 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
     slice), so the image x-coordinate is monotone in the source height,
     and the piece of an arc over each segment's x-span (plus a 5 %
     margin) is localized by bisection; the edges of all (arc, segment)
-    lanes are solved in one lockstep bisection (:func:`_bisect_edges`).  Only those pieces are sampled,
-    ``_ARC_SAMPLES`` heights each, and mapped and tested against their
-    segments in blocks of rows of at most ``_ARC_BLOCK`` floats.  The
+    lanes are solved in one lockstep bisection (:func:`_bisect_edges`).
+    With exactly one R4 step in the itinerary, the brackets are first
+    narrowed around a secant estimate (:func:`_narrow_edges`).  The image
+    abscissa is then a chain of correctly rounded monotone operations of
+    the source height (y-only maps before R4, ``q + sigma*(y - t)`` at
+    it, x-only maps after it), so the predicate flips once over a
+    bracket's floats and bisection from the narrowed bracket ends on
+    the same float.  Other itineraries keep the full bracket.
+
+    Only those pieces are sampled, ``_ARC_SAMPLES`` heights each, and
+    mapped and tested against their segments in blocks of rows.  The
     blocks walk from the middle row of the pieces outward, one above and
-    one below in turn, and each holds only the lanes that no earlier
-    block crossed, so the walk stops when every lane has crossed or
-    every chord was tested.  Adjacent blocks share their boundary row,
-    so each chord of a lane is tested once.  The verdict does not depend
-    on the order: a lane's verdict is an OR over its chords, and each
-    chord's floats depend only on its two row indices (see
-    :func:`_linspaces`), not on the block or the other lanes.  A
-    chord-level bounding box test would be unsound here: the arc can
-    dip far below a chord whose endpoints sit high on both wings.
+    one below in turn.  Block j holds at most 2^j times a 32nd of a
+    piece's chords per lane (32 * 2^j at the default ``_ARC_SAMPLES``),
+    and never more than ``_ARC_BLOCK`` floats, so a lane that crosses
+    near the middle row stops after few chords.  Each block holds only
+    the lanes that no earlier block crossed, so the walk stops when
+    every lane has crossed or every chord was tested.  Adjacent blocks
+    share their boundary row, so each chord of a lane is tested once.
+    The verdict does not depend on the order: a lane's verdict is an OR
+    over its chords, and each chord's floats depend only on its two row
+    indices (see :func:`_linspaces`), not on the block or the other
+    lanes.  A chord-level bounding box test would be unsound here: the
+    arc can dip far below a chord whose endpoints sit high on both
+    wings.
     """
     segs = np.asarray(segs, dtype=float)
     hit = np.zeros((len(arcs), len(segs)), dtype=bool)
@@ -502,10 +521,17 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
     inner = (x_img_lo < targets) & (targets < x_img_hi)
     x_t = targets[inner]
     x_in = np.broadcast_to(x_lane, inner.shape)[inner]
-    edges[inner] = _bisect_edges(
-        lambda y: image(x_in, y)[0] < x_t,
-        np.broadcast_to(y_lo, inner.shape)[inner],
-        np.broadcast_to(y_hi, inner.shape)[inner], 200)
+    good = np.broadcast_to(y_lo, inner.shape)[inner]
+    bad = np.broadcast_to(y_hi, inner.shape)[inner]
+
+    def image_x(y):
+        return image(x_in, y)[0]
+    if itinerary.count(Region.R4) == 1:
+        good, bad = _narrow_edges(
+            image_x, x_t, good, bad,
+            np.broadcast_to(x_img_lo, inner.shape)[inner],
+            np.broadcast_to(x_img_hi, inner.shape)[inner])
+    edges[inner] = _bisect_edges(lambda y: image_x(y) < x_t, good, bad, 200)
 
     # each polyline against its segment: solve p + s*r = a + t*d per
     # chord, from the middle row outward, on the lanes not yet crossed
@@ -514,10 +540,12 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
     div = _ARC_SAMPLES - 1
     lo = hi = div // 2          # rows lo..hi are sampled
     up = True
+    grow = div // 32            # chords per lane of the first block
     while (lo > 0 or hi < div) and not crossed.all():
         live = np.flatnonzero(~crossed)
         y0, y1, xl, ax, ay, dx, dy = lanes[:, live]
-        chords = max(1, _ARC_BLOCK // len(live) - 1)
+        chords = min(grow, max(1, _ARC_BLOCK // len(live) - 1))
+        grow *= 2
         up = hi < div and (up or lo == 0)
         if up:
             r0, r1 = hi, min(hi + chords, div)
@@ -592,6 +620,39 @@ def _bisect_edges(passes, good, bad, iters: int) -> np.ndarray:
         good = np.where(live & ok, mid, good)
         bad = np.where(live & ~ok, mid, bad)
     return good
+
+
+def _narrow_edges(image_x, x_t, good, bad, x_good, x_bad) -> tuple:
+    """Tighter brackets (good, bad) for :func:`_bisect_edges` on the
+    predicate ``image_x(y) < x_t``, lane by lane; ``x_good`` and ``x_bad``
+    are ``image_x`` at the ends, which pass and fail.
+
+    Two rounds each evaluate ``image_x`` once on a stack of heights: the
+    secant estimate of the crossing and offsets of the bracket width
+    times 2^(-4k), k = 1..13, on both sides of it.  A lane keeps its
+    passing point nearest ``bad`` and its failing point nearest ``good``
+    among those inside its bracket.  Where the predicate flips once over
+    the bracket's floats, bisection from the tighter bracket ends on the
+    float that it ends on from the full one."""
+    steps = 2.0 ** (-4.0 * np.arange(1, 14))
+    offsets = np.concatenate([-steps, [0.0], steps])[:, None]
+    lane = np.arange(len(good))
+    for _ in range(2):
+        width = bad - good
+        sign = np.sign(width)
+        est = good + width * ((x_t - x_good) / (x_bad - x_good))
+        probe = est + np.abs(width) * offsets
+        ys = np.concatenate([[good, bad], probe])
+        xs = np.concatenate([[x_good, x_bad], image_x(probe)])
+        # key grows from good towards bad; the product by +-1 is exact
+        key = ys * sign
+        inside = (good * sign <= key) & (key <= bad * sign)
+        ok = xs < x_t
+        g = np.argmax(np.where(inside & ok, key, -np.inf), axis=0)
+        b = np.argmin(np.where(inside & ~ok, key, np.inf), axis=0)
+        good, x_good = ys[g, lane], xs[g, lane]
+        bad, x_bad = ys[b, lane], xs[b, lane]
+    return good, bad
 
 
 def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:

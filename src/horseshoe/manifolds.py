@@ -4,10 +4,13 @@ Local stable/unstable manifolds are computed as Lipschitz graphs over the
 adapted chart axes: the classical graph transform is iterated along a
 chain of hyperbolic orbit blocks, seeded with the flat graph at the deep
 end of the chain, until the sup-distance between successive pullbacks
-drops below tolerance.  Blocks are chosen greedily so that each one
-expands the unstable chart axis by at least a fixed factor; this absorbs
-the bottom-strip excursions (where single steps are not expanding in the
-rescaled charts) into full induced steps automatically.
+drops below tolerance.  Blocks are chosen greedily: each is the shortest
+run of f-steps that expands the chart axis by at least ``_MU_MIN``.  At
+the default ``_MU_MIN = 2`` that is nearly always one plain step, since
+the charts are rescaled by l and a single step already expands enough:
+in a seed-1 ``analysis`` benchmark round, 1,717 of the 1,735 blocks
+built are one step and the other 18 (all on unstable chains) two.  The
+chain is thus the plain orbit, not a chain of induced steps.
 
 The blocks of a point form its anchor chain, built lazily once per
 query: every radius of a local leaf, the base leaf of a global leaf (the

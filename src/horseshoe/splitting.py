@@ -297,7 +297,12 @@ def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
 
     Each side walks its orbit lazily (preimages for e_u, images for
     e_s), at most ``MAX_DEPTH`` steps and only as deep as the residual
-    needs to drop below ``_TOL``.
+    needs to drop below ``_TOL``.  A walk that ends first leaves the
+    direction less resolved: on ``REF_EX`` the backward walk of an
+    A-point ends after 3 to 5 preimages, so e_u there is resolved only to
+    a residual of about 2e-10 to 3e-6, from the deepest preimage
+    (``depth_u`` is the walk's length).  ``residual_u`` and
+    ``residual_s`` state what each side reached.
     """
     (e_u, res_u, depth_u), (e_s, res_s, depth_s) = (
         _deepest_carry(params, m, mc.iterates(params, m, MAX_DEPTH, forward),

@@ -643,6 +643,125 @@ def test_lockstep_bisection_on_an_image_abscissa():
     assert np.array_equal(got, want)
 
 
+def _image_x(params, itinerary, x_side):
+    """Image abscissa along ``itinerary`` of the heights on the vertical
+    line x = x_side, on floats or arrays."""
+    branches = [mc.BRANCH[reg] for reg in itinerary]
+
+    def image_x(y):
+        x = x_side
+        for br in branches:
+            x, y = br.forward(params, x, y)
+        return x
+    return image_x
+
+
+def _ulp_targets(x_lo, x_hi):
+    """The abscissae 1 to 4 ulps inside either end of [x_lo, x_hi]."""
+    out, a, b = [], x_lo, x_hi
+    for _ in range(4):
+        a, b = np.nextafter(a, np.inf), np.nextafter(b, -np.inf)
+        out += [a, b]
+    return out
+
+
+def _narrowed_edges_agree(image_x, y_a, y_b, targets):
+    """Span edges of ``targets`` on the heights y_a..y_b, bisected from
+    the brackets of :func:`induced._narrow_edges` and from the full one,
+    which :func:`induced._arc_crossings` orients from the end with the
+    lower image abscissa: both end on the same float in every lane.
+    Returns the number of lanes."""
+    x_a, x_b = image_x(y_a), image_x(y_b)
+    if x_a > x_b:
+        y_a, y_b, x_a, x_b = y_b, y_a, x_b, x_a
+    x_t = np.asarray(targets, dtype=float)
+    x_t = x_t[(x_a < x_t) & (x_t < x_b)]
+    good, bad = np.full(len(x_t), y_a), np.full(len(x_t), y_b)
+    g, b = ind._narrow_edges(image_x, x_t, good, bad,
+                             np.full(len(x_t), x_a), np.full(len(x_t), x_b))
+
+    def passes(y):
+        return image_x(y) < x_t
+    # tighter brackets inside the full one, passing at g and failing at b
+    assert np.all((g - y_a) * (y_b - y_a) >= 0.0)
+    assert np.all((b - g) * (y_b - y_a) > 0.0)
+    assert np.all((y_b - b) * (y_b - y_a) >= 0.0)
+    assert passes(g).all() and not passes(b).any()
+    assert np.array_equal(ind._bisect_edges(passes, g, b, 200),
+                          ind._bisect_edges(passes, good, bad, 200))
+    return len(x_t)
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_narrowed_edges_at_first_returns(params):
+    # escape times 1..5, arcs given upwards and downwards, targets spread
+    # over the image and 1..4 ulps inside either end of it
+    rng = np.random.default_rng(9)
+    for n1 in range(1, 6):
+        m = sp.sample_returning_point(params, rng, n1=n1).M
+        itinerary, _ = ind._return_frame(params, m)
+        assert itinerary.count(Region.R4) == 1
+        image_x = _image_x(params, itinerary, m[0])
+        for rel in (1e-2, 1e-6, 1e-12):
+            y_a, y_b = m[1] * (1.0 - rel), m[1] * (1.0 + rel)
+            x_lo, x_hi = sorted((image_x(y_a), image_x(y_b)))
+            targets = [*rng.uniform(x_lo, x_hi, 30), *_ulp_targets(x_lo, x_hi)]
+            for ends in ((y_a, y_b), (y_b, y_a)):
+                assert _narrowed_edges_agree(image_x, *ends, targets) \
+                    == len(targets)
+
+
+def test_narrowed_edges_on_a_reversed_image():
+    # R4, R1, R3: the image abscissa falls as the source height rises, so
+    # the bracket runs downwards
+    p = REF_EX
+    y = p.t + math.sqrt((0.1 + p.lam * 0.5) / p.c) / p.sigma
+    itinerary = (Region.R4, Region.R1, Region.R3)
+    image_x = _image_x(p, itinerary, 0.5)
+    rng = np.random.default_rng(10)
+    for half in (1e-3, 1e-9):
+        y_a, y_b = y - half, y + half
+        assert image_x(y_a) > image_x(y_b)
+        x_lo, x_hi = image_x(y_b), image_x(y_a)
+        targets = [*rng.uniform(x_lo, x_hi, 30), *_ulp_targets(x_lo, x_hi)]
+        for ends in ((y_a, y_b), (y_b, y_a)):
+            assert _narrowed_edges_agree(image_x, *ends, targets) \
+                == len(targets)
+
+
+def test_arc_crossings_keep_the_full_bracket_of_two_r4_steps(monkeypatch):
+    # with two R4 steps the image abscissa is a parabola in the source
+    # height: the span edges are bisected from the arc's ends
+    p = REF_EX
+    itinerary = (Region.R4, Region.R1, Region.R4)
+    arc = (0.5, p.t - 1e-3, p.t + 2e-3)
+    heights = np.linspace(arc[1], arc[2], 9)
+    px = _image_x(p, itinerary, arc[0])(heights)
+    assert px.argmin() not in (0, len(px) - 1)        # not monotone
+    # spans between the images of the arc's ends
+    assert px[0] < px[6] - 2e-4 and px[7] + 2e-4 < px[-1]
+    segs = [((x - 1e-4, 0.3), (x + 1e-4, 0.3)) for x in px[6:8]]
+    bisect = ind._bisect_edges
+    brackets = []
+
+    def spy(passes, good, bad, iters):
+        brackets.append((good, bad))
+        return bisect(passes, good, bad, iters)
+
+    def no_narrowing(*args):
+        raise AssertionError("two R4 steps narrowed")
+
+    monkeypatch.setattr(ind, "_bisect_edges", spy)
+    monkeypatch.setattr(ind, "_narrow_edges", no_narrowing)
+    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
+    (good, bad), = brackets
+    assert len(good) == 2 * len(segs)
+    assert np.all(good == arc[1]) and np.all(bad == arc[2])
+    monkeypatch.setattr(ind, "_bisect_edges", bisect)
+    assert got.tolist() \
+        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
+
+
 def test_linspaces_equal_one_linspace_per_lane():
     rng = np.random.default_rng(2)
     start = rng.uniform(-1.0, 1.0, 12)
@@ -827,12 +946,46 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
     """Run the crossing checks of ``crossing_digest`` (escape times 1..5,
     rho 1 and 1/2, ``cert`` and its stressed form) and compare every
     :func:`induced._arc_crossings` call they make with the reference,
-    arc by arc.  Returns the number of calls."""
+    arc by arc.  Each narrowing of span-edge brackets is checked too:
+    bisection from its brackets ends where bisection from the full ones
+    does, lane by lane.  A call whose itinerary has one R4 step makes at
+    most 2 stencil and 8 bisection evaluations.  Returns the calls'
+    verdicts."""
     calls = []
     blocked = ind._arc_crossings
+    bisect, narrow = ind._bisect_edges, ind._narrow_edges
+    work = Counter()
+
+    def counted(passes, good, bad, iters):
+        work["bisections"] += 1
+
+        def passes_counted(y):
+            work["bisect"] += 1
+            return passes(y)
+        return bisect(passes_counted, good, bad, iters)
+
+    def checked(image_x, x_t, good, bad, x_good, x_bad):
+        def image_counted(y):
+            work["stencil"] += 1
+            return image_x(y)
+        g, b = narrow(image_counted, x_t, good, bad, x_good, x_bad)
+
+        def passes(y):
+            return image_x(y) < x_t
+        assert np.array_equal(bisect(passes, g, b, 200),
+                              bisect(passes, good, bad, 200))
+        work["narrowed"] += 1
+        return g, b
 
     def compare(p, arcs, itinerary, segs):
+        work.clear()
         got = blocked(p, arcs, itinerary, segs)
+        one_r4 = itinerary.count(Region.R4) == 1
+        # every call that bisects span edges narrows them first, when
+        # its itinerary has one R4 step
+        assert work["narrowed"] == (one_r4 and work["bisections"] == 1)
+        if one_r4:
+            assert work["stencil"] <= 2 and work["bisect"] <= 8
         want = [_reference_arc_crossings(p, arc, itinerary, segs)
                 for arc in arcs]
         assert got.shape == (len(arcs), len(segs))
@@ -841,6 +994,8 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
         return got
 
     monkeypatch.setattr(ind, "_arc_crossings", compare)
+    monkeypatch.setattr(ind, "_bisect_edges", counted)
+    monkeypatch.setattr(ind, "_narrow_edges", checked)
     stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
     rng = np.random.default_rng(seed)
     for i in range(n_points):
@@ -914,18 +1069,27 @@ def test_arc_crossings_block_and_skip_lanes(monkeypatch):
         assert np.array_equal(got, want)
         # one pass; each block holds exactly the lanes no earlier block
         # crossed, and the pass ends when none is left or every chord was
-        # tested; its first block holds the middle chord
+        # tested; its first block holds the middle chord and at most 32
+        # chords per lane, and block j at most 32 * 2^j.  Each later block
+        # starts or ends on a row of the rows sampled so far
         todo = iter(blocks)
         tested = np.zeros((len(lanes), div), dtype=int)
         live = list(range(len(lanes)))
+        j = 0
         while live and not tested[live].all():
             keys, r0, r1 = next(todo)
             assert Counter(keys) == Counter(lanes[i][:2] for i in live)
             assert len(keys) * (r1 - r0 + 1) <= max(block, 2 * len(keys))
-            if not tested.any():
+            assert r1 - r0 <= 32 << j
+            if j == 0:
                 assert r0 <= div // 2 < r1
+                lo, hi = r0, r1
+            else:
+                assert r0 == hi or r1 == lo
+                lo, hi = min(lo, r0), max(hi, r1)
             tested[live, r0:r1] += 1
             live = [i for i in live if not lanes[i][2][r0:r1].any()]
+            j += 1
         # no chord twice; a lane that never crosses gets all of them
         assert tested.max() == 1
         assert all(tested[i].all() for i, lane in enumerate(lanes)
@@ -981,6 +1145,7 @@ def test_arc_crossings_sample_under_half_of_the_chords(monkeypatch):
     monkeypatch.setattr(ind, "_linspaces", count)
     cert = default_certificate(REF_EX).with_updates(**CALIBRATED["ex"])
     _arc_calls_agree(REF_EX, cert, monkeypatch, 10, 20261018)
-    # 379,529 of 819,200 (46 %); the stressed checks leave 88 of the 800
-    # lanes uncrossed, and those take all their chords
-    assert sum(tests) < 0.5 * div * sum(lanes)
+    # 260,871 of 819,200 (31.8 %; 46 % when every block took the largest
+    # size); the stressed checks leave 88 of the 800 lanes uncrossed, and
+    # those take all their chords
+    assert sum(tests) < 0.32 * div * sum(lanes)

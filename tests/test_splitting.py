@@ -75,6 +75,20 @@ def test_direction_field_matches_leaf_tangent_on_A():
         assert unstable_cone(REF_EX, rp.M).contains(fr.e_u)
 
 
+def test_an_unresolved_unstable_direction_used_every_preimage():
+    # on REF_EX the backward walk of an A-point ends after a few
+    # preimages, before the unstable cone gets below _TOL: e_u is then
+    # the carry from the last preimage there is
+    unresolved = Counter()
+    for rp in sp.sample_A_points(REF_EX, np.random.default_rng(1), 20):
+        fr = direction_field(REF_EX, rp.M)
+        if fr.residual_u >= spl._TOL:
+            n = len(list(mc.iterates(REF_EX, rp.M, spl.MAX_DEPTH, False)))
+            assert fr.depth_u == n
+            unresolved[n] += 1
+    assert sum(unresolved.values()) >= 10 and max(unresolved) <= 5
+
+
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
 @example(params=REF_EX, seed=9)
 @example(params=REF_STRICT, seed=9)
