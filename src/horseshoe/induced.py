@@ -70,7 +70,7 @@ def escape_time(params: MapParams, m: tuple[float, float]):
     Points of A on the bottom edge never leave the strip; they get
     ``math.inf`` (they feed the F(x, 0) = (0, 0) case).
     """
-    _check_window(params, m)
+    mc._require_A(params, m)
     if m[1] == 0.0:
         return math.inf
     return mc.leave_r1(params, m, True, "escape_time")[0]
@@ -83,17 +83,10 @@ def approach_time(params: MapParams, m: tuple[float, float]):
     x = 0, whose backward orbit never leaves R1'; they get ``math.inf``
     (the mirror of :func:`escape_time` on the bottom edge).
     """
-    _check_window(params, m)
+    mc._require_A(params, m)
     if mc.parabola_offset(params, m) == 0.0:
         return math.inf
     return mc.leave_r1(params, m, False, "approach_time")[0]
-
-
-def _check_window(params: MapParams, m) -> None:
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
-    if m[0] == params.q:
-        raise OutOfDomain("length scale vanishes on the tangency orbit")
 
 
 @dataclass
@@ -129,7 +122,6 @@ def induced_map(params: MapParams, m: tuple[float, float]) -> InducedStep:
     if in_A(params, m):
         if y == 0.0:
             return InducedStep(m, (0.0, 0.0), 0, "bottom")
-        _check_window(params, m)
         n, cur = mc.leave_r1(params, m, True, "induced_map")
         reg = classify(params, cur)
         if reg in (Region.R3, Region.R5):
@@ -204,8 +196,6 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         except NoReturn:
             return cap
         fr = direction_field(params, chain[-1])
-        if fr.l == 0.0:
-            raise OutOfDomain("us-ball undefined on the tangency orbit")
         if unstable:
             # chain runs m <- ... <- visit; push e_u forward along it.
             lg = mc.log_growth((jacobian(params, p) for p in chain[:0:-1]),
@@ -329,17 +319,20 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
     valid = (np.max(np.abs(images), axis=1) <= r0).reshape(n, n)
     ci = int(np.argmin(np.abs(coords_u)))
     cj = int(np.argmin(np.abs(coords_s)))
+    # the centre cell's component: 4-neighbour dilations inside valid
+    # until one adds nothing (a path visits at most n*n cells)
     comp = np.zeros_like(valid)
-    stack = [(ci, cj)] if valid[ci, cj] else []
-    while stack:
-        i, j = stack.pop()
-        if comp[i, j] or not valid[i, j]:
-            continue
-        comp[i, j] = True
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < n and 0 <= b < n and not comp[a, b]:
-                stack.append((a, b))
+    comp[ci, cj] = valid[ci, cj]
+    for _ in range(n * n):
+        grown = comp.copy()
+        grown[1:] |= comp[:-1]
+        grown[:-1] |= comp[1:]
+        grown[:, 1:] |= comp[:, :-1]
+        grown[:, :-1] |= comp[:, 1:]
+        grown &= valid
+        if np.array_equal(grown, comp):
+            break
+        comp = grown
     cells = np.flatnonzero(comp)
     if len(cells) < 2:
         raise OutOfDomain("degenerate overlap component in distortion probe")
@@ -692,8 +685,7 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     segments in all.  Both side arcs are traced in one pass for all
     twenty segments (:func:`_arc_crossings`).
     """
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
+    mc._require_A(params, m)
     frame = direction_field(params, m)
     ret = _return_frame(params, m)
     eta_ok, details = _eta_holds(params, frame, rho, cert, ret)
@@ -809,9 +801,10 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
                           seed: int) -> Certificate:
     """Replace the existence constants by swept values.
 
-    chi0 stays fixed at 4 and gamma keeps its closed form; chi has a
-    closed-form supremum; chi1 and C5 are empirical extrema; C0, eps0
-    and eta come from bisection against their crossing predicates.
+    chi has a closed-form supremum; chi1 and C5 are empirical extrema;
+    C0 and eps0 come from descending sweeps and eta from a bisection
+    against their crossing predicates, and C3 = rho1 * C0 follows C0.
+    rho1 and K keep their configured values.
     """
     p = params
     rng = np.random.default_rng(seed)

@@ -501,6 +501,12 @@ def in_A(params: MapParams, p: tuple[float, float]) -> bool:
         and bool(_in_band(params, _R4, x, y))
 
 
+def _require_A(params: MapParams, p) -> None:
+    """Raise :class:`OutOfDomain` unless ``p`` is in A."""
+    if not in_A(params, p):
+        raise OutOfDomain(f"{p} is not in the tangency window A")
+
+
 def iterates(params: MapParams, p, n: int, forward: bool = True):
     """The first ``n`` images of ``p`` (its preimages when not
     ``forward``), lazily, stopping at the first one that does not exist.
@@ -681,61 +687,62 @@ def validate(params: MapParams) -> ValidationReport:
 
 @dataclass
 class Certificate:
-    """Ledger of the named constants used by the geometric estimates.
+    """Ledger of the named constants that calibration estimates or that
+    an estimate reads, each defined once.
 
-    ``chi0`` is fixed at 4 (cone aperture factor).  ``gamma`` is the
-    closed-form Hoelder exponent of the coding map.  Everything else is
-    either configured or estimated by a calibration sweep; provenance is
-    tracked per constant.  The constants are every field but
-    ``provenance``, in field order.
+    The settable constants are every field but ``provenance``, in field
+    order; C3 = rho1 * C0 is derived from two of them and counts as
+    estimated when either is.  Provenance (``"configured"`` or
+    ``"estimated"``) is tracked per constant.  The other constants of
+    the estimates live with what they define: the cone factor chi0 is
+    ``splitting.CHI0``, eps1 is ``manifolds._EPS1``, the Hoelder
+    exponent gamma of the coding map is :func:`closed_form_gamma` and
+    the exponent-ratio bound b is :attr:`MapParams.b`.
     """
 
-    chi0: float
     chi1: float
     chi: float
     C0: float
     eps0: float
     eta: float
     rho1: float
-    C3: float
-    C4: float
     C5: float
     K: float
-    eps1: float
-    gamma: float
-    b: float
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.chi0 != 4.0:
-            raise ValueError("chi0 is fixed at 4")
-        for f in fields(self):
-            if f.name not in ("chi0", "provenance") \
-                    and getattr(self, f.name) <= 0.0:
+        for name, value in self._values().items():
+            if value <= 0.0:
                 raise ValueError(
-                    f"certificate constant {f.name} must be positive")
+                    f"certificate constant {name} must be positive")
+
+    @property
+    def C3(self) -> float:
+        """Radius factor rho1 * C0 of the local product structure."""
+        return self.rho1 * self.C0
+
+    def _values(self) -> dict:
+        """Every constant by name, the derived C3 last."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "provenance"}
+        return {**values, "C3": self.C3}
 
     def to_json(self) -> str:
-        payload = {
-            f.name: {
-                "value": getattr(self, f.name),
-                "provenance": self.provenance.get(f.name, "configured"),
-            }
-            for f in fields(self) if f.name != "provenance"
-        }
+        values = self._values()
+        prov = {name: self.provenance.get(name, "configured")
+                for name in values}
+        if "estimated" in (prov["rho1"], prov["C0"]):
+            prov["C3"] = "estimated"
+        payload = {name: {"value": value, "provenance": prov[name]}
+                   for name, value in values.items()}
         return json.dumps(payload, indent=2)
 
     def with_updates(self, **values) -> "Certificate":
-        """A copy with ``values`` marked ``"estimated"``; C3 = rho1 * C0
-        follows a new rho1 or C0."""
+        """A copy with ``values`` marked ``"estimated"``."""
         prov = dict(self.provenance)
         for name in values:
             prov[name] = "estimated"
-        new = replace(self, provenance=prov, **values)
-        if "rho1" in values or "C0" in values:
-            new = replace(new, C3=new.rho1 * new.C0)
-            new.provenance["C3"] = "estimated"
-        return new
+        return replace(self, provenance=prov, **values)
 
 
 def closed_form_gamma(params: MapParams) -> float:
@@ -747,22 +754,13 @@ def closed_form_gamma(params: MapParams) -> float:
 
 def default_certificate(params: MapParams) -> Certificate:
     """Configured starting certificate; calibration can tighten it later."""
-    p = params
     return Certificate(
-        chi0=4.0,
         chi1=0.5,
         chi=CHI,
         C0=0.25,
         eps0=0.25,
-        eta=min(0.25, 1.0 / (320.0 * p.c)),
+        eta=min(0.25, 1.0 / (320.0 * params.c)),
         rho1=0.25,
-        C3=0.25 * 0.25,
-        C4=2.0 * p.c * p.sigma ** 2,
         C5=4.0,
         K=2.0,
-        eps1=0.5,
-        gamma=closed_form_gamma(p),
-        b=p.b,
-        provenance={"chi0": "configured", "gamma": "configured",
-                    "C4": "configured", "b": "configured"},
     )

@@ -47,8 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, OutOfDomain, jacobian, jacobian_inverse,
-                       in_A)
+from .map_core import MapParams, jacobian, jacobian_inverse, in_A
 
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
@@ -123,8 +122,7 @@ def stable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
 
 def _window_scale(params: MapParams, m) -> float:
     """l(M) at a point of A."""
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
+    mc._require_A(params, m)
     return length_scale(params, m)
 
 
@@ -372,8 +370,7 @@ def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnRepor
     lam^(-n/2).  The cone vectors go as one stack, through one
     derivative per orbit point.
     """
-    if not in_A(params, m):
-        raise OutOfDomain(f"{m} is not in the tangency window A")
+    mc._require_A(params, m)
     n, pts = mc.first_return(params, m, _RETURN_CAP)
     jacs = [jacobian(params, p) for p in pts[:-1]]
 

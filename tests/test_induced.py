@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -537,8 +538,10 @@ def test_calibrate_certificate_provenance_and_coupling():
     cert = ind.calibrate_certificate(REF_EX, sample_budget=30, seed=2)
     for name in ("chi1", "chi", "C0", "eps0", "eta", "C5"):
         assert cert.provenance[name] == "estimated"
-    assert cert.C3 == pytest.approx(cert.rho1 * cert.C0)
-    assert cert.chi0 == 4.0
+    assert cert.C3 == cert.rho1 * cert.C0
+    doc = json.loads(cert.to_json())
+    assert doc["C3"] == {"value": cert.C3, "provenance": "estimated"}
+    assert doc["rho1"]["provenance"] == doc["K"]["provenance"] == "configured"
 
 
 def test_calibrated_constants_pass_on_fresh_strict_samples():

@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horseshoe import manifolds as mf
 from horseshoe import map_core as mc
 from horseshoe.map_core import (MapParams, REF_EX, REF_STRICT, Region,
                                 classify, apply, apply_inverse, jacobian,
@@ -256,6 +258,20 @@ def test_in_A_membership():
     assert not in_A(p, (0.79, 0.5))      # right height band, wrong strip
 
 
+@given(params=valid_params(), y=st.floats(-1.0, 1.0))
+@example(params=REF_EX, y=0.5)
+@example(params=REF_STRICT, y=0.5)
+@settings(max_examples=50, deadline=None)
+def test_no_point_above_the_tangency_is_in_A(params, y):
+    # on the line x = q the parabola offset is -y, so only Q could lie in
+    # the band of A, and Q is excluded: l(M) = |x - q| is positive on A
+    exact = mf._exact(params)
+    for h in (y, 0.0, -0.0, 5e-324, 1e-300, 1e-12, params.inv_sigma):
+        assert not in_A(params, (params.q, h))
+        assert not in_A(exact, (exact.q, Fraction(h)))
+    assert not in_A(exact, (exact.q, exact.inv_sigma))
+
+
 def test_orbit_fixed_points_and_escape():
     walk = [(0.0, 0.0), *mc.iterates(REF_EX, (0.0, 0.0), 5)]
     assert walk == [(0.0, 0.0)] * 6
@@ -369,20 +385,34 @@ def test_first_return_both_ways_equals_the_visit_search(params):
     assert min(found.values()) >= 20
 
 
+SETTABLE = ["chi1", "chi", "C0", "eps0", "eta", "rho1", "C5", "K"]
+
+
 def test_certificate_shapes():
     cert = default_certificate(REF_EX)
-    assert cert.chi0 == 4.0
-    assert cert.gamma == pytest.approx(closed_form_gamma(REF_EX))
     # REF-EX closed form: min(-ln sqrt(0.1)/ln 2, ln sqrt(5)/ln 2)
     assert closed_form_gamma(REF_EX) == pytest.approx(1.1609640474436813)
-    assert cert.C3 == pytest.approx(cert.rho1 * cert.C0)
+    # C3 = rho1 * C0 bit for bit, and it follows either factor
+    assert cert.C3 == 0.25 * 0.25 == cert.rho1 * cert.C0
+    assert cert.with_updates(C0=0.3).C3 == cert.rho1 * 0.3
+    assert cert.with_updates(rho1=0.1).C3 == 0.1 * cert.C0
+    with pytest.raises(TypeError):
+        cert.with_updates(C3=0.1)
+    # the JSON lists the 8 settable constants and C3, each with its
+    # provenance; C3 is estimated exactly when rho1 or C0 is
     doc = json.loads(cert.to_json())
-    assert doc["chi0"] == {"value": 4.0, "provenance": "configured"}
-    updated = cert.with_updates(rho1=0.1)
-    assert updated.C3 == pytest.approx(0.1 * cert.C0)
-    assert updated.provenance["rho1"] == "estimated"
-    with pytest.raises(ValueError):
-        default_certificate(REF_EX).__class__(**{**cert.__dict__, "chi0": 3.0})
+    assert list(doc) == SETTABLE + ["C3"]
+    assert doc["C3"] == {"value": 0.0625, "provenance": "configured"}
+    assert all(doc[name]["provenance"] == "configured" for name in doc)
+    for name in SETTABLE:
+        updated = json.loads(cert.with_updates(**{name: 0.5}).to_json())
+        assert updated[name] == {"value": 0.5, "provenance": "estimated"}
+        assert updated["C3"]["provenance"] == (
+            "estimated" if name in ("rho1", "C0") else "configured")
+    for name in SETTABLE:
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                cert.with_updates(**{name: bad})
 
 
 def test_nonescaping_sampler_gives_up():
@@ -426,3 +456,16 @@ def test_typed_errors_share_one_root():
     assert mc.HorseshoeError.__bases__ == (Exception,)
     with pytest.raises(mc.HorseshoeError):
         mc.leave_r1(REF_EX, (0.79, 0.0), True, "escape_time")
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_leave_r1_from_a_point_without_a_first_step(params):
+    # a point of the R2 gap has no image, and one between the columns R1'
+    # and R3' no preimage: the walk leaves at step 1 with no iterate
+    gap = (0.5, 0.3)
+    assert classify(params, gap) is Region.R2 and apply(params, gap) is None
+    assert mc.leave_r1(params, gap, True, "escape_time") == (1, None)
+    between = (0.25, 0.5)
+    assert params.lam < between[0] < params.r3_a - params.lam
+    assert apply_inverse(params, between) is None
+    assert mc.leave_r1(params, between, False, "approach_time") == (1, None)
