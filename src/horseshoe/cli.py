@@ -5,7 +5,7 @@ Subcommands, each on a reference parameter set (``--params ex|strict``):
 * ``validate``  : the parameter checks of :func:`map_core.validate`;
 * ``calibrate`` : :func:`induced.calibrate_certificate` with
   ``--budget`` sampled window points and the sampling ``--seed``: the
-  value and provenance of chi1, chi, C0, eps0, eta, rho1, C5, K and
+  value and provenance of chi1, C0, eps0, eta, rho1, C5, K and
   the derived C3 = rho1 * C0;
 * ``atoms``     : the nonempty atoms of :func:`coding.atoms` at
   ``--level`` N, counted: ``words``, ``empty_words`` (the other of the

@@ -22,13 +22,18 @@ segment cross the top and bottom sides of the polygonal ball (constant
 C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 (constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
 around a returning point crosses the target balls at its first return
-(constant eta, :func:`_eta_holds`).  The eta check traces both sides
-along the itinerary that the first-return walk recorded, finds the arc
-piece over each segment by a bisection that starts from a secant-narrowed
-bracket, samples each piece from its middle outward in growing blocks
-and stops on a segment once a chord crosses it; the edges are the floats
-of a full-bracket bisection, and the verdict, an OR over the chords, is
-the same in any order (:func:`_arc_crossings`).
+(constant eta, :func:`_eta_holds`).  The eta check first clips the
+rectangle to the slice that follows the first-return itinerary.  Where
+that itinerary has no R4 step before its last, each slice edge is
+bisected from a bracket a few ulps wide around a secant estimate off the
+strip levels; it ends on the float of the full-bracket bisection,
+because the passing floats form one interval (:func:`_surviving`).  It
+then traces both sides along the itinerary, finds the arc piece over
+each segment by a bisection that starts from a secant-narrowed bracket,
+samples each piece from its middle outward in growing blocks and stops
+on a segment once a chord crosses it; the edges are the floats of a
+full-bracket bisection, and the verdict, an OR over the chords, is the
+same in any order (:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
@@ -576,7 +581,11 @@ def _follows(params: MapParams, x: float, y: float, ref) -> bool:
 
 def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
     """Point nearest ``bad`` on the segment from ``good`` (which passes)
-    that still passes, by bisection down to float resolution."""
+    that still passes, by bisection down to float resolution.
+
+    When ``iters`` halvings do not reach adjacent floats (an edge near
+    0, where floats are dense), it returns the last passing midpoint,
+    which is not yet the edge."""
     if passes(bad):
         return bad
     for _ in range(iters):
@@ -655,11 +664,85 @@ def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
 
     Points with a different itinerary belong to a different component of
     the surviving set, so the edge is found by bisecting against the
-    reference label sequence."""
+    reference label sequence, from the bracket (p, target) or, when
+    ``ref`` has no R4 step before its last, from the narrower one of
+    :func:`_slice_bracket`.  On such an itinerary every coordinate that
+    ``_follows`` tests is a chain of straight branch maps (the last
+    step's image is never tested).  Each map is diagonal, affine and
+    correctly rounded, so the tested coordinates are monotone in the one
+    moving coordinate, and the other stays fixed.  The passing floats
+    are thus one interval around p, and a bisection from any bracket of
+    its edge ends on the full bisection's float, wherever the full
+    bisection reaches adjacent floats within ``_SLICE_ITERS`` steps."""
     def same(v: float) -> bool:
         return _follows(params, *((v, p[1]) if axis == 0 else (p[0], v)), ref)
 
-    return _bisect_edge(same, p[axis], target, _SLICE_ITERS)
+    good, bad = p[axis], target
+    if Region.R4 not in ref[:-1]:
+        good, bad = _slice_bracket(params, ref, p, axis, target, same)
+    return _bisect_edge(same, good, bad, _SLICE_ITERS)
+
+
+def _slice_bracket(params: MapParams, ref, p, axis: int, target: float,
+                   same) -> tuple:
+    """A bracket (good, bad) of the slice edge of :func:`_surviving` on
+    an itinerary of straight steps (and a last step of any kind).
+
+    p and the point at ``target`` are traced through the branch formulas
+    with no region tests.  At each step, the moving coordinate's margin
+    to each bound it must keep (the region's strip, between levels of
+    ``params._ladder``, for y; the square's [0, 1] for x) that the
+    target breaks gives one secant root, and the estimate is the root
+    nearest p.  ``same`` is read there, then at steps of 1, 2, 4, ...
+    ulps away from it until a passing and a failing point bracket the
+    edge.  The bracket stays (p, target) when no margin breaks (the
+    target should pass), or where the full bisection from (p, target)
+    might run out of ``_SLICE_ITERS`` before reaching adjacent floats:
+    near 0, where floats are dense."""
+    v0 = p[axis]
+    width = abs(target - v0)
+
+    def resolved(a: float, b: float) -> bool:
+        # halving ``width`` _SLICE_ITERS - 16 times reaches the float
+        # spacing between a and b, with 16 steps to spare for rounding
+        low = min(abs(a), abs(b)) if a * b > 0.0 else 0.0
+        return width <= math.ldexp(math.ulp(low), _SLICE_ITERS - 16)
+
+    a, b = list(p), list(p)
+    b[axis] = target
+    root = math.inf
+    for region in ref:
+        br = mc.BRANCH[region]
+        g0, g1 = a[axis], b[axis]
+        # a strip holds the heights in (lo, hi], R1 those in [0, hi]
+        lo, hi = br.strip(params) if axis == 1 else (0.0, 1.0)
+        if g1 > hi:
+            root = min(root, (hi - g0) / (g1 - g0))
+        elif g1 < lo or g1 == lo and axis == 1 and region is not Region.R1:
+            root = min(root, (lo - g0) / (g1 - g0))
+        a, b = br.forward(params, *a), br.forward(params, *b)
+    if root == math.inf:
+        return v0, target
+    est = min(max(v0 + root * (target - v0), min(v0, target)),
+              max(v0, target))
+    if not resolved(est, est):
+        return v0, target
+    # walk away from est, towards target while it passes, towards p
+    # while it fails, until a probe flips or would leave the bracket
+    ahead = same(est)
+    good, bad = (est, target) if ahead else (v0, est)
+    step = math.copysign(math.ulp(est), (target if ahead else v0) - est)
+    k = 1
+    while min(good, bad) < est + k * step < max(good, bad):
+        v = est + k * step
+        if same(v):
+            good = v
+        else:
+            bad = v
+        if (good == v) != ahead:
+            break
+        k *= 2
+    return (good, bad) if resolved(good, bad) else (v0, target)
 
 
 def _return_frame(params: MapParams, m) -> tuple:
@@ -801,10 +884,10 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
                           seed: int) -> Certificate:
     """Replace the existence constants by swept values.
 
-    chi has a closed-form supremum; chi1 and C5 are empirical extrema;
-    C0 and eps0 come from descending sweeps and eta from a bisection
-    against their crossing predicates, and C3 = rho1 * C0 follows C0.
-    rho1 and K keep their configured values.
+    chi1 and C5 are empirical extrema; C0 and eps0 come from descending
+    sweeps and eta from a bisection against their crossing predicates,
+    and C3 = rho1 * C0 follows C0.  rho1 and K keep their configured
+    values.
     """
     p = params
     rng = np.random.default_rng(seed)
@@ -819,8 +902,6 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
             v = rng.normal(size=2)
             chi1 = min(chi1, float(np.linalg.norm(v))
                        / (fr.l * adapted_norm(fr, v)))
-    # chi: smallest constant making (3cx^2)^(1+1/b) <= c*chi*x^2 on (0, lam]
-    chi = (3.0 * p.c * p.lam ** 2) ** (1.0 + 1.0 / p.b) / (p.c * p.lam ** 2) * 1.05
 
     subset = points[:min(40, len(points))]
 
@@ -886,5 +967,4 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
     if c5 == 0.0:
         c5 = cert.C5
 
-    return cert.with_updates(chi1=chi1, chi=chi, C0=c0, eps0=eps0,
-                             eta=eta, C5=c5)
+    return cert.with_updates(chi1=chi1, C0=c0, eps0=eps0, eta=eta, C5=c5)

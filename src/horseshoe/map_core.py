@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 ARCTAN_PI_10 = math.atan(math.pi / 10.0)
-CHI = 1.0   # configured cone angle constant: certificate, ``estimc3`` check
+CHI = 1.0   # configured cone angle constant of the ``estimc3`` check
 
 #: Exact for ``Fraction`` fields; against a float it rounds to 2.0/3.0.
 _TWO_THIRDS = Fraction(2, 3)
@@ -629,7 +629,7 @@ def validate(params: MapParams) -> ValidationReport:
     soft failures only produce warnings.
 
     The sufficient-condition check on the cone estimates uses the
-    configured angle constant :data:`CHI` of the certificate.
+    configured angle constant :data:`CHI`.
     """
     p = params
     checks = []
@@ -701,7 +701,6 @@ class Certificate:
     """
 
     chi1: float
-    chi: float
     C0: float
     eps0: float
     eta: float
@@ -756,7 +755,6 @@ def default_certificate(params: MapParams) -> Certificate:
     """Configured starting certificate; calibration can tighten it later."""
     return Certificate(
         chi1=0.5,
-        chi=CHI,
         C0=0.25,
         eps0=0.25,
         eta=min(0.25, 1.0 / (320.0 * params.c)),

@@ -536,7 +536,7 @@ def test_calibrate_certificate_deterministic():
 
 def test_calibrate_certificate_provenance_and_coupling():
     cert = ind.calibrate_certificate(REF_EX, sample_budget=30, seed=2)
-    for name in ("chi1", "chi", "C0", "eps0", "eta", "C5"):
+    for name in ("chi1", "C0", "eps0", "eta", "C5"):
         assert cert.provenance[name] == "estimated"
     assert cert.C3 == cert.rho1 * cert.C0
     doc = json.loads(cert.to_json())
@@ -1152,3 +1152,166 @@ def test_arc_crossings_sample_under_half_of_the_chords(monkeypatch):
     # size); the stressed checks leave 88 of the 800 lanes uncrossed, and
     # those take all their chords
     assert sum(tests) < 0.32 * div * sum(lanes)
+
+
+# --- slice edges ----------------------------------------------------------
+
+def _on_axis(p, axis, v):
+    return (v, p[1]) if axis == 0 else (p[0], v)
+
+
+def _slice_edge_agrees(params, ref, p, axis, target):
+    """:func:`induced._surviving` from p towards ``target`` equals the
+    bisection from the full bracket (p, target).  Returns the edge and
+    whether it is resolved: the target itself, or a float whose next
+    float towards the target fails."""
+    def same(v):
+        return ind._follows(params, *_on_axis(p, axis, v), ref)
+
+    got = ind._surviving(params, ref, p, axis, target)
+    assert got == ind._bisect_edge(same, p[axis], target, ind._SLICE_ITERS)
+    assert same(got)
+    return got, got == target or not same(math.nextafter(got, target))
+
+
+def _slice_edges_at_returns(params, rng, n_points) -> Counter:
+    """Slice edges from returning points, along both axes and both ways,
+    at targets from a few ulps of the point to beyond the square; every
+    edge must be resolved.  Counts the edges (``axis``, ``inner``) that
+    stop short of their target and those (``axis``, ``target``) that
+    return it."""
+    seen = Counter()
+    for i in range(n_points):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        ref, _ = ind._return_frame(params, m)
+        assert Region.R4 not in ref[:-1]
+        for axis in (0, 1):
+            v = m[axis]
+            for d in (1e-15, 1e-9, 1e-4, 0.02, 0.3, 1.0, 2.0):
+                for target in (v * (1.0 - d), v * (1.0 + d)):
+                    got, resolved = _slice_edge_agrees(params, ref, m, axis,
+                                                       target)
+                    assert resolved
+                    seen[axis, "target" if got == target else "inner"] += 1
+    return seen
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_slice_edges_equal_the_full_bisection(params):
+    seen = _slice_edges_at_returns(params, np.random.default_rng(12), 10)
+    # x edges only at the square's sides, y edges at strip levels
+    assert min(seen[axis, kind] for axis in (0, 1)
+               for kind in ("inner", "target")) > 0
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_slice_edges_equal_the_full_bisection_on_valid_params(params, seed):
+    try:
+        seen = _slice_edges_at_returns(params, np.random.default_rng(seed), 3)
+    except (sp.SampleError, NoReturn):
+        reject()
+    assert seen[1, "inner"] > 0
+
+
+def test_slice_edge_at_a_passing_target_takes_one_call(monkeypatch):
+    p = REF_EX
+    m = sp.sample_returning_point(p, np.random.default_rng(13), n1=3).M
+    ref, _ = ind._return_frame(p, m)
+    follows, calls = ind._follows, []
+
+    def counted(*args):
+        calls.append(args)
+        return follows(*args)
+
+    monkeypatch.setattr(ind, "_follows", counted)
+    for axis in (0, 1):
+        for target in (m[axis] * (1.0 - 1e-12), m[axis] * (1.0 + 1e-12)):
+            calls.clear()
+            assert ind._surviving(p, ref, m, axis, target) == target
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_slice_edge_at_a_strip_level(params, monkeypatch):
+    # sigma * y lands on the R4 strip's levels exactly: the lower level
+    # is outside the strip, the upper one inside
+    lo, hi = mc.BRANCH[Region.R4].strip(params)
+    y_lo, y_hi = lo / params.sigma, hi / params.sigma
+    assert params.sigma * y_lo == lo and params.sigma * y_hi == hi
+    ref = (Region.R1, Region.R4)
+    m = (0.5, params.t / params.sigma)
+    follows, calls = ind._follows, []
+
+    def counted(*args):
+        calls.append(args)
+        return follows(*args)
+
+    monkeypatch.setattr(ind, "_follows", counted)
+    got, resolved = _slice_edge_agrees(params, ref, m, 1, y_lo)
+    assert resolved and got == math.nextafter(y_lo, 1.0)
+    calls.clear()
+    assert ind._surviving(params, ref, m, 1, y_lo) == got
+    assert len(calls) <= 4          # the full bisection takes about 50
+    calls.clear()
+    assert ind._surviving(params, ref, m, 1, y_hi) == y_hi
+    assert len(calls) == 1
+
+
+def test_slice_edge_near_zero_keeps_the_full_bracket():
+    # x = 0 is the edge: halving from p runs out of _SLICE_ITERS steps
+    # long before the floats near 0 are resolved, on a passing point
+    p = REF_EX
+    m = sp.sample_returning_point(p, np.random.default_rng(14), n1=2).M
+    ref, _ = ind._return_frame(p, m)
+    for target in (-0.25, -1e-30):
+        got, resolved = _slice_edge_agrees(p, ref, m, 0, target)
+        assert 0.0 < got < 1e-60 and not resolved
+
+
+def test_slice_edge_after_an_early_r4_step_keeps_the_full_bracket(
+        monkeypatch):
+    # after the R4 step the height is c*w^2 - lam*x with w = sigma*(y - t):
+    # the heights the R1 step takes are two bands around y = t.  From the
+    # lower band, the full bisection's first midpoint lies in the upper
+    # band, and the edge it finds is the top of the R4 strip.
+    p = REF_EX
+    ref = (Region.R4, Region.R1)
+    m = (0.5, p.t - 0.03)
+    target = p.t + 0.09
+    assert ind._follows(p, 0.5, 0.5 * (m[1] + target), ref)
+    assert not ind._follows(p, 0.5, p.t, ref)
+
+    def no_narrowing(*args):
+        raise AssertionError("an early R4 step narrowed")
+
+    monkeypatch.setattr(ind, "_slice_bracket", no_narrowing)
+    got, resolved = _slice_edge_agrees(p, ref, m, 1, target)
+    assert resolved and got == p.t + p.h
+
+
+@pytest.mark.parametrize("family", ["ex", "strict"])
+def test_eta_checks_read_few_points_per_slice_edge(family, monkeypatch):
+    # the full-bracket bisection takes about 47 _follows calls per edge
+    params = FAMILIES[family]
+    cert = default_certificate(params).with_updates(**CALIBRATED[family])
+    follows, surviving = ind._follows, ind._surviving
+    work = Counter()
+
+    def counted_follows(*args):
+        work["follows"] += 1
+        return follows(*args)
+
+    def counted_surviving(*args):
+        work["surviving"] += 1
+        return surviving(*args)
+
+    monkeypatch.setattr(ind, "_follows", counted_follows)
+    monkeypatch.setattr(ind, "_surviving", counted_surviving)
+    rng = np.random.default_rng(15)
+    for i in range(5):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        ind._eta_holds(params, direction_field(params, m), 1.0, cert,
+                       ind._return_frame(params, m))
+    assert work["surviving"] == 5 * 6
+    assert work["follows"] < 10 * work["surviving"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horseshoe import manifolds as mf
@@ -50,6 +50,27 @@ def test_validate_full_crossing_margin():
                   if c.constraint == "full_crossing")
     assert strict.passed
     assert strict.value == pytest.approx(648.0 * 0.02 ** 2 - 2e-5, abs=1e-12)
+
+
+@given(params=valid_params(), scale=st.floats(0.8, 1.2))
+@example(params=REF_EX, scale=1.05)
+@example(params=REF_STRICT, scale=0.9)
+@settings(max_examples=60, deadline=None)
+def test_full_crossing_passes_when_both_wing_tips_clear_r1(params, scale):
+    # c puts the wing tips at scale * (lam + 1/sigma) - lam, so the
+    # draws fall on both sides of the margin
+    c = scale * (params.lam + params.inv_sigma) / params.w_max ** 2
+    p = dataclasses.replace(params, c=c)
+    rep = validate(p)
+    assume(rep.valid)
+    check = next(ch for ch in rep.checks if ch.constraint == "full_crossing")
+    # the lowest image parabola (offset lam) at the strip's edges
+    r4 = mc.BRANCH[Region.R4]
+    tips = [r4.forward(p, 1.0, p.t + s * p.h)[1] for s in (-1.0, 1.0)]
+    assume(abs(check.value) > 1e-12)         # not within rounding of 0
+    assert check.kind == "soft"
+    assert check.passed == all(tip > p.inv_sigma for tip in tips)
+    assert check.value == pytest.approx(min(tips) - p.inv_sigma, abs=1e-12)
 
 
 def test_validate_rejects_large_lambda():
@@ -385,7 +406,7 @@ def test_first_return_both_ways_equals_the_visit_search(params):
     assert min(found.values()) >= 20
 
 
-SETTABLE = ["chi1", "chi", "C0", "eps0", "eta", "rho1", "C5", "K"]
+SETTABLE = ["chi1", "C0", "eps0", "eta", "rho1", "C5", "K"]
 
 
 def test_certificate_shapes():
