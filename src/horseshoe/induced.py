@@ -22,22 +22,21 @@ segment cross the top and bottom sides of the polygonal ball (constant
 C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 (constant eps0, :func:`_eps0_holds`), and the image of a small rectangle
 around a returning point crosses the target balls at its first return
-(constant eta, :func:`_eta_holds`).  The eta check first clips the
-rectangle to the slice that follows the first-return itinerary.  Where
-that itinerary has no R4 step before its last, each slice edge is
-bisected from a bracket a few ulps wide around a secant estimate off the
-strip levels; it ends on the float of the full-bracket bisection,
-because the passing floats form one interval (:func:`_surviving`).  It
-then traces both sides along the itinerary, finds the arc piece over
-each segment by a bisection that starts from a secant-narrowed bracket,
-samples each piece from its middle outward in growing blocks and stops
-on a segment once a chord crosses it; the edges are the floats of a
-full-bracket bisection, and the verdict, an OR over the chords, is the
-same in any order (:func:`_arc_crossings`).
+(constant eta, :func:`_eta_holds`).  All three meet parabolas with
+segments through one quadratic solver (:func:`_parabola_crossings`).
+The eta check first clips the rectangle to the slice that follows the
+first-return itinerary.  Where that itinerary has no R4 step before its
+last, each slice edge is bisected from a bracket a few ulps wide around
+a secant estimate off the strip levels; it ends on the float of the
+full-bracket bisection, because the passing floats form one interval
+(:func:`_surviving`).  A first return ends on its only R4 step, so the
+image of each clipped side is an arc of a parabola, crossed with the
+target segments in closed form; an itinerary with an earlier R4 step is
+sampled instead (:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
 ``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
-``_ARC_BLOCK``, ``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
+``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
 """
 
 from __future__ import annotations
@@ -60,10 +59,7 @@ _RETURN_CAP = 4000
 _PROBE_GRID = 16        # chart grid points per axis of the distortion probe
 _PROBE_PAIRS = 60       # grid pairs the distortion probe draws
 _CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
-_ARC_SAMPLES = 1025     # heights sampled per traced piece of a side arc
-#: Floats per array of :func:`_arc_crossings`' sampling pass; keeps each
-#: below the allocator's mmap threshold.
-_ARC_BLOCK = 8192
+_ARC_SAMPLES = 1025     # heights sampled per piece of a side arc
 _SLICE_ITERS = 240      # bisection steps locating a surviving slice edge
 _ETA_MIN = 1e-8         # smallest eta the calibration tries
 _ETA_ITERS = 24         # log-scale bisection steps for eta
@@ -373,32 +369,36 @@ def distortion_probe(params: MapParams, m: tuple[float, float],
 # Crossing certificates
 # ---------------------------------------------------------------------------
 
-def _parabola_crosses_segment(params: MapParams, k: float, p0, p1) -> bool:
-    """Does y = c*(x-q)^2 - k meet the segment [p0, p1]?  Tangential
-    grazing counts."""
-    p0 = np.asarray(p0, dtype=float)
-    d = np.asarray(p1, dtype=float) - p0
-    # c*(x0 + s*dx - q)^2 - (y0 + s*dy) - k = 0
-    e = p0[0] - params.q
-    a2 = params.c * d[0] * d[0]
-    a1 = 2.0 * params.c * e * d[0] - d[1]
-    a0 = params.c * e * e - p0[1] - k
+def _parabola_crossings(params: MapParams, k: float, p0, p1) -> list:
+    """Abscissae where the parabola y = c*(x-q)^2 - k meets the segment
+    [p0, p1], empty when it misses; a tangent counts.
+
+    On the segment p0 + s*(p1 - p0) the parabola is a quadratic in s,
+    whose roots count on [0, 1] up to ``_CROSS_TOL``.  A discriminant
+    slightly below 0 is a tangent when it is within ``_CROSS_TOL`` of the
+    larger of its two terms, so the slack scales with the terms that
+    cancel: a segment a fraction of a small ball's radius below the
+    vertex still misses."""
+    x0, y0 = float(p0[0]), float(p0[1])
+    dx, dy = float(p1[0]) - x0, float(p1[1]) - y0
+    e = x0 - params.q
+    a2 = params.c * dx * dx
+    a1 = 2.0 * params.c * e * dx - dy
+    a0 = params.c * e * e - y0 - k
     if abs(a2) < 1e-300:
         if abs(a1) < 1e-300:
-            return abs(a0) <= _CROSS_TOL
-        s = -a0 / a1
-        return -_CROSS_TOL <= s <= 1.0 + _CROSS_TOL
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        if disc > -_CROSS_TOL * max(1.0, a1 * a1):
+            return [x0] if abs(a0) <= _CROSS_TOL else []
+        roots = [-a0 / a1]
+    else:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            if disc <= -_CROSS_TOL * max(a1 * a1, abs(4.0 * a2 * a0)):
+                return []
             disc = 0.0
-        else:
-            return False
-    root = math.sqrt(disc)
-    for s in ((-a1 + root) / (2.0 * a2), (-a1 - root) / (2.0 * a2)):
-        if -_CROSS_TOL <= s <= 1.0 + _CROSS_TOL:
-            return True
-    return False
+        root = math.sqrt(disc)
+        roots = [(-a1 + root) / (2.0 * a2), (-a1 - root) / (2.0 * a2)]
+    return [x0 + s * dx for s in roots
+            if -_CROSS_TOL <= s <= 1.0 + _CROSS_TOL]
 
 
 def _u_crosses(params: MapParams, ks, ball: PolygonalBall) -> bool:
@@ -406,8 +406,8 @@ def _u_crosses(params: MapParams, ks, ball: PolygonalBall) -> bool:
     sides of the ball."""
     s0, s2 = ball.sides()
     for k in ks:
-        if not (_parabola_crosses_segment(params, k, *s0)
-                and _parabola_crosses_segment(params, k, *s2)):
+        if not (_parabola_crossings(params, k, *s0)
+                and _parabola_crossings(params, k, *s2)):
             return False
     return True
 
@@ -423,147 +423,82 @@ class CrossReport:
     details: dict = field(default_factory=dict)
 
 
-def _linspaces(start: np.ndarray, stop: np.ndarray, num: int, r0: int,
-               r1: int) -> np.ndarray:
-    """Rows r0..r1 of ``np.linspace(start[i], stop[i], num)`` for every
-    lane i, as the columns of one (r1 - r0 + 1, lanes) array.
-
-    One stacked ``np.linspace`` call is not the same: it switches every
-    lane to its denormal-safe formula as soon as one lane has a zero
-    step.  Here each lane picks its own formula, as a call of its own
-    would, so every column holds that call's floats.  Row k depends only
-    on k and its lane's start and stop (the last row is ``stop``), so a
-    row has the same floats in every block that holds it."""
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    k = np.arange(r0, r1 + 1, dtype=float)[:, None]
-    y = np.where(step == 0, k / div * delta, k * step) + start
-    if r1 == div:
-        y[-1] = stop
-    return y
-
-
 def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
-    """Which of the segments ``segs`` ((S, 2, 2): the endpoints of each)
-    the image along ``itinerary`` of each vertical arc (x_side, y_lo,
-    y_hi) in ``arcs`` meets, as a (len(arcs), S) boolean array.
+    """Which of the segments ``segs`` (pairs of endpoints) the image along
+    ``itinerary`` of each vertical arc (x_side, y_lo, y_hi) in ``arcs``
+    meets, as a (len(arcs), len(segs)) boolean array.
 
-    Every arc follows the itinerary (the caller clips them to its
-    slice), so the image x-coordinate is monotone in the source height,
-    and the piece of an arc over each segment's x-span (plus a 5 %
-    margin) is localized by bisection; the edges of all (arc, segment)
-    lanes are solved in one lockstep bisection (:func:`_bisect_edges`).
-    With exactly one R4 step in the itinerary, the brackets are first
-    narrowed around a secant estimate (:func:`_narrow_edges`).  The image
-    abscissa is then a chain of correctly rounded monotone operations of
-    the source height (y-only maps before R4, ``q + sigma*(y - t)`` at
-    it, x-only maps after it), so the predicate flips once over a
-    bracket's floats and bisection from the narrowed bracket ends on
-    the same float.  Other itineraries keep the full bracket.
-
-    Only those pieces are sampled, ``_ARC_SAMPLES`` heights each, and
-    mapped and tested against their segments in blocks of rows.  The
-    blocks walk from the middle row of the pieces outward, one above and
-    one below in turn.  Block j holds at most 2^j times a 32nd of a
-    piece's chords per lane (32 * 2^j at the default ``_ARC_SAMPLES``),
-    and never more than ``_ARC_BLOCK`` floats, so a lane that crosses
-    near the middle row stops after few chords.  Each block holds only
-    the lanes that no earlier block crossed, so the walk stops when
-    every lane has crossed or every chord was tested.  Adjacent blocks
-    share their boundary row, so each chord of a lane is tested once.
-    The verdict does not depend on the order: a lane's verdict is an OR
-    over its chords, and each chord's floats depend only on its two row
-    indices (see :func:`_linspaces`), not on the block or the other
-    lanes.  A chord-level bounding box test would be unsound here: the
-    arc can dip far below a chord whose endpoints sit high on both
-    wings.
-    """
-    segs = np.asarray(segs, dtype=float)
+    A first return to the window ends on its only R4 step.  The straight
+    branches before it are diagonal and affine, so along the arc they
+    keep one abscissa X and move the height affinely, and R4 sends
+    (X, Y) to (q + w, c*w^2 - lam*X).  The image is thus the arc of the
+    parabola of offset lam*X between the images of the arc's ends, and
+    it meets a segment where :func:`_parabola_crossings` finds an
+    abscissa in that range.  Other itineraries, which have an R4 step
+    before the last one only where f(R4) reaches the R3 strip, are
+    sampled (:func:`_sampled_crossings`)."""
+    if itinerary[-1] is not Region.R4 or Region.R4 in itinerary[:-1]:
+        return _sampled_crossings(params, arcs, itinerary, segs)
+    branches = [mc.BRANCH[reg] for reg in itinerary]
     hit = np.zeros((len(arcs), len(segs)), dtype=bool)
-    a, b = segs[:, 0], segs[:, 1]
-    d = b - a
-    # the stacked dot product rounds as np.linalg.norm of each row does;
-    # np.linalg.norm(d, axis=1) does not
-    length = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    margin = np.maximum(0.05 * length, 1e-14)
-    xa = np.minimum(a[:, 0], b[:, 0]) - margin
-    xb = np.maximum(a[:, 0], b[:, 0]) + margin
+    for i, (x_side, y_lo, y_hi) in enumerate(arcs):
+        ends = [(x_side, y_lo), (x_side, y_hi)]
+        for br in branches[:-1]:
+            ends = [br.forward(params, *end) for end in ends]
+        k = params.lam * ends[0][0]
+        x_a, x_b = sorted(branches[-1].forward(params, *end)[0]
+                          for end in ends)
+        for j, (p0, p1) in enumerate(segs):
+            hit[i, j] = any(x_a <= x <= x_b for x
+                            in _parabola_crossings(params, k, p0, p1))
+    return hit
+
+
+def _sampled_crossings(params: MapParams, arcs, itinerary,
+                       segs) -> np.ndarray:
+    """:func:`_arc_crossings` by sampling, for any itinerary.
+
+    For each (arc, segment) lane, the piece of the arc whose image lies
+    over the segment's x-span (plus a 5 % margin) runs between two
+    heights found by bisection from the arc's ends.  ``_ARC_SAMPLES``
+    heights over the piece are mapped, and the lane crosses when one
+    chord between consecutive images meets the segment."""
     branches = [mc.BRANCH[reg] for reg in itinerary]
 
     def image(x, y):
-        # branch formulas along the slice itinerary, on floats or arrays
         for br in branches:
             x, y = br.forward(params, x, y)
         return x, y
 
-    ends = []
-    for x_side, y_lo, y_hi in arcs:
-        x_img_lo = image(x_side, y_lo)[0]
-        x_img_hi = image(x_side, y_hi)[0]
-        if x_img_lo > x_img_hi:
-            y_lo, y_hi = y_hi, y_lo
-            x_img_lo, x_img_hi = x_img_hi, x_img_lo
-        ends.append((x_side, y_lo, y_hi, x_img_lo, x_img_hi))
-    ends = np.array(ends, dtype=float)
-    # one lane per (arc, segment) pair whose x-spans meet
-    arc_of, seg_of = np.nonzero((ends[:, 4:] >= xa) & (ends[:, 3:4] <= xb))
-    if len(seg_of) == 0:
-        return hit
-    x_lane, y_lo, y_hi, x_img_lo, x_img_hi = ends[arc_of].T
-
-    # source heights whose image abscissae are the span edges (rows:
-    # start, stop); an edge outside the arc's image keeps the arc's end
-    targets = np.stack([xa[seg_of], xb[seg_of]])
-    edges = np.stack([y_lo, y_hi])
-    inner = (x_img_lo < targets) & (targets < x_img_hi)
-    x_t = targets[inner]
-    x_in = np.broadcast_to(x_lane, inner.shape)[inner]
-    good = np.broadcast_to(y_lo, inner.shape)[inner]
-    bad = np.broadcast_to(y_hi, inner.shape)[inner]
-
-    def image_x(y):
-        return image(x_in, y)[0]
-    if itinerary.count(Region.R4) == 1:
-        good, bad = _narrow_edges(
-            image_x, x_t, good, bad,
-            np.broadcast_to(x_img_lo, inner.shape)[inner],
-            np.broadcast_to(x_img_hi, inner.shape)[inner])
-    edges[inner] = _bisect_edges(lambda y: image_x(y) < x_t, good, bad, 200)
-
-    # each polyline against its segment: solve p + s*r = a + t*d per
-    # chord, from the middle row outward, on the lanes not yet crossed
-    lanes = np.stack([*edges, x_lane, *a[seg_of].T, *d[seg_of].T])
-    crossed = np.zeros(len(seg_of), dtype=bool)
-    div = _ARC_SAMPLES - 1
-    lo = hi = div // 2          # rows lo..hi are sampled
-    up = True
-    grow = div // 32            # chords per lane of the first block
-    while (lo > 0 or hi < div) and not crossed.all():
-        live = np.flatnonzero(~crossed)
-        y0, y1, xl, ax, ay, dx, dy = lanes[:, live]
-        chords = min(grow, max(1, _ARC_BLOCK // len(live) - 1))
-        grow *= 2
-        up = hi < div and (up or lo == 0)
-        if up:
-            r0, r1 = hi, min(hi + chords, div)
-            hi = r1
-        else:
-            r0, r1 = max(lo - chords, 0), lo
-            lo = r0
-        up = not up
-        ys = _linspaces(y0, y1, _ARC_SAMPLES, r0, r1)
-        px, py = image(np.broadcast_to(xl, ys.shape), ys)
-        rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
-        den = dx * ry - dy * rx
-        ex, ey = px[:-1] - ax, py[:-1] - ay
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (ex * ry - ey * rx) / den
-            t = (ex * dy - ey * dx) / -den
-        crossed[live] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
+    hit = np.zeros((len(arcs), len(segs)), dtype=bool)
+    for i, (x_side, y_lo, y_hi) in enumerate(arcs):
+        x_lo, x_hi = image(x_side, y_lo)[0], image(x_side, y_hi)[0]
+        if x_lo > x_hi:
+            y_lo, y_hi, x_lo, x_hi = y_hi, y_lo, x_hi, x_lo
+        for j, (a, b) in enumerate(np.asarray(segs, dtype=float)):
+            d = b - a
+            margin = max(0.05 * float(np.linalg.norm(d)), 1e-14)
+            xa = min(a[0], b[0]) - margin
+            xb = max(a[0], b[0]) + margin
+            if x_hi < xa or x_lo > xb:
+                continue
+            # an edge outside the arc's image keeps the arc's end
+            edges = [_bisect_edge(lambda y: image(x_side, y)[0] < x_t,
+                                  y_lo, y_hi, 200)
+                     if x_lo < x_t < x_hi else y_end
+                     for x_t, y_end in ((xa, y_lo), (xb, y_hi))]
+            ys = np.linspace(*edges, _ARC_SAMPLES)
+            px, py = image(np.full_like(ys, x_side), ys)
+            # chord p + t*r against the segment a + s*d
+            rx, ry = np.diff(px), np.diff(py)
+            ex, ey = px[:-1] - a[0], py[:-1] - a[1]
+            den = d[0] * ry - d[1] * rx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (ex * ry - ey * rx) / den
+                t = (ex * d[1] - ey * d[0]) / den
+            hit[i, j] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
                          & (s <= 1.0 + 1e-9) & (t >= -1e-9)
-                         & (t <= 1.0 + 1e-9)).any(axis=0)
-    hit[arc_of, seg_of] = crossed
+                         & (t <= 1.0 + 1e-9)).any()
     return hit
 
 
@@ -597,64 +532,6 @@ def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
         else:
             bad = mid
     return good
-
-
-def _bisect_edges(passes, good, bad, iters: int) -> np.ndarray:
-    """:func:`_bisect_edge` in every lane of the arrays ``good`` and
-    ``bad`` at once; ``passes`` maps an array of one point per lane to a
-    boolean array.
-
-    Each lane takes the scalar bisection's midpoints and stops where it
-    would (``passes(bad)`` at the start, a midpoint equal to an end, or
-    the ``iters`` cap), so each returns the scalar's float.  Stopped
-    lanes are still evaluated but no longer move."""
-    good = np.array(good, dtype=float)
-    bad = np.array(bad, dtype=float)
-    done = passes(bad)
-    good = np.where(done, bad, good)
-    live = ~done
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        live &= (mid != good) & (mid != bad)
-        if not live.any():
-            break
-        ok = passes(mid)
-        good = np.where(live & ok, mid, good)
-        bad = np.where(live & ~ok, mid, bad)
-    return good
-
-
-def _narrow_edges(image_x, x_t, good, bad, x_good, x_bad) -> tuple:
-    """Tighter brackets (good, bad) for :func:`_bisect_edges` on the
-    predicate ``image_x(y) < x_t``, lane by lane; ``x_good`` and ``x_bad``
-    are ``image_x`` at the ends, which pass and fail.
-
-    Two rounds each evaluate ``image_x`` once on a stack of heights: the
-    secant estimate of the crossing and offsets of the bracket width
-    times 2^(-4k), k = 1..13, on both sides of it.  A lane keeps its
-    passing point nearest ``bad`` and its failing point nearest ``good``
-    among those inside its bracket.  Where the predicate flips once over
-    the bracket's floats, bisection from the tighter bracket ends on the
-    float that it ends on from the full one."""
-    steps = 2.0 ** (-4.0 * np.arange(1, 14))
-    offsets = np.concatenate([-steps, [0.0], steps])[:, None]
-    lane = np.arange(len(good))
-    for _ in range(2):
-        width = bad - good
-        sign = np.sign(width)
-        est = good + width * ((x_t - x_good) / (x_bad - x_good))
-        probe = est + np.abs(width) * offsets
-        ys = np.concatenate([[good, bad], probe])
-        xs = np.concatenate([[x_good, x_bad], image_x(probe)])
-        # key grows from good towards bad; the product by +-1 is exact
-        key = ys * sign
-        inside = (good * sign <= key) & (key <= bad * sign)
-        ok = xs < x_t
-        g = np.argmax(np.where(inside & ok, key, -np.inf), axis=0)
-        b = np.argmin(np.where(inside & ~ok, key, np.inf), axis=0)
-        good, x_good = ys[g, lane], xs[g, lane]
-        bad, x_bad = ys[b, lane], xs[b, lane]
-    return good, bad
 
 
 def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
@@ -765,8 +642,7 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     asks that the image of each side cross the bottom and top sides of
     every target ball: radii rho*C0*l and eps0*rho*C0*l at M_n and at
     M_n moved by eta*eps0*rho*C0*l(M_n) along +-e_u and +-e_s, twenty
-    segments in all.  Both side arcs are traced in one pass for all
-    twenty segments (:func:`_arc_crossings`).
+    segments in all (:func:`_arc_crossings`).
     """
     mc._require_A(params, m)
     frame = direction_field(params, m)
@@ -811,8 +687,8 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     """eta: the image of the rectangle around M crosses the target balls
     at the first return ``ret`` = (itinerary, splitting at M_n) of
     :func:`_return_frame`: both sides, clipped to the slice that follows
-    the itinerary and traced along it in one :func:`_arc_crossings`
-    call, must cross every target segment.  Returns the verdict and the
+    the itinerary and mapped along it (:func:`_arc_crossings`), must
+    cross every target segment.  Returns the verdict and the
     rectangle's sides ``d_h`` and ``d_v``."""
     m = frame.M
     ref, frame_ret = ret
@@ -886,8 +762,7 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
 
     chi1 and C5 are empirical extrema; C0 and eps0 come from descending
     sweeps and eta from a bisection against their crossing predicates,
-    and C3 = rho1 * C0 follows C0.  rho1 and K keep their configured
-    values.
+    and C3 = rho1 * C0 follows C0.  rho1 keeps its configured value.
     """
     p = params
     rng = np.random.default_rng(seed)

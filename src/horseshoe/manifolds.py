@@ -14,7 +14,7 @@ chain is thus the plain orbit, not a chain of induced steps.
 
 The blocks of a point form its anchor chain, built lazily once per
 query: every radius of a local leaf, the base leaf of a global leaf (the
-chain's tail) and a bracket with all its extensions read the same chain.
+chain's tail) and a bracket with its extension read the same chain.
 Each block keeps the branch itinerary of the walk that found it, and the
 graph transform maps along that itinerary, so each block's orbit is
 walked once.
@@ -49,11 +49,10 @@ so a temporary stays within 256 KB unless one polyline is longer.
 
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
-``_MAX_EXTEND``, ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``,
-``_SCAN_ROUNDS``, ``_SIMPLE_TOL``, ``_SEED_SLOPE``, ``_BLOCK``,
-``_BOX_PAD``, ``_PARALLEL``, ``_PASSAGES``, ``_EPS1``,
-``_VERTICAL_POINTS``, ``_RHO``, ``_MIXING_BUDGET`` and
-``_NONEXPANSIVE_HORIZON``.
+``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
+``_SIMPLE_TOL``, ``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``,
+``_PARALLEL``, ``_PASSAGES``, ``_EPS1``, ``_VERTICAL_POINTS``,
+``_RHO``, ``_MIXING_BUDGET`` and ``_NONEXPANSIVE_HORIZON``.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ _MAX_DEPTH = 60     # pullback blocks a local leaf may use
 _MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
 _ANCHOR_CAP = 2000  # orbit steps searched for one block
 _SEG_LEN = 1e-3     # longest segment of a resampled global leaf
-_MAX_EXTEND = 6     # deepest global extension (induced steps) of a bracket
 _MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
 _MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
 _END_TOL = 1e-9     # curve ends this close meet (or reach an edge)
@@ -113,7 +111,7 @@ class MonotonicityError(mc.HorseshoeError, RuntimeError):
 
 
 class NoIntersection(mc.HorseshoeError, RuntimeError):
-    """The two leaves do not meet within the computed extensions."""
+    """The two leaves do not meet, locally or after their extension."""
 
 
 class NonUnique(mc.HorseshoeError, RuntimeError):
@@ -910,26 +908,27 @@ BRACKET_ANGLE_FLOOR = 1e-6
 def bracket(params: MapParams, m, m_prime) -> Bracket:
     """Intersection of the stable leaf of ``m`` with the unstable leaf
     of ``m_prime`` (the local product structure), with the measured
-    transversality angle.  The local leaves and every extension read one
-    stable chain of ``m`` and one unstable chain of ``m_prime``."""
+    transversality angle.  Local leaves that miss each other are
+    extended once, to global leaves of two induced steps.  The local
+    leaves and the extension read one stable chain of ``m`` and one
+    unstable chain of ``m_prime``."""
     stable = _Chain(params, m, "stable")
     unstable = _Chain(params, m_prime, "unstable")
     ws = _local_manifold(params, stable)
     wu = _local_manifold(params, unstable)
     hits = _polyline_intersections(ws.points, wu.points)
-    n = 0
-    while not hits and n < _MAX_EXTEND:
-        n += 2
+    if not hits:
+        # no bracket has been seen to need a deeper extension
         try:
-            ws = _global_manifold(params, stable, n)
-            wu = _global_manifold(params, unstable, n)
+            ws = _global_manifold(params, stable, 2)
+            wu = _global_manifold(params, unstable, 2)
         except (Unsupported, NoConvergence) as err:
             raise NoIntersection(f"leaves too short and not extendable: "
                                  f"{err}") from err
         hits = _polyline_intersections(ws.points, wu.points)
     if not hits:
         raise NoIntersection("stable and unstable leaves do not meet "
-                             f"within {_MAX_EXTEND} global extensions")
+                             "after one global extension")
     clusters: list[list] = []
     for _, _, pt, ang in hits:
         for cl in clusters:

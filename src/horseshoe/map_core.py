@@ -706,7 +706,6 @@ class Certificate:
     eta: float
     rho1: float
     C5: float
-    K: float
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -760,5 +759,4 @@ def default_certificate(params: MapParams) -> Certificate:
         eta=min(0.25, 1.0 / (320.0 * params.c)),
         rho1=0.25,
         C5=4.0,
-        K=2.0,
     )

@@ -229,7 +229,7 @@ def crossing_digest(params, consts, n=10, seed=20261018) -> str:
 
 @pytest.mark.parametrize("family, pin", [
     ("ex", "f1078292b41e9ec7"),
-    ("strict", "2c02416ce1970c51"),
+    ("strict", "d94f48ca6108dd3f"),
 ])
 def test_crossing_reports_pinned(family, pin):
     assert crossing_digest(FAMILIES[family], CALIBRATED[family]) == pin

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -493,21 +494,47 @@ def test_calibration_pairs_without_an_image_gap(monkeypatch):
 
 def test_parabola_crosses_segment():
     p = REF_EX
-    # vertex parabola against a horizontal segment above the vertex
-    assert ind._parabola_crosses_segment(p, 0.0, (0.7, 0.005), (0.8, 0.005))
+    # vertex parabola against a horizontal segment above the vertex: it
+    # meets it at q -+ sqrt(0.005 / c) = q -+ 0.0316
+    got = ind._parabola_crossings(p, 0.0, (0.7, 0.005), (0.8, 0.005))
+    assert sorted(got) == pytest.approx([p.q - math.sqrt(0.001),
+                                         p.q + math.sqrt(0.001)])
     # segment entirely below the parabola
-    assert not ind._parabola_crosses_segment(p, 0.0, (0.74, -0.01),
-                                             (0.76, -0.01))
+    assert ind._parabola_crossings(p, 0.0, (0.74, -0.01), (0.76, -0.01)) == []
     # a vertical segment has a2 = 0: one linear root, at s = 0.625 here
-    assert ind._parabola_crosses_segment(p, 0.0, (0.8, 0.0), (0.8, 0.02))
-    assert not ind._parabola_crosses_segment(p, 0.0, (0.8, 0.02),
-                                             (0.8, 0.03))
+    assert ind._parabola_crossings(p, 0.0, (0.8, 0.0), (0.8, 0.02)) == [0.8]
+    assert ind._parabola_crossings(p, 0.0, (0.8, 0.02), (0.8, 0.03)) == []
     # a point segment has a1 = a2 = 0: it crosses when it is on the curve
     e = 0.8 - p.q
     on = (0.8, p.c * e * e)
-    assert ind._parabola_crosses_segment(p, 0.0, on, on)
+    assert ind._parabola_crossings(p, 0.0, on, on) == [0.8]
     off = (0.8, on[1] + 1e-3)
-    assert not ind._parabola_crosses_segment(p, 0.0, off, off)
+    assert ind._parabola_crossings(p, 0.0, off, off) == []
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_parabola_crossings_scale_the_tangent_slack(params):
+    # a segment 1.56e-6 below the vertex (q, 0) of y = c*(x - q)^2 misses
+    # it; its discriminant is far below 1e-9 in absolute terms, but not
+    # against the terms that cancel in it
+    q = params.q
+    assert ind._parabola_crossings(params, 0.0, (0.749965, -1.56e-6),
+                                   (0.75007, -1.56e-6)) == []
+    # a segment through the vertex crosses there
+    got = ind._parabola_crossings(params, 0.0, (q - 1e-5, -1e-6),
+                                  (q + 1e-5, 1e-6))
+    assert min(abs(x - q) for x in got) < 1e-12
+    # exact tangents count: the horizontal one at the vertex, and the one
+    # at x0 = q + 2^-7, whose dyadic ends make every term exact
+    assert ind._parabola_crossings(params, 0.0, (q - 1e-5, 0.0),
+                                   (q + 1e-5, 0.0)) == [q, q]
+    x0, h, dx = q + 2.0 ** -7, 2.0 ** -7, 2.0 ** -10
+    y0, slope = params.c * h * h, 2.0 * params.c * h
+    ends = ((x0 - dx, y0 - slope * dx), (x0 + dx, y0 + slope * dx))
+    assert ind._parabola_crossings(params, 0.0, *ends) == [x0, x0]
+    # the same line lowered by 1e-6 misses
+    lowered = [(x, y - 1e-6) for x, y in ends]
+    assert ind._parabola_crossings(params, 0.0, *lowered) == []
 
 
 @pytest.mark.parametrize("params,seed", [(REF_EX, 0), (REF_STRICT, 0)])
@@ -541,7 +568,7 @@ def test_calibrate_certificate_provenance_and_coupling():
     assert cert.C3 == cert.rho1 * cert.C0
     doc = json.loads(cert.to_json())
     assert doc["C3"] == {"value": cert.C3, "provenance": "estimated"}
-    assert doc["rho1"]["provenance"] == doc["K"]["provenance"] == "configured"
+    assert doc["rho1"]["provenance"] == "configured"
 
 
 def test_calibrated_constants_pass_on_fresh_strict_samples():
@@ -567,222 +594,7 @@ def test_largest_passing_bisects_below_a_threshold():
     assert at_min == ind._ETA_MIN
 
 
-# --- lockstep bisection and early-exit itineraries ------------------------
-
-def _scalar_edges(passes_at, good, bad, iters):
-    """_bisect_edge per lane, with the number of predicate calls each made."""
-    out, calls = [], []
-    for i, (g, b) in enumerate(zip(good, bad)):
-        count = [0]
-
-        def passes(y, i=i, count=count):
-            count[0] += 1
-            return passes_at(i, y)
-        out.append(ind._bisect_edge(passes, float(g), float(b), iters))
-        calls.append(count[0])
-    return np.array(out), calls
-
-
-def test_lockstep_bisection_equals_scalar_in_every_lane():
-    rng = np.random.default_rng(11)
-    n = 64
-    lo = rng.uniform(-2.0, 2.0, n)
-    # widths from 1 down to a few ulps, so lanes reach float resolution
-    # at different iterations; not powers of two, so midpoints round
-    width = rng.uniform(0.5, 1.0, n) * 2.0 ** -rng.integers(0, 50, n)
-    lo[0], width[0] = 0.0, 1.0
-    hi = lo + width
-    up = rng.random(n) < 0.5                 # half the lanes run downwards
-    up[0] = True
-    good = np.where(up, lo, hi)
-    bad = np.where(up, hi, lo)
-    # thresholds mostly inside the interval, some beyond bad: there
-    # passes(bad) holds and the lane returns bad untouched
-    thr = lo + width * rng.uniform(-0.2, 1.2, n)
-    thr[1] = hi[1] + 1.0 if up[1] else lo[1] - 1.0
-    # lane 0 halves its way from 1 down to a subnormal edge and runs into
-    # the iteration cap long before float resolution
-    thr[0] = 1e-320
-
-    def passes_at(i, y):
-        return y < thr[i] if up[i] else y > thr[i]
-
-    def passes(y):
-        return np.where(up, y < thr, y > thr)
-
-    for iters in (200, 30, 7):
-        want, calls = _scalar_edges(passes_at, good, bad, iters)
-        got = ind._bisect_edges(passes, good, bad, iters)
-        assert got.dtype == float and np.array_equal(got, want)
-        if iters == 200:
-            assert len(set(calls)) > 10     # lanes stop at different steps
-            assert calls[0] == 1 + 200      # lane 0 runs into the cap
-            assert calls[1] == 1            # passes(bad) holds in lane 1
-            assert got[1] == bad[1]
-
-
-def test_lockstep_bisection_on_an_image_abscissa():
-    # the predicate of the eta check: image abscissa below a target
-    p = REF_EX
-    rng = np.random.default_rng(4)
-    m = sp.sample_returning_point(p, rng, n1=2).M
-    _, pts = mc.first_return(p, m, 4000)
-    branches = [mc.BRANCH[classify(p, q)] for q in pts[:-1]]
-
-    def image_x(y):
-        x = m[0]
-        for br in branches:
-            x, y = br.forward(p, x, y)
-        return x
-
-    y_lo, y_hi = m[1] - 1e-4, m[1] + 1e-4
-    xs = sorted((image_x(y_lo), image_x(y_hi)))
-    targets = rng.uniform(xs[0], xs[1], 40)
-    good = np.full(40, y_lo if image_x(y_lo) < image_x(y_hi) else y_hi)
-    bad = np.full(40, y_hi if good[0] == y_lo else y_lo)
-    want, _ = _scalar_edges(lambda i, y: image_x(y) < targets[i],
-                            good, bad, 200)
-    got = ind._bisect_edges(lambda y: image_x(y) < targets, good, bad, 200)
-    assert np.array_equal(got, want)
-
-
-def _image_x(params, itinerary, x_side):
-    """Image abscissa along ``itinerary`` of the heights on the vertical
-    line x = x_side, on floats or arrays."""
-    branches = [mc.BRANCH[reg] for reg in itinerary]
-
-    def image_x(y):
-        x = x_side
-        for br in branches:
-            x, y = br.forward(params, x, y)
-        return x
-    return image_x
-
-
-def _ulp_targets(x_lo, x_hi):
-    """The abscissae 1 to 4 ulps inside either end of [x_lo, x_hi]."""
-    out, a, b = [], x_lo, x_hi
-    for _ in range(4):
-        a, b = np.nextafter(a, np.inf), np.nextafter(b, -np.inf)
-        out += [a, b]
-    return out
-
-
-def _narrowed_edges_agree(image_x, y_a, y_b, targets):
-    """Span edges of ``targets`` on the heights y_a..y_b, bisected from
-    the brackets of :func:`induced._narrow_edges` and from the full one,
-    which :func:`induced._arc_crossings` orients from the end with the
-    lower image abscissa: both end on the same float in every lane.
-    Returns the number of lanes."""
-    x_a, x_b = image_x(y_a), image_x(y_b)
-    if x_a > x_b:
-        y_a, y_b, x_a, x_b = y_b, y_a, x_b, x_a
-    x_t = np.asarray(targets, dtype=float)
-    x_t = x_t[(x_a < x_t) & (x_t < x_b)]
-    good, bad = np.full(len(x_t), y_a), np.full(len(x_t), y_b)
-    g, b = ind._narrow_edges(image_x, x_t, good, bad,
-                             np.full(len(x_t), x_a), np.full(len(x_t), x_b))
-
-    def passes(y):
-        return image_x(y) < x_t
-    # tighter brackets inside the full one, passing at g and failing at b
-    assert np.all((g - y_a) * (y_b - y_a) >= 0.0)
-    assert np.all((b - g) * (y_b - y_a) > 0.0)
-    assert np.all((y_b - b) * (y_b - y_a) >= 0.0)
-    assert passes(g).all() and not passes(b).any()
-    assert np.array_equal(ind._bisect_edges(passes, g, b, 200),
-                          ind._bisect_edges(passes, good, bad, 200))
-    return len(x_t)
-
-
-@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
-def test_narrowed_edges_at_first_returns(params):
-    # escape times 1..5, arcs given upwards and downwards, targets spread
-    # over the image and 1..4 ulps inside either end of it
-    rng = np.random.default_rng(9)
-    for n1 in range(1, 6):
-        m = sp.sample_returning_point(params, rng, n1=n1).M
-        itinerary, _ = ind._return_frame(params, m)
-        assert itinerary.count(Region.R4) == 1
-        image_x = _image_x(params, itinerary, m[0])
-        for rel in (1e-2, 1e-6, 1e-12):
-            y_a, y_b = m[1] * (1.0 - rel), m[1] * (1.0 + rel)
-            x_lo, x_hi = sorted((image_x(y_a), image_x(y_b)))
-            targets = [*rng.uniform(x_lo, x_hi, 30), *_ulp_targets(x_lo, x_hi)]
-            for ends in ((y_a, y_b), (y_b, y_a)):
-                assert _narrowed_edges_agree(image_x, *ends, targets) \
-                    == len(targets)
-
-
-def test_narrowed_edges_on_a_reversed_image():
-    # R4, R1, R3: the image abscissa falls as the source height rises, so
-    # the bracket runs downwards
-    p = REF_EX
-    y = p.t + math.sqrt((0.1 + p.lam * 0.5) / p.c) / p.sigma
-    itinerary = (Region.R4, Region.R1, Region.R3)
-    image_x = _image_x(p, itinerary, 0.5)
-    rng = np.random.default_rng(10)
-    for half in (1e-3, 1e-9):
-        y_a, y_b = y - half, y + half
-        assert image_x(y_a) > image_x(y_b)
-        x_lo, x_hi = image_x(y_b), image_x(y_a)
-        targets = [*rng.uniform(x_lo, x_hi, 30), *_ulp_targets(x_lo, x_hi)]
-        for ends in ((y_a, y_b), (y_b, y_a)):
-            assert _narrowed_edges_agree(image_x, *ends, targets) \
-                == len(targets)
-
-
-def test_arc_crossings_keep_the_full_bracket_of_two_r4_steps(monkeypatch):
-    # with two R4 steps the image abscissa is a parabola in the source
-    # height: the span edges are bisected from the arc's ends
-    p = REF_EX
-    itinerary = (Region.R4, Region.R1, Region.R4)
-    arc = (0.5, p.t - 1e-3, p.t + 2e-3)
-    heights = np.linspace(arc[1], arc[2], 9)
-    px = _image_x(p, itinerary, arc[0])(heights)
-    assert px.argmin() not in (0, len(px) - 1)        # not monotone
-    # spans between the images of the arc's ends
-    assert px[0] < px[6] - 2e-4 and px[7] + 2e-4 < px[-1]
-    segs = [((x - 1e-4, 0.3), (x + 1e-4, 0.3)) for x in px[6:8]]
-    bisect = ind._bisect_edges
-    brackets = []
-
-    def spy(passes, good, bad, iters):
-        brackets.append((good, bad))
-        return bisect(passes, good, bad, iters)
-
-    def no_narrowing(*args):
-        raise AssertionError("two R4 steps narrowed")
-
-    monkeypatch.setattr(ind, "_bisect_edges", spy)
-    monkeypatch.setattr(ind, "_narrow_edges", no_narrowing)
-    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
-    (good, bad), = brackets
-    assert len(good) == 2 * len(segs)
-    assert np.all(good == arc[1]) and np.all(bad == arc[2])
-    monkeypatch.setattr(ind, "_bisect_edges", bisect)
-    assert got.tolist() \
-        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
-
-
-def test_linspaces_equal_one_linspace_per_lane():
-    rng = np.random.default_rng(2)
-    start = rng.uniform(-1.0, 1.0, 12)
-    stop = start + rng.uniform(-1e-3, 1e-3, 12)
-    stop[:2] = start[:2]                      # zero steps
-    start[2:4], stop[2:4] = 1e-310, 3e-310    # subnormal steps
-    # steps that underflow to zero: linspace scales k/div by the span
-    start[4:6], stop[4:6] = 0.0, 3 * 5e-324
-    got = ind._linspaces(start, stop, 1025, 0, 1024)
-    for i in range(12):
-        assert np.array_equal(got[:, i], np.linspace(start[i], stop[i], 1025))
-    # row blocks of 256 and 300 chords, joined at their shared rows
-    for chords in (256, 300):
-        blocks = [ind._linspaces(start, stop, 1025, r0, min(r0 + chords, 1024))
-                  for r0 in range(0, 1024, chords)]
-        joined = np.concatenate([blocks[0], *(blk[1:] for blk in blocks[1:])])
-        assert np.array_equal(joined, got)
-
+# --- itineraries, return frames and arc crossings -------------------------
 
 def _regions(params, p, n):
     """Regions of ``p`` and its next n - 1 images, or None when one of
@@ -862,22 +674,27 @@ def test_one_arc_call_equals_one_call_per_segment():
     assert together.any() and not together.all()
 
 
-def _reference_chords(params, arc, itinerary, segs):
-    """Per segment of ``segs``, the source heights (start, stop) of the
-    piece of the arc's image along ``itinerary`` over it and which of the
-    piece's chords cross it, sampled in one unblocked pass with one
-    ``np.linspace`` per segment; ``None`` for a segment that no piece
-    meets."""
-    x_side, y_lo, y_hi = arc
-    segs = np.asarray(segs, dtype=float)
-    lanes = [None] * len(segs)
+def _image(params, itinerary):
+    """The branch formulas along ``itinerary``, on floats or arrays."""
     branches = [mc.BRANCH[reg] for reg in itinerary]
 
     def image(x, y):
         for br in branches:
             x, y = br.forward(params, x, y)
         return x, y
+    return image
 
+
+def _reference_chords(params, arc, itinerary, segs):
+    """Per segment of ``segs``, the source heights (start, stop) of the
+    piece of the arc's image along ``itinerary`` over it and which of the
+    piece's chords cross it, sampled in one pass with one
+    ``np.linspace`` per segment; ``None`` for a segment that no piece
+    meets."""
+    x_side, y_lo, y_hi = arc
+    segs = np.asarray(segs, dtype=float)
+    lanes = [None] * len(segs)
+    image = _image(params, itinerary)
     x_img_lo = image(x_side, y_lo)[0]
     x_img_hi = image(x_side, y_hi)[0]
     if x_img_lo > x_img_hi:
@@ -895,14 +712,14 @@ def _reference_chords(params, arc, itinerary, segs):
         return lanes
     targets = np.concatenate([xa[live], xb[live]])
     edges = np.repeat([y_lo, y_hi], k)
-    inner = (x_img_lo < targets) & (targets < x_img_hi)
-    x_t = targets[inner]
-    edges[inner] = ind._bisect_edges(lambda y: image(x_side, y)[0] < x_t,
-                                     np.full(len(x_t), y_lo),
-                                     np.full(len(x_t), y_hi), 200)
+    for i in np.flatnonzero((x_img_lo < targets) & (targets < x_img_hi)):
+        edges[i] = ind._bisect_edge(
+            lambda y, x_t=targets[i]: image(x_side, y)[0] < x_t,
+            y_lo, y_hi, 200)
     ys = np.column_stack([np.linspace(lo, hi, ind._ARC_SAMPLES)
                           for lo, hi in zip(edges[:k], edges[k:])])
     px, py = image(np.full_like(ys, x_side), ys)
+    # chord p + t*r against the segment a + s*d
     ax, ay = a[live, 0], a[live, 1]
     dx, dy = b[live, 0] - ax, b[live, 1] - ay
     rx, ry = np.diff(px, axis=0), np.diff(py, axis=0)
@@ -910,7 +727,7 @@ def _reference_chords(params, arc, itinerary, segs):
     ex, ey = px[:-1] - ax, py[:-1] - ay
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (ex * ry - ey * rx) / den
-        t = (ex * dy - ey * dx) / -den
+        t = (ex * dy - ey * dx) / den
     crossed = ((np.abs(den) >= 1e-300) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
                & (t >= -1e-9) & (t <= 1.0 + 1e-9))
     for j, i in enumerate(np.flatnonzero(live)):
@@ -920,7 +737,7 @@ def _reference_chords(params, arc, itinerary, segs):
 
 def _reference_arc_crossings(params, arc, itinerary, segs):
     """The crossings of one arc, from :func:`_reference_chords`: the
-    reference of the lockstep, blocked :func:`induced._arc_crossings`."""
+    reference of :func:`induced._arc_crossings` on every itinerary."""
     return np.array([lane is not None and lane[2].any() for lane
                      in _reference_chords(params, arc, itinerary, segs)],
                     dtype=bool)
@@ -949,46 +766,17 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
     """Run the crossing checks of ``crossing_digest`` (escape times 1..5,
     rho 1 and 1/2, ``cert`` and its stressed form) and compare every
     :func:`induced._arc_crossings` call they make with the reference,
-    arc by arc.  Each narrowing of span-edge brackets is checked too:
-    bisection from its brackets ends where bisection from the full ones
-    does, lane by lane.  A call whose itinerary has one R4 step makes at
-    most 2 stencil and 8 bisection evaluations.  Returns the calls'
-    verdicts."""
+    lane by lane.  Their first returns end on their only R4 step, so
+    every call is answered in closed form: none reaches the sampled
+    path.  Returns the calls' verdicts."""
     calls = []
-    blocked = ind._arc_crossings
-    bisect, narrow = ind._bisect_edges, ind._narrow_edges
-    work = Counter()
+    closed = ind._arc_crossings
 
-    def counted(passes, good, bad, iters):
-        work["bisections"] += 1
-
-        def passes_counted(y):
-            work["bisect"] += 1
-            return passes(y)
-        return bisect(passes_counted, good, bad, iters)
-
-    def checked(image_x, x_t, good, bad, x_good, x_bad):
-        def image_counted(y):
-            work["stencil"] += 1
-            return image_x(y)
-        g, b = narrow(image_counted, x_t, good, bad, x_good, x_bad)
-
-        def passes(y):
-            return image_x(y) < x_t
-        assert np.array_equal(bisect(passes, g, b, 200),
-                              bisect(passes, good, bad, 200))
-        work["narrowed"] += 1
-        return g, b
+    def sampled(*args):
+        raise AssertionError("a first return reached the sampled path")
 
     def compare(p, arcs, itinerary, segs):
-        work.clear()
-        got = blocked(p, arcs, itinerary, segs)
-        one_r4 = itinerary.count(Region.R4) == 1
-        # every call that bisects span edges narrows them first, when
-        # its itinerary has one R4 step
-        assert work["narrowed"] == (one_r4 and work["bisections"] == 1)
-        if one_r4:
-            assert work["stencil"] <= 2 and work["bisect"] <= 8
+        got = closed(p, arcs, itinerary, segs)
         want = [_reference_arc_crossings(p, arc, itinerary, segs)
                 for arc in arcs]
         assert got.shape == (len(arcs), len(segs))
@@ -997,8 +785,7 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
         return got
 
     monkeypatch.setattr(ind, "_arc_crossings", compare)
-    monkeypatch.setattr(ind, "_bisect_edges", counted)
-    monkeypatch.setattr(ind, "_narrow_edges", checked)
+    monkeypatch.setattr(ind, "_sampled_crossings", sampled)
     stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
     rng = np.random.default_rng(seed)
     for i in range(n_points):
@@ -1029,86 +816,12 @@ def test_arc_crossings_equal_the_reference_on_valid_params(params, seed):
             reject()
 
 
-def test_arc_crossings_block_and_skip_lanes(monkeypatch):
-    p = REF_EX
-    rng = np.random.default_rng(3)
-    m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
-    itinerary, fr = ind._return_frame(p, m)
-    m2 = sp.sample_returning_point(p, rng, n1=1).M
-    segs = []
-    # balls at the return point, and at a point the arcs' images miss
-    for ctr in (fr.M, list(mc.iterates(p, m2, len(itinerary)))[-1]):
-        for rad in (0.002, 0.01):
-            ball = ind.PolygonalBall(tuple(ctr), fr, rad, rad)
-            segs += ball.sides()
-    segs = np.array(segs)
-    arcs = [(m[0], m[1] - 2e-3, m[1] + 2e-3),
-            (m[0], m[1], m[1])]                  # zero height
-    assert {_regions(p, (x, 0.5 * (lo + hi)), len(itinerary))
-            for x, lo, hi in arcs} == {itinerary}
-
-    # the reference lanes in order, each as its source heights (start,
-    # stop) and the chords that cross its segment
-    div = ind._ARC_SAMPLES - 1
-    lanes = [lane for arc in arcs
-             for lane in _reference_chords(p, arc, itinerary, segs)
-             if lane is not None]
-    assert len(lanes) == 8                  # of 2 x 16 (arc, segment) pairs
-
-    blocks = []
-    linspaces = ind._linspaces
-
-    def record(start, stop, num, r0, r1):
-        blocks.append((list(zip(start, stop)), r0, r1))
-        return linspaces(start, stop, num, r0, r1)
-
-    monkeypatch.setattr(ind, "_linspaces", record)
-    want = np.array([_reference_arc_crossings(p, arc, itinerary, segs)
-                     for arc in arcs])
-    for block in (ind._ARC_BLOCK, 100):
-        monkeypatch.setattr(ind, "_ARC_BLOCK", block)
-        blocks.clear()
-        got = ind._arc_crossings(p, arcs, itinerary, segs)
-        assert np.array_equal(got, want)
-        # one pass; each block holds exactly the lanes no earlier block
-        # crossed, and the pass ends when none is left or every chord was
-        # tested; its first block holds the middle chord and at most 32
-        # chords per lane, and block j at most 32 * 2^j.  Each later block
-        # starts or ends on a row of the rows sampled so far
-        todo = iter(blocks)
-        tested = np.zeros((len(lanes), div), dtype=int)
-        live = list(range(len(lanes)))
-        j = 0
-        while live and not tested[live].all():
-            keys, r0, r1 = next(todo)
-            assert Counter(keys) == Counter(lanes[i][:2] for i in live)
-            assert len(keys) * (r1 - r0 + 1) <= max(block, 2 * len(keys))
-            assert r1 - r0 <= 32 << j
-            if j == 0:
-                assert r0 <= div // 2 < r1
-                lo, hi = r0, r1
-            else:
-                assert r0 == hi or r1 == lo
-                lo, hi = min(lo, r0), max(hi, r1)
-            tested[live, r0:r1] += 1
-            live = [i for i in live if not lanes[i][2][r0:r1].any()]
-            j += 1
-        # no chord twice; a lane that never crosses gets all of them
-        assert tested.max() == 1
-        assert all(tested[i].all() for i, lane in enumerate(lanes)
-                   if not lane[2].any())
-        assert next(todo, None) is None
-    assert want[0].any() and not want[1].any()
-
-
-@pytest.mark.parametrize("block", [ind._ARC_BLOCK, 100, 1])
-def test_arc_crossings_at_the_ends_of_the_piece(block, monkeypatch):
+def test_arc_crossings_at_the_ends_of_the_piece():
     # horizontal segments across the image parabola at the return point,
     # which rises through it: the crossing sits at 0.1 % and 99.9 % of
-    # the segment, so in the first and last 5 % of the piece (its x-span
-    # plus 5 % of its length on each side); a segment above the image
-    # never crosses, so the walk reaches both ends of the piece.  A block
-    # of 1 float gives one chord per block.
+    # the segment, so in the first and last 5 % of the reference's piece
+    # (its x-span plus 5 % of its length on each side); a segment above
+    # the image never crosses
     p = REF_EX
     rng = np.random.default_rng(3)
     m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
@@ -1125,33 +838,94 @@ def test_arc_crossings_at_the_ends_of_the_piece(block, monkeypatch):
     assert 0 < len(first) and first.max() < 0.05 * div
     assert 0 < len(last) and last.min() > 0.95 * div
     assert len(never) == 0
-    monkeypatch.setattr(ind, "_ARC_BLOCK", block)
     got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
     assert got.tolist() == [True, True, False]
     assert got.tolist() \
         == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
 
 
-def test_arc_crossings_sample_under_half_of_the_chords(monkeypatch):
-    # the chord-lane tests of the REF_EX crossing checks: every lane has
-    # div chords, and the walk stops on a lane at its crossing
-    div = ind._ARC_SAMPLES - 1
-    lanes, tests = [], []
-    linspaces = ind._linspaces
+def test_arc_crossings_keep_the_full_bracket_of_two_r4_steps(monkeypatch):
+    # with two R4 steps the image abscissa is a parabola in the source
+    # height: the sampled path bisects the span edges from the arc's ends
+    p = REF_EX
+    itinerary = (Region.R4, Region.R1, Region.R4)
+    arc = (0.5, p.t - 1e-3, p.t + 2e-3)
+    heights = np.linspace(arc[1], arc[2], 9)
+    px = _image(p, itinerary)(arc[0], heights)[0]
+    assert px.argmin() not in (0, len(px) - 1)        # not monotone
+    # spans between the images of the arc's ends
+    assert px[0] < px[6] - 2e-4 and px[7] + 2e-4 < px[-1]
+    segs = [((x - 1e-4, 0.3), (x + 1e-4, 0.3)) for x in px[6:8]]
+    bisect = ind._bisect_edge
+    brackets = []
 
-    def count(start, stop, num, r0, r1):
-        if r0 == div // 2:                   # the first block of a pass
-            lanes.append(len(start))
-        tests.append((r1 - r0) * len(start))
-        return linspaces(start, stop, num, r0, r1)
+    def spy(passes, good, bad, iters):
+        brackets.append((good, bad))
+        return bisect(passes, good, bad, iters)
 
-    monkeypatch.setattr(ind, "_linspaces", count)
-    cert = default_certificate(REF_EX).with_updates(**CALIBRATED["ex"])
-    _arc_calls_agree(REF_EX, cert, monkeypatch, 10, 20261018)
-    # 260,871 of 819,200 (31.8 %; 46 % when every block took the largest
-    # size); the stressed checks leave 88 of the 800 lanes uncrossed, and
-    # those take all their chords
-    assert sum(tests) < 0.32 * div * sum(lanes)
+    monkeypatch.setattr(ind, "_bisect_edge", spy)
+    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
+    assert brackets == [arc[1:]] * (2 * len(segs))
+    monkeypatch.setattr(ind, "_bisect_edge", bisect)
+    assert got.tolist() \
+        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
+
+
+#: r3_y0 below c*w_max^2 = 0.242: f(R4) reaches the R3 strip, and a first
+#: return can pass R4 twice, as the one from ``TWO_R4_POINT`` does.
+TWO_R4 = replace(REF_EX, r3_y0=0.21)
+TWO_R4_POINT = (0.5701226641625827, 0.1485610609637745)
+
+
+def test_arc_crossings_in_the_last_chord():
+    # the image along (R1, R1, R4) runs from x = 0.53 to 0.97 and crosses
+    # y = 0.2412 at x = 0.96999, in the last chord of the sampled piece
+    p = REF_EX
+    itinerary = (Region.R1, Region.R1, Region.R4)
+    arc = (0.7860605407362294, 0.02624, 0.02976)
+    segs = [((0.9, 0.2412), (1.05, 0.2412))]
+    assert ind._arc_crossings(p, [arc], itinerary, segs).tolist() == [[True]]
+    (_, _, chords), = _reference_chords(p, arc, itinerary, segs)
+    assert np.flatnonzero(chords).tolist() == [ind._ARC_SAMPLES - 2]
+    # the sampled path catches a crossing in the last chord too: a
+    # horizontal segment over the whole image of an arc around a point
+    # whose first return passes R4 twice, at the image height of a source
+    # height between the last two samples
+    itinerary, _ = ind._return_frame(TWO_R4, TWO_R4_POINT)
+    assert itinerary.count(Region.R4) == 2
+    x_side, y = TWO_R4_POINT
+    arc = (x_side, y - 1e-6, y + 1e-6)
+    image = _image(TWO_R4, itinerary)
+    (x_a, _), (x_b, _) = image(x_side, arc[1]), image(x_side, arc[2])
+    ys = np.linspace(*(arc[1:] if x_a < x_b else arc[:0:-1]),
+                     ind._ARC_SAMPLES)
+    y_cross = image(x_side, 0.5 * (ys[-2] + ys[-1]))[1]
+    segs = [((min(x_a, x_b) - 0.01, y_cross), (max(x_a, x_b) + 0.01, y_cross))]
+    (_, _, chords), = _reference_chords(TWO_R4, arc, itinerary, segs)
+    assert np.flatnonzero(chords).tolist() == [ind._ARC_SAMPLES - 2]
+    assert ind._arc_crossings(TWO_R4, [arc], itinerary, segs).tolist() \
+        == [[True]]
+
+
+def test_two_r4_first_returns_are_sampled(monkeypatch):
+    # the eta check at a first return that passes R4 twice samples its
+    # arcs, and the sampled lanes equal the reference's
+    calls = []
+    sampled = ind._sampled_crossings
+
+    def spy(p, arcs, itinerary, segs):
+        got = sampled(p, arcs, itinerary, segs)
+        want = [_reference_arc_crossings(p, arc, itinerary, segs)
+                for arc in arcs]
+        assert np.array_equal(got, np.array(want).reshape(got.shape))
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(ind, "_sampled_crossings", spy)
+    cert = default_certificate(TWO_R4)
+    rep = ind.u_crossing_certificate(TWO_R4, TWO_R4_POINT, 1.0, cert)
+    assert len(calls) == 1 and calls[0].shape == (2, 20)
+    assert rep.eta_ok == calls[0].all()
 
 
 # --- slice edges ----------------------------------------------------------

@@ -222,7 +222,9 @@ def test_local_unstable_output_contract():
     wu = mf.local_unstable(REF_STRICT, rp.M)
     assert wu.kind == "unstable"
     assert wu.meta["lip_bound"] <= 1.0 / 3.0
-    assert wu.total_length <= mf.default_certificate(REF_STRICT).K
+    # a graph over [-rho, rho] along e_u with slope at most lip_bound
+    assert wu.total_length <= (2.0 * wu.meta["rho_effective"]
+                               * (1.0 + wu.meta["lip_bound"]))
     assert wu.is_simple()
     # base point on the curve
     d = np.min(np.hypot(wu.points[:, 0] - rp.M[0], wu.points[:, 1] - rp.M[1]))

@@ -406,7 +406,7 @@ def test_first_return_both_ways_equals_the_visit_search(params):
     assert min(found.values()) >= 20
 
 
-SETTABLE = ["chi1", "C0", "eps0", "eta", "rho1", "C5", "K"]
+SETTABLE = ["chi1", "C0", "eps0", "eta", "rho1", "C5"]
 
 
 def test_certificate_shapes():
@@ -419,7 +419,7 @@ def test_certificate_shapes():
     assert cert.with_updates(rho1=0.1).C3 == 0.1 * cert.C0
     with pytest.raises(TypeError):
         cert.with_updates(C3=0.1)
-    # the JSON lists the 8 settable constants and C3, each with its
+    # the JSON lists the 6 settable constants and C3, each with its
     # provenance; C3 is estimated exactly when rho1 or C0 is
     doc = json.loads(cert.to_json())
     assert list(doc) == SETTABLE + ["C3"]
