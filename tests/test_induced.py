@@ -816,12 +816,15 @@ def test_arc_crossings_equal_the_reference_on_valid_params(params, seed):
             reject()
 
 
-def test_arc_crossings_at_the_ends_of_the_piece():
+@pytest.mark.parametrize("n_arcs", [8192, 100, 1])
+def test_arc_crossings_at_the_ends_of_the_piece(n_arcs):
     # horizontal segments across the image parabola at the return point,
     # which rises through it: the crossing sits at 0.1 % and 99.9 % of
     # the segment, so in the first and last 5 % of the reference's piece
     # (its x-span plus 5 % of its length on each side); a segment above
-    # the image never crosses
+    # the image never crosses.  The arc shares the call with n_arcs - 1
+    # copies shifted by up to a quarter of its height, which all still
+    # hold the return point, and each row is decided on its own.
     p = REF_EX
     rng = np.random.default_rng(3)
     m = sp.sample_returning_point(p, rng, n1=2).M       # returns at n = 3
@@ -838,10 +841,14 @@ def test_arc_crossings_at_the_ends_of_the_piece():
     assert 0 < len(first) and first.max() < 0.05 * div
     assert 0 < len(last) and last.min() > 0.95 * div
     assert len(never) == 0
-    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
-    assert got.tolist() == [True, True, False]
-    assert got.tolist() \
-        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
+    arcs = [arc] + [(arc[0], arc[1] + d, arc[2] + d)
+                    for d in np.linspace(-1e-3, 1e-3, n_arcs - 1)]
+    got = ind._arc_crossings(p, arcs, itinerary, segs)
+    assert got.shape == (n_arcs, 3)
+    assert (got == [True, True, False]).all()
+    for i in {0, n_arcs // 2, n_arcs - 1}:
+        assert got[i].tolist() \
+            == _reference_arc_crossings(p, arcs[i], itinerary, segs).tolist()
 
 
 def test_arc_crossings_keep_the_full_bracket_of_two_r4_steps(monkeypatch):
