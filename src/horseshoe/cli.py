@@ -5,8 +5,8 @@ Subcommands, each on a reference parameter set (``--params ex|strict``):
 * ``validate``  : the parameter checks of :func:`map_core.validate`;
 * ``calibrate`` : :func:`induced.calibrate_certificate` with
   ``--budget`` sampled window points and the sampling ``--seed``: the
-  value and provenance of chi1, C0, eps0, eta, rho1, C5 and the
-  derived C3 = rho1 * C0;
+  value and provenance of C0, eps0, eta, rho1, C5 and the derived
+  C3 = rho1 * C0;
 * ``atoms``     : the nonempty atoms of :func:`coding.atoms` at
   ``--level`` N, counted: ``words``, ``empty_words`` (the other of the
   3^(2N+1) centered words) and the cover ``boxes`` of all atoms.

@@ -25,18 +25,19 @@ around a returning point crosses the target balls at its first return
 (constant eta, :func:`_eta_holds`).  All three meet parabolas with
 segments through one quadratic solver (:func:`_parabola_crossings`).
 The eta check first clips the rectangle to the slice that follows the
-first-return itinerary.  Where that itinerary has no R4 step before its
-last, each slice edge is bisected from a bracket a few ulps wide around
-a secant estimate off the strip levels; it ends on the float of the
-full-bracket bisection, because the passing floats form one interval
-(:func:`_surviving`).  A first return ends on its only R4 step, so the
-image of each clipped side is an arc of a parabola, crossed with the
-target segments in closed form; an itinerary with an earlier R4 step is
-sampled instead (:func:`_arc_crossings`).
+first-return itinerary.  A first return is a run of straight steps and
+then its only R4 step (:func:`_return_frame` refuses any other, and
+:func:`~horseshoe.map_core.validate` refuses the parameters that allow
+one).  So each slice edge is bisected from a bracket a few ulps wide
+around a secant estimate off the strip levels; it ends on the float of
+the full-bracket bisection, because the passing floats form one
+interval (:func:`_surviving`).  The image of each clipped side is an arc
+of a parabola, crossed with the target segments in closed form
+(:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
-``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ARC_SAMPLES``,
-``_SLICE_ITERS``, ``_ETA_MIN`` and ``_ETA_ITERS``.
+``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_SLICE_ITERS``,
+``_ETA_MIN`` and ``_ETA_ITERS``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ _RETURN_CAP = 4000
 _PROBE_GRID = 16        # chart grid points per axis of the distortion probe
 _PROBE_PAIRS = 60       # grid pairs the distortion probe draws
 _CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
-_ARC_SAMPLES = 1025     # heights sampled per piece of a side arc
 _SLICE_ITERS = 240      # bisection steps locating a surviving slice edge
 _ETA_MIN = 1e-8         # smallest eta the calibration tries
 _ETA_ITERS = 24         # log-scale bisection steps for eta
@@ -428,17 +428,14 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
     ``itinerary`` of each vertical arc (x_side, y_lo, y_hi) in ``arcs``
     meets, as a (len(arcs), len(segs)) boolean array.
 
-    A first return to the window ends on its only R4 step.  The straight
-    branches before it are diagonal and affine, so along the arc they
-    keep one abscissa X and move the height affinely, and R4 sends
-    (X, Y) to (q + w, c*w^2 - lam*X).  The image is thus the arc of the
-    parabola of offset lam*X between the images of the arc's ends, and
-    it meets a segment where :func:`_parabola_crossings` finds an
-    abscissa in that range.  Other itineraries, which have an R4 step
-    before the last one only where f(R4) reaches the R3 strip, are
-    sampled (:func:`_sampled_crossings`)."""
-    if itinerary[-1] is not Region.R4 or Region.R4 in itinerary[:-1]:
-        return _sampled_crossings(params, arcs, itinerary, segs)
+    ``itinerary`` is a first return to the window, so it ends on its
+    only R4 step (:func:`_return_frame`).  The straight branches before
+    it are diagonal and affine, so along the arc they keep one abscissa
+    X and move the height affinely, and R4 sends (X, Y) to
+    (q + w, c*w^2 - lam*X).  The image is thus the arc of the parabola
+    of offset lam*X between the images of the arc's ends, and it meets a
+    segment where :func:`_parabola_crossings` finds an abscissa in that
+    range."""
     branches = [mc.BRANCH[reg] for reg in itinerary]
     hit = np.zeros((len(arcs), len(segs)), dtype=bool)
     for i, (x_side, y_lo, y_hi) in enumerate(arcs):
@@ -451,54 +448,6 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
         for j, (p0, p1) in enumerate(segs):
             hit[i, j] = any(x_a <= x <= x_b for x
                             in _parabola_crossings(params, k, p0, p1))
-    return hit
-
-
-def _sampled_crossings(params: MapParams, arcs, itinerary,
-                       segs) -> np.ndarray:
-    """:func:`_arc_crossings` by sampling, for any itinerary.
-
-    For each (arc, segment) lane, the piece of the arc whose image lies
-    over the segment's x-span (plus a 5 % margin) runs between two
-    heights found by bisection from the arc's ends.  ``_ARC_SAMPLES``
-    heights over the piece are mapped, and the lane crosses when one
-    chord between consecutive images meets the segment."""
-    branches = [mc.BRANCH[reg] for reg in itinerary]
-
-    def image(x, y):
-        for br in branches:
-            x, y = br.forward(params, x, y)
-        return x, y
-
-    hit = np.zeros((len(arcs), len(segs)), dtype=bool)
-    for i, (x_side, y_lo, y_hi) in enumerate(arcs):
-        x_lo, x_hi = image(x_side, y_lo)[0], image(x_side, y_hi)[0]
-        if x_lo > x_hi:
-            y_lo, y_hi, x_lo, x_hi = y_hi, y_lo, x_hi, x_lo
-        for j, (a, b) in enumerate(np.asarray(segs, dtype=float)):
-            d = b - a
-            margin = max(0.05 * float(np.linalg.norm(d)), 1e-14)
-            xa = min(a[0], b[0]) - margin
-            xb = max(a[0], b[0]) + margin
-            if x_hi < xa or x_lo > xb:
-                continue
-            # an edge outside the arc's image keeps the arc's end
-            edges = [_bisect_edge(lambda y: image(x_side, y)[0] < x_t,
-                                  y_lo, y_hi, 200)
-                     if x_lo < x_t < x_hi else y_end
-                     for x_t, y_end in ((xa, y_lo), (xb, y_hi))]
-            ys = np.linspace(*edges, _ARC_SAMPLES)
-            px, py = image(np.full_like(ys, x_side), ys)
-            # chord p + t*r against the segment a + s*d
-            rx, ry = np.diff(px), np.diff(py)
-            ex, ey = px[:-1] - a[0], py[:-1] - a[1]
-            den = d[0] * ry - d[1] * rx
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = (ex * ry - ey * rx) / den
-                t = (ex * d[1] - ey * d[0]) / den
-            hit[i, j] = ((np.abs(den) >= 1e-300) & (s >= -1e-9)
-                         & (s <= 1.0 + 1e-9) & (t >= -1e-9)
-                         & (t <= 1.0 + 1e-9)).any()
     return hit
 
 
@@ -541,29 +490,28 @@ def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
 
     Points with a different itinerary belong to a different component of
     the surviving set, so the edge is found by bisecting against the
-    reference label sequence, from the bracket (p, target) or, when
-    ``ref`` has no R4 step before its last, from the narrower one of
-    :func:`_slice_bracket`.  On such an itinerary every coordinate that
-    ``_follows`` tests is a chain of straight branch maps (the last
-    step's image is never tested).  Each map is diagonal, affine and
-    correctly rounded, so the tested coordinates are monotone in the one
-    moving coordinate, and the other stays fixed.  The passing floats
-    are thus one interval around p, and a bisection from any bracket of
-    its edge ends on the full bisection's float, wherever the full
-    bisection reaches adjacent floats within ``_SLICE_ITERS`` steps."""
+    reference label sequence, from the narrow bracket of
+    :func:`_slice_bracket`.  ``ref`` is a first return, straight steps
+    and then its only R4 step (:func:`_return_frame`), so every
+    coordinate that ``_follows`` tests is a chain of straight branch
+    maps (the last step's image is never tested).  Each map is diagonal,
+    affine and correctly rounded, so the tested coordinates are monotone
+    in the one moving coordinate, and the other stays fixed.  The
+    passing floats are thus one interval around p, and a bisection from
+    any bracket of its edge ends on the full bisection's float, wherever
+    the full bisection reaches adjacent floats within ``_SLICE_ITERS``
+    steps."""
     def same(v: float) -> bool:
         return _follows(params, *((v, p[1]) if axis == 0 else (p[0], v)), ref)
 
-    good, bad = p[axis], target
-    if Region.R4 not in ref[:-1]:
-        good, bad = _slice_bracket(params, ref, p, axis, target, same)
-    return _bisect_edge(same, good, bad, _SLICE_ITERS)
+    return _bisect_edge(same, *_slice_bracket(params, ref, p, axis, target,
+                                              same), _SLICE_ITERS)
 
 
 def _slice_bracket(params: MapParams, ref, p, axis: int, target: float,
                    same) -> tuple:
     """A bracket (good, bad) of the slice edge of :func:`_surviving` on
-    an itinerary of straight steps (and a last step of any kind).
+    a first return: straight steps, then its only R4 step.
 
     p and the point at ``target`` are traced through the branch formulas
     with no region tests.  At each step, the moving coordinate's margin
@@ -625,10 +573,19 @@ def _slice_bracket(params: MapParams, ref, p, axis: int, target: float,
 def _return_frame(params: MapParams, m) -> tuple:
     """The first return of a window point: (the regions of m..f^(n-1)(m),
     read from the walk that found it, and the splitting at M_n = f^n(m)).
-    Raises :class:`NoReturn` when there is none."""
+    Raises :class:`NoReturn` when there is none.
+
+    The itinerary is straight steps and then its only R4 step.  Where
+    f(R4) reaches the R3 strip, which ``validate``'s ``r4_image_below_r3``
+    check refuses, an earlier R4 step raises :class:`OutOfDomain`."""
     _, orbit_pts = mc.first_return(params, m, _RETURN_CAP)
-    return (tuple(classify(params, q) for q in orbit_pts[:-1]),
-            direction_field(params, orbit_pts[-1]))
+    regions = tuple(classify(params, q) for q in orbit_pts[:-1])
+    if Region.R4 in regions[:-1]:
+        raise OutOfDomain(
+            f"the first return of {m} passes R4 at step "
+            f"{regions.index(Region.R4) + 1} of {len(regions)}, before "
+            "its last")
+    return regions, direction_field(params, orbit_pts[-1])
 
 
 def u_crossing_certificate(params: MapParams, m: tuple[float, float],
@@ -760,24 +717,15 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
                           seed: int) -> Certificate:
     """Replace the existence constants by swept values.
 
-    chi1 and C5 are empirical extrema; C0 and eps0 come from descending
-    sweeps and eta from a bisection against their crossing predicates,
-    and C3 = rho1 * C0 follows C0.  rho1 keeps its configured value.
+    C5 is an empirical maximum; C0 and eps0 come from descending sweeps
+    and eta from a bisection against their crossing predicates, and
+    C3 = rho1 * C0 follows C0.  rho1 keeps its configured value.
     """
     p = params
     rng = np.random.default_rng(seed)
     cert = mc.default_certificate(p)
     points = sp.sample_A_points(p, rng, sample_budget)
     frames = [direction_field(p, rp.M) for rp in points]
-
-    # chi1: empirical minimum of ||v|| / (l(M) |v|_M)
-    chi1 = math.inf
-    for rp, fr in zip(points, frames):
-        for _ in range(4):
-            v = rng.normal(size=2)
-            chi1 = min(chi1, float(np.linalg.norm(v))
-                       / (fr.l * adapted_norm(fr, v)))
-
     subset = points[:min(40, len(points))]
 
     # the window's corner points carry the extreme length scales; sweep
@@ -842,4 +790,4 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
     if c5 == 0.0:
         c5 = cert.C5
 
-    return cert.with_updates(chi1=chi1, C0=c0, eps0=eps0, eta=eta, C5=c5)
+    return cert.with_updates(C0=c0, eps0=eps0, eta=eta, C5=c5)

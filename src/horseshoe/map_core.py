@@ -629,7 +629,11 @@ def validate(params: MapParams) -> ValidationReport:
     soft failures only produce warnings.
 
     The sufficient-condition check on the cone estimates uses the
-    configured angle constant :data:`CHI`.
+    configured angle constant :data:`CHI`.  ``r4_image_below_r3`` keeps
+    f(R4), whose heights are at most c*w_max^2, below the R3 strip: the
+    straight branches never reach R4, so a first return from A is a run
+    of straight steps and then its only R4 step, the shape whose image
+    arcs ``induced`` crosses in closed form.
     """
     p = params
     checks = []
@@ -656,6 +660,9 @@ def validate(params: MapParams) -> ValidationReport:
     strip_margin = min(up[0] - low[1] for low, up in zip(strips, strips[1:]))
     add("strips_disjoint", "hard", strip_margin > 0.0, strip_margin,
         "> 0 (gaps between R1, R3, R4, R5)")
+
+    add("r4_image_below_r3", "hard", wing < p.r3_y0, p.r3_y0 - wing,
+        "> 0 (f(R4) below the R3 strip: r3_y0 - c*w_max^2)")
 
     band_margin = min(p.r3_a - 2.0 * p.lam,
                       (p.q - p.w_max) - p.r3_a,
@@ -697,10 +704,10 @@ class Certificate:
     the estimates live with what they define: the cone factor chi0 is
     ``splitting.CHI0``, eps1 is ``manifolds._EPS1``, the Hoelder
     exponent gamma of the coding map is :func:`closed_form_gamma` and
-    the exponent-ratio bound b is :attr:`MapParams.b`.
+    the exponent-ratio bound b is :attr:`MapParams.b`.  No estimate
+    reads the norm-comparison constant chi1, so it is not kept.
     """
 
-    chi1: float
     C0: float
     eps0: float
     eta: float
@@ -753,7 +760,6 @@ def closed_form_gamma(params: MapParams) -> float:
 def default_certificate(params: MapParams) -> Certificate:
     """Configured starting certificate; calibration can tighten it later."""
     return Certificate(
-        chi1=0.5,
         C0=0.25,
         eps0=0.25,
         eta=min(0.25, 1.0 / (320.0 * params.c)),

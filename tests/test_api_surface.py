@@ -11,9 +11,14 @@ classes of each module whose name does not start with an underscore.
 
 ``map_core.iterates`` is the one orbit walk: no other module steps a
 point by feeding ``apply`` or ``apply_inverse`` its own last result.
+
+A module docstring that lists its "Numerical settings" names only
+constants that the module defines.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import horseshoe
@@ -107,3 +112,30 @@ def test_every_exported_map_core_name_exists():
 def test_every_public_map_core_definition_is_exported():
     tree = ast.parse(Path(mc.__file__).read_text())
     assert [n for n in _public(tree) if n not in mc.__all__] == []
+
+
+def _settings(doc: str) -> list:
+    """The names in double backquotes in the paragraph of ``doc`` that
+    starts at "Numerical settings", up to the next blank line."""
+    start = doc.find("Numerical settings")
+    if start < 0:
+        return []
+    paragraph = doc[start:].split("\n\n")[0]
+    return re.findall(r"``(\w+)``", paragraph)
+
+
+def test_every_named_numerical_setting_exists():
+    modules = [importlib.import_module(f"horseshoe.{f.stem}")
+               for f in SRC.glob("*.py")]
+    named = {m: _settings(m.__doc__ or "") for m in modules}
+    assert sum(bool(names) for names in named.values()) == 6
+    missing = {m.__name__: [n for n in names if not hasattr(m, n)]
+               for m, names in named.items()}
+    assert {name: gone for name, gone in missing.items() if gone} == {}
+
+
+def test_the_settings_rule_reads_one_paragraph():
+    doc = ("Intro ``_NOT_A_SETTING``.\nNumerical settings: ``_A`` and\n"
+           "``_B``.\n\nLater ``_C``.\n")
+    assert _settings(doc) == ["_A", "_B"]
+    assert _settings("No list here: ``_A``.") == []

@@ -486,8 +486,8 @@ def test_calibration_pairs_without_an_image_gap(monkeypatch):
     probe = ind.distortion_probe
     monkeypatch.setattr(ind, "distortion_probe", recorded)
     ind.calibrate_certificate(REF_STRICT, 40, 0)
-    assert sum(r.n_pairs for r in reports) == 1198
-    assert sum(r.n_pairs - r.n_c5 for r in reports) == 70
+    assert sum(r.n_pairs for r in reports) == 1196
+    assert sum(r.n_pairs - r.n_c5 for r in reports) == 67
 
 
 # --- crossing certificates ------------------------------------------------
@@ -563,7 +563,7 @@ def test_calibrate_certificate_deterministic():
 
 def test_calibrate_certificate_provenance_and_coupling():
     cert = ind.calibrate_certificate(REF_EX, sample_budget=30, seed=2)
-    for name in ("chi1", "C0", "eps0", "eta", "C5"):
+    for name in ("C0", "eps0", "eta", "C5"):
         assert cert.provenance[name] == "estimated"
     assert cert.C3 == cert.rho1 * cert.C0
     doc = json.loads(cert.to_json())
@@ -685,6 +685,10 @@ def _image(params, itinerary):
     return image
 
 
+#: Heights the reference samples per piece of a side arc.
+REF_SAMPLES = 1025
+
+
 def _reference_chords(params, arc, itinerary, segs):
     """Per segment of ``segs``, the source heights (start, stop) of the
     piece of the arc's image along ``itinerary`` over it and which of the
@@ -716,7 +720,7 @@ def _reference_chords(params, arc, itinerary, segs):
         edges[i] = ind._bisect_edge(
             lambda y, x_t=targets[i]: image(x_side, y)[0] < x_t,
             y_lo, y_hi, 200)
-    ys = np.column_stack([np.linspace(lo, hi, ind._ARC_SAMPLES)
+    ys = np.column_stack([np.linspace(lo, hi, REF_SAMPLES)
                           for lo, hi in zip(edges[:k], edges[k:])])
     px, py = image(np.full_like(ys, x_side), ys)
     # chord p + t*r against the segment a + s*d
@@ -744,18 +748,22 @@ def _reference_arc_crossings(params, arc, itinerary, segs):
 
 
 def test_arc_crossings_swap_the_ends_of_a_reversed_image():
-    # R4 sends the arc rightwards, R1 keeps the order and R3 reverses x:
-    # the image abscissa falls as the source height rises
+    # a first return through R3 before its fold: R1 keeps the order, R3
+    # reverses the height and R4 turns height into abscissa, so the
+    # image abscissa falls as the source height rises
     p = REF_EX
-    y = p.t + math.sqrt((0.1 + p.lam * 0.5) / p.c) / p.sigma
-    arc = (0.5, y - 1e-3, y + 1e-3)
-    itinerary = (Region.R4, Region.R1, Region.R3)
-    assert _regions(p, (0.5, y), 3) == itinerary
-    lo, hi = (list(mc.iterates(p, (0.5, h), 3))[-1] for h in arc[1:])
+    w = 0.17                                    # wing coordinate at R4
+    y0 = (p.r3_y0 + (1.0 - (p.t + w / p.sigma)) / p.sigma) / p.sigma
+    m = (p.q + math.sqrt((y0 + 0.05) / p.c), y0)    # parabola offset 0.05
+    itinerary, _ = ind._return_frame(p, m)
+    assert itinerary == (Region.R1, Region.R3, Region.R4)
+    arc = (m[0], y0 - 1e-4, y0 + 1e-4)
+    lo, hi = (list(mc.iterates(p, (m[0], h), 3))[-1] for h in arc[1:])
     assert lo[0] > hi[0]
-    segs = [((0.48, 0.5), (0.50, 0.5)),          # across the image
-            ((0.48, 0.9), (0.50, 0.9)),          # above it
-            ((0.30, 0.5), (0.40, 0.5))]          # left of it
+    y = list(mc.iterates(p, m, 3))[-1][1]
+    segs = [((lo[0] - 0.02, y), (lo[0], y)),    # across the image
+            ((lo[0] - 0.02, 0.5), (lo[0], 0.5)),    # above it
+            ((2 * p.q - lo[0], y), (2 * p.q - hi[0], y))]   # other wing
     got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
     assert got.tolist() == [True, False, False]
     assert got.tolist() \
@@ -766,14 +774,9 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
     """Run the crossing checks of ``crossing_digest`` (escape times 1..5,
     rho 1 and 1/2, ``cert`` and its stressed form) and compare every
     :func:`induced._arc_crossings` call they make with the reference,
-    lane by lane.  Their first returns end on their only R4 step, so
-    every call is answered in closed form: none reaches the sampled
-    path.  Returns the calls' verdicts."""
+    lane by lane.  Returns the calls' verdicts."""
     calls = []
     closed = ind._arc_crossings
-
-    def sampled(*args):
-        raise AssertionError("a first return reached the sampled path")
 
     def compare(p, arcs, itinerary, segs):
         got = closed(p, arcs, itinerary, segs)
@@ -785,7 +788,6 @@ def _arc_calls_agree(params, cert, monkeypatch, n_points, seed):
         return got
 
     monkeypatch.setattr(ind, "_arc_crossings", compare)
-    monkeypatch.setattr(ind, "_sampled_crossings", sampled)
     stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
     rng = np.random.default_rng(seed)
     for i in range(n_points):
@@ -834,7 +836,7 @@ def test_arc_crossings_at_the_ends_of_the_piece(n_arcs):
     segs = [((x - 1e-5, y), (x + 0.00999, y)),
             ((x - 0.00999, y), (x + 1e-5, y)),
             ((x - 0.005, y + 0.05), (x + 0.005, y + 0.05))]
-    div = ind._ARC_SAMPLES - 1
+    div = REF_SAMPLES - 1
     first, last, never = (np.flatnonzero(lane[2])
                           for lane in _reference_chords(p, arc, itinerary,
                                                         segs))
@@ -851,39 +853,6 @@ def test_arc_crossings_at_the_ends_of_the_piece(n_arcs):
             == _reference_arc_crossings(p, arcs[i], itinerary, segs).tolist()
 
 
-def test_arc_crossings_keep_the_full_bracket_of_two_r4_steps(monkeypatch):
-    # with two R4 steps the image abscissa is a parabola in the source
-    # height: the sampled path bisects the span edges from the arc's ends
-    p = REF_EX
-    itinerary = (Region.R4, Region.R1, Region.R4)
-    arc = (0.5, p.t - 1e-3, p.t + 2e-3)
-    heights = np.linspace(arc[1], arc[2], 9)
-    px = _image(p, itinerary)(arc[0], heights)[0]
-    assert px.argmin() not in (0, len(px) - 1)        # not monotone
-    # spans between the images of the arc's ends
-    assert px[0] < px[6] - 2e-4 and px[7] + 2e-4 < px[-1]
-    segs = [((x - 1e-4, 0.3), (x + 1e-4, 0.3)) for x in px[6:8]]
-    bisect = ind._bisect_edge
-    brackets = []
-
-    def spy(passes, good, bad, iters):
-        brackets.append((good, bad))
-        return bisect(passes, good, bad, iters)
-
-    monkeypatch.setattr(ind, "_bisect_edge", spy)
-    got = ind._arc_crossings(p, [arc], itinerary, segs)[0]
-    assert brackets == [arc[1:]] * (2 * len(segs))
-    monkeypatch.setattr(ind, "_bisect_edge", bisect)
-    assert got.tolist() \
-        == _reference_arc_crossings(p, arc, itinerary, segs).tolist()
-
-
-#: r3_y0 below c*w_max^2 = 0.242: f(R4) reaches the R3 strip, and a first
-#: return can pass R4 twice, as the one from ``TWO_R4_POINT`` does.
-TWO_R4 = replace(REF_EX, r3_y0=0.21)
-TWO_R4_POINT = (0.5701226641625827, 0.1485610609637745)
-
-
 def test_arc_crossings_in_the_last_chord():
     # the image along (R1, R1, R4) runs from x = 0.53 to 0.97 and crosses
     # y = 0.2412 at x = 0.96999, in the last chord of the sampled piece
@@ -893,46 +862,78 @@ def test_arc_crossings_in_the_last_chord():
     segs = [((0.9, 0.2412), (1.05, 0.2412))]
     assert ind._arc_crossings(p, [arc], itinerary, segs).tolist() == [[True]]
     (_, _, chords), = _reference_chords(p, arc, itinerary, segs)
-    assert np.flatnonzero(chords).tolist() == [ind._ARC_SAMPLES - 2]
-    # the sampled path catches a crossing in the last chord too: a
-    # horizontal segment over the whole image of an arc around a point
-    # whose first return passes R4 twice, at the image height of a source
-    # height between the last two samples
-    itinerary, _ = ind._return_frame(TWO_R4, TWO_R4_POINT)
-    assert itinerary.count(Region.R4) == 2
-    x_side, y = TWO_R4_POINT
-    arc = (x_side, y - 1e-6, y + 1e-6)
-    image = _image(TWO_R4, itinerary)
-    (x_a, _), (x_b, _) = image(x_side, arc[1]), image(x_side, arc[2])
-    ys = np.linspace(*(arc[1:] if x_a < x_b else arc[:0:-1]),
-                     ind._ARC_SAMPLES)
-    y_cross = image(x_side, 0.5 * (ys[-2] + ys[-1]))[1]
-    segs = [((min(x_a, x_b) - 0.01, y_cross), (max(x_a, x_b) + 0.01, y_cross))]
-    (_, _, chords), = _reference_chords(TWO_R4, arc, itinerary, segs)
-    assert np.flatnonzero(chords).tolist() == [ind._ARC_SAMPLES - 2]
-    assert ind._arc_crossings(TWO_R4, [arc], itinerary, segs).tolist() \
-        == [[True]]
+    assert np.flatnonzero(chords).tolist() == [REF_SAMPLES - 2]
 
 
-def test_two_r4_first_returns_are_sampled(monkeypatch):
-    # the eta check at a first return that passes R4 twice samples its
-    # arcs, and the sampled lanes equal the reference's
-    calls = []
-    sampled = ind._sampled_crossings
+# --- the shape of a first return -----------------------------------------
 
-    def spy(p, arcs, itinerary, segs):
-        got = sampled(p, arcs, itinerary, segs)
-        want = [_reference_arc_crossings(p, arc, itinerary, segs)
-                for arc in arcs]
-        assert np.array_equal(got, np.array(want).reshape(got.shape))
-        calls.append(got)
-        return got
+#: r3_y0 below c*w_max^2 = 0.242: f(R4) reaches the R3 strip, and a first
+#: return can pass R4 twice, as the one from ``TWO_R4_POINT`` does.
+#: ``validate`` refuses the set.
+TWO_R4 = replace(REF_EX, r3_y0=0.21)
+TWO_R4_POINT = (0.5701226641625827, 0.1485610609637745)
 
-    monkeypatch.setattr(ind, "_sampled_crossings", spy)
-    cert = default_certificate(TWO_R4)
-    rep = ind.u_crossing_certificate(TWO_R4, TWO_R4_POINT, 1.0, cert)
-    assert len(calls) == 1 and calls[0].shape == (2, 20)
-    assert rep.eta_ok == calls[0].all()
+
+def test_an_early_r4_step_is_out_of_domain():
+    assert not mc.validate(TWO_R4).valid
+    assert _regions(TWO_R4, TWO_R4_POINT, 5) == (
+        Region.R1, Region.R4, Region.R3, Region.R5, Region.R4)
+    with pytest.raises(OutOfDomain, match="passes R4 at step 2 of 5"):
+        ind.u_crossing_certificate(TWO_R4, TWO_R4_POINT, 1.0,
+                                   default_certificate(TWO_R4))
+
+
+def _first_return_itineraries(params, rng, count):
+    """The first-return itineraries, each from a walk of its own, of
+    ``count`` drawn points of A (those that return).  A point leaves R1
+    after 1 to 5 steps, at a uniform height of the R3 or R5 strip, or of
+    the R4 strip at a wing coordinate aimed at image heights in
+    [0, 2/sigma]."""
+    p = params
+    found = []
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        region = (Region.R3, Region.R4, Region.R5)[int(rng.integers(0, 3))]
+        if region is Region.R4:
+            w = math.sqrt((p.lam ** (n + 1) * p.q
+                           + 2.0 * p.inv_sigma * rng.uniform()) / p.c)
+            h = p.t + min(w, p.w_max) / p.sigma
+        else:
+            lo, hi = mc.BRANCH[region].strip(p)
+            h = lo + (hi - lo) * rng.uniform()
+        y = h * p.sigma ** -n
+        x = p.q + rng.choice((-1.0, 1.0)) * math.sqrt(
+            (y + p.lam * rng.uniform()) / p.c)
+        if not in_A(p, (x, y)):
+            continue
+        try:
+            k, _ = mc.first_return(p, (x, y), ind._RETURN_CAP)
+        except NoReturn:
+            continue
+        found.append(_regions(p, (x, y), k))
+    return found
+
+
+def _ends_on_its_only_r4_step(itinerary) -> bool:
+    return itinerary.index(Region.R4) == len(itinerary) - 1
+
+
+def test_first_returns_pass_r3_and_r5_before_their_fold():
+    found = _first_return_itineraries(REF_EX, np.random.default_rng(0), 200)
+    assert all(map(_ends_on_its_only_r4_step, found))
+    before = {step for it in found for step in it[:-1]}
+    assert before == {Region.R1, Region.R3, Region.R5}
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=10, deadline=None)
+def test_first_returns_end_on_their_only_r4_step_on_valid_params(params,
+                                                                 seed):
+    # the shape that the closed-form arc crossings and the slice brackets
+    # rely on, and that validate's r4_image_below_r3 check guarantees
+    found = _first_return_itineraries(params, np.random.default_rng(seed),
+                                      60)
+    assert found and all(map(_ends_on_its_only_r4_step, found))
 
 
 # --- slice edges ----------------------------------------------------------
@@ -1048,27 +1049,6 @@ def test_slice_edge_near_zero_keeps_the_full_bracket():
     for target in (-0.25, -1e-30):
         got, resolved = _slice_edge_agrees(p, ref, m, 0, target)
         assert 0.0 < got < 1e-60 and not resolved
-
-
-def test_slice_edge_after_an_early_r4_step_keeps_the_full_bracket(
-        monkeypatch):
-    # after the R4 step the height is c*w^2 - lam*x with w = sigma*(y - t):
-    # the heights the R1 step takes are two bands around y = t.  From the
-    # lower band, the full bisection's first midpoint lies in the upper
-    # band, and the edge it finds is the top of the R4 strip.
-    p = REF_EX
-    ref = (Region.R4, Region.R1)
-    m = (0.5, p.t - 0.03)
-    target = p.t + 0.09
-    assert ind._follows(p, 0.5, 0.5 * (m[1] + target), ref)
-    assert not ind._follows(p, 0.5, p.t, ref)
-
-    def no_narrowing(*args):
-        raise AssertionError("an early R4 step narrowed")
-
-    monkeypatch.setattr(ind, "_slice_bracket", no_narrowing)
-    got, resolved = _slice_edge_agrees(p, ref, m, 1, target)
-    assert resolved and got == p.t + p.h
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])

@@ -73,6 +73,20 @@ def test_full_crossing_passes_when_both_wing_tips_clear_r1(params, scale):
     assert check.value == pytest.approx(min(tips) - p.inv_sigma, abs=1e-12)
 
 
+def test_validate_refuses_an_r4_image_in_the_r3_strip():
+    # c*w_max^2 = 0.242 reaches above r3_y0 = 0.21: an R4 step can be
+    # followed by an R3 step, and a first return can pass R4 twice
+    rep = validate(dataclasses.replace(REF_EX, r3_y0=0.21))
+    failed = [c for c in rep.checks if c.kind == "hard" and not c.passed]
+    assert [c.constraint for c in failed] == ["r4_image_below_r3"]
+    assert failed[0].value == pytest.approx(0.21 - 5.0 * 0.22 ** 2)
+    for params in (REF_EX, REF_STRICT):
+        check = next(c for c in validate(params).checks
+                     if c.constraint == "r4_image_below_r3")
+        assert check.passed
+        assert check.value == 0.4 - params.c * params.w_max ** 2
+
+
 def test_validate_rejects_large_lambda():
     bad = MapParams(lam=0.4, sigma=5.0, c=5.0, q=0.75, t=0.7,
                     w_max=0.22, r3_y0=0.4, r3_a=0.5, b=2.0)
@@ -406,7 +420,7 @@ def test_first_return_both_ways_equals_the_visit_search(params):
     assert min(found.values()) >= 20
 
 
-SETTABLE = ["chi1", "C0", "eps0", "eta", "rho1", "C5"]
+SETTABLE = ["C0", "eps0", "eta", "rho1", "C5"]
 
 
 def test_certificate_shapes():
@@ -419,7 +433,7 @@ def test_certificate_shapes():
     assert cert.with_updates(rho1=0.1).C3 == 0.1 * cert.C0
     with pytest.raises(TypeError):
         cert.with_updates(C3=0.1)
-    # the JSON lists the 6 settable constants and C3, each with its
+    # the JSON lists the 5 settable constants and C3, each with its
     # provenance; C3 is estimated exactly when rho1 or C0 is
     doc = json.loads(cert.to_json())
     assert list(doc) == SETTABLE + ["C3"]
