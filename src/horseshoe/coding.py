@@ -13,8 +13,11 @@ its k-th image meets the closure of band s_k.  The hulls and the band
 tests evaluate the branch formulas, strips and bands of the table in
 :mod:`horseshoe.map_core` on the small :class:`Interval` type.  All
 branch formulas are affine except the parabolic w -> w^2, whose
-interval square is exact, so the hulls genuinely contain the true
-images and the cover contains the true atom.
+interval square is exact, so the hulls contain the images of the float
+map and the cover contains that map's atom.  Bounds are rounded to
+nearest, not outward, so an exact image can lie outside its hull by
+rounding: on REF_EX 6,536 of 12,000 exact-rational corner images do
+(ROADMAP.md, item 4, "Validated interval arithmetic").
 
 The hulls of a box do not depend on the word, only the band test does,
 so words are refined in families that share one box array: the nine
@@ -208,7 +211,8 @@ class Interval:
     sums and differences of intervals and numbers, products and
     quotients by numbers, and the exact square ``** 2``.  Each bound is
     the same float expression as the corresponding end of the hull, so
-    the hulls contain the true images."""
+    the hulls contain the images of the float map, not always the exact
+    images (see the module docstring)."""
 
     __slots__ = ("lo", "hi")
     __array_ufunc__ = None      # numpy scalars defer to these methods

@@ -50,9 +50,9 @@ so a temporary stays within 256 KB unless one polyline is longer.
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
 ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
-``_SIMPLE_TOL``, ``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``,
-``_PARALLEL``, ``_PASSAGES``, ``_EPS1``, ``_VERTICAL_POINTS``,
-``_RHO``, ``_MIXING_BUDGET`` and ``_NONEXPANSIVE_HORIZON``.
+``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``, ``_PARALLEL``,
+``_PASSAGES``, ``_EPS1``, ``_VERTICAL_POINTS``, ``_RHO``,
+``_MIXING_BUDGET`` and ``_NONEXPANSIVE_HORIZON``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ _MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
 _MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
 _END_TOL = 1e-9     # curve ends this close meet (or reach an edge)
 _SCAN_ROUNDS = 60   # zoom rounds of the survivor scan for mixing seeds
-_SIMPLE_TOL = 1e-12  # self-crossings closer to a segment start are joints
 _SEED_SLOPE = 0.0   # slope of the flat graph that seeds a local leaf
 _BLOCK = 1 << 15    # segment pairs per kernel block (256 KB of float64)
 _BOX_PAD = 1e-8     # box pad / largest |coordinate|: > 32 * 2**-53 / _PARALLEL
@@ -216,20 +215,6 @@ class ManifoldCurve:
     def distance_to(self, p) -> float:
         """Distance from ``p`` to the polyline."""
         return float(_polyline_distances(self.points, [p])[0])
-
-    def is_simple(self) -> bool:
-        """No transversal self-intersection between non-adjacent
-        segments (all pairs; subsampled beyond 800 points)."""
-        pts = self.points
-        if len(pts) > 800:
-            pts = pts[np.linspace(0, len(pts) - 1, 800).astype(int)]
-        last = len(pts) - 2
-        for i, j, pt, _ in _polyline_intersections(pts, pts):
-            if j < i + 2 or (i, j) == (0, last):
-                continue  # neighbours; closed-up ends of a closed curve
-            if math.hypot(pt[0] - pts[i, 0], pt[1] - pts[i, 1]) > _SIMPLE_TOL:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +384,7 @@ def _pullback_curve(params: MapParams, chain: _Chain,
                         "pullback blocks", last_factor=factor)
 
 
-#: The two linear fixed points; their leaves are edges of the square
+#: The two linear fixed points; their leaves lie on edges of the square
 #: (invariant under the affine extension of the corner's own branch).
 _CORNERS = ((0.0, 0.0), (1.0, 1.0))
 
@@ -696,11 +681,16 @@ def _merge_contiguous(pieces, start: int):
 def _global_manifold(params: MapParams, chain: _Chain,
                      n: int) -> ManifoldCurve:
     """The leaf through the base of ``chain``: the local leaf at its n-th
-    anchor (read from the chain's tail) mapped back to the base."""
+    anchor (read from the chain's tail) mapped back to the base.  At a
+    corner it is the edge, cut at the floor of the corner branch's image
+    band for an unstable leaf: W^u(1, 1) is {1} x [1/3, 1]."""
     m, kind = chain.m, chain.kind
     if m in _CORNERS:
+        br = mc._branch_at(params, *m)
+        lo = mc._band_floor(params, br) \
+            if br.floor and kind == "unstable" else 0.0
         pts = _edge_leaf(m, kind,
-                         np.linspace(0.0, 1.0, int(1.0 / _SEG_LEN) + 1))
+                         np.linspace(lo, 1.0, int(1.0 / _SEG_LEN) + 1))
         meta = {"rho": _RHO, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
@@ -777,11 +767,11 @@ class VerticalityReport:
     eps1: float
 
 
-def eps1_vertical_check(curve, eps1: float) -> VerticalityReport:
-    """Finite-difference C^2 verticality of a curve given as a graph
-    x = g(y): both max |g'| and max |g''| must stay below ``eps1``."""
-    pts = curve.points if isinstance(curve, ManifoldCurve) else \
-        np.asarray(curve, dtype=float)
+def eps1_vertical_check(points, eps1: float) -> VerticalityReport:
+    """Finite-difference C^2 verticality of a curve given by its points
+    (N x 2) as a graph x = g(y): both max |g'| and max |g''| must stay
+    below ``eps1``."""
+    pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
         raise NotGraphLike("need at least three points")
     y = pts[:, 1]
@@ -1070,16 +1060,6 @@ def mixing_times(params: MapParams, disk: Disk) -> dict:
             "arc_plus": arc_plus, "arc_minus": arc_minus}
 
 
-def mixing_consequence(params: MapParams, disk_u: Disk,
-                       disk_v: Disk) -> bool:
-    """f^n(U) meets V for n = n_plus(U) + n_minus(V): the full vertical
-    arc of f^(n_plus)(U) crosses the full horizontal arc of
-    f^(-n_minus)(V)."""
-    _, arc_u = _mixing_search(params, disk_u, "unstable")
-    _, arc_v = _mixing_search(params, disk_v, "stable")
-    return bool(_polyline_intersections(arc_u, arc_v))
-
-
 # ---------------------------------------------------------------------------
 # Non-expansiveness demonstration
 # ---------------------------------------------------------------------------
@@ -1131,34 +1111,21 @@ def _threaded_separation(params: MapParams, delta: float,
     band, then ``prefix`` left-band rungs, then the middle band
     forever), so each band constraint is a rational interval in a^2;
     the intersection stays nonempty because every inverse branch maps
-    its band onto the full width of the square."""
+    its band onto the full width of the square.  The chain is carried
+    as its abscissae at a^2 = 0 and a^2 = 1, through the inverse x-maps
+    and image columns of the branch table."""
     pf = _exact(params)
-    lam, r3a = pf.lam, pf.r3_a
-    # x_k = p_k + s_k * asq along the backward chain
-    p_aff, s_aff = Fraction(0), pf.c / lam
-    lo, hi = None, None
-
-    def constrain(b_lo, b_hi, lo, hi):
-        if s_aff > 0:
-            c_lo, c_hi = (b_lo - p_aff) / s_aff, (b_hi - p_aff) / s_aff
-        else:
-            c_lo, c_hi = (b_hi - p_aff) / s_aff, (b_lo - p_aff) / s_aff
-        lo = c_lo if lo is None else max(lo, c_lo)
-        hi = c_hi if hi is None else min(hi, c_hi)
-        return (lo, hi) if lo < hi else (None, None)
-
+    ends = [mc.BRANCH[Region.R4].inverse(pf, pf.q + a, 0)[0] for a in (0, 1)]
+    lo, hi = Fraction(0), math.inf
     for k in range(_NONEXPANSIVE_HORIZON):
-        if k < prefix:
-            band = (Fraction(0), lam)       # left image band
-        else:
-            band = (r3a - lam, r3a)         # middle image band
-        lo, hi = constrain(band[0], band[1], lo, hi)
-        if lo is None:
+        # the left image band, then the middle one
+        br = mc.BRANCH[Region.R1 if k < prefix else Region.R3]
+        x0, slope = ends[0], ends[1] - ends[0]
+        c_lo, c_hi = sorted((b - x0) / slope for b in br.column(pf))
+        lo, hi = max(lo, c_lo), min(hi, c_hi)
+        if lo >= hi:
             return None
-        if k < prefix:
-            p_aff, s_aff = p_aff / lam, s_aff / lam
-        else:
-            p_aff, s_aff = (r3a - p_aff) / lam, -s_aff / lam
+        ends = [br.inverse(pf, x, 0)[0] for x in ends]
     a = _rational_sqrt_in(lo, hi)
     if a is None or a > pf.w_max or 2 * a > Fraction(9, 10) * Fraction(delta):
         return None

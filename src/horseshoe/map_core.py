@@ -22,7 +22,10 @@ and derivative formulas.  The formulas use only ``+ - * /``, ``** 2``
 and the scaled-square hook ``csq``, so the same text runs on floats,
 numpy arrays, ``Fraction`` parameters (exact arithmetic) and the
 interval hulls of :mod:`horseshoe.coding`.  Every other module reads
-the branches from this table.
+the branches from this table, with one hand-written step:
+``manifolds.iterate_vertical_curve`` writes its return step in the wing
+coordinate, where the table's height would cancel digits at large
+sigma (its docstring says how).
 
 Orbit segments are walked in one place, :func:`iterates`: the bounded,
 lazy sequence of images (or preimages) of a point.  First returns to

@@ -13,7 +13,8 @@ classes of each module whose name does not start with an underscore.
 point by feeding ``apply`` or ``apply_inverse`` its own last result.
 
 A module docstring that lists its "Numerical settings" names only
-constants that the module defines.
+constants that the module defines, and it names every private
+module-level constant assigned a number or an arithmetic expression.
 """
 
 import ast
@@ -25,7 +26,7 @@ import horseshoe
 from horseshoe import map_core as mc
 
 MAX_DEFAULTS = 16
-MAX_PUBLIC = 122
+MAX_PUBLIC = 121
 SRC = Path(horseshoe.__file__).parent
 
 
@@ -139,3 +140,37 @@ def test_the_settings_rule_reads_one_paragraph():
            "``_B``.\n\nLater ``_C``.\n")
     assert _settings(doc) == ["_A", "_B"]
     assert _settings("No list here: ``_A``.") == []
+
+
+def _numeric_constants(tree: ast.Module) -> list:
+    """Private module-level names assigned a number or an arithmetic
+    expression of numbers and names."""
+    def arithmetic(node) -> bool:
+        return not isinstance(node, ast.Name) and all(
+            isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator,
+                           ast.unaryop, ast.Name, ast.expr_context))
+            or isinstance(n, ast.Constant) and type(n.value) in (int, float)
+            for n in ast.walk(node))
+
+    return [t.id for node in tree.body if isinstance(node, ast.Assign)
+            and arithmetic(node.value) for t in node.targets
+            if isinstance(t, ast.Name) and t.id.startswith("_")
+            and not t.id.startswith("__")]
+
+
+def test_every_numerical_constant_is_a_named_setting():
+    unnamed = {}
+    for f in SRC.glob("*.py"):
+        tree = ast.parse(f.read_text())
+        names = _settings(ast.get_docstring(tree) or "")
+        unnamed[f.stem] = [n for n in _numeric_constants(tree)
+                           if n not in names]
+    assert {m: gone for m, gone in unnamed.items() if gone} == {}
+
+
+def test_the_constant_rule_reads_numbers_and_arithmetic():
+    tree = ast.parse("_A = 3\n_B = 2.0 ** -20\n_C = 1 << _A\n_D = -_B\n"
+                     "PUBLIC = 1\n_E = _A\n_F = Fraction(2, 3)\n"
+                     "_G = 'text'\n_H = True\n__version__ = 1\n"
+                     "def f():\n    _I = 1\n")
+    assert _numeric_constants(tree) == ["_A", "_B", "_C", "_D"]

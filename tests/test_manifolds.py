@@ -225,7 +225,10 @@ def test_local_unstable_output_contract():
     # a graph over [-rho, rho] along e_u with slope at most lip_bound
     assert wu.total_length <= (2.0 * wu.meta["rho_effective"]
                                * (1.0 + wu.meta["lip_bound"]))
-    assert wu.is_simple()
+    # simple: a graph over the unstable axis of the chart it was built in
+    ch = chart(REF_STRICT, rp.M)
+    u = (wu.points - np.asarray(ch.M)) @ ch.inv_basis[0]
+    assert np.all(np.diff(u) > 0.0)
     # base point on the curve
     d = np.min(np.hypot(wu.points[:, 0] - rp.M[0], wu.points[:, 1] - rp.M[1]))
     assert d < 1e-10
@@ -448,21 +451,6 @@ def _ref_polyline_intersections(poly1, poly2):
                 poly1[i], poly1[i + 1], a2, b2)]
 
 
-def _ref_is_simple(pts):
-    if len(pts) > 800:
-        pts = pts[np.linspace(0, len(pts) - 1, 800).astype(int)]
-    a, b = pts[:-1], pts[1:]
-    n = len(a)
-    for i in range(n):
-        for j, pt, _ in _ref_segment_intersections(a[i], b[i], a[i + 2:],
-                                                   b[i + 2:]):
-            if i == 0 and j == n - 3:
-                continue
-            if math.hypot(pt[0] - a[i][0], pt[1] - a[i][1]) > 1e-12:
-                return False
-    return True
-
-
 def _collinear_pairs(rng, count):
     """Segment pairs on one line of irrational-looking slope, overlapping
     or far apart; the rounded crossing test accepts some far-apart ones."""
@@ -638,23 +626,6 @@ def test_invariance_defect_charts_m_and_its_anchor_once(monkeypatch, kind):
         assert (seen[rp.M], seen[other]) == (1, 1)
 
 
-def test_is_simple_equals_the_loop(block):
-    rng = np.random.default_rng(20261020)
-    s = np.linspace(0.0, 2.0 * np.pi, 900)      # subsampled to 800
-    u = s[::3]
-    curves = [np.column_stack([np.cos(s), np.sin(s)]),          # closed
-              np.column_stack([np.cos(u), np.sin(2.0 * u)]),    # figure 8
-              np.column_stack([u, np.sqrt(2.0) * u])]           # line
-    curves += [np.cumsum(rng.normal(size=(n, 2)), axis=0)
-               for n in (3, 4, 30, 120)]
-    verdicts = set()
-    for pts in curves:
-        curve = mf.ManifoldCurve(pts, "unstable")
-        verdicts.add(curve.is_simple())
-        assert curve.is_simple() == _ref_is_simple(pts)
-    assert verdicts == {True, False}
-
-
 # --- bracket --------------------------------------------------------------
 
 def test_bracket_of_point_with_itself():
@@ -665,13 +636,34 @@ def test_bracket_of_point_with_itself():
 
 
 def test_bracket_corner_leaves():
-    # stable leaf of (0,0) is the bottom edge, unstable leaf of (1,1)
-    # the right edge; they meet at (1,0)
-    br = mf.bracket(REF_EX, (0.0, 0.0), (1.0, 1.0))
-    assert br.point[0] == pytest.approx(1.0, abs=1e-9)
-    assert br.point[1] == pytest.approx(0.0, abs=1e-9)
+    # the stable leaf of (1,1) is the top edge, the unstable leaf of
+    # (0,0) the left edge; they meet at (0,1)
+    br = mf.bracket(REF_EX, (1.0, 1.0), (0.0, 0.0))
+    assert br.point[0] == pytest.approx(0.0, abs=1e-9)
+    assert br.point[1] == pytest.approx(1.0, abs=1e-9)
     assert br.angle == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert not br.near_tangent
+    # the bottom edge ends below the unstable leaf of (1,1), which
+    # starts at the floor of R5' (about 1/3)
+    with pytest.raises(mf.NoIntersection):
+        mf.bracket(REF_EX, (0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_global_unstable_corner_starts_at_the_r5_floor(params):
+    floor = mc._band_floor(params, mc.BRANCH[Region.R5])
+    gu = mf.global_unstable(params, (1.0, 1.0), 3)
+    x, y = gu.points.T
+    assert np.all(x == 1.0) and np.all(np.diff(y) > 0.0)
+    assert (y[0], y[-1]) == (floor, 1.0)
+    # below the floor the right edge has no preimage
+    assert all(mc.apply_inverse(params, (1.0, v)) is None
+               for v in (0.0, 0.5 * floor, floor - 1e-9))
+    # every point above the floor has one; at the floor itself the float
+    # inverse on REF_STRICT rounds the preimage below the strip, since
+    # y + sigma - 1 keeps y to about 1.5e-11 at sigma = 1e5
+    assert all(mc.apply_inverse(params, (1.0, float(v))) is not None
+               for v in y[1:])
 
 
 # --- mixing ---------------------------------------------------------------
@@ -690,9 +682,14 @@ def test_mixing_small_disk():
 
 
 def test_mixing_consequence():
+    # f^n(U) meets V for n = n_plus(U) + n_minus(V): the full vertical
+    # arc of f^(n_plus)(U) crosses the full horizontal arc of
+    # f^(-n_minus)(V)
     u = mf.Disk((0.05, 0.5), 0.05)
     v = mf.Disk((0.5, 0.45), 0.05)
-    assert mf.mixing_consequence(REF_EX, u, v)
+    _, arc_u = mf._mixing_search(REF_EX, u, "unstable")
+    _, arc_v = mf._mixing_search(REF_EX, v, "stable")
+    assert mf._polyline_intersections(arc_u, arc_v)
 
 
 # --- non-expansive pairs --------------------------------------------------
