@@ -28,21 +28,22 @@ The eta check first clips the rectangle to the slice that follows the
 first-return itinerary.  A first return is a run of straight steps and
 then its only R4 step (:func:`_return_frame` refuses any other, and
 :func:`~horseshoe.map_core.validate` refuses the parameters that allow
-one).  So each slice edge is bisected from a bracket a few ulps wide
-around a secant estimate off the strip levels; it ends on the float of
-the full-bracket bisection, because the passing floats form one
-interval (:func:`_surviving`).  The image of each clipped side is an arc
+one), whose straight steps keep x in [0, 1] and test heights only.
+So the slice is the rectangle's x-range clipped to the square, times
+one pair of float height edges (:func:`_surviving`).  The image of each
+clipped side is an arc
 of a parabola, crossed with the target segments in closed form
 (:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
-``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_SLICE_ITERS``,
-``_ETA_MIN`` and ``_ETA_ITERS``.
+``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ETA_MIN`` and
+``_ETA_ITERS``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,6 @@ _RETURN_CAP = 4000
 _PROBE_GRID = 16        # chart grid points per axis of the distortion probe
 _PROBE_PAIRS = 60       # grid pairs the distortion probe draws
 _CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
-_SLICE_ITERS = 240      # bisection steps locating a surviving slice edge
 _ETA_MIN = 1e-8         # smallest eta the calibration tries
 _ETA_ITERS = 24         # log-scale bisection steps for eta
 
@@ -463,111 +463,102 @@ def _follows(params: MapParams, x: float, y: float, ref) -> bool:
     return True
 
 
-def _bisect_edge(passes, good: float, bad: float, iters: int) -> float:
-    """Point nearest ``bad`` on the segment from ``good`` (which passes)
-    that still passes, by bisection down to float resolution.
+def _float_key(v: float) -> int:
+    """The integer that orders the floats: adjacent floats differ by 1,
+    and both zeros are 0."""
+    k = struct.unpack("<Q", struct.pack("<d", abs(v)))[0]
+    return -k if v < 0.0 else k
 
-    When ``iters`` halvings do not reach adjacent floats (an edge near
-    0, where floats are dense), it returns the last passing midpoint,
-    which is not yet the edge."""
+
+def _key_float(k: int) -> float:  # the inverse of _float_key
+    v = struct.unpack("<d", struct.pack("<Q", abs(k)))[0]
+    return -v if k < 0 else v
+
+
+def _bisect_edge(passes, good: float, bad: float) -> float:
+    """The float edge on the segment from ``good`` (which passes) towards
+    ``bad``, where the passing floats between them form one interval:
+    ``bad`` when it passes, else the passing float whose neighbour
+    towards ``bad`` fails.  It bisects over the integers that order the
+    floats (:func:`_float_key`), so it reaches adjacent floats within 64
+    halvings from any bracket, across signs and binades."""
     if passes(bad):
         return bad
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if passes(mid):
-            good = mid
+    g, b = _float_key(good), _float_key(bad)
+    while abs(b - g) > 1:
+        mid = (g + b) // 2
+        if passes(_key_float(mid)):
+            g = mid
         else:
-            bad = mid
-    return good
+            b = mid
+    return _key_float(g)
 
 
-def _surviving(params: MapParams, ref, p, axis: int, target: float) -> float:
-    """Coordinate ``axis`` closest to ``target`` on the axis-parallel
-    segment from ``p`` whose points still follow the branch itinerary
-    ``ref`` (which ``p`` follows).
+def _surviving(params: MapParams, ref, p, target: float) -> float:
+    """The float edge (:func:`_bisect_edge`) towards the height
+    ``target`` of the vertical segment from ``p`` whose points still
+    follow the branch itinerary ``ref`` (which ``p`` follows).
 
     Points with a different itinerary belong to a different component of
     the surviving set, so the edge is found by bisecting against the
     reference label sequence, from the narrow bracket of
     :func:`_slice_bracket`.  ``ref`` is a first return, straight steps
-    and then its only R4 step (:func:`_return_frame`), so every
-    coordinate that ``_follows`` tests is a chain of straight branch
-    maps (the last step's image is never tested).  Each map is diagonal,
-    affine and correctly rounded, so the tested coordinates are monotone
-    in the one moving coordinate, and the other stays fixed.  The
-    passing floats are thus one interval around p, and a bisection from
-    any bracket of its edge ends on the full bisection's float, wherever
-    the full bisection reaches adjacent floats within ``_SLICE_ITERS``
-    steps."""
-    def same(v: float) -> bool:
-        return _follows(params, *((v, p[1]) if axis == 0 else (p[0], v)), ref)
+    and then its only R4 step (:func:`_return_frame`), so every height
+    that ``_follows`` tests is a chain of straight branch maps (the last
+    step's image is never tested).  Each map is diagonal, affine and
+    correctly rounded, so the tested heights are monotone in y and do
+    not depend on x in [0, 1].  The passing floats are thus one interval
+    around p, and every bisection to adjacent floats ends on its edge."""
+    def same(y: float) -> bool:
+        return _follows(params, p[0], y, ref)
 
-    return _bisect_edge(same, *_slice_bracket(params, ref, p, axis, target,
-                                              same), _SLICE_ITERS)
+    return _bisect_edge(same, *_slice_bracket(params, ref, p, target, same))
 
 
-def _slice_bracket(params: MapParams, ref, p, axis: int, target: float,
-                   same) -> tuple:
-    """A bracket (good, bad) of the slice edge of :func:`_surviving` on
+def _slice_bracket(params: MapParams, ref, p, target: float, same) -> tuple:
+    """A bracket (good, bad) of the height edge of :func:`_surviving` on
     a first return: straight steps, then its only R4 step.
 
-    p and the point at ``target`` are traced through the branch formulas
-    with no region tests.  At each step, the moving coordinate's margin
-    to each bound it must keep (the region's strip, between levels of
-    ``params._ladder``, for y; the square's [0, 1] for x) that the
-    target breaks gives one secant root, and the estimate is the root
-    nearest p.  ``same`` is read there, then at steps of 1, 2, 4, ...
-    ulps away from it until a passing and a failing point bracket the
-    edge.  The bracket stays (p, target) when no margin breaks (the
-    target should pass), or where the full bisection from (p, target)
-    might run out of ``_SLICE_ITERS`` before reaching adjacent floats:
-    near 0, where floats are dense."""
-    v0 = p[axis]
-    width = abs(target - v0)
-
-    def resolved(a: float, b: float) -> bool:
-        # halving ``width`` _SLICE_ITERS - 16 times reaches the float
-        # spacing between a and b, with 16 steps to spare for rounding
-        low = min(abs(a), abs(b)) if a * b > 0.0 else 0.0
-        return width <= math.ldexp(math.ulp(low), _SLICE_ITERS - 16)
-
-    a, b = list(p), list(p)
-    b[axis] = target
+    p and the point at height ``target`` are traced through the branch
+    formulas with no region tests.  At each step, the height's margin to
+    each level of the region's strip (between levels of
+    ``params._ladder``) that the target breaks gives one secant root,
+    and the estimate is the root nearest p.  ``same`` is read there,
+    then 1, 2, 4, ... floats away (at most 64 reads) until a passing and
+    a failing height bracket the edge.  The bracket is (p, target) when
+    no margin breaks: the target should pass."""
+    y0 = p[1]
+    a, b = p, (p[0], target)
     root = math.inf
     for region in ref:
         br = mc.BRANCH[region]
-        g0, g1 = a[axis], b[axis]
+        g0, g1 = a[1], b[1]
         # a strip holds the heights in (lo, hi], R1 those in [0, hi]
-        lo, hi = br.strip(params) if axis == 1 else (0.0, 1.0)
+        lo, hi = br.strip(params)
         if g1 > hi:
             root = min(root, (hi - g0) / (g1 - g0))
-        elif g1 < lo or g1 == lo and axis == 1 and region is not Region.R1:
+        elif g1 < lo or g1 == lo and region is not Region.R1:
             root = min(root, (lo - g0) / (g1 - g0))
         a, b = br.forward(params, *a), br.forward(params, *b)
     if root == math.inf:
-        return v0, target
-    est = min(max(v0 + root * (target - v0), min(v0, target)),
-              max(v0, target))
-    if not resolved(est, est):
-        return v0, target
+        return y0, target
+    est = min(max(y0 + root * (target - y0), min(y0, target)),
+              max(y0, target))
     # walk away from est, towards target while it passes, towards p
     # while it fails, until a probe flips or would leave the bracket
     ahead = same(est)
-    good, bad = (est, target) if ahead else (v0, est)
-    step = math.copysign(math.ulp(est), (target if ahead else v0) - est)
-    k = 1
-    while min(good, bad) < est + k * step < max(good, bad):
-        v = est + k * step
+    good, bad = (est, target) if ahead else (y0, est)
+    key = _float_key(est)
+    step = 1 if (target if ahead else y0) > est else -1
+    while min(good, bad) < (v := _key_float(key + step)) < max(good, bad):
         if same(v):
             good = v
         else:
             bad = v
         if (good == v) != ahead:
             break
-        k *= 2
-    return (good, bad) if resolved(good, bad) else (v0, target)
+        step *= 2
+    return good, bad
 
 
 def _return_frame(params: MapParams, m) -> tuple:
@@ -595,11 +586,11 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     C0 and eps0 test parabolas through the stable segment and through
     the eps0 sub-ball against the ball's bottom and top sides.  The eta
     check clips the two vertical sides of the rectangle around M to the
-    slice that follows M's itinerary up to its first return M_n, and
-    asks that the image of each side cross the bottom and top sides of
-    every target ball: radii rho*C0*l and eps0*rho*C0*l at M_n and at
-    M_n moved by eta*eps0*rho*C0*l(M_n) along +-e_u and +-e_s, twenty
-    segments in all (:func:`_arc_crossings`).
+    slice that follows M's itinerary up to its first return M_n (two
+    height searches), and asks that the image of each side cross the
+    bottom and top sides of every target ball: radii rho*C0*l and
+    eps0*rho*C0*l at M_n and at M_n moved by eta*eps0*rho*C0*l(M_n)
+    along +-e_u and +-e_s, twenty segments in all (:func:`_arc_crossings`).
     """
     mc._require_A(params, m)
     frame = direction_field(params, m)
@@ -645,8 +636,8 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     at the first return ``ret`` = (itinerary, splitting at M_n) of
     :func:`_return_frame`: both sides, clipped to the slice that follows
     the itinerary and mapped along it (:func:`_arc_crossings`), must
-    cross every target segment.  Returns the verdict and the
-    rectangle's sides ``d_h`` and ``d_v``."""
+    cross every target segment; its heights take two :func:`_surviving`
+    searches.  Returns the verdict, ``d_h`` and ``d_v``."""
     m = frame.M
     ref, frame_ret = ret
     ball, sub = _balls(frame, rho, cert)
@@ -655,18 +646,13 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     # rectangle height: the horizontal stripe of the eps0 sub-ball
     sv = np.array(sub.vertices())
     dv = float(sv[:, 1].max() - sv[:, 1].min())
-    # Only the connected slice of each side that follows the itinerary
-    # of M survives n steps; the crossing statement is about the image
-    # component through M_n, so clip the sides to that slice.
-    # at shallow returns the rectangle can be wider than the surviving
-    # component; clip the horizontal extent at the base height first
-    x_lo = _surviving(params, ref, m, 0, x_lo)
-    x_hi = _surviving(params, ref, m, 0, x_hi)
-    sides = []
-    for x_side in (x_lo, x_hi):
-        y_a, y_b = (_surviving(params, ref, (x_side, m[1]), 1, y)
-                    for y in (m[1] - dv / 2.0, m[1] + dv / 2.0))
-        sides.append((x_side, y_a, y_b))
+    # Only the slice that follows the itinerary of M survives n steps,
+    # and the crossing statement is about its image.  The straight steps
+    # keep x in [0, 1] and test heights only, so the slice is a product.
+    x_lo, x_hi = max(x_lo, 0.0), min(x_hi, 1.0)
+    y_a, y_b = (_surviving(params, ref, m, y)
+                for y in (m[1] - dv / 2.0, m[1] + dv / 2.0))
+    sides = [(x_lo, y_a, y_b), (x_hi, y_a, y_b)]
     # eta bounds how far the target center may sit from the actual
     # return point; the crossing must hold for every such center.
     base = np.asarray(frame_ret.M)

@@ -123,7 +123,7 @@ class NotGraphLike(mc.HorseshoeError, ValueError):
 
 
 class BudgetExhausted(mc.HorseshoeError, RuntimeError):
-    """Mixing-time search ran out of iterations."""
+    """Mixing-time search ran out of iterations, or of pieces."""
 
     def __init__(self, message: str, longest_span: float):
         self.longest_span = longest_span
@@ -823,8 +823,8 @@ def iterate_vertical_curve(params: MapParams,
         # one expanding step after the parabolic branch)
         if wing_y(p.w_max) < p.t + h:
             raise Unsupported("wing too short to re-cover the strip")
-        edges = [_bisect_edge(lambda w: wing_y(w) < target, 0.0, p.w_max,
-                              200) for target in (p.t - h, p.t + h)]
+        edges = [_bisect_edge(lambda w: wing_y(w) < target, 0.0, p.w_max)
+                 for target in (p.t - h, p.t + h)]
         w_new = np.linspace(edges[0], edges[1], _VERTICAL_POINTS)
         src_y = p.t + w_new / p.sigma
         gx = np.interp(src_y, y_grid, g)
@@ -1043,7 +1043,8 @@ def _mixing_search(params: MapParams, disk: Disk, kind: str):
         pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
             params, pieces, 1)
         if not pieces:
-            break
+            raise BudgetExhausted(f"no {kind} piece is left at iterate "
+                                  f"{n + 1}", longest_span=longest)
     raise BudgetExhausted(
         f"no full crossing within {_MIXING_BUDGET} iterates",
         longest_span=longest)

@@ -719,7 +719,7 @@ def _reference_chords(params, arc, itinerary, segs):
     for i in np.flatnonzero((x_img_lo < targets) & (targets < x_img_hi)):
         edges[i] = ind._bisect_edge(
             lambda y, x_t=targets[i]: image(x_side, y)[0] < x_t,
-            y_lo, y_hi, 200)
+            y_lo, y_hi)
     ys = np.column_stack([np.linspace(lo, hi, REF_SAMPLES)
                           for lo, hi in zip(edges[:k], edges[k:])])
     px, py = image(np.full_like(ys, x_side), ys)
@@ -938,52 +938,68 @@ def test_first_returns_end_on_their_only_r4_step_on_valid_params(params,
 
 # --- slice edges ----------------------------------------------------------
 
-def _on_axis(p, axis, v):
-    return (v, p[1]) if axis == 0 else (p[0], v)
+def _is_float_edge(passes, got, target) -> bool:
+    """``got`` passes, and it is ``target`` or its next float towards
+    ``target`` fails."""
+    return passes(got) and (got == target
+                            or not passes(math.nextafter(got, target)))
 
 
-def _slice_edge_agrees(params, ref, p, axis, target):
-    """:func:`induced._surviving` from p towards ``target`` equals the
-    bisection from the full bracket (p, target).  Returns the edge and
-    whether it is resolved: the target itself, or a float whose next
-    float towards the target fails."""
-    def same(v):
-        return ind._follows(params, *_on_axis(p, axis, v), ref)
+@pytest.mark.parametrize("good, bad, edge", [
+    (1.0, -1.0, 1e-300), (-1.0, 1.0, -1e-300), (0.0, 0.22, 0.1),
+    (0.22, 0.0, 0.1), (1e300, -1e-300, -5e-324), (-2.0, 3.0, 2.5),
+    (0.0, 1.0, 1.0)])
+def test_bisect_edge_reaches_the_last_passing_float(good, bad, edge):
+    calls = []
 
-    got = ind._surviving(params, ref, p, axis, target)
-    assert got == ind._bisect_edge(same, p[axis], target, ind._SLICE_ITERS)
-    assert same(got)
-    return got, got == target or not same(math.nextafter(got, target))
+    def passes(v):
+        calls.append(v)
+        return v <= edge if good < bad else v >= edge
+
+    got = ind._bisect_edge(passes, good, bad)
+    # the read of ``bad``, then at most 64 halvings of a 64-bit order
+    assert len(calls) <= 1 + 64
+    assert got == edge
+    assert _is_float_edge(passes, got, bad)
+
+
+def _slice_edge_agrees(params, ref, p, target):
+    """:func:`induced._surviving` from p towards the height ``target``
+    equals the bisection from the full bracket (p[1], target), and it is
+    a float edge: the target itself, or a float whose next float towards
+    the target fails."""
+    def same(y):
+        return ind._follows(params, p[0], y, ref)
+
+    got = ind._surviving(params, ref, p, target)
+    assert got == ind._bisect_edge(same, p[1], target)
+    assert _is_float_edge(same, got, target)
+    return got
 
 
 def _slice_edges_at_returns(params, rng, n_points) -> Counter:
-    """Slice edges from returning points, along both axes and both ways,
-    at targets from a few ulps of the point to beyond the square; every
-    edge must be resolved.  Counts the edges (``axis``, ``inner``) that
-    stop short of their target and those (``axis``, ``target``) that
-    return it."""
+    """Height edges from returning points, both ways, at targets from a
+    few ulps of the point to beyond the square.  Counts the edges that
+    stop short of their target (``inner``) and those that return it
+    (``target``)."""
     seen = Counter()
     for i in range(n_points):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
         ref, _ = ind._return_frame(params, m)
         assert Region.R4 not in ref[:-1]
-        for axis in (0, 1):
-            v = m[axis]
-            for d in (1e-15, 1e-9, 1e-4, 0.02, 0.3, 1.0, 2.0):
-                for target in (v * (1.0 - d), v * (1.0 + d)):
-                    got, resolved = _slice_edge_agrees(params, ref, m, axis,
-                                                       target)
-                    assert resolved
-                    seen[axis, "target" if got == target else "inner"] += 1
+        y = m[1]
+        for d in (1e-15, 1e-9, 1e-4, 0.02, 0.3, 1.0, 2.0):
+            for target in (y * (1.0 - d), y * (1.0 + d)):
+                got = _slice_edge_agrees(params, ref, m, target)
+                seen["target" if got == target else "inner"] += 1
     return seen
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
 def test_slice_edges_equal_the_full_bisection(params):
     seen = _slice_edges_at_returns(params, np.random.default_rng(12), 10)
-    # x edges only at the square's sides, y edges at strip levels
-    assert min(seen[axis, kind] for axis in (0, 1)
-               for kind in ("inner", "target")) > 0
+    # edges at strip levels, and targets inside the slice
+    assert seen["inner"] > 0 and seen["target"] > 0
 
 
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
@@ -993,7 +1009,58 @@ def test_slice_edges_equal_the_full_bisection_on_valid_params(params, seed):
         seen = _slice_edges_at_returns(params, np.random.default_rng(seed), 3)
     except (sp.SampleError, NoReturn):
         reject()
-    assert seen[1, "inner"] > 0
+    assert seen["inner"] > 0
+
+
+def test_slice_edges_are_float_edges_at_deep_returns():
+    # deep in the bottom strip the heights fall far below the width of
+    # the full bracket (REF_STRICT: about 6e-76 at escape time 15)
+    for params, depths in ((REF_STRICT, range(11, 16)),
+                           (REF_EX, (1, 5, 10, 20, 40, 60, 80))):
+        rng = np.random.default_rng(7)
+        for n1 in depths:
+            m = sp.sample_returning_point(params, rng, n1=n1).M
+            ref, _ = ind._return_frame(params, m)
+            for target in (-1.0, 0.5 * m[1], 2.0 * m[1]):
+                assert _slice_edge_agrees(params, ref, m, target) != target
+    m = sp.sample_returning_point(REF_STRICT, np.random.default_rng(7),
+                                  n1=15).M
+    assert m == (0.7500878401677029, 5.999999990376883e-76)
+    report = ind.u_crossing_certificate(REF_STRICT, m, 1.0,
+                                        default_certificate(REF_STRICT))
+    assert report.eta_ok
+
+
+def _straight_x_stays_in_the_square(params):
+    for region in (Region.R1, Region.R3, Region.R5):
+        for x in (0.0, 1.0):
+            x_img = mc.BRANCH[region].forward(params, x, 0.5)[0]
+            assert 0.0 <= x_img <= 1.0
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_eta_slice_is_a_product(params):
+    # the straight steps keep x in [0, 1] and test heights only, so the
+    # slice's x-range is the square's and its heights do not depend on x
+    _straight_x_stays_in_the_square(params)
+    rng = np.random.default_rng(16)
+    for i in range(10):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        ref, _ = ind._return_frame(params, m)
+        edge = ind._surviving(params, ref, m, 2.0 * m[1])
+        for y in (m[1], edge, math.nextafter(edge, 2.0), 0.5 * m[1],
+                  2.0 * m[1]):
+            agree = {ind._follows(params, x, y, ref)
+                     for x in (0.0, m[0], 1.0)}
+            assert len(agree) == 1
+        for x in (-5e-324, math.nextafter(1.0, 2.0)):
+            assert not ind._follows(params, x, m[1], ref)
+
+
+@given(params=valid_params())
+@settings(max_examples=20, deadline=None)
+def test_straight_steps_keep_x_in_the_square_on_valid_params(params):
+    _straight_x_stays_in_the_square(params)
 
 
 def test_slice_edge_at_a_passing_target_takes_one_call(monkeypatch):
@@ -1007,11 +1074,10 @@ def test_slice_edge_at_a_passing_target_takes_one_call(monkeypatch):
         return follows(*args)
 
     monkeypatch.setattr(ind, "_follows", counted)
-    for axis in (0, 1):
-        for target in (m[axis] * (1.0 - 1e-12), m[axis] * (1.0 + 1e-12)):
-            calls.clear()
-            assert ind._surviving(p, ref, m, axis, target) == target
-            assert len(calls) == 1
+    for target in (m[1] * (1.0 - 1e-12), m[1] * (1.0 + 1e-12)):
+        calls.clear()
+        assert ind._surviving(p, ref, m, target) == target
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
@@ -1030,30 +1096,20 @@ def test_slice_edge_at_a_strip_level(params, monkeypatch):
         return follows(*args)
 
     monkeypatch.setattr(ind, "_follows", counted)
-    got, resolved = _slice_edge_agrees(params, ref, m, 1, y_lo)
-    assert resolved and got == math.nextafter(y_lo, 1.0)
+    got = _slice_edge_agrees(params, ref, m, y_lo)
+    assert got == math.nextafter(y_lo, 1.0)
     calls.clear()
-    assert ind._surviving(params, ref, m, 1, y_lo) == got
-    assert len(calls) <= 4          # the full bisection takes about 50
+    assert ind._surviving(params, ref, m, y_lo) == got
+    assert len(calls) <= 4          # the full bisection takes about 60
     calls.clear()
-    assert ind._surviving(params, ref, m, 1, y_hi) == y_hi
+    assert ind._surviving(params, ref, m, y_hi) == y_hi
     assert len(calls) == 1
-
-
-def test_slice_edge_near_zero_keeps_the_full_bracket():
-    # x = 0 is the edge: halving from p runs out of _SLICE_ITERS steps
-    # long before the floats near 0 are resolved, on a passing point
-    p = REF_EX
-    m = sp.sample_returning_point(p, np.random.default_rng(14), n1=2).M
-    ref, _ = ind._return_frame(p, m)
-    for target in (-0.25, -1e-30):
-        got, resolved = _slice_edge_agrees(p, ref, m, 0, target)
-        assert 0.0 < got < 1e-60 and not resolved
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_eta_checks_read_few_points_per_slice_edge(family, monkeypatch):
-    # the full-bracket bisection takes about 47 _follows calls per edge
+    # one pair of height searches per check; the full-bracket bisection
+    # takes about 60 _follows calls per edge
     params = FAMILIES[family]
     cert = default_certificate(params).with_updates(**CALIBRATED[family])
     follows, surviving = ind._follows, ind._surviving
@@ -1074,5 +1130,5 @@ def test_eta_checks_read_few_points_per_slice_edge(family, monkeypatch):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
         ind._eta_holds(params, direction_field(params, m), 1.0, cert,
                        ind._return_frame(params, m))
-    assert work["surviving"] == 5 * 6
+    assert work["surviving"] == 5 * 2
     assert work["follows"] < 10 * work["surviving"]

@@ -681,6 +681,16 @@ def test_mixing_small_disk():
     assert arc[:, 1].min() <= 1e-9 and arc[:, 1].max() >= 1.0 - 1e-9
 
 
+def test_mixing_names_the_iterate_where_the_pieces_ran_out():
+    # the disk's one stable seed is a local leaf at y ~ 0.504 that lies
+    # in no image band, so the backward search has no piece at step 1
+    disk = mf.Disk((0.8335273530044085, 0.5247774274049295),
+                   0.08806052667550349)
+    with pytest.raises(mf.BudgetExhausted,
+                       match="^no stable piece is left at iterate 1$"):
+        mf.mixing_times(REF_EX, disk)
+
+
 def test_mixing_consequence():
     # f^n(U) meets V for n = n_plus(U) + n_minus(V): the full vertical
     # arc of f^(n_plus)(U) crosses the full horizontal arc of
