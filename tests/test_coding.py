@@ -5,6 +5,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ import horseshoe.coding as cd
 import horseshoe.map_core as mc
 import horseshoe.sampling as sp
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, apply_inverse
+from reference import (_reference_labels, _reference_slices,
+                       _reference_step, _reference_verdicts)
 from test_branch_table import valid_params
 
 
@@ -294,19 +298,23 @@ def test_parent_cover_labels_only_the_new_times(monkeypatch):
     params, resolution = REF_EX, 7
     families = _families(params, resolution, 2)
     rows = collections.Counter()    # (time, exact) -> hull rows labelled
-    clock = {}                      # steps taken forward (True), backward
+    # steps taken forward (True) and backward (False) in this _verdicts
+    # call, and under None the direction of the last one
+    clock = {}
     verdicts, step, labels = cd._verdicts, cd._step, cd._labels
 
     def timed_verdicts(*args):
-        clock.update({True: 0, False: 0})
+        clock.update({True: 0, False: 0, None: None})
         return verdicts(*args)
 
     def timed_step(params, x, y, forward):
         clock[forward] += 1
+        clock[None] = forward
         return step(params, x, y, forward)
 
     def counted_labels(params, x, y, whole):
-        time = -clock[False] if clock[False] else clock[True]
+        last = clock[None]
+        time = 0 if last is None else clock[True] if last else -clock[False]
         rows[time, False] += len(x.lo)
         rows[time, True] += int(np.count_nonzero(whole))
         return labels(params, x, y, whole)
@@ -338,86 +346,98 @@ def test_parent_cover_labels_only_the_new_times(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Routed hull kernel against the every-branch, every-band reference
+# Slices, pass order and memory of a refinement
 # ---------------------------------------------------------------------------
 
-def _reference_step(params, boxes, forward):
-    """Hulls of the branch images (preimages) of boxes (N, 4), with every
-    branch clipping every row and comparing the clipped ends: the
-    reference of the routed :func:`coding._step`, as (hulls (M, 4),
-    origin, whole)."""
-    out, origin, exact = [], [], []
-    x = cd.Interval(boxes[:, 0], boxes[:, 2])
-    y = cd.Interval(boxes[:, 1], boxes[:, 3])
-    for br in mc.BRANCHES:
-        if forward:
-            lo, hi = br.strip(params)
-            cx, cy = x, y.clip(lo, hi)
-            ok = cy.lo <= cy.hi
-            whole = (y.lo >= lo) & (y.hi <= hi)
-        else:
-            lo, hi = br.column(params)
-            cx, cy = x.clip(lo, hi), y
-            ok = cx.lo <= cx.hi
-            whole = (x.lo >= lo) & (x.hi <= hi)
-            if br.floor:
-                f = mc._band_floor(params, br)
-                cy = y.clip(f)
-                ok &= cy.lo <= cy.hi
-                whole &= y.lo >= f
-        rows = np.nonzero(ok)[0]
-        whole = whole[rows]
-        if forward:
-            ix, iy = br.forward(params, cx[rows], cy[rows],
-                                csq=cd._interval_csq)
-        else:
-            ix, iy = br.inverse(params, cx[rows], cy[rows])
-            if br.parabolic:
-                whole &= (ix.lo >= 0.0) & (ix.hi <= 1.0)
-                ix = ix.clip(0.0, 1.0)
-                keep = ix.lo <= ix.hi
-                ix, iy = ix[keep], iy[keep]
-                rows, whole = rows[keep], whole[keep]
-        out.append(np.column_stack([ix.lo, iy.lo, ix.hi, iy.hi]))
-        origin.append(rows)
-        exact.append(whole)
-    return np.vstack(out), np.concatenate(origin), np.concatenate(exact)
+def _same_bits(*pairs):
+    """Whether the two arrays of each pair have the same shape, dtype and
+    bytes."""
+    return all(a.shape == b.shape and a.dtype == b.dtype
+               and a.tobytes() == b.tobytes() for a, b in pairs)
 
 
-def _reference_band_bits(params, x, y, whole):
-    """Bit s of each hull when it meets (lies inside, ``whole``) the
-    closure of band s, with every band piece testing every row."""
-    if whole:
-        hit = (x.lo >= 0.0) & (x.hi <= 1.0) & (y.lo >= 0.0) & (y.hi <= 1.0)
-    else:
-        hit = (x.hi >= 0.0) & (x.lo <= 1.0) & (y.hi >= 0.0) & (y.lo <= 1.0)
-    bits = np.zeros(len(hit), dtype=np.uint8)
-    for sym, br, lo, hi, floor in params._bands:
-        if whole:
-            m = hit & (x.lo >= lo) & (x.hi <= hi)
-        else:
-            m = hit & (x.hi >= lo) & (x.lo <= hi)
-        if floor is not None:
-            m &= (y.lo if whole else y.hi) >= floor
-        if br.parabolic:
-            k = mc.parabola_offset(params, (x if whole else x.clip(lo, hi), y))
-            if whole:
-                m &= (k.lo >= 0.0) & (k.hi <= params.lam)
-            else:
-                m &= (k.lo <= params.lam) & (k.hi >= 0.0)
-        bits |= m.astype(np.uint8) << sym
-    return bits
+def _crosses_a_quadrant_block(count):
+    """Whether some slice of ``4 * count`` quadrant rows reaches over the
+    end of a quadrant block."""
+    return any(start // count != (min(start + cd._SLICE, 4 * count) - 1)
+               // count for start in range(0, 4 * count, cd._SLICE))
 
 
-def _reference_labels(params, boxes, whole):
-    """The reference of the routed :func:`coding._labels`."""
-    x = cd.Interval(boxes[:, 0], boxes[:, 2])
-    y = cd.Interval(boxes[:, 1], boxes[:, 3])
-    label = _reference_band_bits(params, x, y, False)
-    rows = np.nonzero(whole)[0]
-    label[rows] |= _reference_band_bits(params, x[rows], y[rows], True) << 3
-    return label
+@pytest.mark.parametrize("size", [cd._SLICE, 37], ids=["default", "37"])
+def test_slices_equal_the_gather_reference(monkeypatch, size):
+    monkeypatch.setattr(cd, "_SLICE", size)
+    rng = np.random.default_rng(3)
+    cases = [boxes for _, _, boxes in _families(REF_EX, 7, 2)[-4:]]
+    cases += [_boxes(_spans(rng, 0.0, 1.0, count), _spans(rng, 0.0, 1.0, count))
+              for count in (1, size, 3 * size // 2 + 1)]
+    assert any(_crosses_a_quadrant_block(len(boxes)) for boxes in cases)
+    for boxes in cases:
+        member = rng.integers(1, 512, len(boxes)).astype(np.uint16)
+        for split in (False, True):
+            got = list(cd._slices(*cd._columns(boxes), member, split))
+            want = list(_reference_slices(boxes, member, split))
+            assert len(got) == len(want)
+            for (gx, gy, gm), (wx, wy, wm) in zip(got, want):
+                assert _same_bits((gx.lo, wx.lo), (gx.hi, wx.hi),
+                                    (gy.lo, wy.lo), (gy.hi, wy.hi), (gm, wm))
 
+
+@given(params=valid_params())
+@example(params=REF_EX)
+@example(params=REF_STRICT)
+@settings(max_examples=6, deadline=None)
+def test_covers_depend_neither_on_slices_nor_on_pass_order(params):
+    # every word mask equals the forward-first reference's, and slices of
+    # 37 boxes, which cut through the quadrant blocks of a round, give the
+    # same covers, box for box
+    resolution = 7
+    verdicts = cd._verdicts
+    calls = []
+
+    def checked(*args):
+        got = verdicts(*args)
+        want = _reference_verdicts(*args)
+        assert _same_bits(*zip(got, want))
+        calls.append(len(args[3]))
+        return got
+
+    slices = cd._slices
+    crossed = []
+
+    def watched(x, y, member, split):
+        crossed.append(split and _crosses_a_quadrant_block(len(member)))
+        return slices(x, y, member, split)
+
+    words = [cd.Word((s,), 0) for s in (0, 1, 2)]
+    families = [(0, words, cd._SQUARE)] + _families(params, resolution, 2)
+    for n, children, boxes in families:
+        with mock.patch.object(cd, "_verdicts", checked):
+            want = cd._refine(params, children, boxes, resolution, n)
+        with mock.patch.object(cd, "_SLICE", 37), \
+                mock.patch.object(cd, "_slices", watched):
+            got = cd._refine(params, children, boxes, resolution, n)
+        assert _same_bits(*zip(got, want, strict=True))
+    assert any(crossed) and sum(calls) > 0
+
+
+def test_level_build_memory_stays_bounded():
+    # Peak traced memory of a cold atoms(REF_EX, 2) build at resolution
+    # 11: 4.70 MB, against 4.67 MB when each slice gathered its quadrants.
+    # The bound is that parent peak plus 20 %; a build that held a whole
+    # level's boxes in flight, not one family's, would exceed it.
+    tracemalloc.start()
+    try:
+        level = cd._cached_atoms.__wrapped__(REF_EX, 2, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 241
+    assert peak < 1.2 * 4.67 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Routed hull kernel against the every-branch, every-band reference
+# ---------------------------------------------------------------------------
 
 def _spans(rng, a, b, count):
     """``count`` random [lo, hi] inside [a, b] (either order)."""
