@@ -279,6 +279,69 @@ def _record(rows, fn, *args, **kw):
     return out
 
 
+#: The functions whose pins keep a table of values beside the digest.
+VALUED = ("local_unstable", "local_stable", "global_unstable",
+          "global_stable", "unstable_invariance_defect",
+          "stable_invariance_defect", "bracket")
+
+
+def _tabulate(tables, name, out):
+    """Append to ``tables[name]`` the values that a pin's table keeps of
+    one result of a ``VALUED`` function: a leaf's end points (and a local
+    leaf's ``rho_effective``), a defect, a bracket's point and angle, and
+    for a typed error (as ``_record`` returns it) its class name."""
+    if name not in VALUED:
+        return
+    if isinstance(out, mf.ManifoldCurve):
+        row = (*out.points[0], *out.points[-1])
+        if "rho_effective" in out.meta:
+            row += (out.meta["rho_effective"],)
+    elif isinstance(out, mf.Bracket):
+        row = (*out.point, out.angle)
+    elif isinstance(out, tuple):
+        row = out[0]
+    else:
+        row = (out,)
+    tables.setdefault(name, []).append(
+        row if isinstance(row, str) else tuple(float(v) for v in row))
+
+
+def _moves(name, old, new) -> str:
+    """The largest absolute and relative move from the pinned value
+    table ``old`` of one function to its values ``new``, and the rows
+    whose outcome changed (an error, or a result of another shape)."""
+    if len(old) != len(new):
+        return f"{name}: {len(old)} pinned rows, {len(new)} now"
+    changed, diffs = [], []
+    for i, (a, b) in enumerate(zip(old, new)):
+        if isinstance(a, str) or isinstance(b, str) or len(a) != len(b):
+            if a != b:
+                changed.append(i)
+        else:
+            diffs += [(abs(y - x), abs(y - x) / abs(x) if x else 0.0)
+                      for x, y in zip(a, b)]
+    top = max((d for d, _ in diffs), default=0.0)
+    rel = max((r for _, r in diffs), default=0.0)
+    out = f"{name}: largest move {top:.3g} absolute, {rel:.3g} relative"
+    return out + (f"; outcome changed in rows {changed}" if changed else "")
+
+
+def _check_function_pins(by_function: dict, tables: dict, pins: dict):
+    """Compare each function's digest with its pin, bit for bit.  A
+    mismatch names, for each moved function with a value table, the
+    largest move of its values; where the digest holds, the table must
+    equal the values, so the tables cannot go stale."""
+    digests = {name: pin if isinstance(pin, str) else pin[0]
+               for name, pin in pins.items()}
+    moved = [_moves(name, pin[1], tables.get(name, ()))
+             for name, pin in pins.items() if not isinstance(pin, str)
+             and by_function.get(name) != pin[0]]
+    assert by_function == digests, "\n".join(moved)
+    for name, pin in pins.items():
+        if not isinstance(pin, str):
+            assert tuple(tables[name]) == pin[1], name
+
+
 def orbit_walk_digest(params, seed=20261019) -> tuple:
     """SHA-256 over the outputs of every function that walks an orbit
     segment, at seeded points: itineraries, first returns, induced steps
@@ -287,15 +350,18 @@ def orbit_walk_digest(params, seed=20261019) -> tuple:
     brackets, mixing times, tangency pairs, Lyapunov exponents on the
     orbit path, and the two samplers.  A typed error counts as its class
     name (with its step and direction, and a sampler's message).  Also
-    returns the digest of each function's outputs (``_row_digests``)."""
+    returns the digest of each function's outputs (``_row_digests``) and
+    the value tables of the ``VALUED`` ones (``_tabulate``)."""
     from horseshoe import thermo
     p = params
     rng = np.random.default_rng(seed)
     cert = mc.default_certificate(p)
-    rows = []
+    rows, tables = [], {}
 
     def record(fn, *args, **kw):
-        return _record(rows, fn, *args, **kw)
+        out = _record(rows, fn, *args, **kw)
+        _tabulate(tables, fn.__name__, out)
+        return out
 
     def balls(points):
         for off in points:
@@ -353,12 +419,14 @@ def orbit_walk_digest(params, seed=20261019) -> tuple:
         record(sp.multi_return_point, p, rng, [1] * 6)
     for count, horizon in ((10, 1), (10, 3), (3, 40)):
         record(sp.sample_nonescaping_points, p, rng, count, horizon)
-    return _row_digests(rows)
+    return (*_row_digests(rows), tables)
 
 
 ORBIT_WALK_PINS = {"ex": "1ef0aa625b4ac6bf", "strict": "676c04bf4b68728d"}
 #: The same outputs, one digest per function: a failing pin names the
-#: functions whose outputs moved.
+#: functions whose outputs moved.  A ``VALUED`` function's pin is its
+#: digest and its table of values (``_tabulate``), from which a failing
+#: pin reports how far each moved.
 ORBIT_WALK_FUNCTION_PINS = {
     "ex": {
         "itinerary": "e27f2925836aca3d",
@@ -368,13 +436,46 @@ ORBIT_WALK_FUNCTION_PINS = {
         "kergodic_derivative": "4d8afdd48763906c",
         "us_ball": "f6727ef106824cdc",
         "multi_return_point": "929b533371f959c5",
-        "local_unstable": "cb739a648f81d953",
-        "local_stable": "084307056b67b774",
-        "global_unstable": "df00884cb63fa76f",
-        "global_stable": "abef53e539984e7d",
-        "unstable_invariance_defect": "bfd3597c07c15f49",
-        "stable_invariance_defect": "1e150e836a572a7c",
-        "bracket": "9afa2a759462b460",
+        "local_unstable": ("cb739a648f81d953", (
+            (0.5612663613817616, 0.13803927102987912, 0.5557254930289752,
+             0.14865023142006575, 0.0059851297098882025),
+            (0.5650267524966218, 0.13022375328438607, 0.559509792936021,
+             0.1405808034070389, 0.005867251143923634),
+        )),
+        "local_stable": ("084307056b67b774", (
+            (0.552490720911707, 0.14334187729024742, 0.5644609789607681,
+             0.1433476034505253, 0.0059851297098882025),
+            "Unsupported",
+        )),
+        "global_unstable": ("df00884cb63fa76f", (
+            (0.5299999999999998, 0.20193724008215377, 0.5967491265145651,
+             0.07736639120239716),
+            (0.6604871827338107, 0.0, 0.5299999999999998, 0.20193724008215377),
+            (0.5299999999999998, 0.20114814916566554, 0.6005212406254311,
+             0.07086764668646643),
+            "Unsupported",
+        )),
+        "global_stable": ("abef53e539984e7d", (
+            (0.4819512866860532, 0.14330793235861888, 0.6350006210654019,
+             0.14338115024370285),
+            (0.343389272283532, 0.1432402184447519, 0.7803906101867708,
+             0.1434492647960239),
+            "Unsupported",
+            "Unsupported",
+        )),
+        "unstable_invariance_defect": ("bfd3597c07c15f49", (
+            (6.938893903907228e-18,),
+            (6.938893903907228e-18,),
+        )),
+        "stable_invariance_defect": ("1e150e836a572a7c", (
+            (2.7973333210920605e-10,),
+            "Unsupported",
+        )),
+        "bracket": ("9afa2a759462b460", (
+            (0.5584758492835775, 0.1433447416203879, 1.0904024242660626),
+            "Unsupported",
+            "NoIntersection",
+        )),
         "mixing_times": "68c979d98391a57b",
         "_tangency_pairs": "094308dddf8f3843",
         "lyapunov": "b0a1e772069de66d",
@@ -388,13 +489,43 @@ ORBIT_WALK_FUNCTION_PINS = {
         "kergodic_derivative": "4591f61909484b3c",
         "us_ball": "7531b7417b7590ed",
         "multi_return_point": "aabeeb5db17470f6",
-        "local_unstable": "eb8351b1c7cc23c7",
-        "local_stable": "f37080f3454d4ffb",
-        "global_unstable": "cf663d13a3bf3271",
-        "global_stable": "eefcf7442b4d4393",
-        "unstable_invariance_defect": "850dae4f44978cbb",
-        "stable_invariance_defect": "2f1c66eedc32f60e",
-        "bracket": "0a1045df29b1c66e",
+        "local_unstable": ("eb8351b1c7cc23c7", (
+            (0.749869711756557, 5.999917259795095e-06, 0.7498697107764002,
+             6.000082762151945e-06, 4.970120792619534e-10),
+            (0.7498697117566625, 5.999917241992696e-06, 0.7498697107765052,
+             6.000082744349412e-06, 4.970120788604597e-10),
+        )),
+        "local_stable": ("f37080f3454d4ffb", (
+            (0.7498656397425406, 6.00000001097352e-06, 0.7498737827884473,
+             6.00000001097352e-06, 4.071522953313922e-06),
+            (0.7498656397426492, 5.999999993171054e-06, 0.7498737827885492,
+             5.999999993171054e-06, 4.071522950024886e-06),
+        )),
+        "global_unstable": ("cf663d13a3bf3271", (
+            (0.7299999999994249, 0.25919500011490615, 0.749912702352791, 0.0),
+            "Unsupported",
+            (0.7299999999994249, 0.2591950001149061, 0.7499127023527907, 0.0),
+            "Unsupported",
+        )),
+        "global_stable": ("eefcf7442b4d4393", (
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+        )),
+        "unstable_invariance_defect": ("850dae4f44978cbb", (
+            (0.0,),
+            (0.0,),
+        )),
+        "stable_invariance_defect": ("2f1c66eedc32f60e", (
+            (1.1102230246251565e-16,),
+            (1.1102230246251565e-16,),
+        )),
+        "bracket": ("0a1045df29b1c66e", (
+            (0.7498697112654956, 6.00000001097352e-06, 0.16746193086839603),
+            (0.7498697112656011, 5.999999993171054e-06, 0.16744284857573988),
+            (0.7498697112654957, 6.00000001097352e-06, 0.16744284857573988),
+        )),
         "mixing_times": "63e0e7e81ecdd3a2",
         "_tangency_pairs": "485dafb9b385049b",
         "lyapunov": "e674b994a8b6ec40",
@@ -405,8 +536,9 @@ ORBIT_WALK_FUNCTION_PINS = {
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_orbit_walks_pinned(family):
-    digest, by_function = orbit_walk_digest(FAMILIES[family])
-    assert by_function == ORBIT_WALK_FUNCTION_PINS[family]
+    digest, by_function, tables = orbit_walk_digest(FAMILIES[family])
+    _check_function_pins(by_function, tables,
+                         ORBIT_WALK_FUNCTION_PINS[family])
     assert digest == ORBIT_WALK_PINS[family]
 
 
@@ -415,23 +547,29 @@ def leaf_digest(params, seed=20261020, count=6):
     times 1..5): local leaves, global leaves at n = 1..3 and both
     invariance defects at each point, and brackets between nearest
     neighbours, both ways round.  Also returns the digest of each
-    function's outputs (``_row_digests``), and how many of those
-    brackets start from local leaves that miss each other, so that the
-    bracket has to extend them to global leaves."""
+    function's outputs (``_row_digests``), their value tables
+    (``_tabulate``), and how many of those brackets start from local
+    leaves that miss each other, so that the bracket has to extend them
+    to global leaves."""
     p = params
     rng = np.random.default_rng(seed)
     pts = [sp.sample_returning_point(p, rng, n1=1 + i % 5).M
            for i in range(count)]
-    rows = []
-    local = {}
+    rows, tables, local = [], {}, {}
+
+    def record(fn, *args):
+        out = _record(rows, fn, *args)
+        _tabulate(tables, fn.__name__, out)
+        return out
+
     for m in pts:
         for leaf in (mf.local_unstable, mf.local_stable):
-            local[leaf, m] = _record(rows, leaf, p, m)
+            local[leaf, m] = record(leaf, p, m)
         for leaf in (mf.global_unstable, mf.global_stable):
             for n in (1, 2, 3):
-                _record(rows, leaf, p, m, n)
-        _record(rows, mf.unstable_invariance_defect, p, m)
-        _record(rows, mf.stable_invariance_defect, p, m)
+                record(leaf, p, m, n)
+        record(mf.unstable_invariance_defect, p, m)
+        record(mf.stable_invariance_defect, p, m)
     pairs = set()
     for i, a in enumerate(pts):
         j = min((j for j in range(count) if j != i),
@@ -440,42 +578,226 @@ def leaf_digest(params, seed=20261020, count=6):
     extended = 0
     for i, j in sorted(pairs):
         for a, b in ((pts[i], pts[j]), (pts[j], pts[i])):
-            _record(rows, mf.bracket, p, a, b)
+            record(mf.bracket, p, a, b)
             ws, wu = local[mf.local_stable, a], local[mf.local_unstable, b]
             if isinstance(ws, mf.ManifoldCurve) and \
                     isinstance(wu, mf.ManifoldCurve) and \
                     not mf._polyline_intersections(ws.points, wu.points):
                 extended += 1
-    return (*_row_digests(rows), extended)
+    return (*_row_digests(rows), tables, extended)
 
 
 LEAF_PINS = {"ex": "1a97491ed2f92230", "strict": "911ee89e9444b4e4"}
+#: One digest and one table of values (``_tabulate``) per function.
 LEAF_FUNCTION_PINS = {
     "ex": {
-        "local_unstable": "28781d1cb3df9830",
-        "local_stable": "7ea3493e1774e431",
-        "global_unstable": "85a661ee34c4ef59",
-        "global_stable": "cc6d5c42ea6e7ff4",
-        "unstable_invariance_defect": "b767219a06c7ac56",
-        "stable_invariance_defect": "da8b76f62c911bed",
-        "bracket": "019cd77f58e9ca3e",
+        "local_unstable": ("28781d1cb3df9830", (
+            (0.9408446261901744, 0.14196888935374324, 0.9463984362589203,
+             0.15272223602454824, 0.0060512966167542495),
+            (0.6361219619046125, 0.02393161455015823, 0.6313824903934175,
+             0.029441200680614676, 0.0036334984892648706),
+            (0.8431434021986736, 0.0033741935349932027, 0.8474569516790736,
+             0.0074849718182891135, 0.002978895459108743),
+            (0.6609835808272124, -0.0008348383505080847, 0.6567722158782863,
+             0.0030026143313602906, 0.0028483269896297757),
+            (0.6619173896336646, -0.0016747749761942586, 0.6577300876745509,
+             0.0021011759270326, 0.0028187687377151036),
+            (0.9343306436789129, 0.1295730347529578, 0.9398434034241071,
+             0.1398866586165857, 0.005847105121588397),
+        )),
+        "local_stable": ("7ea3493e1774e431", (
+            "Unsupported",
+            (0.6300945498543024, 0.026686425439062855, 0.6373615468327458,
+             0.02668639002734457, 0.0036334984892648706),
+            (0.8423457592323711, 0.0054295831204522116, 0.8483035501505884,
+             0.005429582225476037, 0.002978895459108743),
+            (0.6560052093422174, 0.0010838879985719627, 0.661701863321477,
+             0.0010838879824184063, 0.0028483269896297757),
+            (0.6569806316554017, 0.00021320047552695986, 0.6626181691308317,
+             0.00021320047531322734, 0.0028187687377151036),
+            "Unsupported",
+        )),
+        "global_unstable": ("85a661ee34c4ef59", (
+            (0.9053682145051488, 0.08055684082052293, 0.9700000000000002,
+             0.2018604304279337),
+            "Unsupported",
+            "Unsupported",
+            (0.5954547711125368, 0.07851171288256645, 0.6595462334899658, 0.0),
+            (0.6595462314849354, 0.0, 0.5299999999999998, 0.20109057402317485),
+            "Unsupported",
+            (0.8394475932672536, 0.0, 0.8835979319224673, 0.04923767078251584),
+            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0),
+            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0),
+            (0.6205802591008596, 0.04329284546644889, 0.6600505688294921, 0.0),
+            "Unsupported",
+            "Unsupported",
+            (0.6215261231621293, 0.04206014477697556, 0.6600360777856354, 0.0),
+            "Unsupported",
+            "Unsupported",
+            (0.8988340866598414, 0.07044193915799454, 0.9700000000000002,
+             0.20168401239864903),
+            "Unsupported",
+            "Unsupported",
+        )),
+        "global_stable": ("cc6d5c42ea6e7ff4", (
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+            (0.5571814961034384, 0.0266867807991163, 0.7102746004833049,
+             0.026686034783917643),
+            (0.0, 0.02668949950690732, 1.0, 0.02668462412876445),
+            "NoConvergence",
+            (0.7687781002316647, 0.0054295941717467195, 0.921871209151295,
+             0.005429571174181528),
+            "Unsupported",
+            "Unsupported",
+            (0.5823069818698736, 0.0010838882075522602, 0.7354000907938207,
+             0.001083887773438109),
+            (0.0, 0.0010838898587546097, 1.0, 0.0010838870231328485),
+            "Unsupported",
+            (0.5832528459311436, 0.00021320047832215912, 0.7363459548550896,
+             0.00021320047251802807),
+            (0.0, 0.00021320050043468895, 1.0, 0.00021320046252226388),
+            (0.0, 0.00021320050043468895, 1.0, 0.0002132004625222639),
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+        )),
+        "unstable_invariance_defect": ("b767219a06c7ac56", (
+            (1.3877787807814457e-17,),
+            (8.758247326225039e-10,),
+            (1.177225469957612e-09,),
+            (0.002233928660788992,),
+            (0.006588426666166766,),
+            (1.3877787807814457e-17,),
+        )),
+        "stable_invariance_defect": ("da8b76f62c911bed", (
+            "Unsupported",
+            (1.7204468939105237e-10,),
+            (1.4256043034876636e-10,),
+            (1.3621549584776858e-10,),
+            (1.3483013969130632e-10,),
+            "Unsupported",
+        )),
+        "bracket": ("019cd77f58e9ca3e", (
+            "Unsupported",
+            "Unsupported",
+            "NoIntersection",
+            (0.658355858121757, 0.0010838879919064116, 0.7425077742529608),
+            "NoIntersection",
+            "Unsupported",
+            (0.6588393133310446, 0.0010838879905355155, 0.7396627733375453),
+            (0.6598139400847799, 0.00021320047541954236, 0.7333669200109615),
+        )),
     },
     "strict": {
-        "local_unstable": "480ef48b0604d070",
-        "local_stable": "38ece23733d6644f",
-        "global_unstable": "1b2d13fc1cdb24b3",
-        "global_stable": "9249b5f182316303",
-        "unstable_invariance_defect": "2f95420a6eb62124",
-        "stable_invariance_defect": "9a35aa7903798842",
-        "bracket": "391a7acf2e1c1811",
+        "local_unstable": ("480ef48b0604d070", (
+            (0.7501302882434396, 5.999917259904243e-06, 0.7501302892235965,
+             6.00008276226109e-06, 4.970120792492479e-10),
+            (0.7499121596391581, 2.2098145753043298e-11, 0.7499121589733085,
+             9.790185404345884e-11, 3.3508565810725114e-10),
+            (0.7500878398337756, -3.7900804461895494e-11, 0.7500878404996525,
+             3.790200446189417e-11, 3.350836475610484e-10),
+            (0.7499121601662257, -3.790140445531998e-11, 0.7499121595003488,
+             3.790140446731998e-11, 3.350836475559662e-10),
+            (0.7499121601662256, -3.790140446136783e-11, 0.7499121595003487,
+             3.7901404461367944e-11, 3.3508364755638974e-10),
+            (0.750130288243329, 5.999917241092334e-06, 0.7501302892234862,
+             6.00008274344904e-06, 4.97012078827849e-10),
+        )),
+        "local_stable": ("38ece23733d6644f", (
+            (0.7501262172115495, 6.0000000110826665e-06, 0.750134360257456,
+             6.0000000110826665e-06, 4.0715229532098385e-06),
+            (0.74990941428353, 5.999999989822022e-11, 0.7499149043269523,
+             5.999999989828192e-11, 2.7450217112146014e-06),
+            (0.7500850951624655, 5.999999887801879e-16, 0.750090585172947,
+             6.000000098976571e-16, 2.7450052408201087e-06),
+            (0.7499094148270543, 5.9992477761352364e-21, 0.7499149048375359,
+             6.000752209846577e-21, 2.7450052407784753e-06),
+            (0.7499094148270542, -1.6393095147323368e-23, 0.7499149048375358,
+             1.6513095147114566e-23, 2.7450052407819447e-06),
+            (0.7501262172114425, 5.999999992270687e-06, 0.750134360257342,
+             5.999999992270687e-06, 4.071522949757739e-06),
+        )),
+        "global_unstable": ("1b2d13fc1cdb24b3", (
+            (0.7500872976472032, 0.0, 0.7700000000005751, 0.2591950001149068),
+            "Unsupported",
+            "Unsupported",
+            (0.7299999999994249, 0.25919500011490604, 0.7499127023527902, 0.0),
+            "Unsupported",
+            "Unsupported",
+            (0.7500872976472018, 0.0, 0.7700000000005751, 0.2591950001149069),
+            "Unsupported",
+            "Unsupported",
+            (0.7299999999994249, 0.2591950001149065, 0.7499127023527942, 0.0),
+            "Unsupported",
+            "Unsupported",
+            (0.7299999999994249, 0.2591950001149065, 0.7499127023527941, 0.0),
+            "Unsupported",
+            "Unsupported",
+            (0.7500872976472045, 0.0, 0.7700000000005751, 0.25919500011490665),
+            "Unsupported",
+            "Unsupported",
+        )),
+        "global_stable": ("9249b5f182316303", (
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+            (0.20090562108156418, 5.999999989825107e-11, 1.0,
+             5.999999989825107e-11),
+            "Unsupported",
+            "Unsupported",
+            (0.20108130194402937, 5.999999993389225e-16, 1.0,
+             5.999999993389225e-16),
+            (0.0, 5.999999993389225e-16, 0.9999999999999998,
+             5.999999993389225e-16),
+            "Unsupported",
+            (0.20090562160861816, 5.9999999929909066e-21, 1.0,
+             5.9999999929909066e-21),
+            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21),
+            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21),
+            (0.20090562160861808, 5.999999989518917e-26, 1.0,
+             5.999999989518917e-26),
+            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26),
+            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26),
+            "Unsupported",
+            "Unsupported",
+            "Unsupported",
+        )),
+        "unstable_invariance_defect": ("2f95420a6eb62124", (
+            (0.0,),
+            (0.0,),
+            (6.101739969211822e-10,),
+            (6.701733968550752e-10,),
+            (6.701739968490745e-10,),
+            (0.0,),
+        )),
+        "stable_invariance_defect": ("9a35aa7903798842", (
+            (1.1102230246251565e-16,),
+            (0.0,),
+            (0.0,),
+            (0.0,),
+            (0.0,),
+            (1.1102230246251565e-16,),
+        )),
+        "bracket": ("391a7acf2e1c1811", (
+            (0.7501302887345016, 6.0000000110826665e-06, 0.16744284857573988),
+            (0.7501302887343894, 5.999999992270687e-06, 0.16694348054871674),
+            "NoIntersection",
+            "NoIntersection",
+            "NoIntersection",
+            "NoIntersection",
+            (0.7499121598322973, 5.999999992991515e-21, 0.11348778702938167),
+            (0.7499121598322974, 6.000001453538009e-26, 0.11301850698663812),
+        )),
     },
 }
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
 def test_leaf_queries_pinned(family):
-    digest, by_function, extended = leaf_digest(FAMILIES[family])
-    assert by_function == LEAF_FUNCTION_PINS[family]
+    digest, by_function, tables, extended = leaf_digest(FAMILIES[family])
+    _check_function_pins(by_function, tables, LEAF_FUNCTION_PINS[family])
     assert digest == LEAF_PINS[family]
     assert extended >= 1
 
