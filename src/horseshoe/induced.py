@@ -224,7 +224,12 @@ def chart(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     them: on ``REF_EX`` the e_u axis at an A-point has a residual of
     about 2e-10 to 3e-6 (its backward walk ends after 3 to 5 preimages),
     above the ``splitting._TOL`` that ends a carry."""
-    frame = direction_field(params, m)
+    return _as_chart(direction_field(params, m))
+
+
+def _as_chart(frame: SplitFrame) -> SplitFrame:
+    """``frame`` as the chart at its point; raises :class:`OutOfDomain`
+    where the length scale vanishes."""
     if frame.l <= 0.0:
         raise OutOfDomain("chart undefined where the length scale vanishes")
     return frame

@@ -51,7 +51,7 @@ Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
 ``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
 ``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
 ``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``, ``_PARALLEL``,
-``_PASSAGES``, ``_EPS1``, ``_VERTICAL_POINTS``, ``_RHO``,
+``_PARALLEL_REACH``, ``_TINY_SEG``, ``_PASSAGES``, ``_EPS1``, ``_VERTICAL_POINTS``, ``_RHO``,
 ``_MIXING_BUDGET`` and ``_NONEXPANSIVE_HORIZON``.
 """
 
@@ -66,8 +66,8 @@ import numpy as np
 from . import map_core as mc
 from .map_core import (MapParams, Region, classify, default_certificate,
                        OutOfDomain)
-from .splitting import SplitFrame, length_scale
-from .induced import _bisect_edge, chart
+from .splitting import SplitFrame, length_scale, _Sweep
+from .induced import _bisect_edge, _as_chart
 
 GRID_POINTS = 257
 RHO_MIN = 2.0 ** -20
@@ -84,6 +84,8 @@ _SEED_SLOPE = 0.0   # slope of the flat graph that seeds a local leaf
 _BLOCK = 1 << 15    # segment pairs per kernel block (256 KB of float64)
 _BOX_PAD = 1e-8     # box pad / largest |coordinate|: > 32 * 2**-53 / _PARALLEL
 _PARALLEL = 1e-6    # |cross| / (|d1|_1 |d2|_1) below which a pair is parallel
+_PARALLEL_REACH = 1e-5  # line angle within which a run pair may hold one: > 2 * _PARALLEL
+_TINY_SEG = 1e-140  # |d|_1 below which a product of two lengths may underflow
 _PASSAGES = 20      # strip returns of the verticality iteration
 _EPS1 = 0.5         # verticality bound on slope and curvature
 _VERTICAL_POINTS = 513  # grid points of an iterated vertical graph
@@ -272,30 +274,30 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
 # Anchor chains (hyperbolic orbit blocks)
 # ---------------------------------------------------------------------------
 
-def _chart_once(params: MapParams, p, charts: dict) -> SplitFrame:
-    """The chart at ``p``, made on the first request and then read from
-    ``charts``."""
-    if p not in charts:
-        charts[p] = chart(params, p)
-    return charts[p]
+def _next_anchor(chain: "_Chain"):
+    """The orbit point after the chain's last anchor whose block from
+    (to) it expands the relevant chart axis by at least ``_MU_MIN``, with
+    its chart, the block's branch itinerary and its orbit index.
 
-
-def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
-                 charts: dict):
-    """Closest orbit point (with its chart and the block's branch
-    itinerary) whose block to/from ``m`` expands the relevant chart axis
-    by at least ``_MU_MIN``.
-
-    ``direction="backward"`` walks preimages (unstable pullback chain);
-    ``"forward"`` walks images (stable chain).  The block's derivative
-    rides along the walk, so a block of j steps costs j Jacobians; the
-    walk's charts go through ``charts``.  The itinerary is read from the
-    regions the walk classifies, in forward order: those of ``m`` and its
-    first j - 1 images, or of the j preimages from the farthest one."""
-    forward = direction == "forward"
+    An unstable chain walks preimages (the pullback chain), a stable one
+    images.  The walk reads the points of the chain's sweep, and the
+    block's derivative rides along it, so a block of j steps costs j
+    Jacobians; every point walked is charted (``_Chain.chart``).  The
+    itinerary is read from the regions the walk classifies, in forward
+    order: those of the last anchor and its first j - 1 images, or of
+    the j preimages from the farthest one."""
+    params, sweep = chain.params, chain.sweep
+    forward = chain.kind == "stable"
+    direction, s = ("forward", 1) if forward else ("backward", -1)
+    m, chart_m, _ = chain.entries[-1]
+    base = chain.index[-1]
     jac, prev, j = np.eye(2), m, 0
     regions = [classify(params, m)] if forward else []
-    for j, cur in enumerate(mc.iterates(params, m, _ANCHOR_CAP, forward), 1):
+    while j < _ANCHOR_CAP:
+        cur = sweep.point(base + s * (j + 1))
+        if cur is None:
+            break
+        j += 1
         regions.append(classify(params, cur))
         if regions[-1] not in mc.ACTIVE_REGIONS:
             raise Unsupported(f"{direction} orbit of {m} leaves the active "
@@ -305,7 +307,7 @@ def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
             else jac @ mc.jacobian(params, cur)
         prev = cur
         try:
-            ch = _chart_once(params, cur, charts)
+            ch = chain.chart(base + s * j)
             if forward:
                 d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
             else:
@@ -314,7 +316,7 @@ def _next_anchor(params: MapParams, m, chart_m: SplitFrame, direction: str,
             continue
         if np.linalg.norm(d) >= _MU_MIN:
             return cur, ch, tuple(regions[:j] if forward
-                                  else reversed(regions))
+                                  else reversed(regions)), base + s * j
     if j < _ANCHOR_CAP:
         raise Unsupported(f"{direction} orbit of {m} has no image at step "
                           f"{j + 1}")
@@ -327,10 +329,13 @@ class _Chain:
     """The anchor chain of a point for one query, built as far as it is
     read and then kept.  Entry 0 is (m, chart at m, ()); entry i + 1 is
     the next anchor after entry i, with the branch itinerary of the block
-    between them (its length is the block's plain steps).
+    between them (its length is the block's plain steps), and
+    ``index[i]`` is entry i's index on the orbit of ``sweep``.
     ``tail(n)`` is the chain of entry n, sharing every entry built.
-    ``charts`` holds every chart the chain made, by point; chains that
-    share it chart no point twice."""
+    Every chart comes from ``sweep``, the frames of the orbit through the
+    chain's first point, and goes into ``charts``, by point; chains that
+    share ``charts`` chart no point twice, and chains on one orbit share
+    its sweep."""
 
     params: MapParams
     m: tuple
@@ -338,19 +343,30 @@ class _Chain:
     entries: list = field(default_factory=list)
     start: int = 0
     charts: dict = field(default_factory=dict)
+    sweep: _Sweep = None
+    index: list = field(default_factory=list)
 
     def __post_init__(self):
         self.m = (float(self.m[0]), float(self.m[1]))
+        if self.sweep is None:
+            self.sweep = _Sweep(self.params, self.m)
+
+    def chart(self, j: int) -> SplitFrame:
+        """The chart at orbit point j of the sweep, made on the first
+        request and then read from ``charts``."""
+        p = self.sweep.point(j)
+        if p not in self.charts:
+            self.charts[p] = _as_chart(self.sweep.frame(j))
+        return self.charts[p]
 
     def __getitem__(self, i: int):
         if not self.entries:
-            self.entries.append(
-                (self.m, _chart_once(self.params, self.m, self.charts), ()))
+            self.entries.append((self.m, self.chart(0), ()))
+            self.index.append(0)
         while len(self.entries) <= self.start + i:
-            self.entries.append(_next_anchor(
-                self.params, *self.entries[-1][:2],
-                "forward" if self.kind == "stable" else "backward",
-                self.charts))
+            *entry, j = _next_anchor(self)
+            self.entries.append(tuple(entry))
+            self.index.append(j)
         return self.entries[self.start + i]
 
     def tail(self, n: int) -> "_Chain":
@@ -742,7 +758,8 @@ def _invariance_defect(params: MapParams, m, kind: str) -> float:
     probe = _Chain(params, m, "stable" if unstable else "unstable")
     other, _, block = probe[1]
     leaf = _local_manifold(params, _Chain(params, m, kind,
-                                          charts=probe.charts))
+                                          charts=probe.charts,
+                                          sweep=probe.sweep))
     pieces = (advance_pieces if unstable else retreat_pieces)(
         params, [leaf.points], len(block), protect=m)
     pts = _local_manifold(params, _Chain(params, other, kind,
@@ -844,6 +861,38 @@ def iterate_vertical_curve(params: MapParams,
 # Bracket (local product structure)
 # ---------------------------------------------------------------------------
 
+def _run_pairs(lo1, hi1, d1, lo2, hi2, d2) -> np.ndarray:
+    """(R1, R2) mask of the run pairs that may hold a pair of crossing
+    segments: runs of about sqrt(S) segments of each polyline whose
+    boxes meet, or whose segment directions (as lines, angles mod pi)
+    come within ``_PARALLEL``'s reach of each other.  Segments of zero
+    length meet nothing, so they leave the directions out; a segment
+    short enough for a product of two lengths to underflow makes its run
+    reach every direction.  ``lo``/``hi`` are segment boxes (padded on
+    the first polyline), ``d`` the segment vectors."""
+    runs = []
+    for lo, hi, d in ((lo1, hi1, d1), (lo2, hi2, d2)):
+        size = max(1, math.isqrt(len(d)))
+        starts = np.arange(0, len(d), size)
+        theta = np.arctan2(d[:, 1], d[:, 0])
+        length = np.abs(d).sum(axis=1)
+        # a segment of nonzero length stands for its run's direction
+        pick = np.maximum.reduceat(np.where(length > 0.0, np.arange(len(d)),
+                                            -1), starts)
+        center = theta[np.where(pick < 0, starts, pick)]
+        dev = np.abs((theta - np.repeat(center, np.diff(starts, append=len(d)))
+                      + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+        dev = np.where(length > 0.0, dev, 0.0)
+        dev[(length > 0.0) & (length < _TINY_SEG)] = math.pi
+        runs.append((np.minimum.reduceat(lo, starts),
+                     np.maximum.reduceat(hi, starts),
+                     center, np.maximum.reduceat(dev, starts)))
+    (rlo1, rhi1, c1, w1), (rlo2, rhi2, c2, w2) = runs
+    boxes = np.all((rlo1[:, None] <= rhi2) & (rlo2 <= rhi1[:, None]), axis=2)
+    gap = np.abs((c1[:, None] - c2 + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+    return boxes | (gap <= w1[:, None] + w2 + _PARALLEL_REACH)
+
+
 def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray) -> list:
     """Crossings of segment i of ``poly1`` with segment j of ``poly2``,
     as (i, j, point, angle) in row-major order: the pairs whose line
@@ -851,7 +900,10 @@ def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray) -> list:
     sees only the pairs whose bounding boxes meet when padded by
     ``_BOX_PAD`` times the largest coordinate, a bound on the rounding
     of t and u, and the nearly parallel pairs (``_PARALLEL``), whose
-    rounded t and u can take any value."""
+    rounded t and u can take any value.  It looks for them only in the
+    run pairs of :func:`_run_pairs` (every pair, when a coordinate is not
+    finite); a pair of either kind lies in one, so the hits are those
+    of the all-pairs test, float for float."""
     a1, d1 = poly1[:-1], np.diff(poly1, axis=0)
     a2, d2 = poly2[:-1], np.diff(poly2, axis=0)
     both = np.vstack([poly1, poly2])
@@ -861,14 +913,23 @@ def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray) -> list:
     lo2, hi2 = np.minimum(a2, poly2[1:]), np.maximum(a2, poly2[1:])
     n1, n2 = _PARALLEL * np.abs(d1).sum(axis=1), np.abs(d2).sum(axis=1)
     hits, eps = [], 1e-12
-    rows = max(1, _BLOCK // max(1, len(d2)))
+    if not (len(d1) and len(d2)):
+        return hits
+    if np.all(np.isfinite(both)):
+        near = _run_pairs(lo1, hi1, d1, lo2, hi2, d2)
+        run1 = np.arange(len(d1)) // max(1, math.isqrt(len(d1)))
+        run2 = np.arange(len(d2)) // max(1, math.isqrt(len(d2)))
+    else:
+        near, run1, run2 = np.ones((1, 1), dtype=bool), \
+            np.zeros(len(d1), dtype=int), np.zeros(len(d2), dtype=int)
+    rows = max(1, _BLOCK // len(d2))
     for r in range(0, len(d1), rows):
-        b = slice(r, r + rows)
-        denom = d1[b, None, 0] * d2[:, 1] - d1[b, None, 1] * d2[:, 0]
-        keep = np.all((lo1[b, None] <= hi2) & (lo2 <= hi1[b, None]), axis=2)
-        i, j = np.nonzero(keep | (np.abs(denom) < n1[b, None] * n2))
-        den = denom[i, j]
+        i, j = np.nonzero(near[run1[r:r + rows]][:, run2])
         i += r
+        denom = d1[i, 0] * d2[j, 1] - d1[i, 1] * d2[j, 0]
+        keep = np.all((lo1[i] <= hi2[j]) & (lo2[j] <= hi1[i]), axis=1)
+        keep |= np.abs(denom) < n1[i] * n2[j]
+        i, j, den = i[keep], j[keep], denom[keep]
         rel = a2[j] - a1[i]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (rel[:, 0] * d2[j, 1] - rel[:, 1] * d2[j, 0]) / den

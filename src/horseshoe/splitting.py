@@ -203,6 +203,9 @@ def _frozen(V: np.ndarray) -> np.ndarray:
     return V
 
 
+#: A lane's mark for a walk not drawn to its end yet.
+_UNDRAWN = object()
+
 #: The default cone's stack for each axis (keyed by ``unstable``), built
 #: once and read-only: every carry reads it, none writes it.
 _DEFAULT_STACKS = {unstable: _frozen(_cone_stack(DEFAULT_SLOPE, unstable))
@@ -228,70 +231,220 @@ def _carry_block(params: MapParams) -> int:
     return min(max(math.ceil(math.log(_TOL) / math.log(rate)), 1), MAX_DEPTH)
 
 
-def _deepest_carry(params: MapParams, m, walk, unstable: bool):
-    """(unit vector, residual, depth) of the smallest residual among the
-    cones carried to ``m`` from ever deeper points of ``walk``, until one
-    is below ``_TOL``; the cone at ``m`` itself (depth 0) when the walk
-    is empty.
+class _Lane:
+    """One pass of a :class:`_Sweep`: the vertical cones carried forward
+    along the orbit (``unstable``), or the horizontal ones backward.
 
-    The vertical cone goes forward from a preimage, the horizontal one
-    backward from an image.  The axis vector and the boundary rays go
-    as one (3, 2, 1) stack, renormalized and turned to the positive
-    side of the axis after every step; the residual is the larger angle
-    between the carried axis and a carried ray.  ``jacs[i]`` is the
-    derivative of the step between walk depths i + 1 and i, built once
-    when the walk reaches depth i + 1.
+    The walk of z_t goes to z_(t+s), z_(t+2s), ..., with s = -1 for the
+    vertical cones (preimages) and s = +1 for the horizontal ones
+    (images).  ``stacks[t]`` holds the cones carried to z_t from its
+    nearest ``depths[t]`` walk points, nearest first, as one (3·n, 2, 1)
+    stack: its cone k (from 0) is the cone of depth k + 1 at z_t.
+    ``starts[i]`` is the start stack at z_i and ``mats[i]`` the
+    derivative that carries a cone from z_(i+s) to z_i.  Both are drawn
+    once, for the points z_i with s·i in [``near``, ``far``]; drawing
+    the point past ``far`` ended the walk (``end``: None at the orbit's
+    end, else the error raised there)."""
 
-    The walk is drawn ``_carry_block`` depths at a time.  The block's
-    cones go back to ``m`` as one stack: from the block's deepest
-    derivative down to ``jacs[0]``, each depth's start stack is put in
-    front of the stack at its own first derivative.  The depths are then
-    scanned in order, as if tried one by one: the first residual below
-    ``_TOL`` returns, and the depths drawn after it are dropped.  A draw
-    that raises (the walk, a start stack or a derivative) ends the block
-    there, and its error is raised only when the scan reaches its depth,
-    so an earlier depth of the block that resolves still returns."""
-    derivative, axis = (jacobian, 1) if unstable else (jacobian_inverse, 0)
-    walk, block = iter(walk), _carry_block(params)
-    prev, jacs, best = m, [], (None, math.inf, 0)
-    while True:
-        starts, error = [], None
+    __slots__ = ("params", "unstable", "s", "axis", "block", "starts",
+                 "mats", "stacks", "depths", "near", "far", "end")
+
+    def __init__(self, params: MapParams, unstable: bool, block: int):
+        self.params, self.unstable, self.block = params, unstable, block
+        self.s, self.axis = (-1, 1) if unstable else (1, 0)
+        self.starts, self.mats, self.stacks, self.depths = {}, {}, {}, {}
+        self.near, self.far, self.end = 1, 0, _UNDRAWN
+
+    def _draw(self, sweep: "_Sweep", lo: int, hi: int) -> None:
+        """Draw the points z_i with s·i in [lo, hi] that are not drawn
+        yet, going away from the drawn ones; a draw that fails past
+        ``far`` ends the walk there."""
+        s, params, unstable = self.s, self.params, self.unstable
+        starts, mats, pts = self.starts, self.mats, sweep.pts
+        for d in range(self.near - 1, lo - 1, -1):      # toward m
+            i = s * d
+            starts[i] = _start_stack(params, pts[i], unstable)
+            mats[i - s] = (jacobian(params, pts[i]) if unstable
+                           else jacobian_inverse(params, pts[i - s]))
+            self.near = d
+        if hi <= self.far or self.end is not _UNDRAWN:
+            return
         try:
-            for p in walk:
-                V = _start_stack(params, p, unstable)
-                jacs.append(derivative(params, p if unstable else prev))
-                starts.append(V)
-                prev = p
-                if len(starts) == block:
+            sweep.point(s * hi)             # the walk drawn as one run
+        except Exception:                   # noqa: BLE001 - met below
+            pass
+        d = self.far
+        try:
+            for d in range(self.far + 1, hi + 1):       # away from m
+                i = s * d
+                p = pts[i] if i in pts else sweep.point(i)
+                if p is None:
+                    self.end = None
                     break
-        except Exception as exc:    # deferred to its depth, see above
-            error = exc
-        if starts:
-            first = len(jacs) - len(starts)     # depths before the block
-            V = starts[-1]
-            for j in range(len(jacs) - 1, -1, -1):
-                if first <= j < len(jacs) - 1:
-                    V = np.concatenate((starts[j - first], V))
-                V = _unit(jacs[j] @ V)
+                starts[i] = _start_stack(params, p, unstable)
+                mats[i - s] = (jacobian(params, p) if unstable
+                               else jacobian_inverse(params, pts[i - s]))
+                self.far = d
+        except Exception as exc:    # deferred to its depth, see resolve
+            self.end = exc
+
+    def _deepen(self, sweep: "_Sweep", t, n: int):
+        """Carry cones to z_t until it has those of depths 1..n, or as
+        many as its walk allows.  Returns the depths it has, and the error
+        of the draw that ended the walk short of n (or None).
+
+        The walk points are drawn first, each once.  The cones that z_t
+        lacks then start from the nearest walk point whose stack is deep
+        enough (at the latest, the start stack n steps away); from there
+        each point toward z_t gets the cones it lacks, pushed through its
+        own derivative: one push per point."""
+        s, depths, stacks = self.s, self.depths, self.stacks
+        lo, hi, error = s * t + 1, s * t + n, None
+        if lo < self.near or hi > self.far:
+            self._draw(sweep, lo, hi)
+            if hi > self.far:
+                n, error = self.far - s * t, self.end
+        starts, mats, axis = self.starts, self.mats, self.axis
+        if not depths:
+            # a fresh lane: one stack from the start n steps away, whose
+            # state at each point on the way is that point's stack
+            V = None
+            for k in range(n, 0, -1):
+                i = t + s * k
+                V = starts[i] if V is None else np.concatenate((starts[i], V))
+                V = _unit(mats[i - s] @ V)
                 V = np.where(V[:, axis:axis + 1] > 0, V, -V)
-            for k, res in enumerate(_cone_residuals(V)):
-                if res < best[1]:
-                    best = (V[3 * k, :, 0], res, first + k + 1)
-                if res < _TOL:
-                    return best
-        if error is not None:
-            raise error
-        if len(starts) < block:
-            break
-    if not jacs:
-        V = _start_stack(params, m, unstable)
-        # a copy: the stack may be the shared default one
-        best = (V[0, :, 0].copy(), _cone_residuals(V)[0], 0)
-    return best
+                stacks[i - s], depths[i - s] = V, n - k + 1
+            return n, error
+        k = 0
+        while k < n and depths.get(t + s * k, 0) < n - k:
+            k += 1
+        for k in range(k, 0, -1):
+            i, inner = t + s * k, t + s * (k - 1)
+            lo, hi = depths.get(inner, 0), n - k + 1
+            if lo:
+                V = stacks[i][3 * (lo - 1):3 * (hi - 1)]
+            elif hi == 1:
+                V = starts[i]
+            else:
+                V = np.concatenate((starts[i], stacks[i][:3 * (hi - 1)]))
+            V = _unit(mats[inner] @ V)
+            V = np.where(V[:, axis:axis + 1] > 0, V, -V)
+            stacks[inner] = np.concatenate((stacks[inner], V)) if lo else V
+            depths[inner] = hi
+        return n, error
+
+    def resolve(self, sweep: "_Sweep", t):
+        """(unit vector, residual, depth) at z_t: of the cones carried to
+        z_t from ever deeper walk points, the first whose residual is
+        below ``_TOL``, else the first of smallest residual; the cone at
+        z_t itself (depth 0) when the walk from z_t is empty.  Depths are
+        tried ``_carry_block`` at a time, at most ``MAX_DEPTH`` of them.
+        A draw that raised is raised only when the scan reaches its
+        depth, so an earlier depth that resolves still returns."""
+        best, best_res, depth = 0, math.inf, 0
+        while True:
+            n, error = self._deepen(sweep, t,
+                                    min(depth + self.block, MAX_DEPTH))
+            if n > depth:
+                V = self.stacks[t]
+                for k, res in enumerate(_cone_residuals(V[3 * depth:3 * n]),
+                                        depth + 1):
+                    if res < best_res:
+                        best, best_res = k, res
+                    if res < _TOL:
+                        return V[3 * best - 3, :, 0].copy(), best_res, best
+            if error is not None:
+                raise error
+            if n < depth + self.block or n == MAX_DEPTH:
+                break
+            depth = n
+        if n == 0:
+            V = _start_stack(self.params, sweep.pts[t], self.unstable)
+            # a copy: the stack may be the shared default one
+            return V[0, :, 0].copy(), _cone_residuals(V)[0], 0
+        if best == 0:
+            return None, math.inf, 0
+        return self.stacks[t][3 * best - 3, :, 0].copy(), best_res, best
+
+
+class _Sweep:
+    """The splitting along one float orbit through ``m``: one forward
+    pass of vertical cones and one backward pass of horizontal cones
+    (the two lanes), read by every point of the orbit.
+
+    Orbit index j holds z_j: z_0 = m, images at j > 0 and preimages at
+    j < 0, each drawn once, from m's side, when a lane or a reader first
+    needs it.  The frame at z_j is that of :func:`direction_field` with
+    the walks of z_j read from the orbit: e_u from the preimages z_(j-1),
+    z_(j-2), ... and e_s from the images z_(j+1), ....  At j = 0 those
+    are the walks of m, so ``frame(0)`` is ``direction_field(m)`` bit for
+    bit.  Elsewhere one side reads the orbit behind z_j, toward m, and
+    in floats f(z_(j-1)) need not be z_j, so that side moves by rounding
+    against ``direction_field(z_j)``.  A point's cones come from its
+    neighbour's, so a run of frames along the orbit costs about one push
+    per point and lane, where a ``direction_field`` per point pushes a
+    block of depths through each derivative."""
+
+    __slots__ = ("params", "pts", "walks", "edges", "ends", "lanes")
+
+    def __init__(self, params: MapParams, m):
+        self.params, self.pts = params, {0: m}
+        self.walks, self.edges, self.ends = {}, {1: 0, -1: 0}, {}
+        block = _carry_block(params)
+        self.lanes = (_Lane(params, True, block), _Lane(params, False, block))
+
+    def point(self, j):
+        """z_j, drawn as far as j; None past the walk's end.  A step that
+        raised is raised again for every point beyond it.
+
+        Each way, the walk is drawn through ``iterates`` in runs of
+        ``MAX_DEPTH`` steps, each from the last point of the run before,
+        and goes as far as its readers ask."""
+        pts = self.pts
+        if j not in pts:
+            s = 1 if j > 0 else -1
+            i = self.edges[s]
+            while i != j and s not in self.ends:
+                start, run = self.walks.get(s, (i, None))
+                if run is None or i == start + s * MAX_DEPTH:
+                    start, run = i, mc.iterates(self.params, pts[i],
+                                                MAX_DEPTH, s > 0)
+                    self.walks[s] = start, run
+                try:
+                    for p in run:
+                        i += s
+                        pts[i] = p
+                        if i == j:
+                            break
+                    else:
+                        if i != start + s * MAX_DEPTH:
+                            self.ends[s] = None
+                except Exception as exc:    # raised for every point beyond
+                    self.ends[s] = exc
+            self.edges[s] = i
+            if j not in pts:
+                if self.ends[s] is None:
+                    return None
+                raise self.ends[s]
+        return pts[j]
+
+    def frame(self, j) -> SplitFrame:
+        """The splitting at z_j (a point of the orbit)."""
+        m = self.point(j)
+        e_u, res_u, depth_u = self.lanes[0].resolve(self, j)
+        e_s, res_s, depth_s = self.lanes[1].resolve(self, j)
+        e_u = -e_u if e_u[1] <= 0 else e_u
+        e_s = -e_s if e_s[0] <= 0 else e_s
+        return SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,
+                          depth_b=depth_s, l=length_scale(self.params, m),
+                          residual=max(res_u, res_s), residual_u=res_u,
+                          residual_s=res_s)
 
 
 def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
-    """Unstable and stable unit directions at ``m``.
+    """Unstable and stable unit directions at ``m``: the sweep of the
+    orbit of ``m`` read at ``m`` alone.
 
     Each side walks its orbit lazily (preimages for e_u, images for
     e_s), at most ``MAX_DEPTH`` steps and only as deep as the residual
@@ -302,16 +455,7 @@ def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     (``depth_u`` is the walk's length).  ``residual_u`` and
     ``residual_s`` state what each side reached.
     """
-    (e_u, res_u, depth_u), (e_s, res_s, depth_s) = (
-        _deepest_carry(params, m, mc.iterates(params, m, MAX_DEPTH, forward),
-                       not forward)
-        for forward in (False, True))
-    e_u = -e_u if e_u[1] <= 0 else e_u
-    e_s = -e_s if e_s[0] <= 0 else e_s
-    return SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,
-                      depth_b=depth_s, l=length_scale(params, m),
-                      residual=max(res_u, res_s),
-                      residual_u=res_u, residual_s=res_s)
+    return _Sweep(params, m).frame(0)
 
 
 def adapted_norm(frame: SplitFrame, v):

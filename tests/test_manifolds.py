@@ -64,7 +64,7 @@ def test_transform_contraction_factor():
     bound_base = math.sqrt(p.lam / p.sigma)
     for rp in sp.sample_A_points(p, rng, 8):
         ch = chart(p, rp.M)
-        fm, chf, block = mf._next_anchor(p, rp.M, ch, "forward", {})
+        fm, chf, block = mf._Chain(p, rp.M, "stable")[1]
         rad = 0.5 * 0.0625
         grid = np.linspace(-rad, rad, 257)
         v1 = np.clip(rng.uniform(-0.8, 0.8) * grid
@@ -83,9 +83,11 @@ def _block_expansions(p, m, chart_m, direction, n=12):
     """(j, f^j(m), expansion) of the first n candidate blocks of the
     anchor search, as the reference: each block's derivative is the
     product of the Jacobians along the walked orbit, multiplied afresh
-    from the block's first point."""
+    from the block's first point.  The charts are those of the sweep of
+    m's orbit, which the search reads."""
     forward = direction == "forward"
     pts = [m, *mc.iterates(p, m, n, forward)]
+    sweep = spl._Sweep(p, m)
     out = []
     for j in range(1, len(pts)):
         if mc.classify(p, pts[j]) not in mc.ACTIVE_REGIONS:
@@ -93,7 +95,7 @@ def _block_expansions(p, m, chart_m, direction, n=12):
         jac = np.eye(2)
         for q in (pts[:j] if forward else pts[j:0:-1]):
             jac = mc.jacobian(p, q) @ jac
-        ch = chart(p, pts[j])
+        ch = sweep.frame(j if forward else -j)
         if forward:
             d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
         else:
@@ -113,17 +115,18 @@ def test_next_anchor_matches_blockwise_products(params, monkeypatch):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
         ch = chart(params, m)
         for direction in ("forward", "backward"):
+            kind = "stable" if direction == "forward" else "unstable"
             best = 0.0
             for j, cur, mu in _block_expansions(params, m, ch, direction):
                 if mu <= best * (1 + 1e-9):
                     continue
                 best = mu
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 - 1e-9))
-                got, _, block = mf._next_anchor(params, m, ch, direction, {})
+                got, _, block = mf._Chain(params, m, kind)[1]
                 assert (got, len(block)) == (cur, j)
                 monkeypatch.setattr(mf, "_MU_MIN", mu * (1 + 1e-9))
                 try:
-                    block = mf._next_anchor(params, m, ch, direction, {})[2]
+                    block = mf._Chain(params, m, kind)[1][2]
                     assert len(block) > j
                 except mf.Unsupported:
                     pass
@@ -185,17 +188,55 @@ def test_axis_leaves_at_corners():
         assert np.max(np.abs(ws.points[:, 1] - m[1])) < 1e-12
 
 
-def _count_charts(monkeypatch):
-    """Points charted through the ``manifolds`` binding of ``chart``."""
+def _count_frames(monkeypatch):
+    """Frames made by sweeps, by point."""
     from collections import Counter
     seen = Counter()
+    frame = spl._Sweep.frame
 
-    def counting(params, m):
-        seen[m] += 1
-        return chart(params, m)
+    def counting(self, j):
+        seen[self.point(j)] += 1
+        return frame(self, j)
 
-    monkeypatch.setattr(mf, "chart", counting)
+    monkeypatch.setattr(spl._Sweep, "frame", counting)
     return seen
+
+
+def _count_work(monkeypatch):
+    """The work of the cone carries: ``pushes``, the cone stacks pushed
+    through a derivative (every start stack built on A is one more
+    ``_unit`` call), and ``derivatives``, by function and point."""
+    from collections import Counter
+    work = {"pushes": 0, "derivatives": Counter()}
+
+    def counted(name):
+        fn = getattr(spl, name)
+
+        def wrapper(*args):
+            if name == "_unit":
+                work["pushes"] += 1
+            elif name == "_cone_stack":
+                work["pushes"] -= 1
+            else:
+                work["derivatives"][name, args[1]] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_unit", "_cone_stack", "jacobian", "jacobian_inverse"):
+        monkeypatch.setattr(spl, name, counted(name))
+    return work
+
+
+def _assert_one_sweep(params, seen, work):
+    """The frames of one chain came from one sweep of its orbit: each
+    derivative was built once per point and lane, and the cones were
+    pushed fewer times than one ``direction_field`` per charted point
+    pushes them."""
+    assert set(work["derivatives"].values()) == {1}
+    pushes, work["pushes"] = work["pushes"], 0
+    for m in list(seen):
+        spl.direction_field(params, m)
+    assert 0 < pushes < work["pushes"]
 
 
 def test_anchor_chain_charts_each_point_once(monkeypatch):
@@ -203,17 +244,20 @@ def test_anchor_chain_charts_each_point_once(monkeypatch):
     # reads the one chain
     p = REF_STRICT
     rp = sp.sample_returning_point(p, np.random.default_rng(6))
-    seen = _count_charts(monkeypatch)
+    seen, work = _count_frames(monkeypatch), _count_work(monkeypatch)
     wu = mf.local_unstable(p, rp.M)
     first = 0.5 * mf.default_certificate(p).C3 * spl.length_scale(p, rp.M)
     assert wu.meta["rho_effective"] <= 0.5 * first
     assert len(seen) >= 2 and set(seen.values()) == {1}
+    _assert_one_sweep(p, seen, work)
     # a global leaf reads its base leaf from the tail of its own chain
     rp = sp.sample_returning_point(REF_EX, np.random.default_rng(2))
     seen.clear()
+    work["derivatives"].clear()
     ws = mf.global_stable(REF_EX, rp.M, 2)
     assert ws.meta["steps"] >= 2
     assert len(seen) >= 3 and set(seen.values()) == {1}
+    _assert_one_sweep(REF_EX, seen, work)
 
 
 def test_local_unstable_output_contract():
@@ -606,15 +650,7 @@ def test_distance_kernel_skips_most_pairs(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["unstable", "stable"])
 def test_invariance_defect_charts_m_and_its_anchor_once(monkeypatch, kind):
-    from collections import Counter
-    from horseshoe import induced
-    seen, field = Counter(), induced.direction_field
-
-    def counting(params, m):
-        seen[m] += 1
-        return field(params, m)
-
-    monkeypatch.setattr(induced, "direction_field", counting)
+    seen = _count_frames(monkeypatch)
     defect = (mf.unstable_invariance_defect if kind == "unstable"
               else mf.stable_invariance_defect)
     rng = np.random.default_rng(9)

@@ -113,6 +113,35 @@ def test_direction_field_equivariance(params, seed):
             <= fr0.residual_s + fr1.residual_s + 1e-8
 
 
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_sweep_is_covariant_along_its_orbit(params):
+    # the sweep's frame at m is direction_field(m) bit for bit; along the
+    # orbit segment z_-6..z_6 its frames are covariant: Df(z_j) e_u(z_j)
+    # and e_u(z_(j+1)) lie within the larger of the two points' residuals
+    # (the cone of the one is nested in the other's), and so do
+    # Df(z_j)^-1 e_s(z_(j+1)) and e_s(z_j), up to rounding
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    pairs = 0
+    for rp in sp.sample_A_points(params, np.random.default_rng(21), 20):
+        sweep = spl._Sweep(params, rp.M)
+        assert _field_outcome(lambda p, m: sweep.frame(0), params, rp.M) \
+            == _field_outcome(direction_field, params, rp.M)
+        frames = {j: sweep.frame(j) for j in range(-6, 7)
+                  if sweep.point(j) is not None}
+        for j in frames.keys() & {j - 1 for j in frames}:
+            a, b = frames[j], frames[j + 1]
+            pushed = mc.jacobian(params, a.M) @ a.e_u
+            pulled = mc.jacobian_inverse(params, a.M) @ b.e_s
+            assert direction_gap(unit(pushed), b.e_u) \
+                <= max(a.residual_u, b.residual_u) + 1e-15
+            assert direction_gap(unit(pulled), a.e_s) \
+                <= max(a.residual_s, b.residual_s) + 1e-15
+            pairs += 1
+    assert pairs >= 100
+
+
 def test_adapted_norm():
     fr = direction_field(REF_EX, (0.0, 0.0))
     assert adapted_norm(fr, (1.0, 1.0)) == pytest.approx(1.0)
@@ -349,22 +378,14 @@ def test_a_carry_pushes_each_derivative_once_per_block(monkeypatch, block):
         monkeypatch.setattr(spl, name, counted(name))
     rng = np.random.default_rng(11)
     for rp in sp.sample_A_points(REF_EX, rng, 20):
-        for forward in (False, True):
+        sweep = spl._Sweep(REF_EX, rp.M)
+        for lane in sweep.lanes:
             calls.clear()
-            spl._deepest_carry(REF_EX, rp.M, mc.iterates(
-                REF_EX, rp.M, spl.MAX_DEPTH, forward), not forward)
+            lane.resolve(sweep, 0)
             drawn = calls["jacobian"] + calls["jacobian_inverse"]
             pushes = calls["_unit"] - calls["_cone_stack"]
             assert pushes == sum(min(end, drawn)
                                  for end in range(block, drawn + block, block))
-
-
-def _carry_outcome(carry, params, m, walk, unstable):
-    try:
-        vec, res, depth = carry(params, m, walk, unstable)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return vec.tobytes(), repr(res), depth
 
 
 @pytest.mark.parametrize("depth", [3, 6, 7])
@@ -380,15 +401,19 @@ def test_a_failing_draw_raises_only_when_the_scan_reaches_it(monkeypatch,
         monkeypatch.setattr(spl, "_carry_block", lambda params: block)
     walk = [m, *mc.iterates(REF_EX, m, depth, True)]
 
-    def broken_walk():
-        yield from walk[1:depth]
-        raise OutOfDomain(f"the walk breaks at depth {depth}")
+    # the image walk breaks where it would draw walk[depth]
+    forward = mc.apply
 
-    outcome = _carry_outcome(spl._deepest_carry, REF_EX, m, broken_walk(),
-                             False)
-    assert outcome == _carry_outcome(_scalar_deepest_carry, REF_EX, m,
-                                     broken_walk(), False)
+    def breaking(params, p):
+        if p == walk[depth - 1]:
+            raise OutOfDomain(f"the walk breaks at depth {depth}")
+        return forward(params, p)
+
+    monkeypatch.setattr(mc, "apply", breaking)
+    outcome = _field_outcome(direction_field, REF_EX, m)
+    assert outcome == _field_outcome(_scalar_direction_field, REF_EX, m)
     assert isinstance(outcome, str) == (depth <= 6)
+    monkeypatch.setattr(mc, "apply", forward)
 
     # the derivative drawn first at ``depth`` is the one at walk[depth - 1]
     inverse = mc.jacobian_inverse
