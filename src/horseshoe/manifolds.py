@@ -173,6 +173,14 @@ class LipGraph:
         if not np.all(np.diff(self.grid) > 0.0):
             raise ValueError("grid must be strictly increasing")
 
+    def _over_grid(self, base: SplitFrame, values: np.ndarray) -> "LipGraph":
+        """The graph of ``values`` (a 1-d float array of the grid's size)
+        at ``base``, over this graph's grid and axis.  It skips the
+        checks of the constructor, which the grid has passed."""
+        g = object.__new__(LipGraph)
+        g.base, g.axis, g.grid, g.values = base, self.axis, self.grid, values
+        return g
+
     @property
     def lip_bound(self) -> float:
         """Measured Lipschitz constant over the grid."""
@@ -280,7 +288,7 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
     if prim[0] > s.grid[0] or prim[-1] < s.grid[-1]:
         raise MonotonicityError("transformed graph does not cover the "
                                 "target interval")
-    return LipGraph(dst_chart, s.axis, s.grid, np.interp(s.grid, prim, secd))
+    return s._over_grid(dst_chart, np.interp(s.grid, prim, secd))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +400,12 @@ def _pullback_curve(params: MapParams, chain: _Chain,
     successive pullbacks agree within ``_TOL`` in sup norm."""
     unstable = chain.kind == "unstable"
     axis = "u->s" if unstable else "s->u"
-    prev = prev_diff = factor = None
+    prev = prev_diff = factor = seed = None
     for depth in range(1, _MAX_DEPTH + 1):
-        g = zero_graph(chain[depth][1], axis, radius)
+        base = chain[depth][1]
+        # every depth starts from the seed graph, over the one grid
+        seed = g = zero_graph(base, axis, radius) if seed is None \
+            else seed._over_grid(base, seed.values)
         for j in range(depth, 0, -1):
             near_ch = chain[j - 1][1]
             _, far_ch, block = chain[j]

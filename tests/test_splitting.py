@@ -113,13 +113,24 @@ def test_direction_field_equivariance(params, seed):
             <= fr0.residual_s + fr1.residual_s + 1e-8
 
 
+def _orbit_walk(sweep, j, step):
+    """The walk of z_j read from the sweep's orbit, toward ``step``."""
+    for k in range(1, spl.MAX_DEPTH + 1):
+        p = sweep.point(j + step * k)
+        if p is None:
+            return
+        yield p
+
+
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
 def test_the_sweep_is_covariant_along_its_orbit(params):
-    # the sweep's frame at m is direction_field(m) bit for bit; along the
-    # orbit segment z_-6..z_6 its frames are covariant: Df(z_j) e_u(z_j)
-    # and e_u(z_(j+1)) lie within the larger of the two points' residuals
-    # (the cone of the one is nested in the other's), and so do
-    # Df(z_j)^-1 e_s(z_(j+1)) and e_s(z_j), up to rounding
+    # the sweep's frame at m is direction_field(m) bit for bit, and at
+    # each z_j of the orbit segment z_-6..z_6 it is the per-vector carry
+    # over the walks of z_j read from the orbit.  Those frames are
+    # covariant: Df(z_j) e_u(z_j) and e_u(z_(j+1)) lie within the larger
+    # of the two points' residuals (the cone of the one is nested in the
+    # other's), and so do Df(z_j)^-1 e_s(z_(j+1)) and e_s(z_j), up to
+    # rounding
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -130,6 +141,17 @@ def test_the_sweep_is_covariant_along_its_orbit(params):
             == _field_outcome(direction_field, params, rp.M)
         frames = {j: sweep.frame(j) for j in range(-6, 7)
                   if sweep.point(j) is not None}
+        for j, fr in frames.items():
+            for vec, res, depth, unstable in (
+                    (fr.e_u, fr.residual_u, fr.depth_u, True),
+                    (fr.e_s, fr.residual_s, fr.depth_b, False)):
+                ref, ref_res, ref_depth = _scalar_deepest_carry(
+                    params, fr.M, _orbit_walk(sweep, j, -1 if unstable else 1),
+                    unstable)
+                axis = 1 if unstable else 0
+                ref = -ref if ref[axis] <= 0 else ref
+                assert (vec.tobytes(), res, depth) \
+                    == (ref.tobytes(), ref_res, ref_depth)
         for j in frames.keys() & {j - 1 for j in frames}:
             a, b = frames[j], frames[j + 1]
             pushed = mc.jacobian(params, a.M) @ a.e_u
