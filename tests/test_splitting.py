@@ -113,6 +113,20 @@ def test_direction_field_equivariance(params, seed):
             <= fr0.residual_s + fr1.residual_s + 1e-8
 
 
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_sweep_draws_the_orbit_of_iterates(params):
+    # the corner and left-edge orbits go on past several runs of
+    # MAX_DEPTH steps; a point off the square has no image
+    for m, step in (((0.0, 0.3), -1), ((1.0, 1.0), 1), ((2.0, 2.0), 1)):
+        walk = list(mc.iterates(params, m, 3 * spl.MAX_DEPTH + 7, step > 0))
+        sweep = spl._Sweep(params, m)
+        ks = [len(walk) // 2, len(walk), *range(1, len(walk) + 1)]
+        assert [sweep.point(step * k) for k in ks if k] \
+            == [walk[k - 1] for k in ks if k]
+        assert sweep.point(0) == m
+    assert sweep.point(1) is None and not walk
+
+
 def _orbit_walk(sweep, j, step):
     """The walk of z_j read from the sweep's orbit, toward ``step``."""
     for k in range(1, spl.MAX_DEPTH + 1):
