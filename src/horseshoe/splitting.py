@@ -460,7 +460,8 @@ class _Sweep:
         return self.pts[j]
 
     def frame(self, j) -> SplitFrame:
-        """The splitting at z_j."""
+        """The splitting at z_j, read from the lanes on every call (a
+        chain keeps the frames it reads, by point)."""
         m = self.pts.get(j) or self.point(j)
         e_u, res_u, depth_u = self.lanes[0].resolve(self, j)
         e_s, res_s, depth_s = self.lanes[1].resolve(self, j)
