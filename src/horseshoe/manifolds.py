@@ -176,14 +176,6 @@ class LipGraph:
         if not np.all(np.diff(self.grid) > 0.0):
             raise ValueError("grid must be strictly increasing")
 
-    def _over_grid(self, base: SplitFrame, values: np.ndarray) -> "LipGraph":
-        """The graph of ``values`` (a 1-d float array of the grid's size)
-        at ``base``, over this graph's grid and axis.  It skips the
-        checks of the constructor, which the grid has passed."""
-        g = object.__new__(LipGraph)
-        g.base, g.axis, g.grid, g.values = base, self.axis, self.grid, values
-        return g
-
     @property
     def lip_bound(self) -> float:
         """Measured Lipschitz constant over the grid."""
@@ -269,15 +261,15 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
     src_chart = chart_m if forward else chart_fm
     dst_chart = chart_fm if forward else chart_m
     if forward:
-        xi = np.column_stack((s.grid, s.values))
+        xi = np.stack([s.grid, s.values], axis=1)
     else:
-        xi = np.column_stack((s.values, s.grid))
+        xi = np.stack([s.values, s.grid], axis=1)
     pts = np.asarray(src_chart.M) + xi @ src_chart.basis.T
     x, y = pts.T
     for region in (itinerary if forward else reversed(itinerary)):
         br = mc.BRANCH[region]
         x, y = (br.forward if forward else br.inverse)(params, x, y)
-    pts = np.column_stack((x, y))
+    pts = np.stack([x, y], axis=1)
     eta = (pts - np.asarray(dst_chart.M)) @ dst_chart.inv_basis.T
     pri = 0 if forward else 1
     prim = eta[:, pri]
@@ -291,7 +283,7 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
     if prim[0] > s.grid[0] or prim[-1] < s.grid[-1]:
         raise MonotonicityError("transformed graph does not cover the "
                                 "target interval")
-    return s._over_grid(dst_chart, np.interp(s.grid, prim, secd))
+    return LipGraph(dst_chart, s.axis, s.grid, np.interp(s.grid, prim, secd))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +395,9 @@ def _pullback_curve(params: MapParams, chain: _Chain,
     successive pullbacks agree within ``_TOL`` in sup norm."""
     unstable = chain.kind == "unstable"
     axis = "u->s" if unstable else "s->u"
-    prev = prev_diff = factor = seed = None
+    prev = prev_diff = factor = None
     for depth in range(1, _MAX_DEPTH + 1):
-        base = chain[depth][1]
-        # every depth starts from the seed graph, over the one grid
-        seed = g = zero_graph(base, axis, radius) if seed is None \
-            else seed._over_grid(base, seed.values)
+        g = zero_graph(chain[depth][1], axis, radius)
         for j in range(depth, 0, -1):
             near_ch = chain[j - 1][1]
             _, far_ch, block = chain[j]

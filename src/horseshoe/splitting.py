@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,13 +219,15 @@ def _frozen(V: np.ndarray) -> np.ndarray:
     return V
 
 
-#: A lane's mark for a walk not drawn to its end yet.
-_UNDRAWN = object()
-
 #: The default cone's stack for each axis (keyed by ``unstable``), built
 #: once and read-only: every carry reads it, none writes it.
 _DEFAULT_STACKS = {unstable: _frozen(_cone_stack(DEFAULT_SLOPE, unstable))
                    for unstable in (True, False)}
+
+
+#: A lane's step along the orbit and the axis coordinate of its cone
+#: stacks, keyed by ``unstable``: e_u walks the preimages, e_s the images.
+_LANES = {True: (-1, np.s_[:, 1:2]), False: (1, np.s_[:, 0:1])}
 
 
 def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
@@ -241,147 +243,17 @@ def _carry_block(params: MapParams) -> int:
     """Depths carried as one stack: the depth at which the rate
     lam/sigma alone takes an O(1) aperture below ``_TOL``, within
     [1, ``MAX_DEPTH``] (``MAX_DEPTH`` when the rate does not contract)."""
-    rate = params.lam / params.sigma
+    return _rate_block(params.lam / params.sigma)
+
+
+@lru_cache(maxsize=64)
+def _rate_block(rate) -> int:
+    """:func:`_carry_block` of the contraction rate lam/sigma, kept for
+    the rates last seen: a sweep reads it once, and the two logarithms
+    cost about as much as the rest of making a sweep."""
     if not 0 < rate < 1:
         return MAX_DEPTH
     return min(max(math.ceil(math.log(_TOL) / math.log(rate)), 1), MAX_DEPTH)
-
-
-class _Lane:
-    """One pass of a :class:`_Sweep`: the vertical cones carried forward
-    along the orbit (``unstable``), or the horizontal ones backward.
-
-    The walk of z_t goes to z_(t+s), z_(t+2s), ..., with s = -1 for the
-    vertical cones (preimages) and s = +1 for the horizontal ones
-    (images).  ``stacks[t]`` holds the cones carried to z_t from its
-    nearest ``depths[t]`` walk points, nearest first, as one (3·n, 2, 1)
-    stack: its cone k (from 0) is the cone of depth k + 1 at z_t.
-    ``starts[i]`` is the start stack at z_i and ``mats[i]`` the
-    derivative that carries a cone from z_(i+s) to z_i.  Both are drawn
-    once, for the points z_i with s·i in [``near``, ``far``].  Drawing
-    the point past ``far`` ended the walk (``end``: None at the orbit's
-    end, else the error raised there, which waits for the scan to reach
-    its depth); a draw toward m reads points that exist, and an error
-    there is raised at once."""
-
-    __slots__ = ("params", "unstable", "s", "axis", "block", "starts",
-                 "mats", "stacks", "depths", "near", "far", "end")
-
-    def __init__(self, params: MapParams, unstable: bool, block: int):
-        self.params, self.unstable, self.block = params, unstable, block
-        self.s, self.axis = (-1, 1) if unstable else (1, 0)
-        self.starts, self.mats, self.stacks, self.depths = {}, {}, {}, {}
-        self.near, self.far, self.end = 1, 0, _UNDRAWN
-
-    def _draw(self, sweep: "_Sweep", lo: int, hi: int) -> None:
-        """Draw the points z_i with s·i in [lo, hi] that are not drawn
-        yet, going away from the drawn ones; a draw that fails past
-        ``far`` ends the walk there."""
-        s, params, unstable = self.s, self.params, self.unstable
-        starts, mats, pts = self.starts, self.mats, sweep.pts
-        for d in range(self.near - 1, lo - 1, -1):      # toward m
-            i = s * d
-            starts[i] = _start_stack(params, pts[i], unstable)
-            mats[i - s] = (jacobian(params, pts[i]) if unstable
-                           else jacobian_inverse(params, pts[i - s]))
-            self.near = d
-        if hi <= self.far or self.end is not _UNDRAWN:
-            return
-        sweep.extend(s * hi)
-        far = self.far
-        try:
-            for d in range(far + 1, hi + 1):            # away from m
-                i = s * d
-                p = pts.get(i)
-                if p is None:
-                    self.end = sweep.ends[s]
-                    break
-                starts[i] = _start_stack(params, p, unstable)
-                mats[i - s] = (jacobian(params, p) if unstable
-                               else jacobian_inverse(params, pts[i - s]))
-                far = d
-        except Exception as exc:    # deferred to its depth, see resolve
-            self.end = exc
-        self.far = far
-
-    def _deepen(self, sweep: "_Sweep", t, n: int):
-        """Carry cones to z_t until it has those of depths 1..n, or as
-        many as its walk allows.  Returns the depths it has, and the error
-        of the draw that ended the walk short of n (or None).
-
-        The walk points are drawn first, each once.  The cones that z_t
-        lacks then start from the nearest walk point whose stack is deep
-        enough (at the latest, the start stack n steps away); from there
-        each point toward z_t gets the cones it lacks, pushed through its
-        own derivative: one push per point."""
-        s, depths, stacks = self.s, self.depths, self.stacks
-        lo, hi, error = s * t + 1, s * t + n, None
-        if lo < self.near or hi > self.far:
-            self._draw(sweep, lo, hi)
-            if hi > self.far:
-                n, error = self.far - s * t, self.end
-        starts, mats, axis = self.starts, self.mats, self.axis
-        if not depths:
-            # a fresh lane: one stack from the start n steps away, whose
-            # state at each point on the way is that point's stack
-            V = None
-            for k in range(n, 0, -1):
-                i = t + s * k
-                V = starts[i] if V is None else np.concatenate((starts[i], V))
-                V = _unit(mats[i - s] @ V)
-                V = np.where(V[:, axis:axis + 1] > 0, V, -V)
-                stacks[i - s], depths[i - s] = V, n - k + 1
-            return n, error
-        k = 0
-        while k < n and depths.get(t + s * k, 0) < n - k:
-            k += 1
-        for k in range(k, 0, -1):
-            i, inner = t + s * k, t + s * (k - 1)
-            lo, hi = depths.get(inner, 0), n - k + 1
-            if lo:
-                V = stacks[i][3 * (lo - 1):3 * (hi - 1)]
-            elif hi == 1:
-                V = starts[i]
-            else:
-                V = np.concatenate((starts[i], stacks[i][:3 * (hi - 1)]))
-            V = _unit(mats[inner] @ V)
-            V = np.where(V[:, axis:axis + 1] > 0, V, -V)
-            stacks[inner] = np.concatenate((stacks[inner], V)) if lo else V
-            depths[inner] = hi
-        return n, error
-
-    def resolve(self, sweep: "_Sweep", t):
-        """(unit vector, residual, depth) at z_t: of the cones carried to
-        z_t from ever deeper walk points, the first whose residual is
-        below ``_TOL``, else the first of smallest residual; the cone at
-        z_t itself (depth 0) when the walk from z_t is empty.  Depths are
-        tried ``_carry_block`` at a time, at most ``MAX_DEPTH`` of them.
-        A draw that raised is raised only when the scan reaches its
-        depth, so an earlier depth that resolves still returns."""
-        best, best_res, depth = 0, math.inf, 0
-        while True:
-            n, error = self._deepen(sweep, t,
-                                    min(depth + self.block, MAX_DEPTH))
-            if n > depth:
-                V = self.stacks[t]
-                for k, res in enumerate(_cone_residuals(V[3 * depth:3 * n]),
-                                        depth + 1):
-                    if res < best_res:
-                        best, best_res = k, res
-                    if res < _TOL:
-                        return V[3 * best - 3, :, 0].copy(), best_res, best
-            if error is not None:
-                raise error
-            if n < depth + self.block or n == MAX_DEPTH:
-                break
-            depth = n
-        if n == 0:
-            V = _start_stack(self.params, sweep.pts[t], self.unstable)
-            # a copy: the stack may be the shared default one
-            return V[0, :, 0].copy(), _cone_residuals(V)[0], 0
-        if best == 0:
-            return None, math.inf, 0
-        return self.stacks[t][3 * best - 3, :, 0].copy(), best_res, best
 
 
 class _Sweep:
@@ -402,6 +274,18 @@ class _Sweep:
     per point and lane, where a ``direction_field`` per point pushes a
     block of depths through each derivative.
 
+    ``lanes[unstable]`` holds the three tables of a lane, by orbit
+    index: the vertical cones carried forward (``unstable``, e_u) or the
+    horizontal ones carried backward.  The walk of z_t goes to z_(t+s),
+    z_(t+2s), ..., with s = -1 for the vertical cones (preimages) and
+    s = +1 for the horizontal ones (images).  ``mats[i]`` is the
+    derivative that carries a cone from z_i to z_(i-s), drawn once.
+    ``stacks[t]`` holds the cones carried to z_t from its nearest
+    ``depths[t]`` walk points, nearest first, as one (3·n, 2, 1) stack:
+    its cone k (from 0) is the cone of depth k + 1 at z_t.  The start
+    stack at z_i is built when z_(i-s) takes its first cones, once per
+    lane, so no table keeps it.
+
     The sweep does not bring e_u at a ``REF_EX`` A-point down to
     ``_TOL``: it reads the same backward orbit as ``direction_field``,
     and that orbit leaves the square after 3 to 5 preimages.  On 200
@@ -410,41 +294,32 @@ class _Sweep:
     4.0e-11 < ``_TOL`` three images on), and those of the unstable
     chain, at the preimages of M, are coarser (2.3e-4 one step back)."""
 
-    __slots__ = ("params", "pts", "walks", "edges", "ends", "lanes")
+    __slots__ = ("params", "block", "pts", "edges", "ends", "lanes")
 
     def __init__(self, params: MapParams, m):
-        self.params, self.pts = params, {0: m}
-        self.walks, self.edges, self.ends = {}, {1: 0, -1: 0}, {}
-        block = _carry_block(params)
-        self.lanes = (_Lane(params, True, block), _Lane(params, False, block))
+        self.params, self.block = params, _carry_block(params)
+        self.pts, self.edges, self.ends = {0: m}, {1: 0, -1: 0}, {}
+        self.lanes = {True: ({}, {}, {}), False: ({}, {}, {})}
 
     def extend(self, j) -> None:
-        """Draw the walk toward z_j, as far as it goes: to z_j, or to
-        the walk's end, which ``ends`` then records (None at the
-        orbit's end, else the error a step raised).
-
-        Each way, the walk is drawn through ``iterates`` in runs of
-        ``MAX_DEPTH`` steps, each from the last point of the run before,
-        and goes as far as its readers ask."""
-        pts, s = self.pts, 1 if j > 0 else -1
+        """Draw the orbit toward z_j through ``iterates``, as far as it
+        goes: to z_j, or to its end, which ``ends`` then records (None
+        where the orbit ends, else the error a step raised).  Points
+        drawn already are not drawn again."""
+        s = 1 if j > 0 else -1
         i = self.edges[s]
-        while i != j and s not in self.ends:
-            start, run = self.walks.get(s, (i, None))
-            if run is None or i == start + s * MAX_DEPTH:
-                start, run = i, mc.iterates(self.params, pts[i], MAX_DEPTH,
-                                            s > 0)
-                self.walks[s] = start, run
-            try:
-                for p in run:
-                    i += s
-                    pts[i] = p
-                    if i == j:
-                        break
-                else:
-                    if i != start + s * MAX_DEPTH:
-                        self.ends[s] = None
-            except Exception as exc:    # raised for every point beyond
-                self.ends[s] = exc
+        if s * (j - i) <= 0 or s in self.ends:
+            return
+        pts = self.pts
+        try:
+            for p in mc.iterates(self.params, pts[i], s * (j - i), s > 0):
+                i += s
+                pts[i] = p
+        except Exception as exc:    # raised for every point beyond
+            self.ends[s] = exc
+        else:
+            if i != j:
+                self.ends[s] = None
         self.edges[s] = i
 
     def point(self, j):
@@ -459,12 +334,93 @@ class _Sweep:
                 return None
         return self.pts[j]
 
+    def resolve(self, unstable: bool, t):
+        """(unit vector, residual, depth) of the lane ``unstable`` at
+        z_t: of the cones carried to z_t from ever deeper walk points, the
+        first whose residual is below ``_TOL``, else the first of smallest
+        residual; the cone at z_t itself (depth 0) when the walk from z_t
+        is empty.
+
+        Depths are tried ``_carry_block`` at a time, at most ``MAX_DEPTH``
+        of them.  A block first draws the derivatives of its walk points
+        that are not drawn yet, nearest first: the first that fails (or
+        lies past the orbit's end) ends the walk, and its error is raised
+        only when the scan reaches its depth, so an earlier depth that
+        resolves still returns.  The cones that z_t lacks then start from
+        the nearest walk point whose stack is deep enough (at the latest,
+        the start stack at the block's last point); from there each point
+        toward z_t gets the cones it lacks, its neighbour's (behind that
+        neighbour's start stack when the point has none yet) pushed
+        through the neighbour's derivative: one push per point and
+        block."""
+        mats, stacks, depths = self.lanes[unstable]
+        s, axis = _LANES[unstable]
+        params, pts, block = self.params, self.pts, self.block
+        best, best_res, n, error = 0, math.inf, 0, None
+        while True:
+            depth, n = n, min(n + block, MAX_DEPTH)
+            if t + s * n not in pts:
+                self.extend(t + s * n)
+            for i in range(t + s * (depth + 1), t + s * (n + 1), s):
+                if i in mats:
+                    continue
+                p = pts.get(i)
+                if p is None:
+                    n, error = s * (i - t) - 1, self.ends[s]
+                    break
+                try:
+                    mats[i] = (jacobian(params, p) if unstable
+                               else jacobian_inverse(params, pts[i - s]))
+                except Exception as exc:    # deferred to its depth
+                    n, error = s * (i - t) - 1, exc
+                    break
+            # the nearest walk point deep enough (none on a lane not read)
+            k = 0 if depths else n
+            while k < n and depths.get(t + s * k, 0) < n - k:
+                k += 1
+            # top: the cones of depths 1..hi at the point the push
+            # leaves, none at the start stack n steps away
+            hi = n - k
+            top = stacks[t + s * k][:3 * hi] if hi else None
+            for i in range(t + s * k, t, -s):
+                inner, lo, hi = i - s, depths.get(i - s, 0), hi + 1
+                if lo:
+                    V = top[3 * (lo - 1):]
+                else:
+                    V = _start_stack(params, pts[i], unstable)
+                    if top is not None:
+                        V = np.concatenate((V, top))
+                V = _unit(mats[i] @ V)
+                V = np.where(V[axis] > 0, V, -V)
+                top = stacks[inner] = (np.concatenate((stacks[inner], V))
+                                       if lo else V)
+                depths[inner] = hi
+            if n > depth:
+                V = stacks[t]
+                for k, res in enumerate(_cone_residuals(V[3 * depth:3 * n]),
+                                        depth + 1):
+                    if res < best_res:
+                        best, best_res = k, res
+                    if res < _TOL:
+                        return V[3 * best - 3, :, 0], best_res, best
+            if error is not None:
+                raise error
+            if n < depth + block or n == MAX_DEPTH:
+                break
+        if n == 0:
+            V = _start_stack(params, pts[t], unstable)
+            # a copy: the stack may be the shared default one
+            return V[0, :, 0].copy(), _cone_residuals(V)[0], 0
+        if best == 0:
+            return None, math.inf, 0
+        return stacks[t][3 * best - 3, :, 0], best_res, best
+
     def frame(self, j) -> SplitFrame:
         """The splitting at z_j, read from the lanes on every call (a
         chain keeps the frames it reads, by point)."""
         m = self.pts.get(j) or self.point(j)
-        e_u, res_u, depth_u = self.lanes[0].resolve(self, j)
-        e_s, res_s, depth_s = self.lanes[1].resolve(self, j)
+        e_u, res_u, depth_u = self.resolve(True, j)
+        e_s, res_s, depth_s = self.resolve(False, j)
         e_u = -e_u if e_u[1] <= 0 else e_u
         e_s = -e_s if e_s[0] <= 0 else e_s
         return SplitFrame(M=m, e_u=e_u, e_s=e_s, depth_u=depth_u,

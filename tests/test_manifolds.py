@@ -83,11 +83,9 @@ def _block_expansions(p, m, chart_m, direction, n=12):
     """(j, f^j(m), expansion) of the first n candidate blocks of the
     anchor search, as the reference: each block's derivative is the
     product of the Jacobians along the walked orbit, multiplied afresh
-    from the block's first point.  The charts are those of the sweep of
-    m's orbit, which the search reads."""
+    from the block's first point."""
     forward = direction == "forward"
     pts = [m, *mc.iterates(p, m, n, forward)]
-    sweep = spl._Sweep(p, m)
     out = []
     for j in range(1, len(pts)):
         if mc.classify(p, pts[j]) not in mc.ACTIVE_REGIONS:
@@ -95,7 +93,7 @@ def _block_expansions(p, m, chart_m, direction, n=12):
         jac = np.eye(2)
         for q in (pts[:j] if forward else pts[j:0:-1]):
             jac = mc.jacobian(p, q) @ jac
-        ch = sweep.frame(j if forward else -j)
+        ch = chart(p, pts[j])
         if forward:
             d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
         else:

@@ -115,8 +115,10 @@ def test_direction_field_equivariance(params, seed):
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
 def test_the_sweep_draws_the_orbit_of_iterates(params):
-    # the corner and left-edge orbits go on past several runs of
-    # MAX_DEPTH steps; a point off the square has no image
+    # the corner and left-edge orbits stay in the square, and the sweep
+    # draws them as far as it is asked, in any order; extending to a
+    # point drawn already draws nothing and ends nothing; a point off the
+    # square has no image
     for m, step in (((0.0, 0.3), -1), ((1.0, 1.0), 1), ((2.0, 2.0), 1)):
         walk = list(mc.iterates(params, m, 3 * spl.MAX_DEPTH + 7, step > 0))
         sweep = spl._Sweep(params, m)
@@ -124,6 +126,9 @@ def test_the_sweep_draws_the_orbit_of_iterates(params):
         assert [sweep.point(step * k) for k in ks if k] \
             == [walk[k - 1] for k in ks if k]
         assert sweep.point(0) == m
+        drawn = dict(sweep.pts)
+        sweep.extend(step * (len(walk) // 2))
+        assert sweep.pts == drawn and step not in sweep.ends
     assert sweep.point(1) is None and not walk
 
 
@@ -415,9 +420,9 @@ def test_a_carry_pushes_each_derivative_once_per_block(monkeypatch, block):
     rng = np.random.default_rng(11)
     for rp in sp.sample_A_points(REF_EX, rng, 20):
         sweep = spl._Sweep(REF_EX, rp.M)
-        for lane in sweep.lanes:
+        for unstable in (True, False):
             calls.clear()
-            lane.resolve(sweep, 0)
+            sweep.resolve(unstable, 0)
             drawn = calls["jacobian"] + calls["jacobian_inverse"]
             pushes = calls["_unit"] - calls["_cone_stack"]
             assert pushes == sum(min(end, drawn)
