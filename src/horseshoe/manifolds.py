@@ -34,6 +34,22 @@ The three chains of an invariance defect share one chart per point,
 however many of their walks pass it, so M and its anchor are charted
 once; the two that start at M share one sweep.
 
+A local leaf's radius ladder (``_RHO`` * C3, halved down to
+``RHO_MIN``) is tried lazily: the first radius alone, and after its
+first refusal the rest of the ladder as one pullback over stacked rows,
+one seed graph per radius.  Each block transform maps every live row
+in one array pass (:func:`_transform_rows`: one stacked ``@`` per
+chart, the branch formulas on all rows, one ``np.diff`` for the
+monotonicity test, ``np.interp`` per surviving row), a row is dropped
+at its first refusal, and the leaf is the first row that converges:
+the radius, graph and depth that trying the radii in turn gives, bit
+for bit, with the same errors in the same order.
+:func:`graph_transform` is the kernel's one-row case.  The ladder stops
+where the seed graph at the chain's first anchor reaches the fold line
+(:func:`_local_manifold`), so on ``REF_STRICT`` every unstable leaf at
+an A-point is refused 13 times; stacked, such a leaf takes 4 kernel
+calls, against 16 transforms (13 refused) one radius at a time.
+
 Global manifolds iterate the local polyline forward (or backward)
 through the branch formulas, splitting the curve at strip and band
 boundaries; the same machinery drives the mixing-time search and the
@@ -202,7 +218,8 @@ class LipGraph:
 
 
 def zero_graph(base: SplitFrame, axis: str, radius: float) -> LipGraph:
-    """A local leaf's seed graph: slope ``_SEED_SLOPE`` through M."""
+    """A local leaf's seed graph at one radius: slope ``_SEED_SLOPE``
+    through M (one row of :func:`_pullback_curve`'s seeds)."""
     grid = np.linspace(-radius, radius, GRID_POINTS)
     return LipGraph(base, axis, grid, _SEED_SLOPE * grid)
 
@@ -249,41 +266,77 @@ def graph_transform(params: MapParams, chart_m: SplitFrame,
     For an unstable graph (``u->s``) the input lives at M and the output
     at F(M); for a stable graph (``s->u``) the input lives at F(M) and
     the output at M (the block is traversed backwards through the total
-    inverse branch formulas).  The whole block is evaluated through the
-    branch itinerary of the base orbit, so nearby graph points follow
-    the same smooth branch extension as the local leaf itself.  The
-    inner inverse of the axis projection is piecewise-linear
-    interpolation on the transported grid, valid because the projection
-    is monotone; a monotonicity or coverage failure signals a too-large
-    radius.  The output graph lives on the input graph's grid.
+    inverse branch formulas).  This is the one-row case of
+    :func:`_transform_rows`, and raises ``MonotonicityError`` when it
+    refuses the row.  The output graph lives on the input graph's grid.
     """
     forward = s.axis == "u->s"
-    src_chart = chart_m if forward else chart_fm
-    dst_chart = chart_fm if forward else chart_m
-    if forward:
-        xi = np.stack([s.grid, s.values], axis=1)
-    else:
-        xi = np.stack([s.values, s.grid], axis=1)
-    pts = np.asarray(src_chart.M) + xi @ src_chart.basis.T
-    x, y = pts.T
+    src, dst = (chart_m, chart_fm) if forward else (chart_fm, chart_m)
+    out, why = _transform_rows(params, src, dst, itinerary, forward,
+                               s.grid[None], s.values[None])
+    if why[0]:
+        raise _refusal(why[0])
+    return LipGraph(dst, s.axis, s.grid, out[0])
+
+
+def _transform_rows(params: MapParams, src: SplitFrame, dst: SplitFrame,
+                    itinerary: tuple, forward: bool, grid: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, list]:
+    """The graph transform of each row of ``values`` (K x N), a graph
+    over its row of ``grid`` in the chart ``src``, to the chart ``dst``:
+    forward through the block's branch itinerary for unstable graphs
+    (``forward``, u -> s), backward through the inverse branch formulas
+    for stable ones (s -> u).  Nearby graph points follow the branch
+    itinerary of the base orbit, the same smooth branch extension as the
+    local leaf itself.  The inner inverse of the axis projection is
+    piecewise-linear interpolation on the transported grid, valid
+    because the projection is monotone; a row whose projection is not
+    monotone, or does not cover its grid, is refused (its radius is too
+    large).  Each chart map is one ``@`` over the stacked rows, which
+    repeats the one-row product per row, so every row gets the floats of
+    a one-row call.  Returns the new values of the rows that pass, on
+    their grids, and per row 0 if it passes, else its refusal (see
+    :func:`_refusal`)."""
+    xi = np.stack([grid, values] if forward else [values, grid], axis=2)
+    pts = xi @ src.basis.T
+    pts += src.M
+    x, y = pts[..., 0], pts[..., 1]
     for region in (itinerary if forward else reversed(itinerary)):
         br = mc.BRANCH[region]
         x, y = (br.forward if forward else br.inverse)(params, x, y)
-    pts = np.stack([x, y], axis=1)
-    eta = (pts - np.asarray(dst_chart.M)) @ dst_chart.inv_basis.T
-    pri = 0 if forward else 1
-    prim = eta[:, pri]
-    secd = eta[:, 1 - pri]
-    d = np.diff(prim)
-    if np.all(d < 0.0):
-        prim, secd = prim[::-1], secd[::-1]
-    elif not np.all(d > 0.0):
-        raise MonotonicityError("axis projection of the transformed graph "
-                                "is not monotone")
-    if prim[0] > s.grid[0] or prim[-1] < s.grid[-1]:
-        raise MonotonicityError("transformed graph does not cover the "
-                                "target interval")
-    return LipGraph(dst_chart, s.axis, s.grid, np.interp(s.grid, prim, secd))
+    pts = np.stack([x, y], axis=2)
+    pts -= dst.M
+    eta = pts @ dst.inv_basis.T
+    prim, secd = (eta[..., 0], eta[..., 1]) if forward \
+        else (eta[..., 1], eta[..., 0])
+    d = np.diff(prim, axis=1)
+    out, why, n = np.empty(grid.shape), [], 0
+    lows, highs = d.min(axis=1).tolist(), d.max(axis=1).tolist()
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        # a NaN difference makes min and max NaN: no order either way
+        if hi < 0.0:
+            p, q = prim[i, ::-1], secd[i, ::-1]
+        elif lo > 0.0:
+            p, q = prim[i], secd[i]
+        else:
+            why.append(1)
+            continue
+        if p[0] > grid[i, 0] or p[-1] < grid[i, -1]:
+            why.append(2)
+            continue
+        out[n] = np.interp(grid[i], p, q)
+        n += 1
+        why.append(0)
+    return out[:n], why
+
+
+def _refusal(why: int) -> MonotonicityError:
+    """The error of a row that :func:`_transform_rows` refused: 1 when
+    its axis projection is not monotone, 2 when it does not cover."""
+    return MonotonicityError(
+        "axis projection of the transformed graph is not monotone"
+        if why == 1 else "transformed graph does not cover the target "
+        "interval")
 
 
 # ---------------------------------------------------------------------------
@@ -390,30 +443,72 @@ class _Chain:
 
 
 def _pullback_curve(params: MapParams, chain: _Chain,
-                    radius: float) -> tuple[LipGraph, int]:
-    """Iterate the graph transform along the anchor chain until two
-    successive pullbacks agree within ``_TOL`` in sup norm."""
+                    radii: list) -> tuple[LipGraph, int]:
+    """Iterate the graph transform along the anchor chain from the flat
+    seed graph of every radius in ``radii``, one row each, until two
+    successive pullbacks of a row agree within ``_TOL`` in sup norm.
+
+    The result is what trying the radii one at a time, in order, gives
+    first: the graph and depth of the first row that converges, or the
+    first row's ``Unsupported`` (from reading the chain) or
+    ``NoConvergence``.  A row is dropped at its first refusal, and the
+    rows after a converged one are dropped; ``chain[depth]`` is read
+    only while the first live row has not converged.  When every row is
+    refused, raises the last row's ``MonotonicityError``."""
     unstable = chain.kind == "unstable"
-    axis = "u->s" if unstable else "s->u"
-    prev = prev_diff = factor = None
+    grids = np.linspace(-np.asarray(radii), radii, GRID_POINTS, axis=1)
+    live = np.arange(len(radii))  # rows neither refused nor passed over
+    grid, refused = grids, np.zeros(len(radii), dtype=int)
+    # per live row: its last pullback and sup distance, and the two sup
+    # distances of its last contraction factor (0 / 0 until it has one)
+    prev = prev_diff = None
+    factor = np.zeros((2, len(radii)))
+    best = None
     for depth in range(1, _MAX_DEPTH + 1):
-        g = zero_graph(chain[depth][1], axis, radius)
+        if not len(live):
+            break
+        g = _SEED_SLOPE * grid
         for j in range(depth, 0, -1):
-            near_ch = chain[j - 1][1]
+            # chain[depth] comes first: it raises the first live row's
+            # Unsupported before any transform at this depth
             _, far_ch, block = chain[j]
-            # the block runs from the far anchor for unstable graphs
-            src, dst = (far_ch, near_ch) if unstable else (near_ch, far_ch)
-            g = graph_transform(params, src, dst, block, g)
-        if prev is not None:
-            diff = g.sup_distance(prev)
-            if prev_diff is not None and prev_diff > 0.0:
-                factor = diff / prev_diff
-            if diff < _TOL:
-                return g, depth
+            # the output lives at the nearer anchor for both kinds
+            g, why = _transform_rows(params, far_ch, chain[j - 1][1], block,
+                                     unstable, grid, g)
+            if any(why):
+                refused[live] = why
+                keep = np.equal(why, 0)
+                live, grid, factor = live[keep], grid[keep], factor[:, keep]
+                if prev is not None:
+                    prev, prev_diff = prev[keep], prev_diff[keep]
+                if not len(live):
+                    break
+        if not len(live):
+            break
+        if prev is None:
+            prev_diff = np.full(len(live), np.nan)
+        else:
+            diff = np.max(np.abs(g - prev), axis=1)
+            np.copyto(factor, (diff, prev_diff), where=prev_diff > 0.0)
+            done = np.flatnonzero(diff < _TOL)
+            if len(done):
+                first = done[0]
+                best = live[first], g[first], depth
+                live, grid, g, diff, factor = (
+                    live[:first], grid[:first], g[:first], diff[:first],
+                    factor[:, :first])
             prev_diff = diff
         prev = g
-    raise NoConvergence(f"graph transform did not converge in {_MAX_DEPTH} "
-                        "pullback blocks", last_factor=factor)
+    if len(live):
+        num, den = factor[:, 0].tolist()
+        raise NoConvergence(f"graph transform did not converge in "
+                            f"{_MAX_DEPTH} pullback blocks",
+                            last_factor=num / den if den else None)
+    if best is None:
+        raise _refusal(refused[-1])
+    row, values, depth = best
+    axis = "u->s" if unstable else "s->u"
+    return LipGraph(chain[0][1], axis, grids[row], values), depth
 
 
 #: The two linear fixed points; their leaves lie on edges of the square
@@ -429,9 +524,25 @@ def _edge_leaf(corner, kind: str, s: np.ndarray) -> np.ndarray:
 
 
 def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
-    """The local leaf at the base of ``chain``, first tried at radius
-    ``_RHO`` * C3 * l(M) and halved on failure; every radius it tries
-    reads the same chain."""
+    """The local leaf at the base of ``chain``: the pullback at the
+    largest radius of the ladder ``_RHO`` * C3 * l(M), halved down to
+    ``RHO_MIN`` * l(M), that the graph transform does not refuse.  The
+    first radius is tried alone, the rest after its refusal as one
+    stack of rows (:func:`_pullback_curve`); every radius reads the same
+    chain.
+
+    What stops the ladder is the fold, not float resolution.  At an
+    A-point M, the unstable chain's first anchor z = f^-1(M) lies in R4
+    at |y(z) - t| = l(M)/sigma from the fold line y = t, and its chart
+    uses l(z) = sup_A l (``wing_half_width``).  The seed graph of radius
+    r there reaches r * l(z) * |e_u,y(z)| in y; where it crosses y = t,
+    its image folds and the axis projection stops being monotone.  So
+    the leaf gets the largest radius r of the ladder with
+    r * l(z) * |e_u,y(z)| < |y(z) - t|.  On ``REF_EX`` that is the first
+    radius (reach 7.7e-3 against gaps of 1.8e-2 or more); on
+    ``REF_STRICT`` the gap is sigma = 1e5 times smaller and the leaf
+    lands 13 halvings down.  A leaf at F(M) meets z one anchor deeper,
+    so its refusals come at depth 2."""
     radius = _RHO * default_certificate(params).C3
     m, kind = chain.m, chain.kind
     if m in _CORNERS:
@@ -442,17 +553,23 @@ def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
         meta = {"rho_effective": radius_plane, "tol": 0.0, "iterations": 0,
                 "lip_bound": 0.0, "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
-    last_err = None
+    radii = []
     while radius >= RHO_MIN:
+        radii.append(radius)
+        radius /= 2.0
+    last_err = None
+    # the first radius alone, then the rest of the ladder as one stack
+    for rows in (radii[:1], radii[1:]):
+        if not rows:
+            break
         try:
-            g, iters = _pullback_curve(params, chain, radius)
-            meta = {"rho_effective": radius * g.base.l, "tol": _TOL,
-                    "iterations": iters, "lip_bound": g.lip_bound,
-                    "params": params.digest}
+            g, iters = _pullback_curve(params, chain, rows)
+            meta = {"rho_effective": float(g.grid[-1]) * g.base.l,
+                    "tol": _TOL, "iterations": iters,
+                    "lip_bound": g.lip_bound, "params": params.digest}
             return ManifoldCurve(g.plane_points(), kind, meta)
         except MonotonicityError as err:
             last_err = err
-            radius /= 2.0
     raise NoConvergence("no admissible radius above the floor: "
                         f"{last_err}", last_factor=None)
 

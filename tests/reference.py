@@ -1,11 +1,14 @@
-"""Reference forms of the coding kernel for the tests: each evaluates
-every branch, band piece or row the plain way, where :mod:`horseshoe.coding`
-routes, slices or reorders its work.  The tests assert that both forms
-give the same floats."""
+"""Reference forms of kernels for the tests.  The coding references
+evaluate every branch, band piece or row the plain way, where
+:mod:`horseshoe.coding` routes, slices or reorders its work.  The leaf
+reference tries a local leaf's radii one at a time, one graph per
+transform, where :mod:`horseshoe.manifolds` stacks the radii after the
+first as rows.  The tests assert that both forms give the same floats."""
 
 import numpy as np
 
 import horseshoe.coding as cd
+import horseshoe.manifolds as mf
 import horseshoe.map_core as mc
 
 
@@ -138,3 +141,79 @@ def _reference_verdicts(params, x, y, member, exact, table, first_unknown):
             hx, hy, rows = hx[keep], hy[keep], rows[keep]
             whole = whole[keep] & (inside[rows] != 0)
     return meet, inside
+
+
+def _reference_graph_transform(params, chart_m, chart_fm, itinerary, s):
+    """One graph-transform step of the one graph ``s`` (the reference of
+    :func:`manifolds._transform_rows`, with the arguments of
+    :func:`manifolds.graph_transform`)."""
+    forward = s.axis == "u->s"
+    src_chart = chart_m if forward else chart_fm
+    dst_chart = chart_fm if forward else chart_m
+    if forward:
+        xi = np.stack([s.grid, s.values], axis=1)
+    else:
+        xi = np.stack([s.values, s.grid], axis=1)
+    pts = np.asarray(src_chart.M) + xi @ src_chart.basis.T
+    x, y = pts.T
+    for region in (itinerary if forward else reversed(itinerary)):
+        br = mc.BRANCH[region]
+        x, y = (br.forward if forward else br.inverse)(params, x, y)
+    pts = np.stack([x, y], axis=1)
+    eta = (pts - np.asarray(dst_chart.M)) @ dst_chart.inv_basis.T
+    pri = 0 if forward else 1
+    prim = eta[:, pri]
+    secd = eta[:, 1 - pri]
+    d = np.diff(prim)
+    if np.all(d < 0.0):
+        prim, secd = prim[::-1], secd[::-1]
+    elif not np.all(d > 0.0):
+        raise mf.MonotonicityError("axis projection of the transformed "
+                                   "graph is not monotone")
+    if prim[0] > s.grid[0] or prim[-1] < s.grid[-1]:
+        raise mf.MonotonicityError("transformed graph does not cover the "
+                                   "target interval")
+    return mf.LipGraph(dst_chart, s.axis, s.grid,
+                       np.interp(s.grid, prim, secd))
+
+
+def _reference_pullback(params, chain, radius):
+    """(graph, depth) of the pullback of the one radius ``radius`` along
+    ``chain``, with the sup distance of :class:`manifolds.LipGraph`."""
+    unstable = chain.kind == "unstable"
+    axis = "u->s" if unstable else "s->u"
+    prev = prev_diff = factor = None
+    for depth in range(1, mf._MAX_DEPTH + 1):
+        g = mf.zero_graph(chain[depth][1], axis, radius)
+        for j in range(depth, 0, -1):
+            near_ch = chain[j - 1][1]
+            _, far_ch, block = chain[j]
+            src, dst = (far_ch, near_ch) if unstable else (near_ch, far_ch)
+            g = _reference_graph_transform(params, src, dst, block, g)
+        if prev is not None:
+            diff = g.sup_distance(prev)
+            if prev_diff is not None and prev_diff > 0.0:
+                factor = diff / prev_diff
+            if diff < mf._TOL:
+                return g, depth
+            prev_diff = diff
+        prev = g
+    raise mf.NoConvergence(f"graph transform did not converge in "
+                           f"{mf._MAX_DEPTH} pullback blocks",
+                           last_factor=factor)
+
+
+def _reference_ladder(params, chain):
+    """(graph, depth) of the local leaf at the base of ``chain`` (not a
+    corner), its radius halved from ``_RHO`` * C3 after each refusal and
+    each radius pulled back on its own."""
+    radius = mf._RHO * mc.default_certificate(params).C3
+    last_err = None
+    while radius >= mf.RHO_MIN:
+        try:
+            return _reference_pullback(params, chain, radius)
+        except mf.MonotonicityError as err:
+            last_err = err
+            radius /= 2.0
+    raise mf.NoConvergence("no admissible radius above the floor: "
+                           f"{last_err}", last_factor=None)

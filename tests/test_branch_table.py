@@ -208,22 +208,80 @@ CALIBRATED = {
 }
 
 
-def crossing_digest(params, consts, n=10, seed=20261018) -> str:
+def crossing_digest(params, consts, n=10, seed=20261018) -> tuple:
     """SHA-256 over (c0_ok, eps0_ok, eta_ok, n_return, details) of the
     crossing reports at seeded returning points (escape times 1..5, rho
     alternating 1 and 1/2), under the calibrated certificate and under a
-    stressed one (C0 x 3, eta x 1000) whose checks fail at some points."""
+    stressed one (C0 x 3, eta x 1000) whose checks fail at some points.
+    Also returns their value table: per report the three verdicts,
+    ``n_return``, ``d_h`` and ``d_v``."""
     cert = mc.default_certificate(params).with_updates(**consts)
     stressed = cert.with_updates(C0=3.0 * cert.C0, eta=1000.0 * cert.eta)
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, table = [], []
     for i in range(n):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
         for trial in (cert, stressed):
             r = ind.u_crossing_certificate(params, m, (1.0, 0.5)[i % 2], trial)
             rows.append((r.c0_ok, r.eps0_ok, r.eta_ok, r.n_return,
                          sorted(r.details.items())))
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+            table.append((r.c0_ok, r.eps0_ok, r.eta_ok, r.n_return,
+                          r.details["d_h"], r.details["d_v"]))
+    return (hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+            tuple(table))
+
+
+#: The value table of each crossing pin (``crossing_digest``): per
+#: report c0_ok, eps0_ok, eta_ok, n_return, d_h and d_v.
+CROSSING_TABLES = {
+    "ex": (
+        (True, True, True, 2, 0.23861436190965102, 0.040251941476247),
+        (False, False, False, 2, 0.715843085728953, 0.12075582442874107),
+        (True, True, True, 3, 0.08068431700307621, 0.010209603084308568),
+        (False, False, False, 3, 0.24205295100922886, 0.03062880925292571),
+        (True, True, True, 4, 0.13882680613377407, 0.015396360634944945),
+        (False, False, False, 4, 0.416480418401322, 0.046189081904834825),
+        (True, True, True, 5, 0.0671625765921593, 0.007228611623729001),
+        (False, False, True, 5, 0.2014877297764781, 0.021685834871187006),
+        (True, True, True, 6, 0.13325526658278153, 0.014237466083647711),
+        (False, False, False, 6, 0.3997657997483441, 0.042712398250943126),
+        (True, True, True, 2, 0.11694100353546555, 0.019914348210568922),
+        (True, True, False, 2, 0.23545362811218518, 0.05974304463170671),
+        (True, True, True, 3, 0.16188245373868182, 0.02053933574593839),
+        (False, False, False, 3, 0.4856473612160452, 0.06161800723781517),
+        (True, True, True, 4, 0.06967972454488769, 0.0077544983125842045),
+        (False, False, True, 4, 0.2090391736346633, 0.023263494937752614),
+        (True, True, True, 5, 0.13358546991775522, 0.01430514730326281),
+        (False, False, False, 5, 0.40075640975326604, 0.04291544190978843),
+        (True, True, True, 6, 0.06629715990979324, 0.007051189736853179),
+        (False, False, True, 6, 0.1988914797293797, 0.02115356921055954),
+    ),
+    "strict": (
+        (True, True, True, 2, 0.00016365348940805546, 3.7955030673410414e-06),
+        (False, False, False, 2, 0.0004909604682237223,
+         1.1386509202023126e-05),
+        (True, True, True, 3, 5.5377066394246555e-05, 8.692118130164686e-07),
+        (False, False, True, 3, 0.00016613119918318375,
+         2.6076354390494055e-06),
+        (True, True, True, 4, 0.00011075347245603773, 1.7384030007750746e-06),
+        (False, False, False, 4, 0.00033226041736855727,
+         5.215209002325223e-06),
+        (True, True, True, 5, 5.5376736229018064e-05, 8.692015004007203e-07),
+        (False, False, True, 5, 0.00016613020868683215, 2.607604501202161e-06),
+        (True, True, True, 6, 0.00011075347245870226, 1.738403000816821e-06),
+        (False, False, False, 6, 0.0003322604173765509, 5.215209002450463e-06),
+        (True, True, True, 2, 8.182674468337758e-05, 1.897751533195087e-06),
+        (False, False, True, 2, 0.0002454802340503548, 5.693254599585262e-06),
+        (True, True, True, 3, 0.00011075413279071356, 1.7384236260636978e-06),
+        (False, False, False, 3, 0.0003322623983723627, 5.215270878191093e-06),
+        (True, True, True, 4, 5.5376736229018064e-05, 8.69201500401819e-07),
+        (False, False, True, 4, 0.0001661302086870542, 2.607604501205457e-06),
+        (True, True, True, 5, 0.00011075347245248501, 1.7384030007157503e-06),
+        (False, False, False, 5, 0.000332260417357233, 5.215209002147251e-06),
+        (True, True, True, 6, 5.537673622679762e-05, 8.69201500366664e-07),
+        (False, False, True, 6, 0.0001661302086801708, 2.6076045010999913e-06),
+    ),
+}
 
 
 @pytest.mark.parametrize("family, pin", [
@@ -231,7 +289,10 @@ def crossing_digest(params, consts, n=10, seed=20261018) -> str:
     ("strict", "d94f48ca6108dd3f"),
 ])
 def test_crossing_reports_pinned(family, pin):
-    assert crossing_digest(FAMILIES[family], CALIBRATED[family]) == pin
+    digest, table = crossing_digest(FAMILIES[family], CALIBRATED[family])
+    pinned = CROSSING_TABLES[family]
+    assert digest == pin, _moves("u_crossing_certificate", pinned, table)
+    assert table == pinned
 
 
 def _canon(v):

@@ -13,6 +13,7 @@ from horseshoe import manifolds as mf
 from horseshoe import sampling as sp
 from horseshoe import splitting as spl
 from horseshoe.induced import chart
+from reference import _reference_ladder
 from test_branch_table import valid_params
 from test_induced import _regions
 
@@ -256,6 +257,187 @@ def test_anchor_chain_charts_each_point_once(monkeypatch):
     assert ws.meta["steps"] >= 2
     assert len(seen) >= 3 and set(seen.values()) == {1}
     _assert_one_sweep(REF_EX, seen, work)
+
+
+def _count_kernel(monkeypatch):
+    """Calls of the transform kernel and refusals raised, by name."""
+    from collections import Counter
+    count = Counter()
+    for name in ("_transform_rows", "_refusal"):
+        def counted(*args, _fn=getattr(mf, name), _name=name):
+            count[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mf, name, counted)
+    return count
+
+
+def test_a_ladder_stacks_only_after_its_first_refusal(monkeypatch):
+    # REF_STRICT's unstable leaf here is refused 13 times; tried one
+    # radius at a time that took 16 transforms, 13 of them refused
+    p = REF_STRICT
+    rp = sp.sample_returning_point(p, np.random.default_rng(6))
+    seen, count = _count_frames(monkeypatch), _count_kernel(monkeypatch)
+    wu = mf.local_unstable(p, rp.M)
+    assert wu.meta["iterations"] == 2
+    assert count["_transform_rows"] <= 4 and count["_refusal"] == 1
+    assert len(seen) == 3 and set(seen.values()) == {1}
+    # a leaf that passes at its first radius transforms as one radius
+    # alone did: depth d of the pullback takes d transforms
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        m = sp.sample_returning_point(REF_EX, rng).M
+        for leaf in (mf.local_unstable, mf.local_stable):
+            count.clear()
+            try:
+                w = leaf(REF_EX, m)
+            except mf.Unsupported:
+                continue
+            depth = w.meta["iterations"]
+            first = 0.5 * mf.default_certificate(REF_EX).C3 \
+                * spl.length_scale(REF_EX, m)
+            assert w.meta["rho_effective"] == first
+            assert count == {"_transform_rows": depth * (depth + 1) // 2}
+
+
+def _ladder_outcome(fn, params, m, kind):
+    """The radius, depth, chart point and graph bytes of the local leaf
+    of ``kind`` at ``m`` by ``fn`` (on a chain of its own), or the class,
+    message and ``last_factor`` of its error."""
+    try:
+        g, depth = fn(params, mf._Chain(params, m, kind))
+    except mc.HorseshoeError as err:
+        return type(err).__name__, str(err), getattr(err, "last_factor", None)
+    return float(g.grid[-1]), depth, g.base.M, g.values.tobytes()
+
+
+def _stacked_ladder(params, chain):
+    """(graph, depth) of ``_local_manifold``'s leaf: its last pullback."""
+    got = []
+
+    def recording(*args, _pullback=mf._pullback_curve):
+        got.append(_pullback(*args))
+        return got[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mf, "_pullback_curve", recording)
+        mf._local_manifold(params, chain)
+    return got[-1]
+
+
+def _ladders_agree(params, rng, n_points) -> list:
+    """Compare the stacked ladder with the one-radius-at-a-time loop for
+    both kinds of leaf at returning points and at the first anchors of
+    their chains (F(M) and F^-1(M)).  Returns the outcomes."""
+    seen = []
+    for i in range(n_points):
+        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
+        points = [m]
+        for kind in ("stable", "unstable"):
+            try:
+                points.append(mf._Chain(params, m, kind)[1][0])
+            except mf.Unsupported:
+                pass
+        for q in points:
+            for kind in ("unstable", "stable"):
+                got = _ladder_outcome(_stacked_ladder, params, q, kind)
+                assert got == _ladder_outcome(_reference_ladder, params, q,
+                                              kind)
+                seen.append(got)
+    return seen
+
+
+#: Settings under which the ladder is compared, each with an outcome it
+#: must show: the defaults (leaves refused at depth 1 at M and at depth 2
+#: at F(M)), sloped seeds with a tolerance that lets the smaller STRICT
+#: radii converge a block earlier than the winning one, a floor that
+#: refuses every STRICT unstable radius, and a depth cap that nothing
+#: reaches the tolerance within.
+LADDER_SETTINGS = {
+    "default": ({}, lambda out: out[0] == 3.814697265625e-06),
+    "depths": ({"_SEED_SLOPE": 0.5, "_TOL": 8e-16},
+               lambda out: out[:2] == (3.814697265625e-06, 3)),
+    "floor": ({"RHO_MIN": 2.0 ** -17},
+              lambda out: str(out[1]).startswith("no admissible radius")),
+    "cap": ({"_SEED_SLOPE": 0.5, "_TOL": 0.0, "_MAX_DEPTH": 4},
+            lambda out: out[0] == "NoConvergence" and out[2] is not None),
+}
+
+
+@pytest.mark.parametrize("setting", list(LADDER_SETTINGS))
+def test_stacked_ladder_equals_the_radius_loop(setting, monkeypatch):
+    values, shows = LADDER_SETTINGS[setting]
+    for name, value in values.items():
+        monkeypatch.setattr(mf, name, value)
+    seen = []
+    for params in (REF_EX, REF_STRICT):
+        seen += _ladders_agree(params, np.random.default_rng(4), 4)
+    assert any(shows(out) for out in seen)
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_stacked_ladder_equals_the_radius_loop_on_valid_params(params, seed):
+    try:
+        _ladders_agree(params, np.random.default_rng(seed), 2)
+    except sp.SampleError:
+        reject()
+
+
+def _fold_rung(params, m) -> tuple:
+    """The radius that the fold rule gives the unstable leaf at the
+    A-point ``m``, and how far the nearest rung lies from its threshold
+    (as |log2| of the ratio).  The chain's first anchor z = F^-1(M) lies
+    in R4 at |y - t| = l(M)/sigma, charted with l = sup_A l; the seed
+    graph of radius r there reaches r * |basis[1, 0]| in y, and the
+    ladder keeps the largest radius whose graph stays off the fold."""
+    z, ch, _ = mf._Chain(params, m, "unstable")[1]
+    assert mc.classify(params, z) is Region.R4
+    gap = abs(z[1] - params.t)
+    assert gap == pytest.approx(spl.length_scale(params, m) / params.sigma,
+                                rel=1e-6)
+    assert ch.l == params.wing_half_width
+    reach = abs(ch.basis[1, 0])
+    r = mf._RHO * mf.default_certificate(params).C3
+    while r * reach >= gap:
+        r /= 2.0
+    return r, min(abs(math.log2(r * reach / gap)),
+                  abs(math.log2(2.0 * r * reach / gap)))
+
+
+def _fold_rule_holds(params, points) -> set:
+    """Assert the fold rule at each point; return the rungs found (the
+    number of halvings)."""
+    r0 = mf._RHO * mf.default_certificate(params).C3
+    rungs = set()
+    for m in points:
+        r, _ = _fold_rung(params, m)
+        wu = mf.local_unstable(params, m)
+        assert wu.meta["rho_effective"] == r * spl.length_scale(params, m)
+        rungs.add(round(math.log2(r0 / r)))
+    return rungs
+
+
+def test_the_ladder_stops_where_the_seed_graph_reaches_the_fold():
+    # REF_EX passes at the first radius; on REF_STRICT (sigma = 1e5) the
+    # gap to the fold is 1e5 times smaller, and the leaf is 13 halvings
+    # down
+    for params, rung in ((REF_EX, 0), (REF_STRICT, 13)):
+        points = [rp.M for rp in
+                  sp.sample_A_points(params, np.random.default_rng(1), 30)]
+        assert _fold_rule_holds(params, points) == {rung}
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_the_fold_rule_on_valid_params(params, seed):
+    try:
+        points = [rp.M for rp in
+                  sp.sample_A_points(params, np.random.default_rng(seed), 4)]
+    except sp.SampleError:
+        reject()
+    # a rung within 1 % of its threshold may go either way
+    points = [m for m in points if _fold_rung(params, m)[1] > 0.015]
+    _fold_rule_holds(params, points)
 
 
 def test_local_unstable_output_contract():
