@@ -341,30 +341,55 @@ def _record(rows, fn, *args, **kw):
 
 
 #: The functions whose pins keep a table of values beside the digest.
-VALUED = ("local_unstable", "local_stable", "global_unstable",
+VALUED = ("kergodic_apply", "kergodic_derivative", "us_ball",
+          "local_unstable", "local_stable", "global_unstable",
           "global_stable", "unstable_invariance_defect",
           "stable_invariance_defect", "bracket")
 
 
+def _numbers(v) -> list:
+    """The numbers of a result that its digest hashes, in its order:
+    dataclass fields (less those derived from the others), dict values
+    by key, array entries.  An array of more than four entries keeps its
+    first and last rows and its exact sum, as the correctly rounded sum
+    and what that rounding left over, so that a move of any one entry
+    moves the table too.  Strings (a leaf's kind, the parameters'
+    digest) are the same in every row of a pin and are left out."""
+    if isinstance(v, np.ndarray):
+        flat = v.ravel().tolist()
+        if len(flat) <= 4:
+            return flat
+        total = math.fsum(flat)
+        return [*np.ravel(v[0]).tolist(), *np.ravel(v[-1]).tolist(),
+                total, math.fsum([*flat, -total])]
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return [x for f in dataclasses.fields(v) if f.init
+                for x in _numbers(getattr(v, f.name))]
+    if isinstance(v, dict):
+        return [x for k in sorted(v, key=repr) for x in _numbers(v[k])]
+    if isinstance(v, (list, tuple)):
+        return [x for item in v for x in _numbers(item)]
+    if v is None or isinstance(v, str):
+        return []
+    return [float(v)]
+
+
 def _tabulate(tables, name, out):
-    """Append to ``tables[name]`` the values that a pin's table keeps of
-    one result of a ``VALUED`` function: a leaf's end points (and a local
-    leaf's ``rho_effective``), a defect, a bracket's point and angle, and
-    for a typed error (as ``_record`` returns it) its class name."""
+    """Append to ``tables[name]`` the row that a pin's table keeps of one
+    result of a ``VALUED`` function: its numbers (``_numbers``), "None"
+    where there is no result, and for a typed error (as ``_record``
+    returns it) its class name, step, direction and message.  So every
+    move of a digest shows in its table, as a move of a number or as a
+    changed outcome."""
     if name not in VALUED:
         return
-    if isinstance(out, mf.ManifoldCurve):
-        row = (*out.points[0], *out.points[-1])
-        if "rho_effective" in out.meta:
-            row += (out.meta["rho_effective"],)
-    elif isinstance(out, mf.Bracket):
-        row = (*out.point, out.angle)
+    if out is None:
+        row = "None"
     elif isinstance(out, tuple):
-        row = out[0]
+        row = " ".join(str(v) for v in out if v is not None)
     else:
-        row = (out,)
-    tables.setdefault(name, []).append(
-        row if isinstance(row, str) else tuple(float(v) for v in row))
+        row = tuple(_numbers(out))
+    tables.setdefault(name, []).append(row)
 
 
 def _moves(name, old, new) -> str:
@@ -493,34 +518,211 @@ ORBIT_WALK_FUNCTION_PINS = {
         "itinerary": "e27f2925836aca3d",
         "first_return": "4eb0c79c0ca1ea27",
         "induced_map": "992740989c462192",
-        "kergodic_apply": "fcf9300e722f091c",
-        "kergodic_derivative": "4d8afdd48763906c",
-        "us_ball": "f6727ef106824cdc",
+        "kergodic_apply": ("fcf9300e722f091c", (
+            (0.0, 0.0),
+            (-0.4499417693043224, 0.06535158888790434),
+            "None",
+            "None",
+            (0.0, 0.0),
+            (-0.8012480708880023, 0.35098837069905353),
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            (-0.8355207465755834, -2.332656451283128),
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+        )),
+        "kergodic_derivative": ("4d8afdd48763906c", (
+            (-54.90643125414642, -7.422830342676749e-19, -7.56397283185511e-15,
+             -0.014210867724708351),
+            (-35.097543168444155, -0.007810280863038333, 13.00322044454134,
+             -0.019337798795068306),
+            "OutOfDomain",
+            "OutOfDomain",
+            (-137.8889475202624, -3.6538362378418642e-19,
+             -1.799763788563417e-14, -0.0006775430282479531),
+            (-22.362535191582154, -0.0009342671225802181, 70.19382864660506,
+             -0.001245203574357303),
+            "OutOfDomain",
+            "OutOfDomain",
+            (483.7951647235909, -1.2744431981123794e-20, 5.53011988526333e-14,
+             3.296870568616373e-05),
+            "OutOfDomain",
+            (283.07539909875317, 3.818465041684109e-05, -142.9413671401746,
+             3.706409775350372e-05),
+            "OutOfDomain",
+            (2450.177740558873, -2.726269521558095e-21, 3.959137820581635e-14,
+             5.69987796304018e-06),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+            (10822.792690150392, -3.016411200596386e-23,
+             1.9902754829775442e-07, 2.6856985831694823e-07),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+        )),
+        "us_ball": ("f6727ef106824cdc", (
+            (0.408518508343349, 0.6624495926788887, 0.408518508343349,
+             0.6624495926788887, -0.0, 1.0, 0.9999432475364521,
+             -0.010653717954476645, 2.0, 4.0, 0.24494897427831783,
+             0.00023094010357024855, 0.00023094010357024855,
+             2.0041188089278683e-08, 0.010416666666666666,
+             0.010416666666666666),
+            (0.056224796339444376, 0.6770114270666793, 0.056224796339444376,
+             0.6770114270666793, -0.01065174350861123, 0.999943268570886,
+             0.9998486552496271, -0.01739731575595806, 4.0, 2.0,
+             0.24494897427831783, 0.0001765173716119505,
+             2.6202445879697223e-08, 0.0001765173716119505,
+             0.010416666666666666, 0.010416666666666666),
+            (0.6350571353333966, 0.06043683105488111, 0.6350571353333966,
+             0.06043683105488111, -0.6564336366727651, 0.7543837754383165, 1.0,
+             0.0, 5.0, 1.0, 0.11494286466660342, 0.011546492224605347,
+             2.258409570465858e-10, 0.011546492224605347,
+             0.0035919645208313568, 0.0035919645208313568),
+            (0.4006170525853503, 0.7231544320615382, 0.4006170525853503,
+             0.7231544320615382, -0.0, 1.0, 0.9998508167937351,
+             0.017272641862221907, 3.0, 6.0, 0.24494897427831783,
+             4.618802153484162e-06, 4.618802153484162e-06,
+             1.6131936064756047e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (0.08657721603076911, 0.13477130126506737, 0.08657721603076911,
+             0.13477130126506737, 0.017272733143434395, 0.9998508152168281,
+             0.9999999531809389, -0.0003060034639976473, 5.0, 6.0,
+             0.24494897427831783, 1.3780073124247674e-09,
+             1.3780073124247674e-09, 2.1624799010928203e-11,
+             0.010416666666666666, 0.010416666666666666),
+            (0.008657721603076911, 0.6738565063253368, 0.008657721603076911,
+             0.6738565063253368, 0.00034550618651496394, 0.9999999403127358,
+             0.999882972885291, -0.015298383381014179, 6.0, 5.0,
+             0.24494897427831783, 1.0809869978312123e-09,
+             2.7568367890178774e-11, 1.0809869978312123e-09,
+             0.010416666666666666, 0.010416666666666666),
+            (0.40508230140915985, 0.7192627565421206, 0.40508230140915985,
+             0.7192627565421206, -0.0, 1.0, 0.9997844674955094,
+             0.02076098636193772, 4.0, 6.0, 0.24494897427831783,
+             9.237604307033987e-08, 9.237604307033987e-08,
+             1.3719705926895644e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (0.08463137827106033, 0.029367467796052787, 0.08463137827106033,
+             0.029367467796052787, 0.020760984345126837, 0.9997844675373895,
+             0.9999999999890445, 4.68091278679249e-06, 6.0, 6.0,
+             0.24494897427831783, 3.9815786084806965e-11,
+             3.9815786084806965e-11, 5.653420903448537e-12,
+             0.010416666666666666, 0.010416666666666666),
+            (0.008463137827106034, 0.14683733898026394, 0.008463137827106034,
+             0.14683733898026394, 0.0004153091637004333, 0.9999999137591457,
+             0.9999999726113205, 0.00023404563293198753, 6.0, 6.0,
+             0.24494897427831783, 3.983294661995262e-11, 3.983294661995262e-11,
+             5.610804843739908e-12, 0.010416666666666666,
+             0.010416666666666666),
+            (0.4047844268203786, 0.681748658602356, 0.4047844268203786,
+             0.681748658602356, -0.0, 1.0, 0.9997599266286736,
+             -0.02191093579537303, 2.0, 6.0, 0.24494897427831783,
+             0.00023094010357024855, 0.00023094010357024855,
+             2.023582343357866e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (0.06587432930117802, 0.0058024508481560495, 0.06587432930117802,
+             0.0058024508481560495, -0.021910935856065936, 0.9997599266273435,
+             0.999999999999992, 1.2645044579051208e-07, 4.0, 6.0,
+             0.24494897427831783, 1.108723916669332e-07, 1.108723916669332e-07,
+             2.3083379070493888e-11, 0.00961388400617636,
+             0.010416666666666666),
+            (0.006587432930117803, 0.029012254240780248, 0.006587432930117803,
+             0.029012254240780248, -0.0004383239049224785, 0.9999999039360725,
+             0.9999999999800128, 6.322522289399284e-06, 5.0, 6.0,
+             0.24494897427831783, 2.2185124963231694e-09,
+             2.2185124963231694e-09, 2.3079250240182705e-11,
+             0.010416666666666666, 0.010416666666666666),
+            (0.40809075621037155, 0.7181206690038244, 0.40809075621037155,
+             0.7181206690038244, -0.0, 1.0, 0.9997564529616504,
+             0.022068864074513934, 2.0, 6.0, 0.24494897427831783,
+             0.00023094010357024855, 0.00023094010357024855,
+             4.4990344783002456e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (0.08406033450191223, 0.0011787751111668491, 0.08406033450191223,
+             0.0011787751111668491, 0.022068864074513934, 0.9997564529616503,
+             1.0, 1.7422340505543174e-09, 4.0, 6.0, 0.24494897427831783,
+             1.1247643337888883e-07, 1.1247643337888883e-07,
+             1.1022276522704399e-11, 0.00950761593171847,
+             0.010416666666666666),
+            (0.008406033450191223, 0.005893875555834246, 0.008406033450191223,
+             0.005893875555834246, 0.00044148476078208475, 0.9999999025455982,
+             0.9999999999999962, 8.711170252771554e-08, 5.0, 5.0,
+             0.24494897427831783, 2.2506243671570167e-09,
+             2.2506243671570167e-09, 5.511138261352307e-10,
+             0.010416666666666666, 0.010416666666666666),
+            (0.05584758492835776, 0.7167237081019395, 0.05584758492835776,
+             0.7167237081019395, -0.010441977968015709, 0.9999454810619005,
+             0.9997140807654717, 0.023911434905665847, 5.0, 6.0,
+             0.24494897427831783, 5.036106739964018e-10, 5.036106739964018e-10,
+             5.905730765531912e-12, 0.010416666666666666,
+             0.010416666666666666),
+            (0.8336185405096979, 0.029375543092024135, 0.8336185405096979,
+             0.029375543092024135, 0.767065311410351, 0.6415690204732,
+             0.9999999999891733, 4.653327382143447e-06, 6.0, 6.0,
+             0.08361854050969786, 5.927092150415092e-12, 5.927092150415092e-12,
+             4.123262093832179e-12, 0.002613079390928058,
+             0.002613079390928058),
+            (0.0833618540509698, 0.14687771546012068, 0.0833618540509698,
+             0.14687771546012068, 0.023905334581950013, 0.9997142266560605,
+             0.9999999729331794, 0.0002326663711901402, 6.0, 6.0,
+             0.24494897427831783, 1.4391390856793862e-11,
+             1.4391390856793862e-11, 2.7936694841149126e-12,
+             0.0083847500643461, 0.010416666666666666),
+            (0.09435780563711929, 0.736125273167873, 0.09435780563711929,
+             0.736125273167873, 0.010331198179101175, 0.999946631748007,
+             0.999938704615222, 0.011071901933790639, 4.0, 2.0,
+             0.24494897427831783, 7.12309508741845e-05, 2.464914077363045e-08,
+             7.12309508741845e-05, 0.010416666666666666, 0.010416666666666666),
+            (0.9306263658393653, 0.15369363961796922, 0.9306263658393653,
+             0.15369363961796922, 0.48439687079477256, 0.8748483706130066, 1.0,
+             0.0, 5.0, 1.0, 0.1806263658393653, 0.011546492224605347,
+             1.1568607183320978e-10, 0.011546492224605347,
+             0.005644573932480166, 0.005644573932480166),
+        )),
         "multi_return_point": "929b533371f959c5",
         "local_unstable": ("cb739a648f81d953", (
             (0.5612663613817616, 0.13803927102987912, 0.5557254930289752,
-             0.14865023142006575, 0.0059851297098882025),
+             0.14865023142006575, 180.36963203152936, -1.1962653090336062e-14,
+             2.0, 0.006966149484778084, 0.0059851297098882025, 1e-10),
             (0.5650267524966218, 0.13022375328438607, 0.559509792936021,
-             0.1405808034070389, 0.005867251143923634),
+             0.1405808034070389, 179.2978731687727, -5.2735593669694936e-15,
+             2.0, 0.007222940004735168, 0.005867251143923634, 1e-10),
         )),
         "local_stable": ("084307056b67b774", (
             (0.552490720911707, 0.14334187729024742, 0.5644609789607681,
-             0.1433476034505253, 0.0059851297098882025),
+             0.1433476034505253, 180.36789180948412, -1.1962653090336062e-14,
+             3.0, 4.614049156955958e-07, 0.0059851297098882025, 1e-10),
             "Unsupported",
         )),
         "global_unstable": ("df00884cb63fa76f", (
             (0.5299999999999998, 0.20193724008215377, 0.5967491265145651,
-             0.07736639120239716),
-            (0.6604871827338107, 0.0, 0.5299999999999998, 0.20193724008215377),
+             0.07736639120239716, 718.1689983054307, -2.6506574712925612e-15,
+             1.2624756742163285e-09, 1.0, 0.5, 1.0),
+            (0.6604871827338107, 0.0, 0.5299999999999998, 0.20193724008215377,
+             417.50364741316486, -1.797666833100453e-14,
+             2.4653831598904895e-08, 2.0, 0.5, 2.0),
             (0.5299999999999998, 0.20114814916566554, 0.6005212406254311,
-             0.07086764668646643),
+             0.07086764668646643, 716.0592080450782, -1.6653345369377348e-15,
+             2.117290028745071e-09, 1.0, 0.5, 1.0),
             "Unsupported",
         )),
         "global_stable": ("abef53e539984e7d", (
             (0.4819512866860532, 0.14330793235861888, 0.6350006210654019,
-             0.14338115024370285),
+             0.14338115024370285, 180.36790143802287, 1.3183898417423734e-14,
+             0.0, 1.0, 0.5, 1.0),
             (0.343389272283532, 0.1432402184447519, 0.7803906101867708,
-             0.1434492647960239),
+             0.1434492647960239, 722.8666643111529, -9.96425164601078e-15, 0.0,
+             2.0, 0.5, 2.0),
             "Unsupported",
             "Unsupported",
         )),
@@ -533,7 +735,7 @@ ORBIT_WALK_FUNCTION_PINS = {
             "Unsupported",
         )),
         "bracket": ("9afa2a759462b460", (
-            (0.5584758492835775, 0.1433447416203879, 1.0904024242660626),
+            (0.5584758492835775, 0.1433447416203879, 1.0904024242660626, 0.0),
             "Unsupported",
             "NoIntersection",
         )),
@@ -546,26 +748,173 @@ ORBIT_WALK_FUNCTION_PINS = {
         "itinerary": "6ff907b4e459cea9",
         "first_return": "aee0f7219da2696b",
         "induced_map": "6644312b6e8bb87a",
-        "kergodic_apply": "6d4bfa938a754657",
-        "kergodic_derivative": "4591f61909484b3c",
-        "us_ball": "7531b7417b7590ed",
+        "kergodic_apply": ("6d4bfa938a754657", (
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+            (0.0, 0.0),
+            "None",
+            "None",
+            "None",
+        )),
+        "kergodic_derivative": ("4591f61909484b3c", (
+            (-3189001010.4282784, -2.1641567553153537e-09,
+             -3.5221105150212484e-07, -2.1557305134218013e-09),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+            (-123669611536379.86, -1.0443569633352124e-14, 0.01012352820229997,
+             -1.0386803980135828e-14),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+            (9.448916223516522e+18, -6.072830132428356e-20, -2539.285128310817,
+             6.016176454506763e-20),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+            (1.2707850569895857e+24, -1.1030643847483938e-24,
+             62557324.559430525, 1.0973870278490166e-24),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+            (8.803717256379307e+28, -5.2642205070311745e-30,
+             2116479624756.6658, 5.2076078010764755e-30),
+            "OutOfDomain",
+            "OutOfDomain",
+            "OutOfDomain",
+        )),
+        "us_ball": ("7531b7417b7590ed", (
+            (0.49999000008502414, 0.5999999986971126, 0.49999000008502414,
+             0.5999999986971126, -0.0, 1.0, 1.0, -5.922268998644328e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 2.0249557171178285e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (7.498697112655993e-06, 0.5999999993171053, 7.498697112655993e-06,
+             0.5999999993171053, -5.922268998644328e-10, 1.0, 1.0,
+             -1.129903362357676e-09, 2.0, 2.0, 0.00017568209223157663,
+             7.370925788350306e-19, 2.0249557171178285e-19,
+             7.370925788350306e-19, 0.010416666666666666,
+             0.010416666666666666),
+            (0.7499317105370267, 3.021841101092879e-06, 0.7499317105370267,
+             3.021841101092879e-06, -0.9961064549169755, 0.08815855303222414,
+             1.0, 0.0, 1.0, 1.0, 6.82894629733255e-05, 5.77350269189626e-11,
+             5.7286300703118804e-11, 5.77350269189626e-11,
+             2.134045717916422e-06, 2.134045717916422e-06),
+            (0.49999000000601457, 0.6000000008784069, 0.49999000000601457,
+             0.6000000008784069, -0.0, 1.0, 1.0, 8.784140195589919e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 4.454900096117385e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (7.500878406947515e-06, 5.999999991921989e-06,
+             7.500878406947515e-06, 5.999999991921989e-06,
+             8.784140195589919e-10, 1.0, 1.0, 0.0, 2.0, 1.0,
+             0.00017568209223157663, 5.77350269189626e-11,
+             4.454899062141619e-19, 5.77350269189626e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (7.500878406947516e-11, 0.5999999991921989, 7.500878406947516e-11,
+             0.5999999991921989, 0.0, 1.0, 1.0, -9.551918011489061e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 5.26769500384235e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (0.499990000050987, 0.6000000008784017, 0.499990000050987,
+             0.6000000008784017, -0.0, 1.0, 1.0, 8.784192376804813e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 4.454952828881435e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (7.5008784016771075e-06, 6.000000010614115e-11,
+             7.5008784016771075e-06, 6.000000010614115e-11,
+             8.784192376804813e-10, 1.0, 1.0, 0.0, 2.0, 1.0,
+             0.00017568209223157663, 5.77350269189626e-11,
+             4.454953862857201e-19, 5.77350269189626e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (7.500878401677108e-11, 6.000000010614115e-06,
+             7.500878401677108e-11, 6.000000010614115e-06, 0.0, 1.0, 1.0, 0.0,
+             1.0, 1.0, 0.00017568209223157663, 5.77350269189626e-11,
+             5.7735026918962586e-11, 5.77350269189626e-11,
+             0.010416666666666666, 0.010416666666666666),
+            (0.4999900000477919, 0.5999999991215983, 0.4999900000477919,
+             0.5999999991215983, -0.0, 1.0, 1.0, -8.784192376804813e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 4.454952828881435e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (7.49912159832295e-06, 6.000000007858944e-16, 7.49912159832295e-06,
+             6.000000007858944e-16, -8.784192376804813e-10, 1.0, 1.0, 0.0, 2.0,
+             1.0, 0.00017568209223157663, 5.77350269189626e-11,
+             4.454953862857201e-19, 5.77350269189626e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (7.49912159832295e-11, 6.000000007858943e-11, 7.49912159832295e-11,
+             6.000000007858943e-11, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0,
+             0.00017568209223157663, 5.77350269189626e-11,
+             5.7735026918962586e-11, 5.77350269189626e-11,
+             0.010416666666666666, 0.010416666666666666),
+            (0.4999900000806536, 0.6000000008784017, 0.4999900000806536,
+             0.6000000008784017, -0.0, 1.0, 1.0, 8.784192376804813e-10, 1.0,
+             2.0, 0.00017568209223157663, 5.7735026918962586e-11,
+             5.7735026918962586e-11, 4.454952828881435e-19,
+             0.010416666666666666, 0.010416666666666666),
+            (7.500878401677081e-06, 6.0000000114084046e-21,
+             7.500878401677081e-06, 6.0000000114084046e-21,
+             8.784192376804813e-10, 1.0, 1.0, 0.0, 2.0, 1.0,
+             0.00017568209223157663, 5.77350269189626e-11,
+             4.454953862857201e-19, 5.77350269189626e-11, 0.010416666666666666,
+             0.010416666666666666),
+            (7.500878401677082e-11, 6.000000011408405e-16,
+             7.500878401677082e-11, 6.000000011408405e-16, 0.0, 1.0, 1.0, 0.0,
+             1.0, 1.0, 0.00017568209223157663, 5.77350269189626e-11,
+             5.7735026918962586e-11, 5.77350269189626e-11,
+             0.010416666666666666, 0.010416666666666666),
+            (7.49869711265494e-06, 0.6000000010973521, 7.49869711265494e-06,
+             0.6000000010973521, -5.922268998644328e-10, 1.0, 1.0,
+             7.031516498877608e-10, 2.0, 2.0, 0.00017568209223157663,
+             2.854548595132214e-19, 2.0249557171178285e-19,
+             2.854548595132214e-19, 0.010416666666666666,
+             0.010416666666666666),
+            (0.7501097352098078, 7.803021957006303e-06, 0.7501097352098078,
+             7.803021957006303e-06, 0.9900380492319482, 0.14080007483307208,
+             1.0, 0.0, 1.0, 1.0, 0.00010973520980783746, 5.77350269189626e-11,
+             5.659045454464718e-11, 5.77350269189626e-11,
+             3.4292253064949207e-06, 3.4292253064949207e-06),
+        )),
         "multi_return_point": "aabeeb5db17470f6",
         "local_unstable": ("eb8351b1c7cc23c7", (
             (0.749869711756557, 5.999917259795095e-06, 0.7498697107764002,
-             6.000082762151945e-06, 4.970120792619534e-10),
+             6.000082762151945e-06, 192.7180577953618, -6.143358865780095e-15,
+             2.0, 0.0019852116629408556, 4.970120792619534e-10, 1e-10),
             (0.7498697117566625, 5.999917241992696e-06, 0.7498697107765052,
-             6.000082744349412e-06, 4.970120788604597e-10),
+             6.000082744349412e-06, 192.71805779538428,
+             -1.4030796686439421e-14, 2.0, 0.0019852116629408556,
+             4.970120788604597e-10, 1e-10),
         )),
         "local_stable": ("f37080f3454d4ffb", (
             (0.7498656397425406, 6.00000001097352e-06, 0.7498737827884473,
-             6.00000001097352e-06, 4.071522953313922e-06),
+             6.00000001097352e-06, 192.71805779523476, 1.0287941898672222e-14,
+             2.0, 1.2848633166418857e-16, 4.071522953313922e-06, 1e-10),
             (0.7498656397426492, 5.999999993171054e-06, 0.7498737827885492,
-             5.999999993171054e-06, 4.071522950024886e-06),
+             5.999999993171054e-06, 192.71805779525724, 2.5115263804754116e-15,
+             2.0, 4.5744866406203473e-17, 4.071522950024886e-06, 1e-10),
         )),
         "global_unstable": ("cf663d13a3bf3271", (
-            (0.7299999999994249, 0.25919500011490615, 0.749912702352791, 0.0),
+            (0.7299999999994249, 0.25919500011490615, 0.749912702352791, 0.0,
+             883.8815780271862, -8.925287809172233e-15, 5.386402466620569e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
-            (0.7299999999994249, 0.2591950001149061, 0.7499127023527907, 0.0),
+            (0.7299999999994249, 0.2591950001149061, 0.7499127023527907, 0.0,
+             883.8815780271863, -5.5933231137006434e-14,
+             5.3864025121345334e-08, 1.0, 0.5, 1.0),
             "Unsupported",
         )),
         "global_stable": ("eefcf7442b4d4393", (
@@ -583,9 +932,12 @@ ORBIT_WALK_FUNCTION_PINS = {
             (1.1102230246251565e-16,),
         )),
         "bracket": ("0a1045df29b1c66e", (
-            (0.7498697112654956, 6.00000001097352e-06, 0.16746193086839603),
-            (0.7498697112656011, 5.999999993171054e-06, 0.16744284857573988),
-            (0.7498697112654957, 6.00000001097352e-06, 0.16744284857573988),
+            (0.7498697112654956, 6.00000001097352e-06, 0.16746193086839603,
+             0.0),
+            (0.7498697112656011, 5.999999993171054e-06, 0.16744284857573988,
+             0.0),
+            (0.7498697112654957, 6.00000001097352e-06, 0.16744284857573988,
+             0.0),
         )),
         "mixing_times": "63e0e7e81ecdd3a2",
         "_tangency_pairs": "485dafb9b385049b",
@@ -654,49 +1006,75 @@ LEAF_FUNCTION_PINS = {
     "ex": {
         "local_unstable": ("28781d1cb3df9830", (
             (0.9408446261901744, 0.14196888935374324, 0.9463984362589203,
-             0.15272223602454824, 0.0060512966167542495),
+             0.15272223602454824, 280.3819447867769, -2.3592239273284576e-15,
+             2.0, 0.0068319590155214716, 0.0060512966167542495, 1e-10),
             (0.6361219619046125, 0.02393161455015823, 0.6313824903934175,
-             0.029441200680614676, 0.0036334984892648706),
+             0.029441200680614676, 169.72861646002494, -1.6861512186494565e-15,
+             2.0, 0.012993320104795036, 0.0036334984892648706, 1e-10),
             (0.8431434021986736, 0.0033741935349932027, 0.8474569516790736,
-             0.0074849718182891135, 0.002978895459108743),
+             0.0074849718182891135, 218.6417129281648, -5.689459320334933e-15,
+             2.0, 0.01743870981162221, 0.002978895459108743, 1e-10),
             (0.6609835808272124, -0.0008348383505080847, 0.6567722158782863,
-             0.0030026143313602906, 0.0028483269896297757),
+             0.0030026143313602906, 169.60603857574338, -1.181314161075031e-14,
+             2.0, 0.018642732039012566, 0.0028483269896297757, 1e-10),
             (0.6619173896336646, -0.0016747749761942586, 0.6577300876745509,
-             0.0021011759270326, 0.0028187687377151036),
+             0.0021011759270326, 169.625357123174, 1.0368509978549156e-14, 2.0,
+             0.018932106954277383, 0.0028187687377151036, 1e-10),
             (0.9343306436789129, 0.1295730347529578, 0.9398434034241071,
-             0.1398866586165857, 0.005847105121588397),
+             0.1398866586165857, 275.4603994547425, -2.656208586415687e-14,
+             2.0, 0.007265077587654933, 0.005847105121588397, 1e-10),
         )),
         "local_stable": ("7ea3493e1774e431", (
             "Unsupported",
             (0.6300945498543024, 0.026686425439062855, 0.6373615468327458,
-             0.02668639002734457, 0.0036334984892648706),
+             0.02668639002734457, 169.72651521171906, -3.4937330806172895e-15,
+             2.0, 1.2024827660363344e-14, 0.0036334984892648706, 1e-10),
             (0.8423457592323711, 0.0054295831204522116, 0.8483035501505884,
-             0.005429582225476037, 0.002978895459108743),
+             0.005429582225476037, 218.64383900266208, 4.4244122254788465e-15,
+             2.0, 2.1477390024715192e-15, 0.002978895459108743, 1e-10),
             (0.6560052093422174, 0.0010838879985719627, 0.661701863321477,
-             0.0010838879824184063, 0.0028483269896297757),
+             0.0010838879824184063, 169.603918050842, -1.0220990720455347e-14,
+             2.0, 6.947423493991573e-16, 0.0028483269896297757, 1e-10),
             (0.6569806316554017, 0.00021320047552695986, 0.6626181691308317,
-             0.00021320047531322734, 0.0028187687377151036),
+             0.00021320047531322734, 169.62323842321396,
+             -9.871579465317581e-15, 2.0, 2.280485683653693e-14,
+             0.0028187687377151036, 1e-10),
             "Unsupported",
         )),
         "global_unstable": ("85a661ee34c4ef59", (
             (0.9053682145051488, 0.08055684082052293, 0.9700000000000002,
-             0.2018604304279337),
+             0.2018604304279337, 1106.5471704924018, 1.0265399641440354e-13,
+             2.16690535999931e-09, 1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.5954547711125368, 0.07851171288256645, 0.6595462334899658, 0.0),
-            (0.6595462314849354, 0.0, 0.5299999999999998, 0.20109057402317485),
+            (0.5954547711125368, 0.07851171288256645, 0.6595462334899658, 0.0,
+             570.1311827473813, -1.7401282238066473e-14, 0.0, 1.0, 0.5, 1.0),
+            (0.6595462314849354, 0.0, 0.5299999999999998, 0.20109057402317485,
+             413.6441076151265, 1.006443192674844e-14, 2.3438923477284356e-08,
+             2.0, 0.5, 2.0),
             "Unsupported",
-            (0.8394475932672536, 0.0, 0.8835979319224673, 0.04923767078251584),
-            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0),
-            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0),
-            (0.6205802591008596, 0.04329284546644889, 0.6600505688294921, 0.0),
+            (0.8394475932672536, 0.0, 0.8835979319224673, 0.04923767078251584,
+             524.6411796202593, 2.185765132257933e-14, 3.469446951953614e-18,
+             1.0, 0.5, 1.0),
+            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0,
+             613.7196669760214, -2.9106925203414846e-14, 3.555160477341412e-08,
+             2.0, 0.5, 2.0),
+            (0.9700000000000002, 0.20199563371271528, 0.8394475429206374, 0.0,
+             613.7196669760214, -2.9106925203414846e-14, 3.555160477341412e-08,
+             3.0, 0.5, 3.0),
+            (0.6205802591008596, 0.04329284546644889, 0.6600505688294921, 0.0,
+             350.18636071903455, 1.264525322560578e-14, 6.505213034913027e-19,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.6215261231621293, 0.04206014477697556, 0.6600360777856354, 0.0),
+            (0.6215261231621293, 0.04206014477697556, 0.6600360777856354, 0.0,
+             341.54818719477794, 6.626670783285715e-15, 1.2468324983583301e-18,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
             (0.8988340866598414, 0.07044193915799454, 0.9700000000000002,
-             0.20168401239864903),
+             0.20168401239864903, 1098.0570232544806, 7.88119569605783e-14,
+             2.340187372305511e-09, 1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
         )),
@@ -705,21 +1083,31 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
             (0.5571814961034384, 0.0266867807991163, 0.7102746004833049,
-             0.026686034783917643),
-            (0.0, 0.02668949950690732, 1.0, 0.02668462412876445),
+             0.026686034783917643, 169.72651520494713, 1.3860440573054689e-14,
+             0.0, 1.0, 0.5, 1.0),
+            (0.0, 0.02668949950690732, 1.0, 0.02668462412876445,
+             527.7404344282875, 2.191215958680104e-14, 0.0, 2.0, 0.5, 2.0),
             "NoConvergence",
             (0.7687781002316647, 0.0054295941717467195, 0.921871209151295,
-             0.005429571174181528),
+             0.005429571174181528, 218.64383900266205, -7.349156005975743e-15,
+             8.673617379884035e-19, 1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
             (0.5823069818698736, 0.0010838882075522602, 0.7354000907938207,
-             0.001083887773438109),
-            (0.0, 0.0010838898587546097, 1.0, 0.0010838870231328485),
+             0.001083887773438109, 169.603918050842, -1.0428940697138067e-14,
+             0.0, 1.0, 0.5, 1.0),
+            (0.0, 0.0010838898587546097, 1.0, 0.0010838870231328485,
+             501.5849723293847, -1.4337923209817305e-14, 0.0, 2.0, 0.5, 2.0),
             "Unsupported",
             (0.5832528459311436, 0.00021320047832215912, 0.7363459548550896,
-             0.00021320047251802807),
-            (0.0, 0.00021320050043468895, 1.0, 0.00021320046252226388),
-            (0.0, 0.00021320050043468895, 1.0, 0.0002132004625222639),
+             0.00021320047251802807, 169.62323842321393,
+             -1.0201583501567857e-14, 0.0, 1.0, 0.5, 1.0),
+            (0.0, 0.00021320050043468895, 1.0, 0.00021320046252226388,
+             500.71341368196, -2.6119595852511224e-14, 2.710505431213761e-20,
+             2.0, 0.5, 2.0),
+            (0.0, 0.00021320050043468895, 1.0, 0.0002132004625222639,
+             500.71341368196, -2.6098697855636566e-14, 2.710505431213761e-20,
+             3.0, 0.5, 3.0),
             "Unsupported",
             "Unsupported",
             "Unsupported",
@@ -744,59 +1132,90 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
             "NoIntersection",
-            (0.658355858121757, 0.0010838879919064116, 0.7425077742529608),
+            (0.658355858121757, 0.0010838879919064116, 0.7425077742529608,
+             0.0),
             "NoIntersection",
             "Unsupported",
-            (0.6588393133310446, 0.0010838879905355155, 0.7396627733375453),
-            (0.6598139400847799, 0.00021320047541954236, 0.7333669200109615),
+            (0.6588393133310446, 0.0010838879905355155, 0.7396627733375453,
+             0.0),
+            (0.6598139400847799, 0.00021320047541954236, 0.7333669200109615,
+             0.0),
         )),
     },
     "strict": {
         "local_unstable": ("480ef48b0604d070", (
             (0.7501302882434396, 5.999917259904243e-06, 0.7501302892235965,
-             6.00008276226109e-06, 4.970120792492479e-10),
+             6.00008276226109e-06, 192.78502620464303, -1.3397897056382797e-14,
+             2.0, 0.0019852116629408556, 4.970120792492479e-10, 1e-10),
             (0.7499121596391581, 2.2098145753043298e-11, 0.7499121589733085,
-             9.790185404345884e-11, 3.3508565810725114e-10),
+             9.790185404345884e-11, 192.72742495699498, 2.9168414981556235e-15,
+             2.0, 0.0029699503143092443, 3.3508565810725114e-10, 1e-10),
             (0.7500878398337756, -3.7900804461895494e-11, 0.7500878404996525,
-             3.790200446189417e-11, 3.350836475610484e-10),
+             3.790200446189417e-11, 192.77257492297267, -9.002784789934546e-15,
+             2.0, 0.0029699682353339085, 3.350836475610484e-10, 1e-10),
             (0.7499121601662257, -3.790140445531998e-11, 0.7499121595003488,
-             3.790140446731998e-11, 3.350836475559662e-10),
+             3.790140446731998e-11, 192.72742507702785,
+             -5.9936623330221735e-15, 2.0, 0.0029699682353339085,
+             3.350836475559662e-10, 1e-10),
             (0.7499121601662256, -3.790140446136783e-11, 0.7499121595003487,
-             3.7901404461367944e-11, 3.3508364755638974e-10),
+             3.7901404461367944e-11, 192.72742507702782,
+             -5.9952043175443416e-15, 2.0, 0.0029699682353339085,
+             3.3508364755638974e-10, 1e-10),
             (0.750130288243329, 5.999917241092334e-06, 0.7501302892234862,
-             6.00008274344904e-06, 4.97012078827849e-10),
+             6.00008274344904e-06, 192.7850262046098, -1.3499365674233231e-14,
+             2.0, 0.0019852116629408556, 4.97012078827849e-10, 1e-10),
         )),
         "local_stable": ("38ece23733d6644f", (
             (0.7501262172115495, 6.0000000110826665e-06, 0.750134360257456,
-             6.0000000110826665e-06, 4.0715229532098385e-06),
+             6.0000000110826665e-06, 192.78502620477005,
+             -2.2956668101312312e-15, 2.0, 6.899058308777381e-17,
+             4.0715229532098385e-06, 1e-10),
             (0.74990941428353, 5.999999989822022e-11, 0.7499149043269523,
-             5.999999989828192e-11, 2.7450217112146014e-06),
+             5.999999989828192e-11, 192.72742495686697, 2.2507076833805296e-15,
+             2.0, 9.934426861497539e-17, 2.7450217112146014e-06, 1e-10),
             (0.7500850951624655, 5.999999887801879e-16, 0.750090585172947,
-             6.000000098976571e-16, 2.7450052408201087e-06),
+             6.000000098976571e-16, 192.77257492310065, 9.871006628832737e-15,
+             2.0, 3.4006867375662216e-17, 2.7450052408201087e-06, 1e-10),
             (0.7499094148270543, 5.9992477761352364e-21, 0.7499149048375359,
-             6.000752209846577e-21, 2.7450052407784753e-06),
+             6.000752209846577e-21, 192.72742507689983, 3.554255678798699e-15,
+             2.0, 2.422689817114488e-18, 2.7450052407784753e-06, 1e-10),
             (0.7499094148270542, -1.6393095147323368e-23, 0.7499149048375358,
-             1.6513095147114566e-23, 2.7450052407819447e-06),
+             1.6513095147114566e-23, 192.7274250768998, 3.441691391757985e-15,
+             2.0, 5.299103014219367e-17, 2.7450052407819447e-06, 1e-10),
             (0.7501262172114425, 5.999999992270687e-06, 0.750134360257342,
-             5.999999992270687e-06, 4.071522949757739e-06),
+             5.999999992270687e-06, 192.78502620473682,
+             -2.0640685205941187e-15, 2.0, 4.2334180598321095e-17,
+             4.071522949757739e-06, 1e-10),
         )),
         "global_unstable": ("1b2d13fc1cdb24b3", (
-            (0.7500872976472032, 0.0, 0.7700000000005751, 0.2591950001149068),
+            (0.7500872976472032, 0.0, 0.7700000000005751, 0.2591950001149068,
+             910.9905643553809, -4.6052679898711535e-14, 5.386402468003978e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.7299999999994249, 0.25919500011490604, 0.7499127023527902, 0.0),
+            (0.7299999999994249, 0.25919500011490604, 0.7499127023527902, 0.0,
+             883.8815780271864, 6.679769584683193e-16, 6.139947402884303e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.7500872976472018, 0.0, 0.7700000000005751, 0.2591950001149069),
+            (0.7500872976472018, 0.0, 0.7700000000005751, 0.2591950001149069,
+             910.9905643553802, 3.2045451904029465e-14, 6.139943998182289e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.7299999999994249, 0.2591950001149065, 0.7499127023527942, 0.0),
+            (0.7299999999994249, 0.2591950001149065, 0.7499127023527942, 0.0,
+             883.881578027185, -2.6050355991270868e-14, 6.139943997528406e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.7299999999994249, 0.2591950001149065, 0.7499127023527941, 0.0),
+            (0.7299999999994249, 0.2591950001149065, 0.7499127023527941, 0.0,
+             883.881578027185, 3.945305995962933e-14, 6.139943997529001e-08,
+             1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
-            (0.7500872976472045, 0.0, 0.7700000000005751, 0.25919500011490665),
+            (0.7500872976472045, 0.0, 0.7700000000005751, 0.25919500011490665,
+             910.9905643553815, -2.6099009563761155e-14,
+             5.3864025156851606e-08, 1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
         )),
@@ -805,22 +1224,31 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
             (0.20090562108156418, 5.999999989825107e-11, 1.0,
-             5.999999989825107e-11),
+             5.999999989825107e-11, 480.9627012912265, -1.6298211968404402e-14,
+             0.0, 1.0, 0.5, 1.0),
             "Unsupported",
             "Unsupported",
             (0.20108130194402937, 5.999999993389225e-16, 1.0,
-             5.999999993389225e-16),
+             5.999999993389225e-16, 480.43252077761224, 1.7869665470916605e-14,
+             0.0, 1.0, 0.5, 1.0),
             (0.0, 5.999999993389225e-16, 0.9999999999999998,
-             5.999999993389225e-16),
+             5.999999993389225e-16, 500.5000000000005, -8.912224340515002e-15,
+             0.0, 2.0, 0.5, 2.0),
             "Unsupported",
             (0.20090562160861816, 5.9999999929909066e-21, 1.0,
-             5.9999999929909066e-21),
-            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21),
-            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21),
+             5.9999999929909066e-21, 480.96270145425154, 9.386190558076959e-15,
+             1.504632769052528e-36, 1.0, 0.5, 1.0),
+            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21, 500.5,
+             1.0664147036394486e-14, 1.504632769052528e-36, 2.0, 0.5, 2.0),
+            (0.0, 5.9999999929909066e-21, 1.0, 5.9999999929909066e-21, 500.5,
+             1.0664147036394486e-14, 1.504632769052528e-36, 3.0, 0.5, 3.0),
             (0.20090562160861808, 5.999999989518917e-26, 1.0,
-             5.999999989518917e-26),
-            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26),
-            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26),
+             5.999999989518917e-26, 480.96270145425154,
+             -3.0808688452748097e-15, 0.0, 1.0, 0.5, 1.0),
+            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26, 500.5,
+             1.0658141096461502e-14, 1.1102230246251565e-16, 2.0, 0.5, 2.0),
+            (0.0, 5.999999989518917e-26, 1.0, 5.999999989518917e-26, 500.5,
+             1.0658141096461502e-14, 1.1102230246251565e-16, 3.0, 0.5, 3.0),
             "Unsupported",
             "Unsupported",
             "Unsupported",
@@ -842,14 +1270,18 @@ LEAF_FUNCTION_PINS = {
             (1.1102230246251565e-16,),
         )),
         "bracket": ("391a7acf2e1c1811", (
-            (0.7501302887345016, 6.0000000110826665e-06, 0.16744284857573988),
-            (0.7501302887343894, 5.999999992270687e-06, 0.16694348054871674),
+            (0.7501302887345016, 6.0000000110826665e-06, 0.16744284857573988,
+             0.0),
+            (0.7501302887343894, 5.999999992270687e-06, 0.16694348054871674,
+             0.0),
             "NoIntersection",
             "NoIntersection",
             "NoIntersection",
             "NoIntersection",
-            (0.7499121598322973, 5.999999992991515e-21, 0.11348778702938167),
-            (0.7499121598322974, 6.000001453538009e-26, 0.11301850698663812),
+            (0.7499121598322973, 5.999999992991515e-21, 0.11348778702938167,
+             0.0),
+            (0.7499121598322974, 6.000001453538009e-26, 0.11301850698663812,
+             0.0),
         )),
     },
 }
