@@ -19,17 +19,17 @@ Each block keeps the branch itinerary of the walk that found it, and the
 graph transform maps along that itinerary, so each block's orbit is
 walked once.  A chain charts every point it walks, and takes the charts
 from one sweep of its first point's orbit (``splitting._Sweep``): the
-orbit is drawn once, and each chart reads the cones that its
-neighbour's pushed, so a leaf query charts each chain point once and
-pushes about one cone stack per point and side, not a
-``direction_field`` per point.  In a seed-1 ``analysis`` query pass,
-262 of 309 chains stop at their second anchor, so most leaves take 3
-charts.  The chart at the chain's first point is
+orbit is drawn once, the derivatives along it are built once per point
+and side, and each chart scans the running products of its own walks,
+so a leaf query charts each chain point once and builds fewer
+derivatives than a ``direction_field`` per point would.  In a seed-1
+``analysis`` query pass, 262 of 309 chains stop at their second anchor,
+so most leaves take 3 charts.  The chart at the chain's first point is
 ``direction_field`` there, bit for bit; at the others, one side reads
 the chain's own points, where f(f^-1(M)) need not be M in floats, so
-it may move by rounding (over the chains of 40 sampled A-points: 65 of
-308 ``REF_EX`` charts, by 2.9e-18 rad at most, and no ``REF_STRICT``
-chart).
+it may move by rounding (over the chains of 40 sampled A-points, three
+anchors deep: 105 of 314 ``REF_EX`` charts, by 2.2e-16 rad at most,
+and no ``REF_STRICT`` chart).
 The three chains of an invariance defect share one chart per point,
 however many of their walks pass it, so M and its anchor are charted
 once; the two that start at M share one sweep.

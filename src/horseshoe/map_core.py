@@ -465,24 +465,27 @@ def apply_inverse(params: MapParams, p: tuple[float, float]):
     return None
 
 
-def _derivative_at(params: MapParams, p, which: str) -> np.ndarray:
+def _derivative_at(params: MapParams, p, which: str) -> tuple:
+    """The branch formula ``which`` (``"derivative"`` or
+    ``"derivative_inverse"``) at ``p``, as the table gives it: a pair of
+    rows."""
     x, y = p
     br = _branch_at(params, x, y)
     if br is None:
         raise OutOfDomain("derivative undefined in region "
                           f"{classify(params, p).value} at {p}")
-    return np.array(getattr(br, which)(params, x, y))
+    return getattr(br, which)(params, x, y)
 
 
 def jacobian(params: MapParams, p: tuple[float, float]) -> np.ndarray:
     """Derivative of the map at ``p`` (2x2 array)."""
-    return _derivative_at(params, p, "derivative")
+    return np.array(_derivative_at(params, p, "derivative"))
 
 
 def jacobian_inverse(params: MapParams, p: tuple[float, float]) -> np.ndarray:
     """Inverse of the derivative at ``p`` (derivative of the backward step
     taken at the image of ``p``)."""
-    return _derivative_at(params, p, "derivative_inverse")
+    return np.array(_derivative_at(params, p, "derivative_inverse"))
 
 
 def leaf_tangent(params: MapParams, p: tuple[float, float]) -> np.ndarray:

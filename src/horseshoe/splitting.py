@@ -5,45 +5,37 @@ cone of aperture ``chi0 / (2*c*l(M))`` around the vertical axis, where
 ``l(M) = |x - q|`` is the distance to the tangency abscissa and
 ``chi0 = 4``.  Away from A a fixed vertical cone of slope ``1/sqrt(3)``
 is used.  Direction fields are computed by pushing these cones along
-finite orbit segments (power iteration with per-step renormalization)
-together with an explicit residual certificate: the residual bounds the
+finite orbit segments (power iteration through a running product of the
+derivatives) together with an explicit residual certificate: the residual bounds the
 angle between the reported direction and anything else surviving in the
 pushed cone.
 
 Frames come from sweeps (:class:`_Sweep`).  A sweep holds one float
-orbit through a point m, drawn lazily both ways, and two lanes over it:
-the vertical cones carried forward from the preimages (e_u) and the
-horizontal cones carried backward from the images (e_s), in the manner
-of the forward-backward sweep for covariant Lyapunov vectors (Ginelli
-et al., PRL 99, 130601, 2007).  The frame at an orbit point z reads
-its cones from the lanes with the depth rule of a single point: the
-cone from the nearest walk point first, then ever deeper ones, until a
-residual drops below ``_TOL``.  Since the cone of depth d + 1 at the
-next point is the cone of depth d here pushed through one derivative,
-the frames of a run of orbit points share their pushes, and
-Df e_u(z) is e_u(f z) up to the two residuals.
-:func:`direction_field` is the sweep read at m alone, and the leaf
-chains of :mod:`horseshoe.manifolds` read one sweep per chain.
+orbit through a point m, drawn lazily both ways and shared by every
+frame read on it: e_u is read from the vertical cones carried forward
+from the preimages, e_s from the horizontal cones carried backward from
+the images, in the manner of the forward-backward sweep for covariant
+Lyapunov vectors (Ginelli et al., PRL 99, 130601, 2007).  The frame at
+an orbit point z reads its cones with the depth rule of a single point:
+the cone from the nearest walk point first, then ever deeper ones, until
+a residual drops below ``_TOL``.  :func:`direction_field` is the sweep
+read at m alone, and the leaf chains of :mod:`horseshoe.manifolds` read
+one sweep per chain.
 
-A cone is carried as one (3, 2, 1) stack of its axis vector and its two
-unit boundary rays, and each orbit point's derivative is built once per
-lane, however many depths are tried.  The depths are tried in blocks:
-the cones of a block's depths go together as one (3·B, 2, 1) stack, each
-joining it at its own first derivative on the way back to the point, so
-the carry pushes one stack per derivative and block rather than one per
-derivative and depth.  B is the depth at which the rate lam/sigma alone
-takes an O(1) aperture below ``_TOL`` (6 on ``REF_EX``, 1 on
-``REF_STRICT``).  Most walk points lie off A, where the cone is the
-default one: its stack for each axis is built once, at import, and is
-read-only; carrying makes new arrays, and a frame copies what it keeps
-of it.  The stacked ``J @ V``, ``sqrt(v^T v)`` and ``a^T b`` give the
-floats of the per-vector ``J @ v``, ``np.linalg.norm(v)`` and
-``np.dot(a, b)`` (``np.linalg.norm(..., axis=1)``, ``einsum`` and
-``np.arctan2`` do not), and no vector's floats depend on the others in
-its stack, so the lanes reproduce the per-depth, per-vector loops bit
-for bit whatever B is and whichever point asked first;
-``tests/test_splitting.py`` keeps those loops as the reference and
-guards the stacked forms.
+A side's scan keeps the product P_k of its walk's derivatives, P_k =
+P_(k-1) D_k, as four Python floats, with each derivative taken from the
+:data:`~horseshoe.map_core.BRANCHES` formulas as a pair of rows and kept
+by orbit index, so the frames of a chain build each one once.  The
+depth-k cone is P_k applied to the three unnormalised vectors of the
+start cone at the k-th walk point (its axis and two boundary rays); its
+residual is the larger angle between the axis line and a ray line,
+``atan2(|a x b|, |a . b|)``, and only the axis of the depth returned is
+normalised.  P_k is rescaled by a power of two whenever its largest
+entry leaves [1e-100, 1e100]: that is exact, and it keeps the cone's
+products in range over all ``MAX_DEPTH`` steps even on ``REF_STRICT``,
+where a step scales P by sigma = 1e5 or more.  A unit vector carried
+through numpy stacks, as ``tests/reference.py`` keeps it, gives the same
+depths and errors, and directions within 1e-15 rad.
 
 A :class:`SplitFrame` is also the chart at its point M: the affine
 coordinates centered at M in the basis (e_u, e_s), both axes scaled by
@@ -58,12 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import map_core as mc
-from .map_core import MapParams, jacobian, jacobian_inverse, in_A
+from .map_core import (MapParams, jacobian, jacobian_inverse, in_A,
+                       _derivative_at)
 
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
@@ -119,8 +112,10 @@ class Cone:
 
     def boundary_rays(self):
         """The two extreme unit directions of the cone."""
-        V = _cone_stack(self.slope_bound, self.axis == "vertical")
-        return [V[1, :, 0], V[2, :, 0]]
+        s = self.slope_bound
+        rays = (((s, 1.0), (-s, 1.0)) if self.axis == "vertical"
+                else ((1.0, s), (1.0, -s)))
+        return [v / np.linalg.norm(v) for v in map(np.array, rays)]
 
 
 def unstable_cone(params: MapParams, m: tuple[float, float]) -> Cone:
@@ -187,104 +182,53 @@ class SplitFrame:
         return self.inv_basis @ (np.asarray(p, dtype=float) - np.asarray(self.M))
 
 
-def _cone_residuals(V: np.ndarray) -> list:
-    """For each (3, 2, 1) cone stack in a (3·K, 2, 1) stack, the larger
-    angle between the lines of its axis vector a and of its two boundary
-    rays b, ``atan2(|a x b|, |a . b|)``.  The 2·K dot products are one
-    stack of row-times-column ``a^T @ b``, which gives the floats of
-    ``np.dot(a, b)``."""
-    W = V.reshape(-1, 3, 2)
-    dots = (W[:, None, :1] @ W[:, 1:, :, None]).reshape(-1, 2).tolist()
-    return [max(math.atan2(abs(a0 * b1 - a1 * b0), abs(d1)),
-                math.atan2(abs(a0 * c1 - a1 * c0), abs(d2)))
-            for ((a0, a1), (b0, b1), (c0, c1)), (d1, d2)
-            in zip(W.tolist(), dots)]
+def _unit(v) -> np.ndarray:
+    """The vector ``v`` (a pair of floats) over its Euclidean norm."""
+    norm = math.hypot(v[0], v[1])
+    return np.array((v[0] / norm, v[1] / norm))
 
 
-def _unit(V: np.ndarray) -> np.ndarray:
-    """Each vector of a (K, 2, 1) stack over its Euclidean norm."""
-    return V / np.sqrt(V.swapaxes(1, 2) @ V)
+def _cone_slope(params: MapParams, z, unstable: bool) -> float:
+    """Aperture of the start cone at ``z``: the vertical (horizontal)
+    A-cone at a point of A, the default cone elsewhere."""
+    if in_A(params, z):
+        return _window_slope(params, abs(z[0] - params.q), unstable)
+    return DEFAULT_SLOPE
 
 
-def _cone_stack(s: float, vertical: bool) -> np.ndarray:
-    """The unit axis vector and the two unit boundary rays of the
-    vertical (horizontal) cone of aperture ``s``, as a (3, 2, 1) stack."""
-    rows = ([[0.0, 1.0], [s, 1.0], [-s, 1.0]] if vertical
-            else [[1.0, 0.0], [1.0, s], [1.0, -s]])
-    return _unit(np.array(rows)[:, :, None])
-
-
-def _frozen(V: np.ndarray) -> np.ndarray:
-    V.flags.writeable = False
-    return V
-
-
-#: The default cone's stack for each axis (keyed by ``unstable``), built
-#: once and read-only: every carry reads it, none writes it.
-_DEFAULT_STACKS = {unstable: _frozen(_cone_stack(DEFAULT_SLOPE, unstable))
-                   for unstable in (True, False)}
-
-
-#: A lane's step along the orbit and the axis coordinate of its cone
-#: stacks, keyed by ``unstable``: e_u walks the preimages, e_s the images.
-_LANES = {True: (-1, np.s_[:, 1:2]), False: (1, np.s_[:, 0:1])}
-
-
-def _start_stack(params: MapParams, m, unstable: bool) -> np.ndarray:
-    """The cone stack at ``m``: the vertical (horizontal) A-cone at a
-    point of A, the shared read-only default stack elsewhere."""
-    if in_A(params, m):
-        return _cone_stack(_window_slope(params, abs(m[0] - params.q),
-                                         unstable), unstable)
-    return _DEFAULT_STACKS[unstable]
-
-
-def _carry_block(params: MapParams) -> int:
-    """Depths carried as one stack: the depth at which the rate
-    lam/sigma alone takes an O(1) aperture below ``_TOL``, within
-    [1, ``MAX_DEPTH``] (``MAX_DEPTH`` when the rate does not contract)."""
-    return _rate_block(params.lam / params.sigma)
-
-
-@lru_cache(maxsize=64)
-def _rate_block(rate) -> int:
-    """:func:`_carry_block` of the contraction rate lam/sigma, kept for
-    the rates last seen: a sweep reads it once, and the two logarithms
-    cost about as much as the rest of making a sweep."""
-    if not 0 < rate < 1:
-        return MAX_DEPTH
-    return min(max(math.ceil(math.log(_TOL) / math.log(rate)), 1), MAX_DEPTH)
+def _cone(s: float, unstable: bool, p00, p01, p10, p11):
+    """(axis vector, residual) of the start cone of aperture ``s``
+    carried through the matrix P = ((p00, p01), (p10, p11)): the axis
+    vector P e and the larger angle between its line and those of the
+    two boundary rays P r, ``atan2(|a x b|, |a . b|)``, none of them
+    normalised.  The vertical cone's rays are (+-s, 1), the horizontal
+    one's (1, +-s)."""
+    if unstable:
+        a0, a1, o0, o1 = p01, p11, s * p00, s * p10
+    else:
+        a0, a1, o0, o1 = p00, p10, s * p01, s * p11
+    b0, b1, c0, c1 = a0 + o0, a1 + o1, a0 - o0, a1 - o1
+    return a0, a1, max(math.atan2(abs(a0 * b1 - a1 * b0),
+                                  abs(a0 * b0 + a1 * b1)),
+                       math.atan2(abs(a0 * c1 - a1 * c0),
+                                  abs(a0 * c0 + a1 * c1)))
 
 
 class _Sweep:
-    """The splitting along one float orbit through ``m``: one forward
-    pass of vertical cones and one backward pass of horizontal cones
-    (the two lanes), read by every point of the orbit.
+    """The splitting along one float orbit through ``m``, read by every
+    point of the orbit.
 
     Orbit index j holds z_j: z_0 = m, images at j > 0 and preimages at
-    j < 0, each drawn once, from m's side, when a lane or a reader first
-    needs it.  The frame at z_j is that of :func:`direction_field` with
-    the walks of z_j read from the orbit: e_u from the preimages z_(j-1),
-    z_(j-2), ... and e_s from the images z_(j+1), ....  At j = 0 those
-    are the walks of m, so ``frame(0)`` is ``direction_field(m)`` bit for
-    bit.  Elsewhere one side reads the orbit behind z_j, toward m, and
-    in floats f(z_(j-1)) need not be z_j, so that side moves by rounding
-    against ``direction_field(z_j)``.  A point's cones come from its
-    neighbour's, so a run of frames along the orbit costs about one push
-    per point and lane, where a ``direction_field`` per point pushes a
-    block of depths through each derivative.
-
-    ``lanes[unstable]`` holds the three tables of a lane, by orbit
-    index: the vertical cones carried forward (``unstable``, e_u) or the
-    horizontal ones carried backward.  The walk of z_t goes to z_(t+s),
-    z_(t+2s), ..., with s = -1 for the vertical cones (preimages) and
-    s = +1 for the horizontal ones (images).  ``mats[i]`` is the
-    derivative that carries a cone from z_i to z_(i-s), drawn once.
-    ``stacks[t]`` holds the cones carried to z_t from its nearest
-    ``depths[t]`` walk points, nearest first, as one (3·n, 2, 1) stack:
-    its cone k (from 0) is the cone of depth k + 1 at z_t.  The start
-    stack at z_i is built when z_(i-s) takes its first cones, once per
-    lane, so no table keeps it.
+    j < 0, each drawn once, from m's side, when a frame first needs it.
+    The frame at z_j is that of :func:`direction_field` with the walks of
+    z_j read from the orbit: e_u from the preimages z_(j-1), z_(j-2), ...
+    and e_s from the images z_(j+1), ....  At j = 0 those are the walks
+    of m, so ``frame(0)`` is ``direction_field(m)``.  Elsewhere one side
+    reads the orbit behind z_j, toward m, and in floats f(z_(j-1)) need
+    not be z_j, so that side moves by rounding against
+    ``direction_field(z_j)``.  ``mats[unstable]`` keeps the derivatives
+    of a side's walks by orbit index, built once each: the frames of a
+    chain read the same walk points.
 
     The sweep does not bring e_u at a ``REF_EX`` A-point down to
     ``_TOL``: it reads the same backward orbit as ``direction_field``,
@@ -294,12 +238,12 @@ class _Sweep:
     4.0e-11 < ``_TOL`` three images on), and those of the unstable
     chain, at the preimages of M, are coarser (2.3e-4 one step back)."""
 
-    __slots__ = ("params", "block", "pts", "edges", "ends", "lanes")
+    __slots__ = ("params", "pts", "edges", "ends", "mats")
 
     def __init__(self, params: MapParams, m):
-        self.params, self.block = params, _carry_block(params)
+        self.params = params
         self.pts, self.edges, self.ends = {0: m}, {1: 0, -1: 0}, {}
-        self.lanes = {True: ({}, {}, {}), False: ({}, {}, {})}
+        self.mats = {True: {}, False: {}}
 
     def extend(self, j) -> None:
         """Draw the orbit toward z_j through ``iterates``, as far as it
@@ -334,90 +278,77 @@ class _Sweep:
                 return None
         return self.pts[j]
 
+    def products(self, unstable: bool, t):
+        """The walk of z_t with its derivative products, lazily: for
+        depth k = 1, 2, ..., at most ``MAX_DEPTH``, the walk point
+        z_(t+sk) and P_k, the product of the derivatives that carry a
+        vector from z_(t+sk) to z_t, as four floats (p00, p01, p10, p11).
+
+        The walk goes to the preimages (s = -1) for e_u, to the images
+        (s = +1) for e_s.  P_k is P_(k-1) times the derivative at the new
+        walk point, read from ``mats`` or built there from the
+        :data:`~horseshoe.map_core.BRANCHES` formula.  Whenever the
+        largest entry of P_k leaves [1e-100, 1e100], P_k is rescaled by
+        a power of two, which is exact.  The walk stops at the orbit's
+        end; a step that failed (a draw, or a derivative) raises its
+        error when the walk reaches it."""
+        s = -1 if unstable else 1
+        params, pts, mats = self.params, self.pts, self.mats[unstable]
+        which = "derivative" if unstable else "derivative_inverse"
+        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+        for k in range(1, MAX_DEPTH + 1):
+            i = t + s * k
+            if i not in pts:
+                self.extend(i)
+                if i not in pts:
+                    if self.ends[s] is not None:
+                        raise self.ends[s]
+                    return
+            d = mats.get(i)
+            if d is None:
+                (d00, d01), (d10, d11) = _derivative_at(
+                    params, pts[i if unstable else i - 1], which)
+                d = mats[i] = (d00, d01, d10, d11)
+            d00, d01, d10, d11 = d
+            p00, p01, p10, p11 = (p00 * d00 + p01 * d10, p00 * d01 + p01 * d11,
+                                  p10 * d00 + p11 * d10, p10 * d01 + p11 * d11)
+            big = max(abs(p00), abs(p01), abs(p10), abs(p11))
+            if not 1e-100 <= big <= 1e100:
+                f = math.ldexp(1.0, -math.frexp(big)[1])
+                p00, p01, p10, p11 = p00 * f, p01 * f, p10 * f, p11 * f
+            yield pts[i], (p00, p01, p10, p11)
+
     def resolve(self, unstable: bool, t):
-        """(unit vector, residual, depth) of the lane ``unstable`` at
+        """(unit vector, residual, depth) of the side ``unstable`` at
         z_t: of the cones carried to z_t from ever deeper walk points, the
         first whose residual is below ``_TOL``, else the first of smallest
         residual; the cone at z_t itself (depth 0) when the walk from z_t
-        is empty.
-
-        Depths are tried ``_carry_block`` at a time, at most ``MAX_DEPTH``
-        of them.  A block first draws the derivatives of its walk points
-        that are not drawn yet, nearest first: the first that fails (or
-        lies past the orbit's end) ends the walk, and its error is raised
-        only when the scan reaches its depth, so an earlier depth that
-        resolves still returns.  The cones that z_t lacks then start from
-        the nearest walk point whose stack is deep enough (at the latest,
-        the start stack at the block's last point); from there each point
-        toward z_t gets the cones it lacks, its neighbour's (behind that
-        neighbour's start stack when the point has none yet) pushed
-        through the neighbour's derivative: one push per point and
-        block."""
-        mats, stacks, depths = self.lanes[unstable]
-        s, axis = _LANES[unstable]
-        params, pts, block = self.params, self.pts, self.block
-        best, best_res, n, error = 0, math.inf, 0, None
-        while True:
-            depth, n = n, min(n + block, MAX_DEPTH)
-            if t + s * n not in pts:
-                self.extend(t + s * n)
-            for i in range(t + s * (depth + 1), t + s * (n + 1), s):
-                if i in mats:
-                    continue
-                p = pts.get(i)
-                if p is None:
-                    n, error = s * (i - t) - 1, self.ends[s]
-                    break
-                try:
-                    mats[i] = (jacobian(params, p) if unstable
-                               else jacobian_inverse(params, pts[i - s]))
-                except Exception as exc:    # deferred to its depth
-                    n, error = s * (i - t) - 1, exc
-                    break
-            # the nearest walk point deep enough (none on a lane not read)
-            k = 0 if depths else n
-            while k < n and depths.get(t + s * k, 0) < n - k:
-                k += 1
-            # top: the cones of depths 1..hi at the point the push
-            # leaves, none at the start stack n steps away
-            hi = n - k
-            top = stacks[t + s * k][:3 * hi] if hi else None
-            for i in range(t + s * k, t, -s):
-                inner, lo, hi = i - s, depths.get(i - s, 0), hi + 1
-                if lo:
-                    V = top[3 * (lo - 1):]
-                else:
-                    V = _start_stack(params, pts[i], unstable)
-                    if top is not None:
-                        V = np.concatenate((V, top))
-                V = _unit(mats[i] @ V)
-                V = np.where(V[axis] > 0, V, -V)
-                top = stacks[inner] = (np.concatenate((stacks[inner], V))
-                                       if lo else V)
-                depths[inner] = hi
-            if n > depth:
-                V = stacks[t]
-                for k, res in enumerate(_cone_residuals(V[3 * depth:3 * n]),
-                                        depth + 1):
-                    if res < best_res:
-                        best, best_res = k, res
-                    if res < _TOL:
-                        return V[3 * best - 3, :, 0], best_res, best
-            if error is not None:
-                raise error
-            if n < depth + block or n == MAX_DEPTH:
+        is empty.  The cone of depth k is P_k applied to the start cone at
+        the walk point (:meth:`products`, :func:`_cone`), and only the
+        axis vector of the depth returned is normalised.  A step that
+        failed raises its error only when no earlier depth has a residual
+        below ``_TOL``."""
+        params = self.params
+        best, best_res, axis, k = 0, math.inf, None, 0
+        for k, (z, P) in enumerate(self.products(unstable, t), 1):
+            a0, a1, res = _cone(_cone_slope(params, z, unstable), unstable,
+                                *P)
+            if res < best_res:
+                best, best_res, axis = k, res, (a0, a1)
+            if res < _TOL:
                 break
-        if n == 0:
-            V = _start_stack(params, pts[t], unstable)
-            # a copy: the stack may be the shared default one
-            return V[0, :, 0].copy(), _cone_residuals(V)[0], 0
+        if k == 0:
+            # the walk is empty: the start cone at z_t itself
+            a0, a1, res = _cone(_cone_slope(params, self.pts[t], unstable),
+                                unstable, 1.0, 0.0, 0.0, 1.0)
+            return _unit((a0, a1)), res, 0
         if best == 0:
             return None, math.inf, 0
-        return stacks[t][3 * best - 3, :, 0], best_res, best
+        return _unit(axis), best_res, best
 
     def frame(self, j) -> SplitFrame:
-        """The splitting at z_j, read from the lanes on every call (a
-        chain keeps the frames it reads, by point)."""
+        """The splitting at z_j, scanned afresh on every call (a chain
+        keeps the frames it reads, by point)."""
         m = self.pts.get(j) or self.point(j)
         e_u, res_u, depth_u = self.resolve(True, j)
         e_s, res_s, depth_s = self.resolve(False, j)
@@ -435,7 +366,8 @@ def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
 
     Each side walks its orbit lazily (preimages for e_u, images for
     e_s), at most ``MAX_DEPTH`` steps and only as deep as the residual
-    needs to drop below ``_TOL``.  A walk that ends first leaves the
+    needs to drop below ``_TOL``, as one scan of the running product of
+    the walk's derivatives in Python floats (:meth:`_Sweep.resolve`).  A walk that ends first leaves the
     direction less resolved: on ``REF_EX`` the backward walk of an
     A-point ends after 3 to 5 preimages, so e_u there is resolved only to
     a residual of about 2e-10 to 3e-6, from the deepest preimage

@@ -3,13 +3,22 @@ evaluate every branch, band piece or row the plain way, where
 :mod:`horseshoe.coding` routes, slices or reorders its work.  The leaf
 reference tries a local leaf's radii one at a time, one graph per
 transform, where :mod:`horseshoe.manifolds` stacks the radii after the
-first as rows.  The tests assert that both forms give the same floats."""
+first as rows.  The tests assert that both forms give the same floats.
+
+The cone reference (:class:`_ReferenceSweep`) carries a frame's cones as
+unit vectors in numpy stacks, depth block by depth block, where
+:class:`horseshoe.splitting._Sweep` scans a running product of the
+walk's derivatives in Python floats; the two agree in depth and error
+exactly and in floats to a bound the tests state."""
+
+import math
 
 import numpy as np
 
 import horseshoe.coding as cd
 import horseshoe.manifolds as mf
 import horseshoe.map_core as mc
+import horseshoe.splitting as spl
 
 
 def _reference_step(params, boxes, forward):
@@ -217,3 +226,131 @@ def _reference_ladder(params, chain):
             radius /= 2.0
     raise mf.NoConvergence("no admissible radius above the floor: "
                            f"{last_err}", last_factor=None)
+
+
+def _cone_residuals(V):
+    """For each (3, 2, 1) cone stack in a (3·K, 2, 1) stack, the larger
+    angle between the lines of its axis vector a and of its two boundary
+    rays b, ``atan2(|a x b|, |a . b|)``, with the stacked dot products
+    ``a^T @ b`` (the floats of ``np.dot(a, b)``)."""
+    W = V.reshape(-1, 3, 2)
+    dots = (W[:, None, :1] @ W[:, 1:, :, None]).reshape(-1, 2).tolist()
+    return [max(math.atan2(abs(a0 * b1 - a1 * b0), abs(d1)),
+                math.atan2(abs(a0 * c1 - a1 * c0), abs(d2)))
+            for ((a0, a1), (b0, b1), (c0, c1)), (d1, d2)
+            in zip(W.tolist(), dots)]
+
+
+def _unit_stack(V):
+    """Each vector of a (K, 2, 1) stack over its Euclidean norm."""
+    return V / np.sqrt(V.swapaxes(1, 2) @ V)
+
+
+def _start_stack(params, m, unstable):
+    """The unit axis vector and two unit boundary rays of the vertical
+    (horizontal) start cone at ``m``, as a (3, 2, 1) stack."""
+    s = spl._cone_slope(params, m, unstable)
+    rows = ([[0.0, 1.0], [s, 1.0], [-s, 1.0]] if unstable
+            else [[1.0, 0.0], [1.0, s], [1.0, -s]])
+    return _unit_stack(np.array(rows)[:, :, None])
+
+
+def _carry_block(params):
+    """Depths carried as one stack: the depth at which the rate
+    lam/sigma alone takes an O(1) aperture below ``_TOL``, within
+    [1, ``MAX_DEPTH``] (``MAX_DEPTH`` when the rate does not contract)."""
+    rate = params.lam / params.sigma
+    if not 0 < rate < 1:
+        return spl.MAX_DEPTH
+    return min(max(math.ceil(math.log(spl._TOL) / math.log(rate)), 1),
+               spl.MAX_DEPTH)
+
+
+class _ReferenceSweep(spl._Sweep):
+    """The stacked cone carry, on the orbit of :class:`splitting._Sweep`
+    (the reference of its ``resolve``).
+
+    Each side is a lane of three tables by orbit index: ``mats[i]``
+    carries a cone from z_i to z_(i-s), ``stacks[t]`` holds the unit
+    cones carried to z_t from its nearest ``depths[t]`` walk points,
+    nearest first, as one (3·n, 2, 1) stack (cone k is depth k + 1).
+    Depths are tried ``block`` at a time (``_carry_block`` by default):
+    a block draws the derivatives it lacks, then carries from the
+    nearest walk point deep enough, each point toward z_t taking its
+    neighbour's cones pushed through one derivative, normalised and
+    turned so that their axis coordinate is positive.  A stacked
+    ``J @ V`` and ``sqrt(v^T v)`` give the floats of the per-vector
+    ``J @ v`` and ``np.linalg.norm(v)``, so the lanes reproduce the
+    per-depth, per-vector loop bit for bit whatever the block is."""
+
+    __slots__ = ("block", "lanes")
+
+    def __init__(self, params, m, block=None):
+        super().__init__(params, m)
+        self.block = _carry_block(params) if block is None else block
+        self.lanes = {True: ({}, {}, {}), False: ({}, {}, {})}
+
+    def resolve(self, unstable, t):
+        mats, stacks, depths = self.lanes[unstable]
+        s, axis = (-1, np.s_[:, 1:2]) if unstable else (1, np.s_[:, 0:1])
+        params, pts, block = self.params, self.pts, self.block
+        best, best_res, n, error = 0, math.inf, 0, None
+        while True:
+            depth, n = n, min(n + block, spl.MAX_DEPTH)
+            if t + s * n not in pts:
+                self.extend(t + s * n)
+            for i in range(t + s * (depth + 1), t + s * (n + 1), s):
+                if i in mats:
+                    continue
+                p = pts.get(i)
+                if p is None:
+                    n, error = s * (i - t) - 1, self.ends[s]
+                    break
+                try:
+                    mats[i] = (mc.jacobian(params, p) if unstable
+                               else mc.jacobian_inverse(params, pts[i - s]))
+                except Exception as exc:    # deferred to its depth
+                    n, error = s * (i - t) - 1, exc
+                    break
+            # the nearest walk point deep enough (none on a lane not read)
+            k = 0 if depths else n
+            while k < n and depths.get(t + s * k, 0) < n - k:
+                k += 1
+            hi = n - k
+            top = stacks[t + s * k][:3 * hi] if hi else None
+            for i in range(t + s * k, t, -s):
+                inner, lo, hi = i - s, depths.get(i - s, 0), hi + 1
+                if lo:
+                    V = top[3 * (lo - 1):]
+                else:
+                    V = _start_stack(params, pts[i], unstable)
+                    if top is not None:
+                        V = np.concatenate((V, top))
+                V = _unit_stack(mats[i] @ V)
+                V = np.where(V[axis] > 0, V, -V)
+                top = stacks[inner] = (np.concatenate((stacks[inner], V))
+                                       if lo else V)
+                depths[inner] = hi
+            if n > depth:
+                V = stacks[t]
+                for k, res in enumerate(_cone_residuals(V[3 * depth:3 * n]),
+                                        depth + 1):
+                    if res < best_res:
+                        best, best_res = k, res
+                    if res < spl._TOL:
+                        return V[3 * best - 3, :, 0], best_res, best
+            if error is not None:
+                raise error
+            if n < depth + block or n == spl.MAX_DEPTH:
+                break
+        if n == 0:
+            V = _start_stack(params, pts[t], unstable)
+            return V[0, :, 0], _cone_residuals(V)[0], 0
+        if best == 0:
+            return None, math.inf, 0
+        return stacks[t][3 * best - 3, :, 0], best_res, best
+
+
+def _reference_direction_field(params, m, block=None):
+    """The frame at ``m`` by the stacked cone carry."""
+    return _ReferenceSweep(params, m, block).frame(0)

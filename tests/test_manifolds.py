@@ -202,40 +202,39 @@ def _count_frames(monkeypatch):
 
 
 def _count_work(monkeypatch):
-    """The work of the cone carries: ``pushes``, the cone stacks pushed
-    through a derivative (every start stack built on A is one more
-    ``_unit`` call), and ``derivatives``, by function and point."""
+    """The work behind the frames: ``draws``, the orbit points that
+    ``iterates`` yields, by direction and point, and ``derivatives``, the
+    derivatives that sweeps build, by formula and point."""
     from collections import Counter
-    work = {"pushes": 0, "derivatives": Counter()}
+    work = {"draws": Counter(), "derivatives": Counter()}
+    iterates, derivative = mc.iterates, spl._derivative_at
 
-    def counted(name):
-        fn = getattr(spl, name)
+    def drawing(params, p, n, forward=True):
+        for q in iterates(params, p, n, forward):
+            work["draws"][forward, q] += 1
+            yield q
 
-        def wrapper(*args):
-            if name == "_unit":
-                work["pushes"] += 1
-            elif name == "_cone_stack":
-                work["pushes"] -= 1
-            else:
-                work["derivatives"][name, args[1]] += 1
-            return fn(*args)
-        return wrapper
+    def building(params, p, which):
+        work["derivatives"][which, p] += 1
+        return derivative(params, p, which)
 
-    for name in ("_unit", "_cone_stack", "jacobian", "jacobian_inverse"):
-        monkeypatch.setattr(spl, name, counted(name))
+    monkeypatch.setattr(mc, "iterates", drawing)
+    monkeypatch.setattr(spl, "_derivative_at", building)
     return work
 
 
 def _assert_one_sweep(params, seen, work):
     """The frames of one chain came from one sweep of its orbit: each
-    derivative was built once per point and lane, and the cones were
-    pushed fewer times than one ``direction_field`` per charted point
-    pushes them."""
+    orbit point was drawn once, each derivative built once per point and
+    side, and fewer were built than one ``direction_field`` per charted
+    point builds."""
+    assert set(work["draws"].values()) == {1}
     assert set(work["derivatives"].values()) == {1}
-    pushes, work["pushes"] = work["pushes"], 0
+    built = sum(work["derivatives"].values())
+    work["derivatives"].clear()
     for m in list(seen):
         spl.direction_field(params, m)
-    assert 0 < pushes < work["pushes"]
+    assert 0 < built < sum(work["derivatives"].values())
 
 
 def test_anchor_chain_charts_each_point_once(monkeypatch):
@@ -252,6 +251,7 @@ def test_anchor_chain_charts_each_point_once(monkeypatch):
     # a global leaf reads its base leaf from the tail of its own chain
     rp = sp.sample_returning_point(REF_EX, np.random.default_rng(2))
     seen.clear()
+    work["draws"].clear()
     work["derivatives"].clear()
     ws = mf.global_stable(REF_EX, rp.M, 2)
     assert ws.meta["steps"] >= 2

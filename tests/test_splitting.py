@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from horseshoe.splitting import (Cone, length_scale, unstable_cone,
                                  adapted_norm, verify_cone_return,
                                  direction_gap, holder_fit)
 from horseshoe import sampling as sp
+from reference import _ReferenceSweep, _carry_block, _reference_direction_field
 from test_branch_table import valid_params
 
 
@@ -132,24 +134,15 @@ def test_the_sweep_draws_the_orbit_of_iterates(params):
     assert sweep.point(1) is None and not walk
 
 
-def _orbit_walk(sweep, j, step):
-    """The walk of z_j read from the sweep's orbit, toward ``step``."""
-    for k in range(1, spl.MAX_DEPTH + 1):
-        p = sweep.point(j + step * k)
-        if p is None:
-            return
-        yield p
-
-
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
 def test_the_sweep_is_covariant_along_its_orbit(params):
     # the sweep's frame at m is direction_field(m) bit for bit, and at
-    # each z_j of the orbit segment z_-6..z_6 it is the per-vector carry
-    # over the walks of z_j read from the orbit.  Those frames are
-    # covariant: Df(z_j) e_u(z_j) and e_u(z_(j+1)) lie within the larger
-    # of the two points' residuals (the cone of the one is nested in the
-    # other's), and so do Df(z_j)^-1 e_s(z_(j+1)) and e_s(z_j), up to
-    # rounding
+    # each z_j of the orbit segment z_-6..z_6 it is the stacked carry
+    # over the walks of z_j read from the orbit, within the stated
+    # bounds.  Those frames are covariant: Df(z_j) e_u(z_j) and
+    # e_u(z_(j+1)) lie within the larger of the two points' residuals
+    # (the cone of the one is nested in the other's), and so do
+    # Df(z_j)^-1 e_s(z_(j+1)) and e_s(z_j), up to rounding
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -160,17 +153,9 @@ def test_the_sweep_is_covariant_along_its_orbit(params):
             == _field_outcome(direction_field, params, rp.M)
         frames = {j: sweep.frame(j) for j in range(-6, 7)
                   if sweep.point(j) is not None}
+        ref = _ReferenceSweep(params, rp.M)
         for j, fr in frames.items():
-            for vec, res, depth, unstable in (
-                    (fr.e_u, fr.residual_u, fr.depth_u, True),
-                    (fr.e_s, fr.residual_s, fr.depth_b, False)):
-                ref, ref_res, ref_depth = _scalar_deepest_carry(
-                    params, fr.M, _orbit_walk(sweep, j, -1 if unstable else 1),
-                    unstable)
-                axis = 1 if unstable else 0
-                ref = -ref if ref[axis] <= 0 else ref
-                assert (vec.tobytes(), res, depth) \
-                    == (ref.tobytes(), ref_res, ref_depth)
+            _assert_close(fr, ref.frame(j))
         for j in frames.keys() & {j - 1 for j in frames}:
             a, b = frames[j], frames[j + 1]
             pushed = mc.jacobian(params, a.M) @ a.e_u
@@ -246,34 +231,48 @@ def test_cone_validation():
         Cone("vertical", -0.5)
 
 
-def test_frames_do_not_alias_the_shared_default_stacks(monkeypatch):
-    # off A, both sides start from the default cone; with no orbit to
-    # walk, the frame is that cone's axis, and must be a copy of it
+def test_an_empty_walk_gives_the_start_cone(monkeypatch):
+    # with no orbit to walk, each side is the start cone at m itself:
+    # its axis, with the angle to its boundary rays as the residual (the
+    # default cone off A, the A-cones at a point of A); every frame has
+    # arrays of its own
+    rp = sp.sample_A_points(REF_EX, np.random.default_rng(2), 1)[0]
+    monkeypatch.setattr(mc, "iterates", lambda *args, **kwargs: iter(()))
     m = (0.45, 0.5)
     assert not mc.in_A(REF_EX, m)
-    stacks = [spl._DEFAULT_STACKS[unstable] for unstable in (True, False)]
-    assert all(not V.flags.writeable for V in stacks)
-    assert spl._start_stack(REF_EX, m, True) is stacks[0]
-    assert spl._start_stack(REF_EX, (0.2, 0.5), False) is stacks[1]
-    # the default cone's aperture is 1/sqrt(3) on both axes
-    for V, vertical in zip(stacks, (True, False)):
-        np.testing.assert_array_equal(
-            V, spl._cone_stack(1.0 / math.sqrt(3.0), vertical))
-    monkeypatch.setattr(mc, "iterates", lambda *args, **kwargs: iter(()))
     frame = direction_field(REF_EX, m)
     assert (frame.depth_u, frame.depth_b) == (0, 0)
-    np.testing.assert_array_equal(frame.e_u, stacks[0][0, :, 0])
-    np.testing.assert_array_equal(frame.e_s, stacks[1][0, :, 0])
-    for e in (frame.e_u, frame.e_s):
-        assert e.flags.writeable
-        assert not any(np.shares_memory(e, V) for V in stacks)
+    assert frame.e_u.tolist() == [0.0, 1.0] and frame.e_s.tolist() == [1.0, 0.0]
+    assert frame.residual_u == frame.residual_s \
+        == math.atan2(spl.DEFAULT_SLOPE, 1.0)
+    assert frame.residual_u == pytest.approx(math.pi / 6, rel=1e-15)
+    at_a = direction_field(REF_EX, rp.M)
+    assert (at_a.depth_u, at_a.depth_b) == (0, 0)
+    assert at_a.residual_u == math.atan2(
+        unstable_cone(REF_EX, rp.M).slope_bound, 1.0)
+    assert at_a.residual_s == math.atan2(
+        stable_cone(REF_EX, rp.M).slope_bound, 1.0)
+    for fr in (frame, at_a):
+        _assert_close(fr, _reference_direction_field(REF_EX, fr.M))
+    again = direction_field(REF_EX, m)
+    for e, f in ((frame.e_u, again.e_u), (frame.e_s, again.e_s)):
+        assert e.flags.writeable and not np.shares_memory(e, f)
 
 
-# --- the stacked cone carrying against the per-vector loops ---------------
+# --- the product scan against the stacked carry --------------------------
+
+#: How far a frame of the product scan may lie from the stacked carry of
+#: ``reference._ReferenceSweep``: each direction by ``_E_BOUND`` rad
+#: (measured: 2.5e-16), each residual r by ``_RES_ABS`` + ``_RES_REL`` * r
+#: (measured: 1.5e-16 below r = 1e-6, 5e-15 * r above).  Depths, and the
+#: class and message of an error, agree exactly.
+_E_BOUND = 1e-15
+_RES_ABS, _RES_REL = 1e-15, 1e-13
+
 
 def _angle_between(a, b):
     """Angle between the lines of two vectors, with one BLAS dot product:
-    the per-vector reference of ``splitting._cone_residuals``."""
+    the per-vector reference of the stacked carry's residuals."""
     cross = abs(a[0] * b[1] - a[1] * b[0])
     dot = abs(float(np.dot(a, b)))
     return math.atan2(cross, dot)
@@ -346,20 +345,43 @@ def _field_outcome(field, params, m):
             repr(fr.residual_s))
 
 
-def _fields_agree(params, points):
+def _assert_close(fr, ref):
+    """``fr`` is the frame ``ref`` within the stated bounds: the same
+    point, length scale and depths, directions within ``_E_BOUND`` and
+    residuals within ``_RES_ABS`` + ``_RES_REL`` * r."""
+    assert (fr.M, fr.l, fr.depth_u, fr.depth_b) \
+        == (ref.M, ref.l, ref.depth_u, ref.depth_b)
+    for e, f in ((fr.e_u, ref.e_u), (fr.e_s, ref.e_s)):
+        assert np.linalg.norm(e - f) <= _E_BOUND, (fr.M, e, f)
+    for r, q in ((fr.residual_u, ref.residual_u),
+                 (fr.residual_s, ref.residual_s),
+                 (fr.residual, ref.residual)):
+        assert abs(r - q) <= _RES_ABS + _RES_REL * q, (fr.M, r, q)
+
+
+def _fields_close(params, points, reference=_reference_direction_field):
+    """At each point, ``direction_field`` and ``reference`` raise the same
+    error (class and message) or give frames within the bounds."""
     for m in points:
-        assert _field_outcome(direction_field, params, m) \
-            == _field_outcome(_scalar_direction_field, params, m), m
+        try:
+            ref = reference(params, m)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                direction_field(params, m)
+            assert str(got.value) == str(exc)
+            continue
+        _assert_close(direction_field(params, m), ref)
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
 def test_direction_field_equals_the_scalar_carry(params):
     # sampled A-points resolve at depth; uniform points mostly escape,
-    # so their walks are short or empty and their cones the default one
+    # so their walks are short or empty and their cones the default one.
+    # The stacked carry is the per-vector loop bit for bit (below)
     rng = np.random.default_rng(11)
     points = [rp.M for rp in sp.sample_A_points(params, rng, 160)]
     points += [tuple(p) for p in rng.uniform(size=(2000, 2)).tolist()]
-    _fields_agree(params, points)
+    _fields_close(params, points)
 
 
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
@@ -372,75 +394,99 @@ def test_direction_field_equals_the_scalar_carry_on_valid_params(params,
     except sp.SampleError:
         reject()
     points += [tuple(p) for p in rng.uniform(size=(200, 2)).tolist()]
-    _fields_agree(params, points)
+    _fields_close(params, points)
+    _fields_close(params, points[:10], _scalar_direction_field)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 7, spl.MAX_DEPTH])
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
-def test_the_carry_block_changes_only_the_work(monkeypatch, params, block):
-    monkeypatch.setattr(spl, "_carry_block", lambda params: block)
+def test_the_carry_block_changes_only_the_work(params, block):
+    # the stacked carry that the scan is checked against gives the
+    # floats of the per-vector loop, bit for bit, whatever its block
     rng = np.random.default_rng(19)
     points = [rp.M for rp in sp.sample_A_points(params, rng, 30)]
     points += [tuple(p) for p in rng.uniform(size=(150, 2)).tolist()]
-    _fields_agree(params, points)
+    for m in points:
+        assert _field_outcome(
+            lambda p, m: _reference_direction_field(p, m, block), params, m) \
+            == _field_outcome(_scalar_direction_field, params, m), m
 
 
 def test_the_carry_block_of_the_reference_sets():
-    assert (spl._carry_block(REF_EX), spl._carry_block(REF_STRICT)) == (6, 1)
+    assert (_carry_block(REF_EX), _carry_block(REF_STRICT)) == (6, 1)
     # a map that does not contract carries the whole walk as one block
     flat = dataclasses.replace(REF_EX, lam=REF_EX.sigma)
-    assert spl._carry_block(flat) == spl.MAX_DEPTH
+    assert _carry_block(flat) == spl.MAX_DEPTH
 
 
 @given(params=valid_params())
 @settings(max_examples=20, deadline=None)
 def test_the_carry_block_is_a_depth(params):
-    assert 1 <= spl._carry_block(params) <= spl.MAX_DEPTH
+    assert 1 <= _carry_block(params) <= spl.MAX_DEPTH
 
 
-@pytest.mark.parametrize("block", ["rule", 2])
-def test_a_carry_pushes_each_derivative_once_per_block(monkeypatch, block):
-    if block == "rule":
-        block = spl._carry_block(REF_EX)
-    else:
-        monkeypatch.setattr(spl, "_carry_block", lambda params: block)
-    calls = Counter()
+def _count_walk_work(monkeypatch):
+    """Orbit draws by direction and point, and derivatives built by
+    formula and point."""
+    work = Counter()
+    for module, name in ((mc, "apply"), (mc, "apply_inverse"),
+                         (spl, "_derivative_at")):
+        def counted(params, p, *args, _fn=getattr(module, name), _name=name):
+            work[(_name, *args), p] += 1
+            return _fn(params, p, *args)
+        monkeypatch.setattr(module, name, counted)
+    return work
 
-    def counted(name):
-        fn = getattr(spl, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    # every start stack built on A is one more _unit call
-    for name in ("_unit", "_cone_stack", "jacobian", "jacobian_inverse"):
-        monkeypatch.setattr(spl, name, counted(name))
-    rng = np.random.default_rng(11)
-    for rp in sp.sample_A_points(REF_EX, rng, 20):
-        sweep = spl._Sweep(REF_EX, rp.M)
-        for unstable in (True, False):
-            calls.clear()
-            sweep.resolve(unstable, 0)
-            drawn = calls["jacobian"] + calls["jacobian_inverse"]
-            pushes = calls["_unit"] - calls["_cone_stack"]
-            assert pushes == sum(min(end, drawn)
-                                 for end in range(block, drawn + block, block))
+@pytest.mark.parametrize("cap", ["rule", 2])
+def test_a_carry_pushes_each_derivative_once_per_block(monkeypatch, cap):
+    # a side's scan draws each walk point once and builds one derivative
+    # per depth it reads: as many as the depth it returns when that
+    # resolves, else its whole walk, at most MAX_DEPTH ("rule") or a
+    # smaller cap.  Reading the side again draws and builds nothing
+    if cap != "rule":
+        monkeypatch.setattr(spl, "MAX_DEPTH", cap)
+    work = _count_walk_work(monkeypatch)
+    for params in (REF_EX, REF_STRICT):
+        for rp in sp.sample_A_points(params, np.random.default_rng(11), 20):
+            sweep = spl._Sweep(params, rp.M)
+            for unstable, draw, which in (
+                    (True, "apply_inverse", "derivative"),
+                    (False, "apply", "derivative_inverse")):
+                work.clear()
+                _, res, depth = sweep.resolve(unstable, 0)
+                s = -1 if unstable else 1
+                walk = [j for j in sweep.pts if s * j > 0]
+                read = depth if res < spl._TOL else len(walk)
+                assert len(walk) <= spl.MAX_DEPTH
+                assert read == len(walk) and set(work.values()) == {1}
+                assert sum(n for (name, _), n in work.items()
+                           if name == ("_derivative_at", which)) == read
+                ended = s in sweep.ends
+                assert sum(n for (name, _), n in work.items()
+                           if name == (draw,)) == read + ended
+                work.clear()
+                assert sweep.resolve(unstable, 0)[2] == depth and not work
 
 
 @pytest.mark.parametrize("depth", [3, 6, 7])
 @pytest.mark.parametrize("block", ["rule", spl.MAX_DEPTH])
 def test_a_failing_draw_raises_only_when_the_scan_reaches_it(monkeypatch,
                                                               block, depth):
-    # the stable side of this point resolves at depth 6, the block size on
-    # REF_EX: a draw failing at depth 7 of a longer block is dropped
+    # the stable side of this point resolves at depth 6: a draw failing
+    # at depth 7 is never reached, one at depth 6 or earlier raises.  The
+    # stacked carry agrees, whether its block (6 by its rule) ends at
+    # the resolving depth or runs past the failure
     m = sp.sample_A_points(REF_EX, np.random.default_rng(11), 1)[0].M
     frame = direction_field(REF_EX, m)
     assert frame.depth_b == 6 and frame.residual_s < spl._TOL
-    if block != "rule":
-        monkeypatch.setattr(spl, "_carry_block", lambda params: block)
+    block = None if block == "rule" else block
     walk = [m, *mc.iterates(REF_EX, m, depth, True)]
+
+    def outcomes():
+        return [_field_outcome(field, REF_EX, m) for field in (
+            direction_field, _scalar_direction_field,
+            lambda p, m: _reference_direction_field(p, m, block))]
 
     # the image walk breaks where it would draw walk[depth]
     forward = mc.apply
@@ -451,24 +497,90 @@ def test_a_failing_draw_raises_only_when_the_scan_reaches_it(monkeypatch,
         return forward(params, p)
 
     monkeypatch.setattr(mc, "apply", breaking)
-    outcome = _field_outcome(direction_field, REF_EX, m)
-    assert outcome == _field_outcome(_scalar_direction_field, REF_EX, m)
-    assert isinstance(outcome, str) == (depth <= 6)
+    new, scalar, stacked = outcomes()
+    assert scalar == stacked and isinstance(new, str) == (depth <= 6)
+    if isinstance(new, str):
+        assert new == scalar
+    else:
+        _fields_close(REF_EX, [m])
     monkeypatch.setattr(mc, "apply", forward)
 
     # the derivative drawn first at ``depth`` is the one at walk[depth - 1]
-    inverse = mc.jacobian_inverse
+    table = mc._derivative_at
 
-    def failing(params, p):
-        if p == walk[depth - 1]:
+    def failing(params, p, which):
+        if which == "derivative_inverse" and p == walk[depth - 1]:
             raise OutOfDomain(f"no inverse derivative at {p}")
-        return inverse(params, p)
+        return table(params, p, which)
 
-    monkeypatch.setattr(mc, "jacobian_inverse", failing)
-    monkeypatch.setattr(spl, "jacobian_inverse", failing)
-    outcome = _field_outcome(direction_field, REF_EX, m)
-    assert outcome == _field_outcome(_scalar_direction_field, REF_EX, m)
-    assert isinstance(outcome, str) == (depth <= 6)
+    monkeypatch.setattr(mc, "_derivative_at", failing)
+    monkeypatch.setattr(spl, "_derivative_at", failing)
+    new, scalar, stacked = outcomes()
+    assert scalar == stacked and isinstance(new, str) == (depth <= 6)
+    if isinstance(new, str):
+        assert new == scalar
+    else:
+        _fields_close(REF_EX, [m])
+
+
+def _exact_product(mats):
+    """The product of 2 x 2 float matrices in exact rationals."""
+    P = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for (d00, d01), (d10, d11) in mats:
+        d = [[Fraction(d00), Fraction(d01)], [Fraction(d10), Fraction(d11)]]
+        P = [[P[r][0] * d[0][c] + P[r][1] * d[1][c] for c in (0, 1)]
+             for r in (0, 1)]
+    return P
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_the_walk_products_are_the_exact_products(monkeypatch, params):
+    # each P_k of a walk is the exact product of the walk's derivatives
+    # times a power of two, to k roundings per entry of the largest one
+    monkeypatch.setattr(spl, "_TOL", 0.0)
+    checked = 0
+    for rp in sp.sample_A_points(params, np.random.default_rng(5), 4):
+        sweep = spl._Sweep(params, rp.M)
+        for unstable in (True, False):
+            s, mats = (-1 if unstable else 1), []
+            for k, (z, P) in enumerate(sweep.products(unstable, 0), 1):
+                mats.append(spl._derivative_at(
+                    params, sweep.point(s * k if unstable else s * k - 1),
+                    "derivative" if unstable else "derivative_inverse"))
+                assert z == sweep.point(s * k)
+                exact = [float(v) for row in _exact_product(mats) for v in row]
+                top = max(map(abs, exact))
+                scale = max(map(abs, P)) / top
+                assert abs(math.log2(scale) - round(math.log2(scale))) \
+                    <= 8 * k * 2.0 ** -52
+                for got, want in zip(P, exact):
+                    assert abs(got - scale * want) <= 4 * k * 2.0 ** -52 \
+                        * scale * top
+                checked += 1
+    assert checked >= 20
+
+
+def test_the_product_stays_in_range_over_a_full_walk(monkeypatch):
+    # at the fixed points of REF_STRICT each step scales P by sigma = 1e5
+    # in one entry: unscaled, the cone's products pass the float range
+    # within the 60 steps of MAX_DEPTH (sigma^120 > 1e308).  Rescaled,
+    # every depth is read, with finite residuals down to 0, and the axes
+    # stay exact
+    monkeypatch.setattr(spl, "_TOL", 0.0)
+    p = REF_STRICT
+    unscaled = p.sigma ** spl.MAX_DEPTH
+    assert unscaled * unscaled == math.inf
+    for m in ((0.0, 0.0), (1.0, 1.0)):
+        sweep = spl._Sweep(p, m)
+        for unstable in (True, False):
+            products = list(sweep.products(unstable, 0))
+            assert len(products) == spl.MAX_DEPTH
+            for _, P in products:
+                assert 1e-100 <= max(map(abs, P)) <= 1e100 * p.sigma
+        frame = sweep.frame(0)
+        assert frame.e_u.tolist() == [0.0, 1.0]
+        assert frame.e_s.tolist() == [1.0, 0.0]
+        assert frame.residual == 0.0 and 1 < frame.depth_u < spl.MAX_DEPTH
 
 
 def _scalar_cone_return(params, m):
@@ -541,9 +653,10 @@ def _same_floats(a, b) -> bool:
 
 
 def test_stacked_blas_forms_equal_the_per_vector_calls():
-    # The cone carriers and the distortion probe rely on these stacked
-    # forms giving the floats of the per-vector calls; a numpy or BLAS
-    # change that breaks it fails here rather than moving the pins.
+    # The stacked cone reference (tests/reference.py) and the distortion
+    # probe rely on these stacked forms giving the floats of the
+    # per-vector calls; a numpy or BLAS change that breaks it fails here
+    # rather than moving the pins.
     rng = np.random.default_rng(17)
     k = 10000
 
