@@ -1005,7 +1005,7 @@ def leaf_digest(params, seed=20261020, count=6):
     return (*_row_digests(rows), tables, extended)
 
 
-LEAF_PINS = {"ex": "99050abb6e474c32", "strict": "911ee89e9444b4e4"}
+LEAF_PINS = {"ex": "030fe33a9e4d9d96", "strict": "195250c4da05d152"}
 #: One digest and one table of values (``_tabulate``) per function.
 LEAF_FUNCTION_PINS = {
     "ex": {
@@ -1117,12 +1117,12 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
         )),
-        "unstable_invariance_defect": ("eb4d7c6bafba0fe0", (
+        "unstable_invariance_defect": ("765dcd80ed64c20d", (
             (1.3877787807814457e-17,),
             (8.758247326225039e-10,),
             (1.177225469957612e-09,),
-            (0.0022339286607889913,),
-            (0.006588426666166767,),
+            (9.706434087490766e-10,),
+            (7.910947481806613e-10,),
             (1.3877787807814457e-17,),
         )),
         "stable_invariance_defect": ("da8b76f62c911bed", (
@@ -1258,12 +1258,12 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
         )),
-        "unstable_invariance_defect": ("2f95420a6eb62124", (
+        "unstable_invariance_defect": ("f9571ae83fc25cdc", (
             (0.0,),
             (0.0,),
-            (6.101739969211822e-10,),
-            (6.701733968550752e-10,),
-            (6.701739968490745e-10,),
+            (8.470329472543003e-22,),
+            (1.0339757656912846e-25,),
+            (1.0339757656912846e-25,),
             (0.0,),
         )),
         "stable_invariance_defect": ("9a35aa7903798842", (

@@ -487,6 +487,29 @@ def test_stable_invariance_defect():
     assert mf.stable_invariance_defect(REF_STRICT, rp.M) <= 1e-6
 
 
+def test_invariance_defect_is_measured_inside_the_square(monkeypatch):
+    # at this point of a seed-1 benchmark round, just above the bottom
+    # edge, the local unstable leaf at F(M) reaches below y = 0, where
+    # the mapped leaf of M is clipped to the square; over the whole leaf
+    # the defect read that overhang, 2.2e-3
+    m = (0.6590961196461185, 0.0010911611885486138)
+    anchor = mf._Chain(REF_EX, m, "stable")[1][0]
+    assert mf.local_unstable(REF_EX, anchor).points[:, 1].min() < -2e-3
+    assert mf.unstable_invariance_defect(REF_EX, m) < 2e-9
+    # a leaf at F(M) with no point in the square has nothing to measure
+    local = mf._local_manifold
+
+    def shifted(params, chain):
+        leaf = local(params, chain)
+        if chain.m != m:
+            leaf.points = leaf.points + 2.0
+        return leaf
+
+    monkeypatch.setattr(mf, "_local_manifold", shifted)
+    with pytest.raises(mf.NoConvergence, match="outside the square"):
+        mf.unstable_invariance_defect(REF_EX, m)
+
+
 @pytest.mark.parametrize("kind", ["unstable", "stable"])
 def test_invariance_defect_refuses_a_lost_leaf(monkeypatch, kind):
     # a mapped leaf with no piece left in the square is a typed failure
