@@ -6,9 +6,9 @@ cone of aperture ``chi0 / (2*c*l(M))`` around the vertical axis, where
 ``chi0 = 4``.  Away from A a fixed vertical cone of slope ``1/sqrt(3)``
 is used.  Direction fields are computed by pushing these cones along
 finite orbit segments (power iteration through a running product of the
-derivatives) together with an explicit residual certificate: the residual bounds the
-angle between the reported direction and anything else surviving in the
-pushed cone.
+derivatives) together with an explicit residual certificate: the
+residual bounds the angle between the reported direction and anything
+else surviving in the pushed cone.
 
 Frames come from sweeps (:class:`_Sweep`).  A sweep holds one float
 orbit through a point m, drawn lazily both ways and shared by every
@@ -226,9 +226,10 @@ class _Sweep:
     of m, so ``frame(0)`` is ``direction_field(m)``.  Elsewhere one side
     reads the orbit behind z_j, toward m, and in floats f(z_(j-1)) need
     not be z_j, so that side moves by rounding against
-    ``direction_field(z_j)``.  ``mats[unstable]`` keeps the derivatives
-    of a side's walks by orbit index, built once each: the frames of a
-    chain read the same walk points.
+    ``direction_field(z_j)``.  ``mats[unstable]`` keeps, by orbit index,
+    the derivatives of a side's walks and the apertures of the start
+    cones there, built once each: the frames of a chain read the same
+    walk points.
 
     The sweep does not bring e_u at a ``REF_EX`` A-point down to
     ``_TOL``: it reads the same backward orbit as ``direction_field``,
@@ -280,14 +281,15 @@ class _Sweep:
 
     def products(self, unstable: bool, t):
         """The walk of z_t with its derivative products, lazily: for
-        depth k = 1, 2, ..., at most ``MAX_DEPTH``, the walk point
-        z_(t+sk) and P_k, the product of the derivatives that carry a
-        vector from z_(t+sk) to z_t, as four floats (p00, p01, p10, p11).
+        depth k = 1, 2, ..., at most ``MAX_DEPTH``, the aperture of the
+        start cone at the walk point z_(t+sk) (:func:`_cone_slope`) and
+        P_k, the product of the derivatives that carry a vector from
+        z_(t+sk) to z_t, as four floats (p00, p01, p10, p11).
 
         The walk goes to the preimages (s = -1) for e_u, to the images
         (s = +1) for e_s.  P_k is P_(k-1) times the derivative at the new
-        walk point, read from ``mats`` or built there from the
-        :data:`~horseshoe.map_core.BRANCHES` formula.  Whenever the
+        walk point, built from the :data:`~horseshoe.map_core.BRANCHES`
+        formula and kept in ``mats`` with the aperture.  Whenever the
         largest entry of P_k leaves [1e-100, 1e100], P_k is rescaled by
         a power of two, which is exact.  The walk stops at the orbit's
         end; a step that failed (a draw, or a derivative) raises its
@@ -308,15 +310,16 @@ class _Sweep:
             if d is None:
                 (d00, d01), (d10, d11) = _derivative_at(
                     params, pts[i if unstable else i - 1], which)
-                d = mats[i] = (d00, d01, d10, d11)
-            d00, d01, d10, d11 = d
+                d = mats[i] = (d00, d01, d10, d11,
+                               _cone_slope(params, pts[i], unstable))
+            d00, d01, d10, d11, slope = d
             p00, p01, p10, p11 = (p00 * d00 + p01 * d10, p00 * d01 + p01 * d11,
                                   p10 * d00 + p11 * d10, p10 * d01 + p11 * d11)
             big = max(abs(p00), abs(p01), abs(p10), abs(p11))
             if not 1e-100 <= big <= 1e100:
                 f = math.ldexp(1.0, -math.frexp(big)[1])
                 p00, p01, p10, p11 = p00 * f, p01 * f, p10 * f, p11 * f
-            yield pts[i], (p00, p01, p10, p11)
+            yield slope, (p00, p01, p10, p11)
 
     def resolve(self, unstable: bool, t):
         """(unit vector, residual, depth) of the side ``unstable`` at
@@ -328,19 +331,18 @@ class _Sweep:
         axis vector of the depth returned is normalised.  A step that
         failed raises its error only when no earlier depth has a residual
         below ``_TOL``."""
-        params = self.params
         best, best_res, axis, k = 0, math.inf, None, 0
-        for k, (z, P) in enumerate(self.products(unstable, t), 1):
-            a0, a1, res = _cone(_cone_slope(params, z, unstable), unstable,
-                                *P)
+        for k, (slope, P) in enumerate(self.products(unstable, t), 1):
+            a0, a1, res = _cone(slope, unstable, *P)
             if res < best_res:
                 best, best_res, axis = k, res, (a0, a1)
             if res < _TOL:
                 break
         if k == 0:
             # the walk is empty: the start cone at z_t itself
-            a0, a1, res = _cone(_cone_slope(params, self.pts[t], unstable),
-                                unstable, 1.0, 0.0, 0.0, 1.0)
+            a0, a1, res = _cone(
+                _cone_slope(self.params, self.pts[t], unstable), unstable,
+                1.0, 0.0, 0.0, 1.0)
             return _unit((a0, a1)), res, 0
         if best == 0:
             return None, math.inf, 0
@@ -367,12 +369,13 @@ def direction_field(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     Each side walks its orbit lazily (preimages for e_u, images for
     e_s), at most ``MAX_DEPTH`` steps and only as deep as the residual
     needs to drop below ``_TOL``, as one scan of the running product of
-    the walk's derivatives in Python floats (:meth:`_Sweep.resolve`).  A walk that ends first leaves the
-    direction less resolved: on ``REF_EX`` the backward walk of an
-    A-point ends after 3 to 5 preimages, so e_u there is resolved only to
-    a residual of about 2e-10 to 3e-6, from the deepest preimage
-    (``depth_u`` is the walk's length).  ``residual_u`` and
-    ``residual_s`` state what each side reached.
+    the walk's derivatives in Python floats (:meth:`_Sweep.resolve`).
+    A walk that ends first leaves the direction less resolved: on
+    ``REF_EX`` the backward walk of an A-point ends after 3 to 5
+    preimages, so e_u there is resolved only to a residual of about
+    2e-10 to 3e-6, from the deepest preimage (``depth_u`` is the walk's
+    length).  ``residual_u`` and ``residual_s`` state what each side
+    reached.
     """
     return _Sweep(params, m).frame(0)
 
