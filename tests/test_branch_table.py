@@ -344,7 +344,7 @@ def _record(rows, fn, *args, **kw):
 VALUED = ("kergodic_apply", "kergodic_derivative", "us_ball",
           "local_unstable", "local_stable", "global_unstable",
           "global_stable", "unstable_invariance_defect",
-          "stable_invariance_defect", "bracket")
+          "stable_invariance_defect", "bracket", "lyapunov")
 
 
 def _numbers(v) -> list:
@@ -746,7 +746,11 @@ ORBIT_WALK_FUNCTION_PINS = {
         )),
         "mixing_times": "68c979d98391a57b",
         "_tangency_pairs": "094308dddf8f3843",
-        "lyapunov": "b0a1e772069de66d",
+        "lyapunov": ("b0a1e772069de66d", (
+            (-2.5191996690245086, 1.7775002430941684),
+            "OrbitEscapes 20 forward",
+            "OrbitEscapes 5 backward",
+        )),
         "sample_nonescaping_points": "504fd1c39980ad7c",
     },
     "strict": {
@@ -946,7 +950,11 @@ ORBIT_WALK_FUNCTION_PINS = {
         )),
         "mixing_times": "63e0e7e81ecdd3a2",
         "_tangency_pairs": "485dafb9b385049b",
-        "lyapunov": "e674b994a8b6ec40",
+        "lyapunov": ("e674b994a8b6ec40", (
+            (-10.920018914216177, 11.517931416482442),
+            "OrbitEscapes 4 forward",
+            "OrbitEscapes 4 backward",
+        )),
         "sample_nonescaping_points": "2bc7a04e3bb344fe",
     },
 }
