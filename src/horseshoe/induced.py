@@ -50,8 +50,8 @@ import numpy as np
 
 from . import map_core as mc
 from .map_core import (MapParams, Region, Certificate, classify, apply,
-                       jacobian, parabola_offset, in_A, OutOfDomain,
-                       OrbitEscapes, NoReturn)
+                       parabola_offset, in_A, OutOfDomain, OrbitEscapes,
+                       NoReturn, _derivative_at)
 from .splitting import SplitFrame, direction_field, adapted_norm
 from . import sampling as sp
 
@@ -180,8 +180,9 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
     Inside A both radii are rho*C3*l(M).  Between two A-visits the radii
     are rho*C3*t_u and rho*C3*t_s, where t_u carries the unstable growth
     since the last visit (capped at 1/3) and t_s the stable contraction
-    until the next one, each :func:`~horseshoe.map_core.log_growth` over
-    the derivatives of the walk; missing visits fall back to the 1/3 cap.
+    until the next one, each the ln growth of the product of the walk's
+    derivatives (:func:`~horseshoe.map_core._log_growth`); missing visits
+    fall back to the 1/3 cap.
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
@@ -197,15 +198,12 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
         except NoReturn:
             return cap
         fr = direction_field(params, chain[-1])
-        if unstable:
-            # chain runs m <- ... <- visit; push e_u forward along it.
-            lg = mc.log_growth((jacobian(params, p) for p in chain[:0:-1]),
-                               fr.e_u)
-        else:
-            # chain runs m -> ... -> visit; pull e_s back along it.
-            lg = mc.log_growth((mc.jacobian_inverse(params, p)
-                                for p in chain[-2::-1]), fr.e_s)
-        val = math.log(fr.l) + lg
+        # the chain runs m <- ... <- visit: push e_u forward along it;
+        # or m -> ... -> visit: pull e_s back along it
+        which, walk, v = (("derivative", chain[1:], fr.e_u) if unstable
+                          else ("derivative_inverse", chain[:-1], fr.e_s))
+        val = math.log(fr.l) + mc._log_growth(
+            (_derivative_at(params, p, which) for p in walk), v)
         return cap if val >= math.log(cap) else math.exp(val)
 
     return PolygonalBall(m, frame, rho * cert.C3 * capped(True),
@@ -218,12 +216,8 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
 
 def chart(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     """The chart at ``m``: the splitting there, whose basis scales both
-    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes.
-
-    The chart axes are only as exact as :func:`direction_field` resolves
-    them: on ``REF_EX`` the e_u axis at an A-point has a residual of
-    about 2e-10 to 3e-6 (its backward walk ends after 3 to 5 preimages),
-    above the ``splitting._TOL`` that ends a carry."""
+    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes.  The
+    axes are only as exact as :func:`direction_field` resolves them."""
     return _as_chart(direction_field(params, m))
 
 
@@ -247,20 +241,19 @@ def kergodic_apply(params: MapParams, chart_m: SplitFrame,
 def kergodic_derivative(params: MapParams, chart_m: SplitFrame,
                         chart_fm: SplitFrame, k: int,
                         xi=(0.0, 0.0)) -> np.ndarray:
-    """DF-hat at ``xi`` by transporting the chart basis exactly."""
-    jac, _ = _transport(params, chart_m.to_plane(xi), k)
-    return chart_fm.inv_basis @ jac @ chart_m.basis
-
-
-def _transport(params: MapParams, p, k: int):
-    """(derivative of f^k at p, f^k(p)); raises OutOfDomain when the
-    orbit leaves the branches (the derivative at the last iterate that
-    exists is undefined)."""
-    pts = [p, *mc.iterates(params, p, k)]
-    jac = np.eye(2)
-    for q in pts[:k]:
-        jac = jacobian(params, q) @ jac
-    return jac, pts[k]
+    """DF-hat at ``xi``: D_k ... D_1 along the orbit, read from the chart
+    at M to the chart at F(M) = f^k(M); raises OutOfDomain when the orbit
+    leaves the branches within k steps.  The carrier
+    (:func:`~horseshoe.map_core._product`) multiplies on the right, so it
+    takes D_1^T, ..., D_k^T and gives the transpose: each step multiplies
+    onto the last as :func:`distortion_probe`'s lanes do, same floats."""
+    start = chart_m.to_plane(xi)
+    pts = [start, *mc.iterates(params, start, k)]
+    t00, t01, t10, t11, e = mc._product(
+        ((d00, d10), (d01, d11)) for (d00, d01), (d10, d11)
+        in (_derivative_at(params, q, "derivative") for q in pts[:k]))
+    return np.ldexp(chart_fm.inv_basis @ np.array([[t00, t10], [t01, t11]])
+                    @ chart_m.basis, e)
 
 
 # ---------------------------------------------------------------------------

@@ -4,35 +4,27 @@ Local stable/unstable manifolds are computed as Lipschitz graphs over the
 adapted chart axes: the classical graph transform is iterated along a
 chain of hyperbolic orbit blocks, seeded with the flat graph at the deep
 end of the chain, until the sup-distance between successive pullbacks
-drops below tolerance.  Blocks are chosen greedily: each is the shortest
-run of f-steps that expands the chart axis by at least ``_MU_MIN``.  At
-the default ``_MU_MIN = 2`` that is nearly always one plain step, since
-the charts are rescaled by l and a single step already expands enough:
-in a seed-1 ``analysis`` benchmark round, 1,717 of the 1,735 blocks
-built are one step and the other 18 (all on unstable chains) two.  The
-chain is thus the plain orbit, not a chain of induced steps.
+drops below tolerance.  Blocks are chosen greedily (:func:`_next_anchor`):
+each is the shortest run of f-steps that expands the chart axis by at
+least ``_MU_MIN``.  Since the charts are rescaled by l, that is nearly
+always one plain step (1,717 of 1,735 blocks in a seed-1 ``analysis``
+round), so the chain is the plain orbit, not a chain of induced steps.
 
 The blocks of a point form its anchor chain, built lazily once per
 query: every radius of a local leaf, the base leaf of a global leaf (the
 chain's tail) and a bracket with its extension read the same chain.
 Each block keeps the branch itinerary of the walk that found it, and the
-graph transform maps along that itinerary, so each block's orbit is
-walked once.  A chain charts every point it walks, and takes the charts
-from one sweep of its first point's orbit (``splitting._Sweep``): the
-orbit is drawn once, the derivatives along it are built once per point
-and side, and each chart scans the running products of its own walks,
-so a leaf query charts each chain point once and builds fewer
-derivatives than a ``direction_field`` per point would.  In a seed-1
-``analysis`` query pass, 262 of 309 chains stop at their second anchor,
-so most leaves take 3 charts.  The chart at the chain's first point is
-``direction_field`` there, bit for bit; at the others, one side reads
-the chain's own points, where f(f^-1(M)) need not be M in floats, so
-it may move by rounding (over the chains of 40 sampled A-points, three
-anchors deep: 105 of 314 ``REF_EX`` charts, by 2.2e-16 rad at most,
-and no ``REF_STRICT`` chart).
-The three chains of an invariance defect share one chart per point,
-however many of their walks pass it, so M and its anchor are charted
-once; the two that start at M share one sweep.
+graph transform maps along it.  A chain charts every point it walks from
+one sweep of its first point's orbit (``splitting._Sweep``): the orbit
+is drawn once, its derivatives are built once per point and side, and
+the charts and the blocks read the running products of the same walks.
+The chart at the chain's first point is ``direction_field`` there, bit
+for bit; at the others, one side reads the chain's own points, where
+f(f^-1(M)) need not be M in floats, so it may move by rounding (over 40
+sampled A-points, three anchors deep: 105 of 314 ``REF_EX`` charts, by
+2.2e-16 rad at most, and no ``REF_STRICT`` chart).  The three chains of
+an invariance defect share one chart per point; the two that start at M
+share one sweep.
 
 A local leaf's radius ladder (``_RHO`` * C3, halved down to
 ``RHO_MIN``) is tried lazily: the first radius alone, and after its
@@ -79,8 +71,8 @@ Both kernels take ``_BLOCK`` point-segment or segment pairs at a time,
 so a temporary stays within 256 KB unless one polyline is longer.
 
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
-``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_ANCHOR_CAP``, ``_SEG_LEN``,
-``_MAX_RESAMPLE``, ``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
+``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_SEG_LEN``, ``_MAX_RESAMPLE``,
+``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
 ``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``, ``_PARALLEL``,
 ``_PARALLEL_REACH``, ``_TINY_SEG``, ``_PASSAGES``, ``_EPS1``,
 ``_VERTICAL_POINTS``, ``_RHO``, ``_MIXING_BUDGET`` and
@@ -98,7 +90,7 @@ import numpy as np
 from . import map_core as mc
 from .map_core import (MapParams, Region, classify, default_certificate,
                        OutOfDomain)
-from .splitting import SplitFrame, length_scale, _Sweep
+from .splitting import MAX_DEPTH, SplitFrame, length_scale, _Sweep
 from .induced import _bisect_edge, _as_chart
 
 GRID_POINTS = 257
@@ -106,7 +98,6 @@ RHO_MIN = 2.0 ** -20
 _TOL = 1e-10        # sup distance of two pullbacks that ends a local leaf
 _MAX_DEPTH = 60     # pullback blocks a local leaf may use
 _MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
-_ANCHOR_CAP = 2000  # orbit steps searched for one block
 _SEG_LEN = 1e-3     # longest segment of a resampled global leaf
 _MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
 _MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
@@ -348,48 +339,46 @@ def _next_anchor(chain: "_Chain"):
     (to) it expands the relevant chart axis by at least ``_MU_MIN``, with
     its chart, the block's branch itinerary and its orbit index.
 
-    An unstable chain walks preimages (the pullback chain), a stable one
-    images.  The walk reads the points of the chain's sweep, and the
-    block's derivative rides along it, so a block of j steps costs j
-    Jacobians; every point walked is charted (``_Chain.chart``).  The
-    itinerary is read from the regions the walk classifies, in forward
-    order: those of the last anchor and its first j - 1 images, or of
-    the j preimages from the farthest one."""
+    An unstable chain walks preimages, a stable one images, at most
+    ``MAX_DEPTH`` steps, reading the points and derivative products of
+    the chain's sweep from the last anchor (the e_u or e_s side of
+    ``_Sweep.products``).  A block's product P carries vectors from its
+    last point to the anchor, so chart_m.inv_basis @ P @ ch.basis is its
+    chart derivative (the inverse one for a stable chain): the block
+    expands when the norm of the unstable (stable) column, times 2^e,
+    reaches ``_MU_MIN``.  Every point walked is charted
+    (``_Chain.chart``).  The itinerary is read from the regions the walk
+    classifies, in forward order: those of the last anchor and its first
+    j - 1 images, or of the j preimages from the farthest one."""
     params, sweep = chain.params, chain.sweep
     forward = chain.kind == "stable"
     direction, s = ("forward", 1) if forward else ("backward", -1)
     m, chart_m, _ = chain.entries[-1]
     base = chain.index[-1]
-    jac, prev, j = np.eye(2), m, 0
+    (i00, i01), (i10, i11) = chart_m.inv_basis.tolist()
     regions = [classify(params, m)] if forward else []
-    while j < _ANCHOR_CAP:
-        cur = sweep.point(base + s * (j + 1))
-        if cur is None:
-            break
-        j += 1
+    j = 0
+    for j, (p00, p01, p10, p11, e) in enumerate(
+            sweep.products(not forward, base), 1):
+        cur = sweep.pts[base + s * j]
         regions.append(classify(params, cur))
         if regions[-1] not in mc.ACTIVE_REGIONS:
             raise Unsupported(f"{direction} orbit of {m} leaves the active "
                               f"regions at step {j}")
-        # D f^j at the block's first point
-        jac = mc.jacobian(params, prev) @ jac if forward \
-            else jac @ mc.jacobian(params, cur)
-        prev = cur
         try:
             ch = chain.chart(base + s * j)
-            if forward:
-                d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
-            else:
-                d = (chart_m.inv_basis @ jac @ ch.basis)[:, 0]
-        except (OutOfDomain, np.linalg.LinAlgError):
+        except OutOfDomain:
             continue
-        if np.linalg.norm(d) >= _MU_MIN:
+        b0, b1 = ch.basis[:, int(forward)].tolist()
+        v0, v1 = p00 * b0 + p01 * b1, p10 * b0 + p11 * b1
+        if math.hypot(i00 * v0 + i01 * v1, i10 * v0 + i11 * v1) \
+                >= math.ldexp(_MU_MIN, -e):
             return cur, ch, tuple(regions[:j] if forward
                                   else reversed(regions)), base + s * j
-    if j < _ANCHOR_CAP:
+    if j < MAX_DEPTH:
         raise Unsupported(f"{direction} orbit of {m} has no image at step "
                           f"{j + 1}")
-    raise Unsupported(f"no hyperbolic block within {_ANCHOR_CAP} {direction} "
+    raise Unsupported(f"no hyperbolic block within {MAX_DEPTH} {direction} "
                       f"steps of {m}")
 
 

@@ -34,8 +34,10 @@ anchor blocks of the leaves are built on it: no other module steps the
 map by hand.  A walk's branch itinerary is read from the points it
 visits, so no segment is walked twice to learn it.
 Many points at once take one step per call of :func:`step_arrays`, each
-on its own branch.  Growth along an orbit is measured in one place too,
-:func:`log_growth`, over the derivatives of the walk.
+on its own branch.  Derivatives along a walk are multiplied in one place
+too, :func:`_scaled_products`, as four floats and a power of two: frames,
+leaf blocks, DF-hat, cone returns, us-balls and Lyapunov exponents read
+it, and growth is ln|mantissa v| + e ln 2 (:func:`_log_growth`).
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ __all__ = [
     "jacobian_inverse",
     "step_arrays",
     "iterates",
-    "log_growth",
     "first_return",
     "float_range_steps",
     "leave_r1",
@@ -281,8 +282,10 @@ class Branch:
     """One branch of the map.
 
     ``strip`` and ``column`` give the source strip's y-range and the image
-    band's x-range for a parameter set.  ``symbols`` are the coding
-    symbols of the image band, left to right: the parabolic band R4' is
+    band's x-range for a parameter set (R4's is the float image of its
+    strip's edges, which q -/+ w_max may miss by an ulp).  ``symbols``
+    are the coding symbols of the image band, left to right: the
+    parabolic band R4' is
     split at the fold abscissa q into a left wing (2) and a right wing
     (1), and is also bounded by its offset, 0 <= parabola_offset <= lam.
     A ``floor`` band does not reach down to y = 0: it starts at the image
@@ -333,7 +336,8 @@ BRANCHES = (
                                                (0, -1 / p.sigma))),
     Branch(Region.R4, Region.GAP34_LOWER, (2, 1),
            strip=lambda p: (p.t - p.h, p.t + p.h),
-           column=lambda p: (p.q - p.w_max, p.q + p.w_max),
+           column=lambda p: (_r4_forward(p, 0, p.t - p.h)[0],
+                             _r4_forward(p, 0, p.t + p.h)[0]),
            forward=_r4_forward,
            inverse=lambda p, x, y: (parabola_offset(p, (x, y)) / p.lam,
                                     p.t + (x - p.q) / p.sigma),
@@ -527,17 +531,38 @@ def iterates(params: MapParams, p, n: int, forward: bool = True):
         yield p
 
 
-def log_growth(mats, v) -> float:
-    """Summed ln growth of ``v`` carried through the matrices ``mats`` in
-    turn, renormalized each step: the one growth rate of the package."""
-    v = np.asarray(v, dtype=float)
-    total = 0.0
-    for a in mats:
-        v = a @ v
-        norm = float(np.linalg.norm(v))
-        total += math.log(norm)
-        v /= norm
-    return total
+def _scaled_products(rows):
+    """The running products P_k = D_1 ... D_k of the derivatives ``rows``
+    (pairs of rows, as :data:`BRANCHES` gives them), lazily, as (p00, p01,
+    p10, p11, e): P_k = 2^e ((p00, p01), (p10, p11)).  When the largest
+    float leaves [1e-100, 1e100], a power of two rescales them exactly
+    into [1/2, 1), so P_k stays in range however long the walk."""
+    p00, p01, p10, p11, e = 1.0, 0.0, 0.0, 1.0, 0
+    for (d00, d01), (d10, d11) in rows:
+        p00, p01, p10, p11 = (p00 * d00 + p01 * d10, p00 * d01 + p01 * d11,
+                              p10 * d00 + p11 * d10, p10 * d01 + p11 * d11)
+        big = max(abs(p00), abs(p01), abs(p10), abs(p11))
+        if not 1e-100 <= big <= 1e100:
+            x = math.frexp(big)[1]
+            f = math.ldexp(1.0, -x)
+            p00, p01, p10, p11, e = p00 * f, p01 * f, p10 * f, p11 * f, e + x
+        yield p00, p01, p10, p11, e
+
+
+def _product(rows) -> tuple:
+    """The whole product of :func:`_scaled_products` (identity if empty)."""
+    P = 1.0, 0.0, 0.0, 1.0, 0
+    for P in _scaled_products(rows):
+        pass
+    return P
+
+
+def _log_growth(rows, v) -> float:
+    """ln|P v| = ln|mantissa v| + e ln 2 for P = :func:`_product`."""
+    p00, p01, p10, p11, e = _product(rows)
+    x, y = float(v[0]), float(v[1])
+    return (math.log(math.hypot(p00 * x + p01 * y, p10 * x + p11 * y))
+            + e * math.log(2.0))
 
 
 def first_return(params: MapParams, m, max_steps: int, forward: bool = True):

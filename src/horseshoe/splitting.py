@@ -22,20 +22,20 @@ a residual drops below ``_TOL``.  :func:`direction_field` is the sweep
 read at m alone, and the leaf chains of :mod:`horseshoe.manifolds` read
 one sweep per chain.
 
-A side's scan keeps the product P_k of its walk's derivatives, P_k =
-P_(k-1) D_k, as four Python floats, with each derivative taken from the
+A side's scan reads the running product P_k of its walk's derivatives,
+P_k = P_(k-1) D_k, from the package's one derivative carrier,
+:func:`~horseshoe.map_core._scaled_products`: four Python floats and a
+power of two, with each derivative taken from the
 :data:`~horseshoe.map_core.BRANCHES` formulas as a pair of rows and kept
 by orbit index, so the frames of a chain build each one once.  The
 depth-k cone is P_k applied to the three unnormalised vectors of the
 start cone at the k-th walk point (its axis and two boundary rays); its
 residual is the larger angle between the axis line and a ray line,
 ``atan2(|a x b|, |a . b|)``, and only the axis of the depth returned is
-normalised.  P_k is rescaled by a power of two whenever its largest
-entry leaves [1e-100, 1e100]: that is exact, and it keeps the cone's
-products in range over all ``MAX_DEPTH`` steps even on ``REF_STRICT``,
-where a step scales P by sigma = 1e5 or more.  A unit vector carried
-through numpy stacks, as ``tests/reference.py`` keeps it, gives the same
-depths and errors, and directions within 1e-15 rad.
+normalised.  The power of two scales the three vectors alike, so the
+cone reads the four floats alone, in range even on ``REF_STRICT``.  A
+unit vector carried through numpy stacks, as ``tests/reference.py`` keeps
+it, gives the same depths and errors, and directions within 1e-15 rad.
 
 A :class:`SplitFrame` is also the chart at its point M: the affine
 coordinates centered at M in the basis (e_u, e_s), both axes scaled by
@@ -55,8 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from . import map_core as mc
-from .map_core import (MapParams, jacobian, jacobian_inverse, in_A,
-                       _derivative_at)
+from .map_core import MapParams, in_A, _derivative_at
 
 CHI0 = 4.0
 DEFAULT_SLOPE = 1.0 / math.sqrt(3.0)
@@ -227,24 +226,21 @@ class _Sweep:
     reads the orbit behind z_j, toward m, and in floats f(z_(j-1)) need
     not be z_j, so that side moves by rounding against
     ``direction_field(z_j)``.  ``mats[unstable]`` keeps, by orbit index,
-    the derivatives of a side's walks and the apertures of the start
-    cones there, built once each: the frames of a chain read the same
-    walk points.
+    the derivatives of a side's walks, and ``slopes[unstable]`` the
+    apertures of the start cones there, built once each: the frames of a
+    chain and its anchor search (``manifolds._next_anchor``) read the
+    same walk points.  On ``REF_EX`` (see :func:`direction_field`) the
+    median e_u residual of 200 sampled A-points is 2.0e-6 at M; frames
+    gain about lam/sigma per image on (6.8e-8, 1.4e-9, then 4.0e-11),
+    and lose at the preimages of M (2.3e-4 one step back)."""
 
-    The sweep does not bring e_u at a ``REF_EX`` A-point down to
-    ``_TOL``: it reads the same backward orbit as ``direction_field``,
-    and that orbit leaves the square after 3 to 5 preimages.  On 200
-    sampled A-points the median e_u residual is 2.0e-6 at M; the frames
-    further on gain about lam/sigma per image (6.8e-8, 1.4e-9, then
-    4.0e-11 < ``_TOL`` three images on), and those of the unstable
-    chain, at the preimages of M, are coarser (2.3e-4 one step back)."""
-
-    __slots__ = ("params", "pts", "edges", "ends", "mats")
+    __slots__ = ("params", "pts", "edges", "ends", "mats", "slopes")
 
     def __init__(self, params: MapParams, m):
         self.params = params
         self.pts, self.edges, self.ends = {0: m}, {1: 0, -1: 0}, {}
         self.mats = {True: {}, False: {}}
+        self.slopes = {True: {}, False: {}}
 
     def extend(self, j) -> None:
         """Draw the orbit toward z_j through ``iterates``, as far as it
@@ -280,24 +276,23 @@ class _Sweep:
         return self.pts[j]
 
     def products(self, unstable: bool, t):
-        """The walk of z_t with its derivative products, lazily: for
-        depth k = 1, 2, ..., at most ``MAX_DEPTH``, the aperture of the
-        start cone at the walk point z_(t+sk) (:func:`_cone_slope`) and
-        P_k, the product of the derivatives that carry a vector from
-        z_(t+sk) to z_t, as four floats (p00, p01, p10, p11).
+        """For depth k = 1, 2, ..., at most ``MAX_DEPTH``, lazily, the
+        product P_k of the derivatives that carry a vector from the walk
+        point z_(t+sk) to z_t, as the carrier
+        :func:`~horseshoe.map_core._scaled_products` yields it."""
+        return mc._scaled_products(self._rows(unstable, t))
 
-        The walk goes to the preimages (s = -1) for e_u, to the images
-        (s = +1) for e_s.  P_k is P_(k-1) times the derivative at the new
-        walk point, built from the :data:`~horseshoe.map_core.BRANCHES`
-        formula and kept in ``mats`` with the aperture.  Whenever the
-        largest entry of P_k leaves [1e-100, 1e100], P_k is rescaled by
-        a power of two, which is exact.  The walk stops at the orbit's
-        end; a step that failed (a draw, or a derivative) raises its
-        error when the walk reaches it."""
+    def _rows(self, unstable: bool, t):
+        """The derivatives of :meth:`products`: the walk goes to the
+        preimages (s = -1) for e_u, to the images (s = +1) for e_s.  Each
+        is built once from the :data:`~horseshoe.map_core.BRANCHES`
+        formula into ``mats``, with its start-cone aperture in
+        ``slopes``.  The walk stops at the orbit's end; a step that failed
+        (a draw, or a derivative) raises its error when reached."""
         s = -1 if unstable else 1
-        params, pts, mats = self.params, self.pts, self.mats[unstable]
+        params, pts = self.params, self.pts
+        mats, slopes = self.mats[unstable], self.slopes[unstable]
         which = "derivative" if unstable else "derivative_inverse"
-        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
         for k in range(1, MAX_DEPTH + 1):
             i = t + s * k
             if i not in pts:
@@ -308,18 +303,10 @@ class _Sweep:
                     return
             d = mats.get(i)
             if d is None:
-                (d00, d01), (d10, d11) = _derivative_at(
+                d = mats[i] = _derivative_at(
                     params, pts[i if unstable else i - 1], which)
-                d = mats[i] = (d00, d01, d10, d11,
-                               _cone_slope(params, pts[i], unstable))
-            d00, d01, d10, d11, slope = d
-            p00, p01, p10, p11 = (p00 * d00 + p01 * d10, p00 * d01 + p01 * d11,
-                                  p10 * d00 + p11 * d10, p10 * d01 + p11 * d11)
-            big = max(abs(p00), abs(p01), abs(p10), abs(p11))
-            if not 1e-100 <= big <= 1e100:
-                f = math.ldexp(1.0, -math.frexp(big)[1])
-                p00, p01, p10, p11 = p00 * f, p01 * f, p10 * f, p11 * f
-            yield slope, (p00, p01, p10, p11)
+                slopes[i] = _cone_slope(params, pts[i], unstable)
+            yield d
 
     def resolve(self, unstable: bool, t):
         """(unit vector, residual, depth) of the side ``unstable`` at
@@ -327,13 +314,17 @@ class _Sweep:
         first whose residual is below ``_TOL``, else the first of smallest
         residual; the cone at z_t itself (depth 0) when the walk from z_t
         is empty.  The cone of depth k is P_k applied to the start cone at
-        the walk point (:meth:`products`, :func:`_cone`), and only the
-        axis vector of the depth returned is normalised.  A step that
-        failed raises its error only when no earlier depth has a residual
-        below ``_TOL``."""
+        the walk point (:meth:`products`, :func:`_cone`; P_k's power of two
+        scales the cone alike, so it is not read), and only the axis vector
+        of the depth returned is normalised.  A step that failed raises its
+        error only when no earlier depth has a residual below ``_TOL``."""
+        s = -1 if unstable else 1
+        slopes = self.slopes[unstable]
         best, best_res, axis, k = 0, math.inf, None, 0
-        for k, (slope, P) in enumerate(self.products(unstable, t), 1):
-            a0, a1, res = _cone(slope, unstable, *P)
+        for k, (p00, p01, p10, p11, _) in enumerate(
+                self.products(unstable, t), 1):
+            a0, a1, res = _cone(slopes[t + s * k], unstable,
+                                p00, p01, p10, p11)
             if res < best_res:
                 best, best_res, axis = k, res, (a0, a1)
             if res < _TOL:
@@ -410,20 +401,25 @@ class ReturnReport:
 
 def _cone_unit_vectors(cone: Cone) -> np.ndarray:
     """Boundary rays plus ``_CONE_SAMPLES`` interior samples of a cone,
-    evenly spaced in angle, as a (``_CONE_SAMPLES`` + 2, 2, 1) stack."""
+    evenly spaced in angle, as the columns of a 2 x (``_CONE_SAMPLES`` +
+    2) array."""
     r0, r1 = cone.boundary_rays()
     a0 = math.atan2(r0[1], r0[0])
     a1 = math.atan2(r1[1], r1[0])
     angles = [a0 + (a1 - a0) * i / (_CONE_SAMPLES + 1)
               for i in range(_CONE_SAMPLES + 2)]
-    return np.array([[[math.cos(a)], [math.sin(a)]] for a in angles])
+    return np.array([[math.cos(a) for a in angles],
+                     [math.sin(a) for a in angles]])
 
 
-def _shortest(V: np.ndarray) -> float:
-    """Least Euclidean norm in a (K, 2, 1) stack; NaN norms are passed
-    over, and none but NaNs gives inf."""
-    norms = np.sqrt(V.swapaxes(1, 2) @ V).ravel().tolist()
-    return min([math.inf, *norms])
+def _carry(rows, cone: Cone):
+    """The cone's unit vectors through the mantissa of the product of
+    ``rows`` (:func:`~horseshoe.map_core._product`), and their least
+    true norm, times 2^e (inf past the float range)."""
+    p00, p01, p10, p11, e = mc._product(rows)
+    V = np.array([[p00, p01], [p10, p11]]) @ _cone_unit_vectors(cone)
+    with np.errstate(over="ignore"):
+        return V, float(np.ldexp(np.hypot(*V).min(), e))
 
 
 def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnReport:
@@ -433,25 +429,23 @@ def verify_cone_return(params: MapParams, m: tuple[float, float]) -> ReturnRepor
     the return point, expanding every cone vector by at least
     sigma^(n/2); symmetrically the stable cone at the return point must
     pull back into the stable cone at M, with backward growth at least
-    lam^(-n/2).  The cone vectors go as one stack, through one
-    derivative per orbit point.
+    lam^(-n/2).  Each side multiplies its derivatives along the orbit
+    once (:func:`~horseshoe.map_core._scaled_products`) and applies the
+    product to the stack of cone vectors.
     """
     mc._require_A(params, m)
     n, pts = mc.first_return(params, m, _RETURN_CAP)
-    jacs = [jacobian(params, p) for p in pts[:-1]]
 
-    V = _cone_unit_vectors(unstable_cone(params, m))
-    for jac in jacs:
-        V = jac @ V
-    inclusion = unstable_cone(params, pts[-1]).contains(V[:, :, 0])
-    min_exp = _shortest(V)
+    V, min_exp = _carry((_derivative_at(params, p, "derivative")
+                         for p in reversed(pts[:-1])),
+                        unstable_cone(params, m))
+    inclusion = unstable_cone(params, pts[-1]).contains(V.T)
     bound_u = params.sigma ** (n / 2.0)
 
-    V = _cone_unit_vectors(stable_cone(params, pts[-1]))
-    for p in reversed(pts[:-1]):
-        V = jacobian_inverse(params, p) @ V
-    inclusion = stable_cone(params, m).contains(V[:, :, 0]) and inclusion
-    min_con = _shortest(V)
+    V, min_con = _carry((_derivative_at(params, p, "derivative_inverse")
+                         for p in pts[:-1]),
+                        stable_cone(params, pts[-1]))
+    inclusion = stable_cone(params, m).contains(V.T) and inclusion
     bound_s = params.lam ** (-n / 2.0)
 
     return ReturnReport(M=m, n=n, inclusion=inclusion,

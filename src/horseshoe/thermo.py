@@ -5,8 +5,9 @@ to finite-memory potentials on the full 3-shift; pressure, Gibbs and
 equilibrium measures come from the weighted transfer operator on
 (m-1)-word states, and the equilibrium state is pushed forward to the
 partition atoms.  Lyapunov exponents of orbits close the loop between
-the symbolic and the planar picture (:func:`~horseshoe.map_core.log_growth`
-along an orbit or an affine symbol itinerary).
+the symbolic and the planar picture: ln growth through the derivatives
+along an orbit or an affine symbol itinerary, read from the package's
+one derivative carrier (:func:`~horseshoe.map_core._scaled_products`).
 
 Everything at memory m lives on plain arrays indexed by base-3 word
 codes (most significant digit first), so the operator applications are
@@ -27,8 +28,7 @@ import numpy as np
 from . import coding
 from . import map_core as mc
 # ``apply`` is unused: perfbench/smoke.py checks its tracer rebinds it here
-from .map_core import (MapParams, OrbitEscapes, apply, jacobian,
-                       jacobian_inverse)
+from .map_core import MapParams, OrbitEscapes, apply, _derivative_at
 
 #: The affine branches by the coding symbol of their image band.
 _AFFINE = {br.symbols[0]: br for br in mc.BRANCHES if not br.parabolic}
@@ -402,18 +402,18 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
              N_back: int | None = None) -> dict:
     """Cocycle growth rates along the orbit of ``M``.
 
-    chi_u averages the :func:`~horseshoe.map_core.log_growth` of an
-    unstable vector over N forward steps, chi_s the (negated) backward
-    growth of a stable vector.  With ``symbols`` (an affine strip
-    itinerary of length >= N + 1 starting at time 0, as accepted by
-    :func:`shift_orbit_point`) the derivatives are read from the symbols
-    alone and no float orbit is walked, so long orbits stay on the
-    invariant set.  ``N_back`` shortens the stable horizon when the seed
-    has a shallower backward chain than forward (the default is N).
+    chi_u is the ln growth of an unstable vector through N forward
+    derivatives, over N; chi_s the (negated) one of a stable vector
+    through N_back backward ones, over N_back (N by default), both read
+    from the derivative carrier (:func:`~horseshoe.map_core._log_growth`),
+    in range at any horizon.  The two paths differ only in where their
+    derivatives come from: the float orbit of ``M``, or with ``symbols``
+    (an affine strip itinerary of length >= N + 1 from time 0, as
+    :func:`shift_orbit_point` accepts) the symbols alone, so long orbits
+    stay on the invariant set.
     """
     p = params
-    if N_back is None:
-        N_back = N
+    N_back = N if N_back is None else N_back
     if N < 1:
         raise ValueError(f"lyapunov needs N >= 1, got N={N}")
     if N_back < 1:
@@ -423,25 +423,22 @@ def lyapunov(params: MapParams, M, N: int, symbols=None,
         pts = [M, *mc.iterates(p, M, N)]
         if len(pts) <= N:
             raise OrbitEscapes("forward", len(pts))
-        jacs = [jacobian(p, pts[k]) for k in range(N)]
+        back = [M, *mc.iterates(p, M, N_back, False)]
+        if len(back) <= N_back:
+            raise OrbitEscapes("backward", len(back))
+        fwd = [_derivative_at(p, z, "derivative") for z in pts[:N]]
+        bwd = [_derivative_at(p, z, "derivative_inverse") for z in back[1:]]
     else:
         if len(symbols) < N + 1:
             raise ValueError("itinerary shorter than the horizon")
         _check_itinerary(symbols)
         # affine branches have constant derivatives, so the symbol alone
         # decides (and edge-of-strip classification ties do not bite)
-        const = {s: np.array(br.derivative(p, 0.5, 0.5))
-                 for s, br in _AFFINE.items()}
-        jacs = [const[symbols[k]] for k in range(N)]
-    chi_u = mc.log_growth(jacs, (0.0, 1.0)) / N
-    if symbols is None:
-        back = [M, *mc.iterates(p, M, N_back, False)]
-        if len(back) <= N_back:
-            raise OrbitEscapes("backward", len(back))
-        inverses = [jacobian_inverse(p, back[k + 1]) for k in range(N_back)]
-    else:
         N_back = min(N_back, N)
-        inverses = [np.linalg.inv(jacs[k]) for k in range(N_back)]
-    chi_s = mc.log_growth(inverses, (1.0, 0.0))
+        fwd = [_AFFINE[s].derivative(p, 0.5, 0.5) for s in symbols[:N]]
+        bwd = [_AFFINE[s].derivative_inverse(p, 0.5, 0.5)
+               for s in symbols[:N_back]]
+    # the k-th derivative acts after the first k - 1: the latest first
+    chi_u = mc._log_growth(reversed(fwd), (0.0, 1.0)) / N
+    chi_s = mc._log_growth(reversed(bwd), (1.0, 0.0))
     return {"chi_u": chi_u, "chi_s": -chi_s / N_back}
-

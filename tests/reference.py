@@ -9,7 +9,13 @@ The cone reference (:class:`_ReferenceSweep`) carries a frame's cones as
 unit vectors in numpy stacks, depth block by depth block, where
 :class:`horseshoe.splitting._Sweep` scans a running product of the
 walk's derivatives in Python floats; the two agree in depth and error
-exactly and in floats to a bound the tests state."""
+exactly and in floats to a bound the tests state.
+
+The transport reference (:func:`_reference_transport`) multiplies a
+walk's Jacobians onto each other in numpy, one step at a time, where
+:func:`horseshoe.induced.distortion_probe` carries them in array lanes
+and :func:`horseshoe.induced.kergodic_derivative` reads the package's
+derivative carrier; all three give the same floats."""
 
 import math
 
@@ -19,6 +25,18 @@ import horseshoe.coding as cd
 import horseshoe.manifolds as mf
 import horseshoe.map_core as mc
 import horseshoe.splitting as spl
+
+
+def _reference_transport(params, p, k):
+    """(derivative of f^k at p, f^k(p)), each step's Jacobian multiplied
+    onto the last in numpy; raises OutOfDomain when the orbit leaves the
+    branches (the derivative at the last iterate that exists is
+    undefined)."""
+    pts = [p, *mc.iterates(params, p, k)]
+    jac = np.eye(2)
+    for q in pts[:k]:
+        jac = mc.jacobian(params, q) @ jac
+    return jac, pts[k]
 
 
 def _reference_step(params, boxes, forward):

@@ -11,6 +11,9 @@ classes of each module whose name does not start with an underscore.
 
 ``map_core.iterates`` is the one orbit walk: no other module steps a
 point by feeding ``apply`` or ``apply_inverse`` its own last result.
+Products of derivatives along a walk come from the one carrier,
+``map_core._scaled_products``, over the branch rows: no other module
+builds a ``jacobian`` or ``jacobian_inverse`` array.
 
 A module docstring that lists its "Numerical settings" names only
 constants that the module defines, and it names every private
@@ -26,7 +29,7 @@ import horseshoe
 from horseshoe import map_core as mc
 
 MAX_DEFAULTS = 16
-MAX_PUBLIC = 121
+MAX_PUBLIC = 120
 SRC = Path(horseshoe.__file__).parent
 
 
@@ -104,6 +107,26 @@ def test_the_hand_step_rule_sees_both_spellings():
                      "q = mc.apply_inverse(params, q)\n"
                      "r = apply(params, p)\n")
     assert _hand_steps(tree) == [1, 2]
+
+
+def _jacobian_calls(tree: ast.AST) -> list:
+    """Line numbers of calls of ``jacobian`` or ``jacobian_inverse``, the
+    function called by name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None))
+            in ("jacobian", "jacobian_inverse")]
+
+
+def test_only_map_core_builds_jacobians():
+    found = {f.name: _jacobian_calls(ast.parse(f.read_text()))
+             for f in SRC.glob("*.py") if f.name != "map_core.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    tree = ast.parse("a = jacobian(params, p)\n"
+                     "b = mc.jacobian_inverse(params, p)\n"
+                     "c = jacobian\n")
+    assert _jacobian_calls(tree) == [1, 2]
 
 
 def test_every_exported_map_core_name_exists():

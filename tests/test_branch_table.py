@@ -512,7 +512,7 @@ def orbit_walk_digest(params, seed=20261019) -> tuple:
     return (*_row_digests(rows), tables)
 
 
-ORBIT_WALK_PINS = {"ex": "db7bcec2e5b47eb8", "strict": "f19fa5f30bba5da1"}
+ORBIT_WALK_PINS = {"ex": "2973f6129bc65675", "strict": "f19fa5f30bba5da1"}
 #: The same outputs, one digest per function: a failing pin names the
 #: functions whose outputs moved.  A ``VALUED`` function's pin is its
 #: digest and its table of values (``_tabulate``), from which a failing
@@ -746,8 +746,8 @@ ORBIT_WALK_FUNCTION_PINS = {
         )),
         "mixing_times": "68c979d98391a57b",
         "_tangency_pairs": "094308dddf8f3843",
-        "lyapunov": ("b0a1e772069de66d", (
-            (-2.5191996690245086, 1.7775002430941684),
+        "lyapunov": ("fb0784b237f14688", (
+            (-2.5191996690245086, 1.777500243094168),
             "OrbitEscapes 20 forward",
             "OrbitEscapes 5 backward",
         )),
@@ -1349,6 +1349,33 @@ def test_inverse_undoes_forward(params, u, v, which):
     back = which.inverse(params, *which.forward(params, x, y))
     # the parabolic inverse divides an O(1) offset by lam
     assert back == pytest.approx((x, y), abs=1e-12 / params.lam)
+
+
+def _corners_map_into_columns(params) -> None:
+    """The float image of every corner of every branch's strip lies in
+    the branch's image column, ends included."""
+    for br in mc.BRANCHES:
+        lo, hi = params._columns[br]
+        for y in br.strip(params):
+            for x in (0.0, 1.0):
+                fx = br.forward(params, x, y)[0]
+                assert lo <= fx <= hi, (br.region, x, y, fx, lo, hi)
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_strip_corners_map_into_their_columns(params):
+    _corners_map_into_columns(params)
+
+
+@given(params=valid_params())
+@settings(max_examples=50, deadline=None)
+@example(params=dataclasses.replace(
+    REF_EX, lam=0.09844964370054085, sigma=4.6204992325437,
+    c=4.52595469597493, q=0.7618107814400144, t=0.6784632641334408))
+def test_strip_corners_map_into_their_columns_on_valid_params(params):
+    # R4's wing ends are the float images of its strip's edges: q + w_max
+    # lies one ulp below the image of the top edge in the example
+    _corners_map_into_columns(params)
 
 
 def _covered(x, y, pt, slack=1e-9) -> bool:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis.strategies import integers
 
 from horseshoe import map_core as mc
@@ -15,6 +15,7 @@ from horseshoe.map_core import (REF_EX, REF_STRICT, Region, apply,
 from horseshoe.splitting import length_scale, direction_field, adapted_norm
 from horseshoe import induced as ind
 from horseshoe import sampling as sp
+from reference import _reference_transport
 from test_branch_table import CALIBRATED, FAMILIES, valid_params
 
 
@@ -261,6 +262,34 @@ def test_kergodic_derivative_hyperbolicity(params, seed):
         assert np.linalg.norm(d0 @ [0.0, 1.0]) <= params.lam ** (st.k / 2)
 
 
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_kergodic_derivative_is_the_stepwise_transport(params):
+    # the carrier's product of the transposed steps is, transposed, the
+    # product of each step's Jacobian multiplied onto the last, bit for
+    # bit: the floats of the distortion probe's lanes
+    rng = np.random.default_rng(4)
+    checked = 0
+    for rp in sp.sample_A_points(params, rng, 8):
+        st = ind.induced_map(params, rp.M)
+        if st.case != "return":
+            continue
+        ch_m = ind.chart(params, rp.M)
+        ch_f = ind.chart(params, st.target)
+        for xi in ((0.0, 0.0), (0.01, -0.02), (0.2, 0.1), (3.0, 3.0)):
+            try:
+                jac, _ = _reference_transport(params, ch_m.to_plane(xi),
+                                              st.k)
+            except OutOfDomain:
+                with pytest.raises(OutOfDomain):
+                    ind.kergodic_derivative(params, ch_m, ch_f, st.k, xi)
+                continue
+            got = ind.kergodic_derivative(params, ch_m, ch_f, st.k, xi)
+            want = ch_f.inv_basis @ jac @ ch_m.basis
+            assert got.tobytes() == want.tobytes()
+            checked += 1
+    assert checked >= 8
+
+
 # --- distortion -----------------------------------------------------------
 
 def test_distortion_probe_ref_ex():
@@ -363,8 +392,8 @@ def _scalar_probe(params, m, cert, rng, escaped):
             continue
         worst = max(worst, float(np.max(np.abs(f1 - f2 - lin))) / denom)
         try:
-            jac1, c1 = ind._transport(params, ch_m.to_plane(xi1), k)
-            jac2, c2 = ind._transport(params, ch_m.to_plane(xi2), k)
+            jac1, c1 = _reference_transport(params, ch_m.to_plane(xi1), k)
+            jac2, c2 = _reference_transport(params, ch_m.to_plane(xi2), k)
         except OutOfDomain:
             continue
         diff_norm = _adapted_op_norm(jac1 - jac2, ch_m, ch_f)
@@ -927,10 +956,17 @@ def test_first_returns_pass_r3_and_r5_before_their_fold():
 
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
 @settings(max_examples=10, deadline=None)
+@example(params=replace(REF_EX, lam=0.09844964370054085,
+                        sigma=4.6204992325437, c=4.52595469597493,
+                        q=0.7618107814400144, t=0.6784632641334408),
+         seed=0)
 def test_first_returns_end_on_their_only_r4_step_on_valid_params(params,
                                                                  seed):
     # the shape that the closed-form arc crossings and the slice brackets
-    # rely on, and that validate's r4_image_below_r3 check guarantees
+    # rely on, and that validate's r4_image_below_r3 check guarantees.
+    # The example draws a point on the R4 strip's top edge, whose image
+    # lay one ulp past the wing end q + w_max while the R4 column was
+    # that bound; its return then ran on to a second R4 step
     found = _first_return_itineraries(params, np.random.default_rng(seed),
                                       60)
     assert found and all(map(_ends_on_its_only_r4_step, found))

@@ -3,6 +3,7 @@ identity, equilibrium states, Lyapunov exponents and the atom cache."""
 
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -163,50 +164,54 @@ def test_pull_back_refuses_an_empty_memory():
         thermo.pull_back(REF_EX, thermo.named_potential("zero"), 0)
 
 
-def _hypot_log_growth(mats, v) -> float:
-    """The growth sum ``lyapunov`` used before ``mc.log_growth``: the
-    same renormalized walk, with each norm taken by ``np.hypot``."""
-    v = np.array(v)
-    total = 0.0
-    for a in mats:
-        v = a @ v
-        norm = float(np.hypot(*v))
-        total += math.log(norm)
-        v /= norm
-    return total
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
+def test_affine_lyapunov_gives_the_branch_rates(params):
+    # the benchmark's Lyapunov inputs: every affine branch multiplies y by
+    # sigma and x by lam (up to sign), so chi_u = log sigma and chi_s =
+    # log lam at every length, also where sigma^199 is far past the float
+    # range (1e995 on REF_STRICT)
+    rng = np.random.default_rng(17)
+    for length in (2, 40, 200):
+        symbols = _affine_itinerary(rng, length)
+        start = thermo.shift_orbit_point(params, (), symbols)
+        rates = thermo.lyapunov(params, start, length - 1, symbols=symbols)
+        assert abs(rates["chi_u"] - math.log(params.sigma)) <= 1e-12
+        assert abs(rates["chi_s"] - math.log(params.lam)) <= 1e-12
+
+
+def _exact_log_growth(mats, v) -> float:
+    """ln|D_n ... D_1 v| for the float matrices ``mats`` = D_1, ..., D_n,
+    in exact rationals up to the last logarithm."""
+    x, y = map(Fraction, v)
+    for (d00, d01), (d10, d11) in mats:
+        x, y = (Fraction(d00) * x + Fraction(d01) * y,
+                Fraction(d10) * x + Fraction(d11) * y)
+    return 0.5 * math.log(x * x + y * y)
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT])
-def test_log_growth_matches_the_hypot_form(params):
-    # orbit paths: np.linalg.norm and np.hypot may round a step's norm
-    # differently, so the sums agree to 1e-15 relative
+def test_orbit_lyapunov_is_the_exact_growth(params):
+    # on the orbit path, N chi_u and -N_back chi_s are the ln growths of
+    # the exact products of the walks' derivatives, to rounding
     rng = np.random.default_rng(17)
-    sums = 0
-    for _ in range(60):
+    checked = 0
+    for _ in range(20):
         m = sp.sample_returning_point(params, rng).M
-        fwd = [m, *mc.iterates(params, m, 30)][:-1]
-        back = mc.iterates(params, m, 30, False)
-        for mats, v in (([mc.jacobian(params, q) for q in fwd], (0.0, 1.0)),
-                        ([mc.jacobian_inverse(params, q) for q in back],
-                         (1.0, 0.0))):
-            for n in range(1, len(mats) + 1):
-                want = _hypot_log_growth(mats[:n], v)
-                got = mc.log_growth(mats[:n], v)
-                assert abs(got - want) <= 1e-15 * abs(want)
-                sums += 1
-    assert sums >= 400
-    # affine itineraries, the benchmark's Lyapunov inputs: bit for bit
-    const = {s: np.array(br.derivative(params, 0.5, 0.5))
-             for s, br in thermo._AFFINE.items()}
-    for length in (2, 40, 200):
-        symbols = _affine_itinerary(rng, length)
-        jacs = [const[s] for s in symbols[:-1]]
-        inverses = [np.linalg.inv(a) for a in jacs]
-        start = thermo.shift_orbit_point(params, (), symbols)
-        rates = thermo.lyapunov(params, start, length - 1, symbols=symbols)
-        assert rates == {
-            "chi_u": _hypot_log_growth(jacs, (0.0, 1.0)) / (length - 1),
-            "chi_s": -_hypot_log_growth(inverses, (1.0, 0.0)) / (length - 1)}
+        fwd = [m, *mc.iterates(params, m, 30)]
+        back = [m, *mc.iterates(params, m, 30, False)]
+        n, n_back = len(fwd) - 1, len(back) - 1
+        rates = thermo.lyapunov(params, m, n, N_back=n_back)
+        want_u = _exact_log_growth(
+            [mc._derivative_at(params, z, "derivative") for z in fwd[:-1]],
+            (0.0, 1.0))
+        want_s = _exact_log_growth(
+            [mc._derivative_at(params, z, "derivative_inverse")
+             for z in back[1:]], (1.0, 0.0))
+        assert abs(rates["chi_u"] * n - want_u) <= 1e-13 * max(1.0, want_u)
+        assert abs(rates["chi_s"] * n_back + want_s) \
+            <= 1e-13 * max(1.0, want_s)
+        checked += 1
+    assert checked == 20
 
 
 def test_ref_ex_reassigns_the_empty_words():
