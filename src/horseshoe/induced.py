@@ -24,20 +24,19 @@ C0, :func:`_c0_holds`), parabolas through a sub-ball still cross
 around a returning point crosses the target balls at its first return
 (constant eta, :func:`_eta_holds`).  All three meet parabolas with
 segments through one quadratic solver (:func:`_parabola_crossings`).
-The eta check first clips the rectangle to the slice that follows the
+The eta check first clips the rectangle to the escape slice of the
 first-return itinerary.  A first return is a run of straight steps and
 then its only R4 step (:func:`_return_frame` refuses any other, and
 :func:`~horseshoe.map_core.validate` refuses the parameters that allow
 one), whose straight steps keep x in [0, 1] and test heights only.
-So the slice is the rectangle's x-range clipped to the square, times
-one pair of float height edges (:func:`_surviving`).  The image of each
-clipped side is an arc
-of a parabola, crossed with the target segments in closed form
+So the slice is the square's x-range times one interval of float
+heights, found once per itinerary (:func:`_slice`), and the rectangle's
+sides are clamped to it.  The image of each clipped side is an arc of a
+parabola, crossed with the target segments in closed form
 (:func:`_arc_crossings`).
 
 Numerical settings are module constants: ``_VISIT_CAP``, ``_RETURN_CAP``,
-``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL``, ``_ETA_MIN`` and
-``_ETA_ITERS``.
+``_PROBE_GRID``, ``_PROBE_PAIRS``, ``_CROSS_TOL`` and ``_ETA_MIN``.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ _PROBE_GRID = 16        # chart grid points per axis of the distortion probe
 _PROBE_PAIRS = 60       # grid pairs the distortion probe draws
 _CROSS_TOL = 1e-9       # slack of a parabola meeting a segment
 _ETA_MIN = 1e-8         # smallest eta the calibration tries
-_ETA_ITERS = 24         # log-scale bisection steps for eta
 
 
 def escape_time(params: MapParams, m: tuple[float, float]):
@@ -452,7 +450,8 @@ def _arc_crossings(params: MapParams, arcs, itinerary, segs) -> np.ndarray:
 def _follows(params: MapParams, x: float, y: float, ref) -> bool:
     """Whether (x, y) follows the branch itinerary ``ref`` (the regions
     of a point and its next images), stopping at the first step whose
-    strip differs."""
+    strip differs.  On a first return it is the membership test of the
+    escape slice, whose edges :func:`_slice` finds once."""
     for region in ref:
         br = mc._branch_at(params, x, y)
         if br is None or br.region is not region:
@@ -492,71 +491,33 @@ def _bisect_edge(passes, good: float, bad: float) -> float:
     return _key_float(g)
 
 
-def _surviving(params: MapParams, ref, p, target: float) -> float:
-    """The float edge (:func:`_bisect_edge`) towards the height
-    ``target`` of the vertical segment from ``p`` whose points still
-    follow the branch itinerary ``ref`` (which ``p`` follows).
-
-    Points with a different itinerary belong to a different component of
-    the surviving set, so the edge is found by bisecting against the
-    reference label sequence, from the narrow bracket of
-    :func:`_slice_bracket`.  ``ref`` is a first return, straight steps
-    and then its only R4 step (:func:`_return_frame`), so every height
-    that ``_follows`` tests is a chain of straight branch maps (the last
-    step's image is never tested).  Each map is diagonal, affine and
-    correctly rounded, so the tested heights are monotone in y and do
-    not depend on x in [0, 1].  The passing floats are thus one interval
-    around p, and every bisection to adjacent floats ends on its edge."""
-    def same(y: float) -> bool:
-        return _follows(params, p[0], y, ref)
-
-    return _bisect_edge(same, *_slice_bracket(params, ref, p, target, same))
+#: The float heights (lo, hi) of each escape slice, by (params, itinerary).
+_SLICES: dict = {}
 
 
-def _slice_bracket(params: MapParams, ref, p, target: float, same) -> tuple:
-    """A bracket (good, bad) of the height edge of :func:`_surviving` on
-    a first return: straight steps, then its only R4 step.
+def _slice(params: MapParams, ref, y: float) -> tuple:
+    """The float heights (lo, hi) of the escape slice of the first-return
+    itinerary ``ref``: the heights whose points follow it
+    (:func:`_follows`).  ``y`` is a height that follows ``ref``; the
+    first call per (params, ref) finds both edges by :func:`_bisect_edge`
+    from it, and later calls read them back.
 
-    p and the point at height ``target`` are traced through the branch
-    formulas with no region tests.  At each step, the height's margin to
-    each level of the region's strip (between levels of
-    ``params._ladder``) that the target breaks gives one secant root,
-    and the estimate is the root nearest p.  ``same`` is read there,
-    then 1, 2, 4, ... floats away (at most 64 reads) until a passing and
-    a failing height bracket the edge.  The bracket is (p, target) when
-    no margin breaks: the target should pass."""
-    y0 = p[1]
-    a, b = p, (p[0], target)
-    root = math.inf
-    for region in ref:
-        br = mc.BRANCH[region]
-        g0, g1 = a[1], b[1]
-        # a strip holds the heights in (lo, hi], R1 those in [0, hi]
-        lo, hi = br.strip(params)
-        if g1 > hi:
-            root = min(root, (hi - g0) / (g1 - g0))
-        elif g1 < lo or g1 == lo and region is not Region.R1:
-            root = min(root, (lo - g0) / (g1 - g0))
-        a, b = br.forward(params, *a), br.forward(params, *b)
-    if root == math.inf:
-        return y0, target
-    est = min(max(y0 + root * (target - y0), min(y0, target)),
-              max(y0, target))
-    # walk away from est, towards target while it passes, towards p
-    # while it fails, until a probe flips or would leave the bracket
-    ahead = same(est)
-    good, bad = (est, target) if ahead else (y0, est)
-    key = _float_key(est)
-    step = 1 if (target if ahead else y0) > est else -1
-    while min(good, bad) < (v := _key_float(key + step)) < max(good, bad):
-        if same(v):
-            good = v
-        else:
-            bad = v
-        if (good == v) != ahead:
-            break
-        step *= 2
-    return good, bad
+    ``ref`` is straight steps and then its only R4 step
+    (:func:`_return_frame`), so every height that ``_follows`` tests is a
+    chain of straight branch maps (the last step's image is never
+    tested).  Each map is diagonal, affine and correctly rounded, so the
+    tested heights are monotone in y and do not depend on x in [0, 1].
+    The heights that follow ``ref`` are thus one interval, the same at
+    every x and from every point, and the float edge from any point
+    towards any target height is the target clamped to it."""
+    key = (params, ref)
+    if key not in _SLICES:
+        def follows(h: float) -> bool:
+            return _follows(params, 0.5, h, ref)
+
+        _SLICES[key] = (_bisect_edge(follows, y, -1.0),
+                        _bisect_edge(follows, y, 2.0))
+    return _SLICES[key]
 
 
 def _return_frame(params: MapParams, m) -> tuple:
@@ -584,8 +545,8 @@ def u_crossing_certificate(params: MapParams, m: tuple[float, float],
     C0 and eps0 test parabolas through the stable segment and through
     the eps0 sub-ball against the ball's bottom and top sides.  The eta
     check clips the two vertical sides of the rectangle around M to the
-    slice that follows M's itinerary up to its first return M_n (two
-    height searches), and asks that the image of each side cross the
+    escape slice of M's itinerary up to its first return M_n (its
+    heights, :func:`_slice`), and asks that the image of each side cross the
     bottom and top sides of every target ball: radii rho*C0*l and
     eps0*rho*C0*l at M_n and at M_n moved by eta*eps0*rho*C0*l(M_n)
     along +-e_u and +-e_s, twenty segments in all (:func:`_arc_crossings`).
@@ -634,8 +595,9 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     at the first return ``ret`` = (itinerary, splitting at M_n) of
     :func:`_return_frame`: both sides, clipped to the slice that follows
     the itinerary and mapped along it (:func:`_arc_crossings`), must
-    cross every target segment; its heights take two :func:`_surviving`
-    searches.  Returns the verdict, ``d_h`` and ``d_v``."""
+    cross every target segment; its two heights are clamped to the
+    itinerary's escape slice (:func:`_slice`).  Returns the verdict,
+    ``d_h`` and ``d_v``."""
     m = frame.M
     ref, frame_ret = ret
     ball, sub = _balls(frame, rho, cert)
@@ -648,7 +610,8 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
     # and the crossing statement is about its image.  The straight steps
     # keep x in [0, 1] and test heights only, so the slice is a product.
     x_lo, x_hi = max(x_lo, 0.0), min(x_hi, 1.0)
-    y_a, y_b = (_surviving(params, ref, m, y)
+    lo, hi = _slice(params, ref, m[1])
+    y_a, y_b = (min(max(y, lo), hi)
                 for y in (m[1] - dv / 2.0, m[1] + dv / 2.0))
     sides = [(x_lo, y_a, y_b), (x_hi, y_a, y_b)]
     # eta bounds how far the target center may sit from the actual
@@ -679,22 +642,13 @@ def _eta_holds(params: MapParams, frame: SplitFrame, rho: float,
 # ---------------------------------------------------------------------------
 
 def _largest_passing(predicate, hi: float) -> float | None:
-    """Largest value in [``_ETA_MIN``, hi] passing a monotone predicate
-    (log-scale bisection)."""
+    """Largest float in [``_ETA_MIN``, hi] passing a monotone predicate
+    (:func:`_bisect_edge`), or None when ``_ETA_MIN`` fails."""
     if predicate(hi):
         return hi
     if not predicate(_ETA_MIN):
         return None
-    lo = a = math.log(_ETA_MIN)
-    b = math.log(hi)
-    for _ in range(_ETA_ITERS):
-        mid = 0.5 * (a + b)
-        if predicate(math.exp(mid)):
-            a = mid
-        else:
-            b = mid
-    # exp(log(x)) need not round back to x
-    return _ETA_MIN if a == lo else math.exp(a)
+    return _bisect_edge(predicate, _ETA_MIN, hi)
 
 
 def calibrate_certificate(params: MapParams, sample_budget: int,
@@ -708,13 +662,14 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
     p = params
     rng = np.random.default_rng(seed)
     cert = mc.default_certificate(p)
-    points = sp.sample_A_points(p, rng, sample_budget)
-    frames = [direction_field(p, rp.M) for rp in points]
-    subset = points[:min(40, len(points))]
+    # every point is drawn, since the rng goes on into the distortion
+    # probes, but only the first 40 are read
+    subset = sp.sample_A_points(p, rng, sample_budget)[:40]
+    frames = [direction_field(p, rp.M) for rp in subset]
 
     # the window's corner points carry the extreme length scales; sweep
     # the static crossings over them too so the constants hold window-wide
-    static = frames[:len(subset)]
+    static = list(frames)
     for s in (1.0, -1.0):
         for x_off, y in ((p.wing_half_width, p.inv_sigma),
                          (math.sqrt(p.lam / p.c) * 0.999, 0.0)):

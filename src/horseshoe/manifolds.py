@@ -55,10 +55,11 @@ orbits stay within any prescribed distance of each other.
 Leaf geometry runs on two array kernels: :func:`_polyline_distances`
 (from each of many points to a polyline) and :func:`_polyline_intersections`
 (a padded bounding-box pass over segment pairs, then the exact crossing
-test).  Both cut a polyline's S segments into runs of about sqrt(S).
-The crossing kernel tests only the segment pairs of run pairs whose
-padded boxes meet or whose directions come within ``_PARALLEL_REACH``,
-a superset of the pairs the all-pairs pass keeps (:func:`_run_pairs`).
+test).  Both cut a polyline's S segments into runs of about sqrt(S)
+(:func:`_runs`).  The crossing kernel tests only the segment pairs of
+run pairs whose padded boxes meet or whose directions come within
+``_PARALLEL_REACH``, a superset of the pairs the all-pairs pass keeps
+(:func:`_run_pairs`).
 The distance kernel bounds a point's distance to a run by the run's box.
 It runs the per-pair formula on the nearest box's run, then only on the
 runs whose box is no farther than that distance times (1 + 1e-9) plus
@@ -577,6 +578,15 @@ def local_stable(params: MapParams, m) -> ManifoldCurve:
 # Curve pieces: forward / backward advancing with branch splitting
 # ---------------------------------------------------------------------------
 
+def _runs(n_seg: int) -> np.ndarray:
+    """The runs that the polyline kernels cut S = ``n_seg`` segments
+    into: a (runs, size) array of segment indices, one row per run of
+    size max(1, isqrt(S)), whose last row repeats the last segment."""
+    size = max(1, math.isqrt(n_seg))
+    return np.minimum(np.arange(-(-n_seg // size) * size),
+                      n_seg - 1).reshape(-1, size)
+
+
 def _pair_distances(px, py, a, ab, denom) -> np.ndarray:
     """Distances from the points (px, py) to the segments from ``a``
     along ``ab`` (``denom`` = |ab|^2), broadcast point by segment.  Each
@@ -600,11 +610,9 @@ def _polyline_distances(poly: np.ndarray, pts) -> np.ndarray:
     if not len(pts):
         return out
     d = poly[1:] - poly[:-1]
-    n_seg = len(d)
-    size = max(1, math.isqrt(n_seg))
-    runs = -(-n_seg // size)
     # the last run repeats its last segment, which leaves its minimum
-    seg = np.minimum(np.arange(runs * size), n_seg - 1).reshape(runs, size)
+    seg = _runs(len(d))
+    runs, size = seg.shape
     a, ab = poly[:-1][seg], d[seg]
     denom = np.einsum("ij,ij->i", d, d)[seg]
     lo = np.minimum(a, poly[1:][seg]).min(axis=1)
@@ -1006,10 +1014,8 @@ def _run_pairs(lo1, hi1, d1, lo2, hi2, d2) -> np.ndarray:
     half = 0.5 * math.pi
     runs = []
     for lo, hi, d in ((lo1, hi1, d1), (lo2, hi2, d2)):
-        size = max(1, math.isqrt(len(d)))
         # the last run repeats its last segment, which moves no bound
-        seg = np.minimum(np.arange(-(-len(d) // size) * size),
-                         len(d) - 1).reshape(-1, size)
+        seg = _runs(len(d))
         theta = np.arctan2(d[:, 1], d[:, 0])[seg]
         length = np.abs(d).sum(axis=1)[seg]
         dev = np.abs((theta - theta[:, :1] + half) % math.pi - half)
@@ -1048,19 +1054,18 @@ def _polyline_intersections(poly1: np.ndarray, poly2: np.ndarray) -> list:
     hits, eps = [], 1e-12
     if not (len(d1) and len(d2)):
         return hits
-    size1, size2 = max(1, math.isqrt(len(d1))), max(1, math.isqrt(len(d2)))
+    seg1, seg2 = _runs(len(d1)), _runs(len(d2))
+    # a last run repeats its last segment: see each pair once
+    once1, once2 = (np.diff(s, axis=1, prepend=-1) > 0 for s in (seg1, seg2))
     if np.all(np.isfinite(both)):
         r1, r2 = np.nonzero(_run_pairs(lo1, hi1, d1, lo2, hi2, d2))
     else:
-        r1, r2 = np.indices((-(-len(d1) // size1),
-                             -(-len(d2) // size2))).reshape(2, -1)
-    step1, step2 = np.arange(size1)[:, None], np.arange(size2)
-    per = max(1, _BLOCK // (size1 * size2))
+        r1, r2 = np.indices((len(seg1), len(seg2))).reshape(2, -1)
+    per = max(1, _BLOCK // (seg1.shape[1] * seg2.shape[1]))
     for c in range(0, len(r1), per):
-        i, j = np.broadcast_arrays((r1[c:c + per, None, None] * size1
-                                    + step1), r2[c:c + per, None, None]
-                                   * size2 + step2)
-        ok = (i < len(d1)) & (j < len(d2))
+        c1, c2 = r1[c:c + per], r2[c:c + per]
+        i, j = np.broadcast_arrays(seg1[c1, :, None], seg2[c2, None, :])
+        ok = once1[c1, :, None] & once2[c2, None, :]
         i, j = i[ok], j[ok]
         denom = d1[i, 0] * d2[j, 1] - d1[i, 1] * d2[j, 0]
         keep = np.all((lo1[i] <= hi2[j]) & (lo2[j] <= hi1[i]), axis=1)

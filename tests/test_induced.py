@@ -610,15 +610,13 @@ def test_calibrated_constants_pass_on_fresh_strict_samples():
 
 def test_largest_passing_bisects_below_a_threshold():
     # calibration's eta sweep passes at its upper end on both reference
-    # sets, so only a threshold predicate reaches the bisection
+    # sets, so only a threshold predicate reaches the bisection, which
+    # ends on the float edge itself
     threshold, hi = 3.7e-4, 1.0
-    got = ind._largest_passing(lambda v: v <= threshold, hi)
-    assert got <= threshold
-    step = (math.log(hi) - math.log(ind._ETA_MIN)) / 2 ** ind._ETA_ITERS
-    assert math.log(threshold) - math.log(got) <= step * (1.0 + 1e-9)
+    assert ind._largest_passing(lambda v: v <= threshold, hi) == threshold
+    assert ind._largest_passing(lambda v: v < threshold, hi) \
+        == math.nextafter(threshold, 0.0)
     assert ind._largest_passing(lambda v: v <= 0.5 * ind._ETA_MIN, hi) is None
-    # when only the lower end passes, it comes back exactly, not as
-    # exp(log(_ETA_MIN)), which rounds below it
     at_min = ind._largest_passing(lambda v: v <= ind._ETA_MIN, hi)
     assert at_min == ind._ETA_MIN
 
@@ -1000,14 +998,16 @@ def test_bisect_edge_reaches_the_last_passing_float(good, bad, edge):
 
 
 def _slice_edge_agrees(params, ref, p, target):
-    """:func:`induced._surviving` from p towards the height ``target``
-    equals the bisection from the full bracket (p[1], target), and it is
-    a float edge: the target itself, or a float whose next float towards
-    the target fails."""
+    """The height ``target`` clamped to the escape slice of ``ref``
+    (:func:`induced._slice`, asked from p) equals the bisection from the
+    full bracket (p[1], target) at p's abscissa, and it is a float edge:
+    the target itself, or a float whose next float towards the target
+    fails."""
     def same(y):
         return ind._follows(params, p[0], y, ref)
 
-    got = ind._surviving(params, ref, p, target)
+    lo, hi = ind._slice(params, ref, p[1])
+    got = min(max(target, lo), hi)
     assert got == ind._bisect_edge(same, p[1], target)
     assert _is_float_edge(same, got, target)
     return got
@@ -1067,6 +1067,60 @@ def test_slice_edges_are_float_edges_at_deep_returns():
     assert report.eta_ok
 
 
+def _slices_of_shared_itineraries(params, rng, depths, per_depth) -> int:
+    """Slices asked from different points of one itinerary, each with no
+    slice known, have the same edges, and those are the full bisections
+    towards -1 and 2 from each point at its own abscissa.  Returns the
+    number of itineraries that two or more points share."""
+    by_ref = {}
+    for n1 in depths:
+        for _ in range(per_depth):
+            m = sp.sample_returning_point(params, rng, n1=n1).M
+            by_ref.setdefault(ind._return_frame(params, m)[0], []).append(m)
+    for ref, points in by_ref.items():
+        edges = set()
+        for m in points:
+            ind._SLICES.pop((params, ref), None)
+            edges.add(ind._slice(params, ref, m[1]))
+
+            def same(y, x=m[0]):
+                return ind._follows(params, x, y, ref)
+
+            full = (ind._bisect_edge(same, m[1], -1.0),
+                    ind._bisect_edge(same, m[1], 2.0))
+            assert full == ind._slice(params, ref, m[1])
+        assert len(edges) == 1
+    return sum(len(points) > 1 for points in by_ref.values())
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_points_of_one_itinerary_share_their_slice(params):
+    shared = _slices_of_shared_itineraries(
+        params, np.random.default_rng(17), range(1, 6), 3)
+    assert shared >= 3
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_points_of_one_itinerary_share_their_slice_on_valid_params(params,
+                                                                   seed):
+    try:
+        _slices_of_shared_itineraries(params, np.random.default_rng(seed),
+                                      range(1, 4), 2)
+    except (sp.SampleError, NoReturn):
+        reject()
+
+
+def test_points_of_one_itinerary_share_their_slice_at_deep_returns():
+    # the heights of a slice at escape time 15 on REF_STRICT are about
+    # 6e-76, and those at escape time 80 on REF_EX about 1e-56
+    for params, depths in ((REF_STRICT, range(11, 16)),
+                           (REF_EX, (20, 40, 60, 80))):
+        shared = _slices_of_shared_itineraries(
+            params, np.random.default_rng(18), depths, 2)
+        assert shared >= 2
+
+
 def _straight_x_stays_in_the_square(params):
     for region in (Region.R1, Region.R3, Region.R5):
         for x in (0.0, 1.0):
@@ -1083,9 +1137,9 @@ def test_the_eta_slice_is_a_product(params):
     for i in range(10):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
         ref, _ = ind._return_frame(params, m)
-        edge = ind._surviving(params, ref, m, 2.0 * m[1])
-        for y in (m[1], edge, math.nextafter(edge, 2.0), 0.5 * m[1],
-                  2.0 * m[1]):
+        lo, hi = ind._slice(params, ref, m[1])
+        for y in (m[1], lo, math.nextafter(lo, -1.0), hi,
+                  math.nextafter(hi, 2.0), 0.5 * m[1], 2.0 * m[1]):
             agree = {ind._follows(params, x, y, ref)
                      for x in (0.0, m[0], 1.0)}
             assert len(agree) == 1
@@ -1099,21 +1153,35 @@ def test_straight_steps_keep_x_in_the_square_on_valid_params(params):
     _straight_x_stays_in_the_square(params)
 
 
-def test_slice_edge_at_a_passing_target_takes_one_call(monkeypatch):
-    p = REF_EX
-    m = sp.sample_returning_point(p, np.random.default_rng(13), n1=3).M
-    ref, _ = ind._return_frame(p, m)
+#: ``_follows`` reads of one slice: two float edges, each the read of its
+#: far end and at most 64 halvings (:func:`induced._bisect_edge`).
+SLICE_READS = 2 * 65
+
+
+def _counted_follows(monkeypatch) -> list:
+    """Count ``_follows`` reads, with no slice known."""
     follows, calls = ind._follows, []
 
     def counted(*args):
         calls.append(args)
         return follows(*args)
 
+    monkeypatch.setattr(ind, "_SLICES", {})
     monkeypatch.setattr(ind, "_follows", counted)
+    return calls
+
+
+def test_slice_edge_at_a_passing_target_takes_no_call(monkeypatch):
+    p = REF_EX
+    m = sp.sample_returning_point(p, np.random.default_rng(13), n1=3).M
+    ref, _ = ind._return_frame(p, m)
+    calls = _counted_follows(monkeypatch)
+    lo, hi = ind._slice(p, ref, m[1])
+    assert len(calls) <= SLICE_READS
     for target in (m[1] * (1.0 - 1e-12), m[1] * (1.0 + 1e-12)):
         calls.clear()
-        assert ind._surviving(p, ref, m, target) == target
-        assert len(calls) == 1
+        assert ind._slice(p, ref, target) == (lo, hi) and not calls
+        assert _slice_edge_agrees(p, ref, m, target) == target
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
@@ -1125,46 +1193,35 @@ def test_slice_edge_at_a_strip_level(params, monkeypatch):
     assert params.sigma * y_lo == lo and params.sigma * y_hi == hi
     ref = (Region.R1, Region.R4)
     m = (0.5, params.t / params.sigma)
-    follows, calls = ind._follows, []
-
-    def counted(*args):
-        calls.append(args)
-        return follows(*args)
-
-    monkeypatch.setattr(ind, "_follows", counted)
-    got = _slice_edge_agrees(params, ref, m, y_lo)
-    assert got == math.nextafter(y_lo, 1.0)
+    calls = _counted_follows(monkeypatch)
+    edges = ind._slice(params, ref, m[1])
+    assert len(calls) <= SLICE_READS
     calls.clear()
-    assert ind._surviving(params, ref, m, y_lo) == got
-    assert len(calls) <= 4          # the full bisection takes about 60
-    calls.clear()
-    assert ind._surviving(params, ref, m, y_hi) == y_hi
-    assert len(calls) == 1
+    assert ind._slice(params, ref, y_lo) == edges and not calls
+    assert _slice_edge_agrees(params, ref, m, y_lo) \
+        == math.nextafter(y_lo, 1.0)
+    assert _slice_edge_agrees(params, ref, m, y_hi) == y_hi
 
 
 @pytest.mark.parametrize("family", ["ex", "strict"])
-def test_eta_checks_read_few_points_per_slice_edge(family, monkeypatch):
-    # one pair of height searches per check; the full-bracket bisection
-    # takes about 60 _follows calls per edge
+def test_eta_checks_search_each_slice_once(family, monkeypatch):
+    # the first check on an itinerary finds its slice, and every later
+    # check on it reads no height
     params = FAMILIES[family]
     cert = default_certificate(params).with_updates(**CALIBRATED[family])
-    follows, surviving = ind._follows, ind._surviving
-    work = Counter()
-
-    def counted_follows(*args):
-        work["follows"] += 1
-        return follows(*args)
-
-    def counted_surviving(*args):
-        work["surviving"] += 1
-        return surviving(*args)
-
-    monkeypatch.setattr(ind, "_follows", counted_follows)
-    monkeypatch.setattr(ind, "_surviving", counted_surviving)
     rng = np.random.default_rng(15)
-    for i in range(5):
+    checks = []
+    for i in range(10):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
-        ind._eta_holds(params, direction_field(params, m), 1.0, cert,
-                       ind._return_frame(params, m))
-    assert work["surviving"] == 5 * 2
-    assert work["follows"] < 10 * work["surviving"]
+        checks.append((direction_field(params, m),
+                       ind._return_frame(params, m)))
+    calls = _counted_follows(monkeypatch)
+    for frame, ret in checks:
+        ind._eta_holds(params, frame, 1.0, cert, ret)
+    itineraries = {ref for _, (ref, _) in checks}
+    assert len(itineraries) < len(checks)
+    assert len(calls) <= (SLICE_READS + 1) * len(itineraries)
+    for frame, ret in checks:
+        calls.clear()
+        ind._eta_holds(params, frame, 1.0, cert, ret)
+        assert not calls

@@ -722,6 +722,11 @@ def _kernel_cases(rng):
         p2 = np.cumsum(rng.normal(scale=0.05, size=(n2, 2)), axis=0)
         cases.append((p1, p2))
         cases.append((np.repeat(p1, 2, axis=0), p2))   # zero-length segs
+    # the last segments cross, and each last run (5 segments: runs of 2)
+    # repeats its last segment
+    line = np.linspace(0.0, 1.0, 6)
+    cases.append((np.column_stack([line, np.zeros(6)]),
+                  np.column_stack([np.full(6, 0.9), line - 0.9])))
     cases += _collinear_pairs(rng, 400)
     for _ in range(200):
         a, d = rng.uniform(0.0, 1.0, 2), rng.normal(size=2)
