@@ -4,9 +4,9 @@ Subcommands, each on a reference parameter set (``--params ex|strict``):
 
 * ``validate``  : the parameter checks of :func:`map_core.validate`;
 * ``calibrate`` : :func:`induced.calibrate_certificate` with
-  ``--budget`` sampled window points and the sampling ``--seed``: the
-  value and provenance of C0, eps0, eta, rho1, C5 and the derived
-  C3 = rho1 * C0;
+  ``--budget`` sampled window points (at most 40 are read) and the
+  sampling ``--seed``: the value and provenance of C0, eps0, eta, rho1,
+  C5 and the derived C3 = rho1 * C0;
 * ``atoms``     : the nonempty atoms of :func:`coding.atoms` at
   ``--level`` N, counted: ``words``, ``empty_words`` (the other of the
   3^(2N+1) centered words) and the cover ``boxes`` of all atoms.
@@ -53,8 +53,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--params", choices=sorted(PARAMS), default="ex",
                          help="reference parameter set (default: ex)")
     cal = commands["calibrate"]
-    cal.add_argument("--budget", type=int, default=200,
-                     help="sampled window points (default: 200)")
+    cal.add_argument("--budget", type=int, default=40,
+                     help="sampled window points, of which at most 40 "
+                          "are read (default: 40)")
     cal.add_argument("--seed", type=int, default=0,
                      help="sampling seed (default: 0)")
     commands["atoms"].add_argument("--level", type=int, choices=LEVELS,

@@ -657,14 +657,15 @@ def calibrate_certificate(params: MapParams, sample_budget: int,
 
     C5 is an empirical maximum; C0 and eps0 come from descending sweeps
     and eta from a bisection against their crossing predicates, and
-    C3 = rho1 * C0 follows C0.  rho1 keeps its configured value.
+    C3 = rho1 * C0 follows C0.  rho1 keeps its configured value.  The
+    sweeps read ``min(sample_budget, 40)`` sampled window points.
     """
     p = params
     rng = np.random.default_rng(seed)
     cert = mc.default_certificate(p)
-    # every point is drawn, since the rng goes on into the distortion
-    # probes, but only the first 40 are read
-    subset = sp.sample_A_points(p, rng, sample_budget)[:40]
+    # only the points read are drawn: the rng goes on into the
+    # distortion probes
+    subset = sp.sample_A_points(p, rng, min(sample_budget, 40))
     frames = [direction_field(p, rp.M) for rp in subset]
 
     # the window's corner points carry the extreme length scales; sweep

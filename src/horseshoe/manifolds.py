@@ -44,13 +44,16 @@ calls, against 16 transforms (13 refused) one radius at a time.
 
 Global manifolds iterate the local polyline forward (or backward)
 through the branch formulas, splitting the curve at strip and band
-boundaries; the same machinery drives the mixing-time search and the
-verticality check.  Graphs, polylines and the non-expansive pair all
-evaluate the branch table of :mod:`horseshoe.map_core` (on arrays, and
-on exact rationals for the pair).  The module ends with the
-non-expansiveness demonstration: an explicit pair of distinct points on
-the bottom edge, symmetric about the tangency abscissa, whose full
-orbits stay within any prescribed distance of each other.
+boundaries (:func:`advance_pieces`, :func:`retreat_pieces`); the same
+piece walks drive the invariance defects and the mixing-time search.
+A walk keeps every piece, and a step that leaves more than
+``_MAX_PIECES`` raises ``Unsupported``.  Graphs, polylines and the
+non-expansive pair all evaluate the branch table of
+:mod:`horseshoe.map_core` (on arrays, and on exact rationals for the
+pair).  The module ends with the non-expansiveness demonstration: an
+explicit pair of distinct points on the bottom edge, symmetric about the
+tangency abscissa, whose full orbits stay within any prescribed distance
+of each other.
 
 Leaf geometry runs on two array kernels: :func:`_polyline_distances`
 (from each of many points to a polyline) and :func:`_polyline_intersections`
@@ -101,8 +104,8 @@ _MAX_DEPTH = 60     # pullback blocks a local leaf may use
 _MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
 _SEG_LEN = 1e-3     # longest segment of a resampled global leaf
 _MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
-_MAX_PIECES = 256   # longest pieces kept per step of a mapped curve
-_END_TOL = 1e-9     # curve ends this close meet (or reach an edge)
+_MAX_PIECES = 256   # most pieces one step of a piece walk may leave
+_END_TOL = 1e-9     # a curve end this close to an edge reaches it
 _SCAN_ROUNDS = 60   # zoom rounds of the survivor scan for mixing seeds
 _SEED_SLOPE = 0.0   # slope of the flat graph that seeds a local leaf
 _BLOCK = 1 << 15    # segment pairs per kernel block (256 KB of float64)
@@ -703,28 +706,18 @@ def _resample_max_seg(pts: np.ndarray, max_seg: float) -> np.ndarray:
     return _resample_count(pts, n)
 
 
-def _levels(params: MapParams, bands: bool) -> list:
-    """Edges of the horizontal strips and the fold ordinate t, or of
-    the image bands and the fold abscissa q."""
-    edges = [v for br in mc.BRANCHES
-             for v in (br.column if bands else br.strip)(params)]
-    return edges + [params.q if bands else params.t]
-
-
-def advance_pieces(params: MapParams, pieces: list, steps: int,
-                   protect=None) -> list:
+def advance_pieces(params: MapParams, pieces: list, steps: int) -> list:
     """Push polyline pieces ``steps`` plain-map iterates forward.
 
     Pieces are cut at the horizontal strip boundaries (and at the
     tangency level, so parabola images stay monotone), inactive parts
-    are dropped, images are clipped back to the unit square.  When the
-    piece count exceeds ``_MAX_PIECES`` only the longest survive; a piece
-    passing through the forward orbit of ``protect`` is always kept."""
-    walk = mc.iterates(params, protect, 0 if protect is None else steps)
-    for _ in range(steps):
+    are dropped, images are clipped back to the unit square.  A step
+    that leaves more than ``_MAX_PIECES`` pieces raises ``Unsupported``."""
+    levels = [v for br in mc.BRANCHES for v in br.strip(params)] + [params.t]
+    for step in range(1, steps + 1):
         nxt = []
         for pts in pieces:
-            for sub in _cut_at_levels(pts, pts[:, 1], _levels(params, False)):
+            for sub in _cut_at_levels(pts, pts[:, 1], levels):
                 mid = sub[len(sub) // 2]
                 region = classify(params, (float(mid[0]), float(mid[1])))
                 if region not in mc.ACTIVE_REGIONS:
@@ -737,97 +730,63 @@ def advance_pieces(params: MapParams, pieces: list, steps: int,
                     ymid = piece[len(piece) // 2, 1]
                     if 0.0 <= ymid <= 1.0:
                         nxt.append(piece)
-        pieces = _prune_pieces(nxt, next(walk, None))
+        pieces = _bounded(nxt, "forward", step)
     return pieces
 
 
-def _inverse_branches(params: MapParams, pts: np.ndarray) -> list:
-    """Preimage arrays of every inverse branch defined on the whole
-    piece whose preimage lands in the branch's source region."""
+def _preimages(params: MapParams, pts: np.ndarray) -> list:
+    """Preimages of a piece, branch by branch: the parts of the piece in
+    the branch's image band, cut only at the edges of its column (and of
+    the parabolic band: at q and the parabola-offset levels 0 and lam),
+    pulled back and kept when they land in the branch's strip."""
     out = []
     for br in mc.BRANCHES:
-        if not np.all(mc._in_band(params, br, pts[:, 0], pts[:, 1])):
-            continue
-        pre = np.stack(br.inverse(params, *pts.T), axis=1)
-        mid = pre[len(pre) // 2]
-        if classify(params, (float(mid[0]), float(mid[1]))) is br.region:
-            out.append(pre)
+        subs = _cut_at_levels(pts, pts[:, 0], (*br.column(params), params.q)
+                              if br.parabolic else br.column(params))
+        if br.parabolic:
+            subs = [cut for sub in subs for cut in _cut_at_levels(
+                sub, mc.parabola_offset(params, sub.T), (0.0, params.lam))]
+        for sub in subs:
+            if not np.all(mc._in_band(params, br, sub[:, 0], sub[:, 1])):
+                continue
+            if br.parabolic and len(sub) < 1025:
+                sub = _resample_count(sub, 1025)
+            pre = np.stack(br.inverse(params, *sub.T), axis=1)
+            mid = pre[len(pre) // 2]
+            if classify(params, (float(mid[0]), float(mid[1]))) is br.region:
+                out.append(pre)
     return out
 
 
-def retreat_pieces(params: MapParams, pieces: list, steps: int,
-                   protect=None) -> list:
+def retreat_pieces(params: MapParams, pieces: list, steps: int) -> list:
     """Pull polyline pieces ``steps`` iterates backward through the
-    inverse branches, splitting at the image-band boundaries (and at the
-    parabola-offset levels bounding the parabolic image region)."""
-    wing_lo, wing_hi = mc.BRANCH[Region.R4].column(params)
-    walk = mc.iterates(params, protect, 0 if protect is None else steps,
-                       False)
-    for _ in range(steps):
-        nxt = []
-        for pts in pieces:
-            subs = _cut_at_levels(pts, pts[:, 0], _levels(params, True))
-            refined = []
-            for sub in subs:
-                off = mc.parabola_offset(params, sub.T)
-                refined.extend(_cut_at_levels(sub, off, (0.0, params.lam)))
-            for sub in refined:
-                mid = sub[len(sub) // 2]
-                if wing_lo <= mid[0] <= wing_hi and len(sub) < 1025:
-                    sub = _resample_count(sub, 1025)
-                nxt.extend(_inverse_branches(params, sub))
-        pieces = _prune_pieces(nxt, next(walk, None))
+    inverse branches (:func:`_preimages`).  A piece is cut only where it
+    leaves a branch's band or crosses the fold, so two pieces can meet
+    only at the fold.  A step that leaves more than ``_MAX_PIECES``
+    pieces raises ``Unsupported``."""
+    for step in range(1, steps + 1):
+        pieces = _bounded([pre for pts in pieces
+                           for pre in _preimages(params, pts)],
+                          "backward", step)
     return pieces
 
 
-def _prune_pieces(pieces: list, protect) -> list:
-    if len(pieces) <= _MAX_PIECES:
-        return pieces
-    lengths = [float(np.sum(np.hypot(*np.diff(p, axis=0).T)))
-               for p in pieces]
-    order = np.argsort(lengths)[::-1]
-    keep = set(order[:_MAX_PIECES].tolist())
-    return [p for i, p in enumerate(pieces) if i in keep or (
-        protect is not None and _polyline_distances(p, [protect])[0] < 1e-9)]
+def _bounded(pieces: list, walk: str, step: int) -> list:
+    if len(pieces) > _MAX_PIECES:
+        raise Unsupported(f"the {walk} piece walk left {len(pieces)} pieces "
+                          f"at step {step}, more than {_MAX_PIECES}")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
 # Global manifolds
 # ---------------------------------------------------------------------------
 
-def _merge_contiguous(pieces, start: int):
-    """Concatenate pieces that share an endpoint with the selected one.
-
-    Mapping cuts polylines at strip and band levels, so a connected leaf
-    comes back as abutting fragments; rejoin them, but only when the
-    matching endpoint is unambiguous (exactly one candidate)."""
-    chain = pieces[start]
-    free = [p for i, p in enumerate(pieces) if i != start]
-    while True:
-        grew = False
-        for endpoint, prepend in ((chain[-1], False), (chain[0], True)):
-            hits = []
-            for i, p in enumerate(free):
-                for flip in (False, True):
-                    q = p[::-1] if flip else p
-                    if math.hypot(q[0, 0] - endpoint[0],
-                                  q[0, 1] - endpoint[1]) <= _END_TOL:
-                        hits.append((i, q))
-            if len(hits) == 1:
-                i, q = hits[0]
-                chain = (np.vstack([q[::-1], chain[1:]]) if prepend
-                         else np.vstack([chain, q[1:]]))
-                free.pop(i)
-                grew = True
-                break
-        if not grew:
-            return chain
-
-
 def _global_manifold(params: MapParams, chain: _Chain,
                      n: int) -> ManifoldCurve:
     """The leaf through the base of ``chain``: the local leaf at its n-th
-    anchor (read from the chain's tail) mapped back to the base.  At a
+    anchor (read from the chain's tail) mapped back to the base, as the
+    mapped piece nearest the base.  At a
     corner it is the edge, cut at the floor of the corner branch's image
     band for an unstable leaf: W^u(1, 1) is {1} x [1/3, 1]."""
     m, kind = chain.m, chain.kind
@@ -841,10 +800,9 @@ def _global_manifold(params: MapParams, chain: _Chain,
                 "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
     steps = sum(len(chain[i][2]) for i in range(1, n + 1))
-    tail = chain.tail(n)
-    local = _local_manifold(params, tail)
+    local = _local_manifold(params, chain.tail(n))
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
-        params, [local.points], steps, protect=tail.m)
+        params, [local.points], steps)
     best_d, best_i = math.inf, -1
     for i, p in enumerate(pieces):
         d = float(_polyline_distances(p, [m])[0])
@@ -852,15 +810,16 @@ def _global_manifold(params: MapParams, chain: _Chain,
             best_d, best_i = d, i
     if best_i < 0:
         raise NoConvergence("the advanced leaf lost its base point")
-    pts = _resample_max_seg(_merge_contiguous(pieces, best_i), _SEG_LEN)
+    pts = _resample_max_seg(pieces[best_i], _SEG_LEN)
     meta = {"rho": _RHO, "n": n, "steps": steps, "base_distance": best_d,
             "params": params.digest}
     return ManifoldCurve(pts, kind, meta)
 
 
 def global_unstable(params: MapParams, m, n: int) -> ManifoldCurve:
-    """Component through ``m`` of the n-fold forward image of the local
-    unstable leaf at the n-th induced preimage of ``m``."""
+    """Component through ``m`` of the forward image of the local unstable
+    leaf at the n-th anchor of ``m``'s chain, n blocks of plain steps
+    back (nearly always one step each)."""
     return _global_manifold(params, _Chain(params, m, "unstable"), n)
 
 
@@ -897,7 +856,7 @@ def _invariance_defect(params: MapParams, m, kind: str) -> float:
                                           charts=probe.charts,
                                           sweep=probe.sweep))
     pieces = (advance_pieces if unstable else retreat_pieces)(
-        params, [leaf.points], len(block), protect=m)
+        params, [leaf.points], len(block))
     pts = _local_manifold(params, _Chain(params, other, kind,
                                          charts=probe.charts)).points
     pts = pts[np.all((pts >= 0.0) & (pts <= 1.0), axis=1)]
@@ -1101,7 +1060,8 @@ def bracket(params: MapParams, m, m_prime) -> Bracket:
     """Intersection of the stable leaf of ``m`` with the unstable leaf
     of ``m_prime`` (the local product structure), with the measured
     transversality angle.  Local leaves that miss each other are
-    extended once, to global leaves of two induced steps.  The local
+    extended once, to global leaves from the second anchor of each chain
+    (two blocks of plain steps).  The local
     leaves and the extension read one stable chain of ``m`` and one
     unstable chain of ``m_prime``."""
     stable = _Chain(params, m, "stable")

@@ -28,7 +28,7 @@ from pathlib import Path
 import horseshoe
 from horseshoe import map_core as mc
 
-MAX_DEFAULTS = 16
+MAX_DEFAULTS = 14
 MAX_PUBLIC = 120
 SRC = Path(horseshoe.__file__).parent
 

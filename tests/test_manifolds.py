@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -566,43 +567,90 @@ def test_global_stable_extends_past_band_cuts():
     assert np.max(np.abs(gs.points[:, 1] - 1.0)) < 1e-12
 
 
-def test_prune_keeps_the_longest_pieces_and_the_protected_one():
-    # piece i is a horizontal segment of length (i + 1) / 1000
-    pieces = [np.array([[0.0, i / 1000.0], [(i + 1) / 1000.0, i / 1000.0]])
-              for i in range(300)]
-    assert len(pieces) > mf._MAX_PIECES
-    longest = pieces[300 - mf._MAX_PIECES:]
-    kept = mf._prune_pieces(pieces, None)
-    assert len(kept) == mf._MAX_PIECES
-    assert all(a is b for a, b in zip(kept, longest))
-    # the shortest piece passes through the protected point
-    kept = mf._prune_pieces(pieces, (0.0005, 0.0))
-    assert kept[0] is pieces[0]
-    assert all(a is b for a, b in zip(kept[1:], longest))
-    assert len(kept) == mf._MAX_PIECES + 1
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_piece_walks_raise_above_the_piece_bound(params):
+    # short segments across R1 (forward) and across its image column
+    # (backward): each maps to one piece, so one step leaves as many
+    br = mc.BRANCH[Region.R1]
+    (y0, y1), (x0, x1) = br.strip(params), br.column(params)
+    rows = [np.array([[0.1, y], [0.2, y]])
+            for y in np.linspace(y0, y1, 302)[1:-1]]
+    cols = [np.array([[x, 0.4], [x, 0.5]])
+            for x in np.linspace(x0, x1, 302)[1:-1]]
+    for walk, pieces, name in ((mf.advance_pieces, rows, "forward"),
+                               (mf.retreat_pieces, cols, "backward")):
+        assert len(walk(params, pieces[:mf._MAX_PIECES], 1)) == mf._MAX_PIECES
+        with pytest.raises(mf.Unsupported,
+                           match=f"{name} piece walk left 300 pieces at "
+                                 f"step 1, more than {mf._MAX_PIECES}"):
+            walk(params, pieces, 1)
 
 
-def _parabola_polyline(n):
-    x = np.linspace(0.0, 1.0, n)
-    return np.column_stack([x, 0.3 * x * x])
+def test_a_backward_step_cuts_only_at_the_levels_of_its_branch():
+    # on REF_EX the R4 column [0.53, 0.97] overlaps the R5 column
+    # [0.9, 1]: a segment in R4's band across x = 0.9, or in R5's band
+    # across x = 0.97, pulls back whole through its one branch
+    for seg, region in (([[0.89, 0.05], [0.91, 0.05]], Region.R4),
+                        ([[0.96, 0.8], [0.98, 0.8]], Region.R5)):
+        seg = np.array(seg)
+        br = mc.BRANCH[region]
+        (pre,) = mf.retreat_pieces(REF_EX, [seg], 1)
+        for end, want in ((pre[0], seg[0]), (pre[-1], seg[-1])):
+            assert tuple(end) == br.inverse(REF_EX, *want)
 
 
-def test_merge_joins_abutting_fragments_either_way_round():
-    full = _parabola_polyline(7)
-    head, mid, tail = full[0:3], full[2:5][::-1], full[4:7]
-    far = np.array([[5.0, 5.0], [6.0, 6.0]])
-    # the chain starts at the reversed middle fragment: the head joins at
-    # its end (flipped), the tail at its start
-    merged = mf._merge_contiguous([far, tail, mid, head], 2)
-    assert np.array_equal(merged, full[::-1])
+def _walk_end_gaps(params, points, monkeypatch) -> list:
+    """For each piece walk of the global leaves (n = 1, 2) and of the
+    invariance defects at ``points``: the least distance between ends of
+    two different pieces it returned (inf for a single piece)."""
+    walks = []
+
+    def recording(walk):
+        def wrapped(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+        return wrapped
+
+    for name in ("advance_pieces", "retreat_pieces"):
+        monkeypatch.setattr(mf, name, recording(getattr(mf, name)))
+    queries = [(leaf, n) for leaf in (mf.global_unstable, mf.global_stable)
+               for n in (1, 2)]
+    queries += [(mf.unstable_invariance_defect,),
+                (mf.stable_invariance_defect,)]
+    for m in points:
+        for query, *n in queries:
+            try:
+                query(params, m, *n)
+            except mc.HorseshoeError:
+                pass
+    return [min((math.dist(a, b) for p, q in itertools.combinations(w, 2)
+                 for a in (p[0], p[-1]) for b in (q[0], q[-1])),
+                default=math.inf) for w in walks]
 
 
-def test_merge_leaves_an_ambiguous_end_unjoined():
-    full = _parabola_polyline(5)
-    chain = full[0:3]
-    branch_a, branch_b = full[2:5], np.array([full[2], [2.0, 0.0]])
-    merged = mf._merge_contiguous([chain, branch_a, branch_b], 0)
-    assert np.array_equal(merged, chain)
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_piece_walks_leave_no_abutting_pieces(params, monkeypatch):
+    # a walk cuts a piece only where it leaves a strip (forward) or its
+    # branch's band (backward), or at the fold, which local leaves do not
+    # reach: so no walk leaves two pieces to be joined
+    points = [rp.M for rp in sp.sample_A_points(
+        params, np.random.default_rng(0), 6)]
+    gaps = _walk_end_gaps(params, points, monkeypatch)
+    assert len(gaps) >= 24 and min(gaps) < math.inf
+    assert min(gaps) > mf._END_TOL
+
+
+@given(params=valid_params(), seed=integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_piece_walks_leave_no_abutting_pieces_on_valid_params(params, seed):
+    try:
+        points = [rp.M for rp in sp.sample_A_points(
+            params, np.random.default_rng(seed), 2)]
+    except sp.SampleError:
+        reject()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert min(_walk_end_gaps(params, points, monkeypatch),
+                   default=math.inf) > mf._END_TOL
 
 
 def test_resample_keeps_a_zero_length_polyline():
@@ -820,8 +868,7 @@ def test_distance_kernel_equals_the_loop(block):
     other, _, block = mf._Chain(REF_EX, m, "stable")[1]
     leaf = mf.local_unstable(REF_EX, other).points
     cases += [(piece, leaf) for piece in mf.advance_pieces(
-        REF_EX, [mf.local_unstable(REF_EX, m).points], len(block),
-        protect=m)]
+        REF_EX, [mf.local_unstable(REF_EX, m).points], len(block))]
     for p1, pts in cases:
         with np.errstate(invalid="ignore", over="ignore"):
             want = [float(np.min(_ref_point_segment_distances(p1, q)))
