@@ -55,10 +55,7 @@ box of its slice.
 the same word masks, so their order cannot change a verdict, and the
 forward pass steps only the boxes the backward one left alive: on the
 seed-1 ``atlas`` builds it gets 1,731,294 rows, against 1,854,229 the
-other way round.  Between steps a pass drops the hulls off the square
-in the coordinate that the next step does not test; the next step drops
-the others, since for valid parameters strips and columns lie in the
-square.
+other way round.
 
 Only the times that can change a verdict are labelled.  The nine
 children share their parent's symbols at every |k| < n, and each box of
@@ -411,8 +408,7 @@ def _verdicts(params: MapParams, x: Interval, y: Interval,
     word j's cover (``member``) and its time-k hulls meet band s_k for
     every |k| <= n; bit j of inside when the box is ``exact`` and exact
     time-k hulls lie inside band s_k for every |k| <= n.  Hulls are
-    advanced only while they meet the square and their box still
-    survives for some word.
+    advanced only while their box still survives for some word.
 
     Bands are tested only at the times |k| >= ``first_unknown``; the
     verdicts at earlier times are taken as known for every member word:
@@ -443,13 +439,8 @@ def _verdicts(params: MapParams, x: Interval, y: Interval,
                 inside &= table[n + sign * k].take(label >> 3)
             if k == n:
                 break
-            # hulls off the square cannot meet a band later, and their
-            # coordinates blow up under 1/lam; the next step drops the
-            # hulls that miss [0, 1] in the coordinate it tests (strips
-            # and columns lie in the square), so only the other one is
-            # tested here
-            on = hx.meets(0.0, 1.0) if forward else hy.meets(0.0, 1.0)
-            keep = ((meet.take(rows) != 0) & on).nonzero()[0]
+            # the next step drops the hulls that miss every strip
+            keep = (meet.take(rows) != 0).nonzero()[0]
             hx, hy, rows = hx[keep], hy[keep], rows[keep]
             whole = whole[keep] & (inside.take(rows) != 0)
     return meet, inside

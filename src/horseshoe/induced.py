@@ -214,16 +214,21 @@ def us_ball(params: MapParams, m: tuple[float, float], rho: float,
 
 def chart(params: MapParams, m: tuple[float, float]) -> SplitFrame:
     """The chart at ``m``: the splitting there, whose basis scales both
-    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes.  The
-    axes are only as exact as :func:`direction_field` resolves them."""
+    axes by l(M).  Raises :class:`OutOfDomain` where l(M) vanishes or
+    the axes are parallel.  The axes are only as exact as
+    :func:`direction_field` resolves them."""
     return _as_chart(direction_field(params, m))
 
 
 def _as_chart(frame: SplitFrame) -> SplitFrame:
     """``frame`` as the chart at its point; raises :class:`OutOfDomain`
-    where the length scale vanishes."""
+    where the length scale vanishes or e_u and e_s are parallel (at the
+    tangency preimage T = (0, t) both are vertical)."""
     if frame.l <= 0.0:
         raise OutOfDomain("chart undefined where the length scale vanishes")
+    (u0, u1), (s0, s1) = frame.e_u.tolist(), frame.e_s.tolist()
+    if u0 * s1 == u1 * s0:
+        raise OutOfDomain("chart undefined where e_u and e_s are parallel")
     return frame
 
 

@@ -1,29 +1,27 @@
 """Invariant manifolds by the graph transform, and their consequences.
 
 Local stable/unstable manifolds are computed as Lipschitz graphs over the
-adapted chart axes: the classical graph transform is iterated along a
-chain of hyperbolic orbit blocks, seeded with the flat graph at the deep
-end of the chain, until the sup-distance between successive pullbacks
-drops below tolerance.  Blocks are chosen greedily (:func:`_next_anchor`):
-each is the shortest run of f-steps that expands the chart axis by at
-least ``_MU_MIN``.  Since the charts are rescaled by l, that is nearly
-always one plain step (1,717 of 1,735 blocks in a seed-1 ``analysis``
-round), so the chain is the plain orbit, not a chain of induced steps.
+adapted chart axes: the classical graph transform is iterated along the
+point's anchor chain, seeded with the flat graph at the deep end of the
+chain, until the sup-distance between successive pullbacks drops below
+tolerance.  The chain is the plain orbit (:class:`_Chain`), one f-step
+per block, so a leaf at M and the leaf at f(M) read the same pullbacks.
+A step from an A-point expands the chart axis by only
+sigma * l(M) / sup_A l, the paper's non-uniformity near the tangency,
+and the chain does not step over it: a step onto a point with no chart
+raises ``Unsupported`` and names the step.
 
-The blocks of a point form its anchor chain, built lazily once per
-query: every radius of a local leaf, the base leaf of a global leaf (the
-chain's tail) and a bracket with its extension read the same chain.
-Each block keeps the branch itinerary of the walk that found it, and the
-graph transform maps along it.  A chain charts every point it walks from
-one sweep of its first point's orbit (``splitting._Sweep``): the orbit
-is drawn once, its derivatives are built once per point and side, and
-the charts and the blocks read the running products of the same walks.
-The chart at the chain's first point is ``direction_field`` there, bit
-for bit; at the others, one side reads the chain's own points, where
-f(f^-1(M)) need not be M in floats, so it may move by rounding (over 40
-sampled A-points, three anchors deep: 105 of 314 ``REF_EX`` charts, by
-2.2e-16 rad at most, and no ``REF_STRICT`` chart).  The three chains of
-an invariance defect share one chart per point; the two that start at M
+The chain is built lazily once per query: every radius of a local leaf,
+the base leaf of a global leaf (the chain's tail) and a bracket with its
+extension read it.  It charts every point it walks from one sweep of its
+first point's orbit (``splitting._Sweep``): the orbit is drawn once and
+its derivatives are built once per point and side.  The chart at the
+chain's first point is ``direction_field`` there, bit for bit; at the
+others, one side reads the chain's own points, where f(f^-1(M)) need
+not be M in floats, so it may move by rounding (over 40 sampled
+A-points, three anchors deep: 105 of 314 ``REF_EX`` charts, by 2.2e-16
+rad at most, and no ``REF_STRICT`` chart).  The three chains of an
+invariance defect share one chart per point; the two that start at M
 share one sweep.
 
 A local leaf's radius ladder (``_RHO`` * C3, halved down to
@@ -75,7 +73,7 @@ Both kernels take ``_BLOCK`` point-segment or segment pairs at a time,
 so a temporary stays within 256 KB unless one polyline is longer.
 
 Numerical settings are module constants: ``GRID_POINTS``, ``RHO_MIN``,
-``_TOL``, ``_MAX_DEPTH``, ``_MU_MIN``, ``_SEG_LEN``, ``_MAX_RESAMPLE``,
+``_TOL``, ``_MAX_DEPTH``, ``_SEG_LEN``, ``_MAX_RESAMPLE``,
 ``_MAX_PIECES``, ``_END_TOL``, ``_SCAN_ROUNDS``,
 ``_SEED_SLOPE``, ``_BLOCK``, ``_BOX_PAD``, ``_PARALLEL``,
 ``_PARALLEL_REACH``, ``_TINY_SEG``, ``_PASSAGES``, ``_EPS1``,
@@ -94,14 +92,13 @@ import numpy as np
 from . import map_core as mc
 from .map_core import (MapParams, Region, classify, default_certificate,
                        OutOfDomain)
-from .splitting import MAX_DEPTH, SplitFrame, length_scale, _Sweep
+from .splitting import SplitFrame, length_scale, _Sweep
 from .induced import _bisect_edge, _as_chart
 
 GRID_POINTS = 257
 RHO_MIN = 2.0 ** -20
 _TOL = 1e-10        # sup distance of two pullbacks that ends a local leaf
 _MAX_DEPTH = 60     # pullback blocks a local leaf may use
-_MU_MIN = 2.0       # minimal chart-axis expansion of one pullback block
 _SEG_LEN = 1e-3     # longest segment of a resampled global leaf
 _MAX_RESAMPLE = 200_000  # most points of a resampled global leaf
 _MAX_PIECES = 256   # most pieces one step of a piece walk may leave
@@ -254,9 +251,9 @@ class ManifoldCurve:
 def graph_transform(params: MapParams, chart_m: SplitFrame,
                     chart_fm: SplitFrame, itinerary: tuple,
                     s: LipGraph) -> LipGraph:
-    """One graph-transform step along the block M -> F(M) whose branch
-    itinerary (the regions of M and its next images, as
-    :func:`_next_anchor` records them) is ``itinerary``.
+    """One graph-transform step along the block M -> F(M) = f^k(M) whose
+    branch itinerary (the regions of M and its next k - 1 images) is
+    ``itinerary``; a leaf's chain (:class:`_Chain`) has one-step blocks.
 
     For an unstable graph (``u->s``) the input lives at M and the output
     at F(M); for a stable graph (``s->u``) the input lives at F(M) and
@@ -335,69 +332,43 @@ def _refusal(why: int) -> MonotonicityError:
 
 
 # ---------------------------------------------------------------------------
-# Anchor chains (hyperbolic orbit blocks)
+# Anchor chains (the plain orbit)
 # ---------------------------------------------------------------------------
 
-def _next_anchor(chain: "_Chain"):
-    """The orbit point after the chain's last anchor whose block from
-    (to) it expands the relevant chart axis by at least ``_MU_MIN``, with
-    its chart, the block's branch itinerary and its orbit index.
-
-    An unstable chain walks preimages, a stable one images, at most
-    ``MAX_DEPTH`` steps, reading the points and derivative products of
-    the chain's sweep from the last anchor (the e_u or e_s side of
-    ``_Sweep.products``).  A block's product P carries vectors from its
-    last point to the anchor, so chart_m.inv_basis @ P @ ch.basis is its
-    chart derivative (the inverse one for a stable chain): the block
-    expands when the norm of the unstable (stable) column, times 2^e,
-    reaches ``_MU_MIN``.  Every point walked is charted
-    (``_Chain.chart``).  The itinerary is read from the regions the walk
-    classifies, in forward order: those of the last anchor and its first
-    j - 1 images, or of the j preimages from the farthest one."""
-    params, sweep = chain.params, chain.sweep
+def _next_anchor(chain: "_Chain") -> tuple:
+    """The chain's next entry (:class:`_Chain`): one plain step along the
+    orbit of its first point, back (unstable) or forward (stable).  Raises
+    ``Unsupported``, naming the step, where the orbit has no point, leaves
+    the active regions or has no chart (l = 0, or e_u parallel to e_s)."""
+    params, k = chain.params, len(chain.entries)
     forward = chain.kind == "stable"
-    direction, s = ("forward", 1) if forward else ("backward", -1)
-    m, chart_m, _ = chain.entries[-1]
-    base = chain.index[-1]
-    (i00, i01), (i10, i11) = chart_m.inv_basis.tolist()
-    regions = [classify(params, m)] if forward else []
-    j = 0
-    for j, (p00, p01, p10, p11, e) in enumerate(
-            sweep.products(not forward, base), 1):
-        cur = sweep.pts[base + s * j]
-        regions.append(classify(params, cur))
-        if regions[-1] not in mc.ACTIVE_REGIONS:
-            raise Unsupported(f"{direction} orbit of {m} leaves the active "
-                              f"regions at step {j}")
-        try:
-            ch = chain.chart(base + s * j)
-        except OutOfDomain:
-            continue
-        b0, b1 = ch.basis[:, int(forward)].tolist()
-        v0, v1 = p00 * b0 + p01 * b1, p10 * b0 + p11 * b1
-        if math.hypot(i00 * v0 + i01 * v1, i10 * v0 + i11 * v1) \
-                >= math.ldexp(_MU_MIN, -e):
-            return cur, ch, tuple(regions[:j] if forward
-                                  else reversed(regions)), base + s * j
-    if j < MAX_DEPTH:
-        raise Unsupported(f"{direction} orbit of {m} has no image at step "
-                          f"{j + 1}")
-    raise Unsupported(f"no hyperbolic block within {MAX_DEPTH} {direction} "
-                      f"steps of {m}")
+    j = k if forward else -k
+    step = (f"step {k} of the {'forward' if forward else 'backward'} "
+            f"orbit of {chain.entries[0][0]}")
+    cur = chain.sweep.point(j)
+    if cur is None:
+        raise Unsupported(f"{step} does not exist")
+    region = classify(params, cur)
+    if region not in mc.ACTIVE_REGIONS:
+        raise Unsupported(f"{step} leaves the active regions")
+    try:
+        ch = chain.chart(j)
+    except OutOfDomain as err:
+        raise Unsupported(f"{step} has no chart: {err}") from err
+    source = classify(params, chain.entries[-1][0]) if forward else region
+    return cur, ch, (source,)
 
 
 @dataclass
 class _Chain:
-    """The anchor chain of a point for one query, built as far as it is
-    read and then kept.  Entry 0 is (m, chart at m, ()); entry i + 1 is
-    the next anchor after entry i, with the branch itinerary of the block
-    between them (its length is the block's plain steps), and
-    ``index[i]`` is entry i's index on the orbit of ``sweep``.
-    ``tail(n)`` is the chain of entry n, sharing every entry built.
-    Every chart comes from ``sweep``, the frames of the orbit through the
-    chain's first point, and goes into ``charts``, by point; chains that
-    share ``charts`` chart no point twice, and chains on one orbit share
-    its sweep."""
+    """The anchor chain of a point for one query, its plain orbit, built
+    as far as it is read and then kept.  Entry i is (z, chart at z,
+    (region of the step's source,)) for z = z_-i (unstable, source z_-i)
+    or z_i (stable, source z_(i-1)); entry 0 has ().  ``tail(n)`` is the
+    chain of entry n, sharing every entry built.  Charts come from
+    ``sweep``, the frames of the orbit through the chain's first point,
+    and go into ``charts``, by point: chains sharing ``charts`` (and
+    their sweep, on one orbit) chart no point twice."""
 
     params: MapParams
     m: tuple
@@ -406,7 +377,6 @@ class _Chain:
     start: int = 0
     charts: dict = field(default_factory=dict)
     sweep: _Sweep = None
-    index: list = field(default_factory=list)
 
     def __post_init__(self):
         self.m = (float(self.m[0]), float(self.m[1]))
@@ -424,11 +394,8 @@ class _Chain:
     def __getitem__(self, i: int):
         if not self.entries:
             self.entries.append((self.m, self.chart(0), ()))
-            self.index.append(0)
         while len(self.entries) <= self.start + i:
-            *entry, j = _next_anchor(self)
-            self.entries.append(tuple(entry))
-            self.index.append(j)
+            self.entries.append(_next_anchor(self))
         return self.entries[self.start + i]
 
     def tail(self, n: int) -> "_Chain":
@@ -534,7 +501,7 @@ def _local_manifold(params: MapParams, chain: _Chain) -> ManifoldCurve:
     r * l(z) * |e_u,y(z)| < |y(z) - t|.  On ``REF_EX`` that is the first
     radius (reach 7.7e-3 against gaps of 1.8e-2 or more); on
     ``REF_STRICT`` the gap is sigma = 1e5 times smaller and the leaf
-    lands 13 halvings down.  A leaf at F(M) meets z one anchor deeper,
+    lands 13 halvings down.  A leaf at f(M) meets z one anchor deeper,
     so its refusals come at depth 2."""
     radius = _RHO * default_certificate(params).C3
     m, kind = chain.m, chain.kind
@@ -738,7 +705,9 @@ def _preimages(params: MapParams, pts: np.ndarray) -> list:
     """Preimages of a piece, branch by branch: the parts of the piece in
     the branch's image band, cut only at the edges of its column (and of
     the parabolic band: at q and the parabola-offset levels 0 and lam),
-    pulled back and kept when they land in the branch's strip."""
+    pulled back and kept when they land in the branch's strip.  A part
+    is in the band when its middle point is: a cut point is interpolated
+    along the segment, so it may lie just off the level it cuts."""
     out = []
     for br in mc.BRANCHES:
         subs = _cut_at_levels(pts, pts[:, 0], (*br.column(params), params.q)
@@ -747,7 +716,8 @@ def _preimages(params: MapParams, pts: np.ndarray) -> list:
             subs = [cut for sub in subs for cut in _cut_at_levels(
                 sub, mc.parabola_offset(params, sub.T), (0.0, params.lam))]
         for sub in subs:
-            if not np.all(mc._in_band(params, br, sub[:, 0], sub[:, 1])):
+            mid = 0.5 * (sub[(len(sub) - 1) // 2] + sub[len(sub) // 2])
+            if not mc._in_band(params, br, float(mid[0]), float(mid[1])):
                 continue
             if br.parabolic and len(sub) < 1025:
                 sub = _resample_count(sub, 1025)
@@ -785,10 +755,10 @@ def _bounded(pieces: list, walk: str, step: int) -> list:
 def _global_manifold(params: MapParams, chain: _Chain,
                      n: int) -> ManifoldCurve:
     """The leaf through the base of ``chain``: the local leaf at its n-th
-    anchor (read from the chain's tail) mapped back to the base, as the
-    mapped piece nearest the base.  At a
-    corner it is the edge, cut at the floor of the corner branch's image
-    band for an unstable leaf: W^u(1, 1) is {1} x [1/3, 1]."""
+    anchor (the chain's tail) mapped n steps back to the base, as the
+    mapped piece nearest the base.  At a corner it is the edge, cut at
+    the floor of the corner branch's image band for an unstable leaf:
+    W^u(1, 1) is {1} x [1/3, 1]."""
     m, kind = chain.m, chain.kind
     if m in _CORNERS:
         br = mc._branch_at(params, *m)
@@ -799,10 +769,9 @@ def _global_manifold(params: MapParams, chain: _Chain,
         meta = {"rho": _RHO, "n": n, "steps": 0, "base_distance": 0.0,
                 "params": params.digest}
         return ManifoldCurve(pts, kind, meta)
-    steps = sum(len(chain[i][2]) for i in range(1, n + 1))
     local = _local_manifold(params, chain.tail(n))
     pieces = (advance_pieces if kind == "unstable" else retreat_pieces)(
-        params, [local.points], steps)
+        params, [local.points], n)
     best_d, best_i = math.inf, -1
     for i, p in enumerate(pieces):
         d = float(_polyline_distances(p, [m])[0])
@@ -811,15 +780,14 @@ def _global_manifold(params: MapParams, chain: _Chain,
     if best_i < 0:
         raise NoConvergence("the advanced leaf lost its base point")
     pts = _resample_max_seg(pieces[best_i], _SEG_LEN)
-    meta = {"rho": _RHO, "n": n, "steps": steps, "base_distance": best_d,
+    meta = {"rho": _RHO, "n": n, "steps": n, "base_distance": best_d,
             "params": params.digest}
     return ManifoldCurve(pts, kind, meta)
 
 
 def global_unstable(params: MapParams, m, n: int) -> ManifoldCurve:
     """Component through ``m`` of the forward image of the local unstable
-    leaf at the n-th anchor of ``m``'s chain, n blocks of plain steps
-    back (nearly always one step each)."""
+    leaf at the n-th anchor of ``m``'s chain, n plain steps back."""
     return _global_manifold(params, _Chain(params, m, "unstable"), n)
 
 
@@ -828,35 +796,36 @@ def global_stable(params: MapParams, m, n: int) -> ManifoldCurve:
 
 
 def unstable_invariance_defect(params: MapParams, m) -> float:
-    """One-sided Hausdorff distance from W^u(F(M)) to F(W^u(M)) on the
+    """One-sided Hausdorff distance from W^u(f(M)) to f(W^u(M)) on the
     overlap, inside the square (the invariance inclusion, measured)."""
     return _invariance_defect(params, m, "unstable")
 
 
 def stable_invariance_defect(params: MapParams, m) -> float:
-    """One-sided Hausdorff distance from W^s(F^-1(M)) to F^-1(W^s(M)),
+    """One-sided Hausdorff distance from W^s(f^-1(M)) to f^-1(W^s(M)),
     inside the square."""
     return _invariance_defect(params, m, "stable")
 
 
 def _invariance_defect(params: MapParams, m, kind: str) -> float:
-    """Largest distance from the points of the leaf at F(M) (F^-1(M) for
-    stable leaves) that lie in the square, F(M) being the first anchor of
-    M's other-kind chain, to the mapped leaf of M.  The mapped pieces are
+    """Largest distance from the points of the leaf at f(M) (f^-1(M) for
+    stable leaves, the first anchor of M's other-kind chain) that lie in
+    the square to the leaf of M mapped one step.  The mapped pieces are
     clipped to the square, so a leaf point outside it has nothing to be
-    near: near the bottom edge a local unstable leaf at F(M) reaches below
-    y = 0, and measured there the defect was that overhang (up to 6.6e-3
-    on ``REF_EX``) where the leaf inside is within 1.2e-9.  The three
-    chains share their charts: M and its anchor, and each point that a
-    walk passes again, are charted once."""
+    near (near the bottom edge a local unstable leaf at f(M) reaches up
+    to 6.6e-3 below y = 0 on ``REF_EX``).  The unstable leaf at f(M)
+    pulls back through the step from M and then along M's chain, so its
+    defect is rounding (at most 3e-17 on the benchmark's points).  The
+    three chains share their charts: M and its anchor, and each point
+    that a walk passes again, are charted once."""
     unstable = kind == "unstable"
     probe = _Chain(params, m, "stable" if unstable else "unstable")
-    other, _, block = probe[1]
+    other = probe[1][0]
     leaf = _local_manifold(params, _Chain(params, m, kind,
                                           charts=probe.charts,
                                           sweep=probe.sweep))
     pieces = (advance_pieces if unstable else retreat_pieces)(
-        params, [leaf.points], len(block))
+        params, [leaf.points], 1)
     pts = _local_manifold(params, _Chain(params, other, kind,
                                          charts=probe.charts)).points
     pts = pts[np.all((pts >= 0.0) & (pts <= 1.0), axis=1)]
@@ -1061,9 +1030,8 @@ def bracket(params: MapParams, m, m_prime) -> Bracket:
     of ``m_prime`` (the local product structure), with the measured
     transversality angle.  Local leaves that miss each other are
     extended once, to global leaves from the second anchor of each chain
-    (two blocks of plain steps).  The local
-    leaves and the extension read one stable chain of ``m`` and one
-    unstable chain of ``m_prime``."""
+    (two plain steps).  The local leaves and the extension read one
+    stable chain of ``m`` and one unstable chain of ``m_prime``."""
     stable = _Chain(params, m, "stable")
     unstable = _Chain(params, m_prime, "unstable")
     ws = _local_manifold(params, stable)

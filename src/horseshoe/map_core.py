@@ -29,15 +29,15 @@ sigma (its docstring says how).
 
 Orbit segments are walked in one place, :func:`iterates`: the bounded,
 lazy sequence of images (or preimages) of a point.  First returns to
-A, escapes from R1 and the anchor blocks of the leaves are built on
+A, escapes from R1 and the orbit chains of the leaves are built on
 it: no other module steps the map by hand.  A walk's branch itinerary
 is read from the points it visits, so no segment is walked twice to
 learn it.
 Many points at once take one step per call of :func:`step_arrays`, each
 on its own branch.  Derivatives along a walk are multiplied in one place
 too, :func:`_scaled_products`, as four floats and a power of two: frames,
-leaf blocks, DF-hat, cone returns, us-balls and Lyapunov exponents read
-it, and growth is ln|mantissa v| + e ln 2 (:func:`_log_growth`).
+DF-hat, cone returns, us-balls and Lyapunov exponents read it, and
+growth is ln|mantissa v| + e ln 2 (:func:`_log_growth`).
 """
 
 from __future__ import annotations

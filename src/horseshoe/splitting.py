@@ -39,7 +39,8 @@ it, gives the same depths and errors, and directions within 1e-15 rad.
 
 A :class:`SplitFrame` is also the chart at its point M: the affine
 coordinates centered at M in the basis (e_u, e_s), both axes scaled by
-the length scale l(M) (``induced.chart`` checks that l(M) > 0).
+the length scale l(M) (``induced.chart`` checks that l(M) > 0 and that
+e_u and e_s are not parallel).
 
 Numerical settings are module constants: ``MAX_DEPTH``, ``_TOL``,
 ``_CONE_SAMPLES``, ``_RETURN_CAP``, ``_HOLDER_RESIDUAL``,
@@ -227,9 +228,9 @@ class _Sweep:
     not be z_j, so that side moves by rounding against
     ``direction_field(z_j)``.  ``mats[unstable]`` keeps, by orbit index,
     the derivatives of a side's walks, and ``slopes[unstable]`` the
-    apertures of the start cones there, built once each: the frames of a
-    chain and its anchor search (``manifolds._next_anchor``) read the
-    same walk points.  On ``REF_EX`` (see :func:`direction_field`) the
+    apertures of the start cones there, built once each: the frames of
+    a leaf's chain (``manifolds._Chain``, the plain orbit) read the same
+    walk points.  On ``REF_EX`` (see :func:`direction_field`) the
     median e_u residual of 200 sampled A-points is 2.0e-6 at M; frames
     gain about lam/sigma per image on (6.8e-8, 1.4e-9, then 4.0e-11),
     and lose at the preimages of M (2.3e-4 one step back)."""

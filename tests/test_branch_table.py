@@ -1016,7 +1016,7 @@ def leaf_digest(params, seed=20261020, count=6):
     return (*_row_digests(rows), tables, extended)
 
 
-LEAF_PINS = {"ex": "030fe33a9e4d9d96", "strict": "195250c4da05d152"}
+LEAF_PINS = {"ex": "86edfa0734ee32b7", "strict": "195250c4da05d152"}
 #: One digest and one table of values (``_tabulate``) per function.
 LEAF_FUNCTION_PINS = {
     "ex": {
@@ -1094,7 +1094,7 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
         )),
-        "global_stable": ("06eae6f68aa91d59", (
+        "global_stable": ("df3cb30a9ba97993", (
             "Unsupported",
             "Unsupported",
             "Unsupported",
@@ -1103,7 +1103,9 @@ LEAF_FUNCTION_PINS = {
              0.0, 1.0, 0.5, 1.0),
             (0.0, 0.02668949950690732, 1.0, 0.02668462412876445,
              527.7404344282875, 2.191215958680104e-14, 0.0, 2.0, 0.5, 2.0),
-            "NoConvergence",
+            (1.0, 0.026684624119164408, 0.0, 0.026689499497809042,
+             527.7404344217864, -3.594954195440536e-14, 1.4123424652012773e-13,
+             3.0, 0.5, 3.0),
             (0.7687781002316647, 0.0054295941717467195, 0.921871209151295,
              0.005429571174181528, 218.64383900266205, -7.349156005975743e-15,
              8.673617379884035e-19, 1.0, 0.5, 1.0),
@@ -1128,12 +1130,12 @@ LEAF_FUNCTION_PINS = {
             "Unsupported",
             "Unsupported",
         )),
-        "unstable_invariance_defect": ("765dcd80ed64c20d", (
+        "unstable_invariance_defect": ("7df08285c152574c", (
             (1.3877787807814457e-17,),
-            (8.758247326225039e-10,),
-            (1.177225469957612e-09,),
-            (9.706434087490766e-10,),
-            (7.910947481806613e-10,),
+            (2.7755575615628914e-17,),
+            (1.3877787807814457e-17,),
+            (2.168404344971009e-19,),
+            (2.7769124835677133e-17,),
             (1.3877787807814457e-17,),
         )),
         "stable_invariance_defect": ("da8b76f62c911bed", (

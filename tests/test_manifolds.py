@@ -16,7 +16,6 @@ from horseshoe import splitting as spl
 from horseshoe.induced import chart
 from reference import _reference_ladder
 from test_branch_table import valid_params
-from test_induced import _regions
 
 
 # --- LipGraph -------------------------------------------------------------
@@ -81,102 +80,78 @@ def test_transform_contraction_factor():
         assert factor <= bound_base ** len(block) * 1.05
 
 
-def _block_expansions(p, m, chart_m, direction, n=12):
-    """(j, f^j(m), expansion) of the first n candidate blocks of the
-    anchor search, as the reference: each block's derivative is the
-    product of the Jacobians along the walked orbit, multiplied afresh
-    from the block's first point."""
-    forward = direction == "forward"
-    pts = [m, *mc.iterates(p, m, n, forward)]
-    out = []
-    for j in range(1, len(pts)):
-        if mc.classify(p, pts[j]) not in mc.ACTIVE_REGIONS:
-            break
-        jac = np.eye(2)
-        for q in (pts[:j] if forward else pts[j:0:-1]):
-            jac = mc.jacobian(p, q) @ jac
-        ch = chart(p, pts[j])
-        if forward:
-            d = np.linalg.inv(ch.inv_basis @ jac @ chart_m.basis)[:, 1]
-        else:
-            d = (chart_m.inv_basis @ jac @ ch.basis)[:, 0]
-        out.append((j, pts[j], float(np.linalg.norm(d))))
-    return out
-
-
-@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
-def test_next_anchor_matches_blockwise_products(params, monkeypatch):
-    # a threshold just below a block's expansion must stop the search at
-    # that block (when no earlier block reaches it), one just above must
-    # pass it: the carried derivative has to match each block's own
-    rng = np.random.default_rng(12)
-    checked = 0
-    for i in range(6):
-        m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
-        ch = chart(params, m)
-        for direction in ("forward", "backward"):
-            kind = "stable" if direction == "forward" else "unstable"
-            best = 0.0
-            for j, cur, mu in _block_expansions(params, m, ch, direction):
-                if mu <= best * (1 + 1e-9):
-                    continue
-                best = mu
-                monkeypatch.setattr(mf, "_MU_MIN", mu * (1 - 1e-9))
-                got, _, block = mf._Chain(params, m, kind)[1]
-                assert (got, len(block)) == (cur, j)
-                monkeypatch.setattr(mf, "_MU_MIN", mu * (1 + 1e-9))
-                try:
-                    block = mf._Chain(params, m, kind)[1][2]
-                    assert len(block) > j
-                except mf.Unsupported:
-                    pass
-                checked += 1
-    assert checked >= 24
-
-
 def _chain_blocks_agree(params, rng, n_points):
-    """Compare the first three blocks of both kinds of chain at returning
-    points with ``classify`` along a forward walk from each block's start
-    (the nearer anchor of a stable block, the farther one of an unstable
-    block).  Returns the blocks checked and how many of them read
-    differently backwards."""
-    checked = turned = 0
+    """Check that the first three blocks of both kinds of chain, at
+    returning points M and at f(M), are one plain step whose itinerary
+    is the region of the step's source point (the nearer anchor of a
+    stable block, the farther one of an unstable block).  The unstable
+    chain at f(M) steps onto the A-point M, where the chart axis expands
+    least.  Returns the blocks checked."""
+    checked = 0
     for i in range(n_points):
         m = sp.sample_returning_point(params, rng, n1=1 + i % 5).M
-        for kind in ("stable", "unstable"):
-            chain = mf._Chain(params, m, kind)
-            for j in range(1, 4):
-                try:
-                    far, _, block = chain[j]
-                except mf.Unsupported:
-                    break
-                start = chain[j - 1][0] if kind == "stable" else far
-                assert block == _regions(params, start, len(block))
-                checked += 1
-                turned += block != block[::-1]
-    return checked, turned
+        for z0 in (m, apply(params, m)):
+            orbit = {0: z0}
+            for s in (1, -1):
+                for j, z in enumerate(mc.iterates(params, z0, 3, s > 0), 1):
+                    orbit[s * j] = z
+            for kind, s in (("stable", 1), ("unstable", -1)):
+                chain = mf._Chain(params, z0, kind)
+                for j in range(1, 4):
+                    try:
+                        far, _, block = chain[j]
+                    except mf.Unsupported:
+                        break
+                    assert far == orbit[s * j]
+                    start = chain[j - 1][0] if kind == "stable" else far
+                    assert block == (mc.classify(params, start),)
+                    checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
-def test_chain_blocks_record_the_itinerary_of_their_walk(params, monkeypatch):
-    assert _chain_blocks_agree(params, np.random.default_rng(5), 8)[0] >= 24
-    # at the default threshold every block here is one step; at sigma^2
-    # blocks take several, and the record must keep their order
-    monkeypatch.setattr(mf, "_MU_MIN", params.sigma ** 2)
-    checked, turned = _chain_blocks_agree(params, np.random.default_rng(5), 8)
-    assert checked >= 16 and turned >= 8
+def test_chain_blocks_record_the_itinerary_of_their_walk(params):
+    assert _chain_blocks_agree(params, np.random.default_rng(5), 8) >= 48
 
 
 @given(params=valid_params(), seed=integers(0, 2 ** 16))
 @settings(max_examples=5, deadline=None)
 def test_chain_blocks_record_their_walk_on_valid_params(params, seed):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for mu in (mf._MU_MIN, params.sigma ** 2):
-            monkeypatch.setattr(mf, "_MU_MIN", mu)
-            try:
-                _chain_blocks_agree(params, np.random.default_rng(seed), 3)
-            except sp.SampleError:
-                reject()
+    try:
+        _chain_blocks_agree(params, np.random.default_rng(seed), 3)
+    except sp.SampleError:
+        reject()
+
+
+def test_a_chain_step_with_no_chart_names_the_step():
+    # on REF_STRICT: the step from T's preimage onto T = (0, t), where
+    # e_u and e_s are both vertical, and the step back from f(Q) onto
+    # Q = (q, 0), where l vanishes (on REF_EX the start points' own
+    # charts are already refused)
+    p = REF_STRICT
+    for m, kind in ((mc.apply_inverse(p, (0.0, p.t)), "stable"),
+                    (mc.apply(p, (p.q, 0.0)), "unstable")):
+        chain = mf._Chain(p, m, kind)
+        chain[0]
+        with pytest.raises(mf.Unsupported, match="^step 1 of .* has no chart"):
+            chain[1]
+
+
+@pytest.mark.parametrize("params", [REF_EX, REF_STRICT], ids=["ex", "strict"])
+def test_leaf_queries_at_the_tangency_preimage_refuse(params):
+    # e_u and e_s are parallel at T = (0, t): no chart, so every leaf
+    # query there raises a typed error, not numpy's LinAlgError
+    t = (0.0, params.t)
+    queries = [lambda: mf.local_unstable(params, t),
+               lambda: mf.local_stable(params, t),
+               lambda: mf.global_unstable(params, t, 1),
+               lambda: mf.global_stable(params, t, 1),
+               lambda: mf.unstable_invariance_defect(params, t),
+               lambda: mf.stable_invariance_defect(params, t),
+               lambda: mf.bracket(params, t, t)]
+    for query in queries:
+        with pytest.raises(mc.HorseshoeError):
+            query()
 
 
 def test_axis_leaves_at_corners():
@@ -597,6 +572,16 @@ def test_a_backward_step_cuts_only_at_the_levels_of_its_branch():
         (pre,) = mf.retreat_pieces(REF_EX, [seg], 1)
         for end, want in ((pre[0], seg[0]), (pre[-1], seg[-1])):
             assert tuple(end) == br.inverse(REF_EX, *want)
+
+
+def test_a_backward_step_keeps_a_part_cut_at_the_parabola():
+    # the segment leaves R4's band across the parabola offset 0; the
+    # cut point is interpolated along a chord of the parabola, so its
+    # offset lies just below 0, and the part inside still pulls back
+    seg = np.linspace((0.80, 0.0), (0.86, 0.10), 50)
+    (pre,) = mf.retreat_pieces(REF_EX, [seg], 1)
+    assert tuple(pre[0]) == mc.BRANCH[Region.R4].inverse(REF_EX, *seg[0])
+    assert mc.classify(REF_EX, tuple(pre[len(pre) // 2])) is Region.R4
 
 
 def _walk_end_gaps(params, points, monkeypatch) -> list:
