@@ -68,6 +68,21 @@ at k = +-n alone, though its hulls are still stepped through every
 time.  The inside bits are computed only for boxes above the finest
 size: a finest box is kept on meeting alone.
 
+Every cover box is a dyadic cell: :func:`_refine` only halves boxes of
+the unit square, so a box of depth d is [i, i + 1] x [j, j + 1] times
+2^-d for integers i and j, with d at most the resolution (the 455,757
+boxes of ``atoms(REF_EX, 2)`` have depths 9 to 13).
+:meth:`Atom.contains` decides through these cells.  An atom's first
+lookup sorts the ``uint32`` keys d << 28 | i << 14 | j of its boxes, 4
+bytes per box, and keeps them with the atom (:func:`_cell_index`, which
+raises on a box that is not such a cell of depth at most 14).  A lookup
+then binary-searches, depth by depth, only the cells whose closed span
+can hold the point, at most four per depth at slack 0, and applies a
+box scan's closed float test to the cells it finds.  So it answers as a
+scan of every box does, at a cost set by the number of depths, not of
+boxes.  It tries the depths in decreasing order of the area their cells
+cover and stops at its first hit.
+
 :func:`atoms` refines a level in families from the parents' covers and
 :func:`atom` one word alone from the square: the same boxes, but on
 REF_EX mostly in another order, so 23 level-2 representative points
@@ -81,8 +96,11 @@ no itinerary.  Numerical settings: ``_SLICE`` and ``_THETA_MIN_PAIRS``.
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +123,17 @@ class Escaped(mc.HorseshoeError, RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"orbit leaves the bands at step {step}")
         self.step = step
+
+
+class _NotACell(mc.HorseshoeError, ValueError):
+    """A cover box that is not a dyadic cell of the unit square."""
+
+
+def _level(n) -> int:
+    """``n`` as a level: a nonnegative integer, or ValueError naming it."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"level {n!r} is not a nonnegative integer")
+    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +209,9 @@ def itinerary(params: MapParams, p, n: int) -> Word:
 
     On the tangency orbit the lower symbol is kept and the position
     recorded in ``ambiguous``.  Raises :class:`Escaped` with the first
-    failing time when an iterate leaves the bands."""
+    failing time when an iterate leaves the bands, and ValueError when
+    ``n`` is not a nonnegative integer."""
+    n = _level(n)
     p = (float(p[0]), float(p[1]))
     fwd = list(mc.iterates(params, p, n))
     if len(fwd) < n:
@@ -462,8 +493,48 @@ def _box_labels(count: int, rows: np.ndarray, label: np.ndarray) -> np.ndarray:
 # Atoms
 # ---------------------------------------------------------------------------
 
+def _cell_index(word: Word, boxes: np.ndarray) -> tuple:
+    """(keys, depths): the sorted ``uint32`` keys d << 28 | i << 14 | j of
+    the cover ``boxes``, each the cell [i, i + 1] x [j, j + 1] times 2^-d,
+    and the depths d present, in decreasing order of the area their cells
+    cover: the order in which a point is most likely to be found.
+
+    Raises :class:`_NotACell`, naming the word and the box, when a box is
+    not such a cell with d <= 14, bit for bit."""
+    x0, y0, x1, y1 = boxes.T
+    mant, exp = np.frexp(x1 - x0)
+    depth = 1 - exp
+    size = np.ldexp(1.0, depth)
+    i, j = x0 * size, y0 * size
+    cell = ((mant == 0.5) & (depth >= 0) & (depth <= 14)
+            & (i == np.floor(i)) & (j == np.floor(j))
+            & (i >= 0) & (j >= 0) & (i < size) & (j < size)
+            & (x1 == (i + 1) / size) & (y1 == (j + 1) / size))
+    bad = (~cell).nonzero()[0]
+    if len(bad):
+        raise _NotACell(f"cover of {word.to_string()}: box "
+                        f"{tuple(boxes[bad[0]].tolist())} is not a dyadic "
+                        f"cell of depth at most 14")
+    keys = np.sort((depth.astype(np.uint32) << 28)
+                   | (i.astype(np.uint32) << 14) | j.astype(np.uint32))
+    depths, counts = np.unique(keys >> 28, return_counts=True)
+    order = np.argsort(-counts * 0.25 ** depths, kind="stable")
+    return array.array("I", keys.tobytes()), tuple(depths[order].tolist())
+
+
+def _probe(keys: array.array, key: int) -> bool:
+    """Whether ``key`` is among the sorted ``keys``: one binary search."""
+    at = bisect.bisect_left(keys, key)
+    return at < len(keys) and keys[at] == key
+
+
 @dataclass(frozen=True)
 class Atom:
+    """Box cover of the atom carrying ``word``: rows (xmin, ymin, xmax,
+    ymax), each a dyadic cell of the unit square of depth at most the
+    resolution it was refined to.  The sorted cell keys of the cover are
+    built on the first :meth:`contains` and kept with the atom."""
+
     word: Word
     boxes: np.ndarray
     diameter_ub: float = field(init=False)
@@ -471,6 +542,9 @@ class Atom:
     # representative point per parameter set, see :func:`representative`
     _reps: dict = field(init=False, default_factory=dict, repr=False,
                         compare=False)
+    # (keys, depths) of :func:`_cell_index`, built on the first lookup
+    _cells: tuple = field(init=False, default=None, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         # frozen: the atom cache hands the same objects to every caller
@@ -504,14 +578,48 @@ class Atom:
         return cx, cy, (cx - hx) ** 2 + (cy - hy) ** 2
 
     def contains(self, p, slack: float = 0.0) -> bool:
-        if self.empty:
-            return False
-        x, y = p
-        hit = ((self.boxes[:, 0] - slack <= x)
-               & (x <= self.boxes[:, 2] + slack)
-               & (self.boxes[:, 1] - slack <= y)
-               & (y <= self.boxes[:, 3] + slack))
-        return bool(np.any(hit))
+        """Whether some cover box, widened by ``slack``, holds ``p``:
+        xmin - slack <= x <= xmax + slack, and the same in y.
+
+        At each depth present only the cells whose closed span can meet
+        [x - slack, x + slack] x [y - slack, y + slack], its ends moved out
+        by more than that test can round, are looked up in the cell keys:
+        at most two per axis when ``slack`` is 0.  The closed test above
+        then decides on the cells found, so a lookup costs a few binary
+        searches per depth, whatever the size of the cover.  NaN and
+        infinite coordinates are in no box."""
+        x, y = float(p[0]), float(p[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False            # every box is bounded
+        if self._cells is None:
+            object.__setattr__(self, "_cells",
+                               _cell_index(self.word, self.boxes))
+        keys, depths = self._cells
+        # [x - slack, x + slack] x [y - slack, y + slack], each end moved
+        # out by two ulps of |v| + slack + 1, which bounds the rounding of
+        # the box test's sums and of these ends, and clamped to [-1, 2],
+        # which leaves the cells of the unit square that meet it unchanged
+        ex = 2.0 * math.ulp(abs(x) + slack + 1.0)
+        ey = 2.0 * math.ulp(abs(y) + slack + 1.0)
+        xl = min(max(x - slack - ex, -1.0), 2.0)
+        xh = min(max(x + slack + ex, -1.0), 2.0)
+        yl = min(max(y - slack - ey, -1.0), 2.0)
+        yh = min(max(y + slack + ey, -1.0), 2.0)
+        for d in depths:
+            # cell [i, i + 1] in units of w = 2^-d meets [lo, hi] when
+            # ceil(lo) - 1 <= i <= floor(hi)
+            size = 1 << d
+            w = 1.0 / size
+            js = range(max(math.ceil(yl * size) - 1, 0),
+                       min(math.floor(yh * size), size - 1) + 1)
+            for i in range(max(math.ceil(xl * size) - 1, 0),
+                           min(math.floor(xh * size), size - 1) + 1):
+                for j in js:
+                    if _probe(keys, d << 28 | i << 14 | j) \
+                            and i * w - slack <= x <= (i + 1) * w + slack \
+                            and j * w - slack <= y <= (j + 1) * w + slack:
+                        return True
+        return False
 
 
 def default_resolution(params: MapParams) -> int:
@@ -657,8 +765,10 @@ def _cached_atoms(params: MapParams, n: int, resolution: int) -> dict:
 
 
 def atoms(params: MapParams, n: int) -> dict:
-    """All nonempty level-n atoms, as a fresh dict over cached atoms."""
-    return dict(_cached_atoms(params, n, default_resolution(params)))
+    """All nonempty level-n atoms, as a fresh dict over cached atoms.
+    Raises ValueError, before building anything, when ``n`` is not a
+    nonnegative integer."""
+    return dict(_cached_atoms(params, _level(n), default_resolution(params)))
 
 
 # ---------------------------------------------------------------------------

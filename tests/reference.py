@@ -1,6 +1,8 @@
 """Reference forms of kernels for the tests.  The coding references
 evaluate every branch, band piece or row the plain way, where
-:mod:`horseshoe.coding` routes, slices or reorders its work.  The leaf
+:mod:`horseshoe.coding` routes, slices or reorders its work, and test a
+point against every box of a cover, where :meth:`coding.Atom.contains`
+looks up the few cells that can hold it.  The leaf
 reference tries a local leaf's radii one at a time, one graph per
 transform, where :mod:`horseshoe.manifolds` stacks the radii after the
 first as rows.  The tests assert that both forms give the same floats.
@@ -168,6 +170,18 @@ def _reference_verdicts(params, x, y, member, exact, table, first_unknown):
             hx, hy, rows = hx[keep], hy[keep], rows[keep]
             whole = whole[keep] & (inside[rows] != 0)
     return meet, inside
+
+
+def _reference_contains(atom, p, slack=0.0):
+    """The closed test of every box of ``atom``'s cover, widened by
+    ``slack``: the reference of :meth:`coding.Atom.contains`."""
+    if atom.empty:
+        return False
+    x, y = p
+    boxes = atom.boxes
+    hit = ((boxes[:, 0] - slack <= x) & (x <= boxes[:, 2] + slack)
+           & (boxes[:, 1] - slack <= y) & (y <= boxes[:, 3] + slack))
+    return bool(np.any(hit))
 
 
 def _reference_graph_transform(params, chart_m, chart_fm, itinerary, s):

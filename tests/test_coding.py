@@ -17,8 +17,9 @@ import horseshoe.coding as cd
 import horseshoe.map_core as mc
 import horseshoe.sampling as sp
 from horseshoe.map_core import REF_EX, REF_STRICT, apply, apply_inverse
-from reference import (_reference_labels, _reference_slices,
-                       _reference_step, _reference_verdicts)
+from reference import (_reference_contains, _reference_labels,
+                       _reference_slices, _reference_step,
+                       _reference_verdicts)
 from test_branch_table import valid_params
 
 
@@ -171,6 +172,23 @@ class TestItinerary:
     def test_strict_params(self):
         w = cd.itinerary(REF_STRICT, (0.0, 0.0), 2)
         assert w.to_string() == "00.000"
+
+    @pytest.mark.parametrize("n", [-1, 1.5, "2", None])
+    def test_a_level_must_be_a_nonnegative_integer(self, n):
+        # atoms(REF_STRICT, -1) used to build ever deeper levels and never
+        # return, and itinerary(..., -1) raised Escaped or a complaint
+        # about the word's center
+        with mock.patch.object(cd, "_refine", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=f"level {n!r} "):
+                cd.atoms(REF_STRICT, n)
+        with pytest.raises(ValueError, match=f"level {n!r} "):
+            cd.itinerary(REF_EX, (0.0, 0.0), n)
+
+    def test_a_numpy_integer_is_a_level(self):
+        assert cd.itinerary(REF_EX, (0.0, 0.0), np.int64(1)).to_string() \
+            == "0.00"
+        assert cd.atoms(REF_EX, np.int64(0)).keys() \
+            == cd.atoms(REF_EX, 0).keys()
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +451,177 @@ def test_level_build_memory_stays_bounded():
         tracemalloc.stop()
     assert len(level) == 241
     assert peak < 1.2 * 4.67 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Point lookups through the cell index of a cover
+# ---------------------------------------------------------------------------
+
+def _covers(params, resolution):
+    """The atoms of levels 0-2 and two atoms built alone, at
+    ``resolution``."""
+    with mock.patch.object(cd, "default_resolution", lambda p: resolution):
+        out = [a for n in (0, 1, 2) for a in cd.atoms(params, n).values()]
+        out += [cd.atom(params, cd.Word.from_string(text))
+                for text in (".2", "1.02")]
+    return out
+
+
+def _dyadic_cells(boxes, resolution) -> bool:
+    """Whether every box is [i, i + 1] x [j, j + 1] times 2^-d for
+    integers 0 <= i, j < 2^d and d <= ``resolution``: scaled by
+    2^resolution, the corners are integers on a grid of the box's
+    width, a power of two."""
+    scaled = boxes * 2.0 ** resolution
+    width = scaled[:, 2] - scaled[:, 0]
+    whole = width.astype(np.int64)
+    return bool(np.all(scaled == np.floor(scaled))
+                and np.all(scaled[:, 3] - scaled[:, 1] == width)
+                and np.all(width >= 1) and np.all(whole & (whole - 1) == 0)
+                and np.all(scaled[:, 0] % width == 0)
+                and np.all(scaled[:, 1] % width == 0)
+                and np.all((scaled >= 0) & (scaled <= 2.0 ** resolution)))
+
+
+@given(params=valid_params())
+@example(params=REF_EX)
+@example(params=REF_STRICT)
+@settings(max_examples=4, deadline=None)
+def test_every_cover_box_is_a_dyadic_cell(params):
+    resolution = 7
+    for a in _covers(params, resolution):
+        assert _dyadic_cells(a.boxes, resolution), a.word
+    assert _dyadic_cells(cd.atoms(REF_EX, 2)[cd.Word((0,) * 5, 2)].boxes,
+                         cd.default_resolution(REF_EX))
+
+
+_OFF_SQUARE = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0),
+               (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (-5e-324, 0.5),
+               (np.nextafter(0.0, -1.0), 0.3), (np.nextafter(1.0, 2.0), 0.7),
+               (0.3, np.nextafter(0.0, -1.0)), (0.7, np.nextafter(1.0, 2.0)),
+               (-1e-12, 1e-12), (1.0 + 1e-12, 0.5), (5.0, 0.5), (0.5, -3.0),
+               (1e308, 0.5), (0.5, -1e308),
+               (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan),
+               (math.inf, 0.5), (-math.inf, 0.5), (0.5, math.inf),
+               (0.5, -math.inf), (math.inf, -math.inf)]
+
+
+def _sides(v, slack):
+    """``v``, and ``v - slack``, ``v + slack`` with the floats next to them
+    on both sides."""
+    out = {v}
+    for u in (v - slack, v + slack):
+        out |= {u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf)}
+    return sorted(out)
+
+
+def _probes(rng, atom, slack, count):
+    """Points to look up in ``atom``: ``count`` random ones in and
+    around the square, the square's edges, points just off it and
+    non-finite ones, and at a few boxes of the cover every point whose
+    coordinates are the middle, an end, or an end moved out by ``slack``
+    or a float next to that."""
+    pts = [tuple(p) for p in rng.uniform(-0.05, 1.05, (count, 2))]
+    pts += [(float(t), e) for t in rng.uniform(size=4) for e in (0.0, 1.0)]
+    pts += [(e, float(t)) for t in rng.uniform(size=4) for e in (0.0, 1.0)]
+    pts += _OFF_SQUARE
+    if not atom.empty:
+        for x0, y0, x1, y1 in atom.boxes[rng.integers(len(atom.boxes),
+                                                      size=2)]:
+            xs = [0.5 * (x0 + x1)] + _sides(x0, slack) + _sides(x1, slack)
+            ys = [0.5 * (y0 + y1)] + _sides(y0, slack) + _sides(y1, slack)
+            pts += list(itertools.product(xs, ys))
+    return pts
+
+
+@given(params=valid_params())
+@example(params=REF_EX)
+@example(params=REF_STRICT)
+@settings(max_examples=4, deadline=None)
+def test_lookups_give_the_box_scan_answer(params):
+    resolution = 7
+    rng = np.random.default_rng(11)
+    covers = _covers(params, resolution)
+    picked = [covers[i] for i in rng.choice(len(covers), 8, replace=False)]
+    picked.append(cd.Atom(cd.Word.from_string("11.011"), np.empty((0, 4))))
+    hits = 0
+    for a in picked:
+        for slack in (0.0, 1e-12, 2.0 ** -resolution):
+            for p in _probes(rng, a, slack, 30):
+                want = _reference_contains(a, p, slack)
+                assert a.contains(p, slack) is want, (a.word, p, slack)
+                hits += want
+    assert hits > 0
+
+
+@pytest.mark.parametrize("slack", [0.1, 0.3])
+def test_lookups_at_a_wide_slack_give_the_box_scan_answer(slack):
+    # at such a slack the sums v - slack and xmax + slack round on the
+    # scale of the slack, not of v - slack: at depths 1-5 a range of cells
+    # that is not widened misses 4 (0.1) and 16 (0.3) boxes that accept a
+    # point next to an edge moved out by the slack, and one widened by a
+    # float at each end still misses one (0.3)
+    for depth in range(1, 6):
+        w = 2.0 ** -depth
+        for i in range(2 ** depth):
+            lo, hi = i * w, (i + 1) * w
+            for box in ((lo, 0.0, hi, w), (0.0, lo, w, hi)):
+                a = cd.Atom(cd.Word.from_string(".0"), np.array([box]))
+                for v in _sides(lo, slack) + _sides(hi, slack):
+                    p = (v, 0.5 * w) if box[1] == 0.0 else (0.5 * w, v)
+                    want = _reference_contains(a, p, slack)
+                    assert a.contains(p, slack) is want, (box, p)
+
+
+@pytest.mark.parametrize("box", [
+    (0.1, 0.0, 0.35, 0.25),                 # corners off the grid
+    (0.0, 0.0, 0.25, 0.5),                  # not square
+    (0.25, 0.25, 0.5, 0.5 + 2.0 ** -40),
+    (0.0, 0.0, 2.0 ** -15, 2.0 ** -15),     # deeper than a key holds
+    (0.5, 0.5, 0.5, 0.5),                   # a point
+    (1.0, 0.0, 2.0, 1.0),                   # outside the square
+    (-0.5, 0.0, 0.0, 0.5),
+    (math.nan, 0.0, 0.5, 0.5),
+], ids=["off-grid", "oblong", "ragged", "deep", "point", "right", "left",
+        "nan"])
+def test_a_box_that_is_not_a_cell_stops_the_index(box):
+    word = cd.Word.from_string("0.12")
+    a = cd.Atom(word, np.array([(0.0, 0.0, 0.5, 0.5),
+                                (0.5, 0.5, 0.75, 0.75), box]))
+    # the first box holds the point: a scan would answer True, the index
+    # refuses to be built
+    with pytest.raises(cd._NotACell) as err:
+        a.contains((0.25, 0.25))
+    assert isinstance(err.value, mc.HorseshoeError)
+    assert "0.12" in str(err.value)
+    assert str(tuple(float(v) for v in box)) in str(err.value)
+
+
+def test_a_lookup_probes_at_most_four_cells_per_depth(monkeypatch):
+    probed = []
+    probe = cd._probe
+
+    def counted(keys, key):
+        probed.append(key)
+        return probe(keys, key)
+
+    monkeypatch.setattr(cd, "_probe", counted)
+    rng = np.random.default_rng(12)
+    covers = sorted(cd.atoms(REF_EX, 2).values(), key=lambda a: len(a.boxes))
+    picked = covers[::len(covers) // 10]
+    assert len(picked[0].boxes) < 100 and len(picked[-1].boxes) > 5_000
+    worst = 0
+    for a in picked:
+        depths = len(np.unique(a.boxes[:, 2] - a.boxes[:, 0]))
+        for p in _probes(rng, a, 0.0, 30):
+            probed.clear()
+            a.contains(p)
+            assert len(probed) <= 4 * depths, (a.word, p)
+            worst = max(worst, len(probed) / depths)
+        cells = a._cells
+        a.contains((0.5, 0.5))
+        assert a._cells is cells        # built once, kept with the atom
+    assert worst > 1
 
 
 # ---------------------------------------------------------------------------

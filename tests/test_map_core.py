@@ -464,7 +464,7 @@ def test_typed_errors_share_one_root():
         mc: {"OutOfDomain": ValueError, "OrbitEscapes": RuntimeError,
              "NoReturn": RuntimeError, "IterationCap": RuntimeError},
         coding: {"NotInBands": ValueError, "EmptyAtom": ValueError,
-                 "Escaped": RuntimeError},
+                 "Escaped": RuntimeError, "_NotACell": ValueError},
         manifolds: {"NoConvergence": RuntimeError, "Unsupported": RuntimeError,
                     "MonotonicityError": RuntimeError,
                     "NoIntersection": RuntimeError, "NonUnique": RuntimeError,
@@ -487,7 +487,7 @@ def test_typed_errors_share_one_root():
             assert issubclass(cls, mc.HorseshoeError)
             assert issubclass(cls, builtin)
             found += 1
-    assert found == 17
+    assert found == 18
     assert mc.HorseshoeError.__bases__ == (Exception,)
     with pytest.raises(mc.HorseshoeError):
         mc.leave_r1(REF_EX, (0.79, 0.0), True, "escape_time")
